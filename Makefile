@@ -61,18 +61,19 @@ bench-check:
 		| $(GO) run ./cmd/benchjson -check BENCH_env.json -tolerance 0.25
 
 # bench-serve runs the serving-throughput benchmarks (decision-wave path
-# vs the mutex-per-request baseline at 1/64/512 concurrent clients) and
-# archives the parsed results — decisions/s, p99 latency, ns/op — in
-# BENCH_serve.json.
+# vs the mutex-per-request baseline at 1/64/512 concurrent clients) and the
+# /v1/inspect decoder benchmarks (single-pass vs encoding/json, shallow and
+# deep bodies) and archives the parsed results — decisions/s, p99 latency,
+# ns/op, allocs/op — in BENCH_serve.json.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'InspectWave|InspectMutex' -benchmem ./internal/serve/ \
+	$(GO) test -run '^$$' -bench 'InspectWave|InspectMutex|DecodeInspect' -benchmem ./internal/serve/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json
 
 # bench-serve-check reruns the serving benchmarks against the committed
 # BENCH_serve.json baseline (advisory in CI: serving throughput is noisy on
 # shared runners, so regressions warn rather than gate).
 bench-serve-check:
-	$(GO) test -run '^$$' -bench 'InspectWave|InspectMutex' -benchmem ./internal/serve/ \
+	$(GO) test -run '^$$' -bench 'InspectWave|InspectMutex|DecodeInspect' -benchmem ./internal/serve/ \
 		| $(GO) run ./cmd/benchjson -check BENCH_serve.json -tolerance 0.25
 
 # bench-fleet runs the fleet-plane benchmarks (exposition parse, full
@@ -222,5 +223,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/ckpt/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFTrace$$' -fuzztime $(FUZZTIME) ./internal/explain/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime $(FUZZTIME) ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInspect$$' -fuzztime $(FUZZTIME) ./internal/serve/
 
 verify: build vet fmt-check race test

@@ -67,6 +67,12 @@ import (
 	"schedinspector/internal/version"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers, so a client that opens a connection and trickles bytes
+// cannot hold it (and its goroutine) open forever. A scheduler's request
+// arrives in one write; five seconds is slack for a loaded host.
+const readHeaderTimeout = 5 * time.Second
+
 func main() {
 	var (
 		model      = flag.String("model", "model.gob", "trained model or checkpoint path (see schedinspect train)")
@@ -207,7 +213,7 @@ func main() {
 	log.Printf("inspectord: %s serving %s model (%s features, cluster %d) on %s",
 		version.String(), insp.Norm.Metric, insp.Mode, insp.Norm.MaxProcs, *addr)
 
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"time"
 
 	"schedinspector/internal/core"
@@ -77,11 +78,45 @@ type inspectOutcome struct {
 // pendingDecision is one enqueued /v1/inspect request. done is buffered
 // (capacity 1) so the collector never blocks answering; the pool reuses
 // the channel after the waiter has consumed the outcome.
+//
+// It doubles as the request's scratch, so that a warm request allocates none
+// of it: the body as read, the request decoded from it (req points at
+// decoded, state at st, and st.Queue is decoded.Queue), and the response
+// bytes. The collector reads req and state until it sends on done — the
+// decision record and the audit line are encoded from them — so the rule is:
+// release only after receiving from done, or when p was never submitted.
 type pendingDecision struct {
 	req      *InspectRequest
 	state    *sim.State
 	enqueued time.Time
 	done     chan inspectOutcome
+
+	body    bytes.Buffer
+	decoded InspectRequest
+	queue   []sim.QueueItem // decoded.Queue's backing array, kept when a request has no queue
+	st      sim.State
+	out     []byte
+}
+
+// A scratch that one outsized request grew is dropped, not pooled, so the
+// daemon's resident size follows its usual traffic and not its largest
+// request ever. 64 KiB of body is six deep-queue requests' worth; 4096 items
+// (96 KiB) is twice what a body of that size holds at ~35 bytes an item, and
+// catches the body of bare "{}" items that would hold five times more.
+const (
+	maxPooledBody  = 64 << 10
+	maxPooledQueue = 4096
+)
+
+func (p *pendingDecision) poolable() bool {
+	return p.body.Cap() <= maxPooledBody && cap(p.queue) <= maxPooledQueue
+}
+
+// release returns p to the pool. See pendingDecision for when that is safe.
+func (h *Handler) release(p *pendingDecision) {
+	if p.poolable() {
+		h.pendPool.Put(p)
+	}
 }
 
 // swapRequest asks the collector to install a new model snapshot. done

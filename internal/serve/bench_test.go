@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -37,7 +38,13 @@ func mutexBaseline(h *Handler) http.Handler {
 	var mu sync.Mutex
 	return http.HandlerFunc(h.instrument("/v1/inspect-mutex", func(w http.ResponseWriter, r *http.Request) {
 		var req InspectRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body, err := io.ReadAll(r.Body)
+		if err == nil {
+			// The live route's decoder, so the pair keeps comparing the
+			// model critical section and not two codecs.
+			err = DecodeInspect(body, &req)
+		}
+		if err != nil {
 			http.Error(w, "bad request", http.StatusBadRequest)
 			return
 		}
@@ -130,3 +137,32 @@ func BenchmarkInspectWaveC512(b *testing.B)  { benchWave(b, 512) }
 func BenchmarkInspectMutexC1(b *testing.B)   { benchMutex(b, 1) }
 func BenchmarkInspectMutexC64(b *testing.B)  { benchMutex(b, 64) }
 func BenchmarkInspectMutexC512(b *testing.B) { benchMutex(b, 512) }
+
+// Decoder benchmarks: the single-pass decoder against encoding/json — the
+// fallback and the route's only decoder until now — on the two body shapes
+// the repository's benchmark sends: shallow (queue depth 4, ~0.3 KB) and
+// deep (depth 160, ~6 KB). Both decode into a reused request, as the pooled
+// handler does.
+func benchDecode(b *testing.B, depth int, fast bool) {
+	body := benchShapedBody(1, depth)
+	var req InspectRequest
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if fast {
+			err = DecodeInspect(body, &req)
+		} else {
+			err = decodeInspectStd(body, nil, &req)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeInspectFastShallow(b *testing.B) { benchDecode(b, 4, true) }
+func BenchmarkDecodeInspectFastDeep(b *testing.B)    { benchDecode(b, 160, true) }
+func BenchmarkDecodeInspectStdShallow(b *testing.B)  { benchDecode(b, 4, false) }
+func BenchmarkDecodeInspectStdDeep(b *testing.B)     { benchDecode(b, 160, false) }

@@ -5,9 +5,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -38,12 +41,10 @@ type InspectRequest struct {
 	Queue           []QueueItem `json:"queue"`
 }
 
-// QueueItem is one waiting job in the request.
-type QueueItem struct {
-	Wait  float64 `json:"wait"`
-	Est   float64 `json:"est"`
-	Procs int     `json:"procs"`
-}
+// QueueItem is one waiting job in the request: the simulator's own queue
+// entry (it carries the wire names), so a decoded queue feeds sim.NewState
+// without a copy.
+type QueueItem = sim.QueueItem
 
 // InspectResponse is the inspector's verdict.
 type InspectResponse struct {
@@ -132,6 +133,7 @@ type Handler struct {
 	reqMu         sync.Mutex
 	reqCounts     map[string]*obs.Counter // "route code" -> requests_total series
 	latency       map[string]*obs.Histogram
+	fallbacks     *obs.Counter
 	accepts       *obs.Counter
 	rejects       *obs.Counter
 	probHist      *obs.Histogram
@@ -250,6 +252,8 @@ func NewHandlerOptions(insp *core.Inspector, opts Options) *Handler {
 		func() float64 { return h.waveSize.Quantile(0.99) })
 	h.auditFailures = h.reg.Counter("schedinspector_audit_write_failures_total",
 		"Decision audit log encode/write failures (the decision still serves).", nil)
+	h.fallbacks = h.reg.Counter("schedinspector_inspect_decode_fallback_total",
+		"/v1/inspect bodies decoded by encoding/json because they were not in the canonical form the single-pass decoder takes.", nil)
 	h.mux.HandleFunc("/v1/inspect", h.instrument("/v1/inspect", h.inspect))
 	h.mux.HandleFunc("/v1/simulate", h.instrument("/v1/simulate", h.simulate))
 	h.mux.HandleFunc("/v1/info", h.instrument("/v1/info", h.info))
@@ -302,16 +306,23 @@ func (w *statusWriter) Flush() {
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // instrument wraps a route with a request counter (by status code) and a
-// latency histogram.
+// latency histogram. The route's 200 series is resolved here, once, so the
+// common outcome costs one atomic add; other codes are looked up as they
+// occur.
 func (h *Handler) instrument(route string, fn http.HandlerFunc) http.HandlerFunc {
 	hist := h.reg.Histogram("schedinspector_http_request_duration_seconds",
 		"HTTP request latency by route.", nil, obs.Labels{"route": route})
+	ok := h.requestCounter(route, http.StatusOK)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		fn(sw, r)
 		hist.Observe(time.Since(start).Seconds())
-		h.requestCounter(route, sw.code).Inc()
+		if sw.code == http.StatusOK {
+			ok.Inc()
+		} else {
+			h.requestCounter(route, sw.code).Inc()
+		}
 	}
 }
 
@@ -390,15 +401,83 @@ func (h *Handler) recordDecision(req *InspectRequest, feat, logits, probs []floa
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) { h.mux.ServeHTTP(w, r) }
 
+// Request body bounds. A deep-queue inspect body is ~10 KB and a simulate
+// window of a few thousand jobs a few hundred KB; past these bounds the
+// request is not one a scheduler sends, and reading it only holds memory.
+const (
+	maxInspectBody  = 1 << 20
+	maxSimulateBody = 16 << 20
+)
+
+// tooLarge reports whether err is a body read that http.MaxBytesReader cut
+// off at the route's bound.
+func tooLarge(err error) bool {
+	var e *http.MaxBytesError
+	return errors.As(err, &e)
+}
+
+// bodyError answers a request whose body could not be read or decoded: 413
+// when it ran past the route's bound, otherwise 400 with the decoder's text.
+func bodyError(w http.ResponseWriter, err error) {
+	if tooLarge(err) {
+		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+		return
+	}
+	http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+}
+
+// errReader fails every Read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// decodeInspectStd decodes an inspect body with encoding/json, the decoder
+// that defines the route's wire contract. readErr is the error that ended
+// the body read, if any: the decoder sees the bytes that arrived followed by
+// that error, exactly what it saw when it read the connection itself.
+func decodeInspectStd(body []byte, readErr error, req *InspectRequest) error {
+	// A fresh struct: encoding/json leaves fields the body does not mention
+	// (and stale queue items within capacity) as it found them.
+	*req = InspectRequest{}
+	var rd io.Reader = bytes.NewReader(body)
+	if readErr != nil {
+		rd = io.MultiReader(rd, errReader{readErr})
+	}
+	return json.NewDecoder(rd).Decode(req)
+}
+
 func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	var req InspectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
+	// Everything below works in p's scratch; the deferred release is what
+	// makes that safe (see pendingDecision).
+	p := h.pendPool.Get().(*pendingDecision)
+	defer h.release(p)
+
+	p.body.Reset()
+	_, readErr := p.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxInspectBody))
+	req := &p.decoded
+	req.Queue = p.queue
+	err := readErr
+	if err == nil {
+		err = DecodeInspect(p.body.Bytes(), req)
+	}
+	if err != nil {
+		// Not the canonical shape, or a read that ended in an error:
+		// encoding/json decides what the body means, as it always has.
+		if !tooLarge(readErr) {
+			h.fallbacks.Inc()
+			err = decodeInspectStd(p.body.Bytes(), readErr, req)
+		}
+		if err != nil {
+			bodyError(w, err)
+			return
+		}
+	}
+	if req.Queue != nil {
+		p.queue = req.Queue[:0]
 	}
 	if req.Job.Procs <= 0 || req.Job.Est <= 0 || req.TotalProcs <= 0 {
 		http.Error(w, "job.procs, job.est and total_procs must be positive", http.StatusBadRequest)
@@ -408,14 +487,9 @@ func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "free_procs out of range", http.StatusBadRequest)
 		return
 	}
-
-	queue := make([]sim.QueueItem, 0, len(req.Queue))
-	for _, q := range req.Queue {
-		queue = append(queue, sim.QueueItem{Wait: q.Wait, Est: q.Est, Procs: q.Procs})
-	}
-	st := sim.NewState(workload.Job{Est: req.Job.Est, Procs: req.Job.Procs},
+	p.st = *sim.NewState(workload.Job{Est: req.Job.Est, Procs: req.Job.Procs},
 		req.Job.Wait, req.Rejections, req.FreeProcs, req.TotalProcs,
-		req.BackfillEnabled, req.BackfillCount, queue)
+		req.BackfillEnabled, req.BackfillCount, req.Queue)
 
 	// The forward pass happens on the collector goroutine: enqueue one
 	// pending decision and wait for its wave. Under load the wave coalesces
@@ -423,16 +497,24 @@ func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 	// degenerates to a scalar forward plus one channel handoff. By the time
 	// the outcome arrives, the decision is already recorded (metrics,
 	// explain ring, trace ring, audit log) — see processWave.
-	p := h.pendPool.Get().(*pendingDecision)
-	p.req, p.state, p.enqueued = &req, st, time.Now()
+	p.req, p.state, p.enqueued = req, &p.st, time.Now()
 	if !h.submit(p) {
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 		return
 	}
 	out := <-p.done
-	p.req, p.state = nil, nil
-	h.pendPool.Put(p)
-	writeJSON(w, InspectResponse{Reject: out.reject, RejectProb: out.rejectProb})
+	p.writeResponse(w, InspectResponse{Reject: out.reject, RejectProb: out.rejectProb})
+}
+
+// writeResponse writes the verdict as writeJSON would, from p's scratch.
+func (p *pendingDecision) writeResponse(w http.ResponseWriter, resp InspectResponse) {
+	if math.IsNaN(resp.RejectProb) || math.IsInf(resp.RejectProb, 0) {
+		writeJSON(w, resp) // no JSON form: encoding/json's refusal is the behaviour
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	p.out = appendInspectResponse(p.out[:0], resp)
+	w.Write(p.out)
 }
 
 // simulate runs a full what-if schedule over the submitted job sequence by
@@ -446,8 +528,8 @@ func (h *Handler) simulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SimulateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSimulateBody)).Decode(&req); err != nil {
+		bodyError(w, err)
 		return
 	}
 	if req.MaxProcs <= 0 {

@@ -61,11 +61,13 @@ type State struct {
 	Queue []QueueItem
 }
 
-// QueueItem is the inspector-visible view of one waiting job.
+// QueueItem is the inspector-visible view of one waiting job. The json tags
+// are the /v1/inspect wire names: serve.QueueItem is an alias of this type,
+// so a decoded request's queue is the State's queue with no conversion.
 type QueueItem struct {
-	Wait  float64 // time in queue
-	Est   float64 // estimated runtime
-	Procs int
+	Wait  float64 `json:"wait"` // time in queue
+	Est   float64 `json:"est"`  // estimated runtime
+	Procs int     `json:"procs"`
 }
 
 // NewState assembles an inspector State from its raw components, deriving
