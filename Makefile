@@ -92,9 +92,12 @@ bench-fleet-check:
 # equiv runs the golden equivalence suites that pin the Env/wave engines to
 # the verbatim seed implementations — the batched serving path to the
 # scalar Explain kernel — and the distributed engine's replicas to the
-# single-process trainer — bit for bit, under the race detector.
+# single-process trainer — bit for bit, under the race detector. The PPO
+# update is pinned the same way: internal/rl's frozen digest of the
+# per-sample update (amd64 bits) and, on every architecture, internal/nn's
+# batch kernels against the per-sample Forward/Backward.
 equiv:
-	$(GO) test -race -run 'Equiv' -count=1 ./internal/sim/ ./internal/core/ ./internal/serve/ ./internal/dist/
+	$(GO) test -race -run 'Equiv|BatchBitIdentical' -count=1 ./internal/sim/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/rl/ ./internal/nn/
 
 # trace-smoke exercises the decision flight recorder end to end at smoke
 # scale, on both recording paths: a tiny training run records a JSONL

@@ -38,6 +38,12 @@ import (
 // consumes. It is the unit of exchange between distributed workers —
 // internal/dist serializes these through the canonical delta codec — and
 // deliberately contains only data, no references into trainer state.
+//
+// Steps are read-only once RolloutShard (or internal/dist's decodeShard)
+// has returned them: the Obs slices of one trajectory are carved from
+// shared slabs rather than allocated one by one, so a consumer reads them —
+// ApplyDeltas copies them into the PPO batch matrix — and never writes or
+// appends to them.
 type TrajDelta struct {
 	// Index is the trajectory's position in the epoch batch [0, Batch).
 	Index int

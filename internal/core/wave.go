@@ -27,6 +27,7 @@ type waveSampler struct {
 	insp   *Inspector
 	rngs   []*rand.Rand // per-slot streams; indexed by episode slot
 	steps  [][]rl.Step  // per-slot transition records when recording
+	slabs  [][]float64  // per-slot backing store of the recorded observations
 	greedy bool
 
 	feats  []float64 // wave feature matrix, rows x Mode.Dim()
@@ -58,8 +59,28 @@ func newWaveSampler(insp *Inspector, rngs []*rand.Rand, slots int, record bool) 
 	}
 	if record {
 		s.steps = make([][]rl.Step, slots)
+		s.slabs = make([][]float64, slots)
 	}
 	return s
+}
+
+// obsSlabRows is how many observations one slab block holds. A trajectory
+// of the default SeqLen records a few hundred decisions, so it fills one or
+// two blocks instead of making one allocation per decision.
+const obsSlabRows = 256
+
+// recordObs copies row into slot's slab and returns the copy. A full slab
+// is replaced by a new block, never grown, so slices handed out earlier
+// never move.
+func (s *waveSampler) recordObs(slot int, row []float64) []float64 {
+	slab := s.slabs[slot]
+	if cap(slab)-len(slab) < len(row) {
+		slab = make([]float64, 0, obsSlabRows*len(row))
+	}
+	n := len(slab)
+	slab = append(slab, row...)
+	s.slabs[slot] = slab
+	return slab[n:len(slab):len(slab)]
 }
 
 // explainTo attaches a flight recorder: every subsequent decision emits one
@@ -103,7 +124,7 @@ func (s *waveSampler) decide(pending []rollout.Pending, rejects []bool) {
 		if s.steps != nil {
 			slot := pending[i].Slot
 			s.steps[slot] = append(s.steps[slot], rl.Step{
-				Obs:    append([]float64(nil), s.feats[i*dim:(i+1)*dim]...),
+				Obs:    s.recordObs(slot, s.feats[i*dim:(i+1)*dim]),
 				Action: action,
 				LogP:   logp,
 			})

@@ -218,18 +218,26 @@ func decodeShard(payload []byte) (shardMsg, error) {
 			return shardMsg{}, fmt.Errorf("dist: delta claims %d steps in %d bytes", steps, len(r.data))
 		}
 		d.Steps = make([]rl.Step, 0, steps)
+		// The delta's observations are carved from one slab. Its size
+		// comes from a look-ahead over the step headers, so it is exactly
+		// the values the bytes hold — a hostile count cannot inflate it —
+		// and the loop below re-reads the same headers with the checks
+		// that name the error.
+		slab := make([]float64, 0, obsValues(r.data, steps))
 		for j := 0; j < steps && r.err == nil; j++ {
 			obsN := int(r.u32())
 			if r.err == nil && (obsN < 0 || obsN*8 > len(r.data)) {
 				return shardMsg{}, fmt.Errorf("dist: step claims %d features in %d bytes", obsN, len(r.data))
 			}
-			s := rl.Step{Obs: make([]float64, obsN)}
-			for k := range s.Obs {
-				s.Obs[k] = r.f64()
+			off := len(slab)
+			for k := 0; k < obsN; k++ {
+				slab = append(slab, r.f64())
 			}
-			s.Action = int(r.u32())
-			s.LogP = r.f64()
-			d.Steps = append(d.Steps, s)
+			d.Steps = append(d.Steps, rl.Step{
+				Obs:    slab[off:len(slab):len(slab)],
+				Action: int(r.u32()),
+				LogP:   r.f64(),
+			})
 		}
 		m.Deltas = append(m.Deltas, d)
 	}
@@ -237,6 +245,23 @@ func decodeShard(payload []byte) (shardMsg, error) {
 		return shardMsg{}, err
 	}
 	return m, nil
+}
+
+// obsValues returns how many observation values the next steps encoded
+// steps of data hold in total, stopping at the first step the bytes cannot
+// back.
+func obsValues(data []byte, steps int) int {
+	scan := binReader{data: data}
+	total := 0
+	for j := 0; j < steps; j++ {
+		obsN := int(scan.u32())
+		if scan.err != nil || obsN < 0 || obsN*8 > len(scan.data) {
+			break
+		}
+		total += obsN
+		scan.take(obsN*8 + 4 + 8) // the values, the action, the log-probability
+	}
+	return total
 }
 
 // Digest summarizes a replica's full trainer state (the canonical

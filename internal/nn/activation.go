@@ -48,13 +48,14 @@ func (a Activation) apply(z float64) float64 {
 }
 
 // derivFromOutput returns da/dz expressed in terms of the activation output
-// y = a(z) (cheap for tanh) and the pre-activation z (needed for ReLU).
-func (a Activation) derivFromOutput(y, z float64) float64 {
+// y = a(z) alone, so backpropagation keeps no pre-activations: tanh' is
+// 1 - y*y, and for ReLU y > 0 exactly when z > 0.
+func (a Activation) derivFromOutput(y float64) float64 {
 	switch a {
 	case Tanh:
 		return 1 - y*y
 	case ReLU:
-		if z > 0 {
+		if y > 0 {
 			return 1
 		}
 		return 0

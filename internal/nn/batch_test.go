@@ -1,34 +1,58 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
+// oracleNets are the networks the batch kernels are pinned on: the paper's
+// tanh shape, a ReLU net (exact zeros, so ±0 products reach the
+// accumulators), and widths that are multiples of neither 4 nor 8, so every
+// tail loop of the blocked kernels runs.
+func oracleNets(rng *rand.Rand) []*MLP {
+	return []*MLP{
+		New(rng, []int{9, 32, 16, 8, 2}, Tanh, Identity),
+		New(rng, []int{8, 32, 16, 8, 2}, ReLU, Identity),
+		New(rng, []int{9, 5, 3, 2}, Tanh, Identity),
+		New(rng, []int{9, 5, 3, 2}, ReLU, Tanh),
+	}
+}
+
+// oracleRows straddle the 4-row block and a 128-row chunk; the trailing 5
+// shrinks the batch so a reused cache is exercised too.
+var oracleRows = []int{1, 2, 3, 4, 5, 7, 8, 9, 127, 128, 129, 5}
+
+func randVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
 // TestForwardBatchBitIdentical pins the batched forward to the scalar one:
 // every row of a ForwardBatch result must equal Forward of that row alone,
-// exactly — the rollout driver's correctness rests on it.
+// bit for bit — the rollout driver's correctness rests on it.
 func TestForwardBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m := New(rng, []int{9, 32, 16, 8, 2}, Tanh, Identity)
-	var cache Cache
-	var bcache BatchCache
-	for _, rows := range []int{1, 3, 17, 64, 5} { // shrinking batch reuses the cache
+	for n, m := range oracleNets(rng) {
+		var cache Cache
+		var bcache BatchCache
 		nIn, nOut := m.InputSize(), m.OutputSize()
-		xs := make([]float64, rows*nIn)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		got := m.ForwardBatch(xs, rows, &bcache)
-		if len(got) != rows*nOut {
-			t.Fatalf("rows=%d: output length %d, want %d", rows, len(got), rows*nOut)
-		}
-		for r := 0; r < rows; r++ {
-			want := m.Forward(xs[r*nIn:(r+1)*nIn], &cache)
-			for o := 0; o < nOut; o++ {
-				if got[r*nOut+o] != want[o] {
-					t.Fatalf("rows=%d row=%d out=%d: batch %v != scalar %v",
-						rows, r, o, got[r*nOut+o], want[o])
+		for _, rows := range oracleRows {
+			xs := randVec(rng, rows*nIn)
+			got := m.ForwardBatch(xs, rows, &bcache)
+			if len(got) != rows*nOut {
+				t.Fatalf("net %d rows=%d: output length %d, want %d", n, rows, len(got), rows*nOut)
+			}
+			for r := 0; r < rows; r++ {
+				want := m.Forward(xs[r*nIn:(r+1)*nIn], &cache)
+				for o := 0; o < nOut; o++ {
+					if math.Float64bits(got[r*nOut+o]) != math.Float64bits(want[o]) {
+						t.Fatalf("net %d rows=%d row=%d out=%d: batch %v != scalar %v",
+							n, rows, r, o, got[r*nOut+o], want[o])
+					}
 				}
 			}
 		}
@@ -40,4 +64,100 @@ func TestForwardBatchZeroRows(t *testing.T) {
 	if out := m.ForwardBatch(nil, 0, nil); len(out) != 0 {
 		t.Fatalf("zero-row batch returned %d values", len(out))
 	}
+}
+
+func TestBackwardBatchZeroRows(t *testing.T) {
+	m := New(rand.New(rand.NewSource(1)), []int{4, 3, 2}, Tanh, Identity)
+	var bcache BatchCache
+	m.ForwardBatch(nil, 0, &bcache)
+	g := NewGrads(m)
+	m.BackwardBatch(&bcache, nil, 0, g)
+	if g.GlobalNorm() != 0 {
+		t.Fatal("zero-row backward touched the gradients")
+	}
+}
+
+func gradsBitEqual(a, b *Grads) bool {
+	eq := func(x, y [][]float64) bool {
+		for l := range x {
+			for i := range x[l] {
+				if math.Float64bits(x[l][i]) != math.Float64bits(y[l][i]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	return eq(a.W, b.W) && eq(a.B, b.B)
+}
+
+// TestBackwardBatchBitIdentical pins BackwardBatch to the per-sample path:
+// the gradients of N rows must equal, bit for bit, those of N Forward +
+// Backward calls in row order — in one call, under every cut of the rows
+// into two consecutive chunks, and when the accumulator starts non-zero.
+func TestBackwardBatchBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for n, m := range oracleNets(rng) {
+		var cache Cache
+		var bcache BatchCache
+		nIn, nOut := m.InputSize(), m.OutputSize()
+		for _, rows := range oracleRows {
+			xs := randVec(rng, rows*nIn)
+			dOut := randVec(rng, rows*nOut)
+			for _, seeded := range []bool{false, true} {
+				// A non-zero start is the state a chunked caller hands
+				// BackwardBatch from its second chunk on.
+				newG := func() *Grads {
+					if seeded {
+						return randomGrads(rand.New(rand.NewSource(7)), m)
+					}
+					return NewGrads(m)
+				}
+				want := newG()
+				for r := 0; r < rows; r++ {
+					m.Forward(xs[r*nIn:(r+1)*nIn], &cache)
+					m.Backward(&cache, dOut[r*nOut:(r+1)*nOut], want)
+				}
+				// cut == rows is the single call; every smaller cut splits
+				// the rows into [0, cut) and [cut, rows).
+				for cut := 1; cut <= rows; cut++ {
+					got := newG()
+					m.ForwardBatch(xs[:cut*nIn], cut, &bcache)
+					m.BackwardBatch(&bcache, dOut[:cut*nOut], cut, got)
+					if rest := rows - cut; rest > 0 {
+						m.ForwardBatch(xs[cut*nIn:], rest, &bcache)
+						m.BackwardBatch(&bcache, dOut[cut*nOut:], rest, got)
+					}
+					if !gradsBitEqual(got, want) {
+						t.Fatalf("net %d rows=%d cut=%d seeded=%v: batch gradients differ from per-sample",
+							n, rows, cut, seeded)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestBackwardBatchSizePanics(t *testing.T) {
+	m := New(rand.New(rand.NewSource(1)), []int{2, 3, 2}, Tanh, Identity)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	var bcache BatchCache
+	m.ForwardBatch([]float64{1, 2, 3, 4}, 2, &bcache)
+	mustPanic("wrong dOut length", func() {
+		m.BackwardBatch(&bcache, []float64{1, 1, 1}, 2, NewGrads(m))
+	})
+	mustPanic("rows other than the forward's", func() {
+		m.BackwardBatch(&bcache, []float64{1, 1}, 1, NewGrads(m))
+	})
+	mustPanic("no preceding forward", func() {
+		m.BackwardBatch(&BatchCache{}, []float64{1, 1}, 1, NewGrads(m))
+	})
 }

@@ -66,11 +66,10 @@ func (m *MLP) InputSize() int { return m.Sizes[0] }
 // OutputSize returns the network's output dimensionality.
 func (m *MLP) OutputSize() int { return m.Sizes[len(m.Sizes)-1] }
 
-// Cache stores per-layer pre-activations and activations of one forward
-// pass, for use by Backward. A zero Cache is ready; it is reused across
-// calls to avoid allocation.
+// Cache stores the per-layer activations of one forward pass, for use by
+// Backward. A zero Cache is ready; it is reused across calls to avoid
+// allocation.
 type Cache struct {
-	zs   [][]float64 // pre-activations per layer
 	as   [][]float64 // activations per layer, as[0] is the input
 	dCur []float64   // scratch for backprop
 	dNxt []float64
@@ -78,15 +77,13 @@ type Cache struct {
 
 func (c *Cache) ensure(m *MLP) {
 	layers := len(m.W)
-	if len(c.zs) == layers {
+	if len(c.as) == layers+1 {
 		return
 	}
-	c.zs = make([][]float64, layers)
 	c.as = make([][]float64, layers+1)
 	c.as[0] = make([]float64, m.Sizes[0])
 	maxW := 0
 	for l := 0; l < layers; l++ {
-		c.zs[l] = make([]float64, m.Sizes[l+1])
 		c.as[l+1] = make([]float64, m.Sizes[l+1])
 		if m.Sizes[l+1] > maxW {
 			maxW = m.Sizes[l+1]
@@ -115,17 +112,15 @@ func (m *MLP) Forward(x []float64, cache *Cache) []float64 {
 	copy(cache.as[0], x)
 	for l := range m.W {
 		in := cache.as[l]
-		z := cache.zs[l]
 		a := cache.as[l+1]
 		w := m.W[l]
 		nIn := m.Sizes[l]
-		for o := range z {
+		for o := range a {
 			sum := m.B[l][o]
 			row := w[o*nIn : (o+1)*nIn]
 			for i, v := range in {
 				sum += row[i] * v
 			}
-			z[o] = sum
 			a[o] = m.Acts[l].apply(sum)
 		}
 	}
@@ -202,7 +197,7 @@ func (m *MLP) Backward(cache *Cache, dOut []float64, g *Grads) {
 	// delta holds dL/dz for the current layer.
 	delta := cache.dCur[:m.Sizes[layers]]
 	for o := range delta {
-		delta[o] = dOut[o] * m.Acts[layers-1].derivFromOutput(cache.as[layers][o], cache.zs[layers-1][o])
+		delta[o] = dOut[o] * m.Acts[layers-1].derivFromOutput(cache.as[layers][o])
 	}
 	for l := layers - 1; l >= 0; l-- {
 		in := cache.as[l]
@@ -230,7 +225,7 @@ func (m *MLP) Backward(cache *Cache, dOut []float64, g *Grads) {
 			}
 		}
 		for i := range prev {
-			prev[i] *= m.Acts[l-1].derivFromOutput(cache.as[l][i], cache.zs[l-1][i])
+			prev[i] *= m.Acts[l-1].derivFromOutput(cache.as[l][i])
 		}
 		cache.dCur, cache.dNxt = cache.dNxt, cache.dCur
 		delta = cache.dCur[:nIn]

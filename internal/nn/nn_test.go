@@ -81,19 +81,34 @@ func TestGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, hidden := range []Activation{Tanh, ReLU} {
 		m := New(rng, []int{4, 6, 5, 3}, hidden, Identity)
-		x := []float64{0.3, -0.8, 1.2, 0.05}
-		target := []float64{0.5, -1.0, 0.25}
-
-		loss := func() float64 {
-			out := m.Forward(x, nil)
-			var l float64
-			for i, o := range out {
-				d := o - target[i]
-				l += 0.5 * d * d
+		const eps = 1e-6
+		// check compares g against central differences of loss over every
+		// parameter of m.
+		check := func(kind string, loss func() float64, g *Grads) {
+			t.Helper()
+			params := func(p, gp []float64, name string, l int) {
+				t.Helper()
+				for i := range p {
+					orig := p[i]
+					p[i] = orig + eps
+					lp := loss()
+					p[i] = orig - eps
+					lm := loss()
+					p[i] = orig
+					num := (lp - lm) / (2 * eps)
+					if math.Abs(num-gp[i]) > 1e-5*(1+math.Abs(num)) {
+						t.Fatalf("%v %s %s[%d][%d]: analytic %v numeric %v", hidden, kind, name, l, i, gp[i], num)
+					}
+				}
 			}
-			return l
+			for l := range m.W {
+				params(m.W[l], g.W[l], "W", l)
+				params(m.B[l], g.B[l], "B", l)
+			}
 		}
 
+		x := []float64{0.3, -0.8, 1.2, 0.05}
+		target := []float64{0.5, -1.0, 0.25}
 		var cache Cache
 		out := m.Forward(x, &cache)
 		dOut := make([]float64, len(out))
@@ -102,26 +117,36 @@ func TestGradientCheck(t *testing.T) {
 		}
 		g := NewGrads(m)
 		m.Backward(&cache, dOut, g)
-
-		const eps = 1e-6
-		check := func(p []float64, gp []float64, name string, l int) {
-			for i := range p {
-				orig := p[i]
-				p[i] = orig + eps
-				lp := loss()
-				p[i] = orig - eps
-				lm := loss()
-				p[i] = orig
-				num := (lp - lm) / (2 * eps)
-				if math.Abs(num-gp[i]) > 1e-5*(1+math.Abs(num)) {
-					t.Fatalf("%v %s[%d][%d]: analytic %v numeric %v", hidden, name, l, i, gp[i], num)
-				}
+		check("Backward", func() float64 {
+			var l float64
+			for i, o := range m.Forward(x, nil) {
+				d := o - target[i]
+				l += 0.5 * d * d
 			}
+			return l
+		}, g)
+
+		// BackwardBatch: the same squared error summed over 5 rows, one
+		// 4-row block plus the row tail.
+		const rows = 5
+		xs := randVec(rng, rows*4)
+		targets := randVec(rng, rows*3)
+		var bcache BatchCache
+		outs := m.ForwardBatch(xs, rows, &bcache)
+		dOuts := make([]float64, len(outs))
+		for i := range outs {
+			dOuts[i] = outs[i] - targets[i]
 		}
-		for l := range m.W {
-			check(m.W[l], g.W[l], "W", l)
-			check(m.B[l], g.B[l], "B", l)
-		}
+		gb := NewGrads(m)
+		m.BackwardBatch(&bcache, dOuts, rows, gb)
+		check("BackwardBatch", func() float64 {
+			var l float64
+			for i, o := range m.ForwardBatch(xs, rows, nil) {
+				d := o - targets[i]
+				l += 0.5 * d * d
+			}
+			return l
+		}, gb)
 	}
 }
 

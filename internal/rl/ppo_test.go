@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"schedinspector/internal/nn"
 )
 
 func TestNewAgentShape(t *testing.T) {
@@ -61,16 +63,107 @@ func TestGreedyMatchesArgmax(t *testing.T) {
 	}
 }
 
+// TestUpdateValidatesObsSize: a wrong-sized observation anywhere in the
+// batch fails the Update before it touches a statistic, the scratch or the
+// networks, so the next valid Update is the one a fresh PPO would run.
 func TestUpdateValidatesObsSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := NewAgent(rng, 3, []int{4}, 2)
-	ppo := NewPPO(a, PPOConfig{})
-	_, err := ppo.Update([]Trajectory{{
+	build := func() (*Agent, *PPO) {
+		a := NewAgent(rand.New(rand.NewSource(4)), 3, []int{4}, 2)
+		return a, NewPPO(a, PPOConfig{})
+	}
+	good := Trajectory{
+		Steps:  []Step{{Obs: []float64{1, 2, 3}, Action: 1, LogP: -0.6}, {Obs: []float64{0, -1, 2}, Action: 0, LogP: -0.8}},
+		Reward: 0.5,
+	}
+	bad := Trajectory{
 		Steps:  []Step{{Obs: []float64{1, 2}, Action: 0, LogP: -0.7}},
 		Reward: 1,
-	}})
+	}
+
+	a, ppo := build()
+	st, err := ppo.Update([]Trajectory{good, bad})
 	if err == nil {
-		t.Error("wrong obs size accepted")
+		t.Fatal("wrong obs size accepted")
+	}
+	if want := "rl: observation size 2, want 3"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
+	if st != (UpdateStats{}) {
+		t.Errorf("failed Update returned non-zero stats %+v", st)
+	}
+
+	fa, fresh := build()
+	got, err1 := ppo.Update([]Trajectory{good})
+	want, err2 := fresh.Update([]Trajectory{good})
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	var hg, hw stateHasher
+	hg.stats(got)
+	hg.state(a, ppo)
+	hw.stats(want)
+	hw.state(fa, fresh)
+	if hg.sum() != hw.sum() {
+		t.Errorf("Update after a rejected batch differs from a fresh PPO's: %+v vs %+v", got, want)
+	}
+}
+
+// TestUpdateWarmAllocs: Update owns its scratch. After one warm-up a
+// same-sized batch allocates nothing, a larger batch grows the scratch
+// once, and what ran before never shows in the result.
+func TestUpdateWarmAllocs(t *testing.T) {
+	build := func() (*Agent, *PPO, *rand.Rand) {
+		rng := rand.New(rand.NewSource(11))
+		a := NewAgent(rng, 8, []int{32, 16, 8}, 2)
+		return a, NewPPO(a, PPOConfig{}), rng
+	}
+	a, ppo, rng := build()
+	small := digestBatch(a, rng)
+	large := append(digestBatch(a, rng), digestBatch(a, rng)...)
+	update := func(p *PPO, batch []Trajectory) UpdateStats {
+		t.Helper()
+		st, err := p.Update(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	// Digest of Update(small) on untouched scratch.
+	var fresh stateHasher
+	fresh.stats(update(ppo, small))
+	fresh.state(a, ppo)
+
+	if n := testing.AllocsPerRun(3, func() { update(ppo, small) }); n != 0 {
+		t.Errorf("warm Update on a same-sized batch: %v allocs, want 0", n)
+	}
+	update(ppo, large) // grows the scratch
+	if n := testing.AllocsPerRun(3, func() { update(ppo, large) }); n != 0 {
+		t.Errorf("warm Update on the larger batch: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(3, func() { update(ppo, small) }); n != 0 {
+		t.Errorf("Update on a smaller batch after growth: %v allocs, want 0", n)
+	}
+
+	// Put the initial weights and Adam state back under the now large and
+	// dirty scratch: Update(small) must reproduce the fresh digest.
+	a0, p0, _ := build()
+	copyNet := func(dst, src *nn.MLP) {
+		for l := range src.W {
+			copy(dst.W[l], src.W[l])
+			copy(dst.B[l], src.B[l])
+		}
+	}
+	copyNet(a.Policy, a0.Policy)
+	copyNet(a.Value, a0.Value)
+	if err := ppo.RestoreOptimizer(p0.OptimizerState()); err != nil {
+		t.Fatal(err)
+	}
+	var warm stateHasher
+	warm.stats(update(ppo, small))
+	warm.state(a, ppo)
+	if warm.sum() != fresh.sum() {
+		t.Error("Update on warmed scratch differs from the same Update on a fresh PPO")
 	}
 }
 
