@@ -124,25 +124,30 @@ trace-smoke:
 	rm -rf $$tmp
 
 # dist-smoke proves the distributed engine end to end at the process
-# level: a single-process train and a 2-worker train-worker fleet over
-# unix sockets, same seed and config, must write byte-identical model
-# files — and every worker rank must agree. cmp is the whole oracle.
+# level: a single-process train and a 2-worker and a 3-worker train-worker
+# fleet over unix sockets, same seed and config, must write byte-identical
+# model files — and every worker rank must agree. Three ranks split the
+# batch of 4 as 2/1/1, so the gradient exchange carries unaligned shards.
+# cmp is the whole oracle.
 dist-smoke: bin
 	@set -e; tmp=$$(mktemp -d); \
-	./bin/schedinspect train -trace SDSC-SP2 -jobs 2000 \
-		-epochs 2 -batch 4 -seqlen 64 -seed 42 -model $$tmp/single.gob; \
-	( ./bin/schedinspect train-worker -trace SDSC-SP2 -jobs 2000 \
-		-epochs 2 -batch 4 -seqlen 64 -seed 42 \
-		-world 2 -rank 1 -peers $$tmp/w0.sock,$$tmp/w1.sock \
-		-model $$tmp/rank1.gob ) & worker=$$!; \
-	./bin/schedinspect train-worker -trace SDSC-SP2 -jobs 2000 \
-		-epochs 2 -batch 4 -seqlen 64 -seed 42 \
-		-world 2 -rank 0 -peers $$tmp/w0.sock,$$tmp/w1.sock \
-		-model $$tmp/rank0.gob; \
-	wait $$worker; \
-	cmp $$tmp/single.gob $$tmp/rank0.gob; \
-	cmp $$tmp/single.gob $$tmp/rank1.gob; \
-	echo "dist-smoke: 2-worker model bytes identical to single-process"; \
+	run="-trace SDSC-SP2 -jobs 2000 -epochs 2 -batch 4 -seqlen 64 -seed 42"; \
+	./bin/schedinspect train $$run -model $$tmp/single.gob; \
+	for world in 2 3; do \
+		peers=$$tmp/w0.sock; \
+		for r in $$(seq 1 $$((world-1))); do peers=$$peers,$$tmp/w$$r.sock; done; \
+		pids=; \
+		for r in $$(seq 1 $$((world-1))); do \
+			./bin/schedinspect train-worker $$run -world $$world -rank $$r -peers $$peers \
+				-model $$tmp/rank$$r.gob & pids="$$pids $$!"; \
+		done; \
+		./bin/schedinspect train-worker $$run -world $$world -rank 0 -peers $$peers \
+			-model $$tmp/rank0.gob; \
+		for p in $$pids; do wait $$p; done; \
+		for r in $$(seq 0 $$((world-1))); do cmp $$tmp/single.gob $$tmp/rank$$r.gob; done; \
+		echo "dist-smoke: $$world-worker model bytes identical to single-process"; \
+		rm -f $$tmp/rank*.gob; \
+	done; \
 	rm -rf $$tmp
 
 # loop-smoke proves the online continual-learning loop end to end at the
@@ -227,5 +232,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFTrace$$' -fuzztime $(FUZZTIME) ./internal/explain/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInspect$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReduce$$' -fuzztime $(FUZZTIME) ./internal/dist/
 
 verify: build vet fmt-check race test

@@ -196,7 +196,7 @@ func cmdTrain(args []string, worker bool) error {
 		peersList = fs.String("peers", "", "comma-separated listen addresses, one per rank in rank order")
 		network = fs.String("network", "", "peer network: tcp, unix, or empty to infer per address")
 		dialTimeout = fs.Duration("dial-timeout", 30*time.Second, "bound on establishing the peer mesh")
-		exchangeTimeout = fs.Duration("exchange-timeout", 10*time.Minute, "bound on each per-epoch exchange barrier; must cover the slowest peer's rollout")
+		exchangeTimeout = fs.Duration("exchange-timeout", 10*time.Minute, "bound on each exchange round of an epoch; must cover the slowest peer's rollout")
 		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus /metrics (dist exchange + rollout telemetry) on this address for a training-fleet dashboard")
 	}
 	fs.Parse(args)

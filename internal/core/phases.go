@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -12,8 +13,8 @@ import (
 )
 
 // The trainer's epoch is split into explicit, separately-invokable phases so
-// a shard of trajectory indices can be computed in any process and merged in
-// index order (the DD-PPO-style multi-process engine in internal/dist):
+// a shard of trajectory indices can be computed in any process (the
+// DD-PPO-style multi-process engine in internal/dist):
 //
 //	BeginEpoch    — advance the epoch counter; pure bookkeeping.
 //	RolloutShard  — simulate trajectory indices [lo, hi) and return one
@@ -22,11 +23,15 @@ import (
 //	                function of (Seed, epoch, index), so shards computed in
 //	                different processes are bit-identical to the same
 //	                indices of a single-process epoch.
-//	ApplyDeltas   — fold the complete, index-ordered delta set into the PPO
-//	                update (the Adam step) and produce the epoch statistics.
-//	                The fold visits deltas strictly in index order, so the
-//	                statistics, the PPO batch and the updated weights never
-//	                depend on which process produced which shard.
+//	ApplyShard    — turn the shard's deltas into the epoch statistics and
+//	                the PPO update (the Adam steps). A process that holds
+//	                only part of the batch passes an rl.Exchange: the
+//	                per-trajectory statistics are gathered through it and
+//	                folded in index order, and the update reduces its
+//	                gradients over rl's fixed tree through it, so the
+//	                statistics and the updated weights never depend on which
+//	                process produced which shard.
+//	ApplyDeltas   — ApplyShard for the complete delta set, no exchange.
 //
 // RunEpoch is exactly BeginEpoch + RolloutShard(0, Batch) + ApplyDeltas, so
 // the single-process trainer and an N-worker distributed run execute the
@@ -35,15 +40,13 @@ import (
 
 // TrajDelta is the rollout-shard phase's contribution for one trajectory
 // index: the PPO transitions plus the scalar statistics the epoch fold
-// consumes. It is the unit of exchange between distributed workers —
-// internal/dist serializes these through the canonical delta codec — and
-// deliberately contains only data, no references into trainer state.
+// consumes. It contains only data, no references into trainer state, and
+// only the scalars ever leave the process that rolled it out.
 //
-// Steps are read-only once RolloutShard (or internal/dist's decodeShard)
-// has returned them: the Obs slices of one trajectory are carved from
-// shared slabs rather than allocated one by one, so a consumer reads them —
-// ApplyDeltas copies them into the PPO batch matrix — and never writes or
-// appends to them.
+// Steps are read-only once RolloutShard has returned them: the Obs slices
+// of one trajectory are carved from shared slabs rather than allocated one
+// by one, so a consumer reads them — ApplyShard copies them into the PPO
+// batch matrix — and never writes or appends to them.
 type TrajDelta struct {
 	// Index is the trajectory's position in the epoch batch [0, Batch).
 	Index int
@@ -216,33 +219,93 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 
 // ApplyDeltas folds a complete epoch's deltas — all Batch trajectory
 // indices, in index order — into one PPO update and returns the epoch
-// statistics. The fold order is part of the contract: statistics accumulate
-// and trajectories enter the PPO batch strictly by ascending index, so the
-// update is bit-identical however the deltas were produced (one process or
-// many). An incomplete, duplicated or out-of-order delta set is rejected
-// before any state changes.
+// statistics: ApplyShard for a process that holds the whole batch. An
+// incomplete, duplicated or out-of-order delta set is rejected before any
+// state changes.
 func (t *Trainer) ApplyDeltas(deltas []TrajDelta) (EpochStats, error) {
+	if len(deltas) != t.cfg.Batch {
+		return EpochStats{Epoch: t.epoch}, fmt.Errorf("core: ApplyDeltas got %d deltas, epoch batch is %d", len(deltas), t.cfg.Batch)
+	}
+	return t.ApplyShard(deltas, nil)
+}
+
+// phaseStats is the exchange round that gathers every trajectory's
+// statWidth scalars; it precedes the update's own rounds (rl leaves phase
+// zero to its caller).
+const (
+	phaseStats rl.Phase = 0
+	statWidth           = 6 // reward, improvement, pct improvement, inspections, rejections, steps
+)
+
+// ApplyShard applies the current epoch given only the deltas of a
+// contiguous run of trajectory indices, local, with ex connecting the
+// processes that hold the rest: one round gathers every trajectory's
+// scalar statistics, which are folded by ascending index exactly as a
+// single process folds them, and rl.PPO.UpdateShard then reduces the
+// update over the same exchange. Every process returns the same
+// statistics and holds the same weights and optimizer state afterwards,
+// bit for bit those of ApplyDeltas on the whole set. ex may be nil when
+// local is the whole batch. A malformed shard is rejected before any state
+// changes; once ex has failed the update may be half applied and the
+// trainer must be rebuilt from a checkpoint.
+func (t *Trainer) ApplyShard(local []TrajDelta, ex rl.Exchange) (EpochStats, error) {
 	stats := EpochStats{Epoch: t.epoch}
 	B := t.cfg.Batch
-	if len(deltas) != B {
-		return stats, fmt.Errorf("core: ApplyDeltas got %d deltas, epoch batch is %d", len(deltas), B)
+	lo := 0
+	if len(local) > 0 {
+		lo = local[0].Index
 	}
-	for i := range deltas {
-		if deltas[i].Index != i {
-			return stats, fmt.Errorf("core: ApplyDeltas delta %d carries index %d; deltas must cover 0..%d in order",
-				i, deltas[i].Index, B-1)
+	hi := lo + len(local)
+	if lo < 0 || hi > B || ex == nil && len(local) != B {
+		return stats, fmt.Errorf("core: ApplyShard got deltas [%d, %d) of an epoch batch of %d", lo, hi, B)
+	}
+	table := make([]float64, B*statWidth)
+	batch := make([]rl.Trajectory, len(local))
+	for k := range local {
+		d := &local[k]
+		if d.Index != lo+k {
+			return stats, fmt.Errorf("core: ApplyShard delta %d carries index %d; deltas must cover %d..%d in order",
+				k, d.Index, lo, hi-1)
+		}
+		batch[k] = rl.Trajectory{Steps: d.Steps, Reward: d.Reward}
+		copy(table[d.Index*statWidth:], []float64{d.Reward, d.Improvement, d.PctImprovement,
+			float64(d.Inspections), float64(d.Rejections), float64(len(d.Steps))})
+	}
+	if ex != nil {
+		all, err := ex(rl.Round{Phase: phaseStats}, []rl.Node{{Lo: lo, Hi: hi, Vec: table[lo*statWidth : hi*statWidth]}})
+		if err != nil {
+			return stats, err
+		}
+		next := 0
+		for _, nd := range all {
+			if nd.Lo != next || nd.Hi <= nd.Lo || nd.Hi > B || len(nd.Vec) != (nd.Hi-nd.Lo)*statWidth {
+				return stats, fmt.Errorf("core: gathered statistics [%d, %d) with %d values do not continue a batch of %d at %d",
+					nd.Lo, nd.Hi, len(nd.Vec), B, next)
+			}
+			for i, v := range nd.Vec {
+				// The last three of a trajectory's scalars are counts sent as floats.
+				if i%statWidth >= 3 && !(v >= 0 && v <= 1<<53 && v == math.Trunc(v)) {
+					return stats, fmt.Errorf("core: gathered statistics of trajectory %d carry %v where a count belongs", nd.Lo+i/statWidth, v)
+				}
+			}
+			copy(table[nd.Lo*statWidth:], nd.Vec)
+			next = nd.Hi
+		}
+		if next != B {
+			return stats, fmt.Errorf("core: gathered statistics cover %d of %d trajectories", next, B)
 		}
 	}
 
-	batch := make([]rl.Trajectory, 0, B)
+	rewards, steps := make([]float64, B), make([]int, B)
 	var inspections, rejections int
-	for i := range deltas {
-		d := &deltas[i]
-		batch = append(batch, rl.Trajectory{Steps: d.Steps, Reward: d.Reward})
-		stats.MeanImprovement += d.Improvement
-		stats.MeanPctImprovement += d.PctImprovement
-		inspections += d.Inspections
-		rejections += d.Rejections
+	for i := range rewards {
+		row := table[i*statWidth : (i+1)*statWidth]
+		rewards[i] = row[0]
+		stats.MeanImprovement += row[1]
+		stats.MeanPctImprovement += row[2]
+		inspections += int(row[3])
+		rejections += int(row[4])
+		steps[i] = int(row[5])
 	}
 	n := float64(B)
 	stats.MeanImprovement /= n
@@ -250,7 +313,7 @@ func (t *Trainer) ApplyDeltas(deltas []TrajDelta) (EpochStats, error) {
 	if inspections > 0 {
 		stats.RejectionRatio = float64(rejections) / float64(inspections)
 	}
-	up, err := t.ppo.Update(batch)
+	up, err := t.ppo.UpdateShard(lo, batch, rewards, steps, ex)
 	if err != nil {
 		return stats, err
 	}

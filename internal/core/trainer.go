@@ -52,8 +52,8 @@ type TrainConfig struct {
 	// (0 = 1, single-process); Rank is this process's index in [0, World);
 	// Peers lists every rank's listen address in rank order — exactly World
 	// entries when World > 1, and empty when single-process. Each worker
-	// rolls out its ShardRange of the epoch batch and exchanges trajectory
-	// deltas with all peers, so World must not exceed Batch.
+	// rolls out its ShardRange of the epoch batch and exchanges the update's
+	// partial gradients with all peers, so World must not exceed Batch.
 	World int
 	Rank  int
 	Peers []string
@@ -109,6 +109,7 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.PPO.LR == 0 {
 		c.PPO.LR = c.LR
 	}
+	c.PPO = c.PPO.WithDefaults()
 	return c
 }
 
@@ -327,7 +328,7 @@ func (t *Trainer) baseline(start int, pol sched.Policy) (metrics.Summary, error)
 // RunEpoch is the single-process composition of the separately-invokable
 // epoch phases (see phases.go): BeginEpoch, one full-batch RolloutShard,
 // and ApplyDeltas. Distributed workers call the phases directly, rolling
-// out only their shard and merging peer deltas before applying.
+// out only their shard and applying it with ApplyShard.
 func (t *Trainer) RunEpoch() (EpochStats, error) {
 	t.BeginEpoch()
 	deltas, err := t.RolloutShard(0, t.cfg.Batch)

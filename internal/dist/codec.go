@@ -14,7 +14,7 @@ import (
 // field of every ckpt container frame on the wire. Bump it whenever the
 // message layout below changes; peers built at different versions refuse
 // each other at the first frame instead of mis-decoding.
-const WireVersion = 1
+const WireVersion = 2
 
 // Every frame payload is [kind u8][body...], all integers big-endian and
 // floats as IEEE-754 bit patterns — the same canonical encoding the
@@ -22,15 +22,16 @@ const WireVersion = 1
 // architecture.
 const (
 	msgHello  = 1 // handshake: who is dialing, and over which config
-	msgShard  = 2 // one epoch's trajectory deltas for a rank's shard
+	msgReduce = 2 // one round's partial sums over a rank's shard
 	msgDigest = 3 // post-apply replica state digest
 )
 
-// maxFrame bounds how large a peer frame the transport will believe.
-// Shards carry per-step observation vectors, so frames scale with
-// Batch x SeqLen x features; 256 MiB is far above any real epoch while
-// still refusing a corrupt length field's absurd allocation.
-const maxFrame = 256 << 20
+// maxFrame bounds how large a peer frame the transport will believe. The
+// largest frames carry at most 2·log2(Batch) gradient vectors of one
+// network (8 KB each at the paper's sizes) or six scalars per trajectory;
+// 64 MiB leaves room for networks a thousand times larger while still
+// refusing a corrupt length field's absurd allocation.
+const maxFrame = 64 << 20
 
 // binWriter appends the canonical big-endian encoding.
 type binWriter struct{ buf []byte }
@@ -40,6 +41,13 @@ func (w *binWriter) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf,
 func (w *binWriter) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
 func (w *binWriter) f64(v float64) {
 	w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
+}
+func (w *binWriter) bool(v bool) {
+	if v {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
 }
 
 // binReader consumes the canonical encoding, tracking one sticky error so
@@ -108,9 +116,13 @@ type hello struct {
 	Fingerprint uint64
 }
 
-// Fingerprint hashes the TrainConfig fields that determine the epoch
-// computation: any two workers agreeing on these (and on the wire version,
-// checked per frame) produce bit-identical epochs.
+// Fingerprint hashes everything in a TrainConfig that shapes the epoch
+// computation — what is simulated, how it is rewarded and featurized, and
+// every PPO hyperparameter, which between them also fix how many exchange
+// rounds an epoch has. Two workers that agree on it (and on the wire
+// version, checked per frame) run bit-identical epochs in lockstep. cfg is
+// a Trainer.Config(): defaults applied, so that an unset field and its
+// default hash alike.
 func Fingerprint(cfg core.TrainConfig) uint64 {
 	var w binWriter
 	w.u64(uint64(cfg.Seed))
@@ -123,6 +135,24 @@ func Fingerprint(cfg core.TrainConfig) uint64 {
 	for _, h := range cfg.Hidden {
 		w.u32(uint32(h))
 	}
+	if cfg.Policy != nil {
+		w.u32(uint32(len(cfg.Policy.Name())))
+		w.buf = append(w.buf, cfg.Policy.Name()...)
+	}
+	w.u32(uint32(cfg.Metric))
+	w.u32(uint32(cfg.RewardKind))
+	w.u32(uint32(cfg.FeatureMode))
+	w.bool(cfg.Backfill)
+	w.f64(cfg.MaxInterval)
+	w.u32(uint32(cfg.MaxRejections))
+	w.f64(cfg.PPO.LR)
+	w.f64(cfg.PPO.ClipRatio)
+	w.u32(uint32(cfg.PPO.PolicyIters))
+	w.u32(uint32(cfg.PPO.ValueIters))
+	w.f64(cfg.PPO.TargetKL)
+	w.f64(cfg.PPO.EntropyCoef)
+	w.f64(cfg.PPO.MaxGradNorm)
+	w.bool(cfg.PPO.NoCritic)
 	h := fnv.New64a()
 	h.Write(w.buf)
 	return h.Sum64()
@@ -149,119 +179,65 @@ func decodeHello(payload []byte) (hello, error) {
 	return h, nil
 }
 
-// shardMsg is one worker's rollout contribution for one epoch: the
-// TrajDeltas of its index range, in index order.
-type shardMsg struct {
-	Epoch  int
-	Rank   int
-	Lo, Hi int
-	Deltas []core.TrajDelta
+// reduceMsg is one rank's contribution to one exchange round of an epoch:
+// the partial sums over its shard, as tree nodes in index order.
+type reduceMsg struct {
+	Epoch int
+	Round rl.Round
+	Nodes []rl.Node
 }
 
-func encodeShard(m shardMsg) []byte {
-	w := binWriter{buf: make([]byte, 0, 1<<16)}
-	w.u8(msgShard)
+// appendReduce appends m's encoding to buf, which the caller reuses from
+// round to round.
+func appendReduce(buf []byte, m reduceMsg) []byte {
+	w := binWriter{buf: buf}
+	w.u8(msgReduce)
 	w.u64(uint64(m.Epoch))
-	w.u32(uint32(m.Rank))
-	w.u32(uint32(m.Lo))
-	w.u32(uint32(m.Hi))
-	w.u32(uint32(len(m.Deltas)))
-	for i := range m.Deltas {
-		d := &m.Deltas[i]
-		w.u32(uint32(d.Index))
-		w.f64(d.Reward)
-		w.f64(d.Improvement)
-		w.f64(d.PctImprovement)
-		w.u32(uint32(d.Inspections))
-		w.u32(uint32(d.Rejections))
-		w.u32(uint32(len(d.Steps)))
-		for j := range d.Steps {
-			s := &d.Steps[j]
-			w.u32(uint32(len(s.Obs)))
-			for _, o := range s.Obs {
-				w.f64(o)
-			}
-			w.u32(uint32(s.Action))
-			w.f64(s.LogP)
+	w.u8(uint8(m.Round.Phase))
+	w.u32(uint32(m.Round.Iter))
+	w.u32(uint32(len(m.Nodes)))
+	for _, nd := range m.Nodes {
+		w.u32(uint32(nd.Lo))
+		w.u32(uint32(nd.Hi))
+		w.u32(uint32(len(nd.Vec)))
+		for _, v := range nd.Vec {
+			w.f64(v)
 		}
 	}
 	return w.buf
 }
 
-func decodeShard(payload []byte) (shardMsg, error) {
+// decodeReduce decodes one reduce frame. Every count is checked against
+// the bytes that remain before anything is sized by it, so a hostile frame
+// cannot demand more memory than it occupies.
+func decodeReduce(payload []byte) (reduceMsg, error) {
 	r := &binReader{data: payload}
-	if k := r.u8(); r.err == nil && k != msgShard {
-		return shardMsg{}, fmt.Errorf("dist: expected shard, got message kind %d", k)
+	if k := r.u8(); r.err == nil && k != msgReduce {
+		return reduceMsg{}, fmt.Errorf("dist: expected reduce, got message kind %d", k)
 	}
-	m := shardMsg{
-		Epoch: int(r.u64()),
-		Rank:  int(r.u32()),
-		Lo:    int(r.u32()),
-		Hi:    int(r.u32()),
-	}
+	m := reduceMsg{Epoch: int(r.u64())}
+	m.Round = rl.Round{Phase: rl.Phase(r.u8()), Iter: int(r.u32())}
 	n := int(r.u32())
-	if r.err == nil && (n < 0 || n > len(r.data)) {
-		return shardMsg{}, fmt.Errorf("dist: shard claims %d deltas in %d bytes", n, len(r.data))
+	if r.err == nil && (n < 0 || n > len(r.data)/12) {
+		return reduceMsg{}, fmt.Errorf("dist: reduce frame claims %d nodes in %d bytes", n, len(r.data))
 	}
-	m.Deltas = make([]core.TrajDelta, 0, n)
+	m.Nodes = make([]rl.Node, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		d := core.TrajDelta{
-			Index:          int(r.u32()),
-			Reward:         r.f64(),
-			Improvement:    r.f64(),
-			PctImprovement: r.f64(),
-			Inspections:    int(r.u32()),
-			Rejections:     int(r.u32()),
+		nd := rl.Node{Lo: int(r.u32()), Hi: int(r.u32())}
+		width := int(r.u32())
+		if r.err == nil && (width < 0 || width > len(r.data)/8) {
+			return reduceMsg{}, fmt.Errorf("dist: node claims %d values in %d bytes", width, len(r.data))
 		}
-		steps := int(r.u32())
-		if r.err == nil && (steps < 0 || steps > len(r.data)) {
-			return shardMsg{}, fmt.Errorf("dist: delta claims %d steps in %d bytes", steps, len(r.data))
+		nd.Vec = make([]float64, width)
+		for k := range nd.Vec {
+			nd.Vec[k] = r.f64()
 		}
-		d.Steps = make([]rl.Step, 0, steps)
-		// The delta's observations are carved from one slab. Its size
-		// comes from a look-ahead over the step headers, so it is exactly
-		// the values the bytes hold — a hostile count cannot inflate it —
-		// and the loop below re-reads the same headers with the checks
-		// that name the error.
-		slab := make([]float64, 0, obsValues(r.data, steps))
-		for j := 0; j < steps && r.err == nil; j++ {
-			obsN := int(r.u32())
-			if r.err == nil && (obsN < 0 || obsN*8 > len(r.data)) {
-				return shardMsg{}, fmt.Errorf("dist: step claims %d features in %d bytes", obsN, len(r.data))
-			}
-			off := len(slab)
-			for k := 0; k < obsN; k++ {
-				slab = append(slab, r.f64())
-			}
-			d.Steps = append(d.Steps, rl.Step{
-				Obs:    slab[off:len(slab):len(slab)],
-				Action: int(r.u32()),
-				LogP:   r.f64(),
-			})
-		}
-		m.Deltas = append(m.Deltas, d)
+		m.Nodes = append(m.Nodes, nd)
 	}
 	if err := r.done(); err != nil {
-		return shardMsg{}, err
+		return reduceMsg{}, err
 	}
 	return m, nil
-}
-
-// obsValues returns how many observation values the next steps encoded
-// steps of data hold in total, stopping at the first step the bytes cannot
-// back.
-func obsValues(data []byte, steps int) int {
-	scan := binReader{data: data}
-	total := 0
-	for j := 0; j < steps; j++ {
-		obsN := int(scan.u32())
-		if scan.err != nil || obsN < 0 || obsN*8 > len(scan.data) {
-			break
-		}
-		total += obsN
-		scan.take(obsN*8 + 4 + 8) // the values, the action, the log-probability
-	}
-	return total
 }
 
 // Digest summarizes a replica's full trainer state (the canonical

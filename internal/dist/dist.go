@@ -1,37 +1,45 @@
 // Package dist is the DD-PPO-style multi-process training engine: a set
 // of coordinator-less worker processes that each roll out a shard of every
-// epoch's trajectory batch, exchange per-trajectory deltas all-to-all, and
-// apply the identical PPO update — so every replica holds bit-identical
+// epoch's trajectory batch, compute the PPO update's gradients over that
+// shard alone, and all-reduce them — so every replica holds bit-identical
 // weights and Adam state at every epoch boundary, pinned against the
 // single-process Trainer.Train by the golden equivalence suite.
 //
-// The design choice that makes bit-identity possible is WHAT is exchanged.
-// Averaging per-shard gradients (classic DD-PPO) computes a mathematically
-// different update than full-batch PPO and is non-associative in floating
-// point, so it can never match the single-process trainer byte for byte.
-// Instead, workers exchange rollout results: each trajectory's transitions
-// and scalar statistics (core.TrajDelta), which are pure functions of
-// (seed, epoch, index) and therefore identical wherever they are computed.
-// Every worker then reduces the full delta set in ascending index order
-// and runs the same full-batch update — replicated apply. The model is
-// tiny (three small MLP layers); simulation dominates epoch cost, so
-// sharding the rollout is where the speedup lives and replicating the
-// update costs almost nothing.
+// Floating-point addition is not associative, so a gradient all-reduce
+// matches the single-process update byte for byte only if both add in the
+// same order. They do: rl.PPO takes every sum of an update over one fixed
+// binary tree whose leaves are the batch's trajectories (internal/rl,
+// tree.go), in one process or many. A rank folds the complete subtrees
+// that lie inside its contiguous shard — one node when shards are aligned
+// powers of two, at most 2·log2(Batch) otherwise — sends them to every
+// peer, and folds the nodes of all ranks to the same root the
+// single-process trainer reaches. Per epoch that is one round for the
+// trajectories' scalar statistics, one for the advantage moments, one per
+// policy pass (the KL early stop reads the reduced KL, so ranks stop on
+// the same pass) and one per value pass: a few hundred kilobytes however
+// long the trajectories are, where shipping the trajectories grows with
+// Batch x SeqLen x features. No observation leaves the rank that rolled
+// it out, and no rank repeats another's share of the update, which is
+// ~95 % of an epoch (bench/README.md).
 //
 // A post-apply digest round (FNV-64a over the canonical checkpoint bytes)
 // verifies the replicas actually agree each epoch; any drift — a cosmic
 // ray, a mixed-build fleet — surfaces as an error matching ErrDiverged
-// instead of workers silently training different models.
+// instead of workers silently training different models. A peer that
+// fails between two rounds leaves the survivors part-way through the
+// Adam steps of that epoch: RunEpoch returns the *PeerError,
+// core.Trainer.DriveEpochs saves nothing on an epoch error, and the fleet
+// restarts from the last checkpoint, which was taken at an epoch boundary.
 package dist
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"schedinspector/internal/core"
+	"schedinspector/internal/rl"
 )
 
 // ErrDiverged is the sentinel matched (via errors.Is) by post-apply digest
@@ -64,7 +72,7 @@ type Options struct {
 	// retrying, handshakes completing (default 30s).
 	DialTimeout time.Duration
 
-	// ExchangeTimeout bounds each per-epoch barrier round; a peer that
+	// ExchangeTimeout bounds each exchange round of an epoch; a peer that
 	// dies or stalls longer than this yields a *PeerError instead of a
 	// hang (default 10m — it must cover the slowest peer's rollout).
 	ExchangeTimeout time.Duration
@@ -90,60 +98,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Reduce merges the per-rank shard messages of one epoch into the
-// complete, index-ordered delta set ApplyDeltas requires. It validates
-// the cover exactly — every rank present once, every shard matching its
-// declared [lo, hi) range and the canonical ShardRange split, every delta
-// under its claimed index — so a mis-sharded or replayed message is
-// rejected before it can corrupt an update. Reduction order is fixed by
-// index, never by message arrival.
-func Reduce(batch, world, epoch int, shards []shardMsg) ([]core.TrajDelta, error) {
-	if len(shards) != world {
-		return nil, fmt.Errorf("dist: epoch %d: have %d shards, world is %d", epoch, len(shards), world)
-	}
-	sort.Slice(shards, func(i, j int) bool { return shards[i].Lo < shards[j].Lo })
-	seen := make([]bool, world)
-	deltas := make([]core.TrajDelta, 0, batch)
-	for _, s := range shards {
-		if s.Epoch != epoch {
-			return nil, fmt.Errorf("dist: rank %d sent epoch %d, expected %d (replayed or skipped barrier)", s.Rank, s.Epoch, epoch)
-		}
-		if s.Rank < 0 || s.Rank >= world || seen[s.Rank] {
-			return nil, fmt.Errorf("dist: epoch %d: duplicate or out-of-range rank %d", epoch, s.Rank)
-		}
-		seen[s.Rank] = true
-		lo, hi := core.ShardRange(batch, world, s.Rank)
-		if s.Lo != lo || s.Hi != hi {
-			return nil, fmt.Errorf("dist: epoch %d: rank %d claims shard [%d, %d), canonical split owns [%d, %d)",
-				epoch, s.Rank, s.Lo, s.Hi, lo, hi)
-		}
-		if len(s.Deltas) != hi-lo {
-			return nil, fmt.Errorf("dist: epoch %d: rank %d sent %d deltas for shard [%d, %d)",
-				epoch, s.Rank, len(s.Deltas), lo, hi)
-		}
-		for k := range s.Deltas {
-			if s.Deltas[k].Index != lo+k {
-				return nil, fmt.Errorf("dist: epoch %d: rank %d delta %d carries index %d, want %d",
-					epoch, s.Rank, k, s.Deltas[k].Index, lo+k)
-			}
-		}
-		if len(deltas) != lo {
-			return nil, fmt.Errorf("dist: epoch %d: shard [%d, %d) leaves a gap after index %d", epoch, lo, hi, len(deltas))
-		}
-		deltas = append(deltas, s.Deltas...)
-	}
-	if len(deltas) != batch {
-		return nil, fmt.Errorf("dist: epoch %d: shards cover %d of %d trajectories", epoch, len(deltas), batch)
-	}
-	return deltas, nil
-}
-
 // Worker couples a trainer to a connected mesh and runs the distributed
 // epoch cycle. Build one with NewWorker, then call Train.
 type Worker struct {
 	t    *core.Trainer
 	mesh *Mesh
 	opt  Options
+
+	enc     []byte        // the outgoing reduce frame, reused from round to round
+	blocked time.Duration // time spent inside the current epoch's rounds
 }
 
 // NewWorker connects the mesh for t's configured rank/world/peers and
@@ -168,58 +131,96 @@ func NewWorker(ctx context.Context, t *core.Trainer, opt Options) (*Worker, erro
 // Close tears down the worker's mesh.
 func (w *Worker) Close() error { return w.mesh.Close() }
 
-// RunEpoch executes one distributed epoch: roll out the local shard,
-// exchange deltas with every peer (the epoch barrier), reduce the full
-// set in index order, apply the replicated PPO update, then exchange and
-// verify post-apply state digests. It is the distributed counterpart of
-// core.Trainer.RunEpoch and satisfies core.EpochFunc.
+// round runs one all-to-all exchange of payload and accounts for the time
+// it blocked this rank.
+func (w *Worker) round(payload []byte) ([][]byte, error) {
+	frames, wait, err := w.mesh.Exchange(payload)
+	w.opt.Metrics.observeExchange(wait.Seconds())
+	w.blocked += wait
+	return frames, err
+}
+
+// exchange returns the rl.Exchange of one epoch: a round sends this rank's
+// nodes to every peer and returns the nodes of all ranks in rank order,
+// which is index order.
+func (w *Worker) exchange(epoch int) rl.Exchange {
+	cfg := w.t.Config()
+	return func(r rl.Round, own []rl.Node) ([]rl.Node, error) {
+		w.enc = appendReduce(w.enc[:0], reduceMsg{Epoch: epoch, Round: r, Nodes: own})
+		frames, err := w.round(w.enc)
+		if err != nil {
+			return nil, err
+		}
+		return gather(cfg.Batch, cfg.Rank, epoch, r, own, frames)
+	}
+}
+
+// gather decodes one round's frames (one per rank; the local rank's entry
+// is ignored in favour of own) into the nodes of all ranks. A peer must be
+// in the same epoch and round and its nodes must tile exactly the shard
+// the canonical split gives it, so a replayed, skipped or mis-sharded
+// frame is refused, naming the peer, before it can enter a sum.
+func gather(batch, rank, epoch int, r rl.Round, own []rl.Node, frames [][]byte) ([]rl.Node, error) {
+	var all []rl.Node
+	for p, frame := range frames {
+		if p == rank {
+			all = append(all, own...)
+			continue
+		}
+		m, err := decodeReduce(frame)
+		if err != nil {
+			return nil, peerErr(p, "decode", err)
+		}
+		if m.Epoch != epoch || m.Round != r {
+			return nil, peerErr(p, "reduce", fmt.Errorf("peer is in epoch %d phase %d pass %d, this rank in epoch %d phase %d pass %d",
+				m.Epoch, m.Round.Phase, m.Round.Iter, epoch, r.Phase, r.Iter))
+		}
+		lo, hi := core.ShardRange(batch, len(frames), p)
+		next := lo
+		for _, nd := range m.Nodes {
+			if nd.Lo != next || nd.Hi <= nd.Lo || nd.Hi > hi {
+				return nil, peerErr(p, "reduce", fmt.Errorf("node [%d, %d) does not continue the peer's shard [%d, %d) at %d",
+					nd.Lo, nd.Hi, lo, hi, next))
+			}
+			next = nd.Hi
+		}
+		if next != hi {
+			return nil, peerErr(p, "reduce", fmt.Errorf("nodes cover [%d, %d) of the peer's shard [%d, %d)", lo, next, lo, hi))
+		}
+		all = append(all, m.Nodes...)
+	}
+	return all, nil
+}
+
+// RunEpoch executes one distributed epoch: roll out the local shard, apply
+// it through the exchange — one round gathers the trajectories' scalar
+// statistics, then the PPO update all-reduces its advantage moments and
+// each pass's gradients — and finally exchange and verify post-apply state
+// digests. It is the distributed counterpart of core.Trainer.RunEpoch and
+// satisfies core.EpochFunc.
 func (w *Worker) RunEpoch() (core.EpochStats, error) {
 	t, cfg := w.t, w.t.Config()
 	epoch := t.BeginEpoch()
+	w.blocked = 0
+	defer func() { w.opt.Metrics.observeStraggler(w.blocked.Seconds()) }()
 	lo, hi := core.ShardRange(cfg.Batch, cfg.World, cfg.Rank)
 	local, err := t.RolloutShard(lo, hi)
 	if err != nil {
 		return core.EpochStats{Epoch: epoch}, err
 	}
-
-	own := shardMsg{Epoch: epoch, Rank: cfg.Rank, Lo: lo, Hi: hi, Deltas: local}
-	frames, wait, err := w.mesh.Exchange(encodeShard(own))
-	w.opt.Metrics.observeExchange(wait.Seconds())
-	w.opt.Metrics.observeStraggler(wait.Seconds())
-	if err != nil {
-		return core.EpochStats{Epoch: epoch}, err
-	}
-	shards := make([]shardMsg, 0, cfg.World)
-	for p, frame := range frames {
-		if p == cfg.Rank {
-			shards = append(shards, own)
-			continue
-		}
-		m, err := decodeShard(frame)
-		if err != nil {
-			return core.EpochStats{Epoch: epoch}, peerErr(p, "decode", err)
-		}
-		shards = append(shards, m)
-	}
-	deltas, err := Reduce(cfg.Batch, cfg.World, epoch, shards)
-	if err != nil {
-		return core.EpochStats{Epoch: epoch}, err
-	}
-
-	stats, err := t.ApplyDeltas(deltas)
+	stats, err := t.ApplyShard(local, w.exchange(epoch))
 	if err != nil {
 		return stats, err
 	}
 
-	// Replicas applied the same update to the same state, so their
-	// digests must agree; checking every epoch turns any drift into a
-	// prompt typed error at the boundary where it happened.
+	// Replicas stepped from the same reduced gradients, so their digests
+	// must agree; checking every epoch turns any drift into a prompt typed
+	// error at the boundary where it happened.
 	dg, err := StateDigest(t)
 	if err != nil {
 		return stats, err
 	}
-	dframes, dwait, err := w.mesh.Exchange(encodeDigest(digestMsg{Epoch: epoch, Rank: cfg.Rank, State: dg}))
-	w.opt.Metrics.observeExchange(dwait.Seconds())
+	dframes, err := w.round(encodeDigest(digestMsg{Epoch: epoch, Rank: cfg.Rank, State: dg}))
 	if err != nil {
 		return stats, err
 	}
@@ -239,7 +240,7 @@ func (w *Worker) RunEpoch() (core.EpochStats, error) {
 		}
 	}
 	w.opt.Metrics.observeEpoch()
-	w.opt.Logf("dist: rank %d epoch %d done (barrier %.3fs)", cfg.Rank, epoch, wait.Seconds())
+	w.opt.Logf("dist: rank %d epoch %d done (barrier %.3fs)", cfg.Rank, epoch, w.blocked.Seconds())
 	return stats, nil
 }
 

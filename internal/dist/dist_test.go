@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -70,6 +71,13 @@ func stateBytes(t *testing.T, tr *core.Trainer) []byte {
 // rank to its checkpoint config (nil means no checkpointing anywhere).
 func runWorld(t *testing.T, world, epochs int, ck func(rank int) core.CheckpointConfig) ([][]core.EpochStats, [][]byte) {
 	t.Helper()
+	return runWorldOf(t, world, epochs, testConfig, ck)
+}
+
+// runWorldOf is runWorld with config building each rank's TrainConfig.
+func runWorldOf(t *testing.T, world, epochs int, config func(world, rank int, peers []string) core.TrainConfig,
+	ck func(rank int) core.CheckpointConfig) ([][]core.EpochStats, [][]byte) {
+	t.Helper()
 	peers := sockets(t, world)
 	statsBy := make([][]core.EpochStats, world)
 	bytesBy := make([][]byte, world)
@@ -79,7 +87,7 @@ func runWorld(t *testing.T, world, epochs int, ck func(rank int) core.Checkpoint
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			tr, err := core.NewTrainer(testConfig(world, r, peers))
+			tr, err := core.NewTrainer(config(world, r, peers))
 			if err != nil {
 				errsBy[r] = err
 				return
@@ -106,28 +114,39 @@ func runWorld(t *testing.T, world, epochs int, ck func(rank int) core.Checkpoint
 	return statsBy, bytesBy
 }
 
-// TestEquivDistWorldSizes is the golden distributed-equivalence suite the
-// tentpole demands: 2- and 4-worker runs must produce serialized model +
-// Adam state bytes — and epoch statistics — identical to the
-// single-process Trainer.Train on the same seed and config.
+// TestEquivDistWorldSizes is the golden distributed-equivalence suite: 2-,
+// 3- and 4-worker runs must produce serialized model + Adam state bytes —
+// and epoch statistics — identical to the single-process Trainer.Train on
+// the same seed and config. Three ranks split the batch of 4 as 2/1/1; the
+// last case deals a batch of 7 out as 3/2/2, so every rank's shard is
+// several nodes of the reduction and one node spans two ranks.
 func TestEquivDistWorldSizes(t *testing.T) {
 	const epochs = 2
-	ref, err := core.NewTrainer(testConfig(1, 0, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStats, err := ref.Train(epochs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStats = zeroSeconds(wantStats)
-	wantBytes := stateBytes(t, ref)
+	for _, tc := range []struct {
+		name         string
+		world, batch int
+	}{
+		{"world=2", 2, 4}, {"world=3", 3, 4}, {"world=4", 4, 4}, {"world=3/batch=7", 3, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			config := func(world, rank int, peers []string) core.TrainConfig {
+				cfg := testConfig(world, rank, peers)
+				cfg.Batch = tc.batch
+				return cfg
+			}
+			ref, err := core.NewTrainer(config(1, 0, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantStats, err := ref.Train(epochs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantStats = zeroSeconds(wantStats)
+			wantBytes := stateBytes(t, ref)
 
-	for _, world := range []int{2, 4} {
-		world := world
-		t.Run(fmt.Sprintf("world=%d", world), func(t *testing.T) {
-			statsBy, bytesBy := runWorld(t, world, epochs, nil)
-			for r := 0; r < world; r++ {
+			statsBy, bytesBy := runWorldOf(t, tc.world, epochs, config, nil)
+			for r := 0; r < tc.world; r++ {
 				got := zeroSeconds(statsBy[r])
 				if len(got) != len(wantStats) {
 					t.Fatalf("rank %d: %d epochs, want %d", r, len(got), len(wantStats))
@@ -319,87 +338,132 @@ func TestEquivDistRestartResume(t *testing.T) {
 	}
 }
 
-// TestConnectRejectsFingerprintMismatch pins the handshake guard: peers
-// configured with different training parameters must refuse each other.
-func TestConnectRejectsFingerprintMismatch(t *testing.T) {
-	peers := sockets(t, 2)
-	opt := Options{DialTimeout: 10 * time.Second}
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			cfg := testConfig(2, r, peers)
-			if r == 1 {
-				cfg.Seed = 99 // diverging config
-			}
-			m, err := Connect(context.Background(), r, peers, Fingerprint(cfg), opt)
-			if err == nil {
-				m.Close()
-			}
-			errs[r] = err
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if !errors.Is(err, ErrPeer) {
-			t.Errorf("rank %d: err = %v, want a fingerprint refusal matching ErrPeer", r, err)
-		}
-	}
+// fingerprintFields lists one change to every TrainConfig field the fleet
+// must agree on.
+var fingerprintFields = []struct {
+	name string
+	mut  func(*core.TrainConfig)
+}{
+	{"Seed", func(c *core.TrainConfig) { c.Seed++ }},
+	{"Batch", func(c *core.TrainConfig) { c.Batch++ }},
+	{"SeqLen", func(c *core.TrainConfig) { c.SeqLen++ }},
+	{"World", func(c *core.TrainConfig) { c.World++ }},
+	{"LR", func(c *core.TrainConfig) { c.LR *= 2 }},
+	{"TrainFrac", func(c *core.TrainConfig) { c.TrainFrac /= 2 }},
+	{"Hidden", func(c *core.TrainConfig) { c.Hidden = []int{16, 8} }},
+	{"Policy", func(c *core.TrainConfig) { c.Policy = sched.FCFS() }},
+	{"Metric", func(c *core.TrainConfig) { c.Metric = metrics.Wait }},
+	{"RewardKind", func(c *core.TrainConfig) { c.RewardKind = core.NativeReward }},
+	{"FeatureMode", func(c *core.TrainConfig) { c.FeatureMode = core.CompactedFeatures }},
+	{"Backfill", func(c *core.TrainConfig) { c.Backfill = !c.Backfill }},
+	{"MaxInterval", func(c *core.TrainConfig) { c.MaxInterval *= 2 }},
+	{"MaxRejections", func(c *core.TrainConfig) { c.MaxRejections++ }},
+	{"PPO.LR", func(c *core.TrainConfig) { c.PPO.LR *= 2 }},
+	{"PPO.ClipRatio", func(c *core.TrainConfig) { c.PPO.ClipRatio *= 2 }},
+	{"PPO.PolicyIters", func(c *core.TrainConfig) { c.PPO.PolicyIters++ }},
+	{"PPO.ValueIters", func(c *core.TrainConfig) { c.PPO.ValueIters++ }},
+	{"PPO.TargetKL", func(c *core.TrainConfig) { c.PPO.TargetKL *= 2 }},
+	{"PPO.EntropyCoef", func(c *core.TrainConfig) { c.PPO.EntropyCoef *= 2 }},
+	{"PPO.MaxGradNorm", func(c *core.TrainConfig) { c.PPO.MaxGradNorm *= 2 }},
+	{"PPO.NoCritic", func(c *core.TrainConfig) { c.PPO.NoCritic = true }},
 }
 
-func TestShardCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := shardMsg{Epoch: 7, Rank: 2, Lo: 5, Hi: 8}
-	for i := m.Lo; i < m.Hi; i++ {
-		d := core.TrajDelta{
-			Index:          i,
-			Reward:         rng.NormFloat64(),
-			Improvement:    rng.NormFloat64(),
-			PctImprovement: rng.NormFloat64(),
-			Inspections:    rng.Intn(100),
-			Rejections:     rng.Intn(50),
-		}
-		for s := 0; s < rng.Intn(4)+1; s++ {
-			step := rl.Step{Action: rng.Intn(2), LogP: rng.NormFloat64()}
-			for f := 0; f < 6; f++ {
-				step.Obs = append(step.Obs, rng.NormFloat64())
-			}
-			d.Steps = append(d.Steps, step)
-		}
-		m.Deltas = append(m.Deltas, d)
-	}
-	got, err := decodeShard(encodeShard(m))
+// defaulted returns cfg as a trainer built from it reports it.
+func defaulted(t *testing.T, cfg core.TrainConfig) core.TrainConfig {
+	t.Helper()
+	tr, err := core.NewTrainer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != m.Epoch || got.Rank != m.Rank || got.Lo != m.Lo || got.Hi != m.Hi {
+	return tr.Config()
+}
+
+// TestConnectRejectsFingerprintMismatch pins the handshake guard: a change
+// to any field that shapes the epoch computation or its round count
+// changes the fingerprint and gets the peer refused at Connect, while
+// spelling out a default changes nothing.
+func TestConnectRejectsFingerprintMismatch(t *testing.T) {
+	peers := sockets(t, 2)
+	base := defaulted(t, testConfig(2, 0, peers))
+	spelled := testConfig(2, 0, peers)
+	spelled.PPO.PolicyIters, spelled.MaxRejections, spelled.TrainFrac = 10, base.MaxRejections, base.TrainFrac
+	if Fingerprint(defaulted(t, spelled)) != Fingerprint(base) {
+		t.Error("a config that spells its defaults out hashes differently from one that leaves them unset")
+	}
+	for _, f := range fingerprintFields {
+		t.Run(f.name, func(t *testing.T) {
+			changed := base
+			f.mut(&changed)
+			if Fingerprint(changed) == Fingerprint(base) {
+				t.Fatal("fingerprint unchanged")
+			}
+			opt := Options{DialTimeout: 10 * time.Second}
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for r, cfg := range []core.TrainConfig{base, changed} {
+				wg.Add(1)
+				go func(r int, cfg core.TrainConfig) {
+					defer wg.Done()
+					m, err := Connect(context.Background(), r, peers, Fingerprint(cfg), opt)
+					if err == nil {
+						m.Close()
+					}
+					errs[r] = err
+				}(r, cfg)
+			}
+			wg.Wait()
+			for r, err := range errs {
+				if !errors.Is(err, ErrPeer) {
+					t.Errorf("rank %d: err = %v, want a fingerprint refusal matching ErrPeer", r, err)
+				}
+			}
+		})
+	}
+}
+
+// testNodes returns nodes over the given cut points with random vectors of
+// the given width.
+func testNodes(rng *rand.Rand, width int, cuts ...int) []rl.Node {
+	var nodes []rl.Node
+	for i := 0; i+1 < len(cuts); i++ {
+		nd := rl.Node{Lo: cuts[i], Hi: cuts[i+1], Vec: make([]float64, width)}
+		for k := range nd.Vec {
+			nd.Vec[k] = rng.NormFloat64()
+		}
+		nodes = append(nodes, nd)
+	}
+	return nodes
+}
+
+func TestReduceCodecRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m := reduceMsg{Epoch: 7, Round: rl.Round{Phase: rl.PhasePolicy, Iter: 3}, Nodes: testNodes(rng, 11, 5, 6, 8)}
+	m.Nodes = append(m.Nodes, rl.Node{Lo: 8, Hi: 9, Vec: []float64{}})
+	enc := appendReduce(nil, m)
+	got, err := decodeReduce(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Epoch != m.Epoch || got.Round != m.Round {
 		t.Fatalf("header round trip: got %+v", got)
 	}
-	if len(got.Deltas) != len(m.Deltas) {
-		t.Fatalf("%d deltas, want %d", len(got.Deltas), len(m.Deltas))
+	if len(got.Nodes) != len(m.Nodes) {
+		t.Fatalf("%d nodes, want %d", len(got.Nodes), len(m.Nodes))
 	}
-	for i := range m.Deltas {
-		a, b := m.Deltas[i], got.Deltas[i]
-		if a.Index != b.Index || a.Reward != b.Reward || a.Improvement != b.Improvement ||
-			a.PctImprovement != b.PctImprovement || a.Inspections != b.Inspections || a.Rejections != b.Rejections {
-			t.Errorf("delta %d scalars diverge: %+v vs %+v", i, a, b)
+	for i := range m.Nodes {
+		a, b := m.Nodes[i], got.Nodes[i]
+		if a.Lo != b.Lo || a.Hi != b.Hi || !floatsEqual(a.Vec, b.Vec) {
+			t.Errorf("node %d diverges: %+v vs %+v", i, a, b)
 		}
-		if len(a.Steps) != len(b.Steps) {
-			t.Fatalf("delta %d: %d steps, want %d", i, len(b.Steps), len(a.Steps))
-		}
-		for j := range a.Steps {
-			if a.Steps[j].Action != b.Steps[j].Action || a.Steps[j].LogP != b.Steps[j].LogP ||
-				!floatsEqual(a.Steps[j].Obs, b.Steps[j].Obs) {
-				t.Errorf("delta %d step %d diverges", i, j)
-			}
-		}
+	}
+	// The encode buffer is reused: a second message over the first's bytes
+	// must not carry any of them.
+	if again := appendReduce(enc[:0], m); !bytes.Equal(again, enc) {
+		t.Error("encoding into a reused buffer differs")
 	}
 	// Truncated payloads must fail, never mis-decode.
-	enc := encodeShard(m)
 	for _, cut := range []int{1, len(enc) / 2, len(enc) - 1} {
-		if _, err := decodeShard(enc[:cut]); err == nil {
+		if _, err := decodeReduce(enc[:cut]); err == nil {
 			t.Errorf("decode of %d/%d bytes succeeded", cut, len(enc))
 		}
 	}
@@ -410,60 +474,98 @@ func floatsEqual(a, b []float64) bool {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// TestReduceValidation pins the reducer's refusal of every malformed
-// cover: wrong epoch, duplicate rank, wrong shard bounds, short shard,
-// mis-indexed delta.
+// FuzzDecodeReduce: the reduce-frame decoder returns an error or a message
+// that re-encodes to the bytes it was given, and never sizes anything by a
+// count the remaining bytes cannot back.
+func FuzzDecodeReduce(f *testing.F) {
+	rng := rand.New(rand.NewSource(9))
+	f.Add(appendReduce(nil, reduceMsg{Epoch: 1, Round: rl.Round{Phase: rl.PhaseMoments}, Nodes: testNodes(rng, 3, 0, 2, 3)}))
+	f.Add(appendReduce(nil, reduceMsg{Epoch: 1 << 40, Round: rl.Round{Phase: rl.PhaseValue, Iter: 9}}))
+	f.Add([]byte{msgReduce, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeReduce(data)
+		if err != nil {
+			return
+		}
+		values := 0
+		for _, nd := range m.Nodes {
+			values += len(nd.Vec)
+		}
+		if len(m.Nodes)*12+values*8 > len(data) {
+			t.Fatalf("decoded %d nodes and %d values from %d bytes", len(m.Nodes), values, len(data))
+		}
+		if again := appendReduce(nil, m); !bytes.Equal(again, data) {
+			t.Fatalf("re-encoding differs: %x vs %x", again, data)
+		}
+	})
+}
+
+// TestReduceValidation pins gather's refusal of every malformed round:
+// wrong epoch or round, a peer sending another rank's range, wrong bounds,
+// a short or empty cover, nodes out of order — each a *PeerError naming
+// the peer.
 func TestReduceValidation(t *testing.T) {
 	const batch, world, epoch = 6, 2, 3
-	mkShard := func(rank int) shardMsg {
-		lo, hi := core.ShardRange(batch, world, rank)
-		m := shardMsg{Epoch: epoch, Rank: rank, Lo: lo, Hi: hi}
-		for i := lo; i < hi; i++ {
-			m.Deltas = append(m.Deltas, core.TrajDelta{Index: i})
-		}
-		return m
+	round := rl.Round{Phase: rl.PhaseValue, Iter: 2}
+	rng := rand.New(rand.NewSource(6))
+	own := testNodes(rng, 4, 0, 2, 3)
+	peer := func() reduceMsg {
+		return reduceMsg{Epoch: epoch, Round: round, Nodes: testNodes(rng, 4, 3, 4, 6)}
 	}
-	good := func() []shardMsg { return []shardMsg{mkShard(0), mkShard(1)} }
+	run := func(m reduceMsg) ([]rl.Node, error) {
+		return gather(batch, 0, epoch, round, own, [][]byte{nil, appendReduce(nil, m)})
+	}
 
-	if deltas, err := Reduce(batch, world, epoch, good()); err != nil {
+	all, err := run(peer())
+	if err != nil {
 		t.Fatal(err)
-	} else if len(deltas) != batch {
-		t.Fatalf("reduced %d deltas, want %d", len(deltas), batch)
 	}
-	// Arrival order must not matter.
-	if _, err := Reduce(batch, world, epoch, []shardMsg{mkShard(1), mkShard(0)}); err != nil {
-		t.Fatalf("reversed arrival order rejected: %v", err)
+	for i, want := range [][2]int{{0, 2}, {2, 3}, {3, 4}, {4, 6}} {
+		if i >= len(all) || all[i].Lo != want[0] || all[i].Hi != want[1] {
+			t.Fatalf("gathered nodes %+v, want ranges [0,2) [2,3) [3,4) [4,6)", all)
+		}
 	}
 
 	cases := []struct {
 		name string
-		mut  func([]shardMsg) []shardMsg
+		mut  func(*reduceMsg)
 	}{
-		{"missing shard", func(s []shardMsg) []shardMsg { return s[:1] }},
-		{"stale epoch", func(s []shardMsg) []shardMsg { s[1].Epoch = epoch - 1; return s }},
-		{"duplicate rank", func(s []shardMsg) []shardMsg { s[1] = s[0]; return s }},
-		{"wrong bounds", func(s []shardMsg) []shardMsg { s[1].Lo--; return s }},
-		{"short shard", func(s []shardMsg) []shardMsg { s[1].Deltas = s[1].Deltas[:1]; return s }},
-		{"mis-indexed delta", func(s []shardMsg) []shardMsg { s[0].Deltas[0].Index = 99; return s }},
+		{"missing shard", func(m *reduceMsg) { m.Nodes = nil }},
+		{"stale epoch", func(m *reduceMsg) { m.Epoch = epoch - 1 }},
+		{"wrong round", func(m *reduceMsg) { m.Round.Iter++ }},
+		{"wrong phase", func(m *reduceMsg) { m.Round.Phase = rl.PhasePolicy }},
+		{"duplicate rank", func(m *reduceMsg) { m.Nodes = testNodes(rng, 4, 0, 2, 3) }},
+		{"wrong bounds", func(m *reduceMsg) { m.Nodes[0].Lo-- }},
+		{"short shard", func(m *reduceMsg) { m.Nodes = m.Nodes[:1] }},
+		{"long shard", func(m *reduceMsg) { m.Nodes[1].Hi++ }},
+		{"empty node", func(m *reduceMsg) { m.Nodes[0].Hi = m.Nodes[0].Lo }},
+		{"nodes out of order", func(m *reduceMsg) { m.Nodes[0], m.Nodes[1] = m.Nodes[1], m.Nodes[0] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Reduce(batch, world, epoch, tc.mut(good())); err == nil {
-				t.Error("malformed cover accepted")
+			m := peer()
+			tc.mut(&m)
+			_, err := run(m)
+			var pe *PeerError
+			if !errors.As(err, &pe) || pe.Rank != 1 {
+				t.Errorf("err = %v, want a *PeerError naming rank 1", err)
 			}
 		})
 	}
+	if _, err := gather(batch, 0, epoch, round, own, [][]byte{nil, {msgDigest}}); !errors.Is(err, ErrPeer) {
+		t.Errorf("a digest frame in a reduce round: err = %v, want one matching ErrPeer", err)
+	}
 }
 
-// TestShardRangeCovers sanity-checks the canonical split the reducer and
-// every worker rely on.
+// TestShardRangeCovers sanity-checks the canonical split every worker
+// relies on.
 func TestShardRangeCovers(t *testing.T) {
 	for _, tc := range []struct{ batch, world int }{{4, 2}, {5, 2}, {100, 4}, {7, 7}, {3, 2}} {
 		prev := 0

@@ -2,17 +2,19 @@ package dist
 
 import "schedinspector/internal/obs"
 
-// Metrics is the obs instrumentation of the distributed engine: per-epoch
-// exchange latency and volume, straggler wait, and peer failures. Attach
+// Metrics is the obs instrumentation of the distributed engine: per-round
+// exchange latency and volume, per-epoch straggler wait, and peer failures. Attach
 // one via Options.Metrics to export it through an obs.Registry (e.g.
 // mounted at /metrics next to the rollout family).
 type Metrics struct {
-	// ExchangeSeconds observes the wall time of each all-to-all barrier
-	// round (shard exchange and digest exchange alike).
+	// ExchangeSeconds observes the wall time of each all-to-all round: the
+	// statistics gather, every reduction of the update, and the digest
+	// check alike (23 per epoch at the default PPO pass counts).
 	ExchangeSeconds *obs.Histogram
-	// StragglerSeconds observes, per epoch, how long this rank waited at
-	// the shard barrier after finishing its own rollout — the time spent
-	// idle on the slowest peer.
+	// StragglerSeconds observes, once per epoch, the total time this rank
+	// spent blocked in that epoch's rounds. A round returns when the
+	// slowest peer's frame arrives, so whichever phase a peer is slow in —
+	// rollout or its share of a gradient pass — the wait lands here.
 	StragglerSeconds *obs.Histogram
 	// BytesSent / BytesReceived count frame payload bytes moved through
 	// the mesh (excluding the 24-byte container headers).
@@ -30,9 +32,9 @@ type Metrics struct {
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		ExchangeSeconds: r.Histogram("schedinspector_dist_exchange_seconds",
-			"Wall time of one all-to-all exchange barrier round.", nil, nil),
+			"Wall time of one all-to-all exchange round (statistics, each update reduction, digest).", nil, nil),
 		StragglerSeconds: r.Histogram("schedinspector_dist_straggler_seconds",
-			"Time spent waiting on the slowest peer after the local rollout shard finished.", nil, nil),
+			"Per epoch, total time this rank spent blocked in exchange rounds waiting on the slowest peer.", nil, nil),
 		BytesSent: r.Counter("schedinspector_dist_bytes_sent_total",
 			"Frame payload bytes sent to peers.", nil),
 		BytesReceived: r.Counter("schedinspector_dist_bytes_received_total",

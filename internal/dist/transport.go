@@ -63,10 +63,10 @@ func networkFor(network, addr string) string {
 // Frames are ckpt containers (magic + version + length + CRC-32C), making
 // the wire self-delimiting and corruption-evident.
 //
-// Exchange implements the per-epoch barrier: every rank sends its payload
-// to all peers and the call returns only once a frame from every peer has
-// arrived (or a peer failed / the timeout expired), so no rank can advance
-// an epoch without the full delta set.
+// Exchange implements one barrier round: every rank sends its payload to
+// all peers and the call returns only once a frame from every peer has
+// arrived (or a peer failed / the timeout expired), so no rank can get a
+// round ahead of another.
 type Mesh struct {
 	rank, world int
 	opt         Options
@@ -131,7 +131,7 @@ func Connect(ctx context.Context, rank int, peers []string, fp uint64, opt Optio
 			return fmt.Errorf("peer says world=%d, we have %d", h.World, world)
 		}
 		if h.Fingerprint != fp {
-			return fmt.Errorf("config fingerprint mismatch (%016x vs local %016x): peers must share seed/batch/seqlen/world", h.Fingerprint, fp)
+			return fmt.Errorf("config fingerprint mismatch (%016x vs local %016x): peers must share every training parameter but -rank", h.Fingerprint, fp)
 		}
 		if peerRank >= 0 && h.Rank != peerRank {
 			return fmt.Errorf("dialed rank %d, peer claims rank %d", peerRank, h.Rank)
@@ -261,7 +261,7 @@ func readHello(c net.Conn) (hello, error) {
 // bounded by opt.ExchangeTimeout — a dead or silent peer surfaces as a
 // *PeerError (deadline or closed-connection cause) instead of a hang.
 //
-// The returned elapsed duration is the barrier's wall time: since Exchange
+// The returned elapsed duration is the round's wall time: since Exchange
 // is called the moment local work finishes, it measures the wait on the
 // slowest peer (the straggler) plus transfer.
 func (m *Mesh) Exchange(payload []byte) ([][]byte, time.Duration, error) {

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"schedinspector/internal/nn"
@@ -21,9 +23,14 @@ var digestLens = []int{37, 5, 91, 128, 1, 64, 53}
 // digestBatch samples one on-policy batch of len(digestLens) trajectories
 // from a; observations, actions and rewards all come from rng.
 func digestBatch(a *Agent, rng *rand.Rand) []Trajectory {
+	return sampleBatch(a, rng, digestLens)
+}
+
+// sampleBatch is digestBatch for trajectories of the given lengths.
+func sampleBatch(a *Agent, rng *rand.Rand, lens []int) []Trajectory {
 	dim := a.Policy.InputSize()
-	batch := make([]Trajectory, len(digestLens))
-	for i, n := range digestLens {
+	batch := make([]Trajectory, len(lens))
+	for i, n := range lens {
 		tr := Trajectory{Reward: rng.Float64()*2 - 1}
 		for k := 0; k < n; k++ {
 			obs := make([]float64, dim)
@@ -116,10 +123,16 @@ func updateDigest(t *testing.T, noCritic bool) string {
 }
 
 // TestEquivUpdateDigest freezes the bits of PPO.Update. The constants were
-// produced by the per-sample Forward→Backward update at commit ca442b7 and
-// must never be re-baselined by a change that only restructures the update:
-// chunking, blocking or scratch reuse may not move a single bit of the
-// statistics, the weights or the Adam moments.
+// produced by this code at PR 19, which changed the floating-point order
+// once, on purpose: every sum over the batch went from one running total in
+// transition order to per-trajectory leaves folded over the fixed tree of
+// tree.go (the constants before it were the per-sample Forward→Backward
+// update's at commit ca442b7, which PR 17's kernels reproduced). They must
+// never be re-baselined by a change that only restructures the update:
+// chunking, blocking, scratch reuse, or dealing the leaves to more
+// goroutines or processes may not move a single bit of the statistics, the
+// weights or the Adam moments — TestEquivUpdateShardInvariant holds the
+// last of those to these same bits.
 func TestEquivUpdateDigest(t *testing.T) {
 	// The constants hold on amd64 only: other ports fuse x*y+z into one
 	// rounding (arm64, ppc64le, s390x, riscv64) and have their own math.Exp
@@ -133,11 +146,178 @@ func TestEquivUpdateDigest(t *testing.T) {
 		noCritic bool
 		want     string
 	}{
-		{"critic", false, "5b077e905e615b494e19dfa8ba9f51d2f64f26501ca329298812bb9d90918c5f"},
-		{"nocritic", true, "13a30cdc8f514db54becb05884451d9630ed74b643136c106d498ab358369bfe"},
+		{"critic", false, "5e002c1c1b013348026532e50de84a8a485e7b6c3beb6983b052c7dd6863327a"},
+		{"nocritic", true, "d006e4b1f30c59f9db87e4607ad055a9402bc4663498d128e598e7e16346645d"},
 	} {
 		if got := updateDigest(t, tc.noCritic); got != tc.want {
 			t.Errorf("%s: update digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// memMesh is an in-memory Exchange between k updates running on goroutines
+// of their own: a round completes when all k have handed in their nodes,
+// and each gets back a private copy of everyone's in shard order.
+type memMesh struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	k       int
+	round   Round
+	slots   [][]Node
+	all     []Node
+	arrived int
+	gen     int
+	err     error
+}
+
+func newMemMesh(k int) *memMesh {
+	m := &memMesh{k: k, slots: make([][]Node, k)}
+	m.cond = sync.NewCond(&m.mu)
+	return m
+}
+
+func cloneNodes(nodes []Node) []Node {
+	out := make([]Node, len(nodes))
+	for i, nd := range nodes {
+		out[i] = Node{Lo: nd.Lo, Hi: nd.Hi, Vec: append([]float64(nil), nd.Vec...)}
+	}
+	return out
+}
+
+// fail releases every update waiting on the mesh with err.
+func (m *memMesh) fail(err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.err == nil {
+		m.err = err
+	}
+	m.cond.Broadcast()
+}
+
+func (m *memMesh) exchange(rank int) Exchange {
+	return func(r Round, own []Node) ([]Node, error) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.arrived == 0 {
+			m.round = r
+		} else if m.round != r && m.err == nil {
+			m.err = fmt.Errorf("shard %d is in round %+v, the others in %+v", rank, r, m.round)
+			m.cond.Broadcast()
+		}
+		m.slots[rank] = cloneNodes(own)
+		m.arrived++
+		if m.arrived == m.k {
+			m.all = m.all[:0]
+			for _, s := range m.slots {
+				m.all = append(m.all, s...)
+			}
+			m.arrived = 0
+			m.gen++
+			m.cond.Broadcast()
+		} else {
+			for gen := m.gen; gen == m.gen && m.err == nil; {
+				m.cond.Wait()
+			}
+		}
+		if m.err != nil {
+			return nil, m.err
+		}
+		return cloneNodes(m.all), nil
+	}
+}
+
+// statsBits digests st by exact bit pattern.
+func statsBits(st UpdateStats) string {
+	var h stateHasher
+	h.stats(st)
+	return h.sum()
+}
+
+// TestEquivUpdateShardInvariant: the update's bits do not depend on how the
+// batch is dealt. The digest batch, once as it is (7 leaves, so the tree
+// has a ragged right spine) and once with a trajectory of zero steps added
+// (8 leaves, a perfect tree), goes through UpdateShard under every
+// contiguous two-way split and an unaligned three- and five-way split —
+// shards whose covers are several nodes — and every shard must return the
+// statistics, and end with the weights and Adam moments, of plain Update.
+func TestEquivUpdateShardInvariant(t *testing.T) {
+	const seed = 20220627
+	build := func(noCritic bool) (*Agent, *PPO, *rand.Rand) {
+		rng := rand.New(rand.NewSource(seed))
+		a := NewAgent(rng, 8, []int{32, 16, 8}, 2)
+		return a, NewPPO(a, PPOConfig{LR: 5e-3, NoCritic: noCritic}), rng
+	}
+	for _, lens := range [][]int{digestLens, {37, 5, 91, 0, 128, 1, 64, 53}} {
+		for _, noCritic := range []bool{false, true} {
+			// The reference: three Updates as in updateDigest, keeping the
+			// batches so that the shards can replay them.
+			a, ppo, rng := build(noCritic)
+			first := sampleBatch(a, rng, lens)
+			batches := [][]Trajectory{first, nil, first}
+			var wantStats []UpdateStats
+			stopped := false
+			for i := range batches {
+				if batches[i] == nil {
+					batches[i] = sampleBatch(a, rng, lens)
+				}
+				st, err := ppo.Update(batches[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				stopped = stopped || st.PolicyIters < 10
+				wantStats = append(wantStats, st)
+			}
+			if !stopped {
+				t.Fatalf("lens %v noCritic %v: no update stopped early on KL; the test no longer covers that exit", lens, noCritic)
+			}
+			var want stateHasher
+			want.state(a, ppo)
+
+			n := len(lens)
+			var splits [][]int // cut points, 0 and n included
+			for c := 1; c < n; c++ {
+				splits = append(splits, []int{0, c, n})
+			}
+			splits = append(splits, []int{0, 3, 5, n}, []int{0, 1, 3, 6, 7, n})
+			for _, cuts := range splits {
+				k := len(cuts) - 1
+				mesh := newMemMesh(k)
+				errs := make([]error, k)
+				var wg sync.WaitGroup
+				for r := 0; r < k; r++ {
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						a, ppo, _ := build(noCritic)
+						for i, batch := range batches {
+							rewards, steps := make([]float64, n), make([]int, n)
+							for j, tr := range batch {
+								rewards[j], steps[j] = tr.Reward, len(tr.Steps)
+							}
+							st, err := ppo.UpdateShard(cuts[r], batch[cuts[r]:cuts[r+1]], rewards, steps, mesh.exchange(r))
+							if err == nil && statsBits(st) != statsBits(wantStats[i]) {
+								err = fmt.Errorf("update %d: stats %+v, Update's are %+v", i, st, wantStats[i])
+							}
+							if err != nil {
+								errs[r] = err
+								mesh.fail(err)
+								return
+							}
+						}
+						var got stateHasher
+						got.state(a, ppo)
+						if got.sum() != want.sum() {
+							errs[r] = fmt.Errorf("weights or Adam state differ from Update's")
+						}
+					}(r)
+				}
+				wg.Wait()
+				for r, err := range errs {
+					if err != nil {
+						t.Errorf("lens %v noCritic %v cuts %v shard %d: %v", lens, noCritic, cuts, r, err)
+					}
+				}
+			}
 		}
 	}
 }

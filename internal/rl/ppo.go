@@ -206,7 +206,9 @@ type PPOConfig struct {
 	NoCritic bool
 }
 
-func (c PPOConfig) withDefaults() PPOConfig {
+// WithDefaults returns c with every unset (zero) field at its documented
+// default — the configuration NewPPO actually trains under.
+func (c PPOConfig) WithDefaults() PPOConfig {
 	if c.LR == 0 {
 		c.LR = 1e-3
 	}
@@ -233,49 +235,62 @@ func (c PPOConfig) withDefaults() PPOConfig {
 
 // PPO optimizes an Agent from batches of trajectories.
 type PPO struct {
-	cfg    PPOConfig
-	agent  *Agent
-	polOpt *nn.Adam
-	valOpt *nn.Adam
-	polG   *nn.Grads
-	valG   *nn.Grads
+	cfg        PPOConfig
+	agent      *Agent
+	polOpt     *nn.Adam
+	valOpt     *nn.Adam
+	nPol, nVal int // parameter counts of the two networks
 
-	// Update's scratch, reused across calls. The batch is flattened once
-	// per Update into struct-of-arrays form — obs is N x dim row-major, the
-	// rest one value per transition — and grows only when a larger batch
+	// The update's scratch, reused across calls. The local trajectories are
+	// flattened once per update into struct-of-arrays form — obs is N x dim
+	// row-major, the rest one value per transition, off[k]..off[k+1] the
+	// rows of local trajectory k — and grow only when a larger shard
 	// arrives. Everything a network pass touches (activations, deltas,
 	// dOut) is sized by updateChunk, never by N.
+	lo, hi   int // the batch indices of the local trajectories
+	off      []int
 	obs      []float64
 	act      []int
 	logp     []float64
 	ret      []float64
 	adv      []float64
+	rewards  []float64 // Update's view of the batch for UpdateShard
+	steps    []int
 	polCache nn.BatchCache
 	valCache nn.BatchCache
 	dOut     []float64 // updateChunk x nActions (policy) or x 1 (value)
 	probs    []float64 // softmax of one row
 	logq     []float64 // log of each entry of probs
+
+	// The reduction tree's storage (tree.go): the local shard's nodes of
+	// the round in flight, the right operands of the node being folded, and
+	// the cover as the exchange sees it. Slots are made on first use, so a
+	// single-process update holds one cover slot and log2(batch) of stack.
+	cover []*partial
+	stack []*partial
+	own   []Node
 }
 
 // updateChunk is how many transitions one ForwardBatch/BackwardBatch pair of
-// an update pass covers. The batch kernels add every row to a parameter's
-// accumulator in row order and carry the accumulator from chunk to chunk,
-// so the value cannot change a bit of the result — only speed and scratch
-// size. 32, 128 and 512 measured equal on the train-epoch benchmark; 128
-// keeps a chunk's activations and deltas near 100 KB.
+// an update pass covers, at most: a chunk never crosses a trajectory, whose
+// rows are one leaf of the reduction tree. The batch kernels add every row
+// to a parameter's accumulator in row order and carry the accumulator from
+// chunk to chunk, so the value cannot change a bit of the result — only
+// speed and scratch size. 32, 128 and 512 measured equal on the train-epoch
+// benchmark; 128 keeps a chunk's activations and deltas near 100 KB.
 const updateChunk = 128
 
 // NewPPO creates the optimizer for agent.
 func NewPPO(agent *Agent, cfg PPOConfig) *PPO {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	nA := agent.Policy.OutputSize()
 	return &PPO{
 		cfg:    cfg,
 		agent:  agent,
 		polOpt: nn.NewAdam(agent.Policy, cfg.LR),
 		valOpt: nn.NewAdam(agent.Value, cfg.LR),
-		polG:   nn.NewGrads(agent.Policy),
-		valG:   nn.NewGrads(agent.Value),
+		nPol:   agent.Policy.NumParams(),
+		nVal:   agent.Value.NumParams(),
 		dOut:   make([]float64, updateChunk*nA),
 		probs:  make([]float64, nA),
 		logq:   make([]float64, nA),
@@ -319,15 +334,15 @@ type UpdateStats struct {
 	Entropy     float64 // mean policy entropy over the batch
 }
 
-// flatten validates batch and copies it into the struct-of-arrays scratch,
-// returning the number of transitions. Nothing is touched when it fails.
-func (p *PPO) flatten(batch []Trajectory) (int, error) {
+// flatten validates the local trajectories and copies them into the
+// struct-of-arrays scratch. Nothing is touched when it fails.
+func (p *PPO) flatten(local []Trajectory) error {
 	dim := p.agent.Policy.InputSize()
 	n := 0
-	for _, tr := range batch {
+	for _, tr := range local {
 		for _, s := range tr.Steps {
 			if len(s.Obs) != dim {
-				return 0, fmt.Errorf("rl: observation size %d, want %d", len(s.Obs), dim)
+				return fmt.Errorf("rl: observation size %d, want %d", len(s.Obs), dim)
 			}
 		}
 		n += len(tr.Steps)
@@ -340,8 +355,9 @@ func (p *PPO) flatten(batch []Trajectory) (int, error) {
 		p.adv = make([]float64, n)
 	}
 	p.obs, p.act, p.logp, p.ret, p.adv = p.obs[:n*dim], p.act[:n], p.logp[:n], p.ret[:n], p.adv[:n]
+	p.off = append(p.off[:0], 0)
 	i := 0
-	for _, tr := range batch {
+	for _, tr := range local {
 		for _, s := range tr.Steps {
 			copy(p.obs[i*dim:(i+1)*dim], s.Obs)
 			p.act[i] = s.Action
@@ -351,30 +367,68 @@ func (p *PPO) flatten(batch []Trajectory) (int, error) {
 			p.ret[i] = tr.Reward
 			i++
 		}
+		p.off = append(p.off, i)
 	}
-	return n, nil
+	return nil
 }
 
 // Update runs one PPO update over the batch and returns statistics. A
 // batch with a wrong-sized observation is rejected before any state
-// changes, with zero statistics.
+// changes, with zero statistics. It is UpdateShard for a process that
+// holds every trajectory.
 func (p *PPO) Update(batch []Trajectory) (UpdateStats, error) {
-	n, err := p.flatten(batch)
-	if err != nil {
+	p.rewards, p.steps = p.rewards[:0], p.steps[:0]
+	for _, tr := range batch {
+		p.rewards = append(p.rewards, tr.Reward)
+		p.steps = append(p.steps, len(tr.Steps))
+	}
+	return p.UpdateShard(0, batch, p.rewards, p.steps, nil)
+}
+
+// UpdateShard runs one PPO update over a batch of len(rewards)
+// trajectories of which this process holds only local, the ones at batch
+// indices lo, lo+1, ...; rewards and steps give every trajectory's
+// terminal reward and step count. Each sum over the batch is reduced over
+// the fixed tree of tree.go with ex carrying the nodes between the
+// processes that share the batch, so all of them step their optimizers
+// from the same bits and return the same statistics, and those are the
+// bits and statistics of Update on the whole batch in one process. ex may
+// be nil when local is the whole batch. Invalid input is rejected before
+// any state changes, with zero statistics; once ex fails the networks may
+// be part-way through the update and the state must be discarded.
+func (p *PPO) UpdateShard(lo int, local []Trajectory, rewards []float64, steps []int, ex Exchange) (UpdateStats, error) {
+	batch := len(rewards)
+	if len(steps) != batch || lo < 0 || lo+len(local) > batch {
+		return UpdateStats{}, fmt.Errorf("rl: shard [%d, %d) of a batch with %d rewards and %d step counts", lo, lo+len(local), batch, len(steps))
+	}
+	if ex == nil && len(local) != batch {
+		return UpdateStats{}, fmt.Errorf("rl: shard holds %d of %d trajectories and has no exchange for the rest", len(local), batch)
+	}
+	for k, tr := range local {
+		if len(tr.Steps) != steps[lo+k] || math.Float64bits(tr.Reward) != math.Float64bits(rewards[lo+k]) {
+			return UpdateStats{}, fmt.Errorf("rl: trajectory %d has %d steps and reward %v, the batch summary says %d and %v",
+				lo+k, len(tr.Steps), tr.Reward, steps[lo+k], rewards[lo+k])
+		}
+	}
+	if err := p.flatten(local); err != nil {
 		return UpdateStats{}, err
 	}
+	p.lo, p.hi = lo, lo+len(local)
+
 	var stats UpdateStats
-	if len(batch) > 0 {
-		for _, tr := range batch {
-			stats.MeanReward += tr.Reward
+	n := 0
+	if batch > 0 {
+		for i, r := range rewards {
+			stats.MeanReward += r
+			n += steps[i]
 		}
-		stats.MeanReward /= float64(len(batch))
+		stats.MeanReward /= float64(batch)
 		var rv float64
-		for _, tr := range batch {
-			d := tr.Reward - stats.MeanReward
+		for _, r := range rewards {
+			d := r - stats.MeanReward
 			rv += d * d
 		}
-		stats.RewardStd = math.Sqrt(rv / float64(len(batch)))
+		stats.RewardStd = math.Sqrt(rv / float64(batch))
 	}
 	if n == 0 {
 		return stats, nil
@@ -382,96 +436,76 @@ func (p *PPO) Update(batch []Trajectory) (UpdateStats, error) {
 	stats.Steps = n
 
 	// Advantages: return minus critic baseline (unless ablated), normalized
-	// across the batch with Welford moments taken in transition order.
-	dim := p.agent.Policy.InputSize()
-	var mean, m2 float64
-	for lo := 0; lo < n; lo += updateChunk {
-		hi := min(lo+updateChunk, n)
-		var values []float64
-		if !p.cfg.NoCritic {
-			values = p.agent.Value.ForwardBatch(p.obs[lo*dim:hi*dim], hi-lo, &p.valCache)
-		}
-		for i := lo; i < hi; i++ {
-			adv := p.ret[i]
-			if values != nil {
-				adv -= values[i-lo]
-			}
-			p.adv[i] = adv
-			d := adv - mean
-			mean += d / float64(i+1)
-			m2 += d * (adv - mean)
-		}
+	// across the batch.
+	mom, err := p.reduce(Round{Phase: PhaseMoments}, batch, ex)
+	if err != nil {
+		return stats, err
 	}
-	std := math.Sqrt(m2/float64(n)) + 1e-8
+	if mom[0] != float64(n) {
+		return stats, fmt.Errorf("rl: advantage moments cover %v transitions, the step counts sum to %d", mom[0], n)
+	}
+	mean, std := mom[1], math.Sqrt(mom[2]/float64(n))+1e-8
 	for i := range p.adv {
 		p.adv[i] = (p.adv[i] - mean) / std
 	}
 
-	stats.PolicyIters, stats.ApproxKL, stats.Entropy, stats.PolicyLoss = p.updatePolicy()
-	if !p.cfg.NoCritic {
-		stats.ValueLoss = p.updateValue()
+	stats.PolicyIters, stats.ApproxKL, stats.Entropy, stats.PolicyLoss, err = p.updatePolicy(batch, n, ex)
+	if err == nil && !p.cfg.NoCritic {
+		stats.ValueLoss, err = p.updateValue(batch, n, ex)
 	}
-	return stats, nil
+	return stats, err
+}
+
+// leaf computes trajectory i's own sum for a round of phase ph into dst.
+func (p *PPO) leaf(ph Phase, i int, dst *partial) {
+	lo, hi := p.off[i-p.lo], p.off[i-p.lo+1]
+	switch ph {
+	case PhaseMoments:
+		p.momentsLeaf(lo, hi, dst.vec)
+	case PhasePolicy:
+		p.policyLeaf(lo, hi, dst)
+	case PhaseValue:
+		p.valueLeaf(lo, hi, dst)
+	}
+}
+
+// momentsLeaf stores the raw advantages of rows [lo, hi) and leaves their
+// count and Welford mean and M2, taken in row order, in vec.
+func (p *PPO) momentsLeaf(lo, hi int, vec []float64) {
+	dim := p.agent.Policy.InputSize()
+	var mean, m2 float64
+	for c := lo; c < hi; c += updateChunk {
+		ch := min(c+updateChunk, hi)
+		var values []float64
+		if !p.cfg.NoCritic {
+			values = p.agent.Value.ForwardBatch(p.obs[c*dim:ch*dim], ch-c, &p.valCache)
+		}
+		for i := c; i < ch; i++ {
+			adv := p.ret[i]
+			if values != nil {
+				adv -= values[i-c]
+			}
+			p.adv[i] = adv
+			d := adv - mean
+			mean += d / float64(i-lo+1)
+			m2 += d * (adv - mean)
+		}
+	}
+	vec[0], vec[1], vec[2] = float64(hi-lo), mean, m2
 }
 
 // updatePolicy runs clipped-surrogate passes with entropy bonus and KL early
-// stopping over the flattened batch. Returns passes run, final approximate
-// KL, mean entropy, and the mean loss (clipped surrogate minus entropy
-// bonus) of the last pass.
-func (p *PPO) updatePolicy() (iters int, kl, entropy, loss float64) {
-	pol := p.agent.Policy
-	dim, nA := pol.InputSize(), pol.OutputSize()
-	n := len(p.act)
-	probs, logq := p.probs, p.logq
-
+// stopping over a batch of n transitions. Returns passes run, final
+// approximate KL, mean entropy, and the mean loss (clipped surrogate minus
+// entropy bonus) of the last pass. The early stop reads the reduced KL, so
+// processes sharing the batch stop on the same pass.
+func (p *PPO) updatePolicy(batch, n int, ex Exchange) (iters int, kl, entropy, loss float64, err error) {
 	for iter := 0; iter < p.cfg.PolicyIters; iter++ {
-		p.polG.Zero()
-		var klSum, entSum, lossSum float64
-		for lo := 0; lo < n; lo += updateChunk {
-			hi := min(lo+updateChunk, n)
-			rows := hi - lo
-			logits := pol.ForwardBatch(p.obs[lo*dim:hi*dim], rows, &p.polCache)
-			dLogits := p.dOut[:rows*nA]
-			for r := 0; r < rows; r++ {
-				act, logpOld, adv := p.act[lo+r], p.logp[lo+r], p.adv[lo+r]
-				nn.Softmax(logits[r*nA:(r+1)*nA], probs)
-				logpNew := math.Log(math.Max(probs[act], 1e-12))
-				ratio := math.Exp(logpNew - logpOld)
-				klSum += logpOld - logpNew
-				clipped := math.Max(math.Min(ratio, 1+p.cfg.ClipRatio), 1-p.cfg.ClipRatio)
-				lossSum += -math.Min(ratio*adv, clipped*adv)
-
-				// Clipped surrogate: gradient flows only when unclipped.
-				coef := 0.0
-				if adv >= 0 && ratio < 1+p.cfg.ClipRatio || adv < 0 && ratio > 1-p.cfg.ClipRatio {
-					coef = -ratio * adv // d(-surrogate)/d(logpNew)
-				}
-
-				var h float64
-				for k, q := range probs {
-					if q > 0 {
-						logq[k] = math.Log(q)
-						h -= q * logq[k]
-					}
-				}
-				entSum += h
-
-				dl := dLogits[r*nA : (r+1)*nA]
-				for k := range dl {
-					ind := 0.0
-					if k == act {
-						ind = 1
-					}
-					// d logpNew / d logits_k = ind - p_k
-					dl[k] = coef * (ind - probs[k])
-					// entropy bonus: loss -= c*H, dH/dl_k = -p_k(log p_k + H)
-					if probs[k] > 0 {
-						dl[k] += p.cfg.EntropyCoef * probs[k] * (logq[k] + h)
-					}
-				}
-			}
-			pol.BackwardBatch(&p.polCache, dLogits, rows, p.polG)
+		sum, err := p.reduce(Round{Phase: PhasePolicy, Iter: iter}, batch, ex)
+		if err != nil {
+			return iters, kl, entropy, loss, err
 		}
+		klSum, entSum, lossSum := sum[p.nPol], sum[p.nPol+1], sum[p.nPol+2]
 		kl = klSum / float64(n)
 		entropy = entSum / float64(n)
 		loss = (lossSum - p.cfg.EntropyCoef*entSum) / float64(n)
@@ -479,39 +513,105 @@ func (p *PPO) updatePolicy() (iters int, kl, entropy, loss float64) {
 		if kl > 1.5*p.cfg.TargetKL && iter > 0 {
 			break // stop before applying a step that drifts too far
 		}
-		p.polG.Scale(1 / float64(n))
-		p.polG.ClipGlobalNorm(p.cfg.MaxGradNorm)
-		p.polOpt.Step(pol, p.polG)
+		g := p.cover[0].pol
+		g.Scale(1 / float64(n))
+		g.ClipGlobalNorm(p.cfg.MaxGradNorm)
+		p.polOpt.Step(p.agent.Policy, g)
 	}
-	return iters, kl, entropy, loss
+	return iters, kl, entropy, loss, nil
 }
 
-// updateValue fits the critic to the returns with MSE over the flattened
-// batch; returns final loss.
-func (p *PPO) updateValue() float64 {
+// policyLeaf sums one policy pass over rows [lo, hi) into dst: the
+// gradients, then the KL, entropy and surrogate-loss sums.
+func (p *PPO) policyLeaf(lo, hi int, dst *partial) {
+	pol := p.agent.Policy
+	dim, nA := pol.InputSize(), pol.OutputSize()
+	probs, logq := p.probs, p.logq
+	clear(dst.vec[:p.nPol])
+	var klSum, entSum, lossSum float64
+	for c := lo; c < hi; c += updateChunk {
+		ch := min(c+updateChunk, hi)
+		rows := ch - c
+		logits := pol.ForwardBatch(p.obs[c*dim:ch*dim], rows, &p.polCache)
+		dLogits := p.dOut[:rows*nA]
+		for r := 0; r < rows; r++ {
+			act, logpOld, adv := p.act[c+r], p.logp[c+r], p.adv[c+r]
+			nn.Softmax(logits[r*nA:(r+1)*nA], probs)
+			logpNew := math.Log(math.Max(probs[act], 1e-12))
+			ratio := math.Exp(logpNew - logpOld)
+			klSum += logpOld - logpNew
+			clipped := math.Max(math.Min(ratio, 1+p.cfg.ClipRatio), 1-p.cfg.ClipRatio)
+			lossSum += -math.Min(ratio*adv, clipped*adv)
+
+			// Clipped surrogate: gradient flows only when unclipped.
+			coef := 0.0
+			if adv >= 0 && ratio < 1+p.cfg.ClipRatio || adv < 0 && ratio > 1-p.cfg.ClipRatio {
+				coef = -ratio * adv // d(-surrogate)/d(logpNew)
+			}
+
+			var h float64
+			for k, q := range probs {
+				if q > 0 {
+					logq[k] = math.Log(q)
+					h -= q * logq[k]
+				}
+			}
+			entSum += h
+
+			dl := dLogits[r*nA : (r+1)*nA]
+			for k := range dl {
+				ind := 0.0
+				if k == act {
+					ind = 1
+				}
+				// d logpNew / d logits_k = ind - p_k
+				dl[k] = coef * (ind - probs[k])
+				// entropy bonus: loss -= c*H, dH/dl_k = -p_k(log p_k + H)
+				if probs[k] > 0 {
+					dl[k] += p.cfg.EntropyCoef * probs[k] * (logq[k] + h)
+				}
+			}
+		}
+		pol.BackwardBatch(&p.polCache, dLogits, rows, dst.pol)
+	}
+	dst.vec[p.nPol], dst.vec[p.nPol+1], dst.vec[p.nPol+2] = klSum, entSum, lossSum
+}
+
+// updateValue fits the critic to the returns with MSE over a batch of n
+// transitions; returns final loss.
+func (p *PPO) updateValue(batch, n int, ex Exchange) (loss float64, err error) {
+	for iter := 0; iter < p.cfg.ValueIters; iter++ {
+		sum, err := p.reduce(Round{Phase: PhaseValue, Iter: iter}, batch, ex)
+		if err != nil {
+			return loss, err
+		}
+		loss = sum[p.nVal] / float64(n)
+		g := p.cover[0].val
+		g.Scale(1 / float64(n))
+		g.ClipGlobalNorm(p.cfg.MaxGradNorm)
+		p.valOpt.Step(p.agent.Value, g)
+	}
+	return loss, nil
+}
+
+// valueLeaf sums one critic pass over rows [lo, hi) into dst: the
+// gradients, then the squared-error loss sum.
+func (p *PPO) valueLeaf(lo, hi int, dst *partial) {
 	val := p.agent.Value
 	dim := val.InputSize()
-	n := len(p.ret)
+	clear(dst.vec[:p.nVal])
 	var loss float64
-	for iter := 0; iter < p.cfg.ValueIters; iter++ {
-		p.valG.Zero()
-		loss = 0
-		for lo := 0; lo < n; lo += updateChunk {
-			hi := min(lo+updateChunk, n)
-			rows := hi - lo
-			values := val.ForwardBatch(p.obs[lo*dim:hi*dim], rows, &p.valCache)
-			dOut := p.dOut[:rows]
-			for r, v := range values {
-				d := v - p.ret[lo+r]
-				loss += 0.5 * d * d
-				dOut[r] = d
-			}
-			val.BackwardBatch(&p.valCache, dOut, rows, p.valG)
+	for c := lo; c < hi; c += updateChunk {
+		ch := min(c+updateChunk, hi)
+		rows := ch - c
+		values := val.ForwardBatch(p.obs[c*dim:ch*dim], rows, &p.valCache)
+		dOut := p.dOut[:rows]
+		for r, v := range values {
+			d := v - p.ret[c+r]
+			loss += 0.5 * d * d
+			dOut[r] = d
 		}
-		loss /= float64(n)
-		p.valG.Scale(1 / float64(n))
-		p.valG.ClipGlobalNorm(p.cfg.MaxGradNorm)
-		p.valOpt.Step(val, p.valG)
+		val.BackwardBatch(&p.valCache, dOut, rows, dst.val)
 	}
-	return loss
+	dst.vec[p.nVal] = loss
 }

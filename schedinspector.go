@@ -174,10 +174,11 @@ var (
 // TrainDistributed runs epochs of coordinator-less multi-process training:
 // every worker process calls it with an identically-configured Trainer
 // (TrainConfig.World, Rank and Peers set; only Rank differs), rolls out
-// its shard of each epoch's trajectory batch, exchanges per-trajectory
-// deltas with all peers, and applies the identical PPO update — so every
-// replica's weights and Adam state stay bit-identical to a single-process
-// Trainer.Train on the same seed and config. With World <= 1 it is
+// its shard of each epoch's trajectory batch, computes the PPO update's
+// gradients over that shard and all-reduces them with its peers in a
+// fixed order — so every replica's weights and Adam state stay
+// bit-identical to a single-process Trainer.Train on the same seed and
+// config. With World <= 1 it is
 // exactly Trainer.TrainCtx. Checkpointing and interruption follow the
 // TrainCtx contract; periodic saves are written by rank 0 only.
 func TrainDistributed(ctx context.Context, t *Trainer, epochs int, ck CheckpointConfig, opt DistOptions, cb func(EpochStats)) ([]EpochStats, error) {
