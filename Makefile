@@ -100,27 +100,28 @@ equiv:
 	$(GO) test -race -run 'Equiv|BatchBitIdentical' -count=1 ./internal/sim/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/rl/ ./internal/nn/
 
 # trace-smoke exercises the decision flight recorder end to end at smoke
-# scale, on both recording paths: a tiny training run records a JSONL
-# flight trace and every explain query plus the expreport reject plot must
-# run clean over it; then the same run records a binary .ftrace, which must
-# be queryable natively, convertible to JSONL offline, and queryable again
-# through the converted file.
+# scale: a tiny training run records a .ftrace flight trace; every explain
+# query plus the expreport reject plot must run clean over it, it must
+# convert to JSONL offline, and the converted file must answer a query too.
+# The same run in native feature mode (102 features: records and header
+# that outgrow the ring's initial slots) must record a non-zero number of
+# decisions.
 trace-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) run $(LDFLAGS) ./cmd/schedinspect train -trace SDSC-SP2 -jobs 2000 \
 		-epochs 1 -batch 4 -seqlen 64 -seed 42 \
-		-flight $$tmp/flight.jsonl -model $$tmp/model.gob && \
-	$(GO) run ./cmd/schedinspect explain -in $$tmp/flight.jsonl && \
-	$(GO) run ./cmd/schedinspect explain -in $$tmp/flight.jsonl -feature-stats && \
-	$(GO) run ./cmd/schedinspect explain -in $$tmp/flight.jsonl -top-rejected 5 && \
-	$(GO) run ./cmd/expreport -rejects $$tmp/flight.jsonl && \
-	$(GO) run $(LDFLAGS) ./cmd/schedinspect train -trace SDSC-SP2 -jobs 2000 \
-		-epochs 1 -batch 4 -seqlen 64 -seed 42 \
-		-flight $$tmp/flight.ftrace -model $$tmp/model2.gob && \
+		-flight $$tmp/flight.ftrace -model $$tmp/model.gob && \
 	$(GO) run ./cmd/schedinspect explain -in $$tmp/flight.ftrace && \
 	$(GO) run ./cmd/schedinspect explain -in $$tmp/flight.ftrace -feature-stats && \
+	$(GO) run ./cmd/schedinspect explain -in $$tmp/flight.ftrace -top-rejected 5 && \
+	$(GO) run ./cmd/expreport -rejects $$tmp/flight.ftrace && \
 	$(GO) run ./cmd/schedinspect explain -in $$tmp/flight.ftrace -convert $$tmp/converted.jsonl && \
 	$(GO) run ./cmd/schedinspect explain -in $$tmp/converted.jsonl -feature-stats && \
+	$(GO) run $(LDFLAGS) ./cmd/schedinspect train -trace SDSC-SP2 -jobs 2000 \
+		-epochs 1 -batch 4 -seqlen 64 -seed 42 -features native \
+		-flight $$tmp/native.ftrace -model $$tmp/native.gob && \
+	$(GO) run ./cmd/schedinspect explain -in $$tmp/native.ftrace \
+		| grep -E ': [1-9][0-9]* decisions .* native features' && \
 	rm -rf $$tmp
 
 # dist-smoke proves the distributed engine end to end at the process

@@ -592,8 +592,8 @@ func TestCLIFlightRecorder(t *testing.T) {
 
 	common := []string{"train", "-swf", swf, "-policy", "SJF", "-metric", "bsld",
 		"-epochs", "2", "-batch", "4", "-seqlen", "64", "-seed", "42"}
-	flight1 := filepath.Join(work, "flight-w1.jsonl")
-	flight4 := filepath.Join(work, "flight-w4.jsonl")
+	flight1 := filepath.Join(work, "flight-w1.ftrace")
+	flight4 := filepath.Join(work, "flight-w4.ftrace")
 	out := run(t, filepath.Join(bins, "schedinspect"),
 		append(common, "-workers", "1", "-flight", flight1, "-model", model)...)
 	if !strings.Contains(out, "flight trace written") {
@@ -606,6 +606,18 @@ func TestCLIFlightRecorder(t *testing.T) {
 	out = run(t, filepath.Join(bins, "schedinspect"), "explain", "-in", flight1)
 	if !strings.Contains(out, "decisions") || !strings.Contains(out, "manual features") {
 		t.Fatalf("explain summary unexpected:\n%s", out)
+	}
+
+	// Native feature mode (102 features) records too: its records and header
+	// outgrow the ring's initial slots, which used to drop every one of them
+	// while the command still reported success.
+	flightNative := filepath.Join(work, "flight-native.ftrace")
+	run(t, filepath.Join(bins, "schedinspect"), "train", "-swf", swf, "-epochs", "1", "-batch", "2",
+		"-seqlen", "32", "-seed", "42", "-features", "native", "-flight", flightNative,
+		"-model", filepath.Join(work, "native.gob"))
+	out = run(t, filepath.Join(bins, "schedinspect"), "explain", "-in", flightNative)
+	if strings.Contains(out, ": 0 decisions") || !strings.Contains(out, "native features") {
+		t.Fatalf("native-mode flight trace is empty or headerless:\n%s", out)
 	}
 
 	// Worker-count independence, through the whole CLI pipeline: the

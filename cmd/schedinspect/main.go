@@ -82,53 +82,35 @@ func usage() {
   schedinspect version
 
 train and eval accept -flight OUT to record a decision flight trace (spans +
-per-decision explain records) for schedinspect explain. With -flight-format
-binary (or an .ftrace path) the trace records through the zero-allocation
-arena-backed ring and is written as binary .ftrace; explain reads both
-formats and -convert turns .ftrace into the equivalent JSONL.`)
+per-decision explain records) for schedinspect explain. The trace is written
+as binary .ftrace; explain reads it directly and -convert renders it as JSONL.`)
 }
 
-// flightFlags adds the shared flight-recorder flags to fs.
-func flightFlags(fs *flag.FlagSet) (path *string, format *string) {
-	path = fs.String("flight", "", "record a decision flight trace (spans + explain records) to this file")
-	format = fs.String("flight-format", "auto",
-		"flight trace format: jsonl, binary (.ftrace ring), or auto (binary iff the path ends in .ftrace)")
-	return
+// flightFlag adds the shared flight-recorder flag to fs.
+func flightFlag(fs *flag.FlagSet) *string {
+	return fs.String("flight", "", "record a decision flight trace (spans + explain records) to this .ftrace file")
 }
 
 // openFlight builds the flight recorder for -flight and attaches the sink
-// file. Binary mode records through the arena-backed TraceRing and writes
-// .ftrace; JSONL mode is the legacy interleaved-lines sink.
-func openFlight(path, format string) (*insp.FlightRecorder, *os.File, error) {
-	binary := false
-	switch format {
-	case "auto":
-		binary = strings.HasSuffix(path, ".ftrace")
-	case "jsonl":
-	case "binary":
-		binary = true
-	default:
-		return nil, nil, fmt.Errorf("unknown -flight-format %q (want auto, jsonl or binary)", format)
-	}
+// file.
+func openFlight(path string) (*insp.TraceRing, *os.File, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	var rec *insp.FlightRecorder
-	if binary {
-		rec = insp.NewBinaryFlightRecorder(0, 0)
-	} else {
-		rec = insp.NewFlightRecorder(0, 0)
-	}
-	rec.SetSink(f)
-	return rec, f, nil
+	ring := insp.NewTraceRing(0, 0)
+	ring.SetSink(f)
+	return ring, f, nil
 }
 
-// closeFlight flushes the recorder and surfaces the first sink error as the
-// command's exit status.
-func closeFlight(rec *insp.FlightRecorder, path string) error {
-	if err := rec.Flush(); err != nil {
+// closeFlight flushes the recorder and surfaces a sink error or dropped
+// records as the command's exit status.
+func closeFlight(ring *insp.TraceRing, path string) error {
+	if err := ring.Flush(); err != nil {
 		return fmt.Errorf("flight trace: %w", err)
+	}
+	if n := ring.Oversized(); n > 0 {
+		return fmt.Errorf("flight trace %s is incomplete: %d records were too large to record", path, n)
 	}
 	fmt.Printf("flight trace written to %s (inspect with: schedinspect explain -in %s)\n", path, path)
 	return nil
@@ -186,7 +168,7 @@ func cmdTrain(args []string, worker bool) error {
 	ckptEvery := fs.Int("checkpoint-every", 10, "epochs between periodic checkpoints (with -checkpoint-dir)")
 	ckptKeep := fs.Int("checkpoint-keep", 3, "checkpoint files to retain, oldest pruned first (0 = keep all)")
 	resume := fs.Bool("resume", false, "resume from the latest valid checkpoint in -checkpoint-dir")
-	flight, flightFormat := flightFlags(fs)
+	flight := flightFlag(fs)
 	var rank, world *int
 	var peersList, network, metricsAddr *string
 	var dialTimeout, exchangeTimeout *time.Duration
@@ -263,9 +245,9 @@ func cmdTrain(args []string, worker bool) error {
 			cfg.Logger = core.NewCSVTrainLogger(f)
 		}
 	}
-	var flightRec *insp.FlightRecorder
+	var flightRec *insp.TraceRing
 	if *flight != "" {
-		rec, f, err := openFlight(*flight, *flightFormat)
+		rec, f, err := openFlight(*flight)
 		if err != nil {
 			return err
 		}
@@ -355,7 +337,7 @@ func cmdEval(args []string) error {
 	backfill := fs.Bool("backfill", false, "enable EASY backfilling")
 	model := fs.String("model", "model.gob", "trained model path")
 	workers := fs.Int("workers", 0, "rollout worker goroutines (0 = one per CPU); results are identical at any count")
-	flight, flightFormat := flightFlags(fs)
+	flight := flightFlag(fs)
 	fs.Parse(args)
 
 	tr, err := loadTrace(*name, *swf, *jobs, *seed)
@@ -381,9 +363,9 @@ func cmdEval(args []string) error {
 		Sequences: *sequences, SeqLen: *seqLen, Seed: *seed,
 		Workers: *workers,
 	}
-	var flightRec *insp.FlightRecorder
+	var flightRec *insp.TraceRing
 	if *flight != "" {
-		rec, f, err := openFlight(*flight, *flightFormat)
+		rec, f, err := openFlight(*flight)
 		if err != nil {
 			return err
 		}
@@ -480,13 +462,13 @@ func cmdInspect(args []string) error {
 }
 
 // cmdExplain queries a recorded decision flight trace: the offline half of
-// the flight recorder, answering "why was job X rejected" from the JSONL or
-// binary .ftrace file a train/eval -flight run (or inspectord) wrote. The
-// format is sniffed from the file's leading bytes, so every query flag works
-// on both. -convert decodes a binary trace to the canonical JSONL.
+// the flight recorder, answering "why was job X rejected" from the binary
+// .ftrace file a train/eval -flight run (or inspectord) wrote, or from its
+// JSONL rendering (-convert, /v1/trace/snapshot). The format is sniffed from
+// the file's leading bytes, so every query flag works on both.
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	in := fs.String("in", "flight.jsonl", "flight-recorder trace to read (JSONL or binary .ftrace, sniffed)")
+	in := fs.String("in", "flight.ftrace", "flight-recorder trace to read (binary .ftrace or its JSONL rendering, sniffed)")
 	convert := fs.String("convert", "", "convert a binary .ftrace trace to flight-recorder JSONL at this path (\"-\" for stdout)")
 	job := fs.Int("job", -1, "print every decision about this job ID")
 	window := fs.String("window", "", "print decisions in a simulation-time window T0:T1 (seconds)")

@@ -43,7 +43,7 @@ type EvalConfig struct {
 	// "eval" span roots per-episode and per-decision spans, and every
 	// inspector decision records an explain record (Epoch 0; Traj is the
 	// episode slot — inspected arms occupy slots Sequences..2*Sequences-1).
-	Flight *obs.FlightRecorder
+	Flight *obs.TraceRing
 }
 
 func (c EvalConfig) withDefaults() EvalConfig {
@@ -231,8 +231,7 @@ func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 	if cfg.Flight != nil {
 		evalID := obs.DeriveSpanID(uint64(cfg.Seed), streamEval)
 		evalSpan = obs.StartSpan("eval", evalID, 0, 0)
-		rollCfg.Spans = cfg.Flight.SpanTracer()
-		rollCfg.Ring = cfg.Flight.TraceRing()
+		rollCfg.Ring = cfg.Flight
 		rollCfg.SpanRoot = evalID
 		if insp != nil {
 			cfg.Flight.SetMeta(insp.Mode.FeatureNames(), insp.Mode.String(), cfg.MaxRejections)
@@ -266,7 +265,7 @@ func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 			obs.Attr{Key: "rejections", Num: float64(out.Rejections)},
 		)
 		evalSpan.End(0)
-		cfg.Flight.EmitSpan(evalSpan)
+		cfg.Flight.EmitSpan(&evalSpan)
 	}
 	return out, nil
 }

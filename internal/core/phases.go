@@ -172,8 +172,7 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 			t.epochSpan = obs.StartSpan("epoch", epochID, 0, 0)
 			t.epochSpanOpen = true
 		}
-		rollCfg.Spans = t.cfg.Flight.SpanTracer()
-		rollCfg.Ring = t.cfg.Flight.TraceRing()
+		rollCfg.Ring = t.cfg.Flight
 		rollCfg.SpanRoot = epochID
 		sampler.explainTo(t.cfg.Flight, t.epoch, t.cfg.MaxRejections)
 	}
@@ -334,7 +333,7 @@ func (t *Trainer) ApplyShard(local []TrajDelta, ex rl.Exchange) (EpochStats, err
 			obs.Attr{Key: "mean_reward", Num: stats.MeanReward},
 		)
 		t.epochSpan.End(0)
-		t.cfg.Flight.EmitSpan(t.epochSpan)
+		t.cfg.Flight.EmitSpan(&t.epochSpan)
 		t.epochSpan = obs.Span{}
 		t.epochSpanOpen = false
 	}

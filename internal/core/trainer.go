@@ -75,7 +75,7 @@ type TrainConfig struct {
 	// (features, logits, probabilities, verdict, scheduling context). The
 	// set of explain records is identical for any Workers value; only ring
 	// order and wall timestamps depend on execution.
-	Flight *obs.FlightRecorder
+	Flight *obs.TraceRing
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -263,9 +263,7 @@ func newTrainer(cfg TrainConfig, warm *Inspector) (*Trainer, error) {
 		norm := NewNormalizer(workload.ComputeStats(cfg.Trace), cfg.Metric, cfg.MaxRejections, cfg.MaxInterval)
 		insp = NewInspector(rng, cfg.FeatureMode, norm, cfg.Hidden)
 	}
-	if cfg.Flight != nil {
-		cfg.Flight.SetMeta(cfg.FeatureMode.FeatureNames(), cfg.FeatureMode.String(), cfg.MaxRejections)
-	}
+	cfg.Flight.SetMeta(cfg.FeatureMode.FeatureNames(), cfg.FeatureMode.String(), cfg.MaxRejections)
 	return &Trainer{
 		cfg:       cfg,
 		insp:      insp,

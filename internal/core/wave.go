@@ -39,11 +39,11 @@ type waveSampler struct {
 	// coordinator-only and a slot's decisions arrive in its episode's step
 	// order, so the key — and with it every record field — is independent
 	// of wave composition and worker count.
-	flight     *obs.FlightRecorder
+	flight     *obs.TraceRing
 	epoch      int
 	maxRej     int
 	seqs       map[int]int       // per-slot decision counters
-	recScratch obs.ExplainRecord // reused record; RecordDecision copies
+	recScratch obs.ExplainRecord // reused record; EmitDecision copies
 }
 
 // newWaveSampler builds a sampler over slots episode slots using insp as
@@ -84,9 +84,8 @@ func (s *waveSampler) recordObs(slot int, row []float64) []float64 {
 }
 
 // explainTo attaches a flight recorder: every subsequent decision emits one
-// explain record to each of its halves (JSONL recorder and/or binary ring).
-// A nil f disables recording.
-func (s *waveSampler) explainTo(f *obs.FlightRecorder, epoch, maxRejections int) {
+// explain record into it. A nil f disables recording.
+func (s *waveSampler) explainTo(f *obs.TraceRing, epoch, maxRejections int) {
 	s.flight = f
 	s.epoch = epoch
 	s.maxRej = maxRejections
@@ -144,9 +143,8 @@ func (s *waveSampler) decide(pending []rollout.Pending, rejects []bool) {
 			if st.TotalProcs > 0 {
 				util = 1 - float64(st.FreeProcs)/float64(st.TotalProcs)
 			}
-			// The record borrows the sampler's scratch slices:
-			// RecordDecision copies them into whichever halves retain data
-			// (the ring's arena, the JSONL recorder's owned slices).
+			// The record borrows the sampler's scratch slices: EmitDecision
+			// copies them into the ring's arena.
 			s.recScratch = obs.ExplainRecord{
 				Epoch: s.epoch, Traj: slot, Seq: seq, Time: st.Now,
 				JobID: st.Job.ID, Wait: st.JobWait, Procs: st.Job.Procs, Est: st.Job.Est,
@@ -158,7 +156,7 @@ func (s *waveSampler) decide(pending []rollout.Pending, rejects []bool) {
 				Probs:    s.probs[:len(lg)],
 				Action:   action, Sampled: !s.greedy, Rejected: rejects[i],
 			}
-			s.flight.RecordDecision(&s.recScratch)
+			s.flight.EmitDecision(&s.recScratch)
 		}
 	}
 }

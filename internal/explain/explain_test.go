@@ -1,7 +1,9 @@
 package explain
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -229,33 +231,37 @@ func TestGoldenRenderings(t *testing.T) {
 	checkGolden(t, "reject plot", b.String(), goldenRejectPlot)
 }
 
-// TestRoundTrip pins that what a FlightRecorder writes, ReadTrace reads
-// back verbatim.
+// TestRoundTrip pins that what the flight recorder writes, ReadTrace reads
+// back verbatim from its JSONL rendering.
 func TestRoundTrip(t *testing.T) {
-	var buf strings.Builder
-	fr := obs.NewFlightRecorder(8, 8)
-	fr.SetSink(&buf)
-	fr.Explains().SetMeta([]string{"x", "y"}, "test", 72)
+	var ftrace bytes.Buffer
+	ring := obs.NewTraceRing(8, 0)
+	ring.SetSink(&ftrace)
+	ring.SetMeta([]string{"x", "y"}, "test", 72)
 	sp := obs.StartSpan("decision", 5, 3, 100)
 	sp.End(110)
-	fr.SpanTracer().Emit(sp)
-	fr.Explains().Record(obs.ExplainRecord{
+	ring.EmitSpan(&sp)
+	ring.EmitDecision(&obs.ExplainRecord{
 		Traj: 2, Seq: 4, Time: 110, JobID: 17, Features: []float64{1, 2},
 		Logits: []float64{0.5, -0.5}, Probs: []float64{0.7, 0.3}, Rejected: true,
 	})
-	if err := fr.SinkErr(); err != nil {
+	if err := ring.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ConvertFTrace(&ftrace, &buf); err != nil {
 		t.Fatal(err)
 	}
 
-	tr, err := ReadTrace(strings.NewReader(buf.String()))
+	tr, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Header == nil || tr.Header.Mode != "test" {
 		t.Fatalf("header %+v", tr.Header)
 	}
-	if len(tr.Spans) != 1 || tr.Spans[0].ID != 5 || tr.Spans[0].SimEnd != 110 {
-		t.Fatalf("spans %+v", tr.Spans)
+	if len(tr.Spans) != 1 || !reflect.DeepEqual(tr.Spans[0], sp) {
+		t.Fatalf("spans %+v, want %+v", tr.Spans, sp)
 	}
 	if len(tr.Records) != 1 {
 		t.Fatalf("records %+v", tr.Records)

@@ -11,9 +11,8 @@ import (
 
 // Binary .ftrace ingestion: the offline half of the arena-backed flight
 // recorder. ReadFTrace decodes a .ftrace stream into the same Trace the
-// JSONL reader produces; ConvertFTrace re-renders one as the exact JSONL
-// the legacy sinks would have written, byte for byte, by marshaling the
-// decoded records through the obs wire-form helpers.
+// JSONL reader produces; ConvertFTrace renders one as flight-trace JSONL by
+// marshaling the decoded records through the obs wire-form helpers.
 //
 // Both readers are resilient to torn tails: a crash mid-write leaves a
 // partial segment after the last complete flush, so they return everything
@@ -150,11 +149,9 @@ func ReadFTrace(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
-// ConvertFTrace streams a binary .ftrace trace to w as the exact JSONL the
-// legacy sinks emit — record order preserved, one {"kind":...} object per
-// line, byte-identical to what SpanTracer/ExplainRecorder would have
-// written for the same records. Lines decoded before a corruption are
-// written before the error returns.
+// ConvertFTrace streams a binary .ftrace trace to w as flight-trace JSONL —
+// record order preserved, one {"kind":...} object per line. Lines decoded
+// before a corruption are written before the error returns.
 func ConvertFTrace(r io.Reader, w io.Writer) error {
 	walker, err := newFTraceWalker(r)
 	if err != nil {

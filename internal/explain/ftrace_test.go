@@ -2,6 +2,7 @@ package explain
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -12,16 +13,6 @@ import (
 
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
-}
-
-// recordFixture drives one fixed sequence of trace emissions — meta, two
-// spans, three decisions, one proc sample — through any recorder front-end.
-// Spans carry explicit wall times so the legacy JSONL sink and the binary
-// ring see bit-identical inputs.
-type traceSink interface {
-	SetMeta(names []string, mode string, maxRejections int)
-	EmitSpan(s *obs.Span)
-	EmitDecision(r *obs.ExplainRecord)
 }
 
 func fixtureSpans() []obs.Span {
@@ -53,48 +44,24 @@ func fixtureDecisions() []obs.ExplainRecord {
 var fixtureProc = obs.ProcStats{Wall: 1700000000, Goroutines: 12,
 	HeapAlloc: 5 << 20, HeapSys: 32 << 20, NumGC: 4, PauseTotal: 123456}
 
-func emitFixture(s traceSink, procs func(obs.ProcStats)) {
-	s.SetMeta([]string{"fa", "fb"}, "manual", 72)
-	spans, decs := fixtureSpans(), fixtureDecisions()
-	s.EmitSpan(&spans[0])
-	s.EmitDecision(&decs[0])
-	s.EmitDecision(&decs[1])
-	if procs != nil {
-		procs(fixtureProc)
-	}
-	s.EmitSpan(&spans[1])
-	s.EmitDecision(&decs[2])
-}
-
-// legacySink adapts the JSONL SpanTracer/ExplainRecorder pair to traceSink.
-type legacySink struct {
-	spans *obs.SpanTracer
-	decs  *obs.ExplainRecorder
-}
-
-func (l legacySink) SetMeta(names []string, mode string, maxRej int) {
-	l.decs.SetMeta(names, mode, maxRej)
-}
-func (l legacySink) EmitSpan(s *obs.Span) { l.spans.Emit(*s) }
-func (l legacySink) EmitDecision(r *obs.ExplainRecord) {
-	cp := *r
-	cp.Features = append([]float64(nil), r.Features...)
-	cp.Logits = append([]float64(nil), r.Logits...)
-	cp.Probs = append([]float64(nil), r.Probs...)
-	l.decs.Record(cp)
-}
-
-// ftraceFixture returns the fixture encoded as a flushed .ftrace stream.
+// ftraceFixture returns one fixed sequence of trace emissions — meta, two
+// spans, three decisions and (optionally) one proc sample — as a flushed
+// .ftrace stream.
 func ftraceFixture(t *testing.T, procs bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	r := obs.NewTraceRing(64, 512)
 	r.SetSink(&buf)
-	var emitProc func(obs.ProcStats)
+	r.SetMeta([]string{"fa", "fb"}, "manual", 72)
+	spans, decs := fixtureSpans(), fixtureDecisions()
+	r.EmitSpan(&spans[0])
+	r.EmitDecision(&decs[0])
+	r.EmitDecision(&decs[1])
 	if procs {
-		emitProc = r.EmitProc
+		r.EmitProc(fixtureProc)
 	}
-	emitFixture(r, emitProc)
+	r.EmitSpan(&spans[1])
+	r.EmitDecision(&decs[2])
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,38 +89,82 @@ func TestReadFTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConvertFTraceByteIdentity is the tentpole's golden pin: converting a
-// binary .ftrace trace yields byte-for-byte the JSONL the legacy sinks write
-// for the same records, so every downstream JSONL consumer works unchanged.
-func TestConvertFTraceByteIdentity(t *testing.T) {
-	var jsonl bytes.Buffer
-	spans := obs.NewSpanTracer(64)
-	decs := obs.NewExplainRecorder(64)
-	spans.SetSink(&jsonl)
-	decs.SetSink(&jsonl)
-	emitFixture(legacySink{spans: spans, decs: decs}, nil)
-	if err := spans.SinkErr(); err != nil {
-		t.Fatal(err)
-	}
-	if err := decs.SinkErr(); err != nil {
-		t.Fatal(err)
-	}
+// goldenJSONL is what commit 3b40047's live JSONL sinks (SpanTracer and
+// ExplainRecorder sharing one buffer, since deleted) wrote for the records
+// goldenFTrace emits; the proc line, which had no live sink, is that commit's
+// AppendProcJSONL. Generated once there and frozen: the JSONL rendering is a
+// published format, whatever produces it.
+const goldenJSONL = `{"kind":"explain_header","mode":"manual","features":["wait","procs"],"max_rejections":72}
+{"kind":"span","id":11,"parent":3,"name":"decision","wall0":1000,"wall1":1050,"t0":10.5,"t1":10.5,"attrs":[{"k":"action","s":"reject"},{"k":"job","v":7},{"k":"free","v":0.30000000000000004}]}
+{"kind":"decision","epoch":1,"traj":2,"seq":3,"t":100.25,"job":7,"wait":0.30000000000000004,"procs":4,"est":600,"rejections":1,"max_rejections":72,"queue":2,"free":32,"total":64,"util":0.5,"features":[-0,5e-324],"logits":[0.30000000000000004,-1.5],"probs":[0.8581489350995122,0.14185106490048782],"action":1,"sampled":true,"rejected":true}
+{"kind":"proc","wall":1700000000,"goroutines":12,"heap_alloc":5242880,"heap_sys":33554432,"num_gc":4,"gc_pause_total_ns":123456}
+`
 
+// goldenFTrace records goldenJSONL's four records: a header, a span with
+// string and numeric attributes, a decision carrying -0, the smallest
+// denormal and a float that needs all 17 digits, and a proc sample.
+func goldenFTrace(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	r := obs.NewTraceRing(8, 512)
+	r.SetSink(&buf)
+	r.SetMeta([]string{"wait", "procs"}, "manual", 72)
+	r.EmitSpan(&obs.Span{ID: 11, Parent: 3, Name: "decision", WallStart: 1000, WallEnd: 1050,
+		SimStart: 10.5, SimEnd: 10.5, Attrs: []obs.Attr{
+			{Key: "action", Str: "reject"}, {Key: "job", Num: 7}, {Key: "free", Num: 0.30000000000000004}}})
+	r.EmitDecision(&obs.ExplainRecord{Epoch: 1, Traj: 2, Seq: 3, Time: 100.25, JobID: 7,
+		Wait: 0.30000000000000004, Procs: 4, Est: 600, Rejections: 1, MaxRejections: 72,
+		QueueLen: 2, FreeProcs: 32, TotalProcs: 64, Utilization: 0.5,
+		Action: 1, Sampled: true, Rejected: true,
+		Features: []float64{math.Copysign(0, -1), 5e-324},
+		Logits:   []float64{0.30000000000000004, -1.5},
+		Probs:    []float64{0.8581489350995122, 0.14185106490048782}})
+	r.EmitProc(obs.ProcStats{Wall: 1700000000, Goroutines: 12,
+		HeapAlloc: 5 << 20, HeapSys: 32 << 20, NumGC: 4, PauseTotal: 123456})
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestConvertFTraceByteIdentity is the golden pin of the JSONL rendering:
+// converting a .ftrace trace yields byte-for-byte the frozen JSONL, so every
+// downstream JSONL consumer keeps working whatever happens to the recorder.
+func TestConvertFTraceByteIdentity(t *testing.T) {
 	var converted bytes.Buffer
-	if err := ConvertFTrace(bytes.NewReader(ftraceFixture(t, false)), &converted); err != nil {
+	if err := ConvertFTrace(bytes.NewReader(goldenFTrace(t)), &converted); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(converted.Bytes(), jsonl.Bytes()) {
-		t.Fatalf("converted JSONL differs from the legacy sink:\n--- converted ---\n%s\n--- legacy ---\n%s",
-			converted.String(), jsonl.String())
+	if converted.String() != goldenJSONL {
+		t.Fatalf("converted JSONL differs from the golden:\n--- converted ---\n%s\n--- golden ---\n%s",
+			converted.String(), goldenJSONL)
 	}
-	// And the converted output reads back through the JSONL reader.
-	tr, err := ReadTrace(bytes.NewReader(converted.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Records) != 3 || len(tr.Spans) != 2 || tr.Header == nil {
-		t.Fatalf("converted trace shape wrong: %d records, %d spans", len(tr.Records), len(tr.Spans))
+}
+
+// TestConvertThenReadMatchesReadFTrace pins that the two ingestion paths
+// agree on everything: reading the JSONL rendering of a trace gives exactly
+// the Trace reading the binary gives — header, spans, order-normalized
+// records, proc samples — including the floats JSON is most likely to bend.
+func TestConvertThenReadMatchesReadFTrace(t *testing.T) {
+	for name, img := range map[string][]byte{"golden": goldenFTrace(t), "fixture": ftraceFixture(t, true)} {
+		want, err := ReadFTrace(bytes.NewReader(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var converted bytes.Buffer
+		if err := ConvertFTrace(bytes.NewReader(img), &converted); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadTrace(bytes.NewReader(converted.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: JSONL read differs from binary read:\n got %+v\nwant %+v", name, got, want)
+		}
+		if len(want.Records) == 0 || len(want.Spans) == 0 || len(want.Procs) == 0 || want.Header == nil {
+			t.Fatalf("%s: trace shape wrong: %+v", name, want)
+		}
 	}
 }
 

@@ -1,12 +1,5 @@
 package obs
 
-import (
-	"bytes"
-	"encoding/json"
-	"io"
-	"sync"
-)
-
 // Explain records: the per-decision payload of the flight recorder. Where
 // a span says *that* a decision happened and how long it took, the explain
 // record says *why*: the exact feature vector the policy observed, its raw
@@ -47,7 +40,8 @@ type ExplainRecord struct {
 	TotalProcs  int     `json:"total"`
 	Utilization float64 `json:"util"`
 
-	// What the policy saw and produced. Slices are owned by the record.
+	// What the policy saw and produced. TraceRing.EmitDecision copies the
+	// slices; a decoded record owns its own.
 	Features []float64 `json:"features"`
 	Logits   []float64 `json:"logits"`
 	Probs    []float64 `json:"probs"`
@@ -62,351 +56,11 @@ type jsonExplain struct {
 	ExplainRecord
 }
 
-// ExplainHeader is the meta line written once per JSONL trace, labeling
-// the feature indices of every subsequent decision record.
+// ExplainHeader is the meta record (one JSONL line) labeling the feature
+// indices of every decision record up to the next header.
 type ExplainHeader struct {
 	Kind          string   `json:"kind"` // "explain_header"
 	Mode          string   `json:"mode"` // feature mode name
 	Features      []string `json:"features"`
 	MaxRejections int      `json:"max_rejections"`
-}
-
-// DefaultExplainCap is the ring capacity NewExplainRecorder uses for
-// capacity <= 0.
-const DefaultExplainCap = 4096
-
-// ExplainRecorder holds the last decisions in a bounded ring and,
-// optionally, streams every record to a JSONL sink. A nil *ExplainRecorder
-// records nothing; all methods are nil-safe.
-type ExplainRecorder struct {
-	mu      sync.Mutex
-	ring    []ExplainRecord
-	start   int
-	n       int
-	total   uint64
-	sink    io.Writer
-	sinkErr error
-
-	names         []string
-	mode          string
-	maxRejections int
-	headerOut     bool
-
-	// Reused JSONL encode state (see SpanTracer); guarded by mu.
-	encBuf bytes.Buffer
-	enc    *json.Encoder
-	encRec jsonExplain
-}
-
-// NewExplainRecorder returns a recorder holding at most capacity records
-// (DefaultExplainCap if capacity <= 0).
-func NewExplainRecorder(capacity int) *ExplainRecorder {
-	if capacity <= 0 {
-		capacity = DefaultExplainCap
-	}
-	return &ExplainRecorder{ring: make([]ExplainRecord, 0, capacity)}
-}
-
-// SetMeta declares the feature names, feature-mode name and rejection cap
-// of subsequent records. The first call after a sink is installed writes
-// the explain_header line; a later call that actually changes the meta (a
-// feature-mode-changing model reload) writes a fresh header, so a sink
-// stream stays self-describing: every record decodes against the most
-// recent preceding header. Calls that restate the current meta only update
-// the in-memory copy (served by FeatureNames).
-func (r *ExplainRecorder) SetMeta(names []string, mode string, maxRejections int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if metaChanged(r.names, r.mode, r.maxRejections, names, mode, maxRejections) {
-		r.headerOut = false
-	}
-	r.names = names
-	r.mode = mode
-	r.maxRejections = maxRejections
-	r.writeHeaderLocked()
-	r.mu.Unlock()
-}
-
-// metaChanged reports whether a SetMeta call declares different meta than
-// the recorder currently holds (a nil current name set counts as changed —
-// the first declaration must emit a header).
-func metaChanged(curNames []string, curMode string, curMax int, names []string, mode string, maxRejections int) bool {
-	if curNames == nil || curMode != mode || curMax != maxRejections || len(curNames) != len(names) {
-		return true
-	}
-	for i := range names {
-		if curNames[i] != names[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// FeatureNames returns the feature labels last declared with SetMeta.
-func (r *ExplainRecorder) FeatureNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.names
-}
-
-// SetSink streams every subsequent record to w as one JSON object per
-// line, preceded by the explain_header line when SetMeta has been called.
-func (r *ExplainRecorder) SetSink(w io.Writer) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.sink = w
-	r.sinkErr = nil
-	r.headerOut = false
-	r.writeHeaderLocked()
-	r.mu.Unlock()
-}
-
-// writeHeaderLocked emits the header line once, as soon as both a sink and
-// meta are present. Caller holds r.mu.
-func (r *ExplainRecorder) writeHeaderLocked() {
-	if r.sink == nil || r.sinkErr != nil || r.headerOut || r.names == nil {
-		return
-	}
-	b, err := json.Marshal(ExplainHeader{
-		Kind: "explain_header", Mode: r.mode, Features: r.names, MaxRejections: r.maxRejections,
-	})
-	if err == nil {
-		b = append(b, '\n')
-		_, err = r.sink.Write(b)
-	}
-	if err != nil {
-		r.sinkErr = err
-		r.sink = nil
-		return
-	}
-	r.headerOut = true
-}
-
-// Record stores one decision. The recorder takes ownership of the record's
-// slices. Safe on a nil recorder.
-func (r *ExplainRecorder) Record(rec ExplainRecord) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.total++
-	if r.n < cap(r.ring) {
-		r.ring = append(r.ring, rec)
-		r.n++
-	} else {
-		r.ring[r.start] = rec
-		r.start++
-		if r.start == cap(r.ring) {
-			r.start = 0
-		}
-	}
-	if r.sink != nil && r.sinkErr == nil {
-		if r.enc == nil {
-			r.enc = json.NewEncoder(&r.encBuf)
-			r.encRec.Kind = "decision"
-		}
-		r.encBuf.Reset()
-		r.encRec.ExplainRecord = rec
-		err := r.enc.Encode(&r.encRec)
-		if err == nil {
-			_, err = r.sink.Write(r.encBuf.Bytes())
-		}
-		if err != nil {
-			r.sinkErr = err
-			r.sink = nil
-		}
-	}
-	r.mu.Unlock()
-}
-
-// Records returns the buffered records, oldest first.
-func (r *ExplainRecorder) Records() []ExplainRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]ExplainRecord, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.ring[(r.start+i)%cap(r.ring)])
-	}
-	return out
-}
-
-// Last returns the most recent min(n, held) records, oldest first.
-func (r *ExplainRecorder) Last(n int) []ExplainRecord {
-	if r == nil || n <= 0 {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n > r.n {
-		n = r.n
-	}
-	out := make([]ExplainRecord, 0, n)
-	for i := r.n - n; i < r.n; i++ {
-		out = append(out, r.ring[(r.start+i)%cap(r.ring)])
-	}
-	return out
-}
-
-// Total returns how many records were recorded over the recorder's
-// lifetime, including those the ring has since overwritten.
-func (r *ExplainRecorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// SinkErr returns the first JSONL sink write error, if any.
-func (r *ExplainRecorder) SinkErr() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sinkErr
-}
-
-// FlightRecorder bundles the halves of the decision flight recorder behind
-// one attach point (TrainConfig.Flight, EvalConfig.Flight): the legacy
-// JSONL pair (span tracer + explain recorder) and/or the binary TraceRing.
-// Emit sites go through EmitSpan/RecordDecision, which fan out to whichever
-// halves are present — setting both is the golden-test configuration that
-// produces a JSONL file and a .ftrace file from one run. A nil
-// *FlightRecorder disables everything; accessors are nil-safe so call
-// sites thread r.SpanTracer(), r.Explains() and r.TraceRing() without
-// guards.
-type FlightRecorder struct {
-	Spans     *SpanTracer
-	Decisions *ExplainRecorder
-	Ring      *TraceRing
-}
-
-// NewFlightRecorder builds a JSONL recorder with the given ring capacities
-// (<= 0 selects the package defaults).
-func NewFlightRecorder(spanCap, decisionCap int) *FlightRecorder {
-	return &FlightRecorder{Spans: NewSpanTracer(spanCap), Decisions: NewExplainRecorder(decisionCap)}
-}
-
-// NewBinaryFlightRecorder builds a recorder backed by a binary TraceRing of
-// the given geometry (<= 0 selects the package defaults) — the
-// production-cheap always-on configuration.
-func NewBinaryFlightRecorder(slots, slotSize int) *FlightRecorder {
-	return &FlightRecorder{Ring: NewTraceRing(slots, slotSize)}
-}
-
-// SetSink attaches the trace sink. With a binary ring present, w receives
-// the .ftrace stream; otherwise both JSONL halves stream to w as
-// interleaved JSON lines (distinguished by their "kind" field), serialized
-// through one lock so lines never interleave mid-record.
-func (f *FlightRecorder) SetSink(w io.Writer) {
-	if f == nil {
-		return
-	}
-	if f.Ring != nil {
-		f.Ring.SetSink(w)
-		return
-	}
-	lw := &lockedWriter{w: w}
-	f.Spans.SetSink(lw)
-	f.Decisions.SetSink(lw)
-}
-
-// SetMeta declares the feature names, feature-mode name and rejection cap
-// of subsequent decision records on every present half.
-func (f *FlightRecorder) SetMeta(names []string, mode string, maxRejections int) {
-	if f == nil {
-		return
-	}
-	f.Decisions.SetMeta(names, mode, maxRejections)
-	f.Ring.SetMeta(names, mode, maxRejections)
-}
-
-// EmitSpan records one completed span on every present half. The legacy
-// span tracer takes ownership of s.Attrs; the ring copies immediately.
-func (f *FlightRecorder) EmitSpan(s Span) {
-	if f == nil {
-		return
-	}
-	f.Ring.EmitSpan(&s)
-	f.Spans.Emit(s)
-}
-
-// RecordDecision records one explain record on every present half. The
-// caller keeps ownership of rec and its slices: the ring copies into its
-// arena, and the legacy recorder receives a deep copy of the slices — so
-// hot paths may pass borrowed scratch storage.
-func (f *FlightRecorder) RecordDecision(rec *ExplainRecord) {
-	if f == nil {
-		return
-	}
-	f.Ring.EmitDecision(rec)
-	if f.Decisions != nil {
-		cp := *rec
-		cp.Features = append([]float64(nil), rec.Features...)
-		cp.Logits = append([]float64(nil), rec.Logits...)
-		cp.Probs = append([]float64(nil), rec.Probs...)
-		f.Decisions.Record(cp)
-	}
-}
-
-// TraceRing returns the binary half, nil when absent.
-func (f *FlightRecorder) TraceRing() *TraceRing {
-	if f == nil {
-		return nil
-	}
-	return f.Ring
-}
-
-// Flush drains any buffered binary segment to the sink and returns the
-// first sink error from any half. Call it before closing the sink file.
-func (f *FlightRecorder) Flush() error {
-	if f == nil {
-		return nil
-	}
-	if err := f.Ring.Flush(); err != nil {
-		return err
-	}
-	return f.SinkErr()
-}
-
-// SpanTracer returns the span half, nil when f is nil.
-func (f *FlightRecorder) SpanTracer() *SpanTracer {
-	if f == nil {
-		return nil
-	}
-	return f.Spans
-}
-
-// Explains returns the explain-record half, nil when f is nil.
-func (f *FlightRecorder) Explains() *ExplainRecorder {
-	if f == nil {
-		return nil
-	}
-	return f.Decisions
-}
-
-// SinkErr returns the first sink error from any half.
-func (f *FlightRecorder) SinkErr() error {
-	if f == nil {
-		return nil
-	}
-	if err := f.Spans.SinkErr(); err != nil {
-		return err
-	}
-	if err := f.Decisions.SinkErr(); err != nil {
-		return err
-	}
-	return f.Ring.SinkErr()
 }

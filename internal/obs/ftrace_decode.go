@@ -8,9 +8,9 @@ import (
 )
 
 // Decoders for the .ftrace record bodies encoded in ring.go, plus the JSONL
-// append helpers the offline converter uses to reproduce the legacy sinks'
-// bytes exactly. Field order here must mirror the put* encoders; any
-// divergence is an FTraceVersion bump.
+// append helpers that define the flight-trace JSONL rendering. Field order
+// here must mirror the put* encoders; any divergence is an FTraceVersion
+// bump.
 
 // ftraceReader is a bounds-checked little-endian cursor over one record
 // body. The first out-of-bounds read trips the err flag and poisons every
@@ -186,10 +186,10 @@ func DecodeFTraceProc(body []byte) (ProcStats, error) {
 
 // --- JSONL wire-form append helpers ---------------------------------------
 //
-// These marshal through the exact wrapper types the live JSONL sinks use,
-// so binary→JSONL conversion is byte-identical to the legacy sink by
-// construction (json.Marshal is deterministic for a fixed struct type, and
-// Encoder.Encode emits Marshal's bytes plus a trailing newline).
+// One {"kind":...} object per line, json.Marshal of the wrapper types
+// (deterministic for a fixed struct type). The rendering is a published
+// format — schedinspect explain, expreport and external consumers read it —
+// frozen by internal/explain's golden test.
 
 // AppendSpanJSONL appends the {"kind":"span",...} line for s, newline
 // included.

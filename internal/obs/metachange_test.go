@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -80,32 +79,10 @@ func TestTraceRingMetaChangeReemitsHeader(t *testing.T) {
 	kinds, bodies := decodeImage(t, sink.Bytes())
 	wantKinds := []byte{FTraceKindHeader, FTraceKindDecision, FTraceKindDecision,
 		FTraceKindHeader, FTraceKindDecision}
-	if len(kinds) != len(wantKinds) {
+	if !bytes.Equal(kinds, wantKinds) {
 		t.Fatalf("stream kinds %v, want %v", kinds, wantKinds)
 	}
-	var curFeatures int
-	for i, k := range kinds {
-		if k != wantKinds[i] {
-			t.Fatalf("stream kinds %v, want %v", kinds, wantKinds)
-		}
-		switch k {
-		case FTraceKindHeader:
-			h, err := DecodeFTraceHeader(bodies[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			curFeatures = len(h.Features)
-		case FTraceKindDecision:
-			d, err := DecodeFTraceDecision(bodies[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(d.Features) != curFeatures {
-				t.Errorf("record %d carries %d features under a %d-feature header",
-					i, len(d.Features), curFeatures)
-			}
-		}
-	}
+	checkHeadersDescribeDecisions(t, kinds, bodies)
 
 	// The live ring holds both headers too, in emission order.
 	kinds, _ = decodeImage(t, r.Snapshot())
@@ -120,51 +97,74 @@ func TestTraceRingMetaChangeReemitsHeader(t *testing.T) {
 	}
 }
 
-// TestExplainRecorderMetaChangeReemitsHeader is the JSONL twin.
-func TestExplainRecorderMetaChangeReemitsHeader(t *testing.T) {
-	r := NewExplainRecorder(16)
-	var sink strings.Builder
-	r.SetSink(&sink)
-
+// TestTraceRingSnapshotKeepsEvictedHeader is the wrapped case: once
+// wraparound has evicted the header record, Snapshot still opens with the
+// header its oldest record decodes against, and a mid-ring meta change still
+// puts the new header before the first record it describes.
+func TestTraceRingSnapshotKeepsEvictedHeader(t *testing.T) {
+	r := NewTraceRing(4, 512)
 	r.SetMeta([]string{"a", "b"}, "modeA", 3)
-	r.Record(ExplainRecord{Features: []float64{1, 2}})
-	r.SetMeta([]string{"a", "b"}, "modeA", 3) // restated
+	recA := testDecision(0)
+	recA.Features = []float64{1, 2}
+	for i := 0; i < r.Cap()+2; i++ {
+		r.EmitDecision(&recA)
+	}
 	r.SetMeta([]string{"x", "y", "z"}, "modeB", 5)
-	r.Record(ExplainRecord{Features: []float64{1, 2, 3}})
+	recB := testDecision(1)
+	recB.Features = []float64{1, 2, 3}
+	r.EmitDecision(&recB)
 
-	var kinds []string
-	curFeatures := 0
-	sc := bufio.NewScanner(strings.NewReader(sink.String()))
-	for sc.Scan() {
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			t.Fatalf("line %q: %v", sc.Text(), err)
-		}
-		kinds = append(kinds, probe.Kind)
-		switch probe.Kind {
-		case "explain_header":
-			var h ExplainHeader
-			if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
+	// The ring holds A A H(B) B; H(A) was evicted long ago.
+	kinds, bodies := decodeImage(t, r.Snapshot())
+	want := []byte{FTraceKindHeader, FTraceKindDecision, FTraceKindDecision, FTraceKindHeader, FTraceKindDecision}
+	if !bytes.Equal(kinds, want) {
+		t.Fatalf("snapshot kinds %v, want %v", kinds, want)
+	}
+	first, err := DecodeFTraceHeader(bodies[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Mode != "modeA" || !reflect.DeepEqual(first.Features, []string{"a", "b"}) || first.MaxRejections != 3 {
+		t.Fatalf("leading header %+v does not describe the oldest record", first)
+	}
+	checkHeadersDescribeDecisions(t, kinds, bodies)
+
+	// Evict H(B) too: the retained header follows, and is not doubled while
+	// the oldest live record is itself a header.
+	for i := 0; i < r.Cap(); i++ {
+		r.EmitDecision(&recB)
+	}
+	kinds, bodies = decodeImage(t, r.Snapshot())
+	if len(kinds) != r.Cap()+1 || kinds[0] != FTraceKindHeader {
+		t.Fatalf("snapshot kinds %v, want one leading header + %d decisions", kinds, r.Cap())
+	}
+	if h, err := DecodeFTraceHeader(bodies[0]); err != nil || h.Mode != "modeB" {
+		t.Fatalf("leading header %+v (%v), want modeB", h, err)
+	}
+	checkHeadersDescribeDecisions(t, kinds, bodies)
+}
+
+// checkHeadersDescribeDecisions walks a record stream in order asserting
+// every decision's feature count equals the most recent preceding header's.
+func checkHeadersDescribeDecisions(t *testing.T, kinds []byte, bodies [][]byte) {
+	t.Helper()
+	curFeatures := -1
+	for i, k := range kinds {
+		switch k {
+		case FTraceKindHeader:
+			h, err := DecodeFTraceHeader(bodies[i])
+			if err != nil {
 				t.Fatal(err)
 			}
 			curFeatures = len(h.Features)
-		case "decision":
-			var d struct {
-				Features []float64 `json:"features"`
-			}
-			if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
+		case FTraceKindDecision:
+			d, err := DecodeFTraceDecision(bodies[i])
+			if err != nil {
 				t.Fatal(err)
 			}
 			if len(d.Features) != curFeatures {
-				t.Errorf("decision carries %d features under a %d-feature header",
-					len(d.Features), curFeatures)
+				t.Errorf("record %d carries %d features under a %d-feature header", i, len(d.Features), curFeatures)
 			}
 		}
-	}
-	want := []string{"explain_header", "decision", "explain_header", "decision"}
-	if strings.Join(kinds, ",") != strings.Join(want, ",") {
-		t.Errorf("stream kinds %v, want %v", kinds, want)
 	}
 }

@@ -130,14 +130,17 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fams := make([]*family, len(names))
+	// Copy each family's series slice header under the lock: register
+	// appends to it, and a scrape may run while series are still being added.
+	fams := make([]family, len(names))
 	for i, n := range names {
-		fams[i] = r.fams[n]
+		fams[i] = *r.fams[n]
 	}
 	r.mu.Unlock()
 
 	bw := bufio.NewWriter(w)
-	for _, f := range fams {
+	for i := range fams {
+		f := &fams[i]
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}

@@ -6,23 +6,32 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 )
 
-// TraceRing is the binary flight recorder: a preallocated byte arena of
-// fixed-capacity record slots holding spans, explain records, proc samples
-// and the explain meta header in a canonical little-endian layout (the
-// .ftrace format below). Where SpanTracer/ExplainRecorder pay json.Marshal
-// per record, the ring encodes into its arena with zero steady-state
+// TraceRing is the flight recorder: a preallocated byte arena of equal-size
+// record slots holding spans, explain records, proc samples and the explain
+// meta header in a canonical little-endian layout (the .ftrace format
+// below). A record is encoded straight into its slot with zero steady-state
 // allocations under one short mutex hold — cheap enough to leave on for
 // every production decision.
 //
-// The ring is the in-memory truth; two cold paths read it out. SetSink
+// The ring is the in-memory truth; three cold paths read it out. SetSink
 // streams every subsequent record into CRC-checked segments of a .ftrace
-// file, and Snapshot copies the live ring into a self-contained .ftrace
-// byte image (the /v1/trace/snapshot payload). Either output converts to
-// the exact JSONL of the legacy sinks via internal/explain.
+// file, Snapshot copies the live ring into a self-contained .ftrace byte
+// image (the /v1/trace/snapshot payload), and LastDecisions decodes the
+// newest decision records (the /v1/explain/last payload). The flight-trace
+// JSONL is decoder output only: internal/explain renders it from either
+// byte form.
+//
+// Slot size follows the records: the first record (or header) that does not
+// fit widens every slot to the next power of two that holds it and re-slots
+// the live records, once per record size class — a feature mode, in
+// practice — so the warm path never allocates. Only a record that would
+// push the arena past maxRingArenaBytes is dropped and counted oversize.
 //
 // # .ftrace layout
 //
@@ -54,6 +63,7 @@ type TraceRing struct {
 	metaMode   string
 	metaMaxRej int
 	headerOut  bool
+	lostHeader []byte // framed copy of the newest header record wraparound evicted
 
 	sink    io.Writer
 	sinkErr error
@@ -132,18 +142,24 @@ func FTraceSegmentCRC(payload []byte) uint32 {
 }
 
 // Default ring geometry: 4096 slots of 512 bytes hold every span and the
-// overwhelming majority of decision records (a record outgrows a slot only
-// past ~45 feature+logit+prob values) in a 2 MiB arena.
+// manual- and compacted-mode decision records (a record outgrows a slot
+// past ~45 feature+logit+prob values) in a 2 MiB arena; native mode's 102
+// features and their header widen the slots on first use.
 const (
 	DefaultRingSlots    = 4096
 	DefaultRingSlotSize = 512
 )
 
+// maxRingArenaBytes is the ceiling slot growth stops at: 16 KiB slots at the
+// default slot count, a decision record of ~2000 features.
+const maxRingArenaBytes = 64 << 20
+
 // segFlushBytes is the pending-segment size that triggers a sink flush.
 const segFlushBytes = 32 << 10
 
 // NewTraceRing returns a ring of the given geometry; values <= 0 select the
-// package defaults. The arena is allocated once, up front.
+// package defaults. slotSize is where the slots start, not a limit (see the
+// growth rule on TraceRing).
 func NewTraceRing(slots, slotSize int) *TraceRing {
 	if slots <= 0 {
 		slots = DefaultRingSlots
@@ -177,7 +193,7 @@ func (r *TraceRing) Instrument(reg *Registry) {
 	r.evicted = reg.Counter("schedinspector_ftrace_ring_evicted_total",
 		"Records evicted from the binary trace ring by wraparound.", nil)
 	r.oversizeC = reg.Counter("schedinspector_ftrace_oversize_total",
-		"Records dropped because they exceed the ring slot size.", nil)
+		"Records dropped because slots wide enough for them would exceed the ring arena ceiling.", nil)
 	r.sinkErrs = reg.Counter("schedinspector_ftrace_sink_errors_total",
 		"Binary trace sink write errors (the first error sticks and disables the sink).", nil)
 	r.flushHist = reg.Histogram("schedinspector_ftrace_flush_seconds",
@@ -186,13 +202,29 @@ func (r *TraceRing) Instrument(reg *Registry) {
 	r.occupancy.Set(float64(r.n))
 }
 
+// growLocked widens every slot to the next power of two holding a framed
+// record of need bytes and re-slots the live records, or reports false when
+// that arena would pass maxRingArenaBytes. Caller holds r.mu.
+func (r *TraceRing) growLocked(need int) bool {
+	size := 1 << bits.Len(uint(need-1))
+	if size > maxRingArenaBytes/len(r.lens) {
+		return false
+	}
+	arena := make([]byte, len(r.lens)*size)
+	for idx, n := range r.lens {
+		copy(arena[idx*size:], r.arena[idx*r.slotSize:idx*r.slotSize+n])
+	}
+	r.arena, r.slotSize = arena, size
+	return true
+}
+
 // reserve claims the next slot for a record of payloadLen body bytes,
 // writes the frame header, and returns the full framed slot (encode the
-// body into frame[ftraceRecHdrLen:]), or nil when the framed record cannot
-// fit a slot (counted as oversize). Caller holds r.mu.
+// body into frame[ftraceRecHdrLen:]), or nil when no permitted slot size
+// holds the framed record (counted as oversize). Caller holds r.mu.
 func (r *TraceRing) reserve(kind byte, payloadLen int) []byte {
 	framed := ftraceRecHdrLen + payloadLen
-	if framed > r.slotSize {
+	if framed > r.slotSize && !r.growLocked(framed) {
 		r.oversize++
 		if r.oversizeC != nil {
 			r.oversizeC.Inc()
@@ -209,6 +241,11 @@ func (r *TraceRing) reserve(kind byte, payloadLen int) []byte {
 		r.n++
 	} else {
 		idx = r.start
+		if old := r.arena[idx*r.slotSize:]; old[0] == FTraceKindHeader {
+			// Records still in the ring decode against this header; Snapshot
+			// leads with the copy. As rare as a feature-mode-changing reload.
+			r.lostHeader = append(r.lostHeader[:0], old[:r.lens[idx]]...)
+		}
 		r.start++
 		if r.start == len(r.lens) {
 			r.start = 0
@@ -257,9 +294,8 @@ func (r *TraceRing) EmitSpan(s *Span) {
 }
 
 // EmitDecision records one explain record. Slices are copied into the
-// arena immediately — unlike ExplainRecorder.Record, the ring does NOT take
-// ownership, so hot paths may pass borrowed scratch slices. Safe on a nil
-// ring.
+// arena immediately — the ring does not take ownership, so hot paths may
+// pass borrowed scratch slices. Safe on a nil ring.
 func (r *TraceRing) EmitDecision(rec *ExplainRecord) {
 	if r == nil {
 		return
@@ -286,8 +322,8 @@ func (r *TraceRing) EmitProc(s ProcStats) {
 	r.mu.Unlock()
 }
 
-// WallNow returns the wall clock in UnixNano, through the same source the
-// span tracer stamps spans with (swappable in tests). Hot paths that emit
+// WallNow returns the wall clock in UnixNano, through the same source
+// StartSpan stamps spans with (swappable in tests). Hot paths that emit
 // shaped spans sample it at their own cadence.
 func WallNow() int64 { return wallNow() }
 
@@ -376,12 +412,12 @@ func (r *TraceRing) EmitShapedSpan(sh *SpanShape, id, parent SpanID, wallStart, 
 }
 
 // SetMeta declares the feature names, feature-mode name and rejection cap
-// of subsequent decision records, mirroring ExplainRecorder.SetMeta: the
-// first call after construction (or after SetSink) emits one header record,
-// and a later call that actually changes the meta (a feature-mode-changing
-// model reload) emits a fresh header record into the ring and sink stream,
-// so every decision record decodes against the most recent preceding
-// header. Calls restating the current meta only update the stored copy.
+// of subsequent decision records: the first call after construction (or
+// after SetSink) emits one header record, and a later call that actually
+// changes the meta (a feature-mode-changing model reload) emits a fresh
+// header record into the ring and sink stream, so every decision record
+// decodes against the most recent preceding header. Calls restating the
+// current meta only update the stored copy.
 func (r *TraceRing) SetMeta(names []string, mode string, maxRejections int) {
 	if r == nil {
 		return
@@ -395,6 +431,21 @@ func (r *TraceRing) SetMeta(names []string, mode string, maxRejections int) {
 	r.metaMaxRej = maxRejections
 	r.emitHeaderLocked()
 	r.mu.Unlock()
+}
+
+// metaChanged reports whether a SetMeta call declares different meta than
+// the ring currently holds (a nil current name set counts as changed — the
+// first declaration must emit a header).
+func metaChanged(curNames []string, curMode string, curMax int, names []string, mode string, maxRejections int) bool {
+	if curNames == nil || curMode != mode || curMax != maxRejections || len(curNames) != len(names) {
+		return true
+	}
+	for i := range names {
+		if curNames[i] != names[i] {
+			return true
+		}
+	}
+	return false
 }
 
 // FeatureNames returns the feature labels last declared with SetMeta.
@@ -493,40 +544,73 @@ func (r *TraceRing) Flush() error {
 	return r.sinkErr
 }
 
+// slotAt returns the framed record i places after the oldest. Caller holds
+// r.mu.
+func (r *TraceRing) slotAt(i int) []byte {
+	idx := r.start + i
+	if idx >= len(r.lens) {
+		idx -= len(r.lens)
+	}
+	return r.arena[idx*r.slotSize : idx*r.slotSize+r.lens[idx]]
+}
+
 // Snapshot returns the live ring as a self-contained .ftrace image — file
 // header plus one CRC-framed segment holding every buffered record, oldest
-// first. It allocates; it is the cold read-out path behind
-// /v1/trace/snapshot, not part of the record hot path.
+// first. When wraparound has evicted the header the oldest record decodes
+// against, the image leads with the retained copy, so it always opens with
+// the header describing its first record. It allocates; it is the cold
+// read-out path behind /v1/trace/snapshot, not part of the record hot path.
 func (r *TraceRing) Snapshot() []byte {
 	if r == nil {
 		return AppendFTraceFileHeader(nil)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	size := 0
+	if r.n == 0 {
+		return AppendFTraceFileHeader(nil)
+	}
+	lead := r.lostHeader
+	if r.slotAt(0)[0] == FTraceKindHeader {
+		lead = nil
+	}
+	size := len(lead)
 	for i := 0; i < r.n; i++ {
-		idx := r.start + i
-		if idx >= len(r.lens) {
-			idx -= len(r.lens)
-		}
-		size += r.lens[idx]
+		size += len(r.slotAt(i))
 	}
 	out := make([]byte, 0, ftraceHeaderLen+ftraceSegHdrLen+size)
 	out = AppendFTraceFileHeader(out)
-	if r.n == 0 {
-		return out
-	}
 	out = binary.LittleEndian.AppendUint32(out, uint32(size))
 	out = append(out, 0, 0, 0, 0) // CRC placeholder
 	payloadStart := len(out)
+	out = append(out, lead...)
 	for i := 0; i < r.n; i++ {
-		idx := r.start + i
-		if idx >= len(r.lens) {
-			idx -= len(r.lens)
-		}
-		out = append(out, r.arena[idx*r.slotSize:idx*r.slotSize+r.lens[idx]]...)
+		out = append(out, r.slotAt(i)...)
 	}
 	binary.LittleEndian.PutUint32(out[payloadStart-4:], FTraceSegmentCRC(out[payloadStart:]))
+	return out
+}
+
+// LastDecisions decodes the most recent min(n, held) decision records,
+// oldest first, skipping the spans, proc samples and headers between them
+// (empty but non-nil when the ring holds none; nil only for n <= 0 or a nil
+// ring). It allocates; it is the cold read-out path behind /v1/explain/last.
+func (r *TraceRing) LastDecisions(n int) []ExplainRecord {
+	if r == nil || n <= 0 {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]ExplainRecord, 0, min(n, r.n))
+	for i := r.n - 1; i >= 0 && len(out) < n; i-- {
+		slot := r.slotAt(i)
+		if slot[0] != FTraceKindDecision {
+			continue
+		}
+		// The body was encoded by putDecisionBody under this mutex; it decodes.
+		rec, _ := DecodeFTraceDecision(slot[ftraceRecHdrLen:])
+		out = append(out, rec)
+	}
+	slices.Reverse(out)
 	return out
 }
 
@@ -569,8 +653,8 @@ func (r *TraceRing) Dropped() uint64 {
 	return r.dropped
 }
 
-// Oversized returns how many records were rejected for exceeding the slot
-// size.
+// Oversized returns how many records were dropped because no slot size
+// under the arena ceiling holds them.
 func (r *TraceRing) Oversized() uint64 {
 	if r == nil {
 		return 0

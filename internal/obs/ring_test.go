@@ -71,6 +71,9 @@ func TestTraceRingRoundTrip(t *testing.T) {
 	ps := ProcStats{Wall: 1234, Goroutines: 8, HeapAlloc: 1 << 20, HeapSys: 1 << 22, NumGC: 3, PauseTotal: 5000}
 	r.EmitProc(ps)
 
+	if r.slotSize != 512 {
+		t.Fatalf("records that fit their slots grew them to %d bytes", r.slotSize)
+	}
 	kinds, bodies := decodeImage(t, r.Snapshot())
 	if want := []byte{FTraceKindHeader, FTraceKindSpan, FTraceKindDecision, FTraceKindProc}; !bytes.Equal(kinds, want) {
 		t.Fatalf("record kinds %v, want %v", kinds, want)
@@ -135,21 +138,45 @@ func TestTraceRingWraparound(t *testing.T) {
 	}
 }
 
-// TestTraceRingOversize pins that a record too large for a slot is counted
-// and skipped without disturbing the ring contents.
+// TestTraceRingOversize pins the slot-growth rule: a record wider than the
+// slots widens them once (next power of two, live records re-slotted, warm
+// path allocation-free afterwards), and only a record no slot size under the
+// arena ceiling holds is counted and skipped without disturbing the ring.
 func TestTraceRingOversize(t *testing.T) {
 	r := NewTraceRing(4, 256)
 	small := testDecision(1)
 	small.Features, small.Logits, small.Probs = nil, nil, nil
 	r.EmitDecision(&small)
 	big := testDecision(2)
-	big.Features = make([]float64, 64) // >512-byte body in a 256-byte slot
+	big.Features = make([]float64, 64) // ~700-byte record in 256-byte slots
+	big.Features[63] = 0.5
 	r.EmitDecision(&big)
+	if r.Oversized() != 0 || r.Len() != 2 || r.Total() != 2 {
+		t.Fatalf("growth dropped a record: Oversized=%d Len=%d Total=%d", r.Oversized(), r.Len(), r.Total())
+	}
+	if r.slotSize != 1024 || r.Cap() != 4 {
+		t.Fatalf("slots grew to %d x %d, want 4 x 1024", r.Cap(), r.slotSize)
+	}
+	got := r.LastDecisions(2)
+	if len(got) != 2 || !reflect.DeepEqual(got[0], small) || !reflect.DeepEqual(got[1], big) {
+		t.Fatalf("records did not survive re-slotting: %+v", got)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { r.EmitDecision(&big) }); allocs != 0 {
+		t.Fatalf("warm emit into grown slots allocated %.1f times, want 0", allocs)
+	}
+
+	// 16384 slots leave 4 KiB each under the ceiling: a ~5 KB record is
+	// refused, the ring and its geometry stay as they were.
+	r = NewTraceRing(1<<14, 64)
+	r.EmitDecision(&small)
+	huge := testDecision(3)
+	huge.Features = make([]float64, 600)
+	r.EmitDecision(&huge)
 	if r.Oversized() != 1 {
 		t.Fatalf("Oversized = %d, want 1", r.Oversized())
 	}
-	if r.Len() != 1 || r.Total() != 1 {
-		t.Fatalf("oversize record disturbed the ring: Len=%d Total=%d", r.Len(), r.Total())
+	if r.Len() != 1 || r.Total() != 1 || r.slotSize != 256 {
+		t.Fatalf("oversize record disturbed the ring: Len=%d Total=%d slotSize=%d", r.Len(), r.Total(), r.slotSize)
 	}
 }
 
@@ -280,12 +307,94 @@ func TestNilTraceRingSafe(t *testing.T) {
 	r.SetSink(&bytes.Buffer{})
 	r.Instrument(NewRegistry())
 	if r.Len() != 0 || r.Cap() != 0 || r.Total() != 0 || r.Dropped() != 0 ||
-		r.Oversized() != 0 || r.Flush() != nil || r.SinkErr() != nil || r.FeatureNames() != nil {
+		r.Oversized() != 0 || r.Flush() != nil || r.SinkErr() != nil || r.FeatureNames() != nil ||
+		r.LastDecisions(1) != nil {
 		t.Fatal("nil ring leaked state")
 	}
 	if _, err := ParseFTraceFileHeader(r.Snapshot()); err != nil {
 		t.Fatalf("nil ring snapshot not a valid empty image: %v", err)
 	}
+}
+
+// TestLastDecisions pins the /v1/explain/last read-out: the newest n
+// decision records, oldest first, whatever else shares the ring.
+func TestLastDecisions(t *testing.T) {
+	seqs := func(recs []ExplainRecord) []int {
+		out := make([]int, len(recs))
+		for i := range recs {
+			out[i] = recs[i].Seq
+		}
+		return out
+	}
+	r := NewTraceRing(8, 512)
+	if got := r.LastDecisions(4); got == nil || len(got) != 0 {
+		t.Fatalf("empty ring returned %v, want empty and non-nil", got)
+	}
+	r.SetMeta([]string{"a"}, "m", 1) // header slot
+	for seq := 0; seq < 3; seq++ {
+		dec := testDecision(seq)
+		r.EmitDecision(&dec)
+		r.EmitSpan(&Span{ID: SpanID(seq + 1), Name: "decision"})
+	}
+	r.EmitProc(ProcStats{Wall: 1})
+	if got := r.LastDecisions(10); !reflect.DeepEqual(seqs(got), []int{0, 1, 2}) {
+		t.Fatalf("n > held: seqs %v, want [0 1 2]", seqs(got))
+	}
+	got := r.LastDecisions(2)
+	if !reflect.DeepEqual(seqs(got), []int{1, 2}) {
+		t.Fatalf("n < held: seqs %v, want [1 2]", seqs(got))
+	}
+	if want := testDecision(2); !reflect.DeepEqual(got[1], want) {
+		t.Fatalf("decoded record:\n got %+v\nwant %+v", got[1], want)
+	}
+	if r.LastDecisions(0) != nil || r.LastDecisions(-1) != nil {
+		t.Fatal("n <= 0 must return nil")
+	}
+
+	// Wrapped: 8 slots now hold header + 3x(decision, span) + proc; eight more
+	// records evict the oldest eight, leaving decisions 3..6 between spans.
+	for seq := 3; seq < 7; seq++ {
+		dec := testDecision(seq)
+		r.EmitDecision(&dec)
+		r.EmitSpan(&Span{ID: SpanID(seq + 1), Name: "decision"})
+	}
+	if r.Dropped() == 0 {
+		t.Fatal("ring did not wrap; the wrapped case is not exercised")
+	}
+	if got := r.LastDecisions(10); !reflect.DeepEqual(seqs(got), []int{3, 4, 5, 6}) {
+		t.Fatalf("wrapped ring: seqs %v, want [3 4 5 6]", seqs(got))
+	}
+
+	// Readers against concurrent writers: every read is an ascending run of
+	// whole records (run under -race by the Makefile race target).
+	t.Run("concurrent", func(t *testing.T) {
+		r := NewTraceRing(16, 512)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := 0; seq < 2000; seq++ {
+				dec := testDecision(seq)
+				r.EmitDecision(&dec)
+			}
+		}()
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					got := r.LastDecisions(8)
+					for k := 1; k < len(got); k++ {
+						if got[k].Seq != got[k-1].Seq+1 || len(got[k].Features) != 3 {
+							t.Errorf("torn read: %v", seqs(got))
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // TestTraceRingBorrowedSlices pins the no-ownership contract: the ring

@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"bytes"
-	"encoding/json"
-	"io"
-	"sync"
-	"time"
-)
+import "time"
 
 // Span-based structured tracing: the decision flight recorder's skeleton.
 // Where the event Tracer records flat simulator events, spans carry
@@ -73,10 +67,10 @@ type Span struct {
 var wallNow = func() int64 { return time.Now().UnixNano() }
 
 // StartSpan opens a span: it stamps the wall-clock start and returns the
-// value for the caller to finish with End and hand to SpanTracer.Emit.
-// Spans are plain values — the tracer only sees completed ones — so
-// starting a span costs nothing when tracing is disabled (callers gate on
-// the tracer being non-nil before building one).
+// value for the caller to finish with End and hand to TraceRing.EmitSpan.
+// Spans are plain values — the ring only sees completed ones — so tracing
+// that is disabled costs nothing (callers gate on the ring being non-nil
+// before building one).
 func StartSpan(name string, id, parent SpanID, simStart float64) Span {
 	return Span{ID: id, Parent: parent, Name: name, WallStart: wallNow(), SimStart: simStart}
 }
@@ -92,146 +86,4 @@ func (s *Span) End(simEnd float64) {
 type jsonSpan struct {
 	Kind string `json:"kind"`
 	Span
-}
-
-// DefaultSpanCap is the ring capacity NewSpanTracer uses for capacity <= 0.
-const DefaultSpanCap = 4096
-
-// SpanTracer records completed spans into a bounded ring and, optionally,
-// streams them to a JSONL sink (one {"kind":"span",...} object per line).
-// A nil *SpanTracer is valid and records nothing: every method is a no-op,
-// and emit sites additionally guard with a nil check so disabled tracing
-// costs one branch — the sim package's allocation tests pin that the nil
-// tracer adds zero allocations to the Env.Step hot path.
-type SpanTracer struct {
-	mu      sync.Mutex
-	ring    []Span
-	start   int
-	n       int
-	total   uint64
-	sink    io.Writer
-	sinkErr error
-
-	// Reused JSONL encode state: one buffer, encoder and wire wrapper per
-	// tracer, so the sink path stops allocating a marshal buffer and an
-	// interface box per span. Guarded by mu like the sink itself.
-	encBuf  bytes.Buffer
-	enc     *json.Encoder
-	encSpan jsonSpan
-}
-
-// NewSpanTracer returns a tracer holding at most capacity completed spans
-// (DefaultSpanCap if capacity <= 0). Older spans are overwritten.
-func NewSpanTracer(capacity int) *SpanTracer {
-	if capacity <= 0 {
-		capacity = DefaultSpanCap
-	}
-	return &SpanTracer{ring: make([]Span, 0, capacity)}
-}
-
-// SetSink streams every subsequent span to w as one JSON object per line.
-// The first write error sticks (see SinkErr) and disables the sink.
-func (t *SpanTracer) SetSink(w io.Writer) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sink = w
-	t.sinkErr = nil
-	t.mu.Unlock()
-}
-
-// Emit records one completed span. The tracer takes ownership of the Attrs
-// slice. Safe on a nil tracer.
-func (t *SpanTracer) Emit(s Span) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.total++
-	if t.n < cap(t.ring) {
-		t.ring = append(t.ring, s)
-		t.n++
-	} else {
-		t.ring[t.start] = s
-		t.start++
-		if t.start == cap(t.ring) {
-			t.start = 0
-		}
-	}
-	if t.sink != nil && t.sinkErr == nil {
-		if t.enc == nil {
-			t.enc = json.NewEncoder(&t.encBuf)
-			t.encSpan.Kind = "span"
-		}
-		t.encBuf.Reset()
-		t.encSpan.Span = s
-		err := t.enc.Encode(&t.encSpan)
-		if err == nil {
-			_, err = t.sink.Write(t.encBuf.Bytes())
-		}
-		if err != nil {
-			t.sinkErr = err
-			t.sink = nil
-		}
-	}
-	t.mu.Unlock()
-}
-
-// Spans returns the buffered spans, oldest first. Safe on a nil tracer.
-func (t *SpanTracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Span, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.ring[(t.start+i)%cap(t.ring)])
-	}
-	return out
-}
-
-// Total returns how many spans were emitted over the tracer's lifetime,
-// including those the ring has since overwritten.
-func (t *SpanTracer) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Dropped returns how many spans the ring overwrote.
-func (t *SpanTracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total - uint64(t.n)
-}
-
-// SinkErr returns the first JSONL sink write error, if any.
-func (t *SpanTracer) SinkErr() error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.sinkErr
-}
-
-// lockedWriter serializes writes from multiple tracers sharing one sink
-// file, so span and explain-record lines never interleave mid-line.
-type lockedWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (l *lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
 }

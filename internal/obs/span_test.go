@@ -27,34 +27,88 @@ func TestDeriveSpanIDDeterministic(t *testing.T) {
 	}
 }
 
-func TestSpanTracerRing(t *testing.T) {
-	tr := NewSpanTracer(3)
-	for i := 1; i <= 5; i++ {
-		tr.Emit(Span{ID: SpanID(i), Name: "s"})
-	}
-	got := tr.Spans()
-	if len(got) != 3 {
-		t.Fatalf("ring held %d spans, want 3", len(got))
-	}
-	for i, want := range []SpanID{3, 4, 5} {
-		if got[i].ID != want {
-			t.Fatalf("span[%d].ID = %d, want %d (oldest-first after wraparound)", i, got[i].ID, want)
+// The tests below predate the single recorder. Each pinned one behaviour of
+// the JSON span tracer, the explain recorder or their bundle, and now pins
+// the same behaviour of the ring that took over those roles; their names are
+// kept so the suite stays comparable across the change.
+
+// renderJSONL renders a .ftrace image as flight-trace JSONL through the obs
+// wire-form helpers — the test-side mirror of explain.ConvertFTrace, which an
+// in-package obs test cannot import.
+func renderJSONL(t *testing.T, img []byte) string {
+	t.Helper()
+	kinds, bodies := decodeImage(t, img)
+	var out []byte
+	for i, k := range kinds {
+		var err error
+		switch k {
+		case FTraceKindHeader:
+			var h ExplainHeader
+			if h, err = DecodeFTraceHeader(bodies[i]); err == nil {
+				out, err = AppendExplainHeaderJSONL(out, h)
+			}
+		case FTraceKindSpan:
+			var s Span
+			if s, err = DecodeFTraceSpan(bodies[i]); err == nil {
+				out, err = AppendSpanJSONL(out, &s)
+			}
+		case FTraceKindDecision:
+			var d ExplainRecord
+			if d, err = DecodeFTraceDecision(bodies[i]); err == nil {
+				out, err = AppendDecisionJSONL(out, &d)
+			}
+		case FTraceKindProc:
+			var p ProcStats
+			if p, err = DecodeFTraceProc(bodies[i]); err == nil {
+				out, err = AppendProcJSONL(out, p)
+			}
+		}
+		if err != nil {
+			t.Fatalf("record %d (kind %d): %v", i, k, err)
 		}
 	}
-	if tr.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", tr.Total())
+	return string(out)
+}
+
+// sinkImage flushes r and returns what its sink buffer received.
+func sinkImage(t *testing.T, r *TraceRing, sink *bytes.Buffer) []byte {
+	t.Helper()
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("Dropped = %d, want 2", tr.Dropped())
+	return sink.Bytes()
+}
+
+func TestSpanTracerRing(t *testing.T) {
+	r := NewTraceRing(3, 512)
+	for i := 1; i <= 5; i++ {
+		r.EmitSpan(&Span{ID: SpanID(i), Name: "s"})
+	}
+	_, bodies := decodeImage(t, r.Snapshot())
+	if len(bodies) != 3 {
+		t.Fatalf("ring held %d spans, want 3", len(bodies))
+	}
+	for i, want := range []SpanID{3, 4, 5} {
+		got, err := DecodeFTraceSpan(bodies[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != want {
+			t.Fatalf("span[%d].ID = %d, want %d (oldest-first after wraparound)", i, got.ID, want)
+		}
+	}
+	if r.Total() != 5 || r.Dropped() != 2 {
+		t.Fatalf("Total/Dropped = %d/%d, want 5/2", r.Total(), r.Dropped())
 	}
 }
 
 func TestNilSpanTracerSafe(t *testing.T) {
-	var tr *SpanTracer
-	tr.Emit(Span{ID: 1})
-	tr.SetSink(&bytes.Buffer{})
-	if tr.Spans() != nil || tr.Total() != 0 || tr.Dropped() != 0 || tr.SinkErr() != nil {
-		t.Fatalf("nil tracer leaked state")
+	var r *TraceRing
+	r.EmitSpan(&Span{ID: 1})
+	shape := NewSpanShape("decision", "action", 6, []string{"job"})
+	r.EmitShapedSpan(shape, 1, 2, 0, 0, 0, 0, "accept", []float64{1})
+	if r.Total() != 0 || r.Dropped() != 0 {
+		t.Fatalf("nil ring leaked state")
 	}
 }
 
@@ -80,19 +134,20 @@ func TestSpanStartEnd(t *testing.T) {
 
 func TestSpanJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewSpanTracer(8)
-	tr.SetSink(&buf)
+	r := NewTraceRing(8, 512)
+	r.SetSink(&buf)
 	s := StartSpan("episode", 9, 2, 0)
 	s.Attrs = []Attr{{Key: "slot", Num: 4}, {Key: "mode", Str: "wave"}}
 	s.End(99)
-	tr.Emit(s)
+	r.EmitSpan(&s)
 
 	var line struct {
 		Kind string `json:"kind"`
 		Span
 	}
-	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
-		t.Fatalf("sink line not JSON: %v\n%s", err, buf.String())
+	out := renderJSONL(t, sinkImage(t, r, &buf))
+	if err := json.Unmarshal([]byte(out), &line); err != nil {
+		t.Fatalf("rendered line not JSON: %v\n%s", err, out)
 	}
 	if line.Kind != "span" || line.ID != 9 || line.Parent != 2 || line.SimEnd != 99 {
 		t.Fatalf("round-trip mismatch: %+v", line)
@@ -100,94 +155,82 @@ func TestSpanJSONLSink(t *testing.T) {
 	if len(line.Attrs) != 2 || line.Attrs[0].Key != "slot" || line.Attrs[1].Str != "wave" {
 		t.Fatalf("attrs mangled: %+v", line.Attrs)
 	}
-	if tr.SinkErr() != nil {
-		t.Fatalf("unexpected sink error: %v", tr.SinkErr())
-	}
 }
 
+// TestSpanSinkErrorSticks: a sink that fails its very first write (the file
+// header, inside SetSink) is disabled on the spot and the ring keeps
+// recording.
 func TestSpanSinkErrorSticks(t *testing.T) {
-	tr := NewSpanTracer(4)
-	tr.SetSink(&failWriter{})
-	tr.Emit(Span{ID: 1})
-	if tr.SinkErr() == nil {
+	r := NewTraceRing(4, 512)
+	r.SetSink(&failWriter{})
+	if r.SinkErr() == nil {
 		t.Fatalf("write error not recorded")
 	}
-	tr.Emit(Span{ID: 2}) // must not panic; ring keeps working
-	if len(tr.Spans()) != 2 {
+	r.EmitSpan(&Span{ID: 1})
+	r.EmitSpan(&Span{ID: 2}) // must not panic; ring keeps working
+	if r.Len() != 2 {
 		t.Fatalf("ring stopped after sink error")
+	}
+	if r.Flush() == nil {
+		t.Fatalf("sticky error cleared by a flush")
 	}
 }
 
-// TestSpanTracerConcurrent hammers Emit and Spans from many goroutines; run
-// under -race this pins that ring wraparound and reads during writes are
-// safe.
+// TestSpanTracerConcurrent hammers both span emit paths and the cold readers
+// from many goroutines; run under -race this pins that ring wraparound and
+// reads during writes are safe.
 func TestSpanTracerConcurrent(t *testing.T) {
-	tr := NewSpanTracer(16)
+	r := NewTraceRing(16, 512)
+	shape := NewSpanShape("decision", "action", 6, []string{"job"})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr.Emit(Span{ID: DeriveSpanID(uint64(g), uint64(i)), Name: "x"})
+				id := DeriveSpanID(uint64(g), uint64(i))
+				if i%2 == 0 {
+					r.EmitSpan(&Span{ID: id, Name: "x"})
+				} else {
+					r.EmitShapedSpan(shape, id, 1, 0, 0, 0, 0, "accept", []float64{float64(i)})
+				}
 				if i%17 == 0 {
-					_ = tr.Spans()
-					_ = tr.Dropped()
+					_ = r.Snapshot()
+					_ = r.LastDecisions(4)
+					_ = r.Dropped()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if tr.Total() != 1600 {
-		t.Fatalf("Total = %d, want 1600", tr.Total())
+	if r.Total() != 1600 {
+		t.Fatalf("Total = %d, want 1600", r.Total())
 	}
-	if got := len(tr.Spans()); got != 16 {
-		t.Fatalf("ring holds %d, want 16", got)
-	}
-}
-
-func TestExplainRecorderRingAndLast(t *testing.T) {
-	r := NewExplainRecorder(3)
-	for i := 1; i <= 5; i++ {
-		r.Record(ExplainRecord{Seq: i})
-	}
-	recs := r.Records()
-	if len(recs) != 3 || recs[0].Seq != 3 || recs[2].Seq != 5 {
-		t.Fatalf("ring contents wrong: %+v", recs)
-	}
-	last := r.Last(2)
-	if len(last) != 2 || last[0].Seq != 4 || last[1].Seq != 5 {
-		t.Fatalf("Last(2) wrong: %+v", last)
-	}
-	if got := r.Last(10); len(got) != 3 {
-		t.Fatalf("Last(10) returned %d records, want all 3", len(got))
-	}
-	if r.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", r.Total())
+	if r.Len() != 16 {
+		t.Fatalf("ring holds %d, want 16", r.Len())
 	}
 }
 
 func TestNilExplainRecorderSafe(t *testing.T) {
-	var r *ExplainRecorder
-	r.Record(ExplainRecord{})
-	r.SetSink(&bytes.Buffer{})
+	var r *TraceRing
+	r.EmitDecision(&ExplainRecord{})
 	r.SetMeta([]string{"a"}, "manual", 72)
-	if r.Records() != nil || r.Last(1) != nil || r.Total() != 0 || r.SinkErr() != nil || r.FeatureNames() != nil {
-		t.Fatalf("nil recorder leaked state")
+	if r.LastDecisions(1) != nil || r.Total() != 0 || r.FeatureNames() != nil {
+		t.Fatalf("nil ring leaked state")
 	}
 }
 
 func TestExplainHeaderAndDecisionLines(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewExplainRecorder(8)
+	r := NewTraceRing(8, 512)
 	// Meta before sink: header must still come out once the sink lands.
 	r.SetMeta([]string{"wait", "procs"}, "manual", 72)
 	r.SetSink(&buf)
 	r.SetMeta([]string{"wait", "procs"}, "manual", 72) // idempotent: no second header
-	r.Record(ExplainRecord{Traj: 1, Seq: 0, JobID: 42, Rejected: true,
+	r.EmitDecision(&ExplainRecord{Traj: 1, Seq: 0, JobID: 42, Rejected: true,
 		Features: []float64{0.5, 0.25}, Logits: []float64{0.1, -0.1}, Probs: []float64{0.55, 0.45}})
 
-	sc := bufio.NewScanner(&buf)
+	sc := bufio.NewScanner(strings.NewReader(renderJSONL(t, sinkImage(t, r, &buf))))
 	if !sc.Scan() {
 		t.Fatalf("no header line")
 	}
@@ -216,38 +259,86 @@ func TestExplainHeaderAndDecisionLines(t *testing.T) {
 	}
 }
 
+// TestExplainRecorderConcurrent races decision writers against meta changes
+// and the two readers that serve /v1/explain/last.
 func TestExplainRecorderConcurrent(t *testing.T) {
-	r := NewExplainRecorder(32)
+	r := NewTraceRing(32, 512)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Record(ExplainRecord{Traj: g, Seq: i})
+				r.EmitDecision(&ExplainRecord{Traj: g, Seq: i})
 				if i%13 == 0 {
-					_ = r.Records()
-					_ = r.Last(4)
+					r.SetMeta([]string{"a", "b"}[:1+i%2], "m", g)
+					_ = r.FeatureNames()
+					_ = r.LastDecisions(4)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if r.Total() != 800 {
-		t.Fatalf("Total = %d, want 800", r.Total())
+	if got := len(r.LastDecisions(1 << 10)); got == 0 || got > 32 {
+		t.Fatalf("ring of 32 returned %d decisions", got)
 	}
 }
 
+// TestExplainRecorderMetaChangeReemitsHeader is the JSONL twin of
+// TestTraceRingMetaChangeReemitsHeader: the rendered stream keeps every
+// decision line under the header line that describes it.
+func TestExplainRecorderMetaChangeReemitsHeader(t *testing.T) {
+	r := NewTraceRing(16, 512)
+	var sink bytes.Buffer
+	r.SetSink(&sink)
+
+	r.SetMeta([]string{"a", "b"}, "modeA", 3)
+	r.EmitDecision(&ExplainRecord{Features: []float64{1, 2}})
+	r.SetMeta([]string{"a", "b"}, "modeA", 3) // restated
+	r.SetMeta([]string{"x", "y", "z"}, "modeB", 5)
+	r.EmitDecision(&ExplainRecord{Features: []float64{1, 2, 3}})
+
+	var kinds []string
+	curFeatures := 0
+	sc := bufio.NewScanner(strings.NewReader(renderJSONL(t, sinkImage(t, r, &sink))))
+	for sc.Scan() {
+		var line struct {
+			Kind     string            `json:"kind"`
+			Features []json.RawMessage `json:"features"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("line %q: %v", sc.Text(), err)
+		}
+		kinds = append(kinds, line.Kind)
+		switch line.Kind {
+		case "explain_header":
+			curFeatures = len(line.Features)
+		case "decision":
+			if len(line.Features) != curFeatures {
+				t.Errorf("decision carries %d features under a %d-feature header",
+					len(line.Features), curFeatures)
+			}
+		}
+	}
+	want := []string{"explain_header", "decision", "explain_header", "decision"}
+	if strings.Join(kinds, ",") != strings.Join(want, ",") {
+		t.Errorf("stream kinds %v, want %v", kinds, want)
+	}
+}
+
+// TestFlightRecorderSharedSink: every record kind shares the one sink
+// stream, in emission order.
 func TestFlightRecorderSharedSink(t *testing.T) {
 	var buf bytes.Buffer
-	f := NewFlightRecorder(8, 8)
-	f.Decisions.SetMeta([]string{"wait"}, "manual", 72)
-	f.SetSink(&buf)
-	f.Spans.Emit(Span{ID: 1, Name: "episode"})
-	f.Decisions.Record(ExplainRecord{Seq: 7})
+	r := NewTraceRing(8, 512)
+	r.SetMeta([]string{"wait"}, "manual", 72)
+	r.SetSink(&buf)
+	r.EmitSpan(&Span{ID: 1, Name: "episode"})
+	r.EmitDecision(&ExplainRecord{Seq: 7})
+	r.EmitProc(ProcStats{Wall: 1})
 
-	kinds := map[string]int{}
-	sc := bufio.NewScanner(&buf)
+	var kinds []string
+	sc := bufio.NewScanner(strings.NewReader(renderJSONL(t, sinkImage(t, r, &buf))))
 	for sc.Scan() {
 		var k struct {
 			Kind string `json:"kind"`
@@ -255,25 +346,22 @@ func TestFlightRecorderSharedSink(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &k); err != nil {
 			t.Fatalf("bad line %q: %v", sc.Text(), err)
 		}
-		kinds[k.Kind]++
+		kinds = append(kinds, k.Kind)
 	}
-	if kinds["explain_header"] != 1 || kinds["span"] != 1 || kinds["decision"] != 1 {
-		t.Fatalf("line kinds wrong: %v", kinds)
-	}
-	if f.SinkErr() != nil {
-		t.Fatalf("unexpected sink error: %v", f.SinkErr())
+	if got, want := strings.Join(kinds, ","), "explain_header,span,decision,proc"; got != want {
+		t.Fatalf("line kinds %s, want %s", got, want)
 	}
 }
 
 func TestNilFlightRecorderSafe(t *testing.T) {
-	var f *FlightRecorder
-	f.SetSink(&bytes.Buffer{})
-	if f.SpanTracer() != nil || f.Explains() != nil || f.SinkErr() != nil {
+	var r *TraceRing
+	r.SetSink(&bytes.Buffer{})
+	if r.Flush() != nil || r.SinkErr() != nil {
 		t.Fatalf("nil flight recorder leaked state")
 	}
-	// The nil-safe accessors must chain into nil-safe halves.
-	f.SpanTracer().Emit(Span{})
-	f.Explains().Record(ExplainRecord{})
+	if _, err := ParseFTraceFileHeader(r.Snapshot()); err != nil {
+		t.Fatalf("nil ring snapshot not a valid empty image: %v", err)
+	}
 }
 
 func TestProcSampler(t *testing.T) {

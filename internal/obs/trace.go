@@ -95,7 +95,9 @@ type Tracer struct {
 	sink    io.Writer
 	sinkErr error
 
-	// Reused JSONL encode state (see SpanTracer); guarded by mu.
+	// Reused JSONL encode state: one buffer, encoder and wire wrapper per
+	// tracer, so the sink path does not allocate a marshal buffer and an
+	// interface box per event. Guarded by mu like the sink itself.
 	encBuf   bytes.Buffer
 	enc      *json.Encoder
 	encEvent jsonEvent

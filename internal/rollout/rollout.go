@@ -70,21 +70,15 @@ type Config struct {
 	// episode is interactive.
 	Decide Decide
 
-	// Spans attaches the flight recorder: each episode slot gets an
+	// Ring attaches the flight recorder: each episode slot gets an
 	// "episode" span (child of SpanRoot, ID derived from (SpanRoot, slot))
 	// and its environment emits per-decision child spans. The driver owns
-	// span attachment — it overrides any Spans/SpanParent set on episode
+	// span attachment — it overrides any Ring/SpanParent set on episode
 	// configs — so IDs stay a pure function of (SpanRoot, slot, decision
 	// seq) and are identical at any worker count. Wall timestamps and ring
 	// order remain execution-dependent; only identity is deterministic.
-	Spans    *obs.SpanTracer
+	Ring     *obs.TraceRing
 	SpanRoot obs.SpanID
-
-	// Ring attaches the binary flight recorder alongside (or instead of)
-	// Spans: episode and decision spans are encoded into the arena-backed
-	// trace ring under the same ID derivation, so the deterministic-identity
-	// guarantee carries over unchanged.
-	Ring *obs.TraceRing
 
 	// SlotBase offsets every slot identity the run exposes: Pending.Slot,
 	// episode span IDs and slot attributes all report SlotBase+i for the
@@ -95,15 +89,6 @@ type Config struct {
 	// Zero (the single-process default) leaves slots equal to episode
 	// positions.
 	SlotBase int
-}
-
-// tracing reports whether any span sink is attached.
-func (c *Config) tracing() bool { return c.Spans != nil || c.Ring != nil }
-
-// emitSpan fans one completed span out to every attached sink.
-func (c *Config) emitSpan(s obs.Span) {
-	c.Ring.EmitSpan(&s)
-	c.Spans.Emit(s)
 }
 
 // Report carries the run's timing observations for telemetry: summed
@@ -132,12 +117,11 @@ func Run(eps []Episode, cfg Config) ([]sim.Result, Report, error) {
 			return nil, rep, fmt.Errorf("rollout: episode %d is interactive but Config.Decide is nil", i)
 		}
 	}
-	if cfg.tracing() {
+	if cfg.Ring != nil {
 		// Copy the episode slice before attaching span plumbing so the
 		// caller's Episodes are never mutated.
 		eps = append([]Episode(nil), eps...)
 		for i := range eps {
-			eps[i].Cfg.Spans = cfg.Spans
 			eps[i].Cfg.Ring = cfg.Ring
 			eps[i].Cfg.SpanParent = obs.DeriveSpanID(uint64(cfg.SpanRoot), uint64(cfg.SlotBase+i))
 		}
@@ -170,8 +154,8 @@ func ownResult(r sim.Result) sim.Result {
 }
 
 // endEpisodeSpan closes the span bracketing one finished episode and emits
-// it to every attached sink. Wall duration covers the episode's execution;
-// sim duration its simulated makespan.
+// it to the ring. Wall duration covers the episode's execution; sim
+// duration its simulated makespan.
 func endEpisodeSpan(cfg *Config, esp obs.Span, slot, jobs int, simEnd float64, res *sim.Result) {
 	esp.Attrs = append(esp.Attrs,
 		obs.Attr{Key: "slot", Num: float64(slot)},
@@ -180,7 +164,7 @@ func endEpisodeSpan(cfg *Config, esp obs.Span, slot, jobs int, simEnd float64, r
 		obs.Attr{Key: "rejections", Num: float64(res.Rejections)},
 	)
 	esp.End(simEnd)
-	cfg.emitSpan(esp)
+	cfg.Ring.EmitSpan(&esp)
 }
 
 // runSequential executes episodes one at a time in slot order on a single
@@ -193,7 +177,7 @@ func runSequential(eps []Episode, cfg Config, results []sim.Result, errs []error
 	for i := range eps {
 		t0 := time.Now()
 		var esp obs.Span
-		if cfg.tracing() {
+		if cfg.Ring != nil {
 			esp = obs.StartSpan("episode", eps[i].Cfg.SpanParent, cfg.SpanRoot, 0)
 		}
 		if !eps[i].Interactive {
@@ -212,7 +196,7 @@ func runSequential(eps []Episode, cfg Config, results []sim.Result, errs []error
 			}
 			results[i] = ownResult(env.Result())
 		}
-		if cfg.tracing() && errs[i] == nil {
+		if cfg.Ring != nil && errs[i] == nil {
 			endEpisodeSpan(&cfg, esp, cfg.SlotBase+i, len(eps[i].Jobs), env.Now(), &results[i])
 		}
 		rep.EpisodeSeconds[i] = time.Since(t0).Seconds()
@@ -232,7 +216,7 @@ func runWaves(eps []Episode, cfg Config, workers int, results []sim.Result, errs
 	done := make([]bool, n)
 	seqEnvs := make([]*sim.Env, workers) // per-worker envs for non-interactive runs
 	var espans []obs.Span                // open episode spans, indexed by slot
-	if cfg.tracing() {
+	if cfg.Ring != nil {
 		espans = make([]obs.Span, n)
 	}
 

@@ -218,7 +218,7 @@ func (h *Handler) gather(first *pendingDecision, wave []*pendingDecision) []*pen
 // snapshot, then per row — in wave order — one decision record and one
 // response. Recording before responding keeps the synchronous contract the
 // HTTP tests rely on: by the time a client has its verdict, the metrics,
-// explain ring, trace ring and audit log all reflect it.
+// flight ring and audit log all reflect it.
 func (h *Handler) processWave(wave []*pendingDecision, states []*sim.State, outs []core.ExplainOut) {
 	snap := h.snap.Load()
 	for i, p := range wave {
@@ -239,15 +239,14 @@ func (h *Handler) processWave(wave []*pendingDecision, states []*sim.State, outs
 	}
 }
 
-// applySwap installs a new model snapshot and brings the explain/trace
-// meta and model metrics in step. It runs on the collector goroutine
+// applySwap installs a new model snapshot and brings the flight ring's
+// meta and the model metrics in step. It runs on the collector goroutine
 // (between waves) or, after Close, inline on the swapper — either way it
 // is serialized against every decision, so no record can be emitted under
 // a header that does not describe it.
 func (h *Handler) applySwap(insp *core.Inspector) {
 	old := h.snap.Load()
 	h.snap.Store(&snapshot{insp: insp, maxRej: insp.Norm.MaxRejections, gen: old.gen + 1})
-	h.explains.SetMeta(insp.Mode.FeatureNames(), insp.Mode.String(), insp.Norm.MaxRejections)
 	h.ring.SetMeta(insp.Mode.FeatureNames(), insp.Mode.String(), insp.Norm.MaxRejections)
 	h.params.Set(float64(insp.Agent.Policy.NumParams()))
 	h.reloads.Inc()

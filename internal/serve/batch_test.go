@@ -1,14 +1,15 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
+	"schedinspector/internal/obs"
 	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
 )
@@ -86,7 +88,7 @@ func TestWaveEquivScalar(t *testing.T) {
 			outs := make([]core.ExplainOut, waveSize)
 			h.processWave(wave, states, outs)
 
-			recs := h.explains.Records()
+			recs := h.ring.LastDecisions(waveSize)
 			if len(recs) != waveSize {
 				t.Fatalf("recorded %d explain records, want %d", len(recs), waveSize)
 			}
@@ -144,19 +146,19 @@ func TestInspectEquivScalarHTTP(t *testing.T) {
 
 // TestReloadMetaTearRegression reloads across feature modes (8-feature
 // manual vs 5-feature compacted) while clients hammer /v1/inspect, then
-// checks the explain JSONL sink: every decision line must decode against
-// the most recent preceding header. Before swaps were serialized through
-// the collector, Swap updated the recorder meta after publishing the
-// model, so a concurrent decision could land an 8-feature record under a
-// 5-feature header (and vice versa). Run under -race by the Makefile race
-// target.
+// walks the ring's .ftrace sink stream in order: every decision record must
+// carry as many features as the most recent preceding header names. Before
+// swaps were serialized through the collector, Swap updated the recorder
+// meta after publishing the model, so a concurrent decision could land an
+// 8-feature record under a 5-feature header (and vice versa). Run under
+// -race by the Makefile race target.
 func TestReloadMetaTearRegression(t *testing.T) {
 	manual := equivInspector(1, core.ManualFeatures)
 	compact := equivInspector(2, core.CompactedFeatures)
 	h := NewHandlerOptions(manual, Options{})
 	defer h.Close()
 	var sink bytes.Buffer
-	h.explains.SetSink(&sink)
+	h.ring.SetSink(&sink)
 
 	const clients = 4
 	var wg sync.WaitGroup
@@ -178,6 +180,9 @@ func TestReloadMetaTearRegression(t *testing.T) {
 			}
 		}(c)
 	}
+	for h.decSeq.Load() == 0 {
+		runtime.Gosched() // swaps against an idle handler prove nothing
+	}
 	for i := 0; i < 50; i++ {
 		if i%2 == 0 {
 			h.Swap(compact)
@@ -187,35 +192,23 @@ func TestReloadMetaTearRegression(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if err := h.explains.SinkErr(); err != nil {
+	if err := h.ring.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	headers, decisions, curFeatures := 0, 0, -1
-	sc := bufio.NewScanner(bytes.NewReader(sink.Bytes()))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var probe struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			t.Fatalf("line %q: %v", sc.Text(), err)
-		}
-		switch probe.Kind {
-		case "explain_header":
-			var hdr struct {
-				Features []string `json:"features"`
-			}
-			if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
+	walkFTrace(t, sink.Bytes(), func(kind byte, body []byte) {
+		switch kind {
+		case obs.FTraceKindHeader:
+			hdr, err := obs.DecodeFTraceHeader(body)
+			if err != nil {
 				t.Fatal(err)
 			}
 			curFeatures = len(hdr.Features)
 			headers++
-		case "decision":
-			var dec struct {
-				Features []float64 `json:"features"`
-			}
-			if err := json.Unmarshal(sc.Bytes(), &dec); err != nil {
+		case obs.FTraceKindDecision:
+			dec, err := obs.DecodeFTraceDecision(body)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if len(dec.Features) != curFeatures {
@@ -224,10 +217,7 @@ func TestReloadMetaTearRegression(t *testing.T) {
 			}
 			decisions++
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	})
 	if headers < 2 {
 		t.Errorf("stream holds %d headers across 50 mode-changing swaps, want >= 2", headers)
 	}
@@ -238,6 +228,28 @@ func TestReloadMetaTearRegression(t *testing.T) {
 	page := metricsPage(t, h)
 	if !strings.Contains(page, "schedinspector_model_reloads_total 50") {
 		t.Errorf("swap count: %s", pageLine(page, "schedinspector_model_reloads_total"))
+	}
+}
+
+// walkFTrace visits the records of a complete .ftrace stream in stream
+// order: 12-byte file header, then segments of u32 length + u32 CRC-32C +
+// payload, each payload a run of u8 kind + u32 length + body (obs/ring.go).
+func walkFTrace(t *testing.T, img []byte, visit func(kind byte, body []byte)) {
+	t.Helper()
+	if _, err := obs.ParseFTraceFileHeader(img); err != nil {
+		t.Fatal(err)
+	}
+	for img = img[12:]; len(img) > 0; {
+		seg := img[8 : 8+binary.LittleEndian.Uint32(img)]
+		if obs.FTraceSegmentCRC(seg) != binary.LittleEndian.Uint32(img[4:]) {
+			t.Fatal("segment CRC mismatch")
+		}
+		img = img[8+len(seg):]
+		for len(seg) > 0 {
+			body := seg[5 : 5+binary.LittleEndian.Uint32(seg[1:])]
+			visit(seg[0], body)
+			seg = seg[5+len(body):]
+		}
 	}
 }
 

@@ -9,15 +9,12 @@ import (
 
 // Per-decision explainability for the serving path: every /v1/inspect
 // verdict is recorded — feature vector, logits, probabilities, verdict,
-// scheduling context — into a bounded in-memory ring, and the last N
-// records are served back over GET /v1/explain/last. This is the
+// scheduling context — into the flight ring, and the last N decisions in
+// it are served back over GET /v1/explain/last. This is the
 // flight-recorder answer to "why did the model reject job X at 03:12"
 // without restarting the daemon or attaching a debugger: the audit log
-// (when enabled) has the full history on disk, the explain ring has the
-// recent past queryable over HTTP.
-
-// DefaultServeExplainCap bounds the serving explain ring.
-const DefaultServeExplainCap = 512
+// (when enabled) has the full history on disk, the ring has the recent
+// past queryable over HTTP.
 
 // defaultExplainLast is how many records /v1/explain/last returns when the
 // n query parameter is absent.
@@ -36,8 +33,8 @@ type ExplainLastResponse struct {
 }
 
 // explainLast is the GET /v1/explain/last route. The optional n query
-// parameter (default 32) bounds how many records return; the ring capacity
-// caps it.
+// parameter (default 32) bounds how many records return; what the ring
+// still holds caps it.
 func (h *Handler) explainLast(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
@@ -52,13 +49,9 @@ func (h *Handler) explainLast(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	recs := h.explains.Last(n)
-	if recs == nil {
-		recs = []obs.ExplainRecord{} // serve [] rather than null
-	}
 	writeJSON(w, ExplainLastResponse{
-		Total:        h.explains.Total(),
-		FeatureNames: h.explains.FeatureNames(),
-		Records:      recs,
+		Total:        uint64(h.decSeq.Load()),
+		FeatureNames: h.ring.FeatureNames(),
+		Records:      h.ring.LastDecisions(n), // non-nil: serves [] rather than null
 	})
 }

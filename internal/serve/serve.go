@@ -148,16 +148,13 @@ type Handler struct {
 	auditMu sync.Mutex
 	audit   *json.Encoder // decision audit log (JSONL), nil unless enabled
 
-	// Per-decision explainability (see explain.go): the last decisions in
-	// a bounded ring served over GET /v1/explain/last.
-	explains *obs.ExplainRecorder
-	decSeq   atomic.Int64 // lifetime decision sequence for explain records
-
-	// Always-on binary flight recorder (see trace.go): every served
-	// decision is also encoded into the arena-backed trace ring, dumped
-	// over GET /v1/trace/snapshot and optionally streamed to a .ftrace
-	// sink. The ring has its own lock; the request path never blocks on it.
-	ring *obs.TraceRing
+	// Always-on flight recorder: every served decision is encoded into the
+	// arena-backed trace ring, read back over GET /v1/explain/last (see
+	// explain.go) and GET /v1/trace/snapshot (see trace.go) and optionally
+	// streamed to a .ftrace sink. The ring has its own lock; the request
+	// path never blocks on it.
+	ring   *obs.TraceRing
+	decSeq atomic.Int64 // lifetime decision sequence for explain records
 }
 
 // NewHandler wraps the inspector in an http.Handler with the default
@@ -182,7 +179,6 @@ func NewHandlerOptions(insp *core.Inspector, opts Options) *Handler {
 		reg:           obs.NewRegistry(),
 		reqCounts:     make(map[string]*obs.Counter),
 		latency:       make(map[string]*obs.Histogram),
-		explains:      obs.NewExplainRecorder(DefaultServeExplainCap),
 		ring:          obs.NewTraceRing(0, 0),
 	}
 	h.snap.Store(&snapshot{insp: insp, maxRej: insp.Norm.MaxRejections, gen: 1})
@@ -190,7 +186,6 @@ func NewHandlerOptions(insp *core.Inspector, opts Options) *Handler {
 		return &pendingDecision{done: make(chan inspectOutcome, 1)}
 	}
 	h.ring.Instrument(h.reg)
-	h.explains.SetMeta(insp.Mode.FeatureNames(), insp.Mode.String(), insp.Norm.MaxRejections)
 	h.ring.SetMeta(insp.Mode.FeatureNames(), insp.Mode.String(), insp.Norm.MaxRejections)
 	h.accepts = h.reg.Counter("schedinspector_inspect_decisions_total",
 		"Inspection verdicts served, by outcome.", obs.Labels{"verdict": "accept"})
@@ -351,7 +346,7 @@ type auditRecord struct {
 	Reject     bool      `json:"reject"`
 }
 
-// recordDecision updates the decision metrics, the explain ring, and (if
+// recordDecision updates the decision metrics, the flight ring, and (if
 // enabled) the audit log. maxRej is the served model's rejection cap,
 // read from the same snapshot the decision was computed under. It runs on
 // the collector goroutine, before the decision's response is released.
@@ -377,8 +372,7 @@ func (h *Handler) recordDecision(req *InspectRequest, feat, logits, probs []floa
 		Features: feat, Logits: logits, Probs: probs,
 		Action: action, Sampled: true, Rejected: reject,
 	}
-	h.ring.EmitDecision(&rec) // copies; the explain ring takes ownership below
-	h.explains.Record(rec)
+	h.ring.EmitDecision(&rec)
 
 	h.auditMu.Lock()
 	if h.audit != nil {
@@ -496,7 +490,7 @@ func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 	// many requests into one batched forward; at concurrency 1 it
 	// degenerates to a scalar forward plus one channel handoff. By the time
 	// the outcome arrives, the decision is already recorded (metrics,
-	// explain ring, trace ring, audit log) — see processWave.
+	// flight ring, audit log) — see processWave.
 	p.req, p.state, p.enqueued = req, &p.st, time.Now()
 	if !h.submit(p) {
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)

@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"schedinspector/internal/core"
 	"schedinspector/internal/explain"
 )
 
@@ -82,6 +84,26 @@ func TestTraceSnapshotEndpoint(t *testing.T) {
 		t.Errorf("POST snapshot: status %d, want 405", post.Code)
 	}
 
+	// A long-lived daemon's ring has wrapped and evicted its one header
+	// record; the snapshot must still open with the header its records
+	// decode against.
+	for i := 0; i <= h.ring.Cap(); i++ {
+		if rec := postInspect(t, h, validRequest()); rec.Code != http.StatusOK {
+			t.Fatalf("inspect %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	if h.ring.Dropped() == 0 {
+		t.Fatal("ring did not wrap")
+	}
+	first, _, _ := strings.Cut(getTraceSnapshot(t, h, "").Body.String(), "\n")
+	if !strings.HasPrefix(first, `{"kind":"explain_header","mode":"manual"`) {
+		t.Fatalf("wrapped-ring snapshot opens with %q, want the explain_header line", first)
+	}
+	wrapped, err := explain.ReadFTrace(bytes.NewReader(getTraceSnapshot(t, h, "?format=ftrace").Body.Bytes()))
+	if err != nil || wrapped.Header == nil || len(wrapped.Header.Features) != len(wrapped.Records[0].Features) {
+		t.Fatalf("wrapped-ring ftrace snapshot: header %+v, err %v", wrapped.Header, err)
+	}
+
 	// The ring's own health shows up on /metrics.
 	mreq := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	mrec := httptest.NewRecorder()
@@ -91,11 +113,51 @@ func TestTraceSnapshotEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"schedinspector_ftrace_ring_records",
-		"schedinspector_ftrace_ring_evicted_total 0",
+		"schedinspector_ftrace_ring_evicted_total",
 		"schedinspector_ftrace_sink_errors_total 0",
 	} {
 		if !strings.Contains(mrec.Body.String(), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestNativeModeDecisionsAreRecorded serves a native-mode model (§3.3: 102
+// features, records and header about 1 KB and 2 KB) from the default ring:
+// /v1/explain/last answers with the decisions, the snapshot carries its
+// header, and the tail the online loop builds its replay window from sees
+// every one. Before slots followed the records, all of them were dropped as
+// oversize, so the loop could never fill a window for a native model.
+func TestNativeModeDecisionsAreRecorded(t *testing.T) {
+	h := NewHandler(equivInspector(1, core.NativeFeatures))
+	defer h.Close()
+	const decisions = 5
+	for i := 0; i < decisions; i++ {
+		if rec := postInspect(t, h, waveRequest(i)); rec.Code != http.StatusOK {
+			t.Fatalf("inspect %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	var resp ExplainLastResponse
+	if err := json.Unmarshal(getExplain(t, h, "").Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	dim := core.NativeFeatures.Dim()
+	if resp.Total != decisions || len(resp.Records) != decisions || len(resp.FeatureNames) != dim {
+		t.Fatalf("/v1/explain/last: total %d, %d records, %d feature names; want %d, %d, %d",
+			resp.Total, len(resp.Records), len(resp.FeatureNames), decisions, decisions, dim)
+	}
+	if got := len(resp.Records[0].Features); got != dim {
+		t.Fatalf("record carries %d features, want %d", got, dim)
+	}
+	img := h.TraceRing().Snapshot()
+	recs, newest, err := explain.TailDecisions(img, -1)
+	if err != nil || len(recs) != decisions || newest != decisions-1 {
+		t.Fatalf("tail saw %d decisions (newest seq %d, err %v), want %d", len(recs), newest, err, decisions)
+	}
+	if tr, err := explain.ReadFTrace(bytes.NewReader(img)); err != nil || tr.Header == nil || len(tr.Header.Features) != dim {
+		t.Fatalf("snapshot header %+v, err %v", tr.Header, err)
+	}
+	if n := h.TraceRing().Oversized(); n != 0 {
+		t.Fatalf("%d records dropped as oversize", n)
 	}
 }

@@ -53,25 +53,23 @@ type Env struct {
 
 	interactive bool // yield at decision points (vs run straight through)
 	phase       envPhase
-	decision    int      // queue index awaiting a verdict while phase == envYield
-	pendSpan    obs.Span // decision span opened at the yield (only with cfg.Spans/cfg.Ring)
+	decision    int // queue index awaiting a verdict while phase == envYield
 
 	// Scratch buffers, retained across episodes.
 	resScratch []runningJob   // reservation's clamped estimated-end copy
 	jobScratch workload.Job   // escape-free pointer handoff to UsageObservers
 	selScratch []workload.Job // queue view handed to sched.Selector policies
-	numScratch [5]float64     // shaped-span numeric attrs on the ring-only path
+	numScratch [5]float64     // decision-span numeric attrs
 
-	// Coarse wall clock for ring-only decision spans: refreshed every 32
-	// decisions so the hot path pays ~1/32 of a time.Now per span.
+	// Coarse wall clock for decision spans: refreshed every 32 decisions so
+	// the hot path pays ~1/32 of a time.Now per span.
 	wallCoarse int64
 	wallTick   uint32
 }
 
 // decisionShape is the precompiled wire image of the Env's per-decision
 // span: constant name and attr keys, a 6-byte action value ("accept" and
-// "reject" are deliberately the same width) and five numeric attrs. Keys
-// must match the generic dual-emit path in Step exactly.
+// "reject" are deliberately the same width) and five numeric attrs.
 var decisionShape = obs.NewSpanShape("decision", "action", 6,
 	[]string{"job", "procs", "rejections", "free", "queue"})
 
@@ -153,33 +151,20 @@ func (e *Env) Step(reject bool) (*State, bool) {
 	}
 	idx := e.decision
 	w := &e.queue[idx]
-	if e.cfg.Spans != nil {
-		// Close the decision span opened at the yield: its wall duration is
-		// the caller's decision latency (policy inference plus driver
-		// overhead); its sim duration is zero — decisions are instantaneous
-		// in simulation time.
-		action := "accept"
-		if reject {
-			action = "reject"
+	if e.cfg.Ring != nil {
+		// One span per inspected decision, through the precompiled shape (one
+		// arena memcpy plus scalar patches), so Step stays allocation-free.
+		// The ID is keyed by the decision index: identity is a pure function
+		// of (episode span, decision seq), identical at any worker count. The
+		// wall clock is sampled once per 32 decisions — a sub-microsecond hot
+		// path cannot afford a syscall per span — so decision wall times are
+		// correlation timestamps (drift bounded by 32 decision latencies),
+		// not durations; the sim duration is zero because decisions are
+		// instantaneous in simulation time.
+		if e.wallTick&31 == 0 {
+			e.wallCoarse = obs.WallNow()
 		}
-		e.pendSpan.Attrs = append(e.pendSpan.Attrs,
-			obs.Attr{Key: "action", Str: action},
-			obs.Attr{Key: "job", Num: float64(w.job.ID)},
-			obs.Attr{Key: "procs", Num: float64(w.job.Procs)},
-			obs.Attr{Key: "rejections", Num: float64(w.rejects)},
-			obs.Attr{Key: "free", Num: float64(e.free)},
-			obs.Attr{Key: "queue", Num: float64(len(e.queue))},
-		)
-		e.pendSpan.End(e.now)
-		e.cfg.Ring.EmitSpan(&e.pendSpan)
-		// The legacy tracer takes ownership of the (heap) Attrs slice.
-		e.cfg.Spans.Emit(e.pendSpan)
-		e.pendSpan = obs.Span{}
-	} else if e.cfg.Ring != nil {
-		// Ring-only tracing is the always-on production path: the span goes
-		// out through the precompiled decision shape (one arena memcpy plus
-		// scalar patches, no attr structs) with the coarse wall clock, so
-		// Step stays allocation-free and syscall-free.
+		e.wallTick++
 		action := "accept"
 		if reject {
 			action = "reject"
@@ -189,9 +174,9 @@ func (e *Env) Step(reject bool) (*State, bool) {
 		e.numScratch[2] = float64(w.rejects)
 		e.numScratch[3] = float64(e.free)
 		e.numScratch[4] = float64(len(e.queue))
-		e.cfg.Ring.EmitShapedSpan(decisionShape, e.pendSpan.ID, e.cfg.SpanParent,
-			e.pendSpan.WallStart, e.wallCoarse, e.pendSpan.SimStart, e.now,
-			action, e.numScratch[:])
+		id := obs.DeriveSpanID(uint64(e.cfg.SpanParent), uint64(e.out.Inspections-1))
+		e.cfg.Ring.EmitShapedSpan(decisionShape, id, e.cfg.SpanParent,
+			e.wallCoarse, e.wallCoarse, e.now, e.now, action, e.numScratch[:])
 	}
 	if t := e.cfg.Tracer; t != nil {
 		kind := obs.EventAccept
@@ -266,26 +251,6 @@ func (e *Env) advance() bool {
 		}
 		if e.interactive && e.queue[idx].rejects < e.cfg.MaxRejections {
 			e.fillState(idx)
-			if e.cfg.Spans != nil {
-				// Decision index (Inspections so far) keys the span ID, so
-				// identity is a pure function of (episode span, decision seq)
-				// — identical at any worker count.
-				id := obs.DeriveSpanID(uint64(e.cfg.SpanParent), uint64(e.out.Inspections))
-				e.pendSpan = obs.StartSpan("decision", id, e.cfg.SpanParent, e.now)
-			} else if e.cfg.Ring != nil {
-				// Ring-only: same identity, but the wall clock is sampled
-				// coarsely — one time.Now per 32 decisions — because a
-				// sub-microsecond hot path cannot afford a syscall per span.
-				// Decision-span wall times are correlation timestamps (drift
-				// bounded by 32 decision latencies), not durations.
-				if e.wallTick&31 == 0 {
-					e.wallCoarse = obs.WallNow()
-				}
-				e.wallTick++
-				e.pendSpan.ID = obs.DeriveSpanID(uint64(e.cfg.SpanParent), uint64(e.out.Inspections))
-				e.pendSpan.WallStart = e.wallCoarse
-				e.pendSpan.SimStart = e.now
-			}
 			e.out.Inspections++
 			e.decision = idx
 			e.phase = envYield

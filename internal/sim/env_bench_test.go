@@ -52,40 +52,11 @@ func BenchmarkEnvInspected(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(decisions), "ns/decision")
 }
 
-// BenchmarkEnvInspectedSpanTraced is the same episode with the decision
-// flight recorder attached (span tracer, no sink): the price of always-on
-// tracing relative to BenchmarkEnvInspected, gated in BENCH_env.json.
-func BenchmarkEnvInspectedSpanTraced(b *testing.B) {
-	jobs, cfg := benchWindow(b)
-	if err := ValidateJobs(jobs, cfg.MaxProcs); err != nil {
-		b.Fatal(err)
-	}
-	cfg.NoValidate = true
-	cfg.Spans = obs.NewSpanTracer(1 << 12)
-	cfg.SpanParent = obs.DeriveSpanID(1)
-	env := NewEnv()
-	episode := func() int {
-		if _, err := RunEnv(env, jobs, cfg); err != nil {
-			b.Fatal(err)
-		}
-		return env.Result().Inspections
-	}
-	episode() // warm up the reusable buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	decisions := 0
-	for i := 0; i < b.N; i++ {
-		decisions += episode()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(decisions), "ns/decision")
-}
-
-// BenchmarkEnvInspectedBinaryFlight is the same episode with the binary
-// flight recorder attached (arena-backed trace ring, no sink): the price of
-// always-on production tracing. Gated in BENCH_env.json — the whole point of
-// the ring is that this stays allocation-free and within a few hundred
-// nanoseconds of the untraced path, where the JSONL span tracer pays
-// json.Marshal per decision.
+// BenchmarkEnvInspectedBinaryFlight is the same episode with the flight
+// recorder attached (arena-backed trace ring, no sink): the price of
+// always-on production tracing relative to BenchmarkEnvInspected. Gated in
+// BENCH_env.json — the whole point of the ring is that this stays
+// allocation-free and within a few hundred nanoseconds of the untraced path.
 func BenchmarkEnvInspectedBinaryFlight(b *testing.B) {
 	jobs, cfg := benchWindow(b)
 	if err := ValidateJobs(jobs, cfg.MaxProcs); err != nil {

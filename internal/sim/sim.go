@@ -101,23 +101,16 @@ type Config struct {
 	TrackUsage    bool         // record the usage timeline (Result.Usage)
 	Tracer        *obs.Tracer  // optional event tracer; nil (the default) costs one branch per event site
 
-	// Spans attaches the flight recorder's span tracer: every inspected
-	// decision emits one span (opened at the yield, closed by Step) whose
-	// wall duration is the caller's decision latency. SpanParent is the
-	// enclosing span — the rollout engine sets it to the episode span so
-	// traces nest run → epoch → episode → decision. Decision span IDs are
-	// derived from (SpanParent, decision index), never from execution
-	// order, so they are identical at any worker count. Nil Spans (the
-	// default) costs one branch per decision.
-	Spans      *obs.SpanTracer
+	// Ring attaches the flight recorder: every inspected decision emits one
+	// "decision" span, encoded straight into the arena-backed trace ring
+	// with zero per-decision allocations. SpanParent is the enclosing span
+	// — the rollout engine sets it to the episode span so traces nest run →
+	// epoch → episode → decision. Decision span IDs are derived from
+	// (SpanParent, decision index), never from execution order, so they are
+	// identical at any worker count. A nil Ring (the default) costs one
+	// branch per decision.
+	Ring       *obs.TraceRing
 	SpanParent obs.SpanID
-
-	// Ring attaches the binary flight recorder: decision spans are encoded
-	// straight into the arena-backed trace ring with zero per-decision
-	// allocations — the production-cheap always-on variant of Spans. Both
-	// may be set at once (each receives every span); nil (the default)
-	// costs one branch per decision.
-	Ring *obs.TraceRing
 
 	// NoValidate skips the per-run job validation and sortedness check.
 	// Set it when the jobs come from a pre-validated source — e.g. a

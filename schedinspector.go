@@ -106,14 +106,7 @@ type (
 	Tracer = obs.Tracer
 	// TraceEvent is one simulator event in a Tracer's buffer or JSONL sink.
 	TraceEvent = obs.Event
-	// FlightRecorder is the decision flight recorder: span tracing plus
-	// per-decision explain records, attached via TrainConfig.Flight or
-	// EvalConfig.Flight and streamed as interleaved JSONL with SetSink.
-	FlightRecorder = obs.FlightRecorder
-	// SpanTracer records completed trace spans (run → epoch → episode →
-	// decision) into a bounded ring and, optionally, a JSONL sink.
-	SpanTracer = obs.SpanTracer
-	// Span is one completed trace span.
+	// Span is one completed trace span (run → epoch → episode → decision).
 	Span = obs.Span
 	// SpanID identifies a span; IDs derive deterministically from stable
 	// tags (DeriveSpanID), so they match at any rollout worker count.
@@ -122,13 +115,11 @@ type (
 	// feature vector, logits, action distribution, verdict and the
 	// scheduling context around it.
 	ExplainRecord = obs.ExplainRecord
-	// ExplainRecorder buffers ExplainRecords (the flight recorder's
-	// decision half).
-	ExplainRecorder = obs.ExplainRecorder
-	// TraceRing is the arena-backed binary flight recorder: spans, explain
-	// records and runtime samples encoded into fixed-size slots with zero
-	// steady-state allocations, streamed to .ftrace sinks and converted
-	// offline to the JSONL the legacy sinks write.
+	// TraceRing is the decision flight recorder: spans, explain records and
+	// runtime samples encoded into an arena of equal-size slots with zero
+	// steady-state allocations. Attach via TrainConfig.Flight or
+	// EvalConfig.Flight; stream .ftrace bytes with SetSink and render them
+	// as JSONL with schedinspect explain -convert.
 	TraceRing = obs.TraceRing
 	// MetricsRegistry renders counters/gauges/histograms in Prometheus
 	// text exposition format (the substrate behind inspectord's /metrics).
@@ -336,22 +327,10 @@ func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewFlightRecorder returns a decision flight recorder with the given span
-// and explain-record ring capacities (<= 0 selects the package defaults).
-// Attach via TrainConfig.Flight / EvalConfig.Flight; stream interleaved
-// JSONL with SetSink.
-func NewFlightRecorder(spanCap, decisionCap int) *FlightRecorder {
-	return obs.NewFlightRecorder(spanCap, decisionCap)
-}
-
-// NewBinaryFlightRecorder returns a flight recorder backed by an
-// arena-backed binary TraceRing of the given geometry (<= 0 selects the
-// package defaults) — the production-cheap always-on configuration. Stream
-// .ftrace bytes with SetSink; convert offline with schedinspect explain
-// -convert.
-func NewBinaryFlightRecorder(slots, slotSize int) *FlightRecorder {
-	return obs.NewBinaryFlightRecorder(slots, slotSize)
-}
+// NewTraceRing returns a decision flight recorder of the given geometry
+// (<= 0 selects the package defaults: 4096 slots starting at 512 bytes;
+// slots widen to fit the records they are given).
+func NewTraceRing(slots, slotSize int) *TraceRing { return obs.NewTraceRing(slots, slotSize) }
 
 // DeriveSpanID hashes a chain of stable tags into a SpanID using the same
 // SplitMix64 discipline as the rollout engine's RNG streams.
