@@ -225,8 +225,10 @@ fleet-smoke: bin
 	[ -n "$(KEEP_SMOKEDIR)$(SMOKEDIR)" ] || rm -rf $$dir
 
 # fuzz-smoke gives every fuzz target a short budget (override with
-# FUZZTIME=...) — enough to catch shallow parser/decoder regressions on
-# every CI run without turning the pipeline into a fuzzing campaign.
+# FUZZTIME=...) — enough to catch shallow parser/decoder regressions, and
+# (FuzzEnvStep) a simulator that hangs, breaks an invariant or replays a
+# snapshot differently, on every CI run without turning the pipeline into a
+# fuzzing campaign.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime $(FUZZTIME) ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/ckpt/
@@ -234,5 +236,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInspect$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReduce$$' -fuzztime $(FUZZTIME) ./internal/dist/
+	$(GO) test -run '^$$' -fuzz '^FuzzEnvStep$$' -fuzztime $(FUZZTIME) ./internal/sim/
 
 verify: build vet fmt-check race test

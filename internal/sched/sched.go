@@ -8,6 +8,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"schedinspector/internal/workload"
 )
@@ -15,10 +16,24 @@ import (
 // Policy assigns a priority score to each waiting job. The job with the
 // LOWEST score is scheduled first; the simulator breaks ties by smaller job
 // ID, as the paper's motivating example does.
+//
+// How often Score runs depends on the TimeInvariant marker: a policy that
+// carries it is scored once per job, when the job arrives, and the simulator
+// reuses that value at every scheduling point, backfill probe and
+// conservative planning pass; any other policy is re-scored at every use.
 type Policy interface {
 	Name() string
 	// Score rates job j at the current simulation time. Lower runs first.
 	Score(j *workload.Job, now float64) float64
+}
+
+// TimeInvariant marks a Policy whose Score is a pure function of the job:
+// it reads neither now nor any state that changes during a run, so
+// Score(j, t1) and Score(j, t2) are the same bits for every t1, t2. All the
+// Table 3 score-function policies carry it; Slurm (its age factor reads now,
+// its fairshare factor reads running usage) and learned policies do not.
+type TimeInvariant interface {
+	TimeInvariantScore()
 }
 
 // UsageObserver is implemented by stateful policies (Slurm fairshare) that
@@ -64,6 +79,10 @@ type simple struct {
 func (p simple) Name() string                               { return p.name }
 func (p simple) Score(j *workload.Job, now float64) float64 { return p.score(j, now) }
 
+// TimeInvariantScore implements TimeInvariant: every simple policy's score
+// function ignores its now argument (TestTimeInvariantMarker holds them to it).
+func (simple) TimeInvariantScore() {}
+
 // FCFS schedules the job that has waited longest (first come, first served).
 func FCFS() Policy {
 	return simple{"FCFS", func(j *workload.Job, _ float64) float64 { return j.Submit }}
@@ -104,25 +123,28 @@ func F1() Policy {
 	}}
 }
 
+// constructors maps each Table 3 abbreviation (plus SQF) to its policy.
+var constructors = map[string]func() Policy{
+	"FCFS": FCFS, "LCFS": LCFS, "SJF": SJF, "SQF": SQF, "SAF": SAF, "SRF": SRF, "F1": F1,
+}
+
 // ByName returns a fresh stateless policy by its Table 3 abbreviation.
 func ByName(name string) (Policy, error) {
-	switch name {
-	case "FCFS":
-		return FCFS(), nil
-	case "LCFS":
-		return LCFS(), nil
-	case "SJF":
-		return SJF(), nil
-	case "SQF":
-		return SQF(), nil
-	case "SAF":
-		return SAF(), nil
-	case "SRF":
-		return SRF(), nil
-	case "F1":
-		return F1(), nil
+	if mk, ok := constructors[name]; ok {
+		return mk(), nil
 	}
 	return nil, fmt.Errorf("sched: unknown policy %q", name)
+}
+
+// Names lists every name ByName accepts, sorted — the enumeration the marker
+// and simulator-invariant tests sweep.
+func Names() []string {
+	names := make([]string, 0, len(constructors))
+	for n := range constructors {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // PaperPolicies lists the Table 3 policies in paper order.

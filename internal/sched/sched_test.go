@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"schedinspector/internal/workload"
@@ -178,5 +179,58 @@ func TestSlurmUnknownUserQueue(t *testing.T) {
 	p := s.Priority(&j, 50)
 	if math.IsNaN(p) || math.IsInf(p, 0) {
 		t.Errorf("priority for unknown user = %v", p)
+	}
+}
+
+// TestTimeInvariantMarker holds every ByName policy to the contract the
+// simulator relies on when it scores a job once at arrival: the policy
+// carries the marker and its score is the same bits at any two times. A
+// policy that reads now behind the marker fails here, not in an experiment.
+func TestTimeInvariantMarker(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	randTime := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return -rng.Float64() * 1e6
+		case 2:
+			return math.Inf(1)
+		}
+		return rng.Float64() * 1e8
+	}
+	for _, name := range Names() {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := p.(TimeInvariant); !ok {
+			t.Errorf("%s does not implement TimeInvariant", name)
+		}
+		for i := 0; i < 2000; i++ {
+			j := workload.Job{
+				ID: i + 1, User: rng.Intn(50), Queue: rng.Intn(4),
+				Submit: math.Floor(rng.Float64() * 1e7 * float64(rng.Intn(2))), // half at 0: F1 clamps there
+				Est:    rng.Float64() * math.Pow(10, float64(rng.Intn(6))),     // spans <1 (F1's other clamp) to 1e5
+				Procs:  1 + rng.Intn(512),
+			}
+			j.Run = j.Est * rng.Float64()
+			t1, t2 := randTime(), randTime()
+			s1, s2 := p.Score(&j, t1), p.Score(&j, t2)
+			if math.Float64bits(s1) != math.Float64bits(s2) {
+				t.Fatalf("%s: Score(%+v) = %v at t=%v but %v at t=%v", name, j, s1, t1, s2, t2)
+			}
+		}
+	}
+
+	// Slurm must stay unmarked, and the bits check above would catch it if it
+	// were not: its age factor moves with now.
+	slurm := NewSlurm(slurmTrace())
+	if _, ok := Policy(slurm).(TimeInvariant); ok {
+		t.Error("Slurm implements TimeInvariant; its age factor reads now")
+	}
+	j := workload.Job{ID: 9, Submit: 0, Est: 120, Procs: 1, User: 2, Queue: 2}
+	if slurm.Score(&j, 0) == slurm.Score(&j, 3600) {
+		t.Error("Slurm score did not move with now; the negative control is vacuous")
 	}
 }

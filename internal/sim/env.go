@@ -52,6 +52,7 @@ type Env struct {
 	state   State // reused observation, refreshed at each yield
 
 	interactive bool // yield at decision points (vs run straight through)
+	scoreStored bool // Policy is sched.TimeInvariant: queue entries carry their score
 	phase       envPhase
 	decision    int // queue index awaiting a verdict while phase == envYield
 
@@ -129,6 +130,7 @@ func (e *Env) reset(jobs []workload.Job, cfg Config, interactive bool) (*State, 
 	}
 	e.out = Result{Results: results, Usage: e.out.Usage[:0]}
 	e.interactive = interactive
+	_, e.scoreStored = cfg.Policy.(sched.TimeInvariant)
 	e.phase = envIdle
 	e.decision = -1
 
@@ -305,14 +307,26 @@ func (e *Env) pickTop() int {
 		}
 	}
 	best := 0
-	bestScore := e.cfg.Policy.Score(&e.queue[0].job, e.now)
+	bestScore := e.score(0)
 	for i := 1; i < len(e.queue); i++ {
-		sc := e.cfg.Policy.Score(&e.queue[i].job, e.now)
+		sc := e.score(i)
 		if sc < bestScore || (sc == bestScore && e.queue[i].job.ID < e.queue[best].job.ID) {
 			best, bestScore = i, sc
 		}
 	}
 	return best
+}
+
+// score returns the base policy's score of queue[i] at the current time: the
+// value stored at arrival for a sched.TimeInvariant policy, a fresh Score
+// call for any other (Slurm, learned and user policies). It is the only
+// reader of either, so every ordering decision — scheduling point, backfill
+// probe, conservative plan — sees the same choice.
+func (e *Env) score(i int) float64 {
+	if e.scoreStored {
+		return e.queue[i].score
+	}
+	return e.cfg.Policy.Score(&e.queue[i].job, e.now)
 }
 
 // scheduleJob commits to starting queue[idx]: immediately if resources
@@ -485,7 +499,7 @@ func (e *Env) pickBackfillable(reservedID int, shadow float64, extra int) int {
 		if e.now+j.Est > shadow && j.Procs > extra {
 			continue
 		}
-		sc := e.cfg.Policy.Score(j, e.now)
+		sc := e.score(i)
 		if best < 0 || sc < bestScore || (sc == bestScore && j.ID < e.queue[best].job.ID) {
 			best, bestScore = i, sc
 		}
@@ -556,11 +570,18 @@ func (e *Env) advanceTo(t float64) {
 }
 
 // ingestArrivals moves pending jobs submitted at or before now into the
-// waiting queue.
+// waiting queue, scoring each once on the way in when the policy's score
+// cannot change while the job waits.
 func (e *Env) ingestArrivals() {
 	for e.nextArr < len(e.jobs) && e.jobs[e.nextArr].Submit <= e.now {
 		e.queue = append(e.queue, waiting{job: e.jobs[e.nextArr]})
 		e.nextArr++
+		if e.scoreStored {
+			// Score through the queue slot: a local waiting would escape
+			// through the interface call, one heap allocation per arrival.
+			w := &e.queue[len(e.queue)-1]
+			w.score = e.cfg.Policy.Score(&w.job, e.now)
+		}
 	}
 }
 

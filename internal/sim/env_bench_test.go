@@ -27,10 +27,11 @@ func benchWindow(b *testing.B) ([]workload.Job, Config) {
 	return jobs, cfg
 }
 
-// BenchmarkEnvInspected measures the Env-driven interactive episode on a
-// reused environment: the steady-state path every rollout driver runs.
-func BenchmarkEnvInspected(b *testing.B) {
-	jobs, cfg := benchWindow(b)
+// runEnvEpisodes times b.N warm episodes of jobs under cfg on one reused Env
+// — the steady-state path every rollout driver runs — and returns how many
+// decisions they inspected.
+func runEnvEpisodes(b *testing.B, jobs []workload.Job, cfg Config) int {
+	b.Helper()
 	if err := ValidateJobs(jobs, cfg.MaxProcs); err != nil {
 		b.Fatal(err)
 	}
@@ -49,6 +50,13 @@ func BenchmarkEnvInspected(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		decisions += episode()
 	}
+	return decisions
+}
+
+// BenchmarkEnvInspected measures the Env-driven interactive episode.
+func BenchmarkEnvInspected(b *testing.B) {
+	jobs, cfg := benchWindow(b)
+	decisions := runEnvEpisodes(b, jobs, cfg)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(decisions), "ns/decision")
 }
 
@@ -59,27 +67,31 @@ func BenchmarkEnvInspected(b *testing.B) {
 // allocation-free and within a few hundred nanoseconds of the untraced path.
 func BenchmarkEnvInspectedBinaryFlight(b *testing.B) {
 	jobs, cfg := benchWindow(b)
-	if err := ValidateJobs(jobs, cfg.MaxProcs); err != nil {
-		b.Fatal(err)
-	}
-	cfg.NoValidate = true
 	cfg.Ring = obs.NewTraceRing(1<<12, 512)
 	cfg.SpanParent = obs.DeriveSpanID(1)
-	env := NewEnv()
-	episode := func() int {
-		if _, err := RunEnv(env, jobs, cfg); err != nil {
-			b.Fatal(err)
-		}
-		return env.Result().Inspections
-	}
-	episode() // warm up the reusable buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	decisions := 0
-	for i := 0; i < b.N; i++ {
-		decisions += episode()
-	}
+	decisions := runEnvEpisodes(b, jobs, cfg)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(decisions), "ns/decision")
+}
+
+// BenchmarkEnvBackfillF1 is the window under F1 + EASY backfilling, the
+// configuration half the paper's figures evaluate, inspected and bare, per
+// job. Every other benchmark here runs SJF, whose score is a field load:
+// this is the one that sees what a Policy.Score call costs the scheduling
+// points and backfill probes, and so whether scores are stored at arrival.
+func BenchmarkEnvBackfillF1(b *testing.B) {
+	jobs, cfg := benchWindow(b)
+	cfg.Policy = sched.F1()
+	for _, bc := range []struct {
+		name      string
+		inspector Inspector
+	}{{"inspected", cfg.Inspector}, {"uninspected", nil}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := cfg
+			cfg.Inspector = bc.inspector
+			runEnvEpisodes(b, jobs, cfg)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(jobs)), "ns/job")
+		})
+	}
 }
 
 // BenchmarkLegacyInspected is the identical episode through the seed

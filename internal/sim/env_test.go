@@ -589,13 +589,45 @@ func TestEnvReuseAcrossEpisodes(t *testing.T) {
 	}
 }
 
+// cloneResult copies a Result out of Env-owned storage.
+func cloneResult(r Result) Result {
+	r.Results = append([]metrics.JobResult(nil), r.Results...)
+	r.Usage = append([]UsagePoint(nil), r.Usage...)
+	return r
+}
+
+// unmarked hides a policy's sched.TimeInvariant marker: embedding the
+// interface promotes Name and Score only, so the Env re-scores it at every
+// use, as it does a user-supplied policy.
+type unmarked struct{ sched.Policy }
+
 // TestEnvSnapshotRestore verifies that restoring a mid-episode snapshot and
-// replaying the same decisions is bit-identical to the uninterrupted run,
-// and that one snapshot supports multiple divergent branches.
+// replaying the same decisions is bit-identical to the uninterrupted run —
+// in the Env that took it, in a fresh Env, and in an Env whose previous
+// episode ran the other kind of policy (stored scores vs re-scored) — and
+// that one snapshot supports multiple divergent branches.
 func TestEnvSnapshotRestore(t *testing.T) {
 	tr := workload.SDSCSP2Like(2000, 7)
 	jobs := tr.Window(50, 180)
-	cfg := Config{MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Backfill: true, TrackUsage: true}
+	for _, tc := range []struct {
+		name   string
+		policy sched.Policy
+		other  sched.Policy // what the cross-env target ran before the restore
+	}{
+		{"SJF", sched.SJF(), sched.NewSlurm(tr)},
+		{"F1", sched.F1(), sched.NewSlurm(tr)},
+		// The direction that breaks if Restore keeps the target's stale choice:
+		// this snapshot's queue entries carry no scores.
+		{"F1-unmarked", unmarked{sched.F1()}, sched.F1()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testEnvSnapshotRestore(t, jobs, tc.other,
+				Config{MaxProcs: tr.MaxProcs, Policy: tc.policy, Backfill: true, TrackUsage: true})
+		})
+	}
+}
+
+func testEnvSnapshotRestore(t *testing.T, jobs []workload.Job, other sched.Policy, cfg Config) {
 	ins := scriptedInspector()
 
 	// Straight-through reference run.
@@ -610,19 +642,13 @@ func TestEnvSnapshotRestore(t *testing.T) {
 		decisions = append(decisions, d)
 		obsState, done = env.Step(d)
 	}
-	want := env.Result()
-	wantCopy := Result{
-		Results:     append([]metrics.JobResult(nil), want.Results...),
-		Inspections: want.Inspections, Rejections: want.Rejections,
-		Backfills: want.Backfills, IdleDelay: want.IdleDelay,
-		Usage: append([]UsagePoint(nil), want.Usage...),
-	}
+	want := cloneResult(env.Result())
 	if len(decisions) < 10 {
 		t.Fatalf("test needs a meaningful decision count, got %d", len(decisions))
 	}
 
-	// Re-run to the midpoint, snapshot, finish; then restore twice and check
-	// both the identical replay and a divergent branch.
+	// Re-run to the midpoint, snapshot, finish; then restore and check both
+	// the identical replay and a divergent branch.
 	mid := len(decisions) / 2
 	env2 := NewEnv()
 	obsState, done, err = env2.Reset(jobs, cfg)
@@ -639,17 +665,27 @@ func TestEnvSnapshotRestore(t *testing.T) {
 	for i := mid; !done; i++ {
 		obsState, done = env2.Step(decisions[i])
 	}
-	if !reflect.DeepEqual(wantCopy, env2.Result()) {
+	if !reflect.DeepEqual(want, env2.Result()) {
 		t.Fatal("straight-through replay diverged before any restore")
 	}
 
-	// Branch 1: restore and replay the original tail — must be identical.
-	obsState, done = env2.Restore(snap)
-	for i := mid; !done; i++ {
-		obsState, done = env2.Step(decisions[i])
+	// Branch 1: restore and replay the original tail — must be identical,
+	// whichever Env the snapshot lands in.
+	ran := NewEnv()
+	if _, err := RunEnv(ran, jobs, Config{MaxProcs: cfg.MaxProcs, Policy: other, Backfill: true}); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(wantCopy, env2.Result()) {
-		t.Fatal("restored replay diverged from the uninterrupted run")
+	for _, target := range []struct {
+		name string
+		env  *Env
+	}{{"same env", env2}, {"fresh env", NewEnv()}, {"env that ran " + other.Name(), ran}} {
+		_, done = target.env.Restore(snap)
+		for i := mid; !done; i++ {
+			_, done = target.env.Step(decisions[i])
+		}
+		if !reflect.DeepEqual(want, target.env.Result()) {
+			t.Fatalf("%s: restored replay diverged from the uninterrupted run", target.name)
+		}
 	}
 
 	// Branch 2: restore and invert every remaining decision — a genuinely
@@ -671,7 +707,7 @@ func TestEnvSnapshotRestore(t *testing.T) {
 	if len(branch.Results) != len(jobs) {
 		t.Fatalf("divergent branch started %d of %d jobs", len(branch.Results), len(jobs))
 	}
-	if inverted > 0 && reflect.DeepEqual(wantCopy.Results, branch.Results) {
+	if inverted > 0 && reflect.DeepEqual(want.Results, branch.Results) {
 		t.Error("divergent branch produced identical schedule; snapshot state is suspect")
 	}
 }

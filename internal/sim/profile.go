@@ -128,7 +128,7 @@ func (s *Env) conservativePass(reservedID int) bool {
 		if i == ri {
 			continue
 		}
-		rest = append(rest, scored{i, s.cfg.Policy.Score(&s.queue[i].job, s.now), s.queue[i].job.ID})
+		rest = append(rest, scored{i, s.score(i), s.queue[i].job.ID})
 	}
 	sort.Slice(rest, func(a, b int) bool {
 		if rest[a].score != rest[b].score {

@@ -122,24 +122,16 @@ func TestConservativeInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 4; i++ {
 		jobs := tr.RandomWindow(rng, 200, 0, 0)
-		res, err := Run(jobs, Config{
+		runChecked(t, jobs, Config{
 			MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Backfill: true, Conservative: true,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkInvariants(t, jobs, res, tr.MaxProcs)
 	}
 	// with a random inspector on top
 	insp := func(s *State) bool { return rng.Float64() < 0.25 }
 	jobs := tr.RandomWindow(rng, 150, 0, 0)
-	res, err := Run(jobs, Config{
+	runChecked(t, jobs, Config{
 		MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Backfill: true, Conservative: true, Inspector: insp,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, jobs, res, tr.MaxProcs)
 }
 
 // Conservative backfilling should never beat EASY on backfill count (it is

@@ -195,6 +195,7 @@ func RunEnv(env *Env, jobs []workload.Job, cfg Config) (Result, error) {
 type waiting struct {
 	job     workload.Job
 	rejects int
+	score   float64 // base-policy score, set at arrival iff Env.scoreStored
 }
 
 // runningJob tracks one executing job in the completion heap.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"schedinspector/internal/obs"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
@@ -342,12 +343,62 @@ func TestBackfillCountFeature(t *testing.T) {
 	mustRun(t, jobs, Config{MaxProcs: 4, Policy: sched.FCFS(), Inspector: insp2})
 }
 
-// checkInvariants replays the schedule and verifies that processor capacity
-// is never exceeded and that every start respects submission.
-func checkInvariants(t *testing.T, jobs []workload.Job, res Result, maxProcs int) {
+// runChecked runs jobs under cfg with a tracer attached and holds the run to
+// every invariant checkInvariants knows.
+func runChecked(t testing.TB, jobs []workload.Job, cfg Config) Result {
 	t.Helper()
+	tr := obs.NewTracer(1 << 16)
+	cfg.Tracer = tr
+	res, err := Run(jobs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d events; the invariant check needs all of them", tr.Dropped())
+	}
+	checkInvariants(t, jobs, cfg, res, tr.Events())
+	return res
+}
+
+// limits returns cfg's retry cut-off and rejection cap after the defaulting
+// Env.reset applies.
+func limits(cfg Config) (maxInterval float64, maxRej int) {
+	maxInterval, maxRej = cfg.MaxInterval, cfg.MaxRejections
+	if maxInterval == 0 {
+		maxInterval = DefaultMaxInterval
+	}
+	if maxRej == 0 {
+		maxRej = DefaultMaxRejections
+	}
+	return maxInterval, max(maxRej, 0)
+}
+
+// checkInvariants verifies one finished run against the simulator's safety
+// properties. From the Result: every job scheduled exactly once, no start
+// before submit, end = start + run, and capacity never exceeded when the
+// schedule is replayed. From events, the run's complete obs.Tracer stream:
+// time never goes backwards; processors are conserved at every event
+// (FreeProcs plus the processors of started, unfinished jobs is the cluster
+// size); each job starts and ends exactly once, starts in Result order; an
+// inspection follows the scheduling point that picked its job, sees fewer
+// prior rejections than cfg's cap (so no job is rejected more than
+// MaxRejections times), and the counts agree with the Result; and the
+// scheduling point after a rejection comes within MaxInterval of it. That
+// last one is the retry-gap rule in the only form that always holds: when
+// the base policy picks the rejected job again the gap between its two
+// inspections is at most MaxInterval, but a better-ranked arrival may be
+// picked (and wait for processors) in between.
+func checkInvariants(t testing.TB, jobs []workload.Job, cfg Config, res Result, events []obs.Event) {
+	t.Helper()
+	maxProcs := cfg.MaxProcs
+	maxInterval, maxRej := limits(cfg)
+
 	if len(res.Results) != len(jobs) {
 		t.Fatalf("scheduled %d of %d jobs", len(res.Results), len(jobs))
+	}
+	byID := make(map[int]workload.Job, len(jobs))
+	for _, j := range jobs {
+		byID[j.ID] = j
 	}
 	seen := map[int]bool{}
 	type ev struct {
@@ -375,42 +426,168 @@ func checkInvariants(t *testing.T, jobs []workload.Job, res Result, maxProcs int
 		return evs[i].delta < evs[k].delta // completions release before starts
 	})
 	used := 0
-	for _, e := range evs {
+	for k, e := range evs {
 		used += e.delta
 		if used > maxProcs {
 			t.Fatalf("capacity exceeded: %d > %d at t=%v", used, maxProcs, e.t)
 		}
-		if used < 0 {
+		// A zero-runtime job's release sorts before its own start: judge the
+		// floor once the instant is complete.
+		if used < 0 && (k+1 == len(evs) || evs[k+1].t != e.t) {
 			t.Fatalf("negative usage at t=%v", e.t)
 		}
 	}
+
+	var (
+		now         = math.Inf(-1)
+		busy        int             // processors of started, unfinished jobs
+		running     = map[int]int{} // job → procs while it runs
+		starts      = map[int]int{}
+		ends        = map[int]int{}
+		rejects     = map[int]int{}
+		inspections int
+		rejections  int
+		backfills   int
+		rejectedAt  = math.NaN() // time of a rejection still waiting for its next scheduling point
+	)
+	for k, e := range events {
+		if e.Time < now {
+			t.Fatalf("event %d (%s job %d): time %v after %v", k, e.Kind, e.JobID, e.Time, now)
+		}
+		now = e.Time
+		switch e.Kind {
+		case obs.EventSchedPoint:
+			if e.Time > rejectedAt+maxInterval {
+				t.Fatalf("event %d: scheduling point at %v, more than MaxInterval %v after the rejection at %v",
+					k, e.Time, maxInterval, rejectedAt)
+			}
+			rejectedAt = math.NaN()
+		case obs.EventAccept, obs.EventReject:
+			if k == 0 || events[k-1].Kind != obs.EventSchedPoint ||
+				events[k-1].JobID != e.JobID || events[k-1].Time != e.Time {
+				t.Fatalf("event %d: %s of job %d does not follow its scheduling point", k, e.Kind, e.JobID)
+			}
+			if e.Rejections != rejects[e.JobID] {
+				t.Fatalf("event %d: job %d inspected with %d prior rejections, stream says %d",
+					k, e.JobID, e.Rejections, rejects[e.JobID])
+			}
+			if e.Rejections >= maxRej {
+				t.Fatalf("event %d: job %d inspected after %d rejections, cap %d", k, e.JobID, e.Rejections, maxRej)
+			}
+			inspections++
+			if e.Kind == obs.EventReject {
+				rejects[e.JobID]++
+				rejections++
+				rejectedAt = e.Time
+			}
+		case obs.EventBackfill:
+			backfills++
+			if k+1 >= len(events) || events[k+1].Kind != obs.EventJobStart || events[k+1].JobID != e.JobID {
+				t.Fatalf("event %d: backfill of job %d not followed by its start", k, e.JobID)
+			}
+		case obs.EventJobStart:
+			j, ok := byID[e.JobID]
+			if !ok || j.Procs != e.Procs {
+				t.Fatalf("event %d: start of unknown job %d (%d procs)", k, e.JobID, e.Procs)
+			}
+			if len(starts) == len(res.Results) || starts[e.JobID] != 0 {
+				t.Fatalf("event %d: job %d started twice", k, e.JobID)
+			}
+			if r := res.Results[len(starts)]; r.ID != e.JobID || r.Start != e.Time {
+				t.Fatalf("event %d: job %d started at %v, Result has job %d at %v", k, e.JobID, e.Time, r.ID, r.Start)
+			}
+			starts[e.JobID]++
+			running[e.JobID] = e.Procs
+			busy += e.Procs
+		case obs.EventJobEnd:
+			procs, ok := running[e.JobID]
+			if !ok || procs != e.Procs {
+				t.Fatalf("event %d: job %d ended without running", k, e.JobID)
+			}
+			ends[e.JobID]++
+			delete(running, e.JobID)
+			busy -= procs
+		}
+		if e.FreeProcs < 0 || e.FreeProcs+busy != maxProcs {
+			t.Fatalf("event %d (%s job %d at %v): %d free + %d busy != %d processors",
+				k, e.Kind, e.JobID, e.Time, e.FreeProcs, busy, maxProcs)
+		}
+	}
+	for _, j := range jobs {
+		if starts[j.ID] != 1 || ends[j.ID] != 1 {
+			t.Fatalf("job %d started %d times and ended %d times", j.ID, starts[j.ID], ends[j.ID])
+		}
+	}
+	if !math.IsNaN(rejectedAt) {
+		t.Fatalf("rejection at %v was never followed by a scheduling point", rejectedAt)
+	}
+	if inspections != res.Inspections || rejections != res.Rejections || backfills != res.Backfills {
+		t.Fatalf("events count %d inspections, %d rejections, %d backfills; Result says %d, %d, %d",
+			inspections, rejections, backfills, res.Inspections, res.Rejections, res.Backfills)
+	}
 }
 
+// TestInvariantsAcrossPoliciesAndWorkloads sweeps every base policy over
+// every backfill mode, bare and under a seeded random inspector, on seeded
+// windows of two differently shaped traces.
 func TestInvariantsAcrossPoliciesAndWorkloads(t *testing.T) {
-	tr := workload.SDSCSP2Like(3000, 17)
-	rng := rand.New(rand.NewSource(5))
-	for _, pname := range sched.PaperPolicies() {
-		p, _ := sched.ByName(pname)
-		for _, backfill := range []bool{false, true} {
-			jobs := tr.RandomWindow(rng, 256, 0, 0)
-			res := mustRun(t, jobs, Config{MaxProcs: tr.MaxProcs, Policy: p, Backfill: backfill})
-			checkInvariants(t, jobs, res, tr.MaxProcs)
+	traces := []*workload.Trace{workload.SDSCSP2Like(3000, 17), workload.LublinTrace(2000, 23)}
+	modes := []struct {
+		name                   string
+		backfill, conservative bool
+	}{{"nobf", false, false}, {"easy", true, false}, {"conservative", true, true}}
+	seed := int64(5)
+	for _, tr := range traces {
+		for _, pname := range append(sched.Names(), "Slurm") {
+			for _, m := range modes {
+				for _, inspected := range []bool{false, true} {
+					seed++
+					rng := rand.New(rand.NewSource(seed))
+					var policy sched.Policy = sched.NewSlurm(tr)
+					if pname != "Slurm" {
+						policy, _ = sched.ByName(pname)
+					}
+					cfg := Config{
+						MaxProcs: tr.MaxProcs, Policy: policy,
+						Backfill: m.backfill, Conservative: m.conservative,
+					}
+					name := tr.Name + "/" + pname + "/" + m.name
+					if inspected {
+						name += "/random"
+						cfg.Inspector = func(*State) bool { return rng.Float64() < 0.3 }
+					}
+					t.Run(name, func(t *testing.T) {
+						jobs := tr.RandomWindow(rng, 256, 0, 0)
+						res := runChecked(t, jobs, cfg)
+						if inspected && res.Rejections == 0 {
+							t.Error("random inspector never rejected")
+						}
+					})
+				}
+			}
 		}
 	}
 }
 
+// TestInvariantsWithRandomInspector leans on the two limits the inspector is
+// subject to: a heavy-handed random inspector under tight rejection caps
+// (including none allowed) and short retry intervals, so the cap and the
+// retry-gap checks both bite.
 func TestInvariantsWithRandomInspector(t *testing.T) {
 	tr := workload.LublinTrace(2000, 23)
 	rng := rand.New(rand.NewSource(9))
-	insp := func(s *State) bool { return rng.Float64() < 0.3 }
-	for i := 0; i < 5; i++ {
+	insp := func(s *State) bool { return rng.Float64() < 0.7 }
+	for i, lim := range []struct {
+		maxRej      int
+		maxInterval float64
+	}{{0, 0}, {1, 60}, {3, 5}, {-1, 600}, {72, 1}} {
 		jobs := tr.RandomWindow(rng, 200, 0, 0)
-		res := mustRun(t, jobs, Config{
+		res := runChecked(t, jobs, Config{
 			MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Backfill: i%2 == 0, Inspector: insp,
+			MaxRejections: lim.maxRej, MaxInterval: lim.maxInterval,
 		})
-		checkInvariants(t, jobs, res, tr.MaxProcs)
-		if res.Inspections == 0 {
-			t.Error("inspector never consulted")
+		if (res.Inspections == 0) != (lim.maxRej < 0) {
+			t.Errorf("cap %d: %d inspections", lim.maxRej, res.Inspections)
 		}
 	}
 }
@@ -497,8 +674,7 @@ func TestSlurmPolicyInSim(t *testing.T) {
 	pol := sched.NewSlurm(tr)
 	rng := rand.New(rand.NewSource(3))
 	jobs := tr.RandomWindow(rng, 128, 0, 0)
-	res := mustRun(t, jobs, Config{MaxProcs: tr.MaxProcs, Policy: pol, Backfill: true})
-	checkInvariants(t, jobs, res, tr.MaxProcs)
+	res := runChecked(t, jobs, Config{MaxProcs: tr.MaxProcs, Policy: pol, Backfill: true})
 	// Running again must reset fairshare accounting and reproduce the result.
 	res2 := mustRun(t, jobs, Config{MaxProcs: tr.MaxProcs, Policy: pol, Backfill: true})
 	for i := range res.Results {

@@ -2,14 +2,16 @@ package sim
 
 import (
 	"schedinspector/internal/metrics"
+	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
 
 // Snapshot is a deep copy of an Env's mutable simulation state, taken at a
 // yield point or at episode end. Restoring it rewinds an Env to that exact
-// point: the clock, the waiting queue (with per-job rejection counts), the
-// running set, and every accumulated Result field, so replaying the same
-// decisions from a restored snapshot is bit-identical to the original run.
+// point: the clock, the waiting queue (with per-job rejection counts and
+// arrival-time scores), the running set, and every accumulated Result
+// field, so replaying the same decisions from a restored snapshot is
+// bit-identical to the original run.
 //
 // What a snapshot does NOT capture is external state: the Config.Policy
 // instance (stateful policies such as Slurm fairshare keep their own
@@ -84,6 +86,9 @@ func (e *Env) Restore(s *Snapshot) (*State, bool) {
 		Usage:       append(e.out.Usage[:0], s.out.Usage...),
 	}
 	e.interactive = s.interactive
+	// The queue entries carry scores exactly when the snapshot's policy is
+	// time-invariant, whatever this env ran before.
+	_, e.scoreStored = s.cfg.Policy.(sched.TimeInvariant)
 	e.phase = s.phase
 	e.decision = s.decision
 	if e.phase == envYield {
