@@ -60,20 +60,20 @@ bench-check:
 	$(GO) test -run '^$$' -bench 'EnvInspected|LegacyInspected' -benchmem ./internal/sim/ \
 		| $(GO) run ./cmd/benchjson -check BENCH_env.json -tolerance 0.25
 
-# bench-serve runs the serving-throughput benchmarks (decision-wave path
-# vs the mutex-per-request baseline at 1/64/512 concurrent clients) and the
+# bench-serve runs the serving-throughput benchmarks (/v1/inspect through
+# Handler.ServeHTTP at 1/64/512 concurrent clients) and the
 # /v1/inspect decoder benchmarks (single-pass vs encoding/json, shallow and
 # deep bodies) and archives the parsed results — decisions/s, p99 latency,
 # ns/op, allocs/op — in BENCH_serve.json.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'InspectWave|InspectMutex|DecodeInspect' -benchmem ./internal/serve/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkInspectC|DecodeInspect' -benchmem ./internal/serve/ \
 		| $(GO) run ./cmd/benchjson -o BENCH_serve.json
 
 # bench-serve-check reruns the serving benchmarks against the committed
 # BENCH_serve.json baseline (advisory in CI: serving throughput is noisy on
 # shared runners, so regressions warn rather than gate).
 bench-serve-check:
-	$(GO) test -run '^$$' -bench 'InspectWave|InspectMutex|DecodeInspect' -benchmem ./internal/serve/ \
+	$(GO) test -run '^$$' -bench 'BenchmarkInspectC|DecodeInspect' -benchmem ./internal/serve/ \
 		| $(GO) run ./cmd/benchjson -check BENCH_serve.json -tolerance 0.25
 
 # bench-fleet runs the fleet-plane benchmarks (exposition parse, full
@@ -90,8 +90,8 @@ bench-fleet-check:
 		| $(GO) run ./cmd/benchjson -check BENCH_fleet.json -tolerance 0.25
 
 # equiv runs the golden equivalence suites that pin the Env/wave engines to
-# the verbatim seed implementations — the batched serving path to the
-# scalar Explain kernel — and the distributed engine's replicas to the
+# the verbatim seed implementations — concurrent /v1/inspect requests to
+# sequential Explain calls — and the distributed engine's replicas to the
 # single-process trainer — bit for bit, under the race detector. The PPO
 # update is pinned the same way: internal/rl's frozen digest of the
 # per-sample update (amd64 bits) and, on every architecture, internal/nn's

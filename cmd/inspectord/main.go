@@ -7,9 +7,8 @@
 // Endpoints:
 //
 //	POST /v1/inspect      — scheduling context in, {reject, reject_prob} out
-//	                        (concurrent requests coalesce into decision
-//	                        waves answered by one batched forward; tune
-//	                        with -max-wave / -wave-timeout)
+//	                        (decided one at a time under the model lock;
+//	                        429 past 512 waiting requests)
 //	POST /v1/admin/reload — atomically hot-swap the model from disk
 //	GET  /v1/info         — served model description
 //	GET  /healthz         — alias of /v1/info
@@ -67,11 +66,16 @@ import (
 	"schedinspector/internal/version"
 )
 
-// readHeaderTimeout bounds how long a connection may take to send a
-// request's headers, so a client that opens a connection and trickles bytes
-// cannot hold it (and its goroutine) open forever. A scheduler's request
-// arrives in one write; five seconds is slack for a loaded host.
-const readHeaderTimeout = 5 * time.Second
+// Connection bounds: a client that trickles bytes, never reads its response
+// or goes quiet cannot hold a connection (and its goroutine) forever. A
+// scheduler's request arrives in one write; the longest legitimate exchange
+// is a /v1/simulate window of a few thousand jobs.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second // headers + body
+	writeTimeout      = 60 * time.Second // end of headers to end of response
+	idleTimeout       = 2 * time.Minute  // between keep-alive requests
+)
 
 func main() {
 	var (
@@ -84,8 +88,6 @@ func main() {
 		procEvery  = flag.Duration("proc-interval", 30*time.Second, "runtime self-profiling snapshot interval (0 disables)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		drainFor   = flag.Duration("drain", 10*time.Second, "graceful-shutdown timeout for in-flight requests")
-		maxWave    = flag.Int("max-wave", serve.DefaultMaxWave, "max /v1/inspect decisions coalesced into one batched forward")
-		waveWait   = flag.Duration("wave-timeout", 0, "how long the collector waits for stragglers to fill a decision wave (0 = forward immediately)")
 
 		onlineOn        = flag.Bool("online", false, "enable the online continual-learning loop (tail decisions, retrain, shadow-evaluate, promote)")
 		onlineInterval  = flag.Duration("online-interval", 30*time.Second, "online loop cycle interval")
@@ -102,19 +104,18 @@ func main() {
 	// seed makes a run reproducible even when it was time-derived.
 	log.Printf("inspectord: decision-sampling seed %d", *seed)
 	// One sampling stream for the process lifetime: reloaded models keep
-	// drawing from it (on the handler's collector goroutine, the sole owner
-	// of the served model), so a hot-swap does not rewind the decision
-	// sequence. This is safe only because loading never draws from the
-	// stream (LoadServable wires the networks in via rl.AgentFromNets, no
-	// fresh initialization) — the reload path runs off the serving path,
-	// and every actual draw happens on the collector.
+	// drawing from it (under the handler's model lock), so a hot-swap does
+	// not rewind the decision sequence. This is safe only because loading
+	// never draws from the stream (LoadServable wires the networks in via
+	// rl.AgentFromNets, no fresh initialization) — the reload path runs off
+	// the serving path, and every actual draw happens under the lock.
 	rng := rand.New(rand.NewSource(*seed))
 	load := func() (*core.Inspector, error) { return core.LoadServable(*model, rng) }
 	insp, err := load()
 	if err != nil {
 		log.Fatalf("inspectord: %v", err)
 	}
-	h := serve.NewHandlerOptions(insp, serve.Options{MaxWave: *maxWave, WaveTimeout: *waveWait})
+	h := serve.NewHandler(insp)
 	h.SetReloader(load)
 
 	// SIGHUP hot-swaps the model from disk, mirroring /v1/admin/reload.
@@ -162,12 +163,10 @@ func main() {
 
 	version.Register(h.Registry(), insp.Mode.String())
 	if *procEvery > 0 {
-		ps := obs.NewProcSampler(obs.DefaultProcCap, h.Registry())
 		// Runtime snapshots ride along in the decision trace, so an offline
 		// .ftrace (or a /v1/trace/snapshot dump) correlates scheduling
 		// decisions with the process's memory/GC/goroutine state.
-		ps.TraceTo(h.TraceRing())
-		stopProc := ps.Start(*procEvery)
+		stopProc := obs.NewProcSampler(h.Registry(), h.TraceRing()).Start(*procEvery)
 		defer stopProc()
 	}
 
@@ -213,7 +212,8 @@ func main() {
 	log.Printf("inspectord: %s serving %s model (%s features, cluster %d) on %s",
 		version.String(), insp.Norm.Metric, insp.Mode, insp.Norm.MaxProcs, *addr)
 
-	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout: readTimeout, WriteTimeout: writeTimeout, IdleTimeout: idleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -234,12 +234,11 @@ func main() {
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("inspectord: %v", err)
 		}
-		// Stop the online loop (cancelling any in-flight retrain) before
-		// tearing down the decision-wave collector it promotes through.
+		// Stop the online loop (cancelling any in-flight retrain), then the
+		// handler: the HTTP server has drained.
 		if stopOnline != nil {
 			stopOnline()
 		}
-		// The HTTP server has drained; stop the decision-wave collector.
 		h.Close()
 		log.Printf("inspectord: stopped")
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/nn"
@@ -113,13 +114,24 @@ func (in *Inspector) Sampling(rec *[]rl.Step) sim.Inspector {
 // can switch between the two without perturbing the decision sequence;
 // greedy mode consumes none.
 func (in *Inspector) Explain(s *sim.State, greedy bool) (action int, features, logits, probs []float64) {
-	in.feat = in.Norm.Features(in.feat, in.Mode, s)
 	if greedy {
+		in.feat = in.Norm.Features(in.feat, in.Mode, s)
 		action, logits, probs = in.Agent.GreedyExplain(in.feat)
-	} else {
-		action, _, logits, probs = in.Agent.SampleExplain(in.feat)
+		return action, slices.Clone(in.feat), logits, probs
 	}
-	return action, append([]float64(nil), in.feat...), logits, probs
+	action, features, logits, probs = in.ExplainScratch(s)
+	return action, slices.Clone(features), slices.Clone(logits), slices.Clone(probs)
+}
+
+// ExplainScratch is stochastic Explain with nothing copied: the three
+// slices are views of the inspector's own scratch, valid until its next
+// call. The serving path calls it under the lock that serializes the
+// inspector and encodes the decision's records from the views before
+// releasing it.
+func (in *Inspector) ExplainScratch(s *sim.State) (action int, features, logits, probs []float64) {
+	in.feat = in.Norm.Features(in.feat, in.Mode, s)
+	action, logits, probs = in.Agent.SampleScratch(in.feat)
+	return action, in.feat, logits, probs
 }
 
 // RejectProb returns the policy's probability of rejecting in state s,

@@ -40,7 +40,7 @@ const dashboardHTML = `<!doctype html>
 <section><h2>targets</h2>
 <table><thead><tr>
   <th>target</th><th>kind</th><th>state</th><th>decisions/s</th><th>epochs/s</th>
-  <th>coalesce p99</th><th>exchange p99</th><th>queue</th><th>gen</th><th>detail</th>
+  <th>lock-wait p99</th><th>exchange p99</th><th>waiting</th><th>gen</th><th>detail</th>
 </tr></thead><tbody id="targets"></tbody></table></section>
 
 <section><h2>dist</h2><div id="dist" class="none">no train workers</div></section>

@@ -222,12 +222,13 @@ const (
 	// stragglerFloorFrac: ignore skew while absolute wait is under this
 	// fraction of wall time — 2x of nothing is still nothing.
 	stragglerFloorFrac = 0.05
-	// queueSaturationFrac: inspect queue depth over capacity.
+	// queueSaturationFrac: requests waiting for inspectord's model lock
+	// over the count past which it sheds them (429).
 	queueSaturationFrac = 0.8
-	// coalesceP99Burn: windowed p99 of the decision-wave coalesce delay,
-	// seconds. The wave collector is tuned for sub-10ms waves; a p99 an
-	// order of magnitude above that means the inspect path is burning
-	// its latency budget.
+	// coalesceP99Burn: windowed p99 of the wait for the model lock
+	// (schedinspector_inspect_coalesce_seconds), seconds. A verdict holds
+	// the lock for microseconds; a p99 wait of 100 ms means the inspect
+	// path is burning its latency budget behind a slow lock holder.
 	coalesceP99Burn = 0.1
 	// promotionChurnCount: promotions inside one window that suggest the
 	// online loop is flapping rather than improving.
@@ -365,7 +366,7 @@ func ruleQueueSaturation(ctx *RuleContext) []Finding {
 		out = append(out, Finding{
 			Target:   t.Target.Name,
 			Severity: SevWarning,
-			Message:  fmt.Sprintf("inspect queue %.0f/%.0f (%.0f%% full)", depth, capacity, frac*100),
+			Message:  fmt.Sprintf("inspect requests waiting %.0f/%.0f (%.0f%% of the shed threshold)", depth, capacity, frac*100),
 			Value:    frac,
 		})
 	}
@@ -385,7 +386,7 @@ func ruleWaveLatencyBurn(ctx *RuleContext) []Finding {
 		out = append(out, Finding{
 			Target:   t.Target.Name,
 			Severity: SevWarning,
-			Message:  fmt.Sprintf("decision-wave coalesce p99 %.3fs over the last %.0fs", p99, ctx.WindowSec),
+			Message:  fmt.Sprintf("inspect lock-wait p99 %.3fs over the last %.0fs", p99, ctx.WindowSec),
 			Value:    p99,
 		})
 	}

@@ -11,7 +11,7 @@ import (
 // smoke scripts: a target table, the dist summary, then active alerts.
 func WriteTable(w io.Writer, fs *FleetStatus) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "TARGET\tKIND\tSTATE\tDECISIONS/S\tEPOCHS/S\tCOALESCE-P99\tEXCHANGE-P99\tQUEUE\tGEN\tDETAIL")
+	fmt.Fprintln(tw, "TARGET\tKIND\tSTATE\tDECISIONS/S\tEPOCHS/S\tLOCK-WAIT-P99\tEXCHANGE-P99\tWAITING\tGEN\tDETAIL")
 	for _, t := range fs.Targets {
 		state := "up"
 		detail := fmt.Sprintf("%d pts", t.Points)

@@ -7,7 +7,7 @@ import (
 )
 
 // Runtime self-profiling: a lightweight sampler that periodically snapshots
-// the Go runtime (goroutine count, heap, GC activity) into a bounded ring
+// the Go runtime (goroutine count, heap, GC activity) into the trace ring
 // and mirrors the latest sample into registry gauges. It answers "was the
 // daemon leaking goroutines / growing its heap before the incident" from
 // /metrics alone, without attaching pprof — pprof stays available for deep
@@ -23,17 +23,9 @@ type ProcStats struct {
 	PauseTotal uint64 `json:"gc_pause_total_ns"`
 }
 
-// DefaultProcCap is the ring capacity NewProcSampler uses for capacity <= 0.
-const DefaultProcCap = 256
-
 // ProcSampler snapshots runtime stats on demand or on a timer. The zero
 // value is not usable; construct with NewProcSampler.
 type ProcSampler struct {
-	mu    sync.Mutex
-	ring  []ProcStats
-	start int
-	n     int
-
 	goroutines *Gauge
 	heapAlloc  *Gauge
 	heapSys    *Gauge
@@ -41,18 +33,18 @@ type ProcSampler struct {
 
 	trace *TraceRing
 
+	mu   sync.Mutex // guards stop, done
 	stop chan struct{}
 	done chan struct{}
 }
 
-// NewProcSampler returns a sampler holding at most capacity snapshots
-// (DefaultProcCap if capacity <= 0). If reg is non-nil the latest sample is
-// mirrored into gauges (schedinspector_goroutines, schedinspector_heap_*).
-func NewProcSampler(capacity int, reg *Registry) *ProcSampler {
-	if capacity <= 0 {
-		capacity = DefaultProcCap
-	}
-	p := &ProcSampler{ring: make([]ProcStats, 0, capacity)}
+// NewProcSampler returns a sampler. If reg is non-nil the latest sample is
+// mirrored into gauges (schedinspector_goroutines, schedinspector_heap_*); if
+// trace is non-nil every sample is emitted into it as a proc record, so
+// explain windows can correlate decisions with GC and heap pressure from the
+// same .ftrace stream.
+func NewProcSampler(reg *Registry, trace *TraceRing) *ProcSampler {
+	p := &ProcSampler{trace: trace}
 	if reg != nil {
 		p.goroutines = reg.Gauge("schedinspector_goroutines", "Current goroutine count.", nil)
 		p.heapAlloc = reg.Gauge("schedinspector_heap_alloc_bytes", "Bytes of live heap objects.", nil)
@@ -62,17 +54,8 @@ func NewProcSampler(capacity int, reg *Registry) *ProcSampler {
 	return p
 }
 
-// TraceTo mirrors every subsequent sample into the binary trace ring as a
-// proc record, so explain windows can correlate decisions with GC and heap
-// pressure from the same .ftrace stream. A nil ring detaches.
-func (p *ProcSampler) TraceTo(r *TraceRing) {
-	p.mu.Lock()
-	p.trace = r
-	p.mu.Unlock()
-}
-
-// Sample takes one snapshot now, stores it in the ring, updates the gauges,
-// and returns it.
+// Sample takes one snapshot now, emits it to the trace ring, updates the
+// gauges, and returns it.
 func (p *ProcSampler) Sample() ProcStats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -84,20 +67,7 @@ func (p *ProcSampler) Sample() ProcStats {
 		NumGC:      ms.NumGC,
 		PauseTotal: ms.PauseTotalNs,
 	}
-	p.mu.Lock()
-	if p.n < cap(p.ring) {
-		p.ring = append(p.ring, s)
-		p.n++
-	} else {
-		p.ring[p.start] = s
-		p.start++
-		if p.start == cap(p.ring) {
-			p.start = 0
-		}
-	}
-	trace := p.trace
-	p.mu.Unlock()
-	trace.EmitProc(s)
+	p.trace.EmitProc(s)
 	if p.goroutines != nil {
 		p.goroutines.Set(float64(s.Goroutines))
 		p.heapAlloc.Set(float64(s.HeapAlloc))
@@ -105,17 +75,6 @@ func (p *ProcSampler) Sample() ProcStats {
 		p.numGC.Set(float64(s.NumGC))
 	}
 	return s
-}
-
-// Snapshots returns the buffered samples, oldest first.
-func (p *ProcSampler) Snapshots() []ProcStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]ProcStats, 0, p.n)
-	for i := 0; i < p.n; i++ {
-		out = append(out, p.ring[(p.start+i)%cap(p.ring)])
-	}
-	return out
 }
 
 // Start samples immediately and then every interval until the returned stop

@@ -364,9 +364,28 @@ func TestNilFlightRecorderSafe(t *testing.T) {
 	}
 }
 
+// procRecords decodes the proc samples a ring holds, oldest first.
+func procRecords(t *testing.T, r *TraceRing) []ProcStats {
+	t.Helper()
+	var out []ProcStats
+	kinds, bodies := decodeImage(t, r.Snapshot())
+	for i, kind := range kinds {
+		if kind != FTraceKindProc {
+			continue
+		}
+		ps, err := DecodeFTraceProc(bodies[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ps)
+	}
+	return out
+}
+
 func TestProcSampler(t *testing.T) {
 	reg := NewRegistry()
-	p := NewProcSampler(4, reg)
+	ring := NewTraceRing(0, 0)
+	p := NewProcSampler(reg, ring)
 	s := p.Sample()
 	if s.Goroutines <= 0 || s.HeapAlloc == 0 {
 		t.Fatalf("implausible snapshot: %+v", s)
@@ -374,8 +393,9 @@ func TestProcSampler(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		p.Sample()
 	}
-	if got := len(p.Snapshots()); got != 4 {
-		t.Fatalf("ring holds %d, want 4", got)
+	recs := procRecords(t, ring)
+	if len(recs) != 7 || recs[0] != s {
+		t.Fatalf("ring holds %d proc records, first %+v; want 7 starting with %+v", len(recs), recs, s)
 	}
 	var buf bytes.Buffer
 	if err := reg.WriteProm(&buf); err != nil {
@@ -390,15 +410,16 @@ func TestProcSampler(t *testing.T) {
 }
 
 func TestProcSamplerStartStop(t *testing.T) {
-	p := NewProcSampler(8, nil)
+	ring := NewTraceRing(0, 0)
+	p := NewProcSampler(nil, ring)
 	stop := p.Start(time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
-	for len(p.Snapshots()) < 2 && time.Now().Before(deadline) {
+	for len(procRecords(t, ring)) < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	stop()
 	stop() // idempotent
-	if len(p.Snapshots()) < 2 {
+	if len(procRecords(t, ring)) < 2 {
 		t.Fatalf("ticker never sampled")
 	}
 	// Restart after stop must be allowed.

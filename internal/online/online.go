@@ -21,7 +21,7 @@
 //     reward metric — and promote only if the candidate clears a
 //     configurable margin.
 //  4. Promote through the existing swap path (generation-tracked, never
-//     tears against in-flight waves), then re-check on the next cycle's
+//     tears against in-flight decisions), then re-check on the next cycle's
 //     fresh holdout and roll back if the promotion regressed.
 //
 // Every failure mode — corrupt window image, reconstruction that does not

@@ -124,31 +124,16 @@ func SampleCategorical(rng *rand.Rand, logits, probs []float64) (action int, log
 	return action, math.Log(math.Max(p[action], 1e-12))
 }
 
-// SampleExplain is Sample with the policy's internals exported: it draws an
-// action exactly as Sample does — same forward pass, same single rng.Float64
-// — and additionally returns copies of the raw logits and the softmax
-// probabilities, the flight recorder's explain payload. Interleaving
-// SampleExplain and Sample calls on one agent leaves the RNG stream
-// identical to calling Sample throughout.
-func (a *Agent) SampleExplain(obs []float64) (action int, logp float64, logits, probs []float64) {
-	lg := a.Policy.Forward(obs, &a.polCache)
-	action, logp = SampleCategorical(a.rng, lg, a.probs)
-	return action, logp,
-		append([]float64(nil), lg...),
-		append([]float64(nil), a.probs...)
-}
-
-// SampleExplainLogits is SampleExplain for a forward pass that already
-// happened: it draws an action from precomputed logits — same
-// SampleCategorical kernel, same single rng.Float64 — and returns an owned
-// copy of the softmax probabilities. It is the per-row sampling kernel of
-// the batched serving path, which forwards a whole decision wave with
-// nn.MLP.ForwardBatch and then samples each row in order; interleaving it
-// with Sample/SampleExplain leaves the RNG stream identical to calling
-// SampleExplain throughout.
-func (a *Agent) SampleExplainLogits(logits []float64) (action int, logp float64, probs []float64) {
-	action, logp = SampleCategorical(a.rng, logits, a.probs)
-	return action, logp, append([]float64(nil), a.probs...)
+// SampleScratch is Sample with the policy's internals exported and nothing
+// copied: it draws an action exactly as Sample does — same forward pass,
+// same single rng.Float64 — and returns the raw logits and the softmax
+// probabilities as views of the agent's own scratch, valid until the
+// agent's next call. Interleaving SampleScratch and Sample calls on one
+// agent leaves the RNG stream identical to calling Sample throughout.
+func (a *Agent) SampleScratch(obs []float64) (action int, logits, probs []float64) {
+	logits = a.Policy.Forward(obs, &a.polCache)
+	action, _ = SampleCategorical(a.rng, logits, a.probs)
+	return action, logits, a.probs
 }
 
 // GreedyExplain is Greedy with the policy's internals exported: the argmax

@@ -24,13 +24,19 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) WriteHeader(code int)        { w.code = code }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 
+// raceBuild is set by race_test.go when the race detector is compiled in.
+var raceBuild bool
+
 // TestInspectAllocsPerOp gates the allocations of one warm /v1/inspect
 // through Handler.ServeHTTP: independent of queue depth (the body, the
-// decoded queue and the response live in pooled scratch) and at most 12 —
-// what is left is the decision's own records (explain ring copies, batcher
-// outputs) and net/http-facing plumbing, not the codec.
+// decoded queue and the response live in pooled scratch, the decision is
+// recorded from the inspector's own scratch) and at most 3 — net/http-facing
+// plumbing, not the codec or the decision.
 func TestInspectAllocsPerOp(t *testing.T) {
-	const maxAllocs = 12
+	const maxAllocs = 3
+	if raceBuild {
+		t.Skip("under -race sync.Pool drops a quarter of its Puts, so a warm request re-allocates its scratch")
+	}
 	for _, depth := range []int{0, 128} {
 		h := testHandler(t)
 		body := benchShapedBody(9, depth)

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,12 +16,11 @@ import (
 	"schedinspector/internal/workload"
 )
 
-// Serving-throughput benchmarks: the decision-wave path against a faithful
-// replica of the pre-wave serving path (one model mutex, a scalar forward
-// per request), at 1, 64 and 512 concurrent clients. Results are archived
-// in BENCH_serve.json by `make bench-serve` and gated advisorily by
-// `make bench-serve-check`; each benchmark reports decisions/s and the p99
-// request latency alongside the standard ns/op.
+// Serving-throughput benchmarks: /v1/inspect through Handler.ServeHTTP at 1,
+// 64 and 512 concurrent clients. Results are archived in BENCH_serve.json by
+// `make bench-serve` and gated advisorily by `make bench-serve-check`; each
+// benchmark reports decisions/s and the p99 request latency alongside the
+// standard ns/op.
 
 func benchInspector() *core.Inspector {
 	tr := workload.SDSCSP2Like(500, 3)
@@ -30,45 +28,12 @@ func benchInspector() *core.Inspector {
 		core.NormalizerForTrace(tr, metrics.BSLD), nil)
 }
 
-// mutexBaseline rebuilds the pre-wave /v1/inspect route on a handler whose
-// collector has been stopped: full decode and validation, then a scalar
-// Explain under one model mutex — the exact critical section this PR
-// replaced — followed by the same recordDecision call.
-func mutexBaseline(h *Handler) http.Handler {
-	var mu sync.Mutex
-	return http.HandlerFunc(h.instrument("/v1/inspect-mutex", func(w http.ResponseWriter, r *http.Request) {
-		var req InspectRequest
-		body, err := io.ReadAll(r.Body)
-		if err == nil {
-			// The live route's decoder, so the pair keeps comparing the
-			// model critical section and not two codecs.
-			err = DecodeInspect(body, &req)
-		}
-		if err != nil {
-			http.Error(w, "bad request", http.StatusBadRequest)
-			return
-		}
-		if req.Job.Procs <= 0 || req.Job.Est <= 0 || req.TotalProcs <= 0 ||
-			req.FreeProcs < 0 || req.FreeProcs > req.TotalProcs {
-			http.Error(w, "invalid", http.StatusBadRequest)
-			return
-		}
-		st := waveState(&req)
-		mu.Lock()
-		snap := h.snap.Load()
-		action, feat, logits, probs := snap.insp.Explain(st, false)
-		maxRej := snap.maxRej
-		mu.Unlock()
-		reject := action == core.ActionReject
-		h.recordDecision(&req, feat, logits, probs, action, maxRej, reject)
-		writeJSON(w, InspectResponse{Reject: reject, RejectProb: probs[core.ActionReject]})
-	}))
-}
-
-// benchInspect drives b.N requests through target from the given number of
-// concurrent clients, reporting decisions/s and p99 request latency.
-func benchInspect(b *testing.B, clients int, target http.Handler) {
+// benchInspect drives b.N requests through a handler from the given number
+// of concurrent clients, reporting decisions/s and p99 request latency.
+func benchInspect(b *testing.B, clients int) {
 	b.Helper()
+	target := NewHandler(benchInspector())
+	defer target.Close()
 	body, err := json.Marshal(validRequest())
 	if err != nil {
 		b.Fatal(err)
@@ -119,24 +84,9 @@ func benchInspect(b *testing.B, clients int, target http.Handler) {
 	}
 }
 
-func benchWave(b *testing.B, clients int) {
-	h := NewHandlerOptions(benchInspector(), Options{})
-	defer h.Close()
-	benchInspect(b, clients, h)
-}
-
-func benchMutex(b *testing.B, clients int) {
-	h := NewHandlerOptions(benchInspector(), Options{})
-	h.Close() // requests go straight to the model under the baseline mutex
-	benchInspect(b, clients, mutexBaseline(h))
-}
-
-func BenchmarkInspectWaveC1(b *testing.B)    { benchWave(b, 1) }
-func BenchmarkInspectWaveC64(b *testing.B)   { benchWave(b, 64) }
-func BenchmarkInspectWaveC512(b *testing.B)  { benchWave(b, 512) }
-func BenchmarkInspectMutexC1(b *testing.B)   { benchMutex(b, 1) }
-func BenchmarkInspectMutexC64(b *testing.B)  { benchMutex(b, 64) }
-func BenchmarkInspectMutexC512(b *testing.B) { benchMutex(b, 512) }
+func BenchmarkInspectC1(b *testing.B)   { benchInspect(b, 1) }
+func BenchmarkInspectC64(b *testing.B)  { benchInspect(b, 64) }
+func BenchmarkInspectC512(b *testing.B) { benchInspect(b, 512) }
 
 // Decoder benchmarks: the single-pass decoder against encoding/json — the
 // fallback and the route's only decoder until now — on the two body shapes

@@ -2,17 +2,20 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"schedinspector/internal/core"
@@ -24,15 +27,15 @@ import (
 
 // equivInspector builds a deterministic inspector: the same seed yields
 // identical weights AND an identical sampling stream, so two instances can
-// serve as a batched path and its scalar reference.
+// serve as the served model and its scalar reference.
 func equivInspector(seed int64, mode core.FeatureMode) *core.Inspector {
 	tr := workload.SDSCSP2Like(500, 3)
 	return core.NewInspector(rand.New(rand.NewSource(seed)), mode,
 		core.NormalizerForTrace(tr, metrics.BSLD), nil)
 }
 
-// waveRequest varies the scheduling context per index so a wave exercises
-// distinct feature vectors.
+// waveRequest varies the scheduling context per index so a run of requests
+// exercises distinct feature vectors.
 func waveRequest(i int) InspectRequest {
 	var req InspectRequest
 	req.Job.Wait = 30 + float64(i%11)*45
@@ -61,66 +64,81 @@ func waveState(req *InspectRequest) *sim.State {
 		req.BackfillEnabled, req.BackfillCount, queue)
 }
 
-// TestWaveEquivScalar is the batched-vs-scalar golden test at the serving
-// layer: a wave of N pending decisions answered by one processWave call
-// must produce outcomes and explain records identical to N sequential
-// scalar Explain calls on a reference inspector with the same seed —
-// features, logits, probabilities, sampled actions, and the RNG stream
-// they consumed.
+// TestWaveEquivScalar is the concurrent-vs-sequential golden test (the name
+// is from the wave collector the lock replaced): N requests posted at once
+// are decided one at a time in lock order, which is the ring's Seq order,
+// and must produce exactly what N sequential Explain calls in that order
+// produce on a twin inspector with the same seed — features, logits and
+// probabilities bit for bit, the sampled actions, the RNG stream they
+// consumed, and the response bytes.
 func TestWaveEquivScalar(t *testing.T) {
-	for _, waveSize := range []int{1, 7, DefaultMaxWave} {
-		t.Run(strconv.Itoa(waveSize), func(t *testing.T) {
-			h := NewHandlerOptions(equivInspector(5, core.ManualFeatures), Options{})
-			h.Close() // stop the collector; the test drives waves by hand
+	for _, n := range []int{1, 7, 64} {
+		t.Run(strconv.Itoa(n), func(t *testing.T) {
+			h := NewHandler(equivInspector(5, core.ManualFeatures))
+			defer h.Close()
 			ref := equivInspector(5, core.ManualFeatures)
 
-			wave := make([]*pendingDecision, waveSize)
-			reqs := make([]InspectRequest, waveSize)
-			for i := range wave {
+			// waveRequest(i) is the only request with its (wait, est) for i < 77.
+			type key struct{ wait, est float64 }
+			reqs := make([]InspectRequest, n)
+			bodies := make([]string, n)
+			owner := make(map[key]int, n)
+			var wg sync.WaitGroup
+			for i := range reqs {
 				reqs[i] = waveRequest(i)
-				wave[i] = &pendingDecision{
-					req:   &reqs[i],
-					state: waveState(&reqs[i]),
-					done:  make(chan inspectOutcome, 1),
-				}
+				owner[key{reqs[i].Job.Wait, reqs[i].Job.Est}] = i
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					rec := postInspect(t, h, reqs[i])
+					if rec.Code != http.StatusOK {
+						t.Errorf("request %d: status %d: %s", i, rec.Code, rec.Body)
+					}
+					bodies[i] = rec.Body.String()
+				}(i)
 			}
-			states := make([]*sim.State, waveSize)
-			outs := make([]core.ExplainOut, waveSize)
-			h.processWave(wave, states, outs)
+			wg.Wait()
 
-			recs := h.ring.LastDecisions(waveSize)
-			if len(recs) != waveSize {
-				t.Fatalf("recorded %d explain records, want %d", len(recs), waveSize)
+			recs := h.ring.LastDecisions(n)
+			if len(recs) != n {
+				t.Fatalf("recorded %d explain records, want %d", len(recs), n)
 			}
-			for i, p := range wave {
+			for k, rec := range recs {
+				i, ok := owner[key{rec.Wait, rec.Est}]
+				if !ok || rec.Seq != k {
+					t.Fatalf("record %d: seq %d, wait %v est %v belongs to no request", k, rec.Seq, rec.Wait, rec.Est)
+				}
+				delete(owner, key{rec.Wait, rec.Est})
 				action, feat, logits, probs := ref.Explain(waveState(&reqs[i]), false)
-				out := <-p.done
-				wantReject := action == core.ActionReject
-				if out.reject != wantReject || out.rejectProb != probs[core.ActionReject] {
-					t.Fatalf("row %d: outcome (%v, %v), scalar (%v, %v)",
-						i, out.reject, out.rejectProb, wantReject, probs[core.ActionReject])
+				if !bitsEqual(rec.Features, feat) || !bitsEqual(rec.Logits, logits) ||
+					!bitsEqual(rec.Probs, probs) || rec.Action != action {
+					t.Fatalf("record %d (request %d) diverges from scalar:\nserved %+v\nscalar action=%d feat=%v logits=%v probs=%v",
+						k, i, rec, action, feat, logits, probs)
 				}
-				rec := recs[i]
-				if !reflect.DeepEqual(rec.Features, feat) ||
-					!reflect.DeepEqual(rec.Logits, logits) ||
-					!reflect.DeepEqual(rec.Probs, probs) || rec.Action != action {
-					t.Fatalf("row %d: explain record diverges from scalar:\nbatch  %+v\nscalar action=%d feat=%v logits=%v probs=%v",
-						i, rec, action, feat, logits, probs)
+				want, err := json.Marshal(InspectResponse{
+					Reject:     action == core.ActionReject,
+					RejectProb: probs[core.ActionReject],
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if rec.Seq != i {
-					t.Errorf("row %d: seq %d", i, rec.Seq)
+				if bodies[i] != string(want)+"\n" {
+					t.Fatalf("request %d: body %q, scalar predicts %q", i, bodies[i], want)
 				}
 			}
 		})
 	}
 }
 
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 // TestInspectEquivScalarHTTP pins byte-identical responses at the HTTP
-// boundary: sequential requests against the batched handler (every wave
-// has size 1) must produce exactly the JSON bodies a scalar reference
-// inspector predicts.
+// boundary: sequential requests must produce exactly the JSON bodies a
+// scalar reference inspector predicts.
 func TestInspectEquivScalarHTTP(t *testing.T) {
-	h := NewHandlerOptions(equivInspector(11, core.ManualFeatures), Options{})
+	h := NewHandler(equivInspector(11, core.ManualFeatures))
 	defer h.Close()
 	ref := equivInspector(11, core.ManualFeatures)
 
@@ -148,14 +166,14 @@ func TestInspectEquivScalarHTTP(t *testing.T) {
 // manual vs 5-feature compacted) while clients hammer /v1/inspect, then
 // walks the ring's .ftrace sink stream in order: every decision record must
 // carry as many features as the most recent preceding header names. Before
-// swaps were serialized through the collector, Swap updated the recorder
-// meta after publishing the model, so a concurrent decision could land an
+// swaps were serialized against decisions, Swap updated the recorder meta
+// after publishing the model, so a concurrent decision could land an
 // 8-feature record under a 5-feature header (and vice versa). Run under
 // -race by the Makefile race target.
 func TestReloadMetaTearRegression(t *testing.T) {
 	manual := equivInspector(1, core.ManualFeatures)
 	compact := equivInspector(2, core.CompactedFeatures)
-	h := NewHandlerOptions(manual, Options{})
+	h := NewHandler(manual)
 	defer h.Close()
 	var sink bytes.Buffer
 	h.ring.SetSink(&sink)
@@ -326,16 +344,43 @@ func TestStatusWriterForwardsFlusher(t *testing.T) {
 	plain.Flush()
 }
 
-// TestCloseDrainsAndRejects pins shutdown: Close is idempotent, later
-// requests answer 503, and a post-Close Swap still applies (inline).
+// TestCloseDrainsAndRejects pins shutdown: Close is idempotent, a request
+// racing it is either answered and recorded or refused with 503 — never
+// lost — later requests answer 503, and a post-Close Swap still applies.
 func TestCloseDrainsAndRejects(t *testing.T) {
 	a, b := reloadPair(t)
 	h := NewHandler(a)
-	if rec := postInspect(t, h, validRequest()); rec.Code != http.StatusOK {
-		t.Fatalf("pre-close inspect: %d", rec.Code)
+	const clients, perClient = 8, 50
+	var answered, refused atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				switch rec := postInspect(t, h, validRequest()); rec.Code {
+				case http.StatusOK:
+					answered.Add(1)
+				case http.StatusServiceUnavailable:
+					refused.Add(1)
+				default:
+					t.Errorf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+		}()
+	}
+	for h.decSeq.Load() == 0 {
+		runtime.Gosched() // closing an idle handler proves nothing
 	}
 	h.Close()
 	h.Close() // idempotent
+	wg.Wait()
+	if got := answered.Load() + refused.Load(); got != clients*perClient {
+		t.Errorf("%d answered + %d refused, sent %d", answered.Load(), refused.Load(), clients*perClient)
+	}
+	if got := h.decSeq.Load(); got != answered.Load() {
+		t.Errorf("%d decisions recorded, %d verdicts answered", got, answered.Load())
+	}
 	if rec := postInspect(t, h, validRequest()); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-close inspect status %d, want 503", rec.Code)
 	}
@@ -346,48 +391,96 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 }
 
-// TestWaveMetricsUnderLoad checks the coalescing telemetry: after
-// concurrent traffic, the wave-size histogram has observed every decision
-// exactly once (sum of wave sizes == decisions) and the queue gauges render.
+// TestWaveMetricsUnderLoad is the pile-up test (the name is from the wave
+// queue the lock replaced): with the model lock held, maxWaiting requests
+// wait — schedinspector_inspect_queue_depth counts them — and the k sent
+// past that are answered 429 at once and counted in shed_total; releasing
+// the lock answers every waiter and the depth returns to 0.
 func TestWaveMetricsUnderLoad(t *testing.T) {
 	h := testHandler(t)
 	defer h.Close()
-	srv := httptest.NewServer(h)
-	defer srv.Close()
+	const k = 5
+	codes := make(chan int, maxWaiting+k)
+	post := func() { codes <- postInspect(t, h, validRequest()).Code }
 
-	const clients, perClient = 8, 25
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf bytes.Buffer
-			json.NewEncoder(&buf).Encode(validRequest())
-			body := buf.Bytes()
-			for i := 0; i < perClient; i++ {
-				resp, err := http.Post(srv.URL+"/v1/inspect", "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				resp.Body.Close()
-			}
-		}()
+	h.mu.Lock()
+	for i := 0; i < maxWaiting; i++ {
+		go post()
 	}
-	wg.Wait()
-
+	for h.waiting.Load() < maxWaiting {
+		runtime.Gosched()
+	}
 	page := metricsPage(t, h)
-	if !strings.Contains(page, "schedinspector_inspect_wave_size_sum 200") {
-		t.Errorf("wave sizes must sum to the %d decisions served: %s",
-			clients*perClient, pageLine(page, "schedinspector_inspect_wave_size_sum"))
+	if v := metricValue(t, page, "schedinspector_inspect_queue_depth", ""); v != maxWaiting {
+		t.Errorf("queue_depth %v with %d requests waiting", v, maxWaiting)
 	}
-	for _, name := range []string{
-		"schedinspector_inspect_queue_depth",
-		"schedinspector_inspect_queue_capacity",
-		"schedinspector_inspect_coalesce_seconds_count",
-	} {
-		if !strings.Contains(page, name) {
-			t.Errorf("metrics page missing %s", name)
+	if v := metricValue(t, page, "schedinspector_inspect_queue_capacity", ""); v != maxWaiting {
+		t.Errorf("queue_capacity %v, want %d", v, maxWaiting)
+	}
+	for i := 0; i < k; i++ {
+		post() // returns without the lock
+	}
+	h.mu.Unlock()
+
+	got := map[int]int{}
+	for i := 0; i < maxWaiting+k; i++ {
+		got[<-codes]++
+	}
+	if got[http.StatusTooManyRequests] != k || got[http.StatusOK] != maxWaiting {
+		t.Errorf("status counts %v, want %d x 200 and %d x 429", got, maxWaiting, k)
+	}
+	page = metricsPage(t, h)
+	if v := metricValue(t, page, "schedinspector_inspect_queue_depth", ""); v != 0 {
+		t.Errorf("queue_depth %v after the pile-up drained", v)
+	}
+	if v := metricValue(t, page, "schedinspector_inspect_shed_total", ""); v != k {
+		t.Errorf("shed_total %v, want %d", v, k)
+	}
+	if v := metricValue(t, page, "schedinspector_inspect_coalesce_seconds_count", ""); v != maxWaiting {
+		t.Errorf("%v lock waits observed, want %d", v, maxWaiting)
+	}
+	if v := h.decSeq.Load(); v != maxWaiting {
+		t.Errorf("%d decisions recorded, want %d (a shed request records nothing)", v, maxWaiting)
+	}
+}
+
+// TestCancelledRequestDrawsNothing: a request whose client left while it
+// waited for the lock is counted under 499, consumes no draw from the
+// sampling stream and writes no record, so the requests around it get
+// exactly the verdicts an undisturbed twin predicts.
+func TestCancelledRequestDrawsNothing(t *testing.T) {
+	h := NewHandler(equivInspector(7, core.ManualFeatures))
+	defer h.Close()
+	ref := equivInspector(7, core.ManualFeatures)
+
+	served := 0
+	for i := 0; i < 20; i++ {
+		req := waveRequest(i)
+		if i%3 == 1 {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			var buf bytes.Buffer
+			json.NewEncoder(&buf).Encode(req)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/inspect", &buf).WithContext(ctx))
+			if rec.Code != statusClientClosed {
+				t.Fatalf("request %d: cancelled request answered %d", i, rec.Code)
+			}
+			continue
 		}
+		rec := postInspect(t, h, req)
+		served++
+		action, _, _, probs := ref.Explain(waveState(&req), false)
+		want, _ := json.Marshal(InspectResponse{Reject: action == core.ActionReject, RejectProb: probs[core.ActionReject]})
+		if got := rec.Body.String(); rec.Code != http.StatusOK || got != string(want)+"\n" {
+			t.Fatalf("request %d: %d %q, undisturbed twin predicts %q", i, rec.Code, got, want)
+		}
+	}
+	if got := h.decSeq.Load(); got != int64(served) {
+		t.Errorf("%d decisions recorded, %d served", got, served)
+	}
+	page := metricsPage(t, h)
+	if v := metricValue(t, page, "schedinspector_http_requests_total", `{code="499",route="/v1/inspect"}`); v != float64(20-served) {
+		t.Errorf("499 counter %v, want %d", v, 20-served)
 	}
 }

@@ -173,7 +173,7 @@ func checkDecode(t *testing.T, body []byte) (canonical bool) {
 
 // parentInspect is the /v1/inspect route as it was when encoding/json was
 // its only codec — decoder on the connection, the validation texts, the
-// copied queue, json.Encoder for the verdict — over h's collector. It is the
+// copied queue, json.Encoder for the verdict — over h's model lock. It is the
 // reference the live route is compared against, byte for byte.
 func parentInspect(h *Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -194,13 +194,12 @@ func parentInspect(h *Handler) http.Handler {
 			http.Error(w, "free_procs out of range", http.StatusBadRequest)
 			return
 		}
-		p := &pendingDecision{req: &req, state: waveState(&req), done: make(chan inspectOutcome, 1)}
-		if !h.submit(p) {
-			http.Error(w, "server shutting down", http.StatusServiceUnavailable)
+		resp, code := h.decide(r.Context(), &req, waveState(&req))
+		if code != http.StatusOK {
+			http.Error(w, http.StatusText(code), code)
 			return
 		}
-		out := <-p.done
-		writeJSON(w, InspectResponse{Reject: out.reject, RejectProb: out.rejectProb})
+		writeJSON(w, resp)
 	})
 }
 

@@ -59,7 +59,7 @@ func TestInspectNonFiniteProbKeepsEncodingJSON(t *testing.T) {
 		writeJSON(want, resp)
 
 		got := httptest.NewRecorder()
-		new(pendingDecision).writeResponse(got, resp)
+		new(requestScratch).writeResponse(got, resp)
 		if got.Code != http.StatusOK || got.Body.Len() != 0 || want.Body.Len() != 0 ||
 			got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
 			t.Errorf("%v: wrote %d %q (%q), encoding/json path %d %q (%q)", f, got.Code, got.Body,

@@ -25,8 +25,8 @@ type poolClient struct {
 
 // TestScratchPoolLifetime drives the pooled request scratch from eight
 // clients at once, queue depths 0 to 256 so buffers change hands across
-// sizes, with the audit sink on. A scratch released while the collector
-// still reads it, or handed to two requests, shows up as the race detector
+// sizes, with the audit sink on. A scratch released while its request still
+// reads it, or handed to two requests, shows up as the race detector
 // firing or as a record that mixes two requests: every verdict, audit line
 // and explain record must carry the values of exactly one client.
 func TestScratchPoolLifetime(t *testing.T) {
@@ -141,7 +141,7 @@ func TestScratchPoolLifetime(t *testing.T) {
 // left to the garbage collector, so one outsized request does not set the
 // daemon's resident size.
 func TestOversizedScratchIsNotPooled(t *testing.T) {
-	var small, big, deep pendingDecision
+	var small, big, deep requestScratch
 	small.body.Grow(maxPooledBody / 2)
 	small.queue = make([]QueueItem, 0, 256)
 	big.body.Grow(maxPooledBody + 1)

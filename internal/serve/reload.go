@@ -10,31 +10,29 @@ import (
 
 // Model hot-swap. A running inspectord can pick up a newly trained model
 // without dropping in-flight requests: the replacement is loaded and
-// validated entirely off the serving path, then handed to the collector
-// goroutine, which installs it as one atomic snapshot between decision
-// waves. Decisions and swaps share one total order, so every decision —
-// and every explain/trace record it emits — is computed against exactly
-// one model, and the rings' meta headers can never tear against the
-// records around them.
+// validated entirely off the serving path, then installed as one atomic
+// snapshot under the model lock (see decide.go), between two decisions.
 
-// Swap replaces the served inspector. The swap is applied by the
-// collector between waves (never mid-wave); when Swap returns, the new
-// snapshot and its explain/trace meta are visible, and every later
-// decision is answered by the replacement.
-func (h *Handler) Swap(insp *core.Inspector) {
-	s := swapRequest{insp: insp, done: make(chan struct{})}
-	h.stopMu.RLock()
-	if !h.stopped {
-		// The read lock held across the send pairs with Close's write lock:
-		// a completed send is always serviced before the collector exits.
-		h.swapCh <- s
-		h.stopMu.RUnlock()
-		<-s.done
-		return
-	}
-	h.stopMu.RUnlock()
-	// Collector gone; no decisions are in flight, apply inline.
-	h.applySwap(insp)
+// Swap replaces the served inspector. When Swap returns, the new snapshot
+// and its explain/trace meta are visible, and every later decision is
+// answered by the replacement.
+func (h *Handler) Swap(insp *core.Inspector) { h.applySwap(insp) }
+
+// applySwap installs a new model snapshot under the model lock, brings the
+// flight ring's meta and the model metrics in step, and returns the
+// generation it installed. Holding the lock serializes it against every
+// decision, so no record can be emitted under a header that does not
+// describe it.
+func (h *Handler) applySwap(insp *core.Inspector) int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	gen := h.snap.Load().gen + 1
+	h.snap.Store(&snapshot{insp: insp, gen: gen})
+	h.ring.SetMeta(insp.Mode.FeatureNames(), insp.Mode.String(), insp.Norm.MaxRejections)
+	h.params.Set(float64(insp.Agent.Policy.NumParams()))
+	h.reloads.Inc()
+	h.generation.Set(float64(gen))
+	return gen
 }
 
 // Current returns the inspector presently answering decisions and its
@@ -77,9 +75,8 @@ func (h *Handler) Reload() (ReloadResponse, error) {
 		h.loadFailures.Inc()
 		return ReloadResponse{}, fmt.Errorf("serve: reload: %w", err)
 	}
-	h.Swap(insp)
 	return ReloadResponse{
-		Generation: int(h.generation.Value()),
+		Generation: int(h.applySwap(insp)),
 		Params:     insp.Agent.Policy.NumParams(),
 	}, nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -9,10 +10,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
+	"schedinspector/internal/obs"
 	"schedinspector/internal/workload"
 )
 
@@ -202,6 +205,12 @@ func TestSwapUnderLoad(t *testing.T) {
 		} else {
 			h.Swap(a)
 		}
+		if i%20 == 0 {
+			// 1 boot + 2 probes + i+1 swaps: a returned Swap is a visible one.
+			if v := metricValue(t, metricsPage(t, h), "schedinspector_model_generation", ""); v != float64(i+4) {
+				t.Errorf("model_generation %v after %d swaps, want %d", v, i+3, i+4)
+			}
+		}
 	}
 	wg.Wait()
 	close(errc)
@@ -273,6 +282,84 @@ func TestReloadFromDiskUnderLoad(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestReloadReportsOwnGeneration races reloads against a Swap loop that does
+// not take reloadMu (the online loop's promotions). Every installed model
+// carries a rejection cap of its own, so every generation writes one header
+// to the ring's sink stream and the k-th header names who installed
+// generation k: each reload must report exactly the position of its own
+// header. Reading the generation gauge after the swap returned, as Reload
+// once did, reports a later Swap's generation.
+func TestReloadReportsOwnGeneration(t *testing.T) {
+	base := equivInspector(1, core.ManualFeatures)
+	withCap := func(maxRej int) *core.Inspector {
+		norm := base.Norm
+		norm.MaxRejections = maxRej
+		return base.WithNormalizer(norm)
+	}
+	h := NewHandler(withCap(1))
+	defer h.Close()
+	var sink bytes.Buffer
+	h.ring.SetSink(&sink)
+
+	const reloads, swappers, reloadCap, swapCap = 500, 4, 1000, 1 << 20
+	next := 0 // reloads run one at a time, under reloadMu
+	h.SetReloader(func() (*core.Inspector, error) { next++; return withCap(reloadCap + next - 1), nil })
+	var swaps atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < swappers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Swap(withCap(swapCap + int(swaps.Add(1))))
+				}
+			}
+		}()
+	}
+	reported := make([]int, reloads) // reload i -> the generation it reported
+	for i := range reported {
+		resp, err := h.Reload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reported[i] = resp.Generation
+	}
+	close(stop)
+	wg.Wait()
+	if err := h.ring.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	gen, confirmed := 0, 0
+	walkFTrace(t, sink.Bytes(), func(kind byte, body []byte) {
+		if kind != obs.FTraceKindHeader {
+			return
+		}
+		hdr, err := obs.DecodeFTraceHeader(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen++
+		if i := hdr.MaxRejections - reloadCap; i >= 0 && i < reloads {
+			if reported[i] != gen {
+				t.Errorf("reload %d installed generation %d and reported %d", i, gen, reported[i])
+			}
+			confirmed++
+		}
+	})
+	if want := 1 + reloads + int(swaps.Load()); gen != want || confirmed != reloads {
+		t.Errorf("%d headers (%d from reloads), want %d (%d)", gen, confirmed, want, reloads)
+	}
+	if v := metricValue(t, metricsPage(t, h), "schedinspector_model_generation", ""); v != float64(gen) {
+		t.Errorf("model_generation %v, want %d", v, gen)
+	}
 }
 
 // pageLine extracts the metric line for a name, for focused failure output.

@@ -106,23 +106,19 @@ type InfoResponse struct {
 
 // Handler serves one inspector model.
 type Handler struct {
-	// The served model, published as one atomic snapshot (model + derived
-	// constants + generation). Request paths load it lock-free; only the
-	// collector goroutine stores it (see batch.go / reload.go).
+	// The served model, published as one atomic snapshot (model +
+	// generation). /v1/info and /v1/simulate load it lock-free; it is stored
+	// only under mu.
 	snap atomic.Pointer[snapshot]
 	mux  *http.ServeMux
 
-	// Batched serving path (see batch.go): requests enqueue pending
-	// decisions, the collector drains them into waves and answers each
-	// wave with one batched forward.
-	opts          Options
-	queue         chan *pendingDecision
-	swapCh        chan swapRequest
-	collectorDone chan struct{}
-	stopMu        sync.RWMutex // guards stopped; held (R) across queue sends
-	stopped       bool
-	batcher       core.BatchExplainer // collector-only
-	pendPool      sync.Pool
+	// mu is the model lock (see decide.go): decisions, swaps and Close take
+	// it. It guards the served inspector's scratch and RNG, closed and audit.
+	mu      sync.Mutex
+	closed  bool
+	audit   *json.Encoder // decision audit log (JSONL), nil unless enabled
+	waiting atomic.Int64  // requests parked on mu
+	pool    sync.Pool     // *requestScratch
 
 	// Hot reload (see reload.go). reloader is set once before serving.
 	reloadMu sync.Mutex // serializes reloads, NOT held while serving
@@ -132,7 +128,6 @@ type Handler struct {
 	reg           *obs.Registry
 	reqMu         sync.Mutex
 	reqCounts     map[string]*obs.Counter // "route code" -> requests_total series
-	latency       map[string]*obs.Histogram
 	fallbacks     *obs.Counter
 	accepts       *obs.Counter
 	rejects       *obs.Counter
@@ -141,50 +136,31 @@ type Handler struct {
 	reloads       *obs.Counter
 	loadFailures  *obs.Counter
 	generation    *obs.Gauge
-	waveSize      *obs.Histogram
-	coalesce      *obs.Histogram
+	shed          *obs.Counter
+	lockWait      *obs.Histogram
 	auditFailures *obs.Counter
-
-	auditMu sync.Mutex
-	audit   *json.Encoder // decision audit log (JSONL), nil unless enabled
 
 	// Always-on flight recorder: every served decision is encoded into the
 	// arena-backed trace ring, read back over GET /v1/explain/last (see
 	// explain.go) and GET /v1/trace/snapshot (see trace.go) and optionally
-	// streamed to a .ftrace sink. The ring has its own lock; the request
-	// path never blocks on it.
+	// streamed to a .ftrace sink. The ring has its own lock.
 	ring   *obs.TraceRing
 	decSeq atomic.Int64 // lifetime decision sequence for explain records
 }
 
-// NewHandler wraps the inspector in an http.Handler with the default
-// Options. See NewHandlerOptions.
-func NewHandler(insp *core.Inspector) *Handler {
-	return NewHandlerOptions(insp, Options{})
-}
-
-// NewHandlerOptions wraps the inspector in an http.Handler with routes
+// NewHandler wraps the inspector in an http.Handler with routes
 // POST /v1/inspect, POST /v1/simulate, GET /v1/info (also served at
-// /healthz) and GET /metrics (Prometheus text exposition). It starts the
-// decision-wave collector goroutine; call Close to stop it after the HTTP
-// server has drained.
-func NewHandlerOptions(insp *core.Inspector, opts Options) *Handler {
-	opts = opts.withDefaults()
+// /healthz) and GET /metrics (Prometheus text exposition). It starts no
+// goroutine; Close makes it answer 503 once the HTTP server has drained.
+func NewHandler(insp *core.Inspector) *Handler {
 	h := &Handler{
-		mux:           http.NewServeMux(),
-		opts:          opts,
-		queue:         make(chan *pendingDecision, opts.QueueDepth),
-		swapCh:        make(chan swapRequest),
-		collectorDone: make(chan struct{}),
-		reg:           obs.NewRegistry(),
-		reqCounts:     make(map[string]*obs.Counter),
-		latency:       make(map[string]*obs.Histogram),
-		ring:          obs.NewTraceRing(0, 0),
+		mux:       http.NewServeMux(),
+		reg:       obs.NewRegistry(),
+		reqCounts: make(map[string]*obs.Counter),
+		ring:      obs.NewTraceRing(0, 0),
 	}
-	h.snap.Store(&snapshot{insp: insp, maxRej: insp.Norm.MaxRejections, gen: 1})
-	h.pendPool.New = func() any {
-		return &pendingDecision{done: make(chan inspectOutcome, 1)}
-	}
+	h.snap.Store(&snapshot{insp: insp, gen: 1})
+	h.pool.New = func() any { return new(requestScratch) }
 	h.ring.Instrument(h.reg)
 	h.ring.SetMeta(insp.Mode.FeatureNames(), insp.Mode.String(), insp.Norm.MaxRejections)
 	h.accepts = h.reg.Counter("schedinspector_inspect_decisions_total",
@@ -216,35 +192,33 @@ func NewHandlerOptions(insp *core.Inspector, opts Options) *Handler {
 	h.generation = h.reg.Gauge("schedinspector_model_generation",
 		"Generation of the served model (1 = boot model, +1 per swap).", nil)
 	h.generation.Set(1)
+	// queue_depth, queue_capacity and coalesce_seconds are named after the
+	// queue the model lock replaced; they measure the same waiting.
 	h.reg.GaugeFunc("schedinspector_inspect_queue_depth",
-		"Pending decisions in the decision-wave queue.", nil,
-		func() float64 { return float64(len(h.queue)) })
+		"Requests waiting for the model lock.", nil,
+		func() float64 { return float64(h.waiting.Load()) })
 	h.reg.Gauge("schedinspector_inspect_queue_capacity",
-		"Capacity of the decision-wave queue.", nil).Set(float64(opts.QueueDepth))
-	h.waveSize = h.reg.Histogram("schedinspector_inspect_wave_size",
-		"Decisions answered per batched forward.",
-		obs.ExponentialBuckets(1, 2, 10), nil)
-	h.coalesce = h.reg.Histogram("schedinspector_inspect_coalesce_seconds",
-		"Time a decision waited in the queue before its wave was forwarded.",
+		"Waiting requests past which /v1/inspect answers 429.", nil).Set(maxWaiting)
+	h.shed = h.reg.Counter("schedinspector_inspect_shed_total",
+		"Requests answered 429 because queue_capacity requests were already waiting.", nil)
+	h.lockWait = h.reg.Histogram("schedinspector_inspect_coalesce_seconds",
+		"Time a request waited for the model lock.",
 		obs.ExponentialBuckets(1e-6, 4, 10), nil)
-	// Scrape-time quantile gauges over the live wave histograms, through
-	// the same estimator the fleet plane uses on parsed expositions — a
-	// dashboard reading either surface sees the same number for the same
-	// buckets. GaugeFunc evaluates at render, so the gauges cost nothing
-	// between scrapes; NaN (empty histogram) renders as NaN, which every
+	// Scrape-time quantile gauges over the live histogram, through the same
+	// estimator the fleet plane uses on parsed expositions — a dashboard
+	// reading either surface sees the same number for the same buckets.
+	// GaugeFunc evaluates at render, so the gauges cost nothing between
+	// scrapes; NaN (empty histogram) renders as NaN, which every
 	// Prometheus-compatible consumer treats as absent.
 	h.reg.GaugeFunc("schedinspector_inspect_coalesce_seconds_p50",
-		"Median queue wait before a decision's wave forwarded (lifetime buckets).", nil,
-		func() float64 { return h.coalesce.Quantile(0.5) })
+		"Median wait for the model lock (lifetime buckets).", nil,
+		func() float64 { return h.lockWait.Quantile(0.5) })
 	h.reg.GaugeFunc("schedinspector_inspect_coalesce_seconds_p99",
-		"p99 queue wait before a decision's wave forwarded (lifetime buckets).", nil,
-		func() float64 { return h.coalesce.Quantile(0.99) })
-	h.reg.GaugeFunc("schedinspector_inspect_wave_size_p50",
-		"Median decisions answered per batched forward (lifetime buckets).", nil,
-		func() float64 { return h.waveSize.Quantile(0.5) })
-	h.reg.GaugeFunc("schedinspector_inspect_wave_size_p99",
-		"p99 decisions answered per batched forward (lifetime buckets).", nil,
-		func() float64 { return h.waveSize.Quantile(0.99) })
+		"p99 wait for the model lock (lifetime buckets).", nil,
+		func() float64 { return h.lockWait.Quantile(0.99) })
+	// Constant until ROADMAP bench item 1a drops bench/'s reader of it.
+	h.reg.Gauge("schedinspector_inspect_wave_size_p50",
+		"Decisions answered per forward: always 1.", nil).Set(1)
 	h.auditFailures = h.reg.Counter("schedinspector_audit_write_failures_total",
 		"Decision audit log encode/write failures (the decision still serves).", nil)
 	h.fallbacks = h.reg.Counter("schedinspector_inspect_decode_fallback_total",
@@ -257,7 +231,6 @@ func NewHandlerOptions(insp *core.Inspector, opts Options) *Handler {
 	h.mux.HandleFunc("/v1/explain/last", h.instrument("/v1/explain/last", h.explainLast))
 	h.mux.HandleFunc("/v1/trace/snapshot", h.instrument("/v1/trace/snapshot", h.traceSnapshot))
 	h.mux.Handle("/metrics", h.reg.Handler())
-	go h.collect()
 	return h
 }
 
@@ -269,13 +242,13 @@ func (h *Handler) Registry() *obs.Registry { return h.reg }
 // /v1/inspect decision, recording the request, the normalized feature
 // vector the model saw, and the verdict. Pass nil to disable.
 func (h *Handler) SetAuditSink(w io.Writer) {
-	h.auditMu.Lock()
+	h.mu.Lock()
 	if w == nil {
 		h.audit = nil
 	} else {
 		h.audit = json.NewEncoder(w)
 	}
-	h.auditMu.Unlock()
+	h.mu.Unlock()
 }
 
 // statusWriter captures the response code for the request counters.
@@ -348,8 +321,9 @@ type auditRecord struct {
 
 // recordDecision updates the decision metrics, the flight ring, and (if
 // enabled) the audit log. maxRej is the served model's rejection cap,
-// read from the same snapshot the decision was computed under. It runs on
-// the collector goroutine, before the decision's response is released.
+// read from the same snapshot the decision was computed under. The caller
+// holds mu; feat, logits and probs may be views of scratch mu guards, so
+// they are encoded here and not retained.
 func (h *Handler) recordDecision(req *InspectRequest, feat, logits, probs []float64, action, maxRej int, reject bool) {
 	prob := probs[core.ActionReject]
 	if reject {
@@ -374,7 +348,6 @@ func (h *Handler) recordDecision(req *InspectRequest, feat, logits, probs []floa
 	}
 	h.ring.EmitDecision(&rec)
 
-	h.auditMu.Lock()
 	if h.audit != nil {
 		err := h.audit.Encode(auditRecord{
 			Time:       time.Now().UTC().Format(time.RFC3339Nano),
@@ -389,7 +362,6 @@ func (h *Handler) recordDecision(req *InspectRequest, feat, logits, probs []floa
 			h.auditFailures.Inc()
 		}
 	}
-	h.auditMu.Unlock()
 }
 
 // ServeHTTP implements http.Handler.
@@ -445,10 +417,12 @@ func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	// Everything below works in p's scratch; the deferred release is what
-	// makes that safe (see pendingDecision).
-	p := h.pendPool.Get().(*pendingDecision)
-	defer h.release(p)
+	p := h.pool.Get().(*requestScratch)
+	defer func() {
+		if p.poolable() {
+			h.pool.Put(p)
+		}
+	}()
 
 	p.body.Reset()
 	_, readErr := p.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxInspectBody))
@@ -485,23 +459,16 @@ func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 		req.Job.Wait, req.Rejections, req.FreeProcs, req.TotalProcs,
 		req.BackfillEnabled, req.BackfillCount, req.Queue)
 
-	// The forward pass happens on the collector goroutine: enqueue one
-	// pending decision and wait for its wave. Under load the wave coalesces
-	// many requests into one batched forward; at concurrency 1 it
-	// degenerates to a scalar forward plus one channel handoff. By the time
-	// the outcome arrives, the decision is already recorded (metrics,
-	// flight ring, audit log) — see processWave.
-	p.req, p.state, p.enqueued = req, &p.st, time.Now()
-	if !h.submit(p) {
-		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
+	resp, code := h.decide(r.Context(), req, &p.st)
+	if code != http.StatusOK {
+		http.Error(w, http.StatusText(code), code)
 		return
 	}
-	out := <-p.done
-	p.writeResponse(w, InspectResponse{Reject: out.reject, RejectProb: out.rejectProb})
+	p.writeResponse(w, resp)
 }
 
 // writeResponse writes the verdict as writeJSON would, from p's scratch.
-func (p *pendingDecision) writeResponse(w http.ResponseWriter, resp InspectResponse) {
+func (p *requestScratch) writeResponse(w http.ResponseWriter, resp InspectResponse) {
 	if math.IsNaN(resp.RejectProb) || math.IsInf(resp.RejectProb, 0) {
 		writeJSON(w, resp) // no JSON form: encoding/json's refusal is the behaviour
 		return
