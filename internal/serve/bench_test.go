@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -89,12 +90,13 @@ func BenchmarkInspectC64(b *testing.B)  { benchInspect(b, 64) }
 func BenchmarkInspectC512(b *testing.B) { benchInspect(b, 512) }
 
 // Decoder benchmarks: the single-pass decoder against encoding/json — the
-// fallback and the route's only decoder until now — on the two body shapes
-// the repository's benchmark sends: shallow (queue depth 4, ~0.3 KB) and
-// deep (depth 160, ~6 KB). Both decode into a reused request, as the pooled
-// handler does.
-func benchDecode(b *testing.B, depth int, fast bool) {
-	body := benchShapedBody(1, depth)
+// fallback, and once the route's only decoder — on the two body shapes the
+// repository's benchmark sends: shallow (queue depth 4, ~0.3 KB) and deep
+// (depth 160, ~6 KB). Their estimates are 16-17-digit shortest renderings,
+// inspectScanner.float's integer-division regime; FastDeepShort is the deep
+// body with estimates like 3600.5, the float-division regime. All decode into
+// a reused request, as the pooled handler does.
+func benchDecode(b *testing.B, body []byte, fast bool) {
 	var req InspectRequest
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
@@ -112,7 +114,25 @@ func benchDecode(b *testing.B, depth int, fast bool) {
 	}
 }
 
-func BenchmarkDecodeInspectFastShallow(b *testing.B) { benchDecode(b, 4, true) }
-func BenchmarkDecodeInspectFastDeep(b *testing.B)    { benchDecode(b, 160, true) }
-func BenchmarkDecodeInspectStdShallow(b *testing.B)  { benchDecode(b, 4, false) }
-func BenchmarkDecodeInspectStdDeep(b *testing.B)     { benchDecode(b, 160, false) }
+// shortDecimalBody is benchShapedBody with every estimate cut to one decimal.
+func shortDecimalBody(depth int) []byte {
+	var r InspectRequest
+	if err := json.Unmarshal(benchShapedBody(1, depth), &r); err != nil {
+		panic(err)
+	}
+	r.Job.Est = math.Round(r.Job.Est*10) / 10
+	for i := range r.Queue {
+		r.Queue[i].Est = math.Round(r.Queue[i].Est*10) / 10
+	}
+	body, err := json.Marshal(&r)
+	if err != nil {
+		panic(err)
+	}
+	return body
+}
+
+func BenchmarkDecodeInspectFastShallow(b *testing.B)   { benchDecode(b, benchShapedBody(1, 4), true) }
+func BenchmarkDecodeInspectFastDeep(b *testing.B)      { benchDecode(b, benchShapedBody(1, 160), true) }
+func BenchmarkDecodeInspectFastDeepShort(b *testing.B) { benchDecode(b, shortDecimalBody(160), true) }
+func BenchmarkDecodeInspectStdShallow(b *testing.B)    { benchDecode(b, benchShapedBody(1, 4), false) }
+func BenchmarkDecodeInspectStdDeep(b *testing.B)       { benchDecode(b, benchShapedBody(1, 160), false) }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"math"
+	"math/bits"
 	"strconv"
 
 	"schedinspector/internal/sim"
@@ -102,11 +104,12 @@ type inspectScanner struct {
 }
 
 // skip advances past JSON whitespace and returns the byte it stops at, 0 at
-// the end of the body (a literal NUL is never valid where skip is used).
+// the end of the body (a literal NUL is never valid where skip is used). It
+// mostly stops where it starts, on a token, which the first compare settles.
 func (s *inspectScanner) skip() byte {
 	for s.i < len(s.b) {
 		c := s.b[s.i]
-		if c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+		if c > ' ' || c != ' ' && c != '\n' && c != '\t' && c != '\r' {
 			return c
 		}
 		s.i++
@@ -137,13 +140,12 @@ func (s *inspectScanner) member(first bool) (key []byte, more bool) {
 		s.bad = true
 		return nil, false
 	}
-	s.i++
-	start := s.i
-	for s.i < len(s.b) && s.b[s.i] != '"' {
-		s.i++
+	b, i := s.b, s.i+1
+	for i < len(b) && b[i] != '"' {
+		i++
 	}
-	key = s.b[start:s.i]
-	s.i++ // closing quote; past the end when unterminated, caught below
+	key = b[s.i+1 : i]
+	s.i = i + 1 // closing quote; past the end when unterminated, caught below
 	if s.skip() != ':' {
 		s.bad = true
 		return nil, false
@@ -231,43 +233,53 @@ func (s *inspectScanner) bool() (v, ok bool) {
 	return false, false
 }
 
-// number scans one token of the JSON number grammar at the cursor. ok is
-// false when there is none. integral reports a token with neither fraction
-// nor exponent and at most 18 digits, whose magnitude is then in u (18
-// digits always fit an int64). Whatever follows the token is the caller's
-// next grammar element, so "01" or "1x" fail there.
-func (s *inspectScanner) number() (tok []byte, u uint64, neg, integral, ok bool) {
+// number scans one token of the JSON number grammar at the cursor, reading
+// each digit once. ok is false when there is none. plain reports a token with
+// no exponent part and at most 19 digits after its leading zeros; its
+// magnitude is then w / 10^k exactly, w being the integer and fraction digits
+// read as one decimal integer (19 digits always fit a uint64; past that w has
+// wrapped and is unused) and k the number of fraction digits. Whatever
+// follows the token is the caller's next grammar element, so "01" or "1x"
+// fail there.
+func (s *inspectScanner) number() (tok []byte, w uint64, k int, neg, plain, ok bool) {
 	b, i := s.b, s.i
 	if i < len(b) && b[i] == '-' {
 		neg = true
 		i++
 	}
-	digits := i
+	sig := i // the first digit that counts
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
+		sig = i
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
 		for i < len(b) && b[i]-'0' <= 9 {
-			u = u*10 + uint64(b[i]-'0') // wraps past 19 digits; unused then
+			w = w*10 + uint64(b[i]-'0')
 			i++
 		}
 	default:
-		return nil, 0, false, false, false
+		return nil, 0, 0, false, false, false
 	}
-	integral = i-digits <= 18
+	digits := i - sig
 	if i < len(b) && b[i] == '.' {
-		integral = false
 		i++
 		frac := i
-		for i < len(b) && b[i]-'0' <= 9 {
+		for digits == 0 && i < len(b) && b[i] == '0' {
 			i++
 		}
-		if i == frac {
-			return nil, 0, false, false, false
+		sig = i
+		for i < len(b) && b[i]-'0' <= 9 {
+			w = w*10 + uint64(b[i]-'0')
+			i++
 		}
+		if k = i - frac; k == 0 {
+			return nil, 0, 0, false, false, false
+		}
+		digits += i - sig
 	}
+	plain = digits <= 19
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		integral = false
+		plain = false
 		i++
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
@@ -277,45 +289,95 @@ func (s *inspectScanner) number() (tok []byte, u uint64, neg, integral, ok bool)
 			i++
 		}
 		if i == exp {
-			return nil, 0, false, false, false
+			return nil, 0, 0, false, false, false
 		}
 	}
 	tok = b[s.i:i]
 	s.i = i
-	return tok, u, neg, integral, true
+	return tok, w, k, neg, plain, true
 }
 
-// int decodes an int field: integral tokens only, as encoding/json's
-// ParseInt would have it. "1.0", "1e2" and 19-digit tokens are not canonical.
+// int decodes an int field: integral tokens of at most 18 digits only (they
+// always fit an int64), as encoding/json's ParseInt would have it. "1.0",
+// "1e2" and 19-digit tokens are not canonical.
 func (s *inspectScanner) int() (int, bool) {
-	_, u, neg, integral, ok := s.number()
-	if !ok || !integral {
+	_, w, k, neg, plain, ok := s.number()
+	if !ok || !plain || k != 0 || w >= 1e18 {
 		return 0, false
 	}
-	n := int64(u)
+	n := int64(w)
 	if neg {
 		n = -n
 	}
 	return int(n), int64(int(n)) == n // false where int is 32 bits and n overflows it
 }
 
-// float decodes a float64 field. An integral token below 1e15 converts
-// exactly (it is under 2^53); negating afterwards keeps "-0" negative zero,
-// as ParseFloat does. Every other token goes through ParseFloat itself, the
-// function encoding/json calls, so rounding is identical by construction; an
-// out-of-range token is its error and not canonical.
+// pow10 and pow5 are the exact divisors of float: 1e22 is the largest power
+// of ten a float64 holds exactly, and 5^22 is below 2^52.
+var (
+	pow10 = [23]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+		1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+	pow5 = func() (t [23]uint64) {
+		t[0] = 1
+		for k := 1; k < len(t); k++ {
+			t[k] = 5 * t[k-1]
+		}
+		return t
+	}()
+)
+
+// float decodes a float64 field to the bits strconv.ParseFloat — the function
+// encoding/json calls — returns for the token, which is the correctly rounded
+// value. A plain token with at most 22 fraction digits never reaches strconv:
+// below 2^53 w converts exactly and so does 10^k, which leaves one IEEE
+// division, correctly rounded (ParseFloat's own exact case); from 2^53 up
+// divPow10 rounds the integer quotient. The sign is applied last, so "-0.0"
+// stays negative zero. Every other token is ParseFloat's; one that is out of
+// range is its error and not canonical.
 func (s *inspectScanner) float() (float64, bool) {
-	tok, u, neg, integral, ok := s.number()
+	tok, w, k, neg, plain, ok := s.number()
 	if !ok {
 		return 0, false
 	}
-	if integral && u < 1e15 {
-		f := float64(u)
-		if neg {
-			f = -f
-		}
-		return f, true
+	if !plain || k >= len(pow10) {
+		f, err := strconv.ParseFloat(string(tok), 64)
+		return f, err == nil
 	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	return f, err == nil
+	var f float64
+	switch {
+	case w >= 1<<53:
+		f = divPow10(w, k)
+	case k > 0:
+		f = float64(w) / pow10[k]
+	default:
+		f = float64(w)
+	}
+	if neg {
+		f = -f
+	}
+	return f, true
+}
+
+// divPow10 returns w / 10^k rounded half-to-even to a float64, for w >= 2^53
+// and k <= 22, in integer arithmetic. w and 5^k are shifted up to set their
+// top bits, so n/d is in (1/2, 2) and w / 10^k = n/d * 2^(ld-lw-k). Div64
+// requires hi < d: hi = n>>1 < 2^63 <= d. Its quotient floor(n/d * 2^63)
+// has 63 or 64 bits, at least ten below the 53 kept, and a non-zero remainder
+// is the sticky bit below those. The result is at least 2^53 / 1e22, so always
+// normal, and a mantissa that rounds up to 2^53 carries into the exponent
+// field by the addition.
+func divPow10(w uint64, k int) float64 {
+	lw, ld := bits.LeadingZeros64(w), bits.LeadingZeros64(pow5[k])
+	n, d := w<<lw, pow5[k]<<ld
+	q, r := bits.Div64(n>>1, n<<63, d)
+	lq := bits.LeadingZeros64(q) // 0 or 1
+	q <<= lq
+	if r != 0 {
+		q |= 1
+	}
+	m := q >> 11
+	if low := q & (1<<11 - 1); low > 1<<10 || low == 1<<10 && m&1 == 1 {
+		m++
+	}
+	return math.Float64frombits(uint64(1022+ld-lw-k-lq)<<52 + m)
 }

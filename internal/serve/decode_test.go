@@ -281,28 +281,28 @@ func TestDecodeInspectTable(t *testing.T) {
 	}
 }
 
-// TestDecodeInspectTruncationSweep cuts one valid body at every length:
-// each prefix is accepted or refused, with the same error text, as the
-// encoding/json-only route accepts or refuses it.
+// mutants calls f with every prefix of body and every single-bit flip of it.
+func mutants(body []byte, f func([]byte)) {
+	for n := 0; n <= len(body); n++ {
+		f(body[:n])
+	}
+	for i := 0; i < 8*len(body); i++ {
+		m := append([]byte(nil), body...)
+		m[i/8] ^= 1 << (i % 8)
+		f(m)
+	}
+}
+
+// TestDecodeInspectTruncationSweep cuts two valid bodies at every length and
+// flips each of their bits: every mutant (a digit turned point, sign or 'e')
+// is answered, error text included, as the encoding/json-only route answers it.
 func TestDecodeInspectTruncationSweep(t *testing.T) {
 	rp := newRoutePair(t)
 	// Whitespace between all tokens gives the most cut points; the value
-	// appended after it makes every prefix past the first value a body with
-	// trailing bytes.
-	body := []byte(" \t\r\n{ \"job\" : { \"wait\" : 1.5e2 , \"est\" : 3600 , \"procs\" : 16 } ,\n\"free_procs\" : 32 , \"total_procs\" : 128 , \"backfill_enabled\" : false ,\r\n\"queue\" : [ { \"wait\" : -0.5 , \"est\" : 600 , \"procs\" : 4 } , { } ] } \n\t")
-	body = append(body, benchShapedBody(4, 3)...)
-	for n := 0; n <= len(body); n++ {
-		prefix := body[:n]
-		rp.check(t, prefix, checkDecode(t, prefix))
-	}
-	body = benchShapedBody(5, 3)
-	for n := 0; n <= len(body); n++ {
-		prefix := body[:n]
-		canonical := checkDecode(t, prefix)
-		if canonical != (n == len(body)) {
-			t.Fatalf("prefix %q: canonical=%v", prefix, canonical)
-		}
-		rp.check(t, prefix, canonical)
+	// appended makes every prefix past the first value a body with trailing bytes.
+	spaced := []byte(" \t\r\n{ \"job\" : { \"wait\" : 1.5e2 , \"est\" : 3600 , \"procs\" : 16 } ,\n\"free_procs\" : 32 , \"total_procs\" : 128 , \"backfill_enabled\" : false ,\r\n\"queue\" : [ { \"wait\" : -0.5 , \"est\" : 600 , \"procs\" : 4 } , { } ] } \n\t")
+	for _, body := range [][]byte{append(spaced, benchShapedBody(4, 3)...), benchShapedBody(5, 3)} {
+		mutants(body, func(m []byte) { rp.check(t, m, checkDecode(t, m)) })
 	}
 }
 
