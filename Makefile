@@ -90,14 +90,15 @@ bench-fleet-check:
 		| $(GO) run ./cmd/benchjson -check BENCH_fleet.json -tolerance 0.25
 
 # equiv runs the golden equivalence suites that pin the Env/wave engines to
-# the verbatim seed implementations — concurrent /v1/inspect requests to
-# sequential Explain calls — and the distributed engine's replicas to the
-# single-process trainer — bit for bit, under the race detector. The PPO
-# update is pinned the same way: internal/rl's frozen digest of the
-# per-sample update (amd64 bits) and, on every architecture, internal/nn's
-# batch kernels against the per-sample Forward/Backward.
+# the verbatim seed implementations, the rollout loop at every window and
+# worker count to one worker with a window of one, concurrent /v1/inspect
+# requests to sequential Explain calls, and the distributed engine's
+# replicas to the single-process trainer — bit for bit, under the race
+# detector. The PPO update is pinned the same way: internal/rl's frozen
+# digest of the per-sample update (amd64 bits) and, on every architecture,
+# internal/nn's batch kernels against the per-sample Forward/Backward.
 equiv:
-	$(GO) test -race -run 'Equiv|BatchBitIdentical' -count=1 ./internal/sim/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/rl/ ./internal/nn/
+	$(GO) test -race -run 'Equiv|BatchBitIdentical' -count=1 ./internal/sim/ ./internal/rollout/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/rl/ ./internal/nn/
 
 # trace-smoke exercises the decision flight recorder end to end at smoke
 # scale: a tiny training run records a .ftrace flight trace; every explain

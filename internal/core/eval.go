@@ -216,17 +216,12 @@ func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 		episodes[i] = rollout.Episode{Jobs: jobs, Cfg: mkCfg(i)}
 		episodes[n+i] = rollout.Episode{Jobs: jobs, Cfg: mkCfg(n + i), Interactive: insp != nil}
 	}
-	var decide rollout.Decide
+	rollCfg := rollout.Config{Workers: workers}
 	var sampler *waveSampler
 	if insp != nil {
-		if cfg.Greedy {
-			rngs = nil // argmax decisions consume no randomness
-		}
-		sampler = newWaveSampler(insp.Clone(nil), rngs, 0, false)
-		decide = sampler.decide
+		sampler = newWaveSampler(insp.Clone(nil), rngs, cfg.Greedy, false)
+		rollCfg.NewDecide = sampler.worker
 	}
-
-	rollCfg := rollout.Config{Workers: workers, Decide: decide}
 	var evalSpan obs.Span
 	if cfg.Flight != nil {
 		evalID := obs.DeriveSpanID(uint64(cfg.Seed), streamEval)

@@ -12,8 +12,9 @@ type RolloutMetrics struct {
 	// WorkerUtilization is busy-time / (workers x wall) of the most recent
 	// rollout in [0, 1] — how much of the pool the fan-out actually used.
 	WorkerUtilization *obs.Gauge
-	// TrajectorySeconds observes the latency of each simulated trajectory
-	// (baseline lookup + inspected run).
+	// TrajectorySeconds observes each simulated trajectory's share of its
+	// rollout worker's time, policy inference included, at any worker
+	// count (rollout.Report.EpisodeSeconds; Evaluate adds the two arms).
 	TrajectorySeconds *obs.Histogram
 	// BaselineCacheSize tracks the bounded baseline cache's entry count.
 	BaselineCacheSize *obs.Gauge
@@ -31,7 +32,7 @@ func NewRolloutMetrics(r *obs.Registry) *RolloutMetrics {
 		WorkerUtilization: r.Gauge("schedinspector_rollout_worker_utilization",
 			"Busy-time share of the worker pool during the most recent rollout (0-1).", nil),
 		TrajectorySeconds: r.Histogram("schedinspector_rollout_trajectory_seconds",
-			"Latency of one simulated trajectory (baseline + inspected run).", nil, nil),
+			"One simulated trajectory's share of its rollout worker's time, policy inference included.", nil, nil),
 		BaselineCacheSize: r.Gauge("schedinspector_baseline_cache_entries",
 			"Entries currently held by the bounded baseline summary cache.", nil),
 		BaselineCacheHits: r.Counter("schedinspector_baseline_cache_hits_total",

@@ -413,9 +413,10 @@ func TestRunIndexed(t *testing.T) {
 }
 
 // BenchmarkRunEpochWorkers measures one training epoch at increasing worker
-// counts. On a multi-core machine the 4-worker case should run roughly
-// min(4, cores)x faster than sequential; on a single core all cases
-// degenerate to the same cost (the pool adds only scheduling noise).
+// counts. Workers fan out only the rollout, and the serial PPO update is
+// about 95 % of an epoch, so expect the rows to differ by a few per cent at
+// most on any number of cores; BenchmarkEvaluateWorkers is the one that
+// shows the rollout scaling.
 func BenchmarkRunEpochWorkers(b *testing.B) {
 	tr := workload.SDSCSP2Like(6000, 17)
 	for _, workers := range []int{1, 2, 4} {
@@ -430,6 +431,30 @@ func BenchmarkRunEpochWorkers(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := trainer.RunEpoch(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEvaluateWorkers measures one paired evaluation pass — F1 with
+// EASY backfilling, 200 sequences x 256 jobs, inference only — at
+// increasing worker counts. Run it with -cpu 1,2,4: every worker drives its
+// own waves, so with as many cores as workers a pass should take close to
+// 1/workers of the workers=1 time, and on one core all rows cost the same.
+func BenchmarkEvaluateWorkers(b *testing.B) {
+	tr := workload.SDSCSP2Like(6000, 17)
+	insp := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD), nil)
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := EvalConfig{
+				Trace: tr, Policy: sched.F1(), Metric: metrics.BSLD, Backfill: true,
+				Sequences: 200, SeqLen: 256, Seed: 29, Workers: workers,
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Evaluate(insp, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -142,8 +142,7 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 
 	// Phase 2: inspected episodes through the wave driver. Concurrent
 	// episodes each need their own stateful-policy instance; the inspector
-	// itself needs only one read-only snapshot, since decision waves are
-	// evaluated on the coordinating goroutine.
+	// needs only one snapshot, which every worker's forward reads.
 	epPols, ok := rollout.PolicyClones(t.cfg.Policy, n)
 	epWorkers := workers
 	if !ok {
@@ -161,8 +160,8 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 			Interactive: true,
 		}
 	}
-	sampler := newWaveSampler(t.insp.Clone(nil), rngs, hi, true)
-	rollCfg := rollout.Config{Workers: epWorkers, Decide: sampler.decide, SlotBase: lo}
+	sampler := newWaveSampler(t.insp.Clone(nil), rngs, false, true)
+	rollCfg := rollout.Config{Workers: epWorkers, NewDecide: sampler.worker, SlotBase: lo}
 	if t.cfg.Flight != nil {
 		// The epoch span roots this epoch's episode and decision spans; its
 		// ID is a pure function of (seed, epoch), never of scheduling, so
@@ -205,7 +204,7 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 		}
 		deltas[k] = TrajDelta{
 			Index:          b,
-			Steps:          sampler.steps[b],
+			Steps:          sampler.slots[b].steps,
 			Reward:         clampReward(Reward(t.cfg.RewardKind, t.cfg.Metric, orig, insp)),
 			Improvement:    diff,
 			PctImprovement: metrics.Improvement(t.cfg.Metric, orig, insp),

@@ -11,8 +11,8 @@ import (
 
 // waveSampler turns the rollout driver's decision waves into inspector
 // actions with one matrix-shaped policy forward per wave. Where the old
-// engine ran one scalar MLP forward inside every simulator callback, the
-// sampler stacks the features of every concurrently-pending decision into
+// engine ran one scalar MLP forward inside every simulator callback, a
+// worker stacks the features of every decision pending in its window into
 // one batch, forwards it once, and then samples (or argmaxes) each row.
 //
 // Bit-identity with the callback path holds row by row: ForwardBatch
@@ -21,47 +21,59 @@ import (
 // row draws from its own slot's trajectory stream — so wave composition
 // cannot influence any decision.
 //
-// The sampler is coordinator-only: Decide is never called concurrently, so
-// one snapshot of the inspector serves every slot.
+// The sampler itself is what the rollout workers share: one read-only
+// snapshot of the inspector, and the per-slot state, which needs no lock
+// because the driver hands a slot to exactly one worker. Everything a
+// forward writes is per worker (waveWorker).
 type waveSampler struct {
 	insp   *Inspector
-	rngs   []*rand.Rand // per-slot streams; indexed by episode slot
-	steps  [][]rl.Step  // per-slot transition records when recording
-	slabs  [][]float64  // per-slot backing store of the recorded observations
+	slots  []slotState // indexed by episode slot
+	record bool        // keep per-slot step logs (training)
 	greedy bool
 
-	feats  []float64 // wave feature matrix, rows x Mode.Dim()
-	probs  []float64 // softmax scratch
-	bcache nn.BatchCache
-
 	// Flight-recorder hookup (explainTo): every decision emits one explain
-	// record keyed (epoch, slot, per-slot sequence). The sampler is
-	// coordinator-only and a slot's decisions arrive in its episode's step
-	// order, so the key — and with it every record field — is independent
-	// of wave composition and worker count.
-	flight     *obs.TraceRing
-	epoch      int
-	maxRej     int
-	seqs       map[int]int       // per-slot decision counters
+	// record keyed (epoch, slot, per-slot sequence). A slot's decisions
+	// arrive in its episode's step order, so the key — and with it every
+	// record field — is independent of wave composition and worker count.
+	flight *obs.TraceRing
+	epoch  int
+	maxRej int
+}
+
+// slotState is what one episode slot carries from decision to decision.
+type slotState struct {
+	rng   *rand.Rand // the slot's action draws; unread in greedy mode
+	steps []rl.Step  // transition records when recording
+	slab  []float64  // backing store of the recorded observations
+	seq   int        // explain records emitted so far
+}
+
+// waveWorker is one rollout worker's Decide: the scratch a forward pass
+// writes, over the shared sampler.
+type waveWorker struct {
+	*waveSampler
+	feats      []float64 // wave feature matrix, rows x Mode.Dim()
+	probs      []float64 // softmax scratch
+	bcache     nn.BatchCache
 	recScratch obs.ExplainRecord // reused record; EmitDecision copies
 }
 
-// newWaveSampler builds a sampler over slots episode slots using insp as
-// the read-only policy snapshot. rngs[slot] supplies the slot's action
-// draws (stochastic modes); record allocates per-slot step logs for
-// training. Greedy mode (rngs nil) takes the argmax instead of sampling.
-func newWaveSampler(insp *Inspector, rngs []*rand.Rand, slots int, record bool) *waveSampler {
-	s := &waveSampler{
-		insp:   insp,
-		rngs:   rngs,
-		greedy: rngs == nil,
-		probs:  make([]float64, insp.Agent.Policy.OutputSize()),
-	}
-	if record {
-		s.steps = make([][]rl.Step, slots)
-		s.slabs = make([][]float64, slots)
+// newWaveSampler builds a sampler over len(rngs) episode slots using insp
+// as the read-only policy snapshot. rngs[slot] supplies the slot's action
+// draws; greedy takes the argmax instead and consumes no randomness.
+// record keeps per-slot step logs for training.
+func newWaveSampler(insp *Inspector, rngs []*rand.Rand, greedy, record bool) *waveSampler {
+	s := &waveSampler{insp: insp, slots: make([]slotState, len(rngs)), record: record, greedy: greedy}
+	for i, rng := range rngs {
+		s.slots[i].rng = rng
 	}
 	return s
+}
+
+// worker is the rollout.Config.NewDecide hook.
+func (s *waveSampler) worker(int) rollout.Decide {
+	w := &waveWorker{waveSampler: s, probs: make([]float64, s.insp.Agent.Policy.OutputSize())}
+	return w.decide
 }
 
 // obsSlabRows is how many observations one slab block holds. A trajectory
@@ -69,17 +81,17 @@ func newWaveSampler(insp *Inspector, rngs []*rand.Rand, slots int, record bool) 
 // two blocks instead of making one allocation per decision.
 const obsSlabRows = 256
 
-// recordObs copies row into slot's slab and returns the copy. A full slab
-// is replaced by a new block, never grown, so slices handed out earlier
-// never move.
-func (s *waveSampler) recordObs(slot int, row []float64) []float64 {
-	slab := s.slabs[slot]
+// recordObs copies row into the slot's slab and returns the copy. A full
+// slab is replaced by a new block, never grown, so slices handed out
+// earlier never move.
+func (sl *slotState) recordObs(row []float64) []float64 {
+	slab := sl.slab
 	if cap(slab)-len(slab) < len(row) {
 		slab = make([]float64, 0, obsSlabRows*len(row))
 	}
 	n := len(slab)
 	slab = append(slab, row...)
-	s.slabs[slot] = slab
+	sl.slab = slab
 	return slab[n:len(slab):len(slab)]
 }
 
@@ -89,74 +101,70 @@ func (s *waveSampler) explainTo(f *obs.TraceRing, epoch, maxRejections int) {
 	s.flight = f
 	s.epoch = epoch
 	s.maxRej = maxRejections
-	if f != nil && s.seqs == nil {
-		s.seqs = make(map[int]int)
-	}
 }
 
-func (s *waveSampler) decide(pending []rollout.Pending, rejects []bool) {
-	dim := s.insp.Mode.Dim()
+func (w *waveWorker) decide(pending []rollout.Pending, rejects []bool) {
+	dim := w.insp.Mode.Dim()
 	rows := len(pending)
-	if cap(s.feats) < rows*dim {
-		s.feats = make([]float64, rows*dim)
+	if cap(w.feats) < rows*dim {
+		w.feats = make([]float64, rows*dim)
 	}
-	s.feats = s.feats[:rows*dim]
+	w.feats = w.feats[:rows*dim]
 	for i := range pending {
 		// Full-capacity subslices: Features fills the matrix row in place.
-		s.insp.Norm.Features(s.feats[i*dim:(i+1)*dim:(i+1)*dim], s.insp.Mode, pending[i].State)
+		w.insp.Norm.Features(w.feats[i*dim:(i+1)*dim:(i+1)*dim], w.insp.Mode, pending[i].State)
 	}
-	logits := s.insp.Agent.Policy.ForwardBatch(s.feats, rows, &s.bcache)
-	nAct := s.insp.Agent.Policy.OutputSize()
+	logits := w.insp.Agent.Policy.ForwardBatch(w.feats, rows, &w.bcache)
+	nAct := w.insp.Agent.Policy.OutputSize()
 	for i := range pending {
 		lg := logits[i*nAct : (i+1)*nAct]
+		slot := pending[i].Slot
+		sl := &w.slots[slot]
 		var action int
 		var logp float64
-		if s.greedy {
+		if w.greedy {
 			for a := 1; a < len(lg); a++ {
 				if lg[a] > lg[action] {
 					action = a
 				}
 			}
 		} else {
-			action, logp = rl.SampleCategorical(s.rngs[pending[i].Slot], lg, s.probs)
+			action, logp = rl.SampleCategorical(sl.rng, lg, w.probs)
 		}
-		if s.steps != nil {
-			slot := pending[i].Slot
-			s.steps[slot] = append(s.steps[slot], rl.Step{
-				Obs:    s.recordObs(slot, s.feats[i*dim:(i+1)*dim]),
+		if w.record {
+			sl.steps = append(sl.steps, rl.Step{
+				Obs:    sl.recordObs(w.feats[i*dim : (i+1)*dim]),
 				Action: action,
 				LogP:   logp,
 			})
 		}
 		rejects[i] = action == ActionReject
-		if s.flight != nil {
-			if s.greedy {
-				// Sampling left softmax(lg) in s.probs; the greedy branch
+		if w.flight != nil {
+			if w.greedy {
+				// Sampling left softmax(lg) in w.probs; the greedy branch
 				// skipped it, so fill the scratch now for the record.
-				nn.Softmax(lg, s.probs)
+				nn.Softmax(lg, w.probs)
 			}
 			st := pending[i].State
-			slot := pending[i].Slot
-			seq := s.seqs[slot]
-			s.seqs[slot] = seq + 1
 			util := 0.0
 			if st.TotalProcs > 0 {
 				util = 1 - float64(st.FreeProcs)/float64(st.TotalProcs)
 			}
-			// The record borrows the sampler's scratch slices: EmitDecision
+			// The record borrows the worker's scratch slices: EmitDecision
 			// copies them into the ring's arena.
-			s.recScratch = obs.ExplainRecord{
-				Epoch: s.epoch, Traj: slot, Seq: seq, Time: st.Now,
+			w.recScratch = obs.ExplainRecord{
+				Epoch: w.epoch, Traj: slot, Seq: sl.seq, Time: st.Now,
 				JobID: st.Job.ID, Wait: st.JobWait, Procs: st.Job.Procs, Est: st.Job.Est,
-				Rejections: st.Rejections, MaxRejections: s.maxRej,
+				Rejections: st.Rejections, MaxRejections: w.maxRej,
 				QueueLen: len(st.Queue) + 1, FreeProcs: st.FreeProcs,
 				TotalProcs: st.TotalProcs, Utilization: util,
-				Features: s.feats[i*dim : (i+1)*dim],
+				Features: w.feats[i*dim : (i+1)*dim],
 				Logits:   lg,
-				Probs:    s.probs[:len(lg)],
-				Action:   action, Sampled: !s.greedy, Rejected: rejects[i],
+				Probs:    w.probs[:len(lg)],
+				Action:   action, Sampled: !w.greedy, Rejected: rejects[i],
 			}
-			s.flight.EmitDecision(&s.recScratch)
+			sl.seq++
+			w.flight.EmitDecision(&w.recScratch)
 		}
 	}
 }

@@ -3,22 +3,24 @@
 // and the RL-scheduler baseline all submit batches of episodes here instead
 // of carrying their own worker-pool and callback plumbing.
 //
-// The driver runs each episode on a resumable sim.Env and surfaces the
-// scheduling decisions of ALL concurrently-running episodes together, one
-// wave at a time, to a single Decide callback. A neural inspector can
-// therefore evaluate an entire wave with one matrix-shaped forward pass
-// instead of one scalar forward per decision.
+// Every worker runs the same loop on its own: it claims episodes from a
+// shared counter in slot order, keeps a bounded window of them live on
+// resumable sim.Envs it recycles, and hands the pending scheduling decisions
+// of that window, one wave at a time, to its own Decide. A neural inspector
+// therefore evaluates a wave with one matrix-shaped forward pass instead of
+// one scalar forward per decision, and no worker ever waits for another.
 //
 // Determinism: an episode's outcome is a pure function of (its jobs, its
 // policy instance, its decision sequence), and Decide implementations keyed
 // on per-slot RNG streams make each decision sequence a pure function of
-// the slot. Wave composition and worker count therefore never change any
-// result — workers=1 and workers=N are bit-identical, which the
+// the slot. Wave composition, window size and worker count therefore never
+// change any result — workers=1 and workers=N are bit-identical, which the
 // equivalence suite pins.
 package rollout
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"schedinspector/internal/metrics"
@@ -47,28 +49,34 @@ type Pending struct {
 	State *sim.State
 }
 
-// Decide receives one wave — every interactive episode currently stopped at
-// a scheduling point, in ascending slot order — and must fill rejects[i]
-// with the decision for pending[i]. It is always called from the
-// coordinating goroutine, never concurrently with itself or with episode
-// stepping.
+// Decide receives one wave — the interactive episodes of one worker's window
+// currently stopped at a scheduling point, in ascending slot order — and
+// must fill rejects[i] with the decision for pending[i]. A worker never
+// calls its Decide concurrently with itself, but different workers call
+// theirs concurrently, each over slots no other worker holds.
 type Decide func(pending []Pending, rejects []bool)
+
+// liveWindow is how many interactive episodes one worker keeps live, and so
+// the most rows one Decide call sees. Evaluate 500 x 256 on one CPU takes
+// the same time from 8 to 128 and 2-7 % longer at 256 and 500.
+const liveWindow = 64
 
 // Config parameterizes one driver run.
 type Config struct {
-	// Workers is the stepping fan-out (0 = one per CPU). Workers == 1 is a
-	// semantic switch, not just a parallelism knob: episodes run strictly
-	// one at a time in slot order, with single-slot waves — required when
-	// episodes share one stateful, uncloneable policy instance (the
-	// RL-scheduler baseline while sampling), whose consultation order must
-	// match a sequential loop. With Workers > 1 all episodes are live
-	// concurrently, so stateful policies need per-episode instances (see
-	// PolicyClones).
+	// Workers is how many goroutines run the wave loop (0 = one per CPU).
+	// Workers == 1 is a semantic switch, not just a parallelism knob:
+	// episodes run strictly one at a time in slot order on the calling
+	// goroutine, with single-slot waves — required when episodes share one
+	// stateful, uncloneable policy instance (the RL-scheduler baseline
+	// while sampling), whose consultation order must match a sequential
+	// loop. With Workers > 1 up to Workers x 64 episodes are live at once,
+	// so stateful policies need per-episode instances (see PolicyClones).
 	Workers int
 
-	// Decide supplies decisions for interactive episodes. Required if any
-	// episode is interactive.
-	Decide Decide
+	// NewDecide returns the Decide of worker w in [0, Workers); the driver
+	// calls it once per worker, so each Decide may own scratch state.
+	// Required if any episode is interactive.
+	NewDecide func(w int) Decide
 
 	// Ring attaches the flight recorder: each episode slot gets an
 	// "episode" span (child of SpanRoot, ID derived from (SpanRoot, slot))
@@ -91,9 +99,14 @@ type Config struct {
 	SlotBase int
 }
 
-// Report carries the run's timing observations for telemetry: summed
-// worker busy time, wall-clock elapsed, and per-episode simulation seconds
-// (indexed by slot).
+// Report carries the run's timing observations for telemetry: Busy is the
+// sum over workers of the time from a loop's start to the end of its last
+// episode (zero for a worker that found nothing to claim) and Wall the
+// elapsed time, so Busy never exceeds Workers x Wall. EpisodeSeconds
+// (indexed by slot) is each episode's share of its worker's loop, inference
+// included: the time between two changes of the worker's live set is split
+// evenly over that set — the clock is read when an episode ends, not per
+// Step — so the shares sum to Busy.
 type Report struct {
 	Busy, Wall     time.Duration
 	EpisodeSeconds []float64
@@ -105,42 +118,10 @@ type Report struct {
 // chance to finish, mirroring how the pre-driver engines reduced worker
 // errors.
 func Run(eps []Episode, cfg Config) ([]sim.Result, Report, error) {
-	n := len(eps)
-	rep := Report{EpisodeSeconds: make([]float64, n)}
-	results := make([]sim.Result, n)
-	errs := make([]error, n)
-	for i := range eps {
-		if eps[i].Cfg.Inspector != nil {
-			return nil, rep, fmt.Errorf("rollout: episode %d sets Cfg.Inspector; decisions must come from Decide", i)
-		}
-		if eps[i].Interactive && cfg.Decide == nil {
-			return nil, rep, fmt.Errorf("rollout: episode %d is interactive but Config.Decide is nil", i)
-		}
+	if workers := min(ResolveWorkers(cfg.Workers), len(eps)); workers > 1 {
+		return run(eps, cfg, workers, liveWindow)
 	}
-	if cfg.Ring != nil {
-		// Copy the episode slice before attaching span plumbing so the
-		// caller's Episodes are never mutated.
-		eps = append([]Episode(nil), eps...)
-		for i := range eps {
-			eps[i].Cfg.Ring = cfg.Ring
-			eps[i].Cfg.SpanParent = obs.DeriveSpanID(uint64(cfg.SpanRoot), uint64(cfg.SlotBase+i))
-		}
-	}
-	workers := ResolveWorkers(cfg.Workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		runSequential(eps, cfg, results, errs, &rep)
-	} else {
-		runWaves(eps, cfg, workers, results, errs, &rep)
-	}
-	for i := range errs {
-		if errs[i] != nil {
-			return results, rep, errs[i]
-		}
-	}
-	return results, rep, nil
+	return run(eps, cfg, 1, 1)
 }
 
 // ownResult detaches a Result from the env buffers that back it, so the env
@@ -153,144 +134,141 @@ func ownResult(r sim.Result) sim.Result {
 	return r
 }
 
-// endEpisodeSpan closes the span bracketing one finished episode and emits
-// it to the ring. Wall duration covers the episode's execution; sim
-// duration its simulated makespan.
-func endEpisodeSpan(cfg *Config, esp obs.Span, slot, jobs int, simEnd float64, res *sim.Result) {
-	esp.Attrs = append(esp.Attrs,
-		obs.Attr{Key: "slot", Num: float64(slot)},
-		obs.Attr{Key: "jobs", Num: float64(jobs)},
-		obs.Attr{Key: "inspections", Num: float64(res.Inspections)},
-		obs.Attr{Key: "rejections", Num: float64(res.Rejections)},
-	)
-	esp.End(simEnd)
-	cfg.Ring.EmitSpan(&esp)
+// live is one interactive episode in a worker's window.
+type live struct {
+	i     int        // episode position; its slot is SlotBase+i
+	env   *sim.Env   // the worker's, back on its free list when the episode ends
+	state *sim.State // the pending decision, nil once the episode is done
+	span  obs.Span   // open episode span when a ring is attached
 }
 
-// runSequential executes episodes one at a time in slot order on a single
-// reused environment, yielding single-slot waves.
-func runSequential(eps []Episode, cfg Config, results []sim.Result, errs []error, rep *Report) {
-	start := time.Now()
-	env := sim.NewEnv()
-	pending := make([]Pending, 1)
-	rejects := make([]bool, 1)
-	for i := range eps {
-		t0 := time.Now()
-		var esp obs.Span
-		if cfg.Ring != nil {
-			esp = obs.StartSpan("episode", eps[i].Cfg.SpanParent, cfg.SpanRoot, 0)
-		}
-		if !eps[i].Interactive {
-			r, err := sim.RunEnv(env, eps[i].Jobs, eps[i].Cfg)
-			if err == nil {
-				r = ownResult(r)
-			}
-			results[i], errs[i] = r, err
-		} else if obsState, done, err := env.Reset(eps[i].Jobs, eps[i].Cfg); err != nil {
-			errs[i] = err
-		} else {
-			for !done {
-				pending[0] = Pending{Slot: cfg.SlotBase + i, State: obsState}
-				cfg.Decide(pending, rejects)
-				obsState, done = env.Step(rejects[0])
-			}
-			results[i] = ownResult(env.Result())
-		}
-		if cfg.Ring != nil && errs[i] == nil {
-			endEpisodeSpan(&cfg, esp, cfg.SlotBase+i, len(eps[i].Jobs), env.Now(), &results[i])
-		}
-		rep.EpisodeSeconds[i] = time.Since(t0).Seconds()
-	}
-	rep.Wall = time.Since(start)
-	rep.Busy = rep.Wall
-}
-
-// runWaves executes all episodes concurrently: a parallel init phase (full
-// runs for non-interactive episodes, Reset-to-first-decision for
-// interactive ones), then wave rounds — one Decide call over every pending
-// slot followed by a parallel Step of each live environment.
-func runWaves(eps []Episode, cfg Config, workers int, results []sim.Result, errs []error, rep *Report) {
+// run starts workers copies of the wave loop (one, on the calling goroutine,
+// when workers is 1): claim the next episode, run it straight through or
+// Reset it into the window, and once window episodes are live or none is
+// left to claim, Decide the window and Step each member.
+func run(eps []Episode, cfg Config, workers, window int) ([]sim.Result, Report, error) {
 	n := len(eps)
-	envs := make([]*sim.Env, n)
-	states := make([]*sim.State, n)
-	done := make([]bool, n)
-	seqEnvs := make([]*sim.Env, workers) // per-worker envs for non-interactive runs
-	var espans []obs.Span                // open episode spans, indexed by slot
-	if cfg.Ring != nil {
-		espans = make([]obs.Span, n)
-	}
-
-	busy, wall := RunIndexed(workers, n, func(w, i int) {
-		t0 := time.Now()
-		if espans != nil {
-			espans[i] = obs.StartSpan("episode", eps[i].Cfg.SpanParent, cfg.SpanRoot, 0)
-		}
-		if eps[i].Interactive {
-			envs[i] = sim.NewEnv()
-			states[i], done[i], errs[i] = envs[i].Reset(eps[i].Jobs, eps[i].Cfg)
-		} else {
-			if seqEnvs[w] == nil {
-				seqEnvs[w] = sim.NewEnv()
-			}
-			r, err := sim.RunEnv(seqEnvs[w], eps[i].Jobs, eps[i].Cfg)
-			if err == nil {
-				r = ownResult(r)
-			}
-			results[i], errs[i] = r, err
-			if espans != nil && err == nil {
-				endEpisodeSpan(&cfg, espans[i], cfg.SlotBase+i, len(eps[i].Jobs), seqEnvs[w].Now(), &results[i])
-			}
-		}
-		rep.EpisodeSeconds[i] += time.Since(t0).Seconds()
-	})
-	rep.Busy += busy
-	rep.Wall += wall
-
-	live := make([]int, 0, n)
+	rep := Report{EpisodeSeconds: make([]float64, n)}
 	for i := range eps {
-		if !eps[i].Interactive || errs[i] != nil {
-			continue
+		if eps[i].Cfg.Inspector != nil {
+			return nil, rep, fmt.Errorf("rollout: episode %d sets Cfg.Inspector; decisions must come from Decide", i)
 		}
-		if done[i] {
-			results[i] = envs[i].Result()
-			if espans != nil {
-				endEpisodeSpan(&cfg, espans[i], cfg.SlotBase+i, len(eps[i].Jobs), envs[i].Now(), &results[i])
-			}
-			continue
+		if eps[i].Interactive && cfg.NewDecide == nil {
+			return nil, rep, fmt.Errorf("rollout: episode %d is interactive but Config.NewDecide is nil", i)
 		}
-		live = append(live, i)
 	}
-
-	pending := make([]Pending, 0, len(live))
-	rejects := make([]bool, len(live))
-	for len(live) > 0 {
-		pending = pending[:0]
-		for _, i := range live {
-			pending = append(pending, Pending{Slot: cfg.SlotBase + i, State: states[i]})
+	results := make([]sim.Result, n)
+	errs := make([]error, n)
+	var next atomic.Int64 // the next unclaimed episode
+	// One index per worker: a goroutine that starts late finds its loop
+	// already run by an earlier one, or the counter spent.
+	busy := make([]time.Duration, workers)
+	_, rep.Wall = RunIndexed(workers, workers, func(_, w int) {
+		var decide Decide
+		if cfg.NewDecide != nil {
+			decide = cfg.NewDecide(w)
 		}
-		rejects = rejects[:len(pending)]
-		cfg.Decide(pending, rejects)
-
-		busy, wall := RunIndexed(workers, len(live), func(_, k int) {
-			i := live[k]
-			t0 := time.Now()
-			states[i], done[i] = envs[i].Step(rejects[k])
-			rep.EpisodeSeconds[i] += time.Since(t0).Seconds()
-		})
-		rep.Busy += busy
-		rep.Wall += wall
-
-		keep := live[:0]
-		for _, i := range live {
-			if done[i] {
-				results[i] = envs[i].Result()
-				if espans != nil {
-					endEpisodeSpan(&cfg, espans[i], cfg.SlotBase+i, len(eps[i].Jobs), envs[i].Now(), &results[i])
+		var free []*sim.Env
+		lives := make([]live, 0, window)
+		pending := make([]Pending, 0, window)
+		rejects := make([]bool, window)
+		start := time.Now()
+		last := start
+		defer func() { busy[w] = last.Sub(start) }()
+		lap := func() float64 { // seconds since the previous lap
+			now := time.Now()
+			d := now.Sub(last).Seconds()
+			last = now
+			return d
+		}
+		// finish detaches a completed episode's result and frees its env.
+		finish := func(lv *live) {
+			results[lv.i] = ownResult(lv.env.Result())
+			if cfg.Ring != nil {
+				lv.span.Attrs = append(lv.span.Attrs,
+					obs.Attr{Key: "slot", Num: float64(cfg.SlotBase + lv.i)},
+					obs.Attr{Key: "jobs", Num: float64(len(eps[lv.i].Jobs))},
+					obs.Attr{Key: "inspections", Num: float64(results[lv.i].Inspections)},
+					obs.Attr{Key: "rejections", Num: float64(results[lv.i].Rejections)},
+				)
+				lv.span.End(lv.env.Now())
+				cfg.Ring.EmitSpan(&lv.span)
+			}
+			free = append(free, lv.env)
+		}
+		for {
+			for len(lives) < window {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					break
 				}
-			} else {
-				keep = append(keep, i)
+				lv := live{i: i}
+				if k := len(free) - 1; k >= 0 {
+					lv.env, free = free[k], free[:k]
+				} else {
+					lv.env = sim.NewEnv()
+				}
+				ec := eps[i].Cfg // a copy: the caller's Episodes are never mutated
+				if cfg.Ring != nil {
+					ec.Ring = cfg.Ring
+					ec.SpanParent = obs.DeriveSpanID(uint64(cfg.SpanRoot), uint64(cfg.SlotBase+i))
+					lv.span = obs.StartSpan("episode", ec.SpanParent, cfg.SpanRoot, 0)
+				}
+				if eps[i].Interactive {
+					var done bool
+					if lv.state, done, errs[i] = lv.env.Reset(eps[i].Jobs, ec); errs[i] == nil && !done {
+						lives = append(lives, lv)
+						continue
+					}
+				} else {
+					_, errs[i] = sim.RunEnv(lv.env, eps[i].Jobs, ec)
+				}
+				if errs[i] == nil {
+					finish(&lv)
+				} else {
+					free = append(free, lv.env)
+				}
+				rep.EpisodeSeconds[i] = lap()
 			}
+			if len(lives) == 0 {
+				return // nothing live and nothing left to claim
+			}
+			pending = pending[:0]
+			for k := range lives {
+				pending = append(pending, Pending{Slot: cfg.SlotBase + lives[k].i, State: lives[k].state})
+			}
+			decide(pending, rejects[:len(lives)])
+			ended := 0
+			for k := range lives {
+				var done bool
+				if lives[k].state, done = lives[k].env.Step(rejects[k]); done {
+					ended++
+				}
+			}
+			if ended == 0 {
+				continue
+			}
+			// The live set changes here, so the time it shared is settled.
+			share := lap() / float64(len(lives))
+			keep := lives[:0]
+			for k := range lives {
+				rep.EpisodeSeconds[lives[k].i] += share
+				if lives[k].state == nil {
+					finish(&lives[k])
+				} else {
+					keep = append(keep, lives[k])
+				}
+			}
+			lives = keep
 		}
-		live = keep
+	})
+	for _, b := range busy {
+		rep.Busy += b
 	}
+	for _, err := range errs {
+		if err != nil {
+			return results, rep, err
+		}
+	}
+	return results, rep, nil
 }

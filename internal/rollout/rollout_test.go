@@ -2,8 +2,11 @@ package rollout
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"schedinspector/internal/explain"
@@ -15,13 +18,14 @@ import (
 
 var testTrace = workload.SDSCSP2Like(600, 5)
 
-// testEpisodes builds n episodes over distinct windows of the test trace:
-// even slots interactive, odd slots the straight-through base run.
+// testEpisodes builds n episodes over windows of the test trace (distinct
+// for the first 13): even slots interactive, odd slots the straight-through
+// base run.
 func testEpisodes(n int) []Episode {
 	eps := make([]Episode, n)
 	for i := range eps {
 		eps[i] = Episode{
-			Jobs: testTrace.Window(40*i, 48),
+			Jobs: testTrace.Window(40*i%520, 48),
 			Cfg: sim.Config{
 				MaxProcs: testTrace.MaxProcs, Policy: sched.SJF(), Backfill: true, NoValidate: true,
 			},
@@ -31,35 +35,50 @@ func testEpisodes(n int) []Episode {
 	return eps
 }
 
-// slotDecide is a Decide whose verdicts are a pure function of (slot, the
-// slot's decision count, the state), the property the engine's determinism
-// rests on. It records every slot it was handed, wave by wave.
+// slotDecide hands out Decides whose verdicts are a pure function of (slot,
+// the slot's decision count, the state), the property the engine's
+// determinism rests on. It records every wave it was handed and by which
+// worker; the lock is the test's own bookkeeping, not part of the contract.
 type slotDecide struct {
+	mu    sync.Mutex
 	seq   map[int]int
+	owner map[int]int // slot -> the worker that decided it
 	waves [][]int
+	bad   string // first contract violation seen
 }
 
-func (d *slotDecide) decide(pending []Pending, rejects []bool) {
-	if d.seq == nil {
-		d.seq = make(map[int]int)
+func (d *slotDecide) worker(w int) Decide {
+	return func(pending []Pending, rejects []bool) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		if d.seq == nil {
+			d.seq, d.owner = make(map[int]int), make(map[int]int)
+		}
+		wave := make([]int, len(pending))
+		for i, p := range pending {
+			wave[i] = p.Slot
+			if i > 0 && p.Slot <= wave[i-1] && d.bad == "" {
+				d.bad = fmt.Sprintf("wave %v is not in ascending slot order", wave[:i+1])
+			}
+			if o, seen := d.owner[p.Slot]; seen && o != w && d.bad == "" {
+				d.bad = fmt.Sprintf("slot %d was handed to workers %d and %d", p.Slot, o, w)
+			}
+			d.owner[p.Slot] = w
+			n := d.seq[p.Slot]
+			d.seq[p.Slot] = n + 1
+			rejects[i] = (n+p.Slot)%3 == 0 && p.State.Rejections < 2
+		}
+		d.waves = append(d.waves, wave)
 	}
-	wave := make([]int, len(pending))
-	for i, p := range pending {
-		wave[i] = p.Slot
-		n := d.seq[p.Slot]
-		d.seq[p.Slot] = n + 1
-		rejects[i] = (n+p.Slot)%3 == 0 && p.State.Rejections < 2
-	}
-	d.waves = append(d.waves, wave)
 }
 
 // TestRunSlotOrderAndWorkerEquivalence: results come back in slot order and
 // are identical whether episodes run one at a time or four at once.
 func TestRunSlotOrderAndWorkerEquivalence(t *testing.T) {
 	eps := testEpisodes(6)
-	run := func(workers int) ([]sim.Result, *slotDecide) {
+	runAt := func(workers int) ([]sim.Result, *slotDecide) {
 		d := &slotDecide{}
-		res, rep, err := Run(eps, Config{Workers: workers, Decide: d.decide})
+		res, rep, err := Run(eps, Config{Workers: workers, NewDecide: d.worker})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,10 +86,13 @@ func TestRunSlotOrderAndWorkerEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: %d results, %d episode timings for %d episodes",
 				workers, len(res), len(rep.EpisodeSeconds), len(eps))
 		}
+		if d.bad != "" {
+			t.Fatalf("workers=%d: %s", workers, d.bad)
+		}
 		return res, d
 	}
-	seq, seqD := run(1)
-	par, parD := run(4)
+	seq, seqD := runAt(1)
+	par, parD := runAt(4)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("results differ between Workers 1 and 4")
 	}
@@ -98,20 +120,18 @@ func TestRunSlotOrderAndWorkerEquivalence(t *testing.T) {
 			t.Fatalf("Workers=1 delivered a wave of %d slots", len(wave))
 		}
 	}
-	multi := false
-	for _, wave := range parD.waves {
-		multi = multi || len(wave) > 1
-		for k := 1; k < len(wave); k++ {
-			if wave[k] <= wave[k-1] {
-				t.Fatalf("wave %v is not in ascending slot order", wave)
-			}
-		}
-	}
-	if !multi {
-		t.Fatal("Workers=4 never coalesced two slots into one wave")
-	}
 	if !reflect.DeepEqual(seqD.seq, parD.seq) {
 		t.Fatalf("per-slot decision counts differ: %v vs %v", seqD.seq, parD.seq)
+	}
+	// Which of four racing workers claims which episode is up to the
+	// scheduler; one worker with the full window must hold all three
+	// interactive episodes in its first wave.
+	d := &slotDecide{}
+	if _, _, err := run(eps, Config{NewDecide: d.worker}, 1, liveWindow); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 2, 4}; !reflect.DeepEqual(d.waves[0], want) {
+		t.Fatalf("one worker's first wave is %v, want %v", d.waves[0], want)
 	}
 }
 
@@ -124,7 +144,7 @@ func TestSlotBaseShiftsSlotsAndSpanIDs(t *testing.T) {
 		eps := testEpisodes(4)
 		d := &slotDecide{}
 		ring := obs.NewTraceRing(1<<12, 0)
-		if _, _, err := Run(eps, Config{Workers: workers, Decide: d.decide, Ring: ring, SpanRoot: root, SlotBase: base}); err != nil {
+		if _, _, err := Run(eps, Config{Workers: workers, NewDecide: d.worker, Ring: ring, SpanRoot: root, SlotBase: base}); err != nil {
 			t.Fatal(err)
 		}
 		for slot := range d.seq {
@@ -172,7 +192,7 @@ func TestRunDoesNotMutateCallerEpisodes(t *testing.T) {
 	eps := testEpisodes(3)
 	d := &slotDecide{}
 	ring := obs.NewTraceRing(1<<12, 0)
-	if _, _, err := Run(eps, Config{Workers: 2, Decide: d.decide, Ring: ring, SpanRoot: 9}); err != nil {
+	if _, _, err := Run(eps, Config{Workers: 2, NewDecide: d.worker, Ring: ring, SpanRoot: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if ring.Total() == 0 {
@@ -189,10 +209,10 @@ func TestRunDoesNotMutateCallerEpisodes(t *testing.T) {
 func TestRunRejectsBadEpisodes(t *testing.T) {
 	eps := testEpisodes(2)
 	eps[1].Cfg.Inspector = func(*sim.State) bool { return false }
-	if _, _, err := Run(eps, Config{Decide: (&slotDecide{}).decide}); err == nil || !strings.Contains(err.Error(), "episode 1 sets Cfg.Inspector") {
+	if _, _, err := Run(eps, Config{NewDecide: (&slotDecide{}).worker}); err == nil || !strings.Contains(err.Error(), "episode 1 sets Cfg.Inspector") {
 		t.Fatalf("episode with its own Inspector: err %v", err)
 	}
-	if _, _, err := Run(testEpisodes(2), Config{}); err == nil || !strings.Contains(err.Error(), "episode 0 is interactive but Config.Decide is nil") {
+	if _, _, err := Run(testEpisodes(2), Config{}); err == nil || !strings.Contains(err.Error(), "episode 0 is interactive but Config.NewDecide is nil") {
 		t.Fatalf("interactive episode without Decide: err %v", err)
 	}
 	if _, _, err := Run(testEpisodes(2)[1:], Config{}); err != nil {
@@ -215,7 +235,7 @@ func TestRunReturnsFirstErrorInSlotOrder(t *testing.T) {
 			}
 			eps[bad].Jobs = jobs
 		}
-		res, _, err := Run(eps, Config{Workers: workers, Decide: (&slotDecide{}).decide})
+		res, _, err := Run(eps, Config{Workers: workers, NewDecide: (&slotDecide{}).worker})
 		if err == nil || !strings.Contains(err.Error(), "not sorted by submit at index 2") {
 			t.Fatalf("workers=%d: err %v, want slot 1's (unsorted at index 2)", workers, err)
 		}
@@ -224,6 +244,147 @@ func TestRunReturnsFirstErrorInSlotOrder(t *testing.T) {
 		}
 		if len(res[1].Results) != 0 || len(res[2].Results) != 0 || len(res[4].Results) != 0 {
 			t.Fatalf("workers=%d: failed episodes left results", workers)
+		}
+	}
+}
+
+// flightIDs reduces a ring to the identities the engine promises are
+// independent of scheduling: span IDs with their parents, and the
+// (epoch, slot, seq) keys of the explain records.
+func flightIDs(t *testing.T, ring *obs.TraceRing) map[string]int {
+	t.Helper()
+	tr, err := explain.ReadFTrace(bytes.NewReader(ring.Snapshot()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make(map[string]int)
+	for _, sp := range tr.Spans {
+		ids[fmt.Sprintf("%s %d<-%d", sp.Name, sp.ID, sp.Parent)]++
+	}
+	for _, r := range tr.Records {
+		ids[fmt.Sprintf("decision (%d,%d,%d)", r.Epoch, r.Traj, r.Seq)]++
+	}
+	return ids
+}
+
+// recordingDecide is slotDecide plus one explain record per decision, keyed
+// by a per-slot sequence only the slot's owner advances — the shape of
+// core's sampler.
+func recordingDecide(d *slotDecide, ring *obs.TraceRing, slots int) func(int) Decide {
+	seqs := make([]int, slots)
+	return func(w int) Decide {
+		inner := d.worker(w)
+		return func(pending []Pending, rejects []bool) {
+			inner(pending, rejects)
+			for i, p := range pending {
+				ring.EmitDecision(&obs.ExplainRecord{Epoch: 3, Traj: p.Slot, Seq: seqs[p.Slot], Rejected: rejects[i]})
+				seqs[p.Slot]++
+			}
+		}
+	}
+}
+
+// TestEquivWindowWorkers: results, decision counts and flight-record
+// identities do not depend on the window or the worker count, and no worker
+// is ever handed more than its window, a descending wave, or another
+// worker's slot.
+func TestEquivWindowWorkers(t *testing.T) {
+	eps := testEpisodes(21)
+	const root = obs.SpanID(77)
+	var want []sim.Result
+	var wantIDs map[string]int
+	for _, window := range []int{1, 3, liveWindow} {
+		for _, workers := range []int{1, 2, 8} {
+			d := &slotDecide{}
+			ring := obs.NewTraceRing(1<<14, 0)
+			res, _, err := run(eps, Config{NewDecide: recordingDecide(d, ring, len(eps)), Ring: ring, SpanRoot: root}, workers, window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.bad != "" {
+				t.Fatalf("window %d workers %d: %s", window, workers, d.bad)
+			}
+			for _, wave := range d.waves {
+				if len(wave) > window {
+					t.Fatalf("window %d workers %d: a Decide call saw %d pending", window, workers, len(wave))
+				}
+			}
+			ids := flightIDs(t, ring)
+			if ring.Dropped() != 0 {
+				t.Fatalf("ring evicted %d records; grow it", ring.Dropped())
+			}
+			if want == nil {
+				want, wantIDs = res, ids
+				continue
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("window %d workers %d: results differ from window 1 workers 1", window, workers)
+			}
+			if !reflect.DeepEqual(ids, wantIDs) {
+				t.Fatalf("window %d workers %d: flight identities differ from window 1 workers 1", window, workers)
+			}
+		}
+	}
+	var inspections, decisions int
+	for _, r := range want {
+		inspections += r.Inspections
+	}
+	for id, n := range wantIDs {
+		if n != 1 {
+			t.Fatalf("flight identity %q recorded %d times", id, n)
+		}
+		if strings.HasPrefix(id, "decision (") {
+			decisions++
+		}
+	}
+	if inspections == 0 || decisions != inspections {
+		t.Fatalf("%d explain records for %d inspections", decisions, inspections)
+	}
+}
+
+// TestResultSurvivesEnvReuse: at window 1 one Env serves every episode in
+// turn; each Result must equal that of a run on an Env of its own.
+func TestResultSurvivesEnvReuse(t *testing.T) {
+	eps := testEpisodes(8)
+	d := &slotDecide{}
+	shared, _, err := run(eps, Config{NewDecide: d.worker}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range eps {
+		one := &slotDecide{}
+		fresh, _, err := run(eps[i:i+1], Config{NewDecide: one.worker, SlotBase: i}, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(shared[i], fresh[0]) {
+			t.Fatalf("episode %d: its result changed after its Env ran %d more episodes", i, len(eps)-1-i)
+		}
+	}
+}
+
+// TestReportAccounting: the episodes' shares add up to the workers' loop
+// time, and that never exceeds workers x elapsed.
+func TestReportAccounting(t *testing.T) {
+	eps := testEpisodes(240)
+	for _, workers := range []int{1, 2} {
+		_, rep, err := Run(eps, Config{Workers: workers, NewDecide: (&slotDecide{}).worker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for i, s := range rep.EpisodeSeconds {
+			if s <= 0 {
+				t.Fatalf("workers=%d: episode %d was charged %v s", workers, i, s)
+			}
+			sum += s
+		}
+		busy, wall := rep.Busy.Seconds(), rep.Wall.Seconds()
+		if math.Abs(sum-busy) > 0.02*busy {
+			t.Fatalf("workers=%d: episode seconds sum to %.6f, Busy is %.6f", workers, sum, busy)
+		}
+		if busy > float64(workers)*wall {
+			t.Fatalf("workers=%d: Busy %.6f exceeds workers x Wall %.6f", workers, busy, wall)
 		}
 	}
 }
