@@ -111,7 +111,7 @@ trace-smoke:
 	@tmp=$$(mktemp -d) && \
 	$(GO) run $(LDFLAGS) ./cmd/schedinspect train -trace SDSC-SP2 -jobs 2000 \
 		-epochs 1 -batch 4 -seqlen 64 -seed 42 \
-		-flight $$tmp/flight.ftrace -model $$tmp/model.gob && \
+		-flight $$tmp/flight.ftrace -model $$tmp/model.ckpt && \
 	$(GO) run ./cmd/schedinspect explain -in $$tmp/flight.ftrace && \
 	$(GO) run ./cmd/schedinspect explain -in $$tmp/flight.ftrace -feature-stats && \
 	$(GO) run ./cmd/schedinspect explain -in $$tmp/flight.ftrace -top-rejected 5 && \
@@ -120,7 +120,7 @@ trace-smoke:
 	$(GO) run ./cmd/schedinspect explain -in $$tmp/converted.jsonl -feature-stats && \
 	$(GO) run $(LDFLAGS) ./cmd/schedinspect train -trace SDSC-SP2 -jobs 2000 \
 		-epochs 1 -batch 4 -seqlen 64 -seed 42 -features native \
-		-flight $$tmp/native.ftrace -model $$tmp/native.gob && \
+		-flight $$tmp/native.ftrace -model $$tmp/native.ckpt && \
 	$(GO) run ./cmd/schedinspect explain -in $$tmp/native.ftrace \
 		| grep -E ': [1-9][0-9]* decisions .* native features' && \
 	rm -rf $$tmp
@@ -134,21 +134,21 @@ trace-smoke:
 dist-smoke: bin
 	@set -e; tmp=$$(mktemp -d); \
 	run="-trace SDSC-SP2 -jobs 2000 -epochs 2 -batch 4 -seqlen 64 -seed 42"; \
-	./bin/schedinspect train $$run -model $$tmp/single.gob; \
+	./bin/schedinspect train $$run -model $$tmp/single.ckpt; \
 	for world in 2 3; do \
 		peers=$$tmp/w0.sock; \
 		for r in $$(seq 1 $$((world-1))); do peers=$$peers,$$tmp/w$$r.sock; done; \
 		pids=; \
 		for r in $$(seq 1 $$((world-1))); do \
 			./bin/schedinspect train-worker $$run -world $$world -rank $$r -peers $$peers \
-				-model $$tmp/rank$$r.gob & pids="$$pids $$!"; \
+				-model $$tmp/rank$$r.ckpt & pids="$$pids $$!"; \
 		done; \
 		./bin/schedinspect train-worker $$run -world $$world -rank 0 -peers $$peers \
-			-model $$tmp/rank0.gob; \
+			-model $$tmp/rank0.ckpt; \
 		for p in $$pids; do wait $$p; done; \
-		for r in $$(seq 0 $$((world-1))); do cmp $$tmp/single.gob $$tmp/rank$$r.gob; done; \
+		for r in $$(seq 0 $$((world-1))); do cmp $$tmp/single.ckpt $$tmp/rank$$r.ckpt; done; \
 		echo "dist-smoke: $$world-worker model bytes identical to single-process"; \
-		rm -f $$tmp/rank*.gob; \
+		rm -f $$tmp/rank*.ckpt; \
 	done; \
 	rm -rf $$tmp
 
@@ -166,8 +166,8 @@ LOOPSMOKE_ADDR ?= 127.0.0.1:18642
 loop-smoke: bin
 	@set -e; dir="$(SMOKEDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; \
 	./bin/schedinspect train -trace SDSC-SP2 -jobs 2000 \
-		-epochs 1 -batch 4 -seqlen 64 -seed 42 -model $$dir/model.gob; \
-	./bin/inspectord -model $$dir/model.gob -addr $(LOOPSMOKE_ADDR) -seed 7 \
+		-epochs 1 -batch 4 -seqlen 64 -seed 42 -model $$dir/model.ckpt; \
+	./bin/inspectord -model $$dir/model.ckpt -addr $(LOOPSMOKE_ADDR) -seed 7 \
 		-online -online-interval 500ms -online-min-window 256 \
 		-online-dir $$dir/promoted -flight $$dir/serve.ftrace \
 		>$$dir/inspectord.log 2>&1 & daemon=$$!; \
@@ -196,19 +196,19 @@ FLEETSMOKE_TARGETS = inspectord=$(FLEETSMOKE_INSP),w0=$(FLEETSMOKE_W0),w1=$(FLEE
 fleet-smoke: bin
 	@set -e; dir="$(SMOKEDIR)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; \
 	./bin/schedinspect train -trace SDSC-SP2 -jobs 2000 \
-		-epochs 1 -batch 4 -seqlen 64 -seed 42 -model $$dir/model.gob; \
-	./bin/inspectord -model $$dir/model.gob -addr $(FLEETSMOKE_INSP) -seed 7 \
+		-epochs 1 -batch 4 -seqlen 64 -seed 42 -model $$dir/model.ckpt; \
+	./bin/inspectord -model $$dir/model.ckpt -addr $(FLEETSMOKE_INSP) -seed 7 \
 		-online -online-interval 500ms -online-min-window 256 \
 		-online-dir $$dir/promoted >$$dir/inspectord.log 2>&1 & insp=$$!; \
 	./bin/schedinspect train-worker -trace SDSC-SP2 -jobs 2000 \
 		-epochs 100000 -batch 4 -seqlen 64 -seed 42 \
 		-world 2 -rank 0 -peers $$dir/w0.sock,$$dir/w1.sock \
-		-metrics-addr $(FLEETSMOKE_W0) -model $$dir/rank0.gob \
+		-metrics-addr $(FLEETSMOKE_W0) -model $$dir/rank0.ckpt \
 		>$$dir/w0.log 2>&1 & w0=$$!; \
 	./bin/schedinspect train-worker -trace SDSC-SP2 -jobs 2000 \
 		-epochs 100000 -batch 4 -seqlen 64 -seed 42 \
 		-world 2 -rank 1 -peers $$dir/w0.sock,$$dir/w1.sock \
-		-metrics-addr $(FLEETSMOKE_W1) -model $$dir/rank1.gob \
+		-metrics-addr $(FLEETSMOKE_W1) -model $$dir/rank1.ckpt \
 		>$$dir/w1.log 2>&1 & w1=$$!; \
 	./bin/schedinspect fleet -targets $(FLEETSMOKE_TARGETS) \
 		-addr $(FLEETSMOKE_ADDR) -interval 1s -window 30s \
@@ -233,6 +233,7 @@ fleet-smoke: bin
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSWF$$' -fuzztime $(FUZZTIME) ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/ckpt/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrainerCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFTrace$$' -fuzztime $(FUZZTIME) ./internal/explain/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInspect$$' -fuzztime $(FUZZTIME) ./internal/serve/

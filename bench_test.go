@@ -286,7 +286,7 @@ func TestPublicAPISurface(t *testing.T) {
 		t.Fatalf("eval returned %d sequences", len(res.Base))
 	}
 	// model round trip through the facade
-	path := t.TempDir() + "/m.gob"
+	path := t.TempDir() + "/m.ckpt"
 	if err := trainer.Inspector().SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -210,16 +210,16 @@ func TestCLICheckpointResume(t *testing.T) {
 
 	common := []string{"train", "-swf", swf, "-policy", "SJF", "-metric", "bsld",
 		"-batch", "4", "-seqlen", "64", "-seed", "42"}
-	modelA := filepath.Join(work, "straight.gob")
+	modelA := filepath.Join(work, "straight.ckpt")
 	run(t, filepath.Join(bins, "schedinspect"),
 		append(common, "-epochs", "4", "-model", modelA)...)
 
 	// Half the epochs, checkpointing every epoch, then resume to the target.
 	ckdir := filepath.Join(work, "ckpts")
-	modelB := filepath.Join(work, "resumed.gob")
+	modelB := filepath.Join(work, "resumed.ckpt")
 	run(t, filepath.Join(bins, "schedinspect"),
 		append(common, "-epochs", "2", "-checkpoint-dir", ckdir, "-checkpoint-every", "1",
-			"-model", filepath.Join(work, "half.gob"))...)
+			"-model", filepath.Join(work, "half.ckpt"))...)
 	out := run(t, filepath.Join(bins, "schedinspect"),
 		append(common, "-epochs", "4", "-checkpoint-dir", ckdir, "-resume", "-model", modelB)...)
 	if !strings.Contains(out, "resumed from checkpoint at epoch 2") {
@@ -236,6 +236,16 @@ func TestCLICheckpointResume(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Error("resumed model bytes differ from the uninterrupted run")
+	}
+
+	// A model file and a checkpoint are one format: eval reads either, and
+	// the final checkpoint holds the saved model's weights.
+	evalArgs := []string{"eval", "-swf", swf, "-policy", "SJF", "-metric", "bsld",
+		"-sequences", "4", "-seqlen", "64", "-seed", "42", "-model"}
+	fromModel := run(t, filepath.Join(bins, "schedinspect"), append(evalArgs, modelB)...)
+	fromCkpt := run(t, filepath.Join(bins, "schedinspect"), append(evalArgs, filepath.Join(ckdir, "ckpt-00000004.ckpt"))...)
+	if fromModel != fromCkpt || !strings.Contains(fromCkpt, "mean improvement") {
+		t.Errorf("eval of the model file and of its checkpoint differ:\n%s\nvs\n%s", fromModel, fromCkpt)
 	}
 
 	// A checkpoint-keep sweep ran: only the retained files remain, all
@@ -278,7 +288,7 @@ func TestCLIServeCheckpointHotSwap(t *testing.T) {
 	run(t, filepath.Join(bins, "schedinspect"), "train",
 		"-swf", swf, "-policy", "SJF", "-metric", "bsld",
 		"-epochs", "1", "-batch", "4", "-seqlen", "64", "-seed", "42",
-		"-checkpoint-dir", ckdir, "-model", filepath.Join(work, "model.gob"))
+		"-checkpoint-dir", ckdir, "-model", filepath.Join(work, "model.ckpt"))
 	des, err := os.ReadDir(ckdir)
 	if err != nil || len(des) == 0 {
 		t.Fatalf("no checkpoint written: %v", err)
@@ -395,7 +405,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	bins := buildAll(t)
 	work := t.TempDir()
 	swf := filepath.Join(work, "trace.swf.gz")
-	model := filepath.Join(work, "model.gob")
+	model := filepath.Join(work, "model.ckpt")
 
 	// tracegen: emit a small gzipped SWF trace.
 	out := run(t, filepath.Join(bins, "tracegen"), "-trace", "SDSC-SP2", "-jobs", "3000", "-o", swf)
@@ -587,7 +597,7 @@ func TestCLIFlightRecorder(t *testing.T) {
 	bins := buildAll(t)
 	work := t.TempDir()
 	swf := filepath.Join(work, "trace.swf.gz")
-	model := filepath.Join(work, "model.gob")
+	model := filepath.Join(work, "model.ckpt")
 	run(t, filepath.Join(bins, "tracegen"), "-trace", "SDSC-SP2", "-jobs", "3000", "-o", swf)
 
 	common := []string{"train", "-swf", swf, "-policy", "SJF", "-metric", "bsld",
@@ -600,7 +610,7 @@ func TestCLIFlightRecorder(t *testing.T) {
 		t.Fatalf("flight trace not reported:\n%s", out)
 	}
 	run(t, filepath.Join(bins, "schedinspect"),
-		append(common, "-workers", "4", "-flight", flight4, "-model", filepath.Join(work, "m4.gob"))...)
+		append(common, "-workers", "4", "-flight", flight4, "-model", filepath.Join(work, "m4.ckpt"))...)
 
 	// Default summary names the trace contents.
 	out = run(t, filepath.Join(bins, "schedinspect"), "explain", "-in", flight1)
@@ -614,7 +624,7 @@ func TestCLIFlightRecorder(t *testing.T) {
 	flightNative := filepath.Join(work, "flight-native.ftrace")
 	run(t, filepath.Join(bins, "schedinspect"), "train", "-swf", swf, "-epochs", "1", "-batch", "2",
 		"-seqlen", "32", "-seed", "42", "-features", "native", "-flight", flightNative,
-		"-model", filepath.Join(work, "native.gob"))
+		"-model", filepath.Join(work, "native.ckpt"))
 	out = run(t, filepath.Join(bins, "schedinspect"), "explain", "-in", flightNative)
 	if strings.Contains(out, ": 0 decisions") || !strings.Contains(out, "native features") {
 		t.Fatalf("native-mode flight trace is empty or headerless:\n%s", out)

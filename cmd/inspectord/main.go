@@ -2,7 +2,7 @@
 // the integration surface a production scheduler would call at each
 // scheduling point (the paper's §7 Slurm-integration direction).
 //
-//	inspectord -model model.gob -addr :8642
+//	inspectord -model model.ckpt -addr :8642
 //
 // Endpoints:
 //
@@ -27,9 +27,10 @@
 //	                        generation each verdict produced)
 //	GET  /debug/pprof     — CPU/heap/goroutine profiling (only with -pprof)
 //
-// -model accepts either a saved model (schedinspect train's model.gob) or
-// a training checkpoint file (ckpt-*.ckpt) — checkpoints are servable
-// directly, no export step. SIGHUP re-reads the model path and swaps the
+// -model accepts a saved model (schedinspect train's model.ckpt), a
+// training checkpoint (ckpt-*.ckpt) or an -online-dir promoted generation:
+// all are the same file format, loaded and validated by one loader, with no
+// export step. SIGHUP re-reads the model path and swaps the
 // result in without dropping in-flight requests, same as the admin
 // endpoint; a failed load keeps the current model serving.
 //
@@ -79,7 +80,7 @@ const (
 
 func main() {
 	var (
-		model      = flag.String("model", "model.gob", "trained model or checkpoint path (see schedinspect train)")
+		model      = flag.String("model", "model.ckpt", "trained model or checkpoint path (see schedinspect train)")
 		addr       = flag.String("addr", ":8642", "listen address")
 		seed       = flag.Int64("seed", 0, "decision-sampling seed (0 = time-based)")
 		audit      = flag.String("audit", "", "append a JSONL decision audit log (request, features, verdict) to this file")

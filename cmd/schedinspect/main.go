@@ -3,8 +3,8 @@
 //
 // Subcommands:
 //
-//	schedinspect train -trace SDSC-SP2 -policy SJF -metric bsld -epochs 40 -model model.gob
-//	schedinspect eval  -trace SDSC-SP2 -policy SJF -metric bsld -model model.gob
+//	schedinspect train -trace SDSC-SP2 -policy SJF -metric bsld -epochs 40 -model model.ckpt
+//	schedinspect eval  -trace SDSC-SP2 -policy SJF -metric bsld -model model.ckpt
 //	schedinspect stats -trace SDSC-SP2
 //
 // Traces are either one of the built-in synthetic workloads ("SDSC-SP2",
@@ -72,11 +72,11 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  schedinspect train -trace NAME [-swf FILE] -policy SJF -metric bsld [-epochs N] [-batch N] [-workers N] [-backfill] [-telemetry OUT.csv] [-checkpoint-dir DIR [-checkpoint-every N] [-resume]] -model OUT.gob
-  schedinspect train-worker -rank N -world M -peers ADDR0,ADDR1,... [train flags] -model OUT.gob
-  schedinspect eval  -trace NAME [-swf FILE] -policy SJF -metric bsld [-sequences N] [-workers N] [-backfill] -model IN.gob
+  schedinspect train -trace NAME [-swf FILE] -policy SJF -metric bsld [-epochs N] [-batch N] [-workers N] [-backfill] [-telemetry OUT.csv] [-checkpoint-dir DIR [-checkpoint-every N] [-resume]] -model OUT.ckpt
+  schedinspect train-worker -rank N -world M -peers ADDR0,ADDR1,... [train flags] -model OUT.ckpt
+  schedinspect eval  -trace NAME [-swf FILE] -policy SJF -metric bsld [-sequences N] [-workers N] [-backfill] -model IN.ckpt
   schedinspect stats -trace NAME [-swf FILE]
-  schedinspect inspect -trace NAME [-swf FILE] -policy SJF -model IN.gob
+  schedinspect inspect -trace NAME [-swf FILE] -policy SJF -model IN.ckpt
   schedinspect explain -in FLIGHT[.jsonl|.ftrace] [-convert OUT.jsonl | -job ID | -window T0:T1 | -top-rejected N | -feature-stats]
   schedinspect fleet -targets name=host:port,... | -targets-file FILE [-interval D] [-window D] [-addr HOST:PORT] [-once [-json]]
   schedinspect version
@@ -161,7 +161,7 @@ func cmdTrain(args []string, worker bool) error {
 	backfill := fs.Bool("backfill", false, "enable EASY backfilling")
 	features := fs.String("features", "manual", "feature mode (manual, compacted, native)")
 	reward := fs.String("reward", "percentage", "reward function (percentage, native, winloss)")
-	model := fs.String("model", "model.gob", "output model path")
+	model := fs.String("model", "model.ckpt", "output model path")
 	telemetry := fs.String("telemetry", "", "write per-epoch training telemetry to this file (.jsonl for JSON lines, otherwise CSV)")
 	workers := fs.Int("workers", 0, "rollout worker goroutines (0 = one per CPU); results are identical at any count")
 	ckptDir := fs.String("checkpoint-dir", "", "write durable training checkpoints to this directory (atomic, CRC-guarded)")
@@ -335,7 +335,7 @@ func cmdEval(args []string) error {
 	sequences := fs.Int("sequences", 50, "sampled test sequences")
 	seqLen := fs.Int("seqlen", 256, "jobs per test sequence")
 	backfill := fs.Bool("backfill", false, "enable EASY backfilling")
-	model := fs.String("model", "model.gob", "trained model path")
+	model := fs.String("model", "model.ckpt", "trained model or checkpoint path")
 	workers := fs.Int("workers", 0, "rollout worker goroutines (0 = one per CPU); results are identical at any count")
 	flight := flightFlag(fs)
 	fs.Parse(args)
@@ -418,7 +418,7 @@ func cmdInspect(args []string) error {
 	polName := fs.String("policy", "SJF", "base scheduling policy")
 	metric := fs.String("metric", "bsld", "metric the model was trained for")
 	backfill := fs.Bool("backfill", false, "enable EASY backfilling")
-	model := fs.String("model", "model.gob", "trained model path")
+	model := fs.String("model", "model.ckpt", "trained model or checkpoint path")
 	fs.Parse(args)
 
 	tr, err := loadTrace(*name, *swf, *jobs, *seed)

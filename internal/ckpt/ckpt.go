@@ -1,8 +1,9 @@
-// Package ckpt implements the durable on-disk checkpoint container the
-// trainer and the serving daemon rely on. It is deliberately dumb about
-// contents — the payload is an opaque byte slice produced by the caller's
-// canonical codec (the trainer's deterministic binary encoding; see
-// internal/core) — and strict about durability:
+// Package ckpt implements the durable on-disk container every model and
+// trainer checkpoint file is, and the canonical binary codec (Writer,
+// Reader; codec.go) their payloads and internal/dist's frames are written
+// in. The container is deliberately dumb about contents — the payload is
+// an opaque byte slice whose schema the caller owns (internal/core) — and
+// strict about durability:
 //
 //   - Writes are atomic. The container is written to a temporary file in
 //     the destination directory, fsynced, renamed over the final path, and
@@ -42,13 +43,6 @@ import (
 	"strings"
 	"time"
 )
-
-// IsContainer reports whether data begins with the checkpoint container
-// magic, letting callers sniff a file's format before committing to a
-// decoder. It says nothing about the rest of the file being intact.
-func IsContainer(data []byte) bool {
-	return len(data) >= len(magic) && [8]byte(data[:8]) == magic
-}
 
 // magic identifies a checkpoint container. The trailing byte doubles as a
 // container-layout version, separate from the caller's payload version.

@@ -185,7 +185,7 @@ func TestLatestFallsBack(t *testing.T) {
 
 func TestListIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"model.gob", "ckpt-notanumber.ckpt", "ckpt-1.tmp123", "readme.txt"} {
+	for _, name := range []string{"model.ckpt", "ckpt-notanumber.ckpt", "ckpt-1.tmp123", "readme.txt"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestIsTempName(t *testing.T) {
 		want bool
 	}{
 		{"ckpt-00000001.ckpt.tmp123456789", true},
-		{"model.gob.tmp42", true},
+		{"model.ckpt.tmp42", true},
 		{"ckpt-00000001.ckpt", false},
 		{"notes.tmpfile", false},
 		{"ckpt-00000001.ckpt.tmp", false}, // CreateTemp always appends digits

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -38,6 +36,9 @@ const TrainerCheckpointVersion = 1
 //   - Mode and Norm are the feature contract the weights were trained
 //     under; they make a checkpoint self-describing enough to serve
 //     directly (see Inspector) and let Resume reject a mismatched config.
+//
+// A model file (Inspector.Save) is the same payload with zero Epoch and
+// Seed and no Opt: one format, one loader, for models and checkpoints.
 type TrainerCheckpoint struct {
 	Epoch  int
 	Seed   int64
@@ -62,282 +63,182 @@ func (t *Trainer) Checkpoint() *TrainerCheckpoint {
 	}
 }
 
-// The payload codec is a hand-rolled binary format (big-endian, float64s
-// as IEEE-754 bits) rather than gob on purpose: gob assigns wire type IDs
-// from a process-global registry in first-use order, so its bytes depend
-// on which other gob types the process touched earlier. A resumed process
-// decodes a checkpoint before saving its model; with gob in the
-// checkpoint path that shifted the model file's type IDs and broke the
-// "resumed run produces bit-identical model bytes" guarantee across
-// process boundaries. The custom codec is canonical: equal state encodes
-// to equal bytes in any process, and Decode rejects trailing junk.
-
-// Encode serializes the checkpoint payload.
+// Encode serializes the checkpoint payload in ckpt's canonical codec, so
+// equal state encodes to equal bytes in any process — what lets a resumed
+// run's model file be cmp-equal to an uninterrupted one.
 func (c *TrainerCheckpoint) Encode() ([]byte, error) {
 	if c.Policy == nil || c.Value == nil {
 		return nil, fmt.Errorf("core: encode checkpoint: missing networks")
 	}
-	w := &binWriter{}
-	w.i64(int64(c.Epoch))
-	w.i64(c.Seed)
-	w.u32(uint32(c.Mode))
-	w.f64(c.Norm.MaxEst)
-	w.f64(c.Norm.MeanEst)
-	w.i64(int64(c.Norm.MaxProcs))
-	w.i64(int64(c.Norm.MaxRejections))
-	w.f64(c.Norm.MaxInterval)
-	w.u32(uint32(c.Norm.Metric))
-	w.mlp(c.Policy)
-	w.mlp(c.Value)
-	w.adam(c.Opt.Policy)
-	w.adam(c.Opt.Value)
-	return w.buf.Bytes(), nil
+	var w ckpt.Writer
+	w.U64(uint64(c.Epoch))
+	w.U64(uint64(c.Seed))
+	w.U32(uint32(c.Mode))
+	w.F64(c.Norm.MaxEst)
+	w.F64(c.Norm.MeanEst)
+	w.U64(uint64(c.Norm.MaxProcs))
+	w.U64(uint64(c.Norm.MaxRejections))
+	w.F64(c.Norm.MaxInterval)
+	w.U32(uint32(c.Norm.Metric))
+	writeMLP(&w, c.Policy)
+	writeMLP(&w, c.Value)
+	writeAdam(&w, c.Opt.Policy)
+	writeAdam(&w, c.Opt.Value)
+	return w.Buf, nil
 }
 
 // DecodeTrainerCheckpoint parses a payload previously produced by Encode,
-// validating the schema version and internal consistency. It never
-// returns a partially filled checkpoint.
+// validating the schema version, its internal consistency and that the
+// model can serve (see check). It never returns a partially filled
+// checkpoint, and every refusal of a payload matches ckpt.ErrCorrupt.
 func DecodeTrainerCheckpoint(version uint32, payload []byte) (*TrainerCheckpoint, error) {
 	if version != TrainerCheckpointVersion {
 		return nil, fmt.Errorf("core: checkpoint schema version %d, this build reads %d",
 			version, TrainerCheckpointVersion)
 	}
-	r := &binReader{data: payload}
+	r := ckpt.NewReader(payload)
 	var c TrainerCheckpoint
-	c.Epoch = int(r.i64())
-	c.Seed = r.i64()
-	c.Mode = FeatureMode(r.u32())
-	c.Norm.MaxEst = r.f64()
-	c.Norm.MeanEst = r.f64()
-	c.Norm.MaxProcs = int(r.i64())
-	c.Norm.MaxRejections = int(r.i64())
-	c.Norm.MaxInterval = r.f64()
-	c.Norm.Metric = metrics.Metric(r.u32())
-	c.Policy = r.mlp()
-	c.Value = r.mlp()
-	c.Opt.Policy = r.adam()
-	c.Opt.Value = r.adam()
-	if r.err != nil {
-		return nil, fmt.Errorf("core: decode checkpoint: %w", r.err)
-	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("core: decode checkpoint: %d trailing bytes", len(r.data)-r.off)
-	}
-	if c.Epoch < 0 {
-		return nil, fmt.Errorf("core: decode checkpoint: negative epoch %d", c.Epoch)
-	}
-	if c.Policy.InputSize() != c.Mode.Dim() {
-		return nil, fmt.Errorf("core: decode checkpoint: policy input %d does not match mode %v (%d)",
-			c.Policy.InputSize(), c.Mode, c.Mode.Dim())
-	}
-	if got, want := c.Value.InputSize(), c.Policy.InputSize(); got != want {
-		return nil, fmt.Errorf("core: decode checkpoint: value input %d, policy input %d", got, want)
+	c.Epoch = int(r.U64())
+	c.Seed = int64(r.U64())
+	c.Mode = FeatureMode(r.U32())
+	c.Norm.MaxEst = r.F64()
+	c.Norm.MeanEst = r.F64()
+	c.Norm.MaxProcs = int(r.U64())
+	c.Norm.MaxRejections = int(r.U64())
+	c.Norm.MaxInterval = r.F64()
+	c.Norm.Metric = metrics.Metric(r.U32())
+	c.Policy = readMLP(&r)
+	c.Value = readMLP(&r)
+	c.Opt.Policy = readAdam(&r)
+	c.Opt.Value = readAdam(&r)
+	c.check(&r)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
 	}
 	return &c, nil
 }
 
-// maxCheckpointDim bounds layer counts and widths read from a checkpoint,
-// so a crafted (CRC-valid) payload cannot demand absurd allocations.
+// check refuses, through r, a well-formed checkpoint that cannot serve: an
+// unknown feature mode (before Dim would panic on it), a normalizer no
+// trace could produce (its scales divide every feature), networks that do
+// not fit the mode or the two-action head, and any non-finite weight — the
+// rule the online loop applies to its candidates, without which every
+// decision's probabilities are NaN.
+func (c *TrainerCheckpoint) check(r *ckpt.Reader) {
+	n := c.Norm
+	positive := func(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
+	switch {
+	case r.Err() != nil: // the networks did not decode
+	case c.Epoch < 0:
+		r.Fail("negative epoch %d", c.Epoch)
+	case c.Mode < ManualFeatures || c.Mode > NativeFeatures:
+		r.Fail("unknown feature mode %d", int(c.Mode))
+	case !positive(n.MaxEst) || !positive(n.MeanEst) || !positive(n.MaxInterval) ||
+		n.MaxProcs <= 0 || n.MaxRejections <= 0 || n.Metric < metrics.BSLD || n.Metric > metrics.Util:
+		r.Fail("invalid normalizer %+v", n)
+	case c.Policy.InputSize() != c.Mode.Dim():
+		r.Fail("policy input %d does not match mode %v (%d)", c.Policy.InputSize(), c.Mode, c.Mode.Dim())
+	case c.Value.InputSize() != c.Policy.InputSize():
+		r.Fail("value input %d, policy input %d", c.Value.InputSize(), c.Policy.InputSize())
+	case c.Policy.OutputSize() < 2:
+		r.Fail("policy has %d actions, need at least 2", c.Policy.OutputSize())
+	case !c.Policy.Finite() || !c.Value.Finite():
+		r.Fail("non-finite network parameter")
+	}
+}
+
+// maxCheckpointDim bounds layer widths read from a checkpoint, so the
+// products checked against parameter counts cannot overflow.
 const maxCheckpointDim = 1 << 20
 
-// binWriter accumulates the canonical big-endian encoding.
-type binWriter struct{ buf bytes.Buffer }
-
-func (w *binWriter) u32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	w.buf.Write(b[:])
-}
-
-func (w *binWriter) i64(v int64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(v))
-	w.buf.Write(b[:])
-}
-
-func (w *binWriter) f64(v float64) { w.i64(int64(math.Float64bits(v))) }
-
-func (w *binWriter) f64s(s []float64) {
-	w.u32(uint32(len(s)))
-	for _, v := range s {
-		w.f64(v)
-	}
-}
-
-func (w *binWriter) layers(s [][]float64) {
-	w.u32(uint32(len(s)))
+func writeLayers(w *ckpt.Writer, s [][]float64) {
+	w.U32(uint32(len(s)))
 	for _, l := range s {
-		w.f64s(l)
+		w.F64s(l)
 	}
 }
 
-func (w *binWriter) mlp(m *nn.MLP) {
-	w.u32(uint32(len(m.Sizes)))
+func writeMLP(w *ckpt.Writer, m *nn.MLP) {
+	w.U32(uint32(len(m.Sizes)))
 	for _, s := range m.Sizes {
-		w.u32(uint32(s))
+		w.U32(uint32(s))
 	}
-	w.u32(uint32(len(m.Acts)))
+	w.U32(uint32(len(m.Acts)))
 	for _, a := range m.Acts {
-		w.u32(uint32(a))
+		w.U32(uint32(a))
 	}
-	w.layers(m.W)
-	w.layers(m.B)
+	writeLayers(w, m.W)
+	writeLayers(w, m.B)
 }
 
-func (w *binWriter) adam(s nn.AdamState) {
-	w.i64(int64(s.T))
-	w.layers(s.MW)
-	w.layers(s.VW)
-	w.layers(s.MB)
-	w.layers(s.VB)
+func writeAdam(w *ckpt.Writer, s nn.AdamState) {
+	w.U64(uint64(s.T))
+	writeLayers(w, s.MW)
+	writeLayers(w, s.VW)
+	writeLayers(w, s.MB)
+	writeLayers(w, s.VB)
 }
 
-// binReader decodes the canonical encoding with a sticky error and strict
-// bounds checks — a short or forged payload fails, it never over-reads or
-// over-allocates.
-type binReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *binReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *binReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.data)-r.off < n {
-		r.fail("truncated payload: need %d bytes at offset %d, have %d", n, r.off, len(r.data)-r.off)
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *binReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
+// readCount reads a u32 count of items that occupy at least min bytes
+// each, refusing one the remaining payload cannot back.
+func readCount(r *ckpt.Reader, min int) int {
+	n := int(r.U32())
+	if n > r.Len()/min {
+		r.Fail("count %d exceeds the %d bytes left", n, r.Len())
 		return 0
 	}
-	return binary.BigEndian.Uint32(b)
+	return n
 }
 
-func (r *binReader) i64() int64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return int64(binary.BigEndian.Uint64(b))
-}
-
-func (r *binReader) f64() float64 { return math.Float64frombits(uint64(r.i64())) }
-
-func (r *binReader) f64s() []float64 {
-	n := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if int64(n)*8 > int64(len(r.data)-r.off) {
-		r.fail("slice length %d exceeds remaining payload", n)
-		return nil
-	}
-	out := make([]float64, n)
+func readLayers(r *ckpt.Reader) [][]float64 {
+	out := make([][]float64, readCount(r, 4))
 	for i := range out {
-		out[i] = r.f64()
+		out[i] = r.F64s()
 	}
 	return out
 }
 
-func (r *binReader) layers() [][]float64 {
-	n := r.u32()
-	if r.err != nil {
-		return nil
+func readMLP(r *ckpt.Reader) *nn.MLP {
+	m := &nn.MLP{Sizes: make([]int, readCount(r, 4))}
+	if r.Err() == nil && len(m.Sizes) < 2 {
+		r.Fail("network with %d layer sizes", len(m.Sizes))
 	}
-	if n > maxCheckpointDim {
-		r.fail("layer count %d exceeds limit", n)
-		return nil
-	}
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = r.f64s()
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-func (r *binReader) mlp() *nn.MLP {
-	nSizes := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if nSizes < 2 || nSizes > maxCheckpointDim {
-		r.fail("network with %d layer sizes", nSizes)
-		return nil
-	}
-	m := &nn.MLP{Sizes: make([]int, nSizes)}
 	for i := range m.Sizes {
-		s := r.u32()
-		if s == 0 || s > maxCheckpointDim {
-			r.fail("layer size %d out of range", s)
-			return nil
+		m.Sizes[i] = int(r.U32())
+		if r.Err() == nil && (m.Sizes[i] == 0 || m.Sizes[i] > maxCheckpointDim) {
+			r.Fail("layer size %d out of range", m.Sizes[i])
 		}
-		m.Sizes[i] = int(s)
 	}
-	nActs := r.u32()
-	if r.err != nil {
-		return nil
-	}
-	if int(nActs) != len(m.Sizes)-1 {
-		r.fail("%d activations for %d weight layers", nActs, len(m.Sizes)-1)
-		return nil
-	}
-	m.Acts = make([]nn.Activation, nActs)
+	m.Acts = make([]nn.Activation, readCount(r, 4))
 	for i := range m.Acts {
-		a := r.u32()
-		if a > uint32(nn.ReLU) {
-			r.fail("unknown activation %d", a)
-			return nil
+		m.Acts[i] = nn.Activation(r.U32())
+		if r.Err() == nil && m.Acts[i] > nn.ReLU {
+			r.Fail("unknown activation %d", m.Acts[i])
 		}
-		m.Acts[i] = nn.Activation(a)
 	}
-	m.W = r.layers()
-	m.B = r.layers()
-	if r.err != nil {
+	m.W = readLayers(r)
+	m.B = readLayers(r)
+	if r.Err() != nil {
 		return nil
 	}
-	if len(m.W) != len(m.Sizes)-1 || len(m.B) != len(m.W) {
-		r.fail("network has %d weight and %d bias layers, want %d", len(m.W), len(m.B), len(m.Sizes)-1)
+	if len(m.Acts) != len(m.Sizes)-1 || len(m.W) != len(m.Acts) || len(m.B) != len(m.Acts) {
+		r.Fail("network has %d activations, %d weight and %d bias layers, want %d",
+			len(m.Acts), len(m.W), len(m.B), len(m.Sizes)-1)
 		return nil
 	}
 	for l := range m.W {
 		if len(m.W[l]) != m.Sizes[l]*m.Sizes[l+1] || len(m.B[l]) != m.Sizes[l+1] {
-			r.fail("layer %d has wrong parameter count", l)
+			r.Fail("layer %d has wrong parameter count", l)
 			return nil
 		}
 	}
 	return m
 }
 
-func (r *binReader) adam() nn.AdamState {
-	var s nn.AdamState
-	s.T = int(r.i64())
-	if r.err == nil && s.T < 0 {
-		r.fail("negative optimizer step count %d", s.T)
-		return s
-	}
-	s.MW = r.layers()
-	s.VW = r.layers()
-	s.MB = r.layers()
-	s.VB = r.layers()
-	return s
+// readAdam leaves the moments' shapes and step count to Adam.Restore, the
+// only consumer of optimizer state.
+func readAdam(r *ckpt.Reader) nn.AdamState {
+	return nn.AdamState{T: int(r.U64()), MW: readLayers(r), VW: readLayers(r), MB: readLayers(r), VB: readLayers(r)}
 }
 
 // SaveCheckpoint writes the trainer's state to dir (created if needed) as
@@ -359,38 +260,31 @@ func (t *Trainer) SaveCheckpoint(dir string) (string, error) {
 	return path, nil
 }
 
-// LoadTrainerCheckpoint reads one checkpoint file. Torn or corrupt files
-// fail with an error matching ckpt.ErrCorrupt.
+// LoadTrainerCheckpoint reads one checkpoint or model file. Torn, corrupt
+// or unservable files fail with an error matching ckpt.ErrCorrupt.
 func LoadTrainerCheckpoint(path string) (*TrainerCheckpoint, error) {
 	version, payload, err := ckpt.Read(path)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeTrainerCheckpoint(version, payload)
+	c, err := DecodeTrainerCheckpoint(version, payload)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return c, nil
 }
 
-// LoadServable loads a servable inspector from path, accepting either a
-// saved model (gob, from Inspector.Save / schedinspect train) or a
-// trainer checkpoint container, sniffed by the ckpt magic. It lets
-// inspectord serve straight from a training run's checkpoint directory
-// artifacts without an export step.
+// LoadServable loads a servable inspector from path: a model file
+// (Inspector.SaveFile, schedinspect train -model) or a trainer checkpoint —
+// one format, so inspectord serves a training run's checkpoints and the
+// online loop's promoted generations without an export step. Loading never
+// draws from rng (see LoadInspector).
 func LoadServable(path string, rng *rand.Rand) (*Inspector, error) {
-	data, err := os.ReadFile(path)
+	c, err := LoadTrainerCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}
-	if ckpt.IsContainer(data) {
-		version, payload, err := ckpt.Decode(data)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		c, err := DecodeTrainerCheckpoint(version, payload)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return c.Inspector(rng), nil
-	}
-	return LoadInspector(bytes.NewReader(data), rng)
+	return c.Inspector(rng), nil
 }
 
 // LatestTrainerCheckpoint returns the newest loadable checkpoint in dir

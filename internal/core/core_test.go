@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
+	"schedinspector/internal/ckpt"
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/rl"
 	"schedinspector/internal/sched"
@@ -140,25 +143,46 @@ func TestInspectorSaveLoad(t *testing.T) {
 	if got.Mode != in.Mode || got.Norm != in.Norm {
 		t.Error("mode/norm not preserved")
 	}
-	if _, err := LoadInspector(bytes.NewReader([]byte("garbage")), nil); err == nil {
-		t.Error("garbage accepted")
+	if _, err := LoadInspector(bytes.NewReader([]byte("garbage")), nil); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Errorf("garbage: err=%v, want ckpt.ErrCorrupt", err)
 	}
 }
 
+// TestInspectorSaveLoadFile: a model file is a ckpt container holding a
+// checkpoint with zero epoch and seed and no optimizer state, written
+// atomically, and byte-equal to what Save streams.
 func TestInspectorSaveLoadFile(t *testing.T) {
 	in := newTestInspector(t, CompactedFeatures)
-	path := t.TempDir() + "/model.gob"
+	path := t.TempDir() + "/model.ckpt"
 	if err := in.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadInspectorFile(path, rand.New(rand.NewSource(2)))
+	got, err := LoadServable(path, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Mode != CompactedFeatures {
 		t.Error("mode lost")
 	}
-	if _, err := LoadInspectorFile(path+".nope", nil); err == nil {
+	c, err := LoadTrainerCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Epoch != 0 || c.Seed != 0 || c.Opt.Policy.T != 0 || len(c.Opt.Policy.MW) != 0 || len(c.Opt.Value.VB) != 0 {
+		t.Errorf("model file carries training state: epoch %d seed %d opt %+v", c.Epoch, c.Seed, c.Opt)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := in.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, buf.Bytes()) {
+		t.Error("SaveFile and Save wrote different bytes")
+	}
+	if _, err := LoadServable(path+".nope", nil); err == nil {
 		t.Error("missing file accepted")
 	}
 }

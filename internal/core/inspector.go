@@ -1,15 +1,13 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"slices"
 
+	"schedinspector/internal/ckpt"
 	"schedinspector/internal/metrics"
-	"schedinspector/internal/nn"
 	"schedinspector/internal/rl"
 	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
@@ -141,68 +139,55 @@ func (in *Inspector) RejectProb(s *sim.State) float64 {
 	return in.Agent.ActionProb(in.feat, ActionReject)
 }
 
-// savedInspector is the on-disk format.
-type savedInspector struct {
-	Policy *nn.MLP
-	Value  *nn.MLP
-	Mode   FeatureMode
-	Norm   Normalizer
+// payload encodes the inspector as a model file's checkpoint payload: its
+// networks, feature mode and normalizer, with zero epoch and seed and no
+// optimizer state.
+func (in *Inspector) payload() ([]byte, error) {
+	c := TrainerCheckpoint{Mode: in.Mode, Norm: in.Norm, Policy: in.Agent.Policy, Value: in.Agent.Value}
+	return c.Encode()
 }
 
-// Save serializes the inspector (both networks, feature mode, normalizer).
+// Save writes the inspector to w as a model file: a ckpt container whose
+// payload is a TrainerCheckpoint (see there).
 func (in *Inspector) Save(w io.Writer) error {
-	s := savedInspector{Policy: in.Agent.Policy, Value: in.Agent.Value, Mode: in.Mode, Norm: in.Norm}
-	if err := gob.NewEncoder(w).Encode(&s); err != nil {
-		return fmt.Errorf("core: save inspector: %w", err)
-	}
-	return nil
-}
-
-// LoadInspector reads an inspector written by Save. The returned model uses
-// rng for any sampling-mode exploration. Loading never draws from rng —
-// the networks come from the stream, not from fresh initialization — so a
-// caller may hand over an rng that concurrent decision paths are sampling
-// from under their own lock (inspectord's hot-reload does exactly that).
-func LoadInspector(r io.Reader, rng *rand.Rand) (*Inspector, error) {
-	var s savedInspector
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("core: load inspector: %w", err)
-	}
-	if s.Policy == nil || s.Value == nil {
-		return nil, fmt.Errorf("core: load inspector: missing networks")
-	}
-	if s.Policy.InputSize() != s.Mode.Dim() {
-		return nil, fmt.Errorf("core: load inspector: policy input %d does not match mode %v (%d)",
-			s.Policy.InputSize(), s.Mode, s.Mode.Dim())
-	}
-	if s.Policy.OutputSize() < 2 {
-		return nil, fmt.Errorf("core: load inspector: policy has %d actions, need at least 2",
-			s.Policy.OutputSize())
-	}
-	return &Inspector{Agent: rl.AgentFromNets(s.Policy, s.Value, rng), Mode: s.Mode, Norm: s.Norm}, nil
-}
-
-// SaveFile writes the inspector to path.
-func (in *Inspector) SaveFile(path string) error {
-	f, err := os.Create(path)
+	payload, err := in.payload()
 	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	defer f.Close()
-	if err := in.Save(f); err != nil {
 		return err
 	}
-	return f.Close()
+	return ckpt.Encode(w, TrainerCheckpointVersion, payload)
 }
 
-// LoadInspectorFile reads an inspector from path.
-func LoadInspectorFile(path string, rng *rand.Rand) (*Inspector, error) {
-	f, err := os.Open(path)
+// SaveFile writes the inspector's model file to path atomically (temp
+// file, fsync, rename): a daemon reloading path while it is overwritten
+// reads the old model or the new one, never half of one.
+func (in *Inspector) SaveFile(path string) error {
+	payload, err := in.payload()
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return err
 	}
-	defer f.Close()
-	return LoadInspector(f, rng)
+	return ckpt.Write(path, TrainerCheckpointVersion, payload)
+}
+
+// LoadInspector reads a model (or checkpoint) written by Save; LoadServable
+// is the same loader for a path. The returned model uses rng for any
+// sampling-mode exploration. Loading never draws from rng — the networks
+// come from the payload, not from fresh initialization — so a caller may
+// hand over an rng that concurrent decision paths are sampling from under
+// their own lock (inspectord's hot-reload does exactly that).
+func LoadInspector(r io.Reader, rng *rand.Rand) (*Inspector, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: load inspector: %w", err)
+	}
+	version, payload, err := ckpt.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	c, err := DecodeTrainerCheckpoint(version, payload)
+	if err != nil {
+		return nil, err
+	}
+	return c.Inspector(rng), nil
 }
 
 // NormalizerForTrace is a convenience that derives a Normalizer from a

@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -465,6 +467,33 @@ func TestReduceCodecRoundTrip(t *testing.T) {
 	for _, cut := range []int{1, len(enc) / 2, len(enc) - 1} {
 		if _, err := decodeReduce(enc[:cut]); err == nil {
 			t.Errorf("decode of %d/%d bytes succeeded", cut, len(enc))
+		}
+	}
+}
+
+// TestCodecGoldens pins the wire bytes of every message kind. The
+// constants were generated at commit 71877ee, before dist's private
+// binWriter/binReader were replaced by ckpt.Writer/Reader: moving the codec
+// must not move a byte (WireVersion stays 2).
+func TestCodecGoldens(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	nodes := append(testNodes(rng, 7, 0, 2, 3), testNodes(rng, 3, 3, 5)...) // ragged widths
+	nodes = append(nodes, rl.Node{Lo: 5, Hi: 6, Vec: []float64{}},
+		rl.Node{Lo: 6, Hi: 8, Vec: []float64{math.Inf(-1), math.Copysign(0, -1), 1e-310}})
+	for _, g := range []struct {
+		name string
+		enc  []byte
+		sum  string
+	}{
+		{"hello", encodeHello(hello{World: 3, Rank: 2, Fingerprint: 0x0123456789abcdef}),
+			"9bf1be7795b1fad829db669e977470ba3fdca4e7334296742408dff05065ef8a"},
+		{"reduce", appendReduce([]byte{0xaa}, reduceMsg{Epoch: 1<<33 + 5, Round: rl.Round{Phase: rl.PhaseValue, Iter: 9}, Nodes: nodes})[1:],
+			"056568328129787bc4217c76bd1e1ff2de340cc05a70dc68eb02cdfc05449007"},
+		{"digest", encodeDigest(digestMsg{Epoch: 41, Rank: 1, State: Digest{Sum: 0xfedcba9876543210, Len: 31337}}),
+			"92be155d95ebb66cf0bdfb077583f76b822606677478f3bf776e08241291f36c"},
+	} {
+		if sum := sha256.Sum256(g.enc); hex.EncodeToString(sum[:]) != g.sum {
+			t.Errorf("%s: sha-256 %x, want %s", g.name, sum, g.sum)
 		}
 	}
 }

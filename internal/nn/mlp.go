@@ -60,6 +60,21 @@ func (m *MLP) NumParams() int {
 	return n
 }
 
+// Finite reports whether every weight and bias is finite: a network with a
+// NaN or infinite parameter answers NaN, so it must never serve.
+func (m *MLP) Finite() bool {
+	for _, layers := range [][][]float64{m.W, m.B} {
+		for _, l := range layers {
+			for _, v := range l {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // InputSize returns the network's input dimensionality.
 func (m *MLP) InputSize() int { return m.Sizes[0] }
 

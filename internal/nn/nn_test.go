@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -276,49 +275,6 @@ func TestSoftmaxAndLogSoftmax(t *testing.T) {
 	}
 	if LogSumExp(nil) != math.Inf(-1) {
 		t.Error("LogSumExp(nil) should be -Inf")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := New(rng, []int{3, 8, 2}, Tanh, Identity)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.1, -0.5, 2}
-	a := m.Forward(x, nil)
-	b := got.Forward(x, nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("outputs differ after round trip: %v vs %v", a, b)
-		}
-	}
-	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("garbage accepted by Load")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := New(rng, []int{2, 4, 1}, ReLU, Identity)
-	path := t.TempDir() + "/net.gob"
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumParams() != m.NumParams() {
-		t.Error("param count changed")
-	}
-	if _, err := LoadFile(path + ".missing"); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 

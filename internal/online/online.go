@@ -488,24 +488,8 @@ func (l *Loop) mirror(fn func(*Status)) {
 
 // finiteInspector reports whether every policy/value weight is finite. A
 // fine-tune on a weird window can diverge; non-finite weights must never
-// reach the serving snapshot.
+// reach the serving snapshot (the model-file decoder applies the same rule).
 func finiteInspector(in *core.Inspector) bool {
-	if in == nil || in.Agent == nil {
-		return false
-	}
-	finite := func(rows [][]float64) bool {
-		for _, row := range rows {
-			for _, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	p, v := in.Agent.Policy, in.Agent.Value
-	if p == nil || v == nil {
-		return false
-	}
-	return finite(p.W) && finite(p.B) && finite(v.W) && finite(v.B)
+	return in != nil && in.Agent != nil && in.Agent.Policy != nil && in.Agent.Value != nil &&
+		in.Agent.Policy.Finite() && in.Agent.Value.Finite()
 }

@@ -12,12 +12,8 @@
 package rlsched
 
 import (
-	"encoding/gob"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"os"
 
 	"schedinspector/internal/nn"
 	"schedinspector/internal/sched"
@@ -236,57 +232,4 @@ func pool(cands [][]float64, scratch []float64) []float64 {
 		out[k] /= float64(len(cands))
 	}
 	return out
-}
-
-// savedPolicy is the on-disk format.
-type savedPolicy struct {
-	Kernel *nn.MLP
-	Value  *nn.MLP
-	Norm   Norm
-}
-
-// Save serializes the policy.
-func (p *Policy) Save(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(&savedPolicy{p.Kernel, p.Value, p.Norm}); err != nil {
-		return fmt.Errorf("rlsched: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads a policy written by Save.
-func Load(r io.Reader, rng *rand.Rand) (*Policy, error) {
-	var s savedPolicy
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("rlsched: load: %w", err)
-	}
-	if s.Kernel == nil || s.Value == nil || s.Kernel.InputSize() != kernelFeatures {
-		return nil, fmt.Errorf("rlsched: load: malformed policy")
-	}
-	return &Policy{
-		Kernel: s.Kernel, Value: s.Value, Norm: s.Norm,
-		rng: rng, feat: make([]float64, kernelFeatures),
-	}, nil
-}
-
-// SaveFile writes the policy to path.
-func (p *Policy) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("rlsched: %w", err)
-	}
-	defer f.Close()
-	if err := p.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a policy from path.
-func LoadFile(path string, rng *rand.Rand) (*Policy, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("rlsched: %w", err)
-	}
-	defer f.Close()
-	return Load(f, rng)
 }

@@ -1,7 +1,6 @@
 package rlsched
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -126,35 +125,6 @@ func TestPolicyInSimulator(t *testing.T) {
 		if r.Start < r.Submit {
 			t.Fatalf("job %d starts before submit", r.ID)
 		}
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	p := testPolicy(6)
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := queue3(500)
-	if got.Select(q, 500, 64, 128) != p.Select(q, 500, 64, 128) {
-		t.Error("loaded policy selects differently")
-	}
-	if _, err := Load(bytes.NewReader([]byte("junk")), nil); err == nil {
-		t.Error("garbage accepted")
-	}
-	path := t.TempDir() + "/p.gob"
-	if err := p.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path, rand.New(rand.NewSource(2))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path+".x", nil); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"schedinspector/internal/core"
+	"schedinspector/internal/mutants"
 	"schedinspector/internal/workload"
 )
 
@@ -281,18 +282,6 @@ func TestDecodeInspectTable(t *testing.T) {
 	}
 }
 
-// mutants calls f with every prefix of body and every single-bit flip of it.
-func mutants(body []byte, f func([]byte)) {
-	for n := 0; n <= len(body); n++ {
-		f(body[:n])
-	}
-	for i := 0; i < 8*len(body); i++ {
-		m := append([]byte(nil), body...)
-		m[i/8] ^= 1 << (i % 8)
-		f(m)
-	}
-}
-
 // TestDecodeInspectTruncationSweep cuts two valid bodies at every length and
 // flips each of their bits: every mutant (a digit turned point, sign or 'e')
 // is answered, error text included, as the encoding/json-only route answers it.
@@ -302,7 +291,7 @@ func TestDecodeInspectTruncationSweep(t *testing.T) {
 	// appended makes every prefix past the first value a body with trailing bytes.
 	spaced := []byte(" \t\r\n{ \"job\" : { \"wait\" : 1.5e2 , \"est\" : 3600 , \"procs\" : 16 } ,\n\"free_procs\" : 32 , \"total_procs\" : 128 , \"backfill_enabled\" : false ,\r\n\"queue\" : [ { \"wait\" : -0.5 , \"est\" : 600 , \"procs\" : 4 } , { } ] } \n\t")
 	for _, body := range [][]byte{append(spaced, benchShapedBody(4, 3)...), benchShapedBody(5, 3)} {
-		mutants(body, func(m []byte) { rp.check(t, m, checkDecode(t, m)) })
+		mutants.Each(body, func(m []byte) { rp.check(t, m, checkDecode(t, m)) })
 	}
 }
 

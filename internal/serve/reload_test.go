@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"schedinspector/internal/ckpt"
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/obs"
@@ -91,35 +93,65 @@ func TestReloadSwapsModel(t *testing.T) {
 	}
 }
 
+// TestReloadFailureKeepsModel: a failed reload — the loader's own error, or
+// one of the model files that once broke serving (a short weight layer
+// panicked at the first decision, an unknown feature mode panicked in the
+// decoder, a NaN weight made every verdict an empty 200) — answers 500
+// naming the cause, leaves the generation alone, and the old model serves.
 func TestReloadFailureKeepsModel(t *testing.T) {
 	a, _ := reloadPair(t)
-	h := NewHandler(a)
-	boom := errors.New("disk on fire")
-	h.SetReloader(func() (*core.Inspector, error) { return nil, boom })
-
-	rec := postReload(t, h)
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("failed reload status %d, want 500", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), "disk on fire") {
-		t.Errorf("error body %q does not name the cause", rec.Body)
-	}
-
-	// The old model still serves.
-	rec = postInspect(t, h, validRequest())
-	if rec.Code != http.StatusOK {
-		t.Fatalf("inspect after failed reload: status %d", rec.Code)
-	}
-
-	page := metricsPage(t, h)
-	for _, want := range []string{
-		"schedinspector_model_reloads_total 0",
-		"schedinspector_model_load_failures_total 1",
-		"schedinspector_model_generation 1",
-	} {
-		if !strings.Contains(page, want) {
-			t.Errorf("metrics page missing %q", want)
+	spoiled := func(spoil func(*core.TrainerCheckpoint)) func() (*core.Inspector, error) {
+		path := filepath.Join(t.TempDir(), "model.ckpt")
+		if err := a.SaveFile(path); err != nil {
+			t.Fatal(err)
 		}
+		c, err := core.LoadTrainerCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spoil(c)
+		payload, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ckpt.Write(path, core.TrainerCheckpointVersion, payload); err != nil {
+			t.Fatal(err)
+		}
+		return func() (*core.Inspector, error) { return core.LoadServable(path, nil) }
+	}
+	for _, tc := range []struct {
+		name, cause string
+		load        func() (*core.Inspector, error)
+	}{
+		{"loader error", "disk on fire", func() (*core.Inspector, error) { return nil, errors.New("disk on fire") }},
+		{"short layer", "wrong parameter count", spoiled(func(c *core.TrainerCheckpoint) { c.Policy.W[1] = c.Policy.W[1][:3] })},
+		{"unknown mode", "unknown feature mode", spoiled(func(c *core.TrainerCheckpoint) { c.Mode = 7 })},
+		{"NaN weight", "non-finite", spoiled(func(c *core.TrainerCheckpoint) { c.Policy.W[2][5] = math.NaN() })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewHandler(a)
+			h.SetReloader(tc.load)
+			rec := postReload(t, h)
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("failed reload status %d, want 500", rec.Code)
+			}
+			if !strings.Contains(rec.Body.String(), tc.cause) {
+				t.Errorf("error body %q does not name the cause %q", rec.Body, tc.cause)
+			}
+			if rec = postInspect(t, h, validRequest()); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "reject_prob") {
+				t.Fatalf("inspect after failed reload: status %d, body %q", rec.Code, rec.Body)
+			}
+			page := metricsPage(t, h)
+			for _, want := range []string{
+				"schedinspector_model_reloads_total 0",
+				"schedinspector_model_load_failures_total 1",
+				"schedinspector_model_generation 1",
+			} {
+				if !strings.Contains(page, want) {
+					t.Errorf("metrics page missing %q", want)
+				}
+			}
+		})
 	}
 }
 
@@ -230,14 +262,14 @@ func TestSwapUnderLoad(t *testing.T) {
 // draws from it under the model lock) and the reload closure (which loads
 // the model file off the lock, by design, so serving never stalls on I/O).
 // That sharing is only sound because loading never draws from the rng —
-// core.LoadInspector installs the stored networks via rl.AgentFromNets
+// core.LoadServable installs the stored networks via rl.AgentFromNets
 // instead of initializing throwaway ones — and this test pins it: it runs
 // real disk loads concurrently with live /v1/inspect sampling, so any
 // draw on the load path is a data race under -race (which the Makefile
 // race target runs for this package).
 func TestReloadFromDiskUnderLoad(t *testing.T) {
 	a, _ := reloadPair(t)
-	path := filepath.Join(t.TempDir(), "model.gob")
+	path := filepath.Join(t.TempDir(), "model.ckpt")
 	if err := a.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -293,9 +293,10 @@ func NewTrainer(cfg TrainConfig) (*Trainer, error) { return core.NewTrainer(cfg)
 // Evaluate schedules sampled test sequences with and without the inspector.
 func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) { return core.Evaluate(insp, cfg) }
 
-// LoadInspectorFile reads a model saved with Inspector.SaveFile.
+// LoadInspectorFile reads a model saved with Inspector.SaveFile, or a
+// training checkpoint: both are the same ckpt file format.
 func LoadInspectorFile(path string, rng *rand.Rand) (*Inspector, error) {
-	return core.LoadInspectorFile(path, rng)
+	return core.LoadServable(path, rng)
 }
 
 // LoadTrainerCheckpoint reads one durable checkpoint file, verifying its
