@@ -146,9 +146,10 @@ func (r EvalResult) RejectionRatio() float64 {
 // rollout driver as one batch of 2*Sequences episodes: the uninspected arms
 // run straight through, while the inspected arms step concurrently with the
 // inspector's policy forwarded once per decision wave. Every sequence draws
-// its window and the inspector's sampled actions from a private RNG stream
-// derived from (Seed, index), and summaries are reduced in index order, so
-// the result is identical for any worker count and wave composition.
+// its window start and the inspector's sampled actions from a private RNG
+// stream derived from (Seed, index), and summaries are reduced in index
+// order, so the result is identical for any worker count and wave
+// composition.
 //
 // The inspector runs in stochastic mode by default (inference mirrors
 // training, §3.2); set cfg.Greedy for argmax decisions. A nil inspector
@@ -208,15 +209,15 @@ func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		// The sequence's stream draws the window first; the remainder
+		// The sequence's stream draws the window start first; the remainder
 		// drives the inspected arm's action sampling.
 		rng := streamRNG(cfg.Seed, streamEval, uint64(i))
-		jobs := cfg.Trace.RandomWindow(rng, cfg.SeqLen, lo, hi)
+		start := lo + rng.Intn(hi-lo)
 		rngs[n+i] = rng
-		episodes[i] = rollout.Episode{Jobs: jobs, Cfg: mkCfg(i)}
-		episodes[n+i] = rollout.Episode{Jobs: jobs, Cfg: mkCfg(n + i), Interactive: insp != nil}
+		episodes[i] = rollout.Episode{Start: start, Cfg: mkCfg(i)}
+		episodes[n+i] = rollout.Episode{Start: start, Cfg: mkCfg(n + i), Interactive: insp != nil}
 	}
-	rollCfg := rollout.Config{Workers: workers}
+	rollCfg := rollout.Config{Trace: cfg.Trace, SeqLen: cfg.SeqLen, Workers: workers}
 	var sampler *waveSampler
 	if insp != nil {
 		sampler = newWaveSampler(insp.Clone(nil), rngs, cfg.Greedy, false)
@@ -233,7 +234,7 @@ func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 			sampler.explainTo(cfg.Flight, 0, cfg.MaxRejections)
 		}
 	}
-	results, rep, err := rollout.Run(episodes, rollCfg)
+	outcomes, rep, err := rollout.Run(episodes, rollCfg)
 	cfg.Metrics.observeRollout(workers, rep.Busy.Seconds(), rep.Wall.Seconds())
 	if cfg.Metrics != nil {
 		for i := 0; i < n; i++ {
@@ -248,10 +249,10 @@ func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 	out.Base = make([]metrics.Summary, 0, n)
 	out.Insp = make([]metrics.Summary, 0, n)
 	for i := 0; i < n; i++ {
-		out.Base = append(out.Base, results[i].Summary(cfg.Trace.MaxProcs))
-		out.Insp = append(out.Insp, results[n+i].Summary(cfg.Trace.MaxProcs))
-		out.Inspections += results[n+i].Inspections
-		out.Rejections += results[n+i].Rejections
+		out.Base = append(out.Base, outcomes[i].Summary)
+		out.Insp = append(out.Insp, outcomes[n+i].Summary)
+		out.Inspections += outcomes[n+i].Inspections
+		out.Rejections += outcomes[n+i].Rejections
 	}
 	if cfg.Flight != nil {
 		evalSpan.Attrs = append(evalSpan.Attrs,

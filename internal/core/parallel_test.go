@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -459,5 +460,71 @@ func BenchmarkEvaluateWorkers(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRolloutShard measures the rollout phase of one training epoch in
+// the train-epoch shape (SJF, bsld, batch 32 x 128 jobs) at increasing
+// worker counts, without the PPO update: each iteration is a new epoch's
+// windows and actions under the same weights.
+func BenchmarkRolloutShard(b *testing.B) {
+	tr := workload.SDSCSP2Like(6000, 17)
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			trainer, err := NewTrainer(TrainConfig{
+				Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD, FeatureMode: ManualFeatures,
+				Batch: 32, SeqLen: 128, Seed: 29, Workers: workers,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				trainer.BeginEpoch()
+				if _, err := trainer.RolloutShard(0, 32); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// raceBuild is set by race_test.go when the race detector is compiled in.
+var raceBuild bool
+
+// TestEvaluateBytesIndependentOfSeqLen: an evaluation pass keeps nothing of
+// an episode but its outcome, so the bytes it allocates grow with the one
+// live window a worker recycles, not with sequences x jobs. Four times the
+// jobs per sequence over 64 sequences may cost at most 256 KB more per pass;
+// copying every window and every episode's per-job results costs ~2.3 MB.
+func TestEvaluateBytesIndependentOfSeqLen(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's shadow allocations are counted in TotalAlloc")
+	}
+	tr := workload.SDSCSP2Like(3000, 17)
+	insp := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD), nil)
+	bytesPerPass := func(seqLen int) float64 {
+		cfg := EvalConfig{
+			Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
+			Sequences: 64, SeqLen: seqLen, Seed: 5, Workers: 1,
+		}
+		if _, err := Evaluate(insp, cfg); err != nil { // warm lazily built state
+			t.Fatal(err)
+		}
+		const passes = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < passes; i++ {
+			if _, err := Evaluate(insp, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / passes
+	}
+	short, long := bytesPerPass(64), bytesPerPass(256)
+	t.Logf("bytes per pass: %.0f at SeqLen 64, %.0f at SeqLen 256", short, long)
+	if long-short >= 256<<10 {
+		t.Fatalf("SeqLen 256 allocates %.0f B more per pass than SeqLen 64; the budget is 256 KB", long-short)
 	}
 }

@@ -154,14 +154,13 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 		if len(epPols) > 1 {
 			pol = epPols[k]
 		}
-		eps[k] = rollout.Episode{
-			Jobs:        t.cfg.Trace.Window(starts[lo+k], t.cfg.SeqLen),
-			Cfg:         t.simConfig(pol),
-			Interactive: true,
-		}
+		eps[k] = rollout.Episode{Start: starts[lo+k], Cfg: t.simConfig(pol), Interactive: true}
 	}
 	sampler := newWaveSampler(t.insp.Clone(nil), rngs, false, true)
-	rollCfg := rollout.Config{Workers: epWorkers, NewDecide: sampler.worker, SlotBase: lo}
+	rollCfg := rollout.Config{
+		Trace: t.cfg.Trace, SeqLen: t.cfg.SeqLen,
+		Workers: epWorkers, NewDecide: sampler.worker, SlotBase: lo,
+	}
 	if t.cfg.Flight != nil {
 		// The epoch span roots this epoch's episode and decision spans; its
 		// ID is a pure function of (seed, epoch), never of scheduling, so
@@ -175,7 +174,7 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 		rollCfg.SpanRoot = epochID
 		sampler.explainTo(t.cfg.Flight, t.epoch, t.cfg.MaxRejections)
 	}
-	results, rep, runErr := rollout.Run(eps, rollCfg)
+	outcomes, rep, runErr := rollout.Run(eps, rollCfg)
 	busy += rep.Busy
 	wall += rep.Wall
 	t.cfg.Metrics.observeRollout(workers, busy.Seconds(), wall.Seconds())
@@ -195,9 +194,9 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 	}
 
 	deltas := make([]TrajDelta, n)
-	for k := range results {
+	for k := range outcomes {
 		b := lo + k
-		orig, insp := baseSums[k], results[k].Summary(t.cfg.Trace.MaxProcs)
+		orig, insp := baseSums[k], outcomes[k].Summary
 		diff := orig.Of(t.cfg.Metric) - insp.Of(t.cfg.Metric)
 		if !t.cfg.Metric.Minimize() {
 			diff = -diff
@@ -208,8 +207,8 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 			Reward:         clampReward(Reward(t.cfg.RewardKind, t.cfg.Metric, orig, insp)),
 			Improvement:    diff,
 			PctImprovement: metrics.Improvement(t.cfg.Metric, orig, insp),
-			Inspections:    results[k].Inspections,
-			Rejections:     results[k].Rejections,
+			Inspections:    outcomes[k].Inspections,
+			Rejections:     outcomes[k].Rejections,
 		}
 	}
 	return deltas, nil

@@ -7,7 +7,6 @@ import (
 
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/nn"
-	"schedinspector/internal/rollout"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
@@ -145,29 +144,13 @@ func (t *Trainer) simConfig(pol sched.Policy) sim.Config {
 	}
 }
 
-// episode runs one window through the rollout driver. The driver stays in
-// its sequential mode (Workers: 1): the policy being trained shares one RNG
-// between window draws and action sampling, so episodes must execute one at
-// a time in draw order to keep the stream — and with it the trained model —
-// bit-identical to a sequential loop.
-func (t *Trainer) episode(jobs []workload.Job, pol sched.Policy) (sim.Result, error) {
-	results, _, err := rollout.Run(
-		[]rollout.Episode{{Jobs: jobs, Cfg: t.simConfig(pol)}},
-		rollout.Config{Workers: 1},
-	)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return results[0], nil
-}
-
 // reference returns the reference policy's metric value for a window.
 func (t *Trainer) reference(start int) (float64, error) {
 	if v, ok := t.baseCache[start]; ok {
 		return v, nil
 	}
 	jobs := t.cfg.Trace.Window(start, t.cfg.SeqLen)
-	res, err := t.episode(jobs, t.cfg.Reference)
+	res, err := sim.Run(jobs, t.simConfig(t.cfg.Reference))
 	if err != nil {
 		return 0, err
 	}
@@ -190,7 +173,7 @@ func (t *Trainer) RunEpoch() (EpochStats, error) {
 		jobs := t.cfg.Trace.Window(start, t.cfg.SeqLen)
 		var steps []Step
 		t.pol.SetSampling(true, &steps)
-		res, err := t.episode(jobs, t.pol)
+		res, err := sim.Run(jobs, t.simConfig(t.pol))
 		t.pol.SetSampling(false, nil)
 		if err != nil {
 			return stats, err

@@ -13,9 +13,8 @@ import (
 // Work is handed out through an atomic index counter; results are written
 // into per-index slots, so reduction order — and with it every statistic,
 // PPO batch and serialized model — is independent of which worker ran which
-// item. It used to live inside the training engine; the rollout driver now
-// owns it so every layer (trainer, evaluator, RL-scheduler baseline) fans
-// out through the same machinery.
+// item. The rollout driver owns it so the trainer and the evaluator fan out
+// through the same machinery.
 
 // ResolveWorkers maps a configured worker count to an effective one: zero
 // or negative means "one per CPU".

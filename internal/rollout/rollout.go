@@ -1,7 +1,7 @@
 // Package rollout is the one driver every simulation fan-out in the
-// codebase goes through: the SchedInspector trainer, test-time evaluation,
-// and the RL-scheduler baseline all submit batches of episodes here instead
-// of carrying their own worker-pool and callback plumbing.
+// codebase goes through: the SchedInspector trainer and test-time
+// evaluation both submit batches of episodes here instead of carrying their
+// own worker-pool and callback plumbing.
 //
 // Every worker runs the same loop on its own: it claims episodes from a
 // shared counter in slot order, keeps a bounded window of them live on
@@ -9,6 +9,12 @@
 // of that window, one wave at a time, to its own Decide. A neural inspector
 // therefore evaluates a wave with one matrix-shaped forward pass instead of
 // one scalar forward per decision, and no worker ever waits for another.
+//
+// Nothing of an episode outlives it but its Outcome: the worker writes the
+// episode's trace window into a job buffer it recycles with the Env, and
+// reduces the Env's per-job results to a summary before the Env goes back on
+// its free list. A run's memory therefore scales with the live window, not
+// with episodes x jobs.
 //
 // Determinism: an episode's outcome is a pure function of (its jobs, its
 // policy instance, its decision sequence), and Decide implementations keyed
@@ -29,15 +35,26 @@ import (
 	"schedinspector/internal/workload"
 )
 
-// Episode is one simulation request.
+// Episode is one simulation request over the run's trace: the Config.SeqLen
+// jobs of Config.Trace from index Start, re-based to submit at time 0
+// (workload.Trace.Window).
 type Episode struct {
-	Jobs []workload.Job
-	Cfg  sim.Config // Cfg.Inspector must be nil; decisions come from Decide
+	Start int
+	Cfg   sim.Config // Cfg.Inspector must be nil; decisions come from Decide
 
 	// Interactive episodes yield every scheduling decision to Decide.
 	// Non-interactive ones run straight to completion (the baseline /
 	// uninspected arm of a comparison) and never appear in a wave.
 	Interactive bool
+}
+
+// Outcome is what survives an episode: the metrics summary of its per-job
+// results (over Cfg.MaxProcs processors) and the inspector's decision
+// counts. A failed episode leaves the zero Outcome.
+type Outcome struct {
+	Summary     metrics.Summary
+	Inspections int
+	Rejections  int
 }
 
 // Pending is one episode slot awaiting a decision. State points into the
@@ -63,14 +80,20 @@ const liveWindow = 64
 
 // Config parameterizes one driver run.
 type Config struct {
+	// Trace and SeqLen name every episode's jobs: episode e simulates
+	// Trace.Window(e.Start, SeqLen). The trace must be sorted by submit;
+	// set Cfg.NoValidate on episodes whose trace was validated once.
+	Trace  *workload.Trace
+	SeqLen int
+
 	// Workers is how many goroutines run the wave loop (0 = one per CPU).
 	// Workers == 1 is a semantic switch, not just a parallelism knob:
 	// episodes run strictly one at a time in slot order on the calling
 	// goroutine, with single-slot waves — required when episodes share one
-	// stateful, uncloneable policy instance (the RL-scheduler baseline
-	// while sampling), whose consultation order must match a sequential
-	// loop. With Workers > 1 up to Workers x 64 episodes are live at once,
-	// so stateful policies need per-episode instances (see PolicyClones).
+	// stateful, uncloneable policy instance, whose consultation order must
+	// match a sequential loop. With Workers > 1 up to Workers x 64 episodes
+	// are live at once, so stateful policies need per-episode instances
+	// (see PolicyClones).
 	Workers int
 
 	// NewDecide returns the Decide of worker w in [0, Workers); the driver
@@ -112,32 +135,30 @@ type Report struct {
 	EpisodeSeconds []float64
 }
 
-// Run drives all episodes to completion and returns their results in slot
-// order. Episodes that fail leave a zero Result; the first error in slot
+// Run drives all episodes to completion and returns their outcomes in slot
+// order. Episodes that fail leave a zero Outcome; the first error in slot
 // order is returned after every other episode has still been given the
 // chance to finish, mirroring how the pre-driver engines reduced worker
 // errors.
-func Run(eps []Episode, cfg Config) ([]sim.Result, Report, error) {
+func Run(eps []Episode, cfg Config) ([]Outcome, Report, error) {
 	if workers := min(ResolveWorkers(cfg.Workers), len(eps)); workers > 1 {
 		return run(eps, cfg, workers, liveWindow)
 	}
 	return run(eps, cfg, 1, 1)
 }
 
-// ownResult detaches a Result from the env buffers that back it, so the env
-// can be reset for the next episode.
-func ownResult(r sim.Result) sim.Result {
-	r.Results = append([]metrics.JobResult(nil), r.Results...)
-	if r.Usage != nil {
-		r.Usage = append([]sim.UsagePoint(nil), r.Usage...)
-	}
-	return r
+// envBuf is an Env with the buffer its episode's window is written into.
+// The two are recycled together: the Env reads the jobs until its episode
+// ends.
+type envBuf struct {
+	env  *sim.Env
+	jobs []workload.Job
 }
 
 // live is one interactive episode in a worker's window.
 type live struct {
-	i     int        // episode position; its slot is SlotBase+i
-	env   *sim.Env   // the worker's, back on its free list when the episode ends
+	i int // episode position; its slot is SlotBase+i
+	envBuf
 	state *sim.State // the pending decision, nil once the episode is done
 	span  obs.Span   // open episode span when a ring is attached
 }
@@ -146,10 +167,13 @@ type live struct {
 // when workers is 1): claim the next episode, run it straight through or
 // Reset it into the window, and once window episodes are live or none is
 // left to claim, Decide the window and Step each member.
-func run(eps []Episode, cfg Config, workers, window int) ([]sim.Result, Report, error) {
+func run(eps []Episode, cfg Config, workers, window int) ([]Outcome, Report, error) {
 	n := len(eps)
 	rep := Report{EpisodeSeconds: make([]float64, n)}
 	for i := range eps {
+		if cfg.Trace == nil || !cfg.Trace.CanWindow(eps[i].Start, cfg.SeqLen) {
+			return nil, rep, fmt.Errorf("rollout: episode %d starts at %d; Config.Trace has no window of SeqLen=%d jobs there", i, eps[i].Start, cfg.SeqLen)
+		}
 		if eps[i].Cfg.Inspector != nil {
 			return nil, rep, fmt.Errorf("rollout: episode %d sets Cfg.Inspector; decisions must come from Decide", i)
 		}
@@ -157,7 +181,7 @@ func run(eps []Episode, cfg Config, workers, window int) ([]sim.Result, Report, 
 			return nil, rep, fmt.Errorf("rollout: episode %d is interactive but Config.NewDecide is nil", i)
 		}
 	}
-	results := make([]sim.Result, n)
+	outcomes := make([]Outcome, n)
 	errs := make([]error, n)
 	var next atomic.Int64 // the next unclaimed episode
 	// One index per worker: a goroutine that starts late finds its loop
@@ -168,7 +192,7 @@ func run(eps []Episode, cfg Config, workers, window int) ([]sim.Result, Report, 
 		if cfg.NewDecide != nil {
 			decide = cfg.NewDecide(w)
 		}
-		var free []*sim.Env
+		var free []envBuf
 		lives := make([]live, 0, window)
 		pending := make([]Pending, 0, window)
 		rejects := make([]bool, window)
@@ -181,20 +205,23 @@ func run(eps []Episode, cfg Config, workers, window int) ([]sim.Result, Report, 
 			last = now
 			return d
 		}
-		// finish detaches a completed episode's result and frees its env.
+		// finish reduces a completed episode to its outcome and frees its
+		// env and job buffer.
 		finish := func(lv *live) {
-			results[lv.i] = ownResult(lv.env.Result())
+			res := lv.env.Result()
+			o := Outcome{Summary: res.Summary(eps[lv.i].Cfg.MaxProcs), Inspections: res.Inspections, Rejections: res.Rejections}
+			outcomes[lv.i] = o
 			if cfg.Ring != nil {
 				lv.span.Attrs = append(lv.span.Attrs,
 					obs.Attr{Key: "slot", Num: float64(cfg.SlotBase + lv.i)},
-					obs.Attr{Key: "jobs", Num: float64(len(eps[lv.i].Jobs))},
-					obs.Attr{Key: "inspections", Num: float64(results[lv.i].Inspections)},
-					obs.Attr{Key: "rejections", Num: float64(results[lv.i].Rejections)},
+					obs.Attr{Key: "jobs", Num: float64(cfg.SeqLen)},
+					obs.Attr{Key: "inspections", Num: float64(o.Inspections)},
+					obs.Attr{Key: "rejections", Num: float64(o.Rejections)},
 				)
 				lv.span.End(lv.env.Now())
 				cfg.Ring.EmitSpan(&lv.span)
 			}
-			free = append(free, lv.env)
+			free = append(free, lv.envBuf)
 		}
 		for {
 			for len(lives) < window {
@@ -204,10 +231,11 @@ func run(eps []Episode, cfg Config, workers, window int) ([]sim.Result, Report, 
 				}
 				lv := live{i: i}
 				if k := len(free) - 1; k >= 0 {
-					lv.env, free = free[k], free[:k]
+					lv.envBuf, free = free[k], free[:k]
 				} else {
 					lv.env = sim.NewEnv()
 				}
+				lv.jobs = cfg.Trace.WindowInto(lv.jobs, eps[i].Start, cfg.SeqLen)
 				ec := eps[i].Cfg // a copy: the caller's Episodes are never mutated
 				if cfg.Ring != nil {
 					ec.Ring = cfg.Ring
@@ -216,17 +244,17 @@ func run(eps []Episode, cfg Config, workers, window int) ([]sim.Result, Report, 
 				}
 				if eps[i].Interactive {
 					var done bool
-					if lv.state, done, errs[i] = lv.env.Reset(eps[i].Jobs, ec); errs[i] == nil && !done {
+					if lv.state, done, errs[i] = lv.env.Reset(lv.jobs, ec); errs[i] == nil && !done {
 						lives = append(lives, lv)
 						continue
 					}
 				} else {
-					_, errs[i] = sim.RunEnv(lv.env, eps[i].Jobs, ec)
+					_, errs[i] = sim.RunEnv(lv.env, lv.jobs, ec)
 				}
 				if errs[i] == nil {
 					finish(&lv)
 				} else {
-					free = append(free, lv.env)
+					free = append(free, lv.envBuf)
 				}
 				rep.EpisodeSeconds[i] = lap()
 			}
@@ -267,8 +295,8 @@ func run(eps []Episode, cfg Config, workers, window int) ([]sim.Result, Report, 
 	}
 	for _, err := range errs {
 		if err != nil {
-			return results, rep, err
+			return outcomes, rep, err
 		}
 	}
-	return results, rep, nil
+	return outcomes, rep, nil
 }

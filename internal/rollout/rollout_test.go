@@ -18,6 +18,9 @@ import (
 
 var testTrace = workload.SDSCSP2Like(600, 5)
 
+// testSeqLen is the window every test episode runs.
+const testSeqLen = 48
+
 // testEpisodes builds n episodes over windows of the test trace (distinct
 // for the first 13): even slots interactive, odd slots the straight-through
 // base run.
@@ -25,7 +28,7 @@ func testEpisodes(n int) []Episode {
 	eps := make([]Episode, n)
 	for i := range eps {
 		eps[i] = Episode{
-			Jobs: testTrace.Window(40*i%520, 48),
+			Start: 40 * i % 520,
 			Cfg: sim.Config{
 				MaxProcs: testTrace.MaxProcs, Policy: sched.SJF(), Backfill: true, NoValidate: true,
 			},
@@ -35,10 +38,75 @@ func testEpisodes(n int) []Episode {
 	return eps
 }
 
-// slotDecide hands out Decides whose verdicts are a pure function of (slot,
-// the slot's decision count, the state), the property the engine's
-// determinism rests on. It records every wave it was handed and by which
-// worker; the lock is the test's own bookkeeping, not part of the contract.
+// over points cfg at the test trace's testSeqLen-job windows.
+func over(cfg Config) Config {
+	cfg.Trace, cfg.SeqLen = testTrace, testSeqLen
+	return cfg
+}
+
+// verdict is the test Decides' answer to the n-th decision of slot at st: a
+// pure function of (slot, n, state), the property the engine's determinism
+// rests on.
+func verdict(slot, n int, st *sim.State) bool {
+	return (n+slot)%3 == 0 && st.Rejections < 2
+}
+
+// oracle is what Run must return for eps run at slot base over tr's
+// seqLen-job windows, computed without the driver: a straight-through
+// episode is sim.Run over its own copy of the window, an interactive one a
+// sequential sim.Env on a fresh Env fed verdict's answers.
+func oracle(t *testing.T, tr *workload.Trace, seqLen int, eps []Episode, base int) []Outcome {
+	t.Helper()
+	out := make([]Outcome, len(eps))
+	for i, ep := range eps {
+		jobs := tr.Window(ep.Start, seqLen)
+		var res sim.Result
+		if ep.Interactive {
+			env := sim.NewEnv()
+			st, done, err := env.Reset(jobs, ep.Cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; !done; n++ {
+				st, done = env.Step(verdict(base+i, n, st))
+			}
+			res = env.Result()
+		} else {
+			var err error
+			if res, err = sim.Run(jobs, ep.Cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out[i] = Outcome{Summary: res.Summary(ep.Cfg.MaxProcs), Inspections: res.Inspections, Rejections: res.Rejections}
+	}
+	return out
+}
+
+// outcomeBits is an Outcome with every float as its bit pattern, so ==
+// means bit-identical.
+func outcomeBits(o Outcome) [8]uint64 {
+	s := o.Summary
+	return [8]uint64{uint64(s.Jobs), math.Float64bits(s.AvgBSLD), math.Float64bits(s.AvgWait),
+		math.Float64bits(s.MaxBSLD), math.Float64bits(s.Util), math.Float64bits(s.Makespan),
+		uint64(o.Inspections), uint64(o.Rejections)}
+}
+
+// sameOutcomes fails unless got and want are bit-identical slot by slot.
+func sameOutcomes(t *testing.T, what string, got, want []Outcome) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d outcomes, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if outcomeBits(got[i]) != outcomeBits(want[i]) {
+			t.Fatalf("%s: slot %d outcome %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// slotDecide hands out Decides that answer with verdict. It records every
+// wave it was handed and by which worker; the lock is the test's own
+// bookkeeping, not part of the contract.
 type slotDecide struct {
 	mu    sync.Mutex
 	seq   map[int]int
@@ -66,53 +134,42 @@ func (d *slotDecide) worker(w int) Decide {
 			d.owner[p.Slot] = w
 			n := d.seq[p.Slot]
 			d.seq[p.Slot] = n + 1
-			rejects[i] = (n+p.Slot)%3 == 0 && p.State.Rejections < 2
+			rejects[i] = verdict(p.Slot, n, p.State)
 		}
 		d.waves = append(d.waves, wave)
 	}
 }
 
-// TestRunSlotOrderAndWorkerEquivalence: results come back in slot order and
+// TestRunSlotOrderAndWorkerEquivalence: outcomes come back in slot order and
 // are identical whether episodes run one at a time or four at once.
 func TestRunSlotOrderAndWorkerEquivalence(t *testing.T) {
 	eps := testEpisodes(6)
-	runAt := func(workers int) ([]sim.Result, *slotDecide) {
+	want := oracle(t, testTrace, testSeqLen, eps, 0)
+	runAt := func(workers int) *slotDecide {
 		d := &slotDecide{}
-		res, rep, err := Run(eps, Config{Workers: workers, NewDecide: d.worker})
+		out, rep, err := Run(eps, over(Config{Workers: workers, NewDecide: d.worker}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) != len(eps) || len(rep.EpisodeSeconds) != len(eps) {
-			t.Fatalf("workers=%d: %d results, %d episode timings for %d episodes",
-				workers, len(res), len(rep.EpisodeSeconds), len(eps))
+		if len(rep.EpisodeSeconds) != len(eps) {
+			t.Fatalf("workers=%d: %d episode timings for %d episodes", workers, len(rep.EpisodeSeconds), len(eps))
 		}
 		if d.bad != "" {
 			t.Fatalf("workers=%d: %s", workers, d.bad)
 		}
-		return res, d
+		// The windows start 40 jobs apart, so only slot order matches the
+		// oracle's.
+		sameOutcomes(t, fmt.Sprintf("workers=%d", workers), out, want)
+		return d
 	}
-	seq, seqD := runAt(1)
-	par, parD := runAt(4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("results differ between Workers 1 and 4")
-	}
-	for i, r := range seq {
-		// Windows overlap but start 40 jobs apart, so the set of job IDs
-		// identifies the episode a result belongs to.
-		ids := make(map[int]bool)
-		for _, jr := range r.Results {
-			ids[jr.ID] = true
+	seqD := runAt(1)
+	parD := runAt(4)
+	for i, o := range want {
+		if o.Summary.Jobs != testSeqLen {
+			t.Fatalf("slot %d summarizes %d jobs, its window has %d", i, o.Summary.Jobs, testSeqLen)
 		}
-		for _, j := range eps[i].Jobs {
-			if !ids[j.ID] {
-				t.Fatalf("result %d is missing job %d of episode %d", i, j.ID, i)
-			}
-		}
-		if len(r.Results) != len(eps[i].Jobs) {
-			t.Fatalf("result %d holds %d jobs, episode has %d", i, len(r.Results), len(eps[i].Jobs))
-		}
-		if (r.Inspections > 0) != eps[i].Interactive {
-			t.Fatalf("slot %d: %d inspections, interactive=%v", i, r.Inspections, eps[i].Interactive)
+		if (o.Inspections > 0) != eps[i].Interactive {
+			t.Fatalf("slot %d: %d inspections, interactive=%v", i, o.Inspections, eps[i].Interactive)
 		}
 	}
 	for _, wave := range seqD.waves {
@@ -127,7 +184,7 @@ func TestRunSlotOrderAndWorkerEquivalence(t *testing.T) {
 	// scheduler; one worker with the full window must hold all three
 	// interactive episodes in its first wave.
 	d := &slotDecide{}
-	if _, _, err := run(eps, Config{NewDecide: d.worker}, 1, liveWindow); err != nil {
+	if _, _, err := run(eps, over(Config{NewDecide: d.worker}), 1, liveWindow); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{0, 2, 4}; !reflect.DeepEqual(d.waves[0], want) {
@@ -144,9 +201,11 @@ func TestSlotBaseShiftsSlotsAndSpanIDs(t *testing.T) {
 		eps := testEpisodes(4)
 		d := &slotDecide{}
 		ring := obs.NewTraceRing(1<<12, 0)
-		if _, _, err := Run(eps, Config{Workers: workers, NewDecide: d.worker, Ring: ring, SpanRoot: root, SlotBase: base}); err != nil {
+		out, _, err := Run(eps, over(Config{Workers: workers, NewDecide: d.worker, Ring: ring, SpanRoot: root, SlotBase: base}))
+		if err != nil {
 			t.Fatal(err)
 		}
+		sameOutcomes(t, fmt.Sprintf("workers=%d", workers), out, oracle(t, testTrace, testSeqLen, eps, base))
 		for slot := range d.seq {
 			if i := slot - base; i < 0 || i >= len(eps) || !eps[i].Interactive {
 				t.Fatalf("workers=%d: Decide saw slot %d; interactive slots are %d and %d", workers, slot, base, base+2)
@@ -166,6 +225,9 @@ func TestSlotBaseShiftsSlotsAndSpanIDs(t *testing.T) {
 			case "episode":
 				if sp.Parent != root {
 					t.Fatalf("episode span parent %d, want the root %d", sp.Parent, root)
+				}
+				if sp.Attrs[1].Key != "jobs" || sp.Attrs[1].Num != testSeqLen {
+					t.Fatalf("episode span attr %+v, want jobs=%d", sp.Attrs[1], testSeqLen)
 				}
 				episodes[sp.ID] = int(sp.Attrs[0].Num)
 			case "decision":
@@ -187,12 +249,14 @@ func TestSlotBaseShiftsSlotsAndSpanIDs(t *testing.T) {
 	}
 }
 
-// TestRunDoesNotMutateCallerEpisodes: span plumbing is attached to a copy.
+// TestRunDoesNotMutateCallerEpisodes: span plumbing is attached to a copy,
+// and the trace windows are copied out, never written.
 func TestRunDoesNotMutateCallerEpisodes(t *testing.T) {
 	eps := testEpisodes(3)
+	before := testTrace.Clone()
 	d := &slotDecide{}
 	ring := obs.NewTraceRing(1<<12, 0)
-	if _, _, err := Run(eps, Config{Workers: 2, NewDecide: d.worker, Ring: ring, SpanRoot: 9}); err != nil {
+	if _, _, err := Run(eps, over(Config{Workers: 2, NewDecide: d.worker, Ring: ring, SpanRoot: 9})); err != nil {
 		t.Fatal(err)
 	}
 	if ring.Total() == 0 {
@@ -203,20 +267,32 @@ func TestRunDoesNotMutateCallerEpisodes(t *testing.T) {
 			t.Fatalf("caller's episode %d now carries ring %p / span parent %d", i, eps[i].Cfg.Ring, eps[i].Cfg.SpanParent)
 		}
 	}
+	if !reflect.DeepEqual(testTrace.Jobs, before.Jobs) {
+		t.Fatal("Run wrote into its trace")
+	}
 }
 
-// TestRunRejectsBadEpisodes: decisions come from Decide and nowhere else.
+// TestRunRejectsBadEpisodes: decisions come from Decide and nowhere else,
+// and every episode names a window the trace has.
 func TestRunRejectsBadEpisodes(t *testing.T) {
 	eps := testEpisodes(2)
 	eps[1].Cfg.Inspector = func(*sim.State) bool { return false }
-	if _, _, err := Run(eps, Config{NewDecide: (&slotDecide{}).worker}); err == nil || !strings.Contains(err.Error(), "episode 1 sets Cfg.Inspector") {
+	if _, _, err := Run(eps, over(Config{NewDecide: (&slotDecide{}).worker})); err == nil || !strings.Contains(err.Error(), "episode 1 sets Cfg.Inspector") {
 		t.Fatalf("episode with its own Inspector: err %v", err)
 	}
-	if _, _, err := Run(testEpisodes(2), Config{}); err == nil || !strings.Contains(err.Error(), "episode 0 is interactive but Config.NewDecide is nil") {
+	if _, _, err := Run(testEpisodes(2), over(Config{})); err == nil || !strings.Contains(err.Error(), "episode 0 is interactive but Config.NewDecide is nil") {
 		t.Fatalf("interactive episode without Decide: err %v", err)
 	}
-	if _, _, err := Run(testEpisodes(2)[1:], Config{}); err != nil {
+	if _, _, err := Run(testEpisodes(2)[1:], over(Config{})); err != nil {
 		t.Fatalf("non-interactive episodes need no Decide: %v", err)
+	}
+	eps = testEpisodes(3)
+	eps[2].Start = testTrace.Len() - testSeqLen + 1
+	if _, _, err := Run(eps, over(Config{NewDecide: (&slotDecide{}).worker})); err == nil || !strings.Contains(err.Error(), "episode 2 starts at") {
+		t.Fatalf("window past the trace's end: err %v", err)
+	}
+	if _, _, err := Run(testEpisodes(1), Config{NewDecide: (&slotDecide{}).worker}); err == nil || !strings.Contains(err.Error(), "episode 0 starts at") {
+		t.Fatalf("no trace: err %v", err)
 	}
 }
 
@@ -224,26 +300,32 @@ func TestRunRejectsBadEpisodes(t *testing.T) {
 // finish, and the error reported is the lowest failing slot's, whichever
 // worker hit its error first.
 func TestRunReturnsFirstErrorInSlotOrder(t *testing.T) {
+	eps := testEpisodes(5)
+	// Unsort one pair of jobs inside each bad episode's window, where no
+	// other episode's window reaches (windows start 40 apart and overlap by
+	// 8), and have only the bad episodes validate.
+	tr := testTrace.Clone()
+	for _, bad := range []int{1, 2, 4} { // one non-interactive, two interactive
+		eps[bad].Cfg.NoValidate = false
+		k := eps[bad].Start + 10 + bad // unsorted at window index 11+bad
+		if tr.Jobs[k].Submit == tr.Jobs[k+1].Submit {
+			t.Fatalf("window %d: jobs %d and %d share a submit time; pick another pair", bad, k, k+1)
+		}
+		tr.Jobs[k], tr.Jobs[k+1] = tr.Jobs[k+1], tr.Jobs[k]
+	}
 	for _, workers := range []int{1, 4} {
-		eps := testEpisodes(5)
-		for _, bad := range []int{1, 2, 4} { // one non-interactive, two interactive
-			eps[bad].Cfg.NoValidate = false
-			jobs := append([]workload.Job(nil), eps[bad].Jobs...)
-			jobs[bad], jobs[bad+1] = jobs[bad+1], jobs[bad] // unsorted at index bad+1
-			if jobs[bad].Submit == jobs[bad+1].Submit {
-				t.Fatalf("window %d: jobs %d and %d share a submit time; pick another pair", bad, bad, bad+1)
+		out, _, err := Run(eps, Config{Trace: tr, SeqLen: testSeqLen, Workers: workers, NewDecide: (&slotDecide{}).worker})
+		if err == nil || !strings.Contains(err.Error(), "not sorted by submit at index 12") {
+			t.Fatalf("workers=%d: err %v, want slot 1's (unsorted at index 12)", workers, err)
+		}
+		// Slot 3 is straight through, so the oracle's slot numbering of the
+		// pair cannot change its outcome.
+		healthy := oracle(t, tr, testSeqLen, []Episode{eps[0], eps[3]}, 0)
+		sameOutcomes(t, fmt.Sprintf("workers=%d healthy slots 0 and 3", workers), []Outcome{out[0], out[3]}, healthy)
+		for _, bad := range []int{1, 2, 4} {
+			if out[bad] != (Outcome{}) {
+				t.Fatalf("workers=%d: failed episode %d left outcome %+v", workers, bad, out[bad])
 			}
-			eps[bad].Jobs = jobs
-		}
-		res, _, err := Run(eps, Config{Workers: workers, NewDecide: (&slotDecide{}).worker})
-		if err == nil || !strings.Contains(err.Error(), "not sorted by submit at index 2") {
-			t.Fatalf("workers=%d: err %v, want slot 1's (unsorted at index 2)", workers, err)
-		}
-		if len(res[0].Results) == 0 || len(res[3].Results) == 0 {
-			t.Fatalf("workers=%d: healthy episodes did not finish", workers)
-		}
-		if len(res[1].Results) != 0 || len(res[2].Results) != 0 || len(res[4].Results) != 0 {
-			t.Fatalf("workers=%d: failed episodes left results", workers)
 		}
 	}
 }
@@ -284,50 +366,49 @@ func recordingDecide(d *slotDecide, ring *obs.TraceRing, slots int) func(int) De
 	}
 }
 
-// TestEquivWindowWorkers: results, decision counts and flight-record
-// identities do not depend on the window or the worker count, and no worker
-// is ever handed more than its window, a descending wave, or another
-// worker's slot.
+// TestEquivWindowWorkers is the driver's oracle at every window and worker
+// count: each straight-through outcome equals sim.Run over its window and
+// each interactive one a sequential Env fed the same verdicts, bit for bit;
+// flight-record identities do not depend on the window or the worker count;
+// and no worker is ever handed more than its window, a descending wave, or
+// another worker's slot.
 func TestEquivWindowWorkers(t *testing.T) {
 	eps := testEpisodes(21)
+	want := oracle(t, testTrace, testSeqLen, eps, 0)
 	const root = obs.SpanID(77)
-	var want []sim.Result
 	var wantIDs map[string]int
 	for _, window := range []int{1, 3, liveWindow} {
 		for _, workers := range []int{1, 2, 8} {
 			d := &slotDecide{}
 			ring := obs.NewTraceRing(1<<14, 0)
-			res, _, err := run(eps, Config{NewDecide: recordingDecide(d, ring, len(eps)), Ring: ring, SpanRoot: root}, workers, window)
+			out, _, err := run(eps, over(Config{NewDecide: recordingDecide(d, ring, len(eps)), Ring: ring, SpanRoot: root}), workers, window)
 			if err != nil {
 				t.Fatal(err)
 			}
+			what := fmt.Sprintf("window %d workers %d", window, workers)
 			if d.bad != "" {
-				t.Fatalf("window %d workers %d: %s", window, workers, d.bad)
+				t.Fatalf("%s: %s", what, d.bad)
 			}
 			for _, wave := range d.waves {
 				if len(wave) > window {
-					t.Fatalf("window %d workers %d: a Decide call saw %d pending", window, workers, len(wave))
+					t.Fatalf("%s: a Decide call saw %d pending", what, len(wave))
 				}
 			}
+			sameOutcomes(t, what, out, want)
 			ids := flightIDs(t, ring)
 			if ring.Dropped() != 0 {
 				t.Fatalf("ring evicted %d records; grow it", ring.Dropped())
 			}
-			if want == nil {
-				want, wantIDs = res, ids
-				continue
-			}
-			if !reflect.DeepEqual(res, want) {
-				t.Fatalf("window %d workers %d: results differ from window 1 workers 1", window, workers)
-			}
-			if !reflect.DeepEqual(ids, wantIDs) {
-				t.Fatalf("window %d workers %d: flight identities differ from window 1 workers 1", window, workers)
+			if wantIDs == nil {
+				wantIDs = ids
+			} else if !reflect.DeepEqual(ids, wantIDs) {
+				t.Fatalf("%s: flight identities differ from window 1 workers 1", what)
 			}
 		}
 	}
 	var inspections, decisions int
-	for _, r := range want {
-		inspections += r.Inspections
+	for _, o := range want {
+		inspections += o.Inspections
 	}
 	for id, n := range wantIDs {
 		if n != 1 {
@@ -342,24 +423,33 @@ func TestEquivWindowWorkers(t *testing.T) {
 	}
 }
 
-// TestResultSurvivesEnvReuse: at window 1 one Env serves every episode in
-// turn; each Result must equal that of a run on an Env of its own.
+// TestResultSurvivesEnvReuse: at window 1 one Env and one job buffer serve
+// every episode in turn. The episodes alternate between windows far apart
+// in the trace, with different job mixes and decision counts, so anything
+// one episode left in the recycled buffers would change the next one's
+// outcome away from a run on an Env of its own.
 func TestResultSurvivesEnvReuse(t *testing.T) {
-	eps := testEpisodes(8)
+	eps := testEpisodes(10)
+	for i := range eps {
+		if i%2 == 0 {
+			eps[i].Start = 20 * i
+		} else {
+			eps[i].Start = testTrace.Len() - testSeqLen - 30*i
+		}
+		eps[i].Interactive = i%4 != 3
+	}
 	d := &slotDecide{}
-	shared, _, err := run(eps, Config{NewDecide: d.worker}, 1, 1)
+	shared, _, err := run(eps, over(Config{NewDecide: d.worker}), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range eps {
-		one := &slotDecide{}
-		fresh, _, err := run(eps[i:i+1], Config{NewDecide: one.worker, SlotBase: i}, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(shared[i], fresh[0]) {
-			t.Fatalf("episode %d: its result changed after its Env ran %d more episodes", i, len(eps)-1-i)
-		}
+	sameOutcomes(t, "one recycled Env", shared, oracle(t, testTrace, testSeqLen, eps, 0))
+	distinct := make(map[[8]uint64]bool)
+	for _, o := range shared {
+		distinct[outcomeBits(o)] = true
+	}
+	if len(distinct) != len(eps) {
+		t.Fatalf("%d distinct outcomes for %d episodes; the windows do not differ enough to show a stale buffer", len(distinct), len(eps))
 	}
 }
 
@@ -368,7 +458,7 @@ func TestResultSurvivesEnvReuse(t *testing.T) {
 func TestReportAccounting(t *testing.T) {
 	eps := testEpisodes(240)
 	for _, workers := range []int{1, 2} {
-		_, rep, err := Run(eps, Config{Workers: workers, NewDecide: (&slotDecide{}).worker})
+		_, rep, err := Run(eps, over(Config{Workers: workers, NewDecide: (&slotDecide{}).worker}))
 		if err != nil {
 			t.Fatal(err)
 		}

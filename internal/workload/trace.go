@@ -51,16 +51,26 @@ func (t *Trace) Validate() error {
 // first job submits at time 0. Job IDs are preserved. It panics if the range
 // is out of bounds; use CanWindow to check.
 func (t *Trace) Window(start, n int) []Job {
+	return t.WindowInto(nil, start, n)
+}
+
+// WindowInto is Window written into dst, which is reallocated only when its
+// capacity is below n; it returns the filled dst[:n]. Drivers that replay
+// many windows one after another recycle a single buffer through it.
+func (t *Trace) WindowInto(dst []Job, start, n int) []Job {
 	if start < 0 || n <= 0 || start+n > len(t.Jobs) {
 		panic(fmt.Sprintf("workload: window [%d,%d) out of range for %d jobs", start, start+n, len(t.Jobs)))
 	}
-	base := t.Jobs[start].Submit
-	out := make([]Job, n)
-	copy(out, t.Jobs[start:start+n])
-	for i := range out {
-		out[i].Submit -= base
+	if cap(dst) < n {
+		dst = make([]Job, n)
 	}
-	return out
+	dst = dst[:n]
+	base := t.Jobs[start].Submit
+	copy(dst, t.Jobs[start:start+n])
+	for i := range dst {
+		dst[i].Submit -= base
+	}
+	return dst
 }
 
 // CanWindow reports whether Window(start, n) is in range.

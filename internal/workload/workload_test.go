@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,6 +105,29 @@ func TestTraceWindow(t *testing.T) {
 		}
 	}()
 	tr.Window(8, 4)
+}
+
+// TestWindowInto: filling a recycled buffer gives Window's jobs, reuses the
+// buffer when it is large enough and leaves nothing of the previous window.
+func TestWindowInto(t *testing.T) {
+	tr := SDSCSP2Like(400, 3)
+	buf := tr.WindowInto(nil, 10, 64)
+	for _, start := range []int{300, 0, 123} {
+		prev := &buf[0]
+		buf = tr.WindowInto(buf, start, 64)
+		if &buf[0] != prev {
+			t.Fatalf("start %d: a 64-job buffer was reallocated for a 64-job window", start)
+		}
+		if want := tr.Window(start, 64); !reflect.DeepEqual(buf, want) {
+			t.Fatalf("start %d: WindowInto differs from Window", start)
+		}
+	}
+	if short := tr.WindowInto(buf, 5, 8); len(short) != 8 || &short[0] != &buf[0] || !reflect.DeepEqual(short, tr.Window(5, 8)) {
+		t.Fatal("a shorter window did not reuse the buffer's head")
+	}
+	if grown := tr.WindowInto(buf[:0:4], 5, 8); len(grown) != 8 || !reflect.DeepEqual(grown, tr.Window(5, 8)) {
+		t.Fatal("a short buffer was not grown to the window")
+	}
 }
 
 func TestRandomWindowRespectsBounds(t *testing.T) {
