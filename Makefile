@@ -94,9 +94,11 @@ bench-fleet-check:
 # worker count to one worker with a window of one, concurrent /v1/inspect
 # requests to sequential Explain calls, and the distributed engine's
 # replicas to the single-process trainer — bit for bit, under the race
-# detector. The PPO update is pinned the same way: internal/rl's frozen
-# digest of the per-sample update (amd64 bits) and, on every architecture,
-# internal/nn's batch kernels against the per-sample Forward/Backward.
+# detector. The trainer's baseline arm runs through the rollout driver too,
+# so the legacy-trainer oracle pins it as well. The PPO update is pinned
+# the same way: internal/rl's frozen digest of the per-sample update (amd64
+# bits) and, on every architecture, internal/nn's batch kernels against the
+# per-sample Forward/Backward.
 equiv:
 	$(GO) test -race -run 'Equiv|BatchBitIdentical' -count=1 ./internal/sim/ ./internal/rollout/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/rl/ ./internal/nn/
 

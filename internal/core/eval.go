@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"schedinspector/internal/metrics"
@@ -66,6 +67,28 @@ func (c EvalConfig) withDefaults() EvalConfig {
 		c.Workers = rollout.ResolveWorkers(0)
 	}
 	return c
+}
+
+// validate rejects configurations that zero-defaulting would otherwise
+// silently accept; like TrainConfig.validate it runs after withDefaults.
+func (c EvalConfig) validate() error {
+	switch {
+	case c.Sequences < 1:
+		return fmt.Errorf("core: EvalConfig.Sequences = %d, must be >= 1 (0 means the default 50)", c.Sequences)
+	case c.SeqLen < 1:
+		return fmt.Errorf("core: EvalConfig.SeqLen = %d, must be >= 1 (0 means the default 256)", c.SeqLen)
+	case !(c.TestFrom >= 0 && c.TestFrom < 1):
+		return fmt.Errorf("core: EvalConfig.TestFrom = %v, must be in [0, 1) (0 means the default 0.2)", c.TestFrom)
+	case c.MaxInterval < 0 || math.IsNaN(c.MaxInterval):
+		return fmt.Errorf("core: EvalConfig.MaxInterval = %v, must be positive (0 means the default %g)",
+			c.MaxInterval, sim.DefaultMaxInterval)
+	case c.MaxRejections < 0:
+		return fmt.Errorf("core: EvalConfig.MaxRejections = %d, must be >= 1 (0 means the default %d)",
+			c.MaxRejections, sim.DefaultMaxRejections)
+	case c.Workers < 0:
+		return fmt.Errorf("core: EvalConfig.Workers = %d, must be >= 0 (0 means one per CPU)", c.Workers)
+	}
+	return nil
 }
 
 // EvalResult holds per-sequence summaries for the base scheduler and the
@@ -160,8 +183,8 @@ func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 	if cfg.Trace == nil || cfg.Policy == nil {
 		return EvalResult{}, fmt.Errorf("core: Evaluate needs Trace and Policy")
 	}
-	if cfg.Workers < 0 {
-		return EvalResult{}, fmt.Errorf("core: EvalConfig.Workers = %d, must be >= 0 (0 means one per CPU)", cfg.Workers)
+	if err := cfg.validate(); err != nil {
+		return EvalResult{}, err
 	}
 	if err := cfg.Trace.Validate(); err != nil {
 		return EvalResult{}, fmt.Errorf("core: %w", err)

@@ -8,7 +8,6 @@ import (
 
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/rl"
-	"schedinspector/internal/rollout"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
@@ -17,12 +16,12 @@ import (
 // ---------------------------------------------------------------------------
 // Legacy reference engine.
 //
-// This is the pre-driver rollout engine, preserved verbatim in test form:
-// callback inspectors (one scalar policy forward per decision), one
-// inspector snapshot per worker, and per-trajectory work fanned out with
-// runIndexed. The batched wave driver must reproduce it bit for bit — same
-// epoch statistics, same PPO batches, same serialized models, same
-// evaluation summaries.
+// This is the pre-driver rollout engine in test form: callback inspectors
+// (one scalar policy forward per decision) and sim.Run on a fresh window
+// copy per arm, looping over trajectories in index order. Its results are
+// index-addressed, so the loop order cannot change them. The batched wave
+// driver must reproduce it bit for bit — same epoch statistics, same PPO
+// batches, same serialized models, same evaluation summaries.
 // ---------------------------------------------------------------------------
 
 type legacyTrajResult struct {
@@ -48,12 +47,13 @@ func legacySimConfig(t *Trainer, pol sched.Policy, insp sim.Inspector) sim.Confi
 func legacyRollout(t *Trainer, b int, pol sched.Policy, snap *Inspector, out *legacyTrajResult) {
 	rng := streamRNG(t.cfg.Seed, streamTrain, uint64(t.epoch), uint64(b))
 	start := t.trainLo + rng.Intn(t.trainHi-t.trainLo)
-	orig, err := t.baseline(start, pol)
+	jobs := t.cfg.Trace.Window(start, t.cfg.SeqLen)
+	base, err := sim.Run(jobs, legacySimConfig(t, pol, nil))
 	if err != nil {
 		out.err = err
 		return
 	}
-	jobs := t.cfg.Trace.Window(start, t.cfg.SeqLen)
+	orig := base.Summary(t.cfg.Trace.MaxProcs)
 	snap.Agent.Reseed(rng)
 	var steps []rl.Step
 	res, err := sim.Run(jobs, legacySimConfig(t, pol, snap.Sampling(&steps)))
@@ -78,23 +78,11 @@ func legacyRunEpoch(t *Trainer) (EpochStats, error) {
 	t0 := time.Now()
 	stats := EpochStats{Epoch: t.epoch}
 
-	workers := t.cfg.Workers
-	if workers > t.cfg.Batch {
-		workers = t.cfg.Batch
-	}
-	pols, ok := rollout.PolicyClones(t.cfg.Policy, workers)
-	if !ok {
-		workers = 1
-	}
-	snaps := make([]*Inspector, workers)
-	for w := range snaps {
-		snaps[w] = t.insp.Clone(nil)
-	}
-
+	snap := t.insp.Clone(nil)
 	results := make([]legacyTrajResult, t.cfg.Batch)
-	rollout.RunIndexed(workers, t.cfg.Batch, func(w, b int) {
-		legacyRollout(t, b, pols[w], snaps[w], &results[b])
-	})
+	for b := range results {
+		legacyRollout(t, b, t.cfg.Policy, snap, &results[b])
+	}
 
 	batch := make([]rl.Trajectory, 0, t.cfg.Batch)
 	var inspections, rejections int
@@ -139,19 +127,9 @@ func legacyEvaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 		lo = 0
 	}
 
-	workers := cfg.Workers
-	if workers > cfg.Sequences {
-		workers = cfg.Sequences
-	}
-	pols, ok := rollout.PolicyClones(cfg.Policy, workers)
-	if !ok {
-		workers = 1
-	}
-	snaps := make([]*Inspector, workers)
+	var snap *Inspector
 	if insp != nil {
-		for w := range snaps {
-			snaps[w] = insp.Clone(nil)
-		}
+		snap = insp.Clone(nil)
 	}
 
 	type seqResult struct {
@@ -161,13 +139,13 @@ func legacyEvaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 		err         error
 	}
 	results := make([]seqResult, cfg.Sequences)
-	rollout.RunIndexed(workers, cfg.Sequences, func(w, i int) {
+	for i := range results {
 		r := &results[i]
 		rng := streamRNG(cfg.Seed, streamEval, uint64(i))
 		jobs := cfg.Trace.RandomWindow(rng, cfg.SeqLen, lo, hi)
 		simCfg := sim.Config{
 			MaxProcs:      cfg.Trace.MaxProcs,
-			Policy:        pols[w],
+			Policy:        cfg.Policy,
 			Backfill:      cfg.Backfill,
 			MaxInterval:   cfg.MaxInterval,
 			MaxRejections: cfg.MaxRejections,
@@ -175,27 +153,27 @@ func legacyEvaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 		base, err := sim.Run(jobs, simCfg)
 		if err != nil {
 			r.err = err
-			return
+			continue
 		}
 		r.base = base.Summary(cfg.Trace.MaxProcs)
 
 		if insp != nil {
 			if cfg.Greedy {
-				simCfg.Inspector = snaps[w].Greedy()
+				simCfg.Inspector = snap.Greedy()
 			} else {
-				snaps[w].Agent.Reseed(rng)
-				simCfg.Inspector = snaps[w].Stochastic()
+				snap.Agent.Reseed(rng)
+				simCfg.Inspector = snap.Stochastic()
 			}
 		}
 		ins, err := sim.Run(jobs, simCfg)
 		if err != nil {
 			r.err = err
-			return
+			continue
 		}
 		r.insp = ins.Summary(cfg.Trace.MaxProcs)
 		r.inspections = ins.Inspections
 		r.rejections = ins.Rejections
-	})
+	}
 
 	var out EvalResult
 	out.Base = make([]metrics.Summary, 0, cfg.Sequences)

@@ -2,14 +2,11 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"schedinspector/internal/metrics"
@@ -66,10 +63,12 @@ func trainStats(t *testing.T, tr *workload.Trace, pol sched.Policy, workers int)
 
 // TestRunEpochWorkerEquivalence is the tentpole guarantee: training with a
 // worker pool is bit-identical to sequential training — same epoch
-// statistics (wall clock aside) and the same serialized model.
+// statistics (wall clock aside) and the same serialized model. The
+// uncloneable stateful policy covers the fallback where both arms run
+// sequentially on one shared instance whatever Workers says.
 func TestRunEpochWorkerEquivalence(t *testing.T) {
 	tr := workload.SDSCSP2Like(3000, 7)
-	for _, pol := range []sched.Policy{sched.SJF(), sched.NewSlurm(tr)} {
+	for _, pol := range []sched.Policy{sched.SJF(), sched.NewSlurm(tr), statefulNoClone{sched.SJF()}} {
 		seqHist, seqModel := trainStats(t, tr, pol, 1)
 		parHist, parModel := trainStats(t, tr, pol, 8)
 		if len(seqHist) != len(parHist) {
@@ -146,7 +145,6 @@ func TestTrainConfigValidate(t *testing.T) {
 		{"NaN MaxInterval", func(c *TrainConfig) { c.MaxInterval = math.NaN() }, "MaxInterval"},
 		{"negative MaxRejections", func(c *TrainConfig) { c.MaxRejections = -1 }, "MaxRejections"},
 		{"negative Workers", func(c *TrainConfig) { c.Workers = -4 }, "Workers"},
-		{"negative BaselineCacheSize", func(c *TrainConfig) { c.BaselineCacheSize = -1 }, "BaselineCacheSize"},
 		{"zero hidden layer", func(c *TrainConfig) { c.Hidden = []int{32, 0} }, "Hidden"},
 		{"negative World", func(c *TrainConfig) { c.World = -1 }, "World"},
 		{"World above Batch", func(c *TrainConfig) { c.World = 5 /* Batch is 4 */ }, "World"},
@@ -189,100 +187,52 @@ func TestTrainConfigValidate(t *testing.T) {
 	}
 }
 
-func TestBaselineCacheBound(t *testing.T) {
-	c := newBaselineCache(4)
-	compute := func(k int) func() (metrics.Summary, error) {
-		return func() (metrics.Summary, error) { return metrics.Summary{Jobs: k}, nil }
+// TestEvalConfigValidate: deliberately out-of-range evaluation fields are
+// rejected with errors naming the field, instead of panicking (a negative
+// Sequences), failing later with a misleading error (a negative SeqLen) or
+// being silently replaced (a TestFrom outside [0, 1)).
+func TestEvalConfigValidate(t *testing.T) {
+	tr := workload.SDSCSP2Like(2000, 1)
+	base := func() EvalConfig {
+		return EvalConfig{Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD, Sequences: 2, SeqLen: 64, Workers: 1}
 	}
-	for k := 0; k < 10; k++ {
-		if _, err := c.Get(k, compute(k)); err != nil {
-			t.Fatal(err)
-		}
+	cases := []struct {
+		name string
+		mut  func(*EvalConfig)
+		want string // substring the error must contain
+	}{
+		{"negative Sequences", func(c *EvalConfig) { c.Sequences = -1 }, "Sequences"},
+		{"negative SeqLen", func(c *EvalConfig) { c.SeqLen = -64 }, "SeqLen"},
+		{"negative TestFrom", func(c *EvalConfig) { c.TestFrom = -0.1 }, "TestFrom"},
+		{"TestFrom at 1", func(c *EvalConfig) { c.TestFrom = 1 }, "TestFrom"},
+		{"NaN TestFrom", func(c *EvalConfig) { c.TestFrom = math.NaN() }, "TestFrom"},
+		{"negative MaxInterval", func(c *EvalConfig) { c.MaxInterval = -600 }, "MaxInterval"},
+		{"NaN MaxInterval", func(c *EvalConfig) { c.MaxInterval = math.NaN() }, "MaxInterval"},
+		{"negative MaxRejections", func(c *EvalConfig) { c.MaxRejections = -1 }, "MaxRejections"},
+		{"negative Workers", func(c *EvalConfig) { c.Workers = -4 }, "Workers"},
 	}
-	if c.Len() > 4 {
-		t.Errorf("cache holds %d entries, bound is 4", c.Len())
-	}
-	if _, _, ev := c.Stats(); ev != 6 {
-		t.Errorf("evictions = %d, want 6", ev)
-	}
-}
-
-func TestBaselineCacheLRU(t *testing.T) {
-	c := newBaselineCache(3)
-	var computes atomic.Int64
-	get := func(k int) {
-		t.Helper()
-		if _, err := c.Get(k, func() (metrics.Summary, error) {
-			computes.Add(1)
-			return metrics.Summary{Jobs: k}, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	get(1)
-	get(2)
-	get(3)
-	get(1) // refresh 1: the LRU entry is now 2
-	get(4) // evicts 2
-	n := computes.Load()
-	get(1) // still cached
-	get(3) // still cached
-	if computes.Load() != n {
-		t.Error("recently used entries were evicted")
-	}
-	get(2) // was evicted: must recompute
-	if computes.Load() != n+1 {
-		t.Error("evicted entry served stale data")
-	}
-}
-
-func TestBaselineCacheSingleflight(t *testing.T) {
-	c := newBaselineCache(0)
-	var computes atomic.Int64
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	sums := make([]metrics.Summary, 16)
-	for i := range sums {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-gate
-			s, err := c.Get(7, func() (metrics.Summary, error) {
-				computes.Add(1)
-				return metrics.Summary{Jobs: 7, AvgBSLD: 1.5}, nil
-			})
-			if err != nil {
-				t.Error(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base()
+			tc.mut(&cfg)
+			_, err := Evaluate(nil, cfg)
+			if err == nil {
+				t.Fatalf("config accepted: %+v", cfg)
 			}
-			sums[i] = s
-		}(i)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %q", err, tc.want)
+			}
+		})
 	}
-	close(gate)
-	wg.Wait()
-	if n := computes.Load(); n != 1 {
-		t.Errorf("compute ran %d times under concurrent callers, want 1", n)
-	}
-	for i, s := range sums {
-		if s != sums[0] {
-			t.Fatalf("caller %d saw a different summary", i)
+	// Zero-valued fields take their defaults, and a test region that starts
+	// at the very beginning of the trace (the online loop's shadow evaluation)
+	// stays valid.
+	for _, from := range []float64{0, 1e-12} {
+		cfg := base()
+		cfg.TestFrom = from
+		if _, err := Evaluate(nil, cfg); err != nil {
+			t.Errorf("TestFrom %v rejected: %v", from, err)
 		}
-	}
-}
-
-func TestBaselineCacheErrorRetry(t *testing.T) {
-	c := newBaselineCache(0)
-	boom := errors.New("boom")
-	calls := 0
-	_, err := c.Get(1, func() (metrics.Summary, error) { calls++; return metrics.Summary{}, boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("error not surfaced: %v", err)
-	}
-	if c.Len() != 0 {
-		t.Error("failed computation left a poisoned entry")
-	}
-	s, err := c.Get(1, func() (metrics.Summary, error) { calls++; return metrics.Summary{Jobs: 9}, nil })
-	if err != nil || s.Jobs != 9 || calls != 2 {
-		t.Errorf("retry after error: sum=%+v err=%v calls=%d", s, err, calls)
 	}
 }
 
@@ -345,8 +295,9 @@ func TestPolicyClones(t *testing.T) {
 }
 
 // TestRolloutMetricsPublished checks that a training epoch and an evaluation
-// pass feed the obs instruments: worker gauges, trajectory latency samples,
-// and the baseline-cache counters all appear in the rendered registry.
+// pass feed the obs instruments: worker gauges and trajectory latency
+// samples appear in the rendered registry, one sample per trajectory (both
+// arms summed), and no baseline-cache series is registered.
 func TestRolloutMetricsPublished(t *testing.T) {
 	tr := workload.SDSCSP2Like(3000, 8)
 	reg := obs.NewRegistry()
@@ -376,40 +327,16 @@ func TestRolloutMetricsPublished(t *testing.T) {
 		"schedinspector_rollout_workers 2",
 		"schedinspector_rollout_worker_utilization",
 		"schedinspector_rollout_trajectory_seconds",
-		"schedinspector_baseline_cache_entries",
-		"schedinspector_baseline_cache_misses_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered metrics missing %q", want)
 		}
 	}
+	if strings.Contains(out, "cache") {
+		t.Errorf("rendered metrics still carry a baseline-cache series:\n%s", out)
+	}
 	if !strings.Contains(out, "schedinspector_rollout_trajectory_seconds_count 7") {
 		t.Errorf("expected 7 trajectory observations (4 train + 3 eval) in:\n%s", out)
-	}
-}
-
-func TestRunIndexed(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		var sum atomic.Int64
-		seen := make([]atomic.Bool, 20)
-		busy, wall := rollout.RunIndexed(workers, 20, func(w, i int) {
-			if w < 0 || w >= workers {
-				t.Errorf("worker id %d out of range", w)
-			}
-			if seen[i].Swap(true) {
-				t.Errorf("index %d executed twice", i)
-			}
-			sum.Add(int64(i))
-		})
-		if sum.Load() != 190 {
-			t.Errorf("workers=%d: indices incomplete, sum=%d", workers, sum.Load())
-		}
-		if busy < 0 || wall < 0 {
-			t.Errorf("negative durations: busy=%v wall=%v", busy, wall)
-		}
-	}
-	if busy, wall := rollout.RunIndexed(4, 0, func(int, int) { t.Error("fn called for n=0") }); busy != 0 || wall != 0 {
-		t.Error("n=0 reported nonzero durations")
 	}
 }
 
@@ -491,6 +418,35 @@ func BenchmarkRolloutShard(b *testing.B) {
 
 // raceBuild is set by race_test.go when the race detector is compiled in.
 var raceBuild bool
+
+// TestRolloutShardAllocs: both arms of a training shard run on the driver's
+// recycled Envs and window buffers, so a trajectory costs a bounded number
+// of allocations (its step log, its delta, its episode configs) rather than
+// a window copy and an Env per baseline.
+func TestRolloutShardAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	const batch = 32
+	trainer, err := NewTrainer(TrainConfig{
+		Trace: workload.SDSCSP2Like(6000, 17), Policy: sched.SJF(), Metric: metrics.BSLD,
+		FeatureMode: ManualFeatures, Batch: batch, SeqLen: 128, Seed: 29, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		trainer.BeginEpoch()
+		if _, err := trainer.RolloutShard(0, batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perTraj := allocs / batch
+	t.Logf("%.0f allocs per shard, %.1f per trajectory", allocs, perTraj)
+	if perTraj > 20 {
+		t.Fatalf("RolloutShard makes %.1f allocations per trajectory; the budget is 20", perTraj)
+	}
+}
 
 // TestEvaluateBytesIndependentOfSeqLen: an evaluation pass keeps nothing of
 // an episode but its outcome, so the bytes it allocates grow with the one

@@ -10,6 +10,7 @@ import (
 	"schedinspector/internal/obs"
 	"schedinspector/internal/rl"
 	"schedinspector/internal/rollout"
+	"schedinspector/internal/sched"
 )
 
 // The trainer's epoch is split into explicit, separately-invokable phases so
@@ -99,15 +100,18 @@ func (t *Trainer) BeginEpoch() int {
 }
 
 // RolloutShard simulates trajectory indices [lo, hi) of the current epoch —
-// baseline summaries fanned over cfg.Workers goroutines and deduplicated
-// through the cache, then the inspected episodes through the decision-wave
-// driver — and returns one TrajDelta per index, in index order.
+// both arms through the rollout driver, as Evaluate does: the uninspected
+// baselines run straight through in one call, then the inspected episodes
+// step through the decision waves in a second — and returns one TrajDelta
+// per index, in index order.
 //
 // Each index b draws its window start and every action from the private
-// stream derived from (Seed, epoch, b), and the wave driver reports slots
-// under their global index (rollout.Config.SlotBase), so the deltas for
-// [lo, hi) are bit-identical whether the shard is computed alone in a
-// worker process or as part of a full single-process epoch.
+// stream derived from (Seed, epoch, b), and the wave driver reports
+// inspected slots under their global index (rollout.Config.SlotBase), so the
+// deltas for [lo, hi) are bit-identical whether the shard is computed alone
+// in a worker process or as part of a full single-process epoch. The
+// baseline call carries no ring, so it adds no flight records, and its
+// outcomes are pure functions of their windows.
 func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 	B := t.cfg.Batch
 	if lo < 0 || hi > B || lo >= hi {
@@ -127,39 +131,36 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 	if workers > n {
 		workers = n
 	}
-	basePols, ok := rollout.PolicyClones(t.cfg.Policy, workers)
+	// Entries 0..n-1 serve the baselines, n..2n-1 the inspected episodes.
+	// Concurrent episodes each need a private stateful-policy instance; an
+	// uncloneable one forces the driver's sequential mode for both arms.
+	pols, ok := rollout.PolicyClones(t.cfg.Policy, 2*n)
 	if !ok {
-		workers = 1 // stateful, uncloneable policy: stay sequential
+		workers = 1
 	}
-
-	// Phase 1: baseline summaries of every drawn window, deduped and
-	// memoized by the cache.
-	baseSums := make([]metrics.Summary, n)
-	baseErrs := make([]error, n)
-	busy, wall := rollout.RunIndexed(workers, n, func(w, k int) {
-		baseSums[k], baseErrs[k] = t.baseline(starts[lo+k], basePols[w])
-	})
-
-	// Phase 2: inspected episodes through the wave driver. Concurrent
-	// episodes each need their own stateful-policy instance; the inspector
-	// needs only one snapshot, which every worker's forward reads.
-	epPols, ok := rollout.PolicyClones(t.cfg.Policy, n)
-	epWorkers := workers
-	if !ok {
-		epWorkers = 1
+	pol := func(k int) sched.Policy {
+		if len(pols) > 1 {
+			return pols[k]
+		}
+		return pols[0]
 	}
+	baseEps := make([]rollout.Episode, n)
 	eps := make([]rollout.Episode, n)
 	for k := range eps {
-		pol := epPols[0]
-		if len(epPols) > 1 {
-			pol = epPols[k]
-		}
-		eps[k] = rollout.Episode{Start: starts[lo+k], Cfg: t.simConfig(pol), Interactive: true}
+		baseEps[k] = rollout.Episode{Start: starts[lo+k], Cfg: t.simConfig(pol(k))}
+		eps[k] = rollout.Episode{Start: starts[lo+k], Cfg: t.simConfig(pol(n + k)), Interactive: true}
 	}
+	base, baseRep, err := rollout.Run(baseEps, rollout.Config{Trace: t.cfg.Trace, SeqLen: t.cfg.SeqLen, Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+
+	// The inspector needs only one snapshot, which every worker's forward
+	// reads.
 	sampler := newWaveSampler(t.insp.Clone(nil), rngs, false, true)
 	rollCfg := rollout.Config{
 		Trace: t.cfg.Trace, SeqLen: t.cfg.SeqLen,
-		Workers: epWorkers, NewDecide: sampler.worker, SlotBase: lo,
+		Workers: workers, NewDecide: sampler.worker, SlotBase: lo,
 	}
 	if t.cfg.Flight != nil {
 		// The epoch span roots this epoch's episode and decision spans; its
@@ -174,29 +175,21 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 		rollCfg.SpanRoot = epochID
 		sampler.explainTo(t.cfg.Flight, t.epoch, t.cfg.MaxRejections)
 	}
-	outcomes, rep, runErr := rollout.Run(eps, rollCfg)
-	busy += rep.Busy
-	wall += rep.Wall
-	t.cfg.Metrics.observeRollout(workers, busy.Seconds(), wall.Seconds())
-	t.cfg.Metrics.observeCache(t.baseCache, &t.cacheSeen)
+	outcomes, rep, err := rollout.Run(eps, rollCfg)
+	t.cfg.Metrics.observeRollout(workers, (baseRep.Busy + rep.Busy).Seconds(), (baseRep.Wall + rep.Wall).Seconds())
 	if t.cfg.Metrics != nil {
-		for _, s := range rep.EpisodeSeconds {
-			t.cfg.Metrics.TrajectorySeconds.Observe(s)
+		for k := range eps {
+			t.cfg.Metrics.TrajectorySeconds.Observe(baseRep.EpisodeSeconds[k] + rep.EpisodeSeconds[k])
 		}
 	}
-	for k := range baseErrs {
-		if baseErrs[k] != nil {
-			return nil, baseErrs[k]
-		}
-	}
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 
 	deltas := make([]TrajDelta, n)
 	for k := range outcomes {
 		b := lo + k
-		orig, insp := baseSums[k], outcomes[k].Summary
+		orig, insp := base[k].Summary, outcomes[k].Summary
 		diff := orig.Of(t.cfg.Metric) - insp.Of(t.cfg.Metric)
 		if !t.cfg.Metric.Minimize() {
 			diff = -diff

@@ -43,10 +43,6 @@ type TrainConfig struct {
 	// (Seed, epoch, trajectory index), never from execution order.
 	Workers int
 
-	// BaselineCacheSize bounds the per-window baseline summary cache
-	// (0 = DefaultBaselineCacheSize).
-	BaselineCacheSize int
-
 	// World, Rank and Peers configure DD-PPO-style multi-process training
 	// (internal/dist). World is the number of cooperating worker processes
 	// (0 = 1, single-process); Rank is this process's index in [0, World);
@@ -65,8 +61,8 @@ type TrainConfig struct {
 	// learning-curve exports (see NewCSVTrainLogger, NewJSONLTrainLogger).
 	Logger TrainLogger
 
-	// Metrics, when non-nil, receives worker-utilization, rollout-latency
-	// and baseline-cache observations (see NewRolloutMetrics).
+	// Metrics, when non-nil, receives worker-utilization and rollout-latency
+	// observations (see NewRolloutMetrics).
 	Metrics *RolloutMetrics
 
 	// Flight, when non-nil, attaches the decision flight recorder: each
@@ -100,9 +96,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.Workers == 0 {
 		c.Workers = rollout.ResolveWorkers(0)
 	}
-	if c.BaselineCacheSize == 0 {
-		c.BaselineCacheSize = DefaultBaselineCacheSize
-	}
 	if c.World == 0 {
 		c.World = 1
 	}
@@ -135,9 +128,6 @@ func (c TrainConfig) validate() error {
 			c.MaxRejections, sim.DefaultMaxRejections)
 	case c.Workers < 0:
 		return fmt.Errorf("core: TrainConfig.Workers = %d, must be >= 0 (0 means one per CPU)", c.Workers)
-	case c.BaselineCacheSize < 0:
-		return fmt.Errorf("core: TrainConfig.BaselineCacheSize = %d, must be >= 0 (0 means the default %d)",
-			c.BaselineCacheSize, DefaultBaselineCacheSize)
 	case c.World < 1:
 		return fmt.Errorf("core: TrainConfig.World = %d, must be >= 1 (0 means single-process)", c.World)
 	case c.World > c.Batch:
@@ -201,9 +191,7 @@ type Trainer struct {
 	rng   *rand.Rand
 	epoch int
 
-	trainLo, trainHi int            // window-start range for training sequences
-	baseCache        *baselineCache // bounded baseline summaries keyed by window start
-	cacheSeen        [3]uint64      // last cache stats published to Metrics
+	trainLo, trainHi int // window-start range for training sequences
 
 	epochT0       time.Time // set by BeginEpoch; EpochStats.Seconds measures from here
 	epochSpan     obs.Span  // open epoch span while the flight recorder is attached
@@ -265,13 +253,12 @@ func newTrainer(cfg TrainConfig, warm *Inspector) (*Trainer, error) {
 	}
 	cfg.Flight.SetMeta(cfg.FeatureMode.FeatureNames(), cfg.FeatureMode.String(), cfg.MaxRejections)
 	return &Trainer{
-		cfg:       cfg,
-		insp:      insp,
-		ppo:       rl.NewPPO(insp.Agent, cfg.PPO),
-		rng:       rng,
-		trainLo:   0,
-		trainHi:   hi,
-		baseCache: newBaselineCache(cfg.BaselineCacheSize),
+		cfg:     cfg,
+		insp:    insp,
+		ppo:     rl.NewPPO(insp.Agent, cfg.PPO),
+		rng:     rng,
+		trainLo: 0,
+		trainHi: hi,
 	}, nil
 }
 
@@ -285,7 +272,7 @@ func (t *Trainer) Config() TrainConfig { return t.cfg }
 // simConfig builds the simulator configuration with the given policy
 // instance. Per-job validation is skipped: every window the trainer
 // schedules comes from the trace, which NewTrainer validated once —
-// re-checking each of the thousands of baseline-cache and rollout replays
+// re-checking each of the thousands of baseline and inspected replays
 // was pure hot-path overhead.
 func (t *Trainer) simConfig(pol sched.Policy) sim.Config {
 	return sim.Config{
@@ -298,25 +285,10 @@ func (t *Trainer) simConfig(pol sched.Policy) sim.Config {
 	}
 }
 
-// baseline returns the uninspected summary of the window starting at start,
-// computing it (under pol, the calling worker's policy instance) and caching
-// it on first use. Concurrent callers hitting the same uncached window block
-// on a single computation.
-func (t *Trainer) baseline(start int, pol sched.Policy) (metrics.Summary, error) {
-	return t.baseCache.Get(start, func() (metrics.Summary, error) {
-		jobs := t.cfg.Trace.Window(start, t.cfg.SeqLen)
-		res, err := sim.Run(jobs, t.simConfig(pol))
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		return res.Summary(t.cfg.Trace.MaxProcs), nil
-	})
-}
-
 // RunEpoch samples one batch of trajectories through the rollout driver —
-// baselines fan out over cfg.Workers goroutines and deduplicate through the
-// cache, then every inspected episode steps concurrently with the policy
-// forwarded once per decision wave — performs a PPO update, and returns the
+// the baselines run straight through, then every inspected episode steps
+// concurrently with the policy forwarded once per decision wave, both
+// fanned over cfg.Workers goroutines — performs a PPO update, and returns the
 // epoch statistics. Results are reduced in trajectory-index order and every
 // trajectory draws from its own derived RNG stream (window start first,
 // then each sampled action), so the statistics, the PPO batch, and the

@@ -90,8 +90,7 @@ type Trainer struct {
 	rng    *rand.Rand
 	epoch  int
 
-	trainHi   int
-	baseCache map[int]float64 // reference metric per window start
+	trainHi int
 }
 
 // NewTrainer validates the configuration and builds a trainer.
@@ -110,15 +109,14 @@ func NewTrainer(cfg TrainConfig) (*Trainer, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pol := New(rng, NormForTrace(cfg.Trace), cfg.Hidden)
 	return &Trainer{
-		cfg:       cfg,
-		pol:       pol,
-		kOpt:      nn.NewAdam(pol.Kernel, cfg.LR),
-		vOpt:      nn.NewAdam(pol.Value, cfg.LR),
-		kGrads:    nn.NewGrads(pol.Kernel),
-		vGrads:    nn.NewGrads(pol.Value),
-		rng:       rng,
-		trainHi:   hi,
-		baseCache: make(map[int]float64),
+		cfg:     cfg,
+		pol:     pol,
+		kOpt:    nn.NewAdam(pol.Kernel, cfg.LR),
+		vOpt:    nn.NewAdam(pol.Value, cfg.LR),
+		kGrads:  nn.NewGrads(pol.Kernel),
+		vGrads:  nn.NewGrads(pol.Value),
+		rng:     rng,
+		trainHi: hi,
 	}, nil
 }
 
@@ -133,7 +131,7 @@ type trajectory struct {
 
 // simConfig builds the simulator configuration for one episode. Per-job
 // validation is skipped: every window comes from the trace, which
-// NewTrainer validated once — re-checking each baseline-cache and rollout
+// NewTrainer validated once — re-checking each reference and rollout
 // replay was pure overhead.
 func (t *Trainer) simConfig(pol sched.Policy) sim.Config {
 	return sim.Config{
@@ -144,21 +142,6 @@ func (t *Trainer) simConfig(pol sched.Policy) sim.Config {
 	}
 }
 
-// reference returns the reference policy's metric value for a window.
-func (t *Trainer) reference(start int) (float64, error) {
-	if v, ok := t.baseCache[start]; ok {
-		return v, nil
-	}
-	jobs := t.cfg.Trace.Window(start, t.cfg.SeqLen)
-	res, err := sim.Run(jobs, t.simConfig(t.cfg.Reference))
-	if err != nil {
-		return 0, err
-	}
-	v := res.Summary(t.cfg.Trace.MaxProcs).Of(t.cfg.Metric)
-	t.baseCache[start] = v
-	return v, nil
-}
-
 // RunEpoch samples one batch of trajectories and performs a PPO update.
 func (t *Trainer) RunEpoch() (EpochStats, error) {
 	t.epoch++
@@ -166,11 +149,13 @@ func (t *Trainer) RunEpoch() (EpochStats, error) {
 	var batch []trajectory
 	for b := 0; b < t.cfg.Batch; b++ {
 		start := t.rng.Intn(t.trainHi)
-		ref, err := t.reference(start)
+		jobs := t.cfg.Trace.Window(start, t.cfg.SeqLen)
+		// The reference policy's metric on the same window.
+		base, err := sim.Run(jobs, t.simConfig(t.cfg.Reference))
 		if err != nil {
 			return stats, err
 		}
-		jobs := t.cfg.Trace.Window(start, t.cfg.SeqLen)
+		ref := base.Summary(t.cfg.Trace.MaxProcs).Of(t.cfg.Metric)
 		var steps []Step
 		t.pol.SetSampling(true, &steps)
 		res, err := sim.Run(jobs, t.simConfig(t.pol))

@@ -26,6 +26,7 @@ package rollout
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -184,10 +185,8 @@ func run(eps []Episode, cfg Config, workers, window int) ([]Outcome, Report, err
 	outcomes := make([]Outcome, n)
 	errs := make([]error, n)
 	var next atomic.Int64 // the next unclaimed episode
-	// One index per worker: a goroutine that starts late finds its loop
-	// already run by an earlier one, or the counter spent.
 	busy := make([]time.Duration, workers)
-	_, rep.Wall = RunIndexed(workers, workers, func(_, w int) {
+	loop := func(w int) {
 		var decide Decide
 		if cfg.NewDecide != nil {
 			decide = cfg.NewDecide(w)
@@ -289,7 +288,22 @@ func run(eps []Episode, cfg Config, workers, window int) ([]Outcome, Report, err
 			}
 			lives = keep
 		}
-	})
+	}
+	t0 := time.Now()
+	if workers == 1 {
+		loop(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				loop(w)
+			}()
+		}
+		wg.Wait()
+	}
+	rep.Wall = time.Since(t0)
 	for _, b := range busy {
 		rep.Busy += b
 	}

@@ -115,8 +115,8 @@ type Config struct {
 	// NoValidate skips the per-run job validation and sortedness check.
 	// Set it when the jobs come from a pre-validated source — e.g. a
 	// workload.Trace that already passed Validate — so hot paths that
-	// replay the same window (the baseline cache) do not re-verify every
-	// job on every run.
+	// replay windows of it (the rollout driver's episodes) do not re-verify
+	// every job on every run.
 	NoValidate bool
 }
 
@@ -177,9 +177,10 @@ func Run(jobs []workload.Job, cfg Config) (Result, error) {
 
 // RunEnv is Run on a caller-owned environment, reusing its internal buffers
 // across calls — the allocation-lean path for drivers that replay many
-// windows (baseline caches, evaluation sweeps). The returned Result aliases
-// env storage and is invalidated by the env's next Reset or RunEnv; callers
-// retaining it across episodes must copy the Results and Usage slices.
+// windows (the rollout driver's straight-through episodes). The returned
+// Result aliases env storage and is invalidated by the env's next Reset or
+// RunEnv; callers retaining it across episodes must copy the Results and
+// Usage slices.
 func RunEnv(env *Env, jobs []workload.Job, cfg Config) (Result, error) {
 	obs, done, err := env.reset(jobs, cfg, cfg.Inspector != nil)
 	if err != nil {

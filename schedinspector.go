@@ -128,7 +128,7 @@ type (
 	// (set TrainConfig.Logger).
 	TrainLogger = core.TrainLogger
 	// RolloutMetrics publishes rollout-engine gauges and histograms
-	// (worker utilization, trajectory latency, baseline-cache traffic)
+	// (worker utilization, trajectory latency)
 	// into a MetricsRegistry. Set TrainConfig.Metrics / EvalConfig.Metrics.
 	RolloutMetrics = core.RolloutMetrics
 
