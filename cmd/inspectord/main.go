@@ -53,6 +53,7 @@ import (
 	"flag"
 	"log"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -210,15 +211,22 @@ func main() {
 		log.Printf("inspectord: pprof enabled on /debug/pprof/")
 	}
 
+	// Bind before announcing: the logged address is the one bound (so
+	// -addr 127.0.0.1:0 reports its port), and a taken port never logs
+	// "serving".
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("inspectord: %v", err)
+	}
 	log.Printf("inspectord: %s serving %s model (%s features, cluster %d) on %s",
-		version.String(), insp.Norm.Metric, insp.Mode, insp.Norm.MaxProcs, *addr)
+		version.String(), insp.Norm.Metric, insp.Mode, insp.Norm.MaxProcs, ln.Addr())
 
-	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout,
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout: readTimeout, WriteTimeout: writeTimeout, IdleTimeout: idleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 
 	select {
 	case err := <-errc:

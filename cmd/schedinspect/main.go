@@ -145,7 +145,7 @@ func policyFor(name string, tr *insp.Trace) (insp.Policy, error) {
 // worker adds the rank/world/peers flags and runs its epochs through the
 // dist engine's exchange barrier. Every worker rank saves -model, and the
 // bytes are identical across ranks and to a single-process run on the
-// same seed/config (the property make dist-smoke diffs).
+// same seed/config (the property cmd's TestProcessDistWorldSizes diffs).
 func cmdTrain(args []string, worker bool) error {
 	cmdName := "train"
 	if worker {

@@ -42,7 +42,8 @@ func (l *Loop) setState(s loopState) {
 }
 
 // Status is the externally visible snapshot of the state machine, served
-// as JSON on GET /v1/online/status and consumed by the loop-smoke gate.
+// as JSON on GET /v1/online/status and asserted on by cmd's
+// TestProcessOnlineFleet.
 type Status struct {
 	Enabled bool   `json:"enabled"`
 	State   string `json:"state"`
@@ -78,7 +79,7 @@ func (l *Loop) Status() Status {
 	defer l.mu.Unlock()
 	st := l.st
 	// The generation can move outside cycles (operator reloads); report
-	// the live value so the smoke gate and dashboards never read stale.
+	// the live value so tests and dashboards never read stale.
 	_, st.ServingGeneration = l.cfg.Serving.Current()
 	return st
 }
