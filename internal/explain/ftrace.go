@@ -11,8 +11,8 @@ import (
 
 // Binary .ftrace ingestion: the offline half of the arena-backed flight
 // recorder. ReadFTrace decodes a .ftrace stream into the same Trace the
-// JSONL reader produces; ConvertFTrace renders one as flight-trace JSONL by
-// marshaling the decoded records through the obs wire-form helpers.
+// JSONL reader produces; ConvertFTrace renders one as flight-trace JSONL
+// through the obs JSONL appenders.
 //
 // Both readers are resilient to torn tails: a crash mid-write leaves a
 // partial segment after the last complete flush, so they return everything
@@ -151,7 +151,9 @@ func ReadFTrace(r io.Reader) (*Trace, error) {
 
 // ConvertFTrace streams a binary .ftrace trace to w as flight-trace JSONL —
 // record order preserved, one {"kind":...} object per line. Lines decoded
-// before a corruption are written before the error returns.
+// before a corruption are written before the error returns. Every decision
+// decodes into one reused record and renders into one reused line, so the
+// allocations of a conversion do not grow with its decision count.
 func ConvertFTrace(r io.Reader, w io.Writer) error {
 	walker, err := newFTraceWalker(r)
 	if err != nil {
@@ -159,6 +161,7 @@ func ConvertFTrace(r io.Reader, w io.Writer) error {
 	}
 	bw := bufio.NewWriterSize(w, 64*1024)
 	var line []byte
+	var dec obs.ExplainRecord
 	for {
 		seg, err := walker.next()
 		if err == io.EOF {
@@ -183,9 +186,8 @@ func ConvertFTrace(r io.Reader, w io.Writer) error {
 					line, err = obs.AppendSpanJSONL(line, &s)
 				}
 			case obs.FTraceKindDecision:
-				var d obs.ExplainRecord
-				if d, err = obs.DecodeFTraceDecision(body); err == nil {
-					line, err = obs.AppendDecisionJSONL(line, &d)
+				if err = obs.DecodeFTraceDecisionInto(&dec, body); err == nil {
+					line, err = obs.AppendDecisionJSONL(line, &dec)
 				}
 			case obs.FTraceKindProc:
 				var p obs.ProcStats

@@ -50,12 +50,6 @@ type ExplainRecord struct {
 	Rejected bool      `json:"rejected"`
 }
 
-// jsonExplain is the JSONL wire form of one record.
-type jsonExplain struct {
-	Kind string `json:"kind"`
-	ExplainRecord
-}
-
 // ExplainHeader is the meta record (one JSONL line) labeling the feature
 // indices of every decision record up to the next header.
 type ExplainHeader struct {

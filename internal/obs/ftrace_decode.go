@@ -2,13 +2,11 @@ package obs
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 )
 
-// Decoders for the .ftrace record bodies encoded in ring.go, plus the JSONL
-// append helpers that define the flight-trace JSONL rendering. Field order
+// Decoders for the .ftrace record bodies encoded in ring.go. Field order
 // here must mirror the put* encoders; any divergence is an FTraceVersion
 // bump.
 
@@ -66,9 +64,10 @@ func (d *ftraceReader) bool() bool {
 	return v
 }
 
-// f64s decodes a counted float slice. A zero count yields nil, matching the
-// nil slices the JSONL path round-trips.
-func (d *ftraceReader) f64s() []float64 {
+// f64s decodes a counted float slice into dst's backing array when it is
+// large enough. A zero count yields nil, matching the nil slices the JSONL
+// path round-trips.
+func (d *ftraceReader) f64s(dst []float64) []float64 {
 	n := int(d.u32())
 	if d.err || n < 0 || d.o+8*n > len(d.b) {
 		d.err = true
@@ -77,7 +76,11 @@ func (d *ftraceReader) f64s() []float64 {
 	if n == 0 {
 		return nil
 	}
-	vs := make([]float64, n)
+	vs := dst[:0]
+	if cap(vs) < n {
+		vs = make([]float64, n)
+	}
+	vs = vs[:n]
 	for i := range vs {
 		vs[i] = d.f64()
 	}
@@ -123,30 +126,38 @@ func DecodeFTraceSpan(body []byte) (Span, error) {
 
 // DecodeFTraceDecision decodes one FTraceKindDecision body.
 func DecodeFTraceDecision(body []byte) (ExplainRecord, error) {
+	var r ExplainRecord
+	err := DecodeFTraceDecisionInto(&r, body)
+	return r, err
+}
+
+// DecodeFTraceDecisionInto decodes one FTraceKindDecision body into r,
+// reusing the backing arrays of r's slices, so a reader that renders one
+// record at a time decodes every record into the same one. An empty slice
+// still decodes as nil.
+func DecodeFTraceDecisionInto(r *ExplainRecord, body []byte) error {
 	d := ftraceReader{b: body}
-	r := ExplainRecord{
-		Epoch:         int(d.i64()),
-		Traj:          int(d.i64()),
-		Seq:           int(d.i64()),
-		Time:          d.f64(),
-		JobID:         int(d.i64()),
-		Wait:          d.f64(),
-		Procs:         int(d.i64()),
-		Est:           d.f64(),
-		Rejections:    int(d.i64()),
-		MaxRejections: int(d.i64()),
-		QueueLen:      int(d.i64()),
-		FreeProcs:     int(d.i64()),
-		TotalProcs:    int(d.i64()),
-		Utilization:   d.f64(),
-		Action:        int(d.i64()),
-		Sampled:       d.bool(),
-		Rejected:      d.bool(),
-	}
-	r.Features = d.f64s()
-	r.Logits = d.f64s()
-	r.Probs = d.f64s()
-	return r, d.done("decision")
+	r.Epoch = int(d.i64())
+	r.Traj = int(d.i64())
+	r.Seq = int(d.i64())
+	r.Time = d.f64()
+	r.JobID = int(d.i64())
+	r.Wait = d.f64()
+	r.Procs = int(d.i64())
+	r.Est = d.f64()
+	r.Rejections = int(d.i64())
+	r.MaxRejections = int(d.i64())
+	r.QueueLen = int(d.i64())
+	r.FreeProcs = int(d.i64())
+	r.TotalProcs = int(d.i64())
+	r.Utilization = d.f64()
+	r.Action = int(d.i64())
+	r.Sampled = d.bool()
+	r.Rejected = d.bool()
+	r.Features = d.f64s(r.Features)
+	r.Logits = d.f64s(r.Logits)
+	r.Probs = d.f64s(r.Probs)
+	return d.done("decision")
 }
 
 // DecodeFTraceHeader decodes one FTraceKindHeader body. The Kind field is
@@ -182,58 +193,4 @@ func DecodeFTraceProc(body []byte) (ProcStats, error) {
 		PauseTotal: d.u64(),
 	}
 	return s, d.done("proc")
-}
-
-// --- JSONL wire-form append helpers ---------------------------------------
-//
-// One {"kind":...} object per line, json.Marshal of the wrapper types
-// (deterministic for a fixed struct type). The rendering is a published
-// format — schedinspect explain, expreport and external consumers read it —
-// frozen by internal/explain's golden test.
-
-// AppendSpanJSONL appends the {"kind":"span",...} line for s, newline
-// included.
-func AppendSpanJSONL(dst []byte, s *Span) ([]byte, error) {
-	b, err := json.Marshal(jsonSpan{Kind: "span", Span: *s})
-	if err != nil {
-		return dst, err
-	}
-	return append(append(dst, b...), '\n'), nil
-}
-
-// AppendDecisionJSONL appends the {"kind":"decision",...} line for r,
-// newline included.
-func AppendDecisionJSONL(dst []byte, r *ExplainRecord) ([]byte, error) {
-	b, err := json.Marshal(jsonExplain{Kind: "decision", ExplainRecord: *r})
-	if err != nil {
-		return dst, err
-	}
-	return append(append(dst, b...), '\n'), nil
-}
-
-// AppendExplainHeaderJSONL appends the explain_header line for h, newline
-// included. The Kind discriminator is forced regardless of h.Kind.
-func AppendExplainHeaderJSONL(dst []byte, h ExplainHeader) ([]byte, error) {
-	h.Kind = "explain_header"
-	b, err := json.Marshal(h)
-	if err != nil {
-		return dst, err
-	}
-	return append(append(dst, b...), '\n'), nil
-}
-
-// jsonProc is the JSONL wire form of one runtime sample.
-type jsonProc struct {
-	Kind string `json:"kind"`
-	ProcStats
-}
-
-// AppendProcJSONL appends the {"kind":"proc",...} line for s, newline
-// included.
-func AppendProcJSONL(dst []byte, s ProcStats) ([]byte, error) {
-	b, err := json.Marshal(jsonProc{Kind: "proc", ProcStats: s})
-	if err != nil {
-		return dst, err
-	}
-	return append(append(dst, b...), '\n'), nil
 }

@@ -21,8 +21,8 @@ import (
 //
 // The ring is the in-memory truth; three cold paths read it out. SetSink
 // streams every subsequent record into CRC-checked segments of a .ftrace
-// file, Snapshot copies the live ring into a self-contained .ftrace byte
-// image (the /v1/trace/snapshot payload), and LastDecisions decodes the
+// file, AppendSnapshot copies the live ring into a self-contained .ftrace
+// byte image (the /v1/trace/snapshot payload), and LastDecisions decodes the
 // newest decision records (the /v1/explain/last payload). The flight-trace
 // JSONL is decoder output only: internal/explain renders it from either
 // byte form.
@@ -554,20 +554,26 @@ func (r *TraceRing) slotAt(i int) []byte {
 	return r.arena[idx*r.slotSize : idx*r.slotSize+r.lens[idx]]
 }
 
-// Snapshot returns the live ring as a self-contained .ftrace image — file
-// header plus one CRC-framed segment holding every buffered record, oldest
-// first. When wraparound has evicted the header the oldest record decodes
-// against, the image leads with the retained copy, so it always opens with
-// the header describing its first record. It allocates; it is the cold
-// read-out path behind /v1/trace/snapshot, not part of the record hot path.
-func (r *TraceRing) Snapshot() []byte {
+// Snapshot returns the live ring as a self-contained .ftrace image:
+// AppendSnapshot(nil).
+func (r *TraceRing) Snapshot() []byte { return r.AppendSnapshot(nil) }
+
+// AppendSnapshot appends the live ring to dst as a self-contained .ftrace
+// image — file header plus one CRC-framed segment holding every buffered
+// record, oldest first. When wraparound has evicted the header the oldest
+// record decodes against, the image leads with the retained copy, so it
+// always opens with the header describing its first record. The ring mutex
+// is held only for the copy; a caller that passes back its previous image
+// (/v1/trace/snapshot does) allocates nothing once that buffer is large
+// enough.
+func (r *TraceRing) AppendSnapshot(dst []byte) []byte {
 	if r == nil {
-		return AppendFTraceFileHeader(nil)
+		return AppendFTraceFileHeader(dst)
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.n == 0 {
-		return AppendFTraceFileHeader(nil)
+		r.mu.Unlock()
+		return AppendFTraceFileHeader(dst)
 	}
 	lead := r.lostHeader
 	if r.slotAt(0)[0] == FTraceKindHeader {
@@ -577,17 +583,17 @@ func (r *TraceRing) Snapshot() []byte {
 	for i := 0; i < r.n; i++ {
 		size += len(r.slotAt(i))
 	}
-	out := make([]byte, 0, ftraceHeaderLen+ftraceSegHdrLen+size)
-	out = AppendFTraceFileHeader(out)
-	out = binary.LittleEndian.AppendUint32(out, uint32(size))
-	out = append(out, 0, 0, 0, 0) // CRC placeholder
-	payloadStart := len(out)
-	out = append(out, lead...)
+	dst = AppendFTraceFileHeader(slices.Grow(dst, ftraceHeaderLen+ftraceSegHdrLen+size))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(size))
+	dst = append(dst, 0, 0, 0, 0) // CRC placeholder
+	payloadStart := len(dst)
+	dst = append(dst, lead...)
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.slotAt(i)...)
+		dst = append(dst, r.slotAt(i)...)
 	}
-	binary.LittleEndian.PutUint32(out[payloadStart-4:], FTraceSegmentCRC(out[payloadStart:]))
-	return out
+	r.mu.Unlock()
+	binary.LittleEndian.PutUint32(dst[payloadStart-4:], FTraceSegmentCRC(dst[payloadStart:]))
+	return dst
 }
 
 // LastDecisions decodes the most recent min(n, held) decision records,

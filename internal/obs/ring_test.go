@@ -298,6 +298,32 @@ func TestTraceRingEmptySnapshot(t *testing.T) {
 	}
 }
 
+// TestAppendSnapshotReusesBuffer pins the /v1/trace/snapshot copy: appended
+// after a prefix it is the Snapshot image byte for byte, and appended into
+// the previous image's buffer it allocates nothing.
+func TestAppendSnapshotReusesBuffer(t *testing.T) {
+	r := NewTraceRing(16, 512)
+	r.SetMeta([]string{"fa"}, "manual", 72)
+	for i := 0; i < 40; i++ { // wraps: the image leads with the evicted header
+		r.EmitDecision(&ExplainRecord{Seq: i, Features: []float64{float64(i)}})
+	}
+	want := r.Snapshot()
+	got := r.AppendSnapshot([]byte("prefix"))
+	if string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want) {
+		t.Fatalf("AppendSnapshot after a prefix differs from Snapshot")
+	}
+	buf := r.AppendSnapshot(nil)
+	if allocs := testing.AllocsPerRun(20, func() { buf = r.AppendSnapshot(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendSnapshot into the previous image allocates %.0f times", allocs)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("reused-buffer image differs from Snapshot")
+	}
+	if got := new(TraceRing).AppendSnapshot([]byte("x")); string(got) != "x"+string(AppendFTraceFileHeader(nil)) {
+		t.Fatalf("empty ring appends %q", got)
+	}
+}
+
 func TestNilTraceRingSafe(t *testing.T) {
 	var r *TraceRing
 	r.EmitSpan(&Span{ID: 1})

@@ -80,10 +80,3 @@ func (s *Span) End(simEnd float64) {
 	s.WallEnd = wallNow()
 	s.SimEnd = simEnd
 }
-
-// jsonSpan is the JSONL wire form: a Span plus the line discriminator the
-// flight-trace reader keys on.
-type jsonSpan struct {
-	Kind string `json:"kind"`
-	Span
-}

@@ -49,9 +49,16 @@ func (h *Handler) explainLast(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	writeJSON(w, ExplainLastResponse{
+	resp := ExplainLastResponse{
 		Total:        uint64(h.decSeq.Load()),
 		FeatureNames: h.ring.FeatureNames(),
 		Records:      h.ring.LastDecisions(n), // non-nil: serves [] rather than null
-	})
+	}
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	w.Header().Set("Content-Type", "application/json")
+	var err error
+	if *buf, err = appendExplainLast((*buf)[:0], &resp); err == nil {
+		w.Write(*buf)
+	}
 }

@@ -1,17 +1,21 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
+	"schedinspector/internal/obs"
 	"schedinspector/internal/workload"
 )
 
@@ -106,6 +110,69 @@ func TestExplainLastValidation(t *testing.T) {
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST: status %d, want 405", rec.Code)
 	}
+}
+
+// TestExplainLastMatchesEncodingJSON pins the hand-written body of GET
+// /v1/explain/last to what json.NewEncoder(w).Encode wrote for the same
+// response: byte for byte from an empty ring, at n 1, 32 and 4096 over a
+// full manual-mode ring, and for a native-mode (102-feature) model; and the
+// same empty 200 when a record holds a float JSON cannot carry.
+func TestExplainLastMatchesEncodingJSON(t *testing.T) {
+	check := func(t *testing.T, h *Handler, n int) {
+		t.Helper()
+		got := getExplain(t, h, "?n="+strconv.Itoa(n))
+		want := httptest.NewRecorder()
+		writeJSON(want, ExplainLastResponse{
+			Total:        uint64(h.decSeq.Load()),
+			FeatureNames: h.ring.FeatureNames(),
+			Records:      h.ring.LastDecisions(n),
+		})
+		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
+			t.Fatalf("n=%d: status %d %q, encoding/json %d %q", n, got.Code, got.Header().Get("Content-Type"),
+				want.Code, want.Header().Get("Content-Type"))
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("n=%d: body differs from encoding/json's:\n got %.300q\nwant %.300q", n, got.Body, want.Body)
+		}
+	}
+	serve := func(t *testing.T, h *Handler, decisions int) {
+		t.Helper()
+		for i := 0; i < decisions; i++ {
+			if rec := postInspect(t, h, waveRequest(i)); rec.Code != http.StatusOK {
+				t.Fatalf("inspect %d: status %d: %s", i, rec.Code, rec.Body)
+			}
+		}
+	}
+
+	t.Run("empty", func(t *testing.T) {
+		h := testHandler(t)
+		defer h.Close()
+		check(t, h, defaultExplainLast)
+	})
+	t.Run("manual", func(t *testing.T) {
+		h := testHandler(t)
+		defer h.Close()
+		serve(t, h, h.ring.Cap()+4)
+		for _, n := range []int{1, 32, 4096} {
+			check(t, h, n)
+		}
+	})
+	t.Run("native", func(t *testing.T) {
+		h := NewHandler(equivInspector(1, core.NativeFeatures))
+		defer h.Close()
+		serve(t, h, 40)
+		for _, n := range []int{1, 32} {
+			check(t, h, n)
+		}
+	})
+	t.Run("nonfinite", func(t *testing.T) {
+		h := testHandler(t)
+		defer h.Close()
+		serve(t, h, 3)
+		h.ring.EmitDecision(&obs.ExplainRecord{Features: []float64{1, math.Inf(-1)}, Probs: []float64{math.NaN()}})
+		check(t, h, 1)
+		check(t, h, 4)
+	})
 }
 
 func TestSwapRefreshesExplainMeta(t *testing.T) {

@@ -3,9 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"schedinspector/internal/core"
@@ -120,6 +122,88 @@ func TestTraceSnapshotEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+}
+
+// TestTraceSnapshotUnknownFormat: an unknown ?format= is answered 400
+// before the ring is read. The rejected request allocates no more than
+// parsing its query and writing the 400 do; the snapshot copy it used to
+// take first (the whole ring, ~1 MB on a full manual-mode ring) is gone.
+func TestTraceSnapshotUnknownFormat(t *testing.T) {
+	h := testHandler(t)
+	defer h.Close()
+	for i := 0; i < 64; i++ {
+		if rec := postInspect(t, h, validRequest()); rec.Code != http.StatusOK {
+			t.Fatalf("inspect %d: status %d", i, rec.Code)
+		}
+	}
+	rec := getTraceSnapshot(t, h, "?format=bogus")
+	if want := "unknown format \"bogus\" (want jsonl or ftrace)\n"; rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+		t.Fatalf("status %d body %q, want 400 %q", rec.Code, rec.Body, want)
+	}
+	if raceBuild {
+		t.Skip("the race detector allocates on its own")
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/trace/snapshot?format=bogus", nil)
+	w := &discardWriter{h: make(http.Header)}
+	route := testing.AllocsPerRun(50, func() { h.traceSnapshot(w, req) })
+	reject := testing.AllocsPerRun(50, func() {
+		format := req.URL.Query().Get("format")
+		http.Error(w, fmt.Sprintf("unknown format %q (want jsonl or ftrace)", format), http.StatusBadRequest)
+	})
+	if w.code != http.StatusBadRequest || route > reject {
+		t.Fatalf("rejected snapshot: status %d, %.0f allocs; parsing the query and writing the 400 take %.0f",
+			w.code, route, reject)
+	}
+}
+
+// TestReadRoutesShareBuffersSafely runs the snapshot (both formats) and
+// /v1/explain/last from several goroutines while decisions keep landing:
+// the routes reuse response buffers across requests, and every body must
+// still be one whole, well-formed answer of its own.
+func TestReadRoutesShareBuffersSafely(t *testing.T) {
+	h := testHandler(t)
+	defer h.Close()
+	for i := 0; i < 64; i++ {
+		postInspect(t, h, waveRequest(i))
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			postInspect(t, h, waveRequest(i))
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				var err error
+				switch (g + i) % 3 {
+				case 0:
+					rec := getTraceSnapshot(t, h, "")
+					var tr *explain.Trace
+					if tr, err = explain.ReadTrace(bytes.NewReader(rec.Body.Bytes())); err == nil && (tr.Header == nil || len(tr.Records) < 64) {
+						err = fmt.Errorf("jsonl snapshot: header %v, %d decisions", tr.Header != nil, len(tr.Records))
+					}
+				case 1:
+					_, err = explain.ReadFTrace(bytes.NewReader(getTraceSnapshot(t, h, "?format=ftrace").Body.Bytes()))
+				case 2:
+					var resp ExplainLastResponse
+					if err = json.Unmarshal(getExplain(t, h, "?n=64").Body.Bytes(), &resp); err == nil && len(resp.Records) != 64 {
+						err = fmt.Errorf("explain/last: %d records", len(resp.Records))
+					}
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	<-done
 }
 
 // TestNativeModeDecisionsAreRecorded serves a native-mode model (§3.3: 102
