@@ -7,13 +7,10 @@
 package schedinspector_test
 
 import (
-	"compress/gzip"
 	"io"
 	"math/rand"
-	"os"
 	"testing"
 
-	insp "schedinspector"
 	"schedinspector/internal/core"
 	"schedinspector/internal/expt"
 	"schedinspector/internal/metrics"
@@ -255,106 +252,5 @@ func BenchmarkTraceGeneration(b *testing.B) {
 func BenchmarkLublinGeneration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		workload.LublinTrace(20000, int64(i))
-	}
-}
-
-// TestPublicAPISurface is a compile-and-run check that the facade package
-// exposes a working end-to-end path (tiny budget).
-func TestPublicAPISurface(t *testing.T) {
-	trace := insp.GenerateTrace("Lublin", 3000, 5)
-	if err := trace.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	trainer, err := insp.NewTrainer(insp.TrainConfig{
-		Trace: trace, Policy: insp.SJF(), Metric: insp.BSLD,
-		Batch: 4, SeqLen: 64, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trainer.Train(2, nil); err != nil {
-		t.Fatal(err)
-	}
-	res, err := insp.Evaluate(trainer.Inspector(), insp.EvalConfig{
-		Trace: trace, Policy: insp.SJF(), Metric: insp.BSLD,
-		Sequences: 3, SeqLen: 64, Seed: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Base) != 3 {
-		t.Fatalf("eval returned %d sequences", len(res.Base))
-	}
-	// model round trip through the facade
-	path := t.TempDir() + "/m.ckpt"
-	if err := trainer.Inspector().SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := insp.LoadInspectorFile(path, rand.New(rand.NewSource(1))); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFacadeSimAndSWF covers the remaining facade surface: direct
-// simulation, trace stats, SWF round trip through files, and the Slurm
-// constructor.
-func TestFacadeSimAndSWF(t *testing.T) {
-	tr := insp.GenerateTrace("SDSC-SP2", 400, 9)
-	if got := insp.ComputeTraceStats(tr); got.Jobs != 400 {
-		t.Fatalf("stats jobs = %d", got.Jobs)
-	}
-	res, err := insp.Simulate(tr.Window(0, 50), insp.SimConfig{
-		MaxProcs: tr.MaxProcs, Policy: insp.NewSlurm(tr), Backfill: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Results) != 50 {
-		t.Fatalf("simulated %d of 50", len(res.Results))
-	}
-	// The steppable facade: the same window driven decision by decision
-	// through SimEnv must reproduce the straight-through run, and
-	// SimulateEnv must match on a reused environment.
-	env := insp.NewSimEnv()
-	cfg := insp.SimConfig{MaxProcs: tr.MaxProcs, Policy: insp.SJF(), Backfill: true}
-	_, done, err := env.Reset(tr.Window(0, 50), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !done {
-		_, done = env.Step(false) // accept everything = the base schedule
-	}
-	envSum := env.Result().Summary(tr.MaxProcs)
-	if again, err := insp.SimulateEnv(env, tr.Window(0, 50), cfg); err != nil {
-		t.Fatal(err)
-	} else if got := again.Summary(tr.MaxProcs); got != envSum {
-		t.Fatalf("SimulateEnv summary %+v != stepped env %+v", got, envSum)
-	}
-	path := t.TempDir() + "/t.swf.gz"
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gz := gzip.NewWriter(f)
-	if err := insp.WriteSWF(gz, tr); err != nil {
-		t.Fatal(err)
-	}
-	gz.Close()
-	f.Close()
-	got, err := insp.ParseSWFFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("round trip %d jobs, want %d", got.Len(), tr.Len())
-	}
-	if len(insp.PaperTraces()) != 4 {
-		t.Error("PaperTraces wrong")
-	}
-	if _, err := insp.PolicyByName("SRF"); err != nil {
-		t.Error(err)
-	}
-	if _, err := insp.ParseMetric("mbsld"); err != nil {
-		t.Error(err)
 	}
 }

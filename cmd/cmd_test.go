@@ -574,6 +574,43 @@ func TestCLIInspectordPortTaken(t *testing.T) {
 	}
 }
 
+// TestCLIBadTraceFlags feeds both trace-building binaries values they
+// cannot generate from: each must exit non-zero with an error naming the
+// trace or the flag, never with a panic.
+func TestCLIBadTraceFlags(t *testing.T) {
+	si, tg := bin(t, "schedinspect"), bin(t, "tracegen")
+	for _, c := range []struct {
+		bin  string
+		args []string
+		want string
+	}{
+		{si, []string{"stats", "-trace", "Foo"}, "Foo"},
+		{si, []string{"train", "-trace", "Foo"}, "Foo"},
+		{si, []string{"eval", "-trace", "Foo"}, "Foo"},
+		{si, []string{"inspect", "-trace", "Foo"}, "Foo"},
+		{si, []string{"stats", "-jobs", "-3"}, "jobs"},
+		{si, []string{"train", "-jobs", "-3"}, "jobs"},
+		{tg, []string{"-trace", "Foo"}, "Foo"},
+		{tg, []string{"-jobs", "-5"}, "jobs"},
+		{tg, []string{"-custom", "-jobs", "-5"}, "-jobs"},
+		{tg, []string{"-custom", "-procs", "-4"}, "-procs"},
+		{tg, []string{"-custom", "-interval", "-1"}, "-interval"},
+		{tg, []string{"-custom", "-est", "0"}, "-est"},
+		{tg, []string{"-custom", "-res", "-2"}, "-res"},
+	} {
+		cmd := exec.Command(c.bin, c.args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		out := stdout.String() + stderr.String()
+		if err == nil || !strings.Contains(stderr.String(), c.want) ||
+			strings.Contains(out, "panic:") || strings.Contains(out, "goroutine ") {
+			t.Errorf("%s %v: %v; want a non-zero exit, %q on stderr and no panic; output:\n%s",
+				filepath.Base(c.bin), c.args, err, c.want, out)
+		}
+	}
+}
+
 func TestCLIEndToEnd(t *testing.T) {
 	si, er := bin(t, "schedinspect"), bin(t, "expreport")
 	work := t.TempDir()

@@ -26,12 +26,14 @@ import (
 	"text/tabwriter"
 	"time"
 
-	insp "schedinspector"
 	"schedinspector/internal/core"
 	"schedinspector/internal/dist"
 	"schedinspector/internal/explain"
+	"schedinspector/internal/metrics"
 	"schedinspector/internal/obs"
+	"schedinspector/internal/sched"
 	"schedinspector/internal/version"
+	"schedinspector/internal/workload"
 )
 
 func main() {
@@ -93,19 +95,19 @@ func flightFlag(fs *flag.FlagSet) *string {
 
 // openFlight builds the flight recorder for -flight and attaches the sink
 // file.
-func openFlight(path string) (*insp.TraceRing, *os.File, error) {
+func openFlight(path string) (*obs.TraceRing, *os.File, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	ring := insp.NewTraceRing(0, 0)
+	ring := obs.NewTraceRing(0, 0)
 	ring.SetSink(f)
 	return ring, f, nil
 }
 
 // closeFlight flushes the recorder and surfaces a sink error or dropped
 // records as the command's exit status.
-func closeFlight(ring *insp.TraceRing, path string) error {
+func closeFlight(ring *obs.TraceRing, path string) error {
 	if err := ring.Flush(); err != nil {
 		return fmt.Errorf("flight trace: %w", err)
 	}
@@ -125,18 +127,18 @@ func traceFlags(fs *flag.FlagSet) (name *string, swf *string, jobs *int, seed *i
 	return
 }
 
-func loadTrace(name, swf string, jobs int, seed int64) (*insp.Trace, error) {
+func loadTrace(name, swf string, jobs int, seed int64) (*workload.Trace, error) {
 	if swf == "" {
-		return insp.GenerateTrace(name, jobs, seed), nil
+		return workload.ByName(name, jobs, seed)
 	}
-	return insp.ParseSWFFile(swf) // handles .gz transparently
+	return workload.ParseSWFFile(swf) // handles .gz transparently
 }
 
-func policyFor(name string, tr *insp.Trace) (insp.Policy, error) {
+func policyFor(name string, tr *workload.Trace) (sched.Policy, error) {
 	if name == "Slurm" {
-		return insp.NewSlurm(tr), nil
+		return sched.NewSlurm(tr), nil
 	}
-	return insp.PolicyByName(name)
+	return sched.ByName(name)
 }
 
 // cmdTrain implements both the single-process "train" subcommand and the
@@ -194,11 +196,11 @@ func cmdTrain(args []string, worker bool) error {
 	if err != nil {
 		return err
 	}
-	m, err := insp.ParseMetric(*metric)
+	m, err := metrics.ParseMetric(*metric)
 	if err != nil {
 		return err
 	}
-	var cfg insp.TrainConfig
+	var cfg core.TrainConfig
 	cfg.Trace, cfg.Policy, cfg.Metric = tr, pol, m
 	cfg.Backfill = *backfill
 	cfg.Batch, cfg.SeqLen, cfg.Seed = *batch, *seqLen, *seed
@@ -245,7 +247,7 @@ func cmdTrain(args []string, worker bool) error {
 			cfg.Logger = core.NewCSVTrainLogger(f)
 		}
 	}
-	var flightRec *insp.TraceRing
+	var flightRec *obs.TraceRing
 	if *flight != "" {
 		rec, f, err := openFlight(*flight)
 		if err != nil {
@@ -255,7 +257,7 @@ func cmdTrain(args []string, worker bool) error {
 		flightRec = rec
 		cfg.Flight = flightRec
 	}
-	trainer, err := insp.NewTrainer(cfg)
+	trainer, err := core.NewTrainer(cfg)
 	if err != nil {
 		return err
 	}
@@ -285,7 +287,7 @@ func cmdTrain(args []string, worker bool) error {
 	if worker {
 		prefix = fmt.Sprintf("rank %d ", *rank)
 	}
-	progress := func(st insp.EpochStats) {
+	progress := func(st core.EpochStats) {
 		fmt.Printf("%sepoch %3d/%d: improvement %9.2f (%+.1f%%), rejection ratio %.2f\n",
 			prefix, st.Epoch, *epochs, st.MeanImprovement, 100*st.MeanPctImprovement, st.RejectionRatio)
 	}
@@ -348,22 +350,22 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := insp.ParseMetric(*metric)
+	m, err := metrics.ParseMetric(*metric)
 	if err != nil {
 		return err
 	}
-	mod, err := insp.LoadInspectorFile(*model, rand.New(rand.NewSource(*seed)))
+	mod, err := core.LoadServable(*model, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		return err
 	}
 	// Rebind feature normalization to the evaluation trace (cross-trace use).
-	mod = mod.WithNormalizer(insp.NormalizerForTrace(tr, m))
-	evalCfg := insp.EvalConfig{
+	mod = mod.WithNormalizer(core.NormalizerForTrace(tr, m))
+	evalCfg := core.EvalConfig{
 		Trace: tr, Policy: pol, Metric: m, Backfill: *backfill,
 		Sequences: *sequences, SeqLen: *seqLen, Seed: *seed,
 		Workers: *workers,
 	}
-	var flightRec *insp.TraceRing
+	var flightRec *obs.TraceRing
 	if *flight != "" {
 		rec, f, err := openFlight(*flight)
 		if err != nil {
@@ -373,7 +375,7 @@ func cmdEval(args []string) error {
 		flightRec = rec
 		evalCfg.Flight = flightRec
 	}
-	res, err := insp.Evaluate(mod, evalCfg)
+	res, err := core.Evaluate(mod, evalCfg)
 	if err != nil {
 		return err
 	}
@@ -400,7 +402,7 @@ func cmdStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	s := insp.ComputeTraceStats(tr)
+	s := workload.ComputeStats(tr)
 	fmt.Printf("trace %s: %d jobs, cluster %d procs\n", tr.Name, s.Jobs, s.MaxProcs)
 	fmt.Printf("  mean arrival interval: %.0f s\n", s.MeanInterval)
 	fmt.Printf("  mean estimated runtime: %.0f s (max %.0f)\n", s.MeanEst, s.MaxEst)
@@ -429,15 +431,15 @@ func cmdInspect(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := insp.ParseMetric(*metric)
+	m, err := metrics.ParseMetric(*metric)
 	if err != nil {
 		return err
 	}
-	mod, err := insp.LoadInspectorFile(*model, rand.New(rand.NewSource(*seed)))
+	mod, err := core.LoadServable(*model, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		return err
 	}
-	mod = mod.WithNormalizer(insp.NormalizerForTrace(tr, m))
+	mod = mod.WithNormalizer(core.NormalizerForTrace(tr, m))
 	rec, err := core.ReplayWhole(mod, core.EvalConfig{
 		Trace: tr, Policy: pol, Metric: m, Backfill: *backfill,
 	})
@@ -555,26 +557,26 @@ func convertTrace(in, out string) error {
 	return nil
 }
 
-func parseFeatures(s string) (insp.FeatureMode, error) {
+func parseFeatures(s string) (core.FeatureMode, error) {
 	switch s {
 	case "manual":
-		return insp.ManualFeatures, nil
+		return core.ManualFeatures, nil
 	case "compacted":
-		return insp.CompactedFeatures, nil
+		return core.CompactedFeatures, nil
 	case "native":
-		return insp.NativeFeatures, nil
+		return core.NativeFeatures, nil
 	}
 	return 0, fmt.Errorf("unknown feature mode %q", s)
 }
 
-func parseReward(s string) (insp.RewardKind, error) {
+func parseReward(s string) (core.RewardKind, error) {
 	switch s {
 	case "percentage":
-		return insp.PercentageReward, nil
+		return core.PercentageReward, nil
 	case "native":
-		return insp.NativeReward, nil
+		return core.NativeReward, nil
 	case "winloss":
-		return insp.WinLossReward, nil
+		return core.WinLossReward, nil
 	}
 	return 0, fmt.Errorf("unknown reward kind %q", s)
 }

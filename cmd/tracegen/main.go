@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	insp "schedinspector"
 	"schedinspector/internal/workload"
 )
 
@@ -36,8 +35,20 @@ func main() {
 	)
 	flag.Parse()
 
-	var tr *insp.Trace
+	var tr *workload.Trace
 	if *custom {
+		switch {
+		case *procs <= 0:
+			usageError("-procs must be > 0, got %d", *procs)
+		case !(*interval > 0):
+			usageError("-interval must be > 0, got %v", *interval)
+		case !(*est > 0):
+			usageError("-est must be > 0, got %v", *est)
+		case !(*res > 0):
+			usageError("-res must be > 0, got %v", *res)
+		case *jobs < 0:
+			usageError("-jobs must be >= 0, got %d", *jobs)
+		}
 		tr = workload.Generate(workload.SynthConfig{
 			Name: "custom", MaxProcs: *procs, Jobs: *jobs, Seed: *seed,
 			Interval: *interval, MeanEst: *est, Procs: *res,
@@ -58,11 +69,17 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 			os.Exit(1)
 		}
-	} else if err := insp.WriteSWF(os.Stdout, tr); err != nil {
+	} else if err := workload.WriteSWF(os.Stdout, tr); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
-	s := insp.ComputeTraceStats(tr)
+	s := workload.ComputeStats(tr)
 	fmt.Fprintf(os.Stderr, "tracegen: %d jobs, cluster %d, interval %.0f s, est %.0f s, res %.1f\n",
 		s.Jobs, s.MaxProcs, s.MeanInterval, s.MeanEst, s.MeanProcs)
+}
+
+// usageError reports a flag value the generator cannot use and exits 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -4,9 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
+
+	"schedinspector/internal/obs"
 )
 
 // WriteTo re-renders the parsed scrape in the Prometheus text format,
@@ -21,21 +22,21 @@ func (s *Scrape) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(cw)
 	for _, f := range s.Families {
 		if f.Help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
+			fmt.Fprintf(bw, "# HELP %s %s\n", f.Name, obs.EscapeHelp(f.Help))
 		}
 		if f.Type != "" {
 			fmt.Fprintf(bw, "# TYPE %s %s\n", f.Name, f.Type)
 		}
 		for _, sm := range f.Samples {
-			fmt.Fprintf(bw, "%s%s %s\n", f.Name, renderLabels(sm.Labels, ""), formatValue(sm.Value))
+			fmt.Fprintf(bw, "%s%s %s\n", f.Name, renderLabels(sm.Labels, ""), obs.FormatValue(sm.Value))
 		}
 		for i := range f.Histograms {
 			h := &f.Histograms[i]
 			for _, b := range h.Buckets {
 				fmt.Fprintf(bw, "%s_bucket%s %d\n", f.Name,
-					renderLabels(h.Labels, formatValue(b.Upper)), b.CumCount)
+					renderLabels(h.Labels, obs.FormatValue(b.Upper)), b.CumCount)
 			}
-			fmt.Fprintf(bw, "%s_sum%s %s\n", f.Name, renderLabels(h.Labels, ""), formatValue(h.Sum))
+			fmt.Fprintf(bw, "%s_sum%s %s\n", f.Name, renderLabels(h.Labels, ""), obs.FormatValue(h.Sum))
 			fmt.Fprintf(bw, "%s_count%s %d\n", f.Name, renderLabels(h.Labels, ""), h.Count)
 		}
 	}
@@ -74,7 +75,7 @@ func renderLabels(labels map[string]string, le string) string {
 		}
 		b.WriteString(k)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(labels[k]))
+		b.WriteString(obs.EscapeLabelValue(labels[k]))
 		b.WriteByte('"')
 	}
 	if le != "" {
@@ -87,43 +88,4 @@ func renderLabels(labels map[string]string, le string) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-func escapeLabelValue(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
-func escapeHelp(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-// formatValue matches obs: shortest %g round-trip decimal with the
-// Prometheus spellings of the non-finite values.
-func formatValue(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case math.IsNaN(v):
-		return "NaN"
-	}
-	return fmt.Sprintf("%g", v)
 }

@@ -44,16 +44,16 @@ func renderLabels(ls Labels) string {
 		}
 		b.WriteString(k)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(ls[k]))
+		b.WriteString(EscapeLabelValue(ls[k]))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabelValue escapes a label value per the Prometheus text format:
+// EscapeLabelValue escapes a label value per the Prometheus text format:
 // backslash, double quote and line feed.
-func escapeLabelValue(v string) string {
+func EscapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
@@ -73,8 +73,8 @@ func escapeLabelValue(v string) string {
 	return b.String()
 }
 
-// escapeHelp escapes a HELP string: backslash and line feed only.
-func escapeHelp(v string) string {
+// EscapeHelp escapes a HELP string: backslash and line feed only.
+func EscapeHelp(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
@@ -95,9 +95,9 @@ func validName(s string) bool {
 	return true
 }
 
-// formatValue renders a sample value the way Prometheus clients do:
+// FormatValue renders a sample value the way Prometheus clients do:
 // shortest round-trip decimal, with +Inf/-Inf/NaN spelled out.
-func formatValue(v float64) string {
+func FormatValue(v float64) string {
 	switch {
 	case math.IsInf(v, 1):
 		return "+Inf"

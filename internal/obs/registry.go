@@ -98,7 +98,7 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 type gaugeFunc func() float64
 
 func (g gaugeFunc) render(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatValue(g()))
+	fmt.Fprintf(w, "%s%s %s\n", name, labels, FormatValue(g()))
 }
 
 // Histogram registers a histogram with the given upper bucket bounds (the
@@ -142,7 +142,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	for i := range fams {
 		f := &fams[i]
 		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, EscapeHelp(f.help))
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
 		for _, s := range f.series {
@@ -197,7 +197,7 @@ func (c *Counter) Add(v float64) {
 func (c *Counter) Value() float64 { return c.v.load() }
 
 func (c *Counter) render(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatValue(c.Value()))
+	fmt.Fprintf(w, "%s%s %s\n", name, labels, FormatValue(c.Value()))
 }
 
 // Gauge is a value that can move in both directions.
@@ -213,7 +213,7 @@ func (g *Gauge) Add(v float64) { g.v.add(v) }
 func (g *Gauge) Value() float64 { return g.v.load() }
 
 func (g *Gauge) render(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatValue(g.Value()))
+	fmt.Fprintf(w, "%s%s %s\n", name, labels, FormatValue(g.Value()))
 }
 
 // Histogram counts observations into cumulative buckets and tracks their
@@ -267,11 +267,11 @@ func (h *Histogram) render(w io.Writer, name, labels string) {
 	var cum uint64
 	for i, ub := range h.upper {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket%sle=\"%s\"%s %d\n", name, prefix, formatValue(ub), suffix, cum)
+		fmt.Fprintf(w, "%s_bucket%sle=\"%s\"%s %d\n", name, prefix, FormatValue(ub), suffix, cum)
 	}
 	cum += h.inf.Load()
 	fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"%s %d\n", name, prefix, suffix, cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatValue(h.Sum()))
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, FormatValue(h.Sum()))
 	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, cum)
 }
 

@@ -350,8 +350,11 @@ func HPC2NLike(jobs int, seed int64) *Trace {
 }
 
 // ByName returns one of the four paper traces ("SDSC-SP2", "CTC-SP2",
-// "HPC2N", "Lublin") by name.
+// "HPC2N", "Lublin") by name. A negative job count is an error.
 func ByName(name string, jobs int, seed int64) (*Trace, error) {
+	if jobs < 0 {
+		return nil, fmt.Errorf("workload: jobs must be >= 0, got %d", jobs)
+	}
 	switch name {
 	case "SDSC-SP2":
 		return SDSCSP2Like(jobs, seed), nil

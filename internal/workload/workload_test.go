@@ -335,6 +335,9 @@ func TestByNameUnknown(t *testing.T) {
 	if _, err := ByName("nope", 10, 1); err == nil {
 		t.Error("unknown trace name accepted")
 	}
+	if _, err := ByName("Lublin", -1, 1); err == nil || !strings.Contains(err.Error(), "jobs") {
+		t.Errorf("negative job count: %v", err)
+	}
 }
 
 func TestOfferedLoad(t *testing.T) {
