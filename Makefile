@@ -117,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSONL$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInspect$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSimulate$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzFloatToken$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReduce$$' -fuzztime $(FUZZTIME) ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvStep$$' -fuzztime $(FUZZTIME) ./internal/sim/

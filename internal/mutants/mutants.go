@@ -1,9 +1,9 @@
 // Package mutants is test support for decoder hardening (ROADMAP 6b): it
 // enumerates the damaged copies of an encoded image that a decoder must
 // answer with a typed error or a usable value — never a panic or a hang.
-// Its adopters are the /v1/inspect body decoder (internal/serve), the
-// model/checkpoint payload decoder (internal/core) and the .ftrace to JSONL
-// converter (internal/explain).
+// Its adopters are the /v1/inspect and /v1/simulate body decoders
+// (internal/serve), the model/checkpoint payload decoder (internal/core)
+// and the .ftrace to JSONL converter (internal/explain).
 package mutants
 
 // Each calls f with every prefix of data, empty and whole included, and

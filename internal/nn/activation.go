@@ -32,21 +32,6 @@ func (a Activation) String() string {
 	return "unknown"
 }
 
-// apply computes the activation of z.
-func (a Activation) apply(z float64) float64 {
-	switch a {
-	case Tanh:
-		return math.Tanh(z)
-	case ReLU:
-		if z < 0 {
-			return 0
-		}
-		return z
-	default:
-		return z
-	}
-}
-
 // derivFromOutput returns da/dz expressed in terms of the activation output
 // y = a(z) alone, so backpropagation keeps no pre-activations: tanh' is
 // 1 - y*y, and for ReLU y > 0 exactly when z > 0.

@@ -76,9 +76,9 @@ func (m *MLP) ForwardBatch(xs []float64, rows int, cache *BatchCache) []float64 
 
 // forwardLayer computes one dense layer for rows stacked inputs. Four rows
 // advance together: each weight row is read once per block and feeds four
-// independent sums, one per input row. A block smaller than four runs the
-// one-row loop, which is Forward's. Sums land in outAll as pre-activations
-// and one pass at the end turns them into activations.
+// independent sums, one per input row. A block smaller than four runs
+// forwardRow, Forward's kernel. Sums land in outAll as pre-activations and
+// one pass at the end turns them into activations.
 func forwardLayer(w, bias []float64, act Activation, nIn, nOut int, inAll, outAll []float64, rows int) {
 	r := 0
 	for ; r+4 <= rows; r += 4 {
@@ -90,31 +90,55 @@ func forwardLayer(w, bias []float64, act Activation, nIn, nOut int, inAll, outAl
 		}
 	}
 	for ; r < rows; r++ {
-		in := inAll[r*nIn : (r+1)*nIn]
-		out := outAll[r*nOut : (r+1)*nOut]
-		for o := range out {
-			sum := bias[o]
-			row := w[o*nIn : (o+1)*nIn]
-			for i, v := range in {
-				sum += row[i] * v
-			}
-			out[o] = sum
-		}
+		forwardRow(w, bias, inAll[r*nIn:(r+1)*nIn], outAll[r*nOut:(r+1)*nOut])
 	}
 	activate(outAll[:rows*nOut], act)
 }
 
-// activate applies act to every pre-activation in z, in place. The tanh
-// loop calls math.Tanh directly rather than through apply's switch.
+// forwardRow writes the pre-activations of one input row: out[o] = bias[o]
+// plus w[o][i]*in[i] added with i ascending. Four outputs advance together,
+// so one load of in[i] feeds four independent add chains where a loop over
+// outputs is one chain at a time, each add waiting on the last; the outputs
+// past the last multiple of four run one at a time. Each sum's own sequence
+// of operations is the one-output loop's, so the bits are too.
+func forwardRow(w, bias, in, out []float64) {
+	nIn := len(in)
+	o := 0
+	for ; o+4 <= len(out); o += 4 {
+		w0, w1, w2, w3 := w[o*nIn:][:nIn], w[(o+1)*nIn:][:nIn], w[(o+2)*nIn:][:nIn], w[(o+3)*nIn:][:nIn]
+		s0, s1, s2, s3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
+		for i, v := range in {
+			s0 += w0[i] * v
+			s1 += w1[i] * v
+			s2 += w2[i] * v
+			s3 += w3[i] * v
+		}
+		out[o], out[o+1], out[o+2], out[o+3] = s0, s1, s2, s3
+	}
+	for ; o < len(out); o++ {
+		sum := bias[o]
+		row := w[o*nIn : (o+1)*nIn]
+		for i, v := range in {
+			sum += row[i] * v
+		}
+		out[o] = sum
+	}
+}
+
+// activate applies act to every pre-activation in z, in place; Identity (and
+// any unknown activation) leaves z as it is.
 func activate(z []float64, act Activation) {
-	if act == Tanh {
+	switch act {
+	case Tanh:
 		for k, v := range z {
 			z[k] = math.Tanh(v)
 		}
-		return
-	}
-	for k, v := range z {
-		z[k] = act.apply(v)
+	case ReLU:
+		for k, v := range z {
+			if v < 0 {
+				z[k] = 0
+			}
+		}
 	}
 }
 

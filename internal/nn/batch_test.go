@@ -161,3 +161,85 @@ func TestBackwardBatchSizePanics(t *testing.T) {
 		m.BackwardBatch(&BatchCache{}, []float64{1, 1}, 1, NewGrads(m))
 	})
 }
+
+// refForward is the one-row forward as it was before forwardRow, kept as the
+// kernel's oracle: per output one sum from the bias, adding w[o][i]*in[i]
+// with i ascending, then the activation's own switch.
+func refForward(m *MLP, x []float64) []float64 {
+	in := append([]float64(nil), x...)
+	for l := range m.W {
+		nIn := m.Sizes[l]
+		a := make([]float64, m.Sizes[l+1])
+		for o := range a {
+			sum := m.B[l][o]
+			row := m.W[l][o*nIn : (o+1)*nIn]
+			for i, v := range in {
+				sum += row[i] * v
+			}
+			switch m.Acts[l] {
+			case Tanh:
+				sum = math.Tanh(sum)
+			case ReLU:
+				if sum < 0 {
+					sum = 0
+				}
+			}
+			a[o] = sum
+		}
+		in = a
+	}
+	return in
+}
+
+// TestForwardRowOracle pins Forward, and every row of ForwardBatch at 1 to 9
+// rows (one 4-row block and both tails), to refForward bit for bit: the
+// paper's shapes with one and two outputs, widths that are 1, 2 and 3 past a
+// multiple of four, under each activation. Inputs carry exact and negative
+// zeros so ReLU's and the sums' signed zeros are compared too.
+func TestForwardRowOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	shapes := [][]int{{8, 32, 16, 8, 2}, {8, 32, 16, 8, 1}, {9, 5, 6, 7, 3}, {3, 13, 2}}
+	for _, sizes := range shapes {
+		for _, act := range []Activation{Tanh, ReLU, Identity} {
+			m := New(rng, sizes, act, Identity)
+			for l := range m.B {
+				for o := range m.B[l] {
+					m.B[l][o] = rng.NormFloat64() / 4
+				}
+			}
+			nIn, nOut := m.InputSize(), m.OutputSize()
+			var cache Cache
+			var bcache BatchCache
+			for rows := 1; rows <= 9; rows++ {
+				xs := randVec(rng, rows*nIn)
+				xs[0], xs[len(xs)-1] = 0, math.Copysign(0, -1)
+				got := m.ForwardBatch(xs, rows, &bcache)
+				for r := 0; r < rows; r++ {
+					x := xs[r*nIn : (r+1)*nIn]
+					want := refForward(m, x)
+					single := m.Forward(x, &cache)
+					for o := 0; o < nOut; o++ {
+						w := math.Float64bits(want[o])
+						if math.Float64bits(single[o]) != w || math.Float64bits(got[r*nOut+o]) != w {
+							t.Fatalf("%v %v rows=%d row=%d out=%d: Forward %v, ForwardBatch %v, oracle %v",
+								sizes, act, rows, r, o, single[o], got[r*nOut+o], want[o])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkForward is one row through the paper's network (8 -> 32 -> 16 ->
+// 8 -> 2, tanh), the forward a served decision or a simulate inspection runs.
+func BenchmarkForward(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	m := New(rng, []int{8, 32, 16, 8, 2}, Tanh, Identity)
+	x := randVec(rng, 8)
+	var cache Cache
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.Forward(x, &cache)
+	}
+}

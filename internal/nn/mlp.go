@@ -126,18 +126,9 @@ func (m *MLP) Forward(x []float64, cache *Cache) []float64 {
 	cache.ensure(m)
 	copy(cache.as[0], x)
 	for l := range m.W {
-		in := cache.as[l]
 		a := cache.as[l+1]
-		w := m.W[l]
-		nIn := m.Sizes[l]
-		for o := range a {
-			sum := m.B[l][o]
-			row := w[o*nIn : (o+1)*nIn]
-			for i, v := range in {
-				sum += row[i] * v
-			}
-			a[o] = m.Acts[l].apply(sum)
-		}
+		forwardRow(m.W[l], m.B[l], cache.as[l], a)
+		activate(a, m.Acts[l])
 	}
 	return cache.as[len(m.W)]
 }

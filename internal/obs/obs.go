@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -97,14 +98,17 @@ func validName(s string) bool {
 
 // FormatValue renders a sample value the way Prometheus clients do:
 // shortest round-trip decimal, with +Inf/-Inf/NaN spelled out.
-func FormatValue(v float64) string {
+func FormatValue(v float64) string { return string(AppendValue(nil, v)) }
+
+// AppendValue appends FormatValue(v) to b.
+func AppendValue(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	case math.IsNaN(v):
-		return "NaN"
+		return append(b, "NaN"...)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

@@ -1,12 +1,12 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -17,8 +17,9 @@ import (
 // name+labels); observation methods on the returned metrics are lock-free
 // and safe for concurrent use.
 type Registry struct {
-	mu   sync.Mutex
-	fams map[string]*family
+	mu       sync.Mutex
+	fams     map[string]*family
+	pageSize atomic.Int64 // bytes of the last exposition: the next one's buffer
 }
 
 // NewRegistry returns an empty registry.
@@ -40,9 +41,9 @@ type series struct {
 	metric renderer
 }
 
-// renderer writes the exposition lines of one series.
+// renderer appends the exposition lines of one series to b.
 type renderer interface {
-	render(w io.Writer, name, labels string)
+	appendTo(b []byte, name, labels string) []byte
 }
 
 // register adds (or fetches the family of) a metric and panics on misuse.
@@ -97,8 +98,14 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 // gaugeFunc renders a computed gauge sample.
 type gaugeFunc func() float64
 
-func (g gaugeFunc) render(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, FormatValue(g()))
+func (g gaugeFunc) appendTo(b []byte, name, labels string) []byte {
+	return appendSample(b, name, "", labels, g())
+}
+
+// appendSample appends one "name+suffix labels value" line.
+func appendSample(b []byte, name, suffix, labels string, v float64) []byte {
+	b = append(append(append(b, name...), suffix...), labels...)
+	return append(AppendValue(append(b, ' '), v), '\n')
 }
 
 // Histogram registers a histogram with the given upper bucket bounds (the
@@ -138,18 +145,25 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	}
 	r.mu.Unlock()
 
-	bw := bufio.NewWriter(w)
+	var b []byte
+	if n := r.pageSize.Load(); n > 0 {
+		b = make([]byte, 0, n+n/8)
+	}
 	for i := range fams {
 		f := &fams[i]
 		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, EscapeHelp(f.help))
+			b = append(append(append(append(b, "# HELP "...), f.name...), ' '), EscapeHelp(f.help)...)
+			b = append(b, '\n')
 		}
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
+		b = append(append(append(append(b, "# TYPE "...), f.name...), ' '), f.typ...)
+		b = append(b, '\n')
 		for _, s := range f.series {
-			s.metric.render(bw, f.name, s.labels)
+			b = s.metric.appendTo(b, f.name, s.labels)
 		}
 	}
-	return bw.Flush()
+	r.pageSize.Store(int64(len(b)))
+	_, err := w.Write(b)
+	return err
 }
 
 // Handler returns an http.Handler serving the exposition — mount it at
@@ -196,8 +210,8 @@ func (c *Counter) Add(v float64) {
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.v.load() }
 
-func (c *Counter) render(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, FormatValue(c.Value()))
+func (c *Counter) appendTo(b []byte, name, labels string) []byte {
+	return appendSample(b, name, "", labels, c.Value())
 }
 
 // Gauge is a value that can move in both directions.
@@ -212,8 +226,8 @@ func (g *Gauge) Add(v float64) { g.v.add(v) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.load() }
 
-func (g *Gauge) render(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, FormatValue(g.Value()))
+func (g *Gauge) appendTo(b []byte, name, labels string) []byte {
+	return appendSample(b, name, "", labels, g.Value())
 }
 
 // Histogram counts observations into cumulative buckets and tracks their
@@ -257,22 +271,28 @@ func (h *Histogram) Count() uint64 {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-func (h *Histogram) render(w io.Writer, name, labels string) {
+func (h *Histogram) appendTo(b []byte, name, labels string) []byte {
 	// _bucket lines carry an extra le label; splice it into the suffix.
-	prefix, suffix := "{", "}"
+	prefix := "{"
 	if labels != "" {
 		prefix = labels[:len(labels)-1] + ","
-		suffix = "}"
 	}
 	var cum uint64
-	for i, ub := range h.upper {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket%sle=\"%s\"%s %d\n", name, prefix, FormatValue(ub), suffix, cum)
+	for i := 0; i <= len(h.upper); i++ {
+		le := math.Inf(1) // AppendValue spells it +Inf
+		if i < len(h.upper) {
+			le = h.upper[i]
+			cum += h.counts[i].Load()
+		} else {
+			cum += h.inf.Load()
+		}
+		b = append(append(append(b, name...), "_bucket"...), prefix...)
+		b = AppendValue(append(b, `le="`...), le)
+		b = append(strconv.AppendUint(append(b, `"} `...), cum, 10), '\n')
 	}
-	cum += h.inf.Load()
-	fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"%s %d\n", name, prefix, suffix, cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, FormatValue(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, cum)
+	b = appendSample(b, name, "_sum", labels, h.Sum())
+	b = append(append(append(append(b, name...), "_count"...), labels...), ' ')
+	return append(strconv.AppendUint(b, cum, 10), '\n')
 }
 
 // DefBuckets returns the conventional latency buckets (seconds), matching

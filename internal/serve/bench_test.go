@@ -93,7 +93,7 @@ func BenchmarkInspectC512(b *testing.B) { benchInspect(b, 512) }
 // fallback, and once the route's only decoder — on the two body shapes the
 // repository's benchmark sends: shallow (queue depth 4, ~0.3 KB) and deep
 // (depth 160, ~6 KB). Their estimates are 16-17-digit shortest renderings,
-// inspectScanner.float's integer-division regime; FastDeepShort is the deep
+// scanner.float's integer-division regime; FastDeepShort is the deep
 // body with estimates like 3600.5, the float-division regime. All decode into
 // a reused request, as the pooled handler does.
 func benchDecode(b *testing.B, body []byte, fast bool) {
@@ -106,7 +106,7 @@ func benchDecode(b *testing.B, body []byte, fast bool) {
 		if fast {
 			err = DecodeInspect(body, &req)
 		} else {
-			err = decodeInspectStd(body, nil, &req)
+			err = decodeStd(body, nil, &req)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -136,3 +136,48 @@ func BenchmarkDecodeInspectFastDeep(b *testing.B)      { benchDecode(b, benchSha
 func BenchmarkDecodeInspectFastDeepShort(b *testing.B) { benchDecode(b, shortDecimalBody(160), true) }
 func BenchmarkDecodeInspectStdShallow(b *testing.B)    { benchDecode(b, benchShapedBody(1, 4), false) }
 func BenchmarkDecodeInspectStdDeep(b *testing.B)       { benchDecode(b, benchShapedBody(1, 160), false) }
+
+// BenchmarkSimulate is one /v1/simulate what-if the way the repository's
+// benchmark sends it — 128 trace jobs, SJF, the stochastic inspector —
+// through Handler.ServeHTTP: decode, 128 jobs' worth of simulation with a
+// forward per inspection, encode.
+func BenchmarkSimulate(b *testing.B) {
+	h := NewHandler(benchInspector())
+	defer h.Close()
+	body := benchShapedSimBody(1, 128)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkMetricsScrape is one GET /metrics, through Handler.ServeHTTP, of
+// a handler that has served inspect, simulate and error traffic.
+func BenchmarkMetricsScrape(b *testing.B) {
+	h := NewHandler(benchInspector())
+	defer h.Close()
+	body, err := json.Marshal(validRequest())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/inspect", bytes.NewReader(body)))
+	}
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/inspect", bytes.NewReader([]byte("{"))))
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/simulate", bytes.NewReader(benchShapedSimBody(1, 8))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d", rec.Code)
+		}
+	}
+}

@@ -38,30 +38,40 @@ type snapshot struct {
 	gen  int64 // 1 = boot model, +1 per swap
 }
 
-// requestScratch is what one /v1/inspect request works in, pooled so that a
-// warm request allocates none of it: the body as read, the request decoded
-// from it (st.Queue is decoded.Queue), and the response bytes. One goroutine
-// owns it from Get to Put.
+// requestScratch is what one /v1/inspect or /v1/simulate request works in,
+// pooled so that a warm request allocates none of it: the body as read, the
+// request decoded from it (st.Queue is decoded.Queue), and the response
+// bytes. One goroutine owns it from Get to Put.
 type requestScratch struct {
 	body    bytes.Buffer
 	decoded InspectRequest
 	queue   []sim.QueueItem // decoded.Queue's backing array, kept when a request has no queue
 	st      sim.State
 	out     []byte
+	sim     SimulateRequest // a /v1/simulate request; sim.Jobs keeps its backing array
 }
 
 // A scratch that one outsized request grew is dropped, not pooled, so the
 // daemon's resident size follows its usual traffic and not its largest
 // request ever. 64 KiB of body is six deep-queue requests' worth; 4096 items
 // (96 KiB) is twice what a body of that size holds at ~35 bytes an item, and
-// catches the body of bare "{}" items that would hold five times more.
+// catches the body of bare "{}" items that would hold five times more; it
+// bounds simulate jobs (32 bytes each) alike.
 const (
 	maxPooledBody  = 64 << 10
 	maxPooledQueue = 4096
 )
 
 func (p *requestScratch) poolable() bool {
-	return p.body.Cap() <= maxPooledBody && cap(p.queue) <= maxPooledQueue
+	return p.body.Cap() <= maxPooledBody && cap(p.queue) <= maxPooledQueue && cap(p.sim.Jobs) <= maxPooledQueue
+}
+
+func (h *Handler) getScratch() *requestScratch { return h.pool.Get().(*requestScratch) }
+
+func (h *Handler) putScratch(p *requestScratch) {
+	if p.poolable() {
+		h.pool.Put(p)
+	}
 }
 
 // decide answers one validated request under the model lock and returns the

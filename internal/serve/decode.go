@@ -9,11 +9,11 @@ import (
 	"schedinspector/internal/sim"
 )
 
-// ErrNotCanonical is DecodeInspect's only error: the body is not in the
-// canonical /v1/inspect shape and must be decoded by encoding/json, which
+// ErrNotCanonical is the single-pass decoders' only error: the body is not
+// in its route's canonical shape and must be decoded by encoding/json, which
 // owns the wire contract (what is accepted, what is rejected, and every
 // error text).
-var ErrNotCanonical = errors.New("serve: inspect body is not canonical")
+var ErrNotCanonical = errors.New("serve: request body is not canonical")
 
 // DecodeInspect decodes a canonical /v1/inspect body into req in one forward
 // pass with no reflection and, once req.Queue has the capacity, no
@@ -21,8 +21,8 @@ var ErrNotCanonical = errors.New("serve: inspect body is not canonical")
 // of req is overwritten.
 //
 // Canonical means: one JSON object whose keys are the exact-case wire names,
-// each at most once, whose values are plain numbers (integral tokens of at
-// most 18 digits for the int fields), true/false, the job object and the
+// each at most once, whose values are plain numbers (integral tokens in the
+// field's range for the int fields), true/false, the job object and the
 // queue array of item objects, with optional whitespace between tokens and
 // nothing but whitespace after the closing brace. On such a body the result
 // is field-for-field what json.NewDecoder(bytes.NewReader(body)).Decode
@@ -32,7 +32,7 @@ var ErrNotCanonical = errors.New("serve: inspect body is not canonical")
 func DecodeInspect(body []byte, req *InspectRequest) error {
 	queue := req.Queue[:0]
 	*req = InspectRequest{}
-	s := inspectScanner{b: body}
+	s := scanner{b: body}
 	if s.skip() != '{' {
 		return ErrNotCanonical
 	}
@@ -80,7 +80,7 @@ func DecodeInspect(body []byte, req *InspectRequest) error {
 		}
 		seen |= bit
 	}
-	if s.bad || s.skip() != 0 || s.i != len(s.b) {
+	if !s.end() {
 		return ErrNotCanonical
 	}
 	if seen&kQueue != 0 {
@@ -94,19 +94,90 @@ func DecodeInspect(body []byte, req *InspectRequest) error {
 	return nil
 }
 
-// inspectScanner is a cursor over a request body. Its methods consume one
+// DecodeSimulate is DecodeInspect's twin for /v1/simulate, under the same
+// contract: a canonical body is decoded into req in one pass, jobs appended
+// into req.Jobs[:0]; any other body returns ErrNotCanonical for encoding/json
+// to decode. Canonical here means the exact-case wire names at most once
+// each; plain numbers, integral and in range for max_procs, procs and the
+// int64 seed; true/false; strings of printable ASCII other than '"' and '\'
+// (whose bytes are their value); and the jobs array of job objects.
+func DecodeSimulate(body []byte, req *SimulateRequest) error {
+	jobs := req.Jobs[:0]
+	*req = SimulateRequest{}
+	s := scanner{b: body}
+	if s.skip() != '{' {
+		return ErrNotCanonical
+	}
+	s.i++
+	const (
+		kPolicy = 1 << iota
+		kBackfill
+		kConservative
+		kMaxProcs
+		kInspector
+		kSeed
+		kJobs
+	)
+	seen := 0
+	for first := true; ; first = false {
+		key, more := s.member(first)
+		if !more {
+			break
+		}
+		bit, ok := 0, false
+		switch string(key) {
+		case "policy":
+			bit = kPolicy
+			req.Policy, ok = s.string()
+		case "backfill":
+			bit = kBackfill
+			req.Backfill, ok = s.bool()
+		case "conservative":
+			bit = kConservative
+			req.Conservative, ok = s.bool()
+		case "max_procs":
+			bit = kMaxProcs
+			req.MaxProcs, ok = s.int()
+		case "inspector":
+			bit = kInspector
+			req.Inspector, ok = s.string()
+		case "seed":
+			bit = kSeed
+			req.Seed, ok = s.int64()
+		case "jobs":
+			bit = kJobs
+			jobs, ok = s.jobs(jobs)
+		}
+		if !ok || seen&bit != 0 {
+			return ErrNotCanonical
+		}
+		seen |= bit
+	}
+	if !s.end() {
+		return ErrNotCanonical
+	}
+	if seen&kJobs != 0 {
+		if jobs == nil {
+			jobs = []SimJob{} // encoding/json's empty array is non-nil
+		}
+		req.Jobs = jobs
+	}
+	return nil
+}
+
+// scanner is a cursor over a request body. Its methods consume one
 // grammar element each and report failure without saying why: every failure
 // means "not canonical".
-type inspectScanner struct {
+type scanner struct {
 	b   []byte
 	i   int
-	bad bool // member found malformed object syntax
+	bad bool // member or elem found malformed syntax
 }
 
 // skip advances past JSON whitespace and returns the byte it stops at, 0 at
 // the end of the body (a literal NUL is never valid where skip is used). It
 // mostly stops where it starts, on a token, which the first compare settles.
-func (s *inspectScanner) skip() byte {
+func (s *scanner) skip() byte {
 	for s.i < len(s.b) {
 		c := s.b[s.i]
 		if c > ' ' || c != ' ' && c != '\n' && c != '\t' && c != '\r' {
@@ -122,7 +193,7 @@ func (s *inspectScanner) skip() byte {
 // on the value's first byte. more is false at the closing '}' — or at
 // malformed syntax, which also sets s.bad. The key is returned raw: a key
 // with an escape in it never equals a wire name, which is the intent.
-func (s *inspectScanner) member(first bool) (key []byte, more bool) {
+func (s *scanner) member(first bool) (key []byte, more bool) {
 	c := s.skip()
 	if c == '}' {
 		s.i++
@@ -157,7 +228,7 @@ func (s *inspectScanner) member(first bool) (key []byte, more bool) {
 
 // job decodes the {wait, est, procs} object shared by the inspected job and
 // every queue item.
-func (s *inspectScanner) job(wait, est *float64, procs *int) bool {
+func (s *scanner) job(wait, est *float64, procs *int) bool {
 	if s.skip() != '{' {
 		return false
 	}
@@ -192,35 +263,124 @@ func (s *inspectScanner) job(wait, est *float64, procs *int) bool {
 	}
 }
 
+// simJob decodes one {submit, run, est, procs} object of a simulate body.
+func (s *scanner) simJob(j *SimJob) bool {
+	if s.skip() != '{' {
+		return false
+	}
+	s.i++
+	const (
+		kSubmit = 1 << iota
+		kRun
+		kEst
+		kProcs
+	)
+	seen := 0
+	for first := true; ; first = false {
+		key, more := s.member(first)
+		if !more {
+			return !s.bad
+		}
+		bit, ok := 0, false
+		switch string(key) {
+		case "submit":
+			bit = kSubmit
+			j.Submit, ok = s.float()
+		case "run":
+			bit = kRun
+			j.Run, ok = s.float()
+		case "est":
+			bit = kEst
+			j.Est, ok = s.float()
+		case "procs":
+			bit = kProcs
+			j.Procs, ok = s.int()
+		}
+		if !ok || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+	}
+}
+
+// elem advances to the next element of the array the cursor is inside: past
+// the ',' unless first, leaving the cursor on the element. more is false at
+// the closing ']' — or at malformed syntax, which also sets s.bad.
+func (s *scanner) elem(first bool) (more bool) {
+	c := s.skip()
+	if c == ']' {
+		s.i++
+		return false
+	}
+	if !first {
+		if c != ',' {
+			s.bad = true
+			return false
+		}
+		s.i++
+	}
+	return true
+}
+
 // queue decodes the array of queue items, appending to dst.
-func (s *inspectScanner) queue(dst []sim.QueueItem) ([]sim.QueueItem, bool) {
+func (s *scanner) queue(dst []sim.QueueItem) ([]sim.QueueItem, bool) {
 	if s.skip() != '[' {
 		return dst, false
 	}
 	s.i++
-	if s.skip() == ']' {
-		s.i++
-		return dst, true
-	}
-	for {
+	for first := true; s.elem(first); first = false {
 		dst = append(dst, sim.QueueItem{})
 		it := &dst[len(dst)-1]
 		if !s.job(&it.Wait, &it.Est, &it.Procs) {
 			return dst, false
 		}
-		switch s.skip() {
-		case ',':
-			s.i++
-		case ']':
-			s.i++
-			return dst, true
-		default:
+	}
+	return dst, !s.bad
+}
+
+// jobs decodes the array of simulate jobs, appending to dst.
+func (s *scanner) jobs(dst []SimJob) ([]SimJob, bool) {
+	if s.skip() != '[' {
+		return dst, false
+	}
+	s.i++
+	for first := true; s.elem(first); first = false {
+		dst = append(dst, SimJob{})
+		if !s.simJob(&dst[len(dst)-1]) {
 			return dst, false
 		}
 	}
+	return dst, !s.bad
 }
 
-func (s *inspectScanner) bool() (v, ok bool) {
+// end reports whether the top-level object closed cleanly and only
+// whitespace follows it.
+func (s *scanner) end() bool {
+	return !s.bad && s.skip() == 0 && s.i == len(s.b)
+}
+
+// string decodes a string of printable ASCII other than '"' and '\', whose
+// bytes are the value encoding/json decodes. An escape, a control byte or a
+// non-ASCII byte is not canonical.
+func (s *scanner) string() (string, bool) {
+	b := s.b
+	if s.i >= len(b) || b[s.i] != '"' {
+		return "", false
+	}
+	for i := s.i + 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			v := string(b[s.i+1 : i])
+			s.i = i + 1
+			return v, true
+		case c < ' ' || c > '~' || c == '\\':
+			return "", false
+		}
+	}
+	return "", false
+}
+
+func (s *scanner) bool() (v, ok bool) {
 	rest := s.b[s.i:]
 	switch {
 	case len(rest) >= 4 && string(rest[:4]) == "true":
@@ -241,7 +401,7 @@ func (s *inspectScanner) bool() (v, ok bool) {
 // wrapped and is unused) and k the number of fraction digits. Whatever
 // follows the token is the caller's next grammar element, so "01" or "1x"
 // fail there.
-func (s *inspectScanner) number() (tok []byte, w uint64, k int, neg, plain, ok bool) {
+func (s *scanner) number() (tok []byte, w uint64, k int, neg, plain, ok bool) {
 	b, i := s.b, s.i
 	if i < len(b) && b[i] == '-' {
 		neg = true
@@ -297,19 +457,24 @@ func (s *inspectScanner) number() (tok []byte, w uint64, k int, neg, plain, ok b
 	return tok, w, k, neg, plain, true
 }
 
-// int decodes an int field: integral tokens of at most 18 digits only (they
-// always fit an int64), as encoding/json's ParseInt would have it. "1.0",
-// "1e2" and 19-digit tokens are not canonical.
-func (s *inspectScanner) int() (int, bool) {
+// int64 decodes an int64 field: integral tokens in int64's range only, as
+// encoding/json's ParseInt would have it. "1.0", "1e2" and tokens past the
+// range are not canonical.
+func (s *scanner) int64() (int64, bool) {
 	_, w, k, neg, plain, ok := s.number()
-	if !ok || !plain || k != 0 || w >= 1e18 {
+	switch {
+	case !ok || !plain || k != 0:
 		return 0, false
+	case neg:
+		return -int64(w), w <= 1<<63 // -int64(1<<63) wraps to MinInt64 itself
 	}
-	n := int64(w)
-	if neg {
-		n = -n
-	}
-	return int(n), int64(int(n)) == n // false where int is 32 bits and n overflows it
+	return int64(w), w <= math.MaxInt64
+}
+
+// int decodes an int field: int64's tokens that also fit an int.
+func (s *scanner) int() (int, bool) {
+	n, ok := s.int64()
+	return int(n), ok && int64(int(n)) == n // false where int is 32 bits and n overflows it
 }
 
 // pow10 and pow5 are the exact divisors of float: 1e22 is the largest power
@@ -334,7 +499,7 @@ var (
 // divPow10 rounds the integer quotient. The sign is applied last, so "-0.0"
 // stays negative zero. Every other token is ParseFloat's; one that is out of
 // range is its error and not canonical.
-func (s *inspectScanner) float() (float64, bool) {
+func (s *scanner) float() (float64, bool) {
 	tok, w, k, neg, plain, ok := s.number()
 	if !ok {
 		return 0, false

@@ -17,10 +17,12 @@ import (
 	"schedinspector/internal/workload"
 )
 
-// The differential oracle of the /v1/inspect codec. The wire contract is
-// encoding/json's: DecodeInspect may only ever agree with it or step aside,
-// and the route as a whole must answer every body — status, error text,
-// response bytes — the way the encoding/json-only route did.
+// The differential oracle of the single-pass codecs. The wire contract is
+// encoding/json's: DecodeInspect and DecodeSimulate may only ever agree with
+// it or step aside, and each route as a whole must answer every body —
+// status, error text, response bytes — the way the encoding/json-only route
+// did. This file holds the /v1/inspect half and the shared route pair;
+// simulate_decode_test.go holds the /v1/simulate half.
 
 // benchShapedBody is a body the way a Go client marshals one (and the
 // repository's benchmark does): compact, fields in struct order, fractional
@@ -65,6 +67,8 @@ var decodeCases = []struct {
 	{"fractions and exponents", `{"job":{"wait":1.5e2,"est":3.6E+3,"procs":16},"free_procs":32,"total_procs":128,"queue":[{"wait":0.000001,"est":1e-7,"procs":1},{"wait":123456789012345,"est":1234567890123456,"procs":2}]}`, true},
 	{"tiny exponent underflows to zero", `{"job":{"wait":1e-999,"est":1,"procs":1},"total_procs":1}`, true},
 	{"18-digit int", `{"job":{"wait":1,"est":1,"procs":123456789012345678},"total_procs":-123456789012345678}`, true},
+	{"19-digit integer", `{"job":{"wait":120,"est":3600,"procs":16},"free_procs":32,"total_procs":1234567890123456789}`, true},
+	{"int64 extremes", `{"job":{"wait":1,"est":1,"procs":9223372036854775807},"total_procs":-9223372036854775808}`, true},
 	{"long float token", `{"job":{"wait":0.1234567890123456789012345678901234567890,"est":1,"procs":1},"total_procs":1}`, true},
 
 	{"duplicate queue", `{"job":{"wait":1,"est":2,"procs":3},"total_procs":4,"queue":[{"wait":1,"est":1,"procs":1},{"wait":2,"est":2,"procs":2}],"queue":[{"wait":9}]}`, false},
@@ -81,7 +85,8 @@ var decodeCases = []struct {
 	{"float for int field", `{"job":{"wait":120,"est":3600,"procs":1.0},"free_procs":32,"total_procs":128}`, false},
 	{"exponent for int field", `{"job":{"wait":120,"est":3600,"procs":1e2},"free_procs":32,"total_procs":128}`, false},
 	{"out of range float", `{"job":{"wait":1e999,"est":3600,"procs":16},"free_procs":32,"total_procs":128}`, false},
-	{"19-digit integer", `{"job":{"wait":120,"est":3600,"procs":16},"free_procs":32,"total_procs":1234567890123456789}`, false},
+	{"past MaxInt64", `{"job":{"wait":120,"est":3600,"procs":16},"free_procs":32,"total_procs":9223372036854775808}`, false},
+	{"past MinInt64", `{"job":{"wait":120,"est":3600,"procs":16},"free_procs":32,"total_procs":-9223372036854775809}`, false},
 	{"20-digit integer", `{"job":{"wait":120,"est":3600,"procs":16},"free_procs":32,"total_procs":12345678901234567890}`, false},
 	{"string number", `{"job":{"wait":"120","est":3600,"procs":16},"free_procs":32,"total_procs":128}`, false},
 	{"string bool", `{"job":{"wait":120,"est":3600,"procs":16},"total_procs":128,"backfill_enabled":"true"}`, false},
@@ -110,7 +115,7 @@ var decodeCases = []struct {
 	{"byte order mark", "\xef\xbb\xbf{}", false},
 }
 
-func decodeStd(body []byte) (InspectRequest, error) {
+func stdInspect(body []byte) (InspectRequest, error) {
 	var req InspectRequest
 	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
 	return req, err
@@ -152,7 +157,7 @@ func dirtyRequest() *InspectRequest {
 // a fresh request and into a used one, and reports whether it took the body.
 func checkDecode(t *testing.T, body []byte) (canonical bool) {
 	t.Helper()
-	want, wantErr := decodeStd(body)
+	want, wantErr := stdInspect(body)
 	for _, got := range []*InspectRequest{{}, dirtyRequest()} {
 		switch err := DecodeInspect(body, got); {
 		case err == nil:
@@ -204,13 +209,31 @@ func parentInspect(h *Handler) http.Handler {
 	})
 }
 
-// routePair is the live route and the reference route over two handlers
+// parentSimulate is the /v1/simulate route as it was when encoding/json was
+// its only codec: the decoder streaming from the connection, then the same
+// simulation as the live route.
+func parentSimulate(h *Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST required", http.StatusMethodNotAllowed)
+			return
+		}
+		var req SimulateRequest
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSimulateBody)).Decode(&req); err != nil {
+			bodyError(w, err)
+			return
+		}
+		h.runSimulate(w, &req)
+	})
+}
+
+// routePair is the live routes and the reference routes over two handlers
 // that serve the same model with the same sampling stream: fed the same
 // bodies in the same order they must answer identically, sampled verdicts
 // included, and write identical audit lines.
 type routePair struct {
 	live, ref           *Handler
-	refRoute            http.Handler
+	refRoutes           map[string]http.Handler // by path
 	liveAudit, refAudit bytes.Buffer
 }
 
@@ -219,7 +242,10 @@ func newRoutePair(tb testing.TB) *routePair {
 		live: NewHandler(equivInspector(11, core.ManualFeatures)),
 		ref:  NewHandler(equivInspector(11, core.ManualFeatures)),
 	}
-	rp.refRoute = parentInspect(rp.ref)
+	rp.refRoutes = map[string]http.Handler{
+		"/v1/inspect":  parentInspect(rp.ref),
+		"/v1/simulate": parentSimulate(rp.ref),
+	}
 	rp.live.SetAuditSink(&rp.liveAudit)
 	rp.ref.SetAuditSink(&rp.refAudit)
 	tb.Cleanup(rp.live.Close)
@@ -238,20 +264,25 @@ func auditRequest(line []byte) string {
 	return s[i:j]
 }
 
-// check posts body to both routes and requires the same status, the same
-// response bytes, the same audit line, and the fallback counter to move
-// exactly when DecodeInspect stepped aside.
-func (rp *routePair) check(t *testing.T, body []byte, canonical bool) {
+// check posts body to both handlers' route at path and requires the same
+// status, the same response bytes, the same audit line, and the route's
+// fallback counter to move exactly when its single-pass decoder stepped
+// aside.
+func (rp *routePair) check(t *testing.T, path string, body []byte, canonical bool) {
 	t.Helper()
 	post := func(h http.Handler) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/inspect", bytes.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		return rec
+	}
+	fallbacks := rp.live.fallbacks
+	if path == "/v1/simulate" {
+		fallbacks = rp.live.simFallbacks
 	}
 	rp.liveAudit.Reset()
 	rp.refAudit.Reset()
-	before := rp.live.fallbacks.Value()
-	got, want := post(rp.live), post(rp.refRoute)
+	before := fallbacks.Value()
+	got, want := post(rp.live), post(rp.refRoutes[path])
 	if got.Code != want.Code || got.Body.String() != want.Body.String() {
 		t.Fatalf("body %q:\nroute answered %d %q\nencoding/json route %d %q", body, got.Code, got.Body, want.Code, want.Body)
 	}
@@ -261,7 +292,7 @@ func (rp *routePair) check(t *testing.T, body []byte, canonical bool) {
 	if g, w := auditRequest(rp.liveAudit.Bytes()), auditRequest(rp.refAudit.Bytes()); g != w {
 		t.Fatalf("body %q:\naudited   %s\nreference %s", body, g, w)
 	}
-	fell := rp.live.fallbacks.Value() - before
+	fell := fallbacks.Value() - before
 	if canonical && fell != 0 || !canonical && fell != 1 {
 		t.Fatalf("body %q: canonical=%v but the fallback counter moved by %v", body, canonical, fell)
 	}
@@ -277,7 +308,7 @@ func TestDecodeInspectTable(t *testing.T) {
 			if got := checkDecode(t, []byte(c.body)); got != c.canonical {
 				t.Fatalf("DecodeInspect took the body: %v, want %v", got, c.canonical)
 			}
-			rp.check(t, []byte(c.body), c.canonical)
+			rp.check(t, "/v1/inspect", []byte(c.body), c.canonical)
 		})
 	}
 }
@@ -291,7 +322,7 @@ func TestDecodeInspectTruncationSweep(t *testing.T) {
 	// appended makes every prefix past the first value a body with trailing bytes.
 	spaced := []byte(" \t\r\n{ \"job\" : { \"wait\" : 1.5e2 , \"est\" : 3600 , \"procs\" : 16 } ,\n\"free_procs\" : 32 , \"total_procs\" : 128 , \"backfill_enabled\" : false ,\r\n\"queue\" : [ { \"wait\" : -0.5 , \"est\" : 600 , \"procs\" : 4 } , { } ] } \n\t")
 	for _, body := range [][]byte{append(spaced, benchShapedBody(4, 3)...), benchShapedBody(5, 3)} {
-		mutants.Each(body, func(m []byte) { rp.check(t, m, checkDecode(t, m)) })
+		mutants.Each(body, func(m []byte) { rp.check(t, "/v1/inspect", m, checkDecode(t, m)) })
 	}
 }
 
@@ -301,19 +332,25 @@ func TestDecodeInspectTruncationSweep(t *testing.T) {
 // answers and an incomplete one reports the read error.
 func TestDecodeInspectShortRead(t *testing.T) {
 	rp := newRoutePair(t)
-	whole := benchShapedBody(6, 2)
+	rp.checkShortReads(t, "/v1/inspect", benchShapedBody(6, 2))
+}
+
+// checkShortReads posts whole and its first half, each read ending in an
+// error, to both routes at path and requires the same answers.
+func (rp *routePair) checkShortReads(t *testing.T, path string, whole []byte) {
+	t.Helper()
 	for _, body := range [][]byte{whole, whole[:len(whole)/2]} {
 		post := func(h http.Handler) *httptest.ResponseRecorder {
-			r := httptest.NewRequest(http.MethodPost, "/v1/inspect",
+			r := httptest.NewRequest(http.MethodPost, path,
 				io.MultiReader(bytes.NewReader(body), errReader{io.ErrUnexpectedEOF}))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, r)
 			return rec
 		}
-		got, want := post(rp.live), post(rp.refRoute)
+		got, want := post(rp.live), post(rp.refRoutes[path])
 		if got.Code != want.Code || got.Body.String() != want.Body.String() {
-			t.Fatalf("short read after %d bytes:\nroute answered %d %q\nencoding/json route %d %q",
-				len(body), got.Code, got.Body, want.Code, want.Body)
+			t.Fatalf("%s short read after %d bytes:\nroute answered %d %q\nencoding/json route %d %q",
+				path, len(body), got.Code, got.Body, want.Code, want.Body)
 		}
 	}
 }
@@ -328,7 +365,7 @@ func FuzzDecodeInspect(f *testing.F) {
 	}
 	rp := newRoutePair(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		rp.check(t, body, checkDecode(t, body))
+		rp.check(t, "/v1/inspect", body, checkDecode(t, body))
 	})
 }
 
@@ -348,7 +385,7 @@ func TestDecodeInspectReusesQueue(t *testing.T) {
 	if len(req.Queue) != 3 || &req.Queue[0] != first {
 		t.Fatalf("queue len %d, backing array reused: %v", len(req.Queue), &req.Queue[0] == first)
 	}
-	want, _ := decodeStd(shallow)
+	want, _ := stdInspect(shallow)
 	if d := diffRequests(&req, &want); d != "" {
 		t.Fatal(d)
 	}

@@ -92,29 +92,21 @@ func TestRequestCountersExactUnderConcurrency(t *testing.T) {
 }
 
 // TestBodyBounds: a body at the route's bound is served, one byte past it is
-// refused with 413. /v1/inspect reads its whole body, so whitespace after
-// the value counts; /v1/simulate streams, so the padding sits inside the
-// value (a string under a key it ignores) where the decoder must read it.
+// refused with 413. Both routes read the whole body, so whitespace after the
+// value counts toward the bound.
 func TestBodyBounds(t *testing.T) {
 	h := testHandler(t)
 	defer h.Close()
-	marshal := func(v any) []byte {
-		body, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
+	padded := func(v any) func(size int) []byte {
+		return func(size int) []byte {
+			body, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append(body, bytes.Repeat([]byte{' '}, size-len(body))...)
 		}
-		return body
 	}
-	inspect := func(size int) []byte {
-		body := marshal(validRequest())
-		return append(body, bytes.Repeat([]byte{' '}, size-len(body))...)
-	}
-	simulate := func(size int) []byte {
-		rest := marshal(validSimRequest())[1:]
-		head := []byte(`{"pad":"`)
-		tail := append([]byte(`",`), rest...)
-		return append(append(head, bytes.Repeat([]byte{'a'}, size-len(head)-len(tail))...), tail...)
-	}
+	inspect, simulate := padded(validRequest()), padded(validSimRequest())
 	for _, c := range []struct {
 		path  string
 		body  func(size int) []byte
@@ -145,7 +137,9 @@ func TestBodyBounds(t *testing.T) {
 			t.Errorf("%s 413 counter %v", route, v)
 		}
 	}
-	if v := metricValue(t, page, "schedinspector_inspect_decode_fallback_total", ""); v != 0 {
-		t.Errorf("a refused body counted as %v encoding/json decodes", v)
+	for _, name := range []string{"schedinspector_inspect_decode_fallback_total", "schedinspector_simulate_decode_fallback_total"} {
+		if v := metricValue(t, page, name, ""); v != 0 {
+			t.Errorf("%s: a refused body counted as %v encoding/json decodes", name, v)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// checkFloatToken holds inspectScanner.float to encoding/json on the bytes
+// checkFloatToken holds scanner.float to encoding/json on the bytes
 // b: where json reads a number token at b[0] that strconv.ParseFloat takes,
 // float consumes exactly that token and returns ParseFloat's bits; anywhere
 // else it steps aside. It returns float's result.
@@ -27,7 +27,7 @@ func checkFloatToken(t *testing.T, b []byte) (float64, bool) {
 	if err == nil {
 		want, err = strconv.ParseFloat(string(tok), 64)
 	}
-	s := inspectScanner{b: b}
+	s := scanner{b: b}
 	got, ok := s.float()
 	switch {
 	case ok != (err == nil):
@@ -150,7 +150,7 @@ func TestFloatTokenExact(t *testing.T) {
 
 	t.Run("edges", func(t *testing.T) {
 		for _, c := range floatEdges {
-			s := inspectScanner{b: []byte(c.tok)}
+			s := scanner{b: []byte(c.tok)}
 			_, _, k, _, plain, _ := s.number()
 			if inline := plain && k < len(pow10); inline != c.inline {
 				t.Errorf("%q: converted in line: %v, want %v", c.tok, inline, c.inline)

@@ -128,7 +128,8 @@ type Handler struct {
 	reg           *obs.Registry
 	reqMu         sync.Mutex
 	reqCounts     map[string]*obs.Counter // "route code" -> requests_total series
-	fallbacks     *obs.Counter
+	fallbacks     *obs.Counter            // /v1/inspect bodies encoding/json decoded
+	simFallbacks  *obs.Counter            // /v1/simulate bodies encoding/json decoded
 	accepts       *obs.Counter
 	rejects       *obs.Counter
 	probHist      *obs.Histogram
@@ -223,6 +224,8 @@ func NewHandler(insp *core.Inspector) *Handler {
 		"Decision audit log encode/write failures (the decision still serves).", nil)
 	h.fallbacks = h.reg.Counter("schedinspector_inspect_decode_fallback_total",
 		"/v1/inspect bodies decoded by encoding/json because they were not in the canonical form the single-pass decoder takes.", nil)
+	h.simFallbacks = h.reg.Counter("schedinspector_simulate_decode_fallback_total",
+		"/v1/simulate bodies decoded by encoding/json because they were not in the canonical form the single-pass decoder takes.", nil)
 	h.mux.HandleFunc("/v1/inspect", h.instrument("/v1/inspect", h.inspect))
 	h.mux.HandleFunc("/v1/simulate", h.instrument("/v1/simulate", h.simulate))
 	h.mux.HandleFunc("/v1/info", h.instrument("/v1/info", h.info))
@@ -397,19 +400,47 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-// decodeInspectStd decodes an inspect body with encoding/json, the decoder
-// that defines the route's wire contract. readErr is the error that ended
+// decodeStd decodes a request body into v with encoding/json, the decoder
+// that defines every route's wire contract. readErr is the error that ended
 // the body read, if any: the decoder sees the bytes that arrived followed by
 // that error, exactly what it saw when it read the connection itself.
-func decodeInspectStd(body []byte, readErr error, req *InspectRequest) error {
-	// A fresh struct: encoding/json leaves fields the body does not mention
-	// (and stale queue items within capacity) as it found them.
-	*req = InspectRequest{}
+func decodeStd[T any](body []byte, readErr error, v *T) error {
+	// A fresh value: encoding/json leaves fields the body does not mention
+	// (and stale slice items within capacity) as it found them.
+	*v = *new(T)
 	var rd io.Reader = bytes.NewReader(body)
 	if readErr != nil {
 		rd = io.MultiReader(rd, errReader{readErr})
 	}
-	return json.NewDecoder(rd).Decode(req)
+	return json.NewDecoder(rd).Decode(v)
+}
+
+// readBody reads the request body, up to limit bytes, into p.body and
+// decodes it into v: with fast, the route's single-pass decoder, when the
+// body is canonical, and otherwise with encoding/json, counted in fallbacks.
+// It answers a body it cannot decode (400, or 413 past limit) itself and
+// then returns false.
+func readBody[T any](w http.ResponseWriter, r *http.Request, p *requestScratch, limit int64,
+	v *T, fast func([]byte, *T) error, fallbacks *obs.Counter) bool {
+	p.body.Reset()
+	_, readErr := p.body.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	err := readErr
+	if err == nil {
+		err = fast(p.body.Bytes(), v)
+	}
+	if err != nil {
+		// Not the canonical shape, or a read that ended in an error:
+		// encoding/json decides what the body means, as it always has.
+		if !tooLarge(readErr) {
+			fallbacks.Inc()
+			err = decodeStd(p.body.Bytes(), readErr, v)
+		}
+		if err != nil {
+			bodyError(w, err)
+			return false
+		}
+	}
+	return true
 }
 
 func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
@@ -417,32 +448,13 @@ func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	p := h.pool.Get().(*requestScratch)
-	defer func() {
-		if p.poolable() {
-			h.pool.Put(p)
-		}
-	}()
+	p := h.getScratch()
+	defer h.putScratch(p)
 
-	p.body.Reset()
-	_, readErr := p.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxInspectBody))
 	req := &p.decoded
 	req.Queue = p.queue
-	err := readErr
-	if err == nil {
-		err = DecodeInspect(p.body.Bytes(), req)
-	}
-	if err != nil {
-		// Not the canonical shape, or a read that ended in an error:
-		// encoding/json decides what the body means, as it always has.
-		if !tooLarge(readErr) {
-			h.fallbacks.Inc()
-			err = decodeInspectStd(p.body.Bytes(), readErr, req)
-		}
-		if err != nil {
-			bodyError(w, err)
-			return
-		}
+	if !readBody(w, r, p, maxInspectBody, req, DecodeInspect, h.fallbacks) {
+		return
 	}
 	if req.Queue != nil {
 		p.queue = req.Queue[:0]
@@ -488,11 +500,15 @@ func (h *Handler) simulate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	var req SimulateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSimulateBody)).Decode(&req); err != nil {
-		bodyError(w, err)
-		return
+	p := h.getScratch()
+	defer h.putScratch(p)
+	if readBody(w, r, p, maxSimulateBody, &p.sim, DecodeSimulate, h.simFallbacks) {
+		h.runSimulate(w, &p.sim)
 	}
+}
+
+// runSimulate answers a decoded simulate request.
+func (h *Handler) runSimulate(w http.ResponseWriter, req *SimulateRequest) {
 	if req.MaxProcs <= 0 {
 		http.Error(w, "max_procs must be positive", http.StatusBadRequest)
 		return
@@ -566,7 +582,7 @@ func (h *Handler) simulate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sum := res.Summary(req.MaxProcs)
-	writeJSON(w, SimulateResponse{
+	resp := SimulateResponse{
 		Jobs:        sum.Jobs,
 		Inspections: res.Inspections,
 		Rejections:  res.Rejections,
@@ -577,7 +593,30 @@ func (h *Handler) simulate(w http.ResponseWriter, r *http.Request) {
 		MaxBSLD:     sum.MaxBSLD,
 		Util:        sum.Util,
 		Makespan:    sum.Makespan,
-	})
+	}
+	if msg := resp.overflow(); msg != "" {
+		http.Error(w, msg, http.StatusBadRequest)
+		return
+	}
+	writeJSON(w, resp)
+}
+
+// overflow names the first field of resp that has no JSON form, NaN or ±Inf:
+// the schedule's times overflowed float64. It is "" for a response that
+// encodes.
+func (resp *SimulateResponse) overflow() string {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"idle_delay", resp.IdleDelay}, {"avg_bsld", resp.AvgBSLD}, {"avg_wait", resp.AvgWait},
+		{"max_bsld", resp.MaxBSLD}, {"util", resp.Util}, {"makespan", resp.Makespan},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Sprintf("simulated schedule overflows float64: %s is %v", f.name, f.v)
+		}
+	}
+	return ""
 }
 
 func (h *Handler) info(w http.ResponseWriter, r *http.Request) {
