@@ -115,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrainerCheckpoint$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFTrace$$' -fuzztime $(FUZZTIME) ./internal/explain/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSONL$$' -fuzztime $(FUZZTIME) ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzRingJSONL$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProm$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInspect$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSimulate$$' -fuzztime $(FUZZTIME) ./internal/serve/

@@ -128,15 +128,23 @@ func TestConvertFTraceMutants(t *testing.T) {
 	mutants.Each(golden[segStart:], func(m []byte) { checkConvertMatchesReference(t, sealFTrace(m)) })
 }
 
-// decisionImage is a serving ring's snapshot after n manual-mode decisions
-// with seeded values: the /v1/trace/snapshot input.
-func decisionImage(n int) []byte {
-	rng := rand.New(rand.NewSource(int64(n)))
+// decisionRing is a serving ring after n manual-mode decisions with seeded
+// values; its snapshot is the /v1/trace/snapshot input.
+func decisionRing(n int) *obs.TraceRing {
 	ring := obs.NewTraceRing(n+1, 0)
 	names := core.ManualFeatures.FeatureNames()
 	ring.SetMeta(names, core.ManualFeatures.String(), 72)
-	feat := make([]float64, len(names))
-	for i := 0; i < n; i++ {
+	emitDecisions(ring, rand.New(rand.NewSource(int64(n))), 0, n)
+	return ring
+}
+
+func decisionImage(n int) []byte { return decisionRing(n).Snapshot() }
+
+// emitDecisions emits n manual-mode decisions with seeded values, sequence
+// numbers from seq.
+func emitDecisions(ring *obs.TraceRing, rng *rand.Rand, seq, n int) {
+	feat := make([]float64, len(core.ManualFeatures.FeatureNames()))
+	for i := seq; i < seq+n; i++ {
 		for j := range feat {
 			feat[j] = rng.Float64()
 		}
@@ -151,11 +159,11 @@ func decisionImage(n int) []byte {
 			Features: feat, Logits: []float64{0, logit}, Probs: []float64{1 - p, p},
 			Action: i & 1, Sampled: true, Rejected: i&1 == 1})
 	}
-	return ring.Snapshot()
 }
 
 // BenchmarkConvertFTrace converts a 4 096-decision serving snapshot to
-// JSONL: the work behind GET /v1/trace/snapshot and explain -convert.
+// JSONL: the work behind explain -convert, and the baseline of the
+// BenchmarkAppendJSONL pair below.
 func BenchmarkConvertFTrace(b *testing.B) {
 	img := decisionImage(4096)
 	b.SetBytes(int64(len(img)))
@@ -166,6 +174,38 @@ func BenchmarkConvertFTrace(b *testing.B) {
 		}
 	}
 }
+
+// benchAppendJSONL times TraceRing.AppendJSONL on a full 4 096-decision
+// ring after fresh new decisions per call (untimed emits), the body
+// rendered into one reused buffer as /v1/trace/snapshot does.
+func benchAppendJSONL(b *testing.B, fresh int) {
+	ring := decisionRing(4096)
+	rng := rand.New(rand.NewSource(1))
+	buf, err := ring.AppendJSONL(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		emitDecisions(ring, rng, 4096+i*fresh, fresh)
+		b.StartTimer()
+		if buf, err = ring.AppendJSONL(buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendJSONLCold: more than a ring's worth arrived since the last
+// call, so every live record renders (ConvertFTrace's work, one copy
+// cheaper).
+func BenchmarkAppendJSONLCold(b *testing.B) { benchAppendJSONL(b, 4097) }
+
+// BenchmarkAppendJSONLWarm376: the 376 decisions serve-mixed lands between
+// two JSONL snapshots render; the rest of the window is copied.
+func BenchmarkAppendJSONLWarm376(b *testing.B) { benchAppendJSONL(b, 376) }
 
 // TestConvertFTraceAllocs pins that a conversion's allocations do not grow
 // with its decision count: every decision decodes into one record and

@@ -150,10 +150,12 @@ func ReadFTrace(r io.Reader) (*Trace, error) {
 }
 
 // ConvertFTrace streams a binary .ftrace trace to w as flight-trace JSONL —
-// record order preserved, one {"kind":...} object per line. Lines decoded
-// before a corruption are written before the error returns. Every decision
-// decodes into one reused record and renders into one reused line, so the
-// allocations of a conversion do not grow with its decision count.
+// record order preserved, one {"kind":...} object per line, each rendered
+// by obs.AppendFTraceRecordJSONL (which TraceRing.AppendJSONL renders a live
+// ring with). Lines decoded before a corruption are written before the
+// error returns. Every decision decodes into one reused record and renders
+// into one reused line, so the allocations of a conversion do not grow with
+// its decision count.
 func ConvertFTrace(r io.Reader, w io.Writer) error {
 	walker, err := newFTraceWalker(r)
 	if err != nil {
@@ -172,29 +174,8 @@ func ConvertFTrace(r io.Reader, w io.Writer) error {
 			return err
 		}
 		err = walkRecords(walker.segNo-1, seg, func(kind byte, body []byte) error {
-			line = line[:0]
 			var err error
-			switch kind {
-			case obs.FTraceKindHeader:
-				var h obs.ExplainHeader
-				if h, err = obs.DecodeFTraceHeader(body); err == nil {
-					line, err = obs.AppendExplainHeaderJSONL(line, h)
-				}
-			case obs.FTraceKindSpan:
-				var s obs.Span
-				if s, err = obs.DecodeFTraceSpan(body); err == nil {
-					line, err = obs.AppendSpanJSONL(line, &s)
-				}
-			case obs.FTraceKindDecision:
-				if err = obs.DecodeFTraceDecisionInto(&dec, body); err == nil {
-					line, err = obs.AppendDecisionJSONL(line, &dec)
-				}
-			case obs.FTraceKindProc:
-				var p obs.ProcStats
-				if p, err = obs.DecodeFTraceProc(body); err == nil {
-					line, err = obs.AppendProcJSONL(line, p)
-				}
-			}
+			line, err = obs.AppendFTraceRecordJSONL(line[:0], kind, body, &dec)
 			if err != nil {
 				return err
 			}

@@ -19,13 +19,15 @@ import (
 // allocations under one short mutex hold — cheap enough to leave on for
 // every production decision.
 //
-// The ring is the in-memory truth; three cold paths read it out. SetSink
+// The ring is the in-memory truth; four cold paths read it out. SetSink
 // streams every subsequent record into CRC-checked segments of a .ftrace
 // file, AppendSnapshot copies the live ring into a self-contained .ftrace
-// byte image (the /v1/trace/snapshot payload), and LastDecisions decodes the
-// newest decision records (the /v1/explain/last payload). The flight-trace
-// JSONL is decoder output only: internal/explain renders it from either
-// byte form.
+// byte image (the ?format=ftrace snapshot), AppendJSONL renders the live
+// ring as flight-trace JSONL (the default /v1/trace/snapshot payload,
+// keeping each record's line while it stays live), and LastDecisions
+// decodes the newest decision records (the /v1/explain/last payload). The
+// flight-trace JSONL is decoder output only: internal/explain renders a
+// .ftrace file through the same per-record renderer.
 //
 // Slot size follows the records: the first record (or header) that does not
 // fit widens every slot to the next power of two that holds it and re-slots
@@ -68,6 +70,8 @@ type TraceRing struct {
 	sink    io.Writer
 	sinkErr error
 	seg     []byte // pending segment: 8-byte header space + framed records
+
+	jsonl jsonlCache // AppendJSONL's rendered window; its own lock, taken before mu
 
 	occupancy *Gauge
 	evicted   *Counter
@@ -178,8 +182,10 @@ func NewTraceRing(slots, slotSize int) *TraceRing {
 }
 
 // Instrument registers the ring's self-observability metrics on reg:
-// occupancy and capacity gauges, eviction / oversize / sink-error counters,
-// and the sink flush latency histogram.
+// occupancy, capacity and memory gauges, eviction / oversize / sink-error
+// counters, and the sink flush latency histogram. The memory gauge is the
+// arena plus the buffers of AppendJSONL's rendered window, read at scrape
+// time.
 func (r *TraceRing) Instrument(reg *Registry) {
 	if r == nil || reg == nil {
 		return
@@ -190,6 +196,9 @@ func (r *TraceRing) Instrument(reg *Registry) {
 		"Records currently held in the binary trace ring.", nil)
 	reg.Gauge("schedinspector_ftrace_ring_slots",
 		"Record capacity of the binary trace ring.", nil).Set(float64(len(r.lens)))
+	reg.GaugeFunc("schedinspector_ftrace_ring_bytes",
+		"Bytes the binary trace ring holds: its arena plus the rendered JSONL of the live window.", nil,
+		r.footprint)
 	r.evicted = reg.Counter("schedinspector_ftrace_ring_evicted_total",
 		"Records evicted from the binary trace ring by wraparound.", nil)
 	r.oversizeC = reg.Counter("schedinspector_ftrace_oversize_total",
@@ -200,6 +209,15 @@ func (r *TraceRing) Instrument(reg *Registry) {
 		"Latency of binary trace segment flushes to the sink.",
 		ExponentialBuckets(1e-5, 4, 8), nil)
 	r.occupancy.Set(float64(r.n))
+}
+
+// footprint returns the arena's bytes plus the JSONL cache's buffer
+// capacity.
+func (r *TraceRing) footprint() float64 {
+	r.mu.Lock()
+	arena := len(r.arena)
+	r.mu.Unlock()
+	return float64(int64(arena) + r.jsonl.bytes.Load())
 }
 
 // growLocked widens every slot to the next power of two holding a framed

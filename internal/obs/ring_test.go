@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // decodeImage parses a complete .ftrace byte image (file header plus any
@@ -239,6 +242,26 @@ func TestTraceRingSinkErrorMidTrace(t *testing.T) {
 	}
 	if !strings.Contains(prom.String(), "schedinspector_ftrace_ring_records 12") {
 		t.Fatalf("occupancy gauge missing from exposition:\n%s", prom.String())
+	}
+
+	// The memory gauge is the 64 x 512-byte arena until a JSONL snapshot
+	// renders the window; then it counts the cache's buffers too.
+	if !strings.Contains(prom.String(), "schedinspector_ftrace_ring_bytes 32768\n") {
+		t.Fatalf("memory gauge is not the arena before any JSONL call:\n%s", prom.String())
+	}
+	if _, err := r.AppendJSONL(nil); err != nil {
+		t.Fatal(err)
+	}
+	cache := r.jsonl.bytes.Load()
+	if cache < int64(len(r.jsonl.text)) || len(r.jsonl.text) == 0 {
+		t.Fatalf("cache counts %d bytes for %d bytes of JSONL text", cache, len(r.jsonl.text))
+	}
+	prom.Reset()
+	if err := reg.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("schedinspector_ftrace_ring_bytes %d\n", 32768+cache); !strings.Contains(prom.String(), want) {
+		t.Fatalf("memory gauge missing %q:\n%s", want, prom.String())
 	}
 }
 
@@ -514,5 +537,73 @@ func TestTraceRingConcurrent(t *testing.T) {
 	}
 	if r.Len() != 32 {
 		t.Fatalf("ring holds %d, want 32", r.Len())
+	}
+}
+
+// TestAppendJSONLRendersOnce pins the render-once contract: a call renders
+// exactly the records that arrived since the previous one, at most Cap()
+// when more than a ring's worth arrived, and a warm call on an unchanged
+// ring allocates nothing.
+func TestAppendJSONLRendersOnce(t *testing.T) {
+	r := NewTraceRing(64, 0)
+	r.SetMeta([]string{"a", "b", "c"}, "manual", 72)
+	emit := func(n int) {
+		for i := 0; i < n; i++ {
+			dec := testDecision(i)
+			r.EmitDecision(&dec)
+		}
+	}
+	var buf []byte
+	call := func(want uint64) {
+		t.Helper()
+		before := r.jsonl.renders
+		var err error
+		if buf, err = r.AppendJSONL(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.jsonl.renders - before; got != want {
+			t.Fatalf("call rendered %d records, want %d", got, want)
+		}
+	}
+	emit(10)
+	call(11) // the header and ten decisions
+	emit(7)
+	call(7)
+	call(0)
+	emit(r.Cap() + 5) // wraps: the window opens with the evicted header
+	call(uint64(r.Cap()))
+	emit(3)
+	call(3)
+	emit(r.Cap())
+	call(uint64(r.Cap()))
+	if lines := bytes.Count(buf, []byte{'\n'}); lines != r.Cap()+1 {
+		t.Fatalf("%d lines, want the evicted header and %d decisions", lines, r.Cap())
+	}
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if allocs := testing.AllocsPerRun(20, func() { buf, _ = r.AppendJSONL(buf[:0]) }); allocs != 0 {
+		t.Fatalf("a warm call on an unchanged ring allocates %.0f times", allocs)
+	}
+}
+
+// TestEmitDoesNotWaitForJSONL: AppendJSONL renders under the JSONL cache's
+// own lock, which no emit or other reader takes, so a render in progress
+// (here, the cache lock held) stalls no decision.
+func TestEmitDoesNotWaitForJSONL(t *testing.T) {
+	r := NewTraceRing(8, 0)
+	r.jsonl.mu.Lock()
+	defer r.jsonl.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		dec := testDecision(0)
+		r.EmitDecision(&dec)
+		r.AppendSnapshot(nil)
+		r.LastDecisions(1)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an emit or a snapshot waited for the JSONL cache lock")
 	}
 }

@@ -1,24 +1,25 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 
-	"schedinspector/internal/explain"
 	"schedinspector/internal/obs"
 )
 
 // GET /v1/trace/snapshot: dump the live binary flight-recorder ring. The
-// default response converts the ring server-side to the flight-recorder
-// JSONL (the format schedinspect explain reads); ?format=ftrace returns the
-// raw binary .ftrace image instead. Snapshot and conversion run off the
-// serving lock — the ring has its own mutex and the copy is taken in one
-// short hold — so a dump never stalls /v1/inspect.
+// default response is the ring rendered server-side as flight-recorder JSONL
+// (the format schedinspect explain reads); ?format=ftrace returns the raw
+// binary .ftrace image instead. Neither stalls /v1/inspect: the ring mutex
+// is held only to copy records out (AppendSnapshot copies the whole ring,
+// AppendJSONL only the records its rendered window has not seen), the
+// rendering runs under the JSONL cache's own lock, and the body is written
+// from a pooled buffer with no lock held.
 
 // readBufs holds the response buffers of the read routes (*[]byte): the
-// snapshot image and the /v1/explain/last body, reused across requests.
+// snapshot bodies and the /v1/explain/last body, reused across requests.
 var readBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // TraceRing exposes the handler's binary flight-recorder ring so callers
@@ -39,19 +40,22 @@ func (h *Handler) traceSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
-	*buf = h.ring.AppendSnapshot((*buf)[:0])
 	if !jsonl {
+		*buf = h.ring.AppendSnapshot((*buf)[:0])
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Disposition", `attachment; filename="trace.ftrace"`)
 		w.Write(*buf)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := explain.ConvertFTrace(bytes.NewReader(*buf), w); err != nil {
-		// Headers are out; all we can do is log the conversion failure
-		// into the response trailer position. A snapshot of a live ring
-		// should never fail to convert — it would indicate an encoder /
-		// decoder mismatch.
-		fmt.Fprintf(w, "# snapshot conversion error: %v\n", err)
+	var err error
+	if *buf, err = h.ring.AppendJSONL((*buf)[:0]); err != nil {
+		// The lines before the record that failed are in the body; the
+		// error closes it. A live ring should never fail to render: it
+		// would mean an encoder/decoder mismatch or a non-finite value
+		// recorded.
+		*buf = fmt.Appendf(*buf, "# snapshot conversion error: %v\n", err)
 	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+	w.Write(*buf)
 }

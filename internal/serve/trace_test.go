@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"schedinspector/internal/core"
 	"schedinspector/internal/explain"
+	"schedinspector/internal/obs"
 )
 
 func getTraceSnapshot(t *testing.T, h http.Handler, query string) *httptest.ResponseRecorder {
@@ -156,10 +160,42 @@ func TestTraceSnapshotUnknownFormat(t *testing.T) {
 	}
 }
 
+// TestTraceSnapshotRenderError: a record with no JSON form ends the JSONL
+// body with the lines before it and one "# snapshot conversion error" line,
+// the body converting the ring's image gives, under a Content-Length that
+// counts it.
+func TestTraceSnapshotRenderError(t *testing.T) {
+	h := testHandler(t)
+	defer h.Close()
+	for i := 0; i < 3; i++ {
+		postInspect(t, h, waveRequest(i))
+	}
+	h.ring.EmitDecision(&obs.ExplainRecord{Wait: math.NaN()})
+	postInspect(t, h, waveRequest(3))
+	var want bytes.Buffer
+	err := explain.ConvertFTrace(bytes.NewReader(h.ring.Snapshot()), &want)
+	if err == nil {
+		t.Fatal("a NaN record converted without error")
+	}
+	fmt.Fprintf(&want, "# snapshot conversion error: %v\n", err)
+	for i := 0; i < 2; i++ { // the failing record is re-rendered, not cached
+		rec := getTraceSnapshot(t, h, "")
+		if rec.Code != http.StatusOK || rec.Body.String() != want.String() {
+			t.Fatalf("status %d body\n%s\nwant\n%s", rec.Code, rec.Body, want.String())
+		}
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(want.Len()) {
+			t.Fatalf("Content-Length %s for a %d-byte body", got, want.Len())
+		}
+	}
+}
+
 // TestReadRoutesShareBuffersSafely runs the snapshot (both formats) and
 // /v1/explain/last from several goroutines while decisions keep landing:
 // the routes reuse response buffers across requests, and every body must
-// still be one whole, well-formed answer of its own.
+// still be one whole, well-formed answer of its own. The decisions wrap the
+// ring, and a feature-mode-changing Swap lands mid-run, so JSONL snapshots
+// also render windows that open with the evicted header and hold both
+// feature modes.
 func TestReadRoutesShareBuffersSafely(t *testing.T) {
 	h := testHandler(t)
 	defer h.Close()
@@ -170,7 +206,11 @@ func TestReadRoutesShareBuffersSafely(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 200; i++ {
+		n := h.ring.Cap() + 200
+		for i := 0; i < n; i++ {
+			if i == n/2 {
+				h.Swap(equivInspector(1, core.NativeFeatures))
+			}
 			postInspect(t, h, waveRequest(i))
 		}
 	}()
@@ -178,7 +218,14 @@ func TestReadRoutesShareBuffersSafely(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 15; i++ {
+			for i := 0; ; i++ {
+				if i >= 15 {
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
 				var err error
 				switch (g + i) % 3 {
 				case 0:
@@ -204,6 +251,73 @@ func TestReadRoutesShareBuffersSafely(t *testing.T) {
 	}
 	wg.Wait()
 	<-done
+	if h.ring.Dropped() == 0 {
+		t.Fatal("the ring never wrapped; the evicted-header path did not run")
+	}
+}
+
+// stalledWriter is a ResponseWriter whose Write parks until release is
+// closed: a client that never reads its response body.
+type stalledWriter struct {
+	h       http.Header
+	writing chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *stalledWriter) Header() http.Header { return w.h }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.writing) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestStalledSnapshotBlocksNothing: a JSONL snapshot whose client never
+// reads holds no lock while its body is written, so /v1/inspect and a
+// second JSONL snapshot both complete meanwhile.
+func TestStalledSnapshotBlocksNothing(t *testing.T) {
+	h := testHandler(t)
+	defer h.Close()
+	for i := 0; i < 64; i++ {
+		postInspect(t, h, waveRequest(i))
+	}
+	stalled := &stalledWriter{h: make(http.Header), writing: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.ServeHTTP(stalled, httptest.NewRequest(http.MethodGet, "/v1/trace/snapshot", nil))
+	}()
+	<-stalled.writing
+
+	finished := make(chan error, 1)
+	go func() {
+		for i := 0; i < 8; i++ {
+			if rec := postInspect(t, h, waveRequest(i)); rec.Code != http.StatusOK {
+				finished <- fmt.Errorf("inspect: status %d", rec.Code)
+				return
+			}
+		}
+		rec := getTraceSnapshot(t, h, "")
+		tr, err := explain.ReadTrace(bytes.NewReader(rec.Body.Bytes()))
+		if err == nil && len(tr.Records) != 72 {
+			err = fmt.Errorf("second snapshot holds %d decisions, want 72", len(tr.Records))
+		}
+		finished <- err
+	}()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("inspects and a second snapshot are stuck behind a snapshot whose client does not read")
+	}
+	if stalled.h.Get("Content-Length") == "" {
+		t.Error("the stalled snapshot set no Content-Length")
+	}
+	close(stalled.release)
+	<-served
 }
 
 // TestNativeModeDecisionsAreRecorded serves a native-mode model (§3.3: 102
