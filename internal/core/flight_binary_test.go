@@ -216,7 +216,7 @@ func TestFlightRecorderDoesNotPerturbTraining(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), plain) {
 		t.Fatal("flight recorder perturbed the trained model")
 	}
-	if len(ring.LastDecisions(1)) == 0 {
+	if _, recs := ring.LastDecisions(1); len(recs) == 0 {
 		t.Fatal("flight recorder attached but recorded nothing")
 	}
 }

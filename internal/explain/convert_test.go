@@ -176,35 +176,37 @@ func BenchmarkConvertFTrace(b *testing.B) {
 }
 
 // benchAppendJSONL times TraceRing.AppendJSONL on a full 4 096-decision
-// ring after fresh new decisions per call (untimed emits), the body
-// rendered into one reused buffer as /v1/trace/snapshot does.
+// ring after fresh new decisions per call (untimed emits), the views
+// appended to one reused slice as /v1/trace/snapshot does. The route
+// itself, views written through ServeHTTP, is BenchmarkTraceSnapshotJSONL
+// in internal/serve.
 func benchAppendJSONL(b *testing.B, fresh int) {
 	ring := decisionRing(4096)
 	rng := rand.New(rand.NewSource(1))
-	buf, err := ring.AppendJSONL(nil)
+	views, n, err := ring.AppendJSONL(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(buf)))
+	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		emitDecisions(ring, rng, 4096+i*fresh, fresh)
 		b.StartTimer()
-		if buf, err = ring.AppendJSONL(buf[:0]); err != nil {
+		if views, _, err = ring.AppendJSONL(views[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkAppendJSONLCold: more than a ring's worth arrived since the last
-// call, so every live record renders (ConvertFTrace's work, one copy
-// cheaper).
+// call, so every live record renders (ConvertFTrace's work, into blocks).
 func BenchmarkAppendJSONLCold(b *testing.B) { benchAppendJSONL(b, 4097) }
 
 // BenchmarkAppendJSONLWarm376: the 376 decisions serve-mixed lands between
-// two JSONL snapshots render; the rest of the window is copied.
+// two JSONL snapshots render; the rest of the window is handed out as
+// views.
 func BenchmarkAppendJSONLWarm376(b *testing.B) { benchAppendJSONL(b, 376) }
 
 // TestConvertFTraceAllocs pins that a conversion's allocations do not grow

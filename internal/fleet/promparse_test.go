@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"schedinspector/internal/mutants"
 	"schedinspector/internal/obs"
 )
 
@@ -125,34 +126,22 @@ func TestParsePromContents(t *testing.T) {
 	}
 }
 
-// TestParsePromTruncated cuts a rendered exposition at every byte offset:
-// any cut that still parses must be a clean line boundary that does not
-// tear a histogram; mid-line cuts must report ErrTruncated.
+// TestParsePromTruncated cuts a rendered exposition at every byte offset
+// and flips every bit of it (mutants.Each): a cut that still parses must be
+// a clean line boundary that does not tear a histogram, and a mid-line cut
+// must report ErrTruncated; a flip parses or fails with a *ParseError.
 func TestParsePromTruncated(t *testing.T) {
 	src := render(t, buildTestRegistry(rand.New(rand.NewSource(3))))
-	for cut := 1; cut < len(src); cut++ {
-		_, err := ParseProm(src[:cut])
-		if src[cut-1] != '\n' {
-			// Mid-line tear: must fail, and must say it was truncated.
-			if err == nil {
-				t.Fatalf("cut at %d (mid-line) parsed", cut)
-			}
-			var pe *ParseError
-			if !errors.As(err, &pe) {
-				t.Fatalf("cut at %d: error %v is not a *ParseError", cut, err)
-			}
-			if !errors.Is(err, ErrTruncated) {
-				t.Fatalf("cut at %d: mid-line tear not flagged ErrTruncated: %v", cut, err)
-			}
-		} else if err != nil {
-			// Clean line boundary: only a torn histogram may complain, and
-			// it must do so with a typed error.
-			var pe *ParseError
-			if !errors.As(err, &pe) {
-				t.Fatalf("cut at %d: error %v is not a *ParseError", cut, err)
-			}
+	mutants.Each(src, func(m []byte) {
+		_, err := ParseProm(m)
+		var pe *ParseError
+		if err != nil && !errors.As(err, &pe) {
+			t.Fatalf("%d-byte mutant: error %v is not a *ParseError", len(m), err)
 		}
-	}
+		if prefix := len(m) < len(src); prefix && len(m) > 0 && m[len(m)-1] != '\n' && !errors.Is(err, ErrTruncated) {
+			t.Fatalf("cut at %d (mid-line): error %v, want ErrTruncated", len(m), err)
+		}
+	})
 }
 
 func TestParsePromMalformed(t *testing.T) {

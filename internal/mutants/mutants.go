@@ -2,8 +2,9 @@
 // enumerates the damaged copies of an encoded image that a decoder must
 // answer with a typed error or a usable value — never a panic or a hang.
 // Its adopters are the /v1/inspect and /v1/simulate body decoders
-// (internal/serve), the model/checkpoint payload decoder (internal/core)
-// and the .ftrace to JSONL converter (internal/explain).
+// (internal/serve), the model/checkpoint payload decoder (internal/core),
+// the .ftrace to JSONL converter (internal/explain) and the Prometheus text
+// parser (internal/fleet).
 package mutants
 
 // Each calls f with every prefix of data, empty and whole included, and

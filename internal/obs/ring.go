@@ -24,10 +24,10 @@ import (
 // file, AppendSnapshot copies the live ring into a self-contained .ftrace
 // byte image (the ?format=ftrace snapshot), AppendJSONL renders the live
 // ring as flight-trace JSONL (the default /v1/trace/snapshot payload,
-// keeping each record's line while it stays live), and LastDecisions
-// decodes the newest decision records (the /v1/explain/last payload). The
-// flight-trace JSONL is decoder output only: internal/explain renders a
-// .ftrace file through the same per-record renderer.
+// keeping each record's line in immutable blocks while it stays live), and
+// LastDecisions decodes the newest decision records (the /v1/explain/last
+// payload). The flight-trace JSONL is decoder output only: internal/explain
+// renders a .ftrace file through the same per-record renderer.
 //
 // Slot size follows the records: the first record (or header) that does not
 // fit widens every slot to the next power of two that holds it and re-slots
@@ -184,8 +184,8 @@ func NewTraceRing(slots, slotSize int) *TraceRing {
 // Instrument registers the ring's self-observability metrics on reg:
 // occupancy, capacity and memory gauges, eviction / oversize / sink-error
 // counters, and the sink flush latency histogram. The memory gauge is the
-// arena plus the buffers of AppendJSONL's rendered window, read at scrape
-// time.
+// arena plus the block capacity and buffers of AppendJSONL's rendered
+// window, read at scrape time.
 func (r *TraceRing) Instrument(reg *Registry) {
 	if r == nil || reg == nil {
 		return
@@ -211,8 +211,8 @@ func (r *TraceRing) Instrument(reg *Registry) {
 	r.occupancy.Set(float64(r.n))
 }
 
-// footprint returns the arena's bytes plus the JSONL cache's buffer
-// capacity.
+// footprint returns the arena's bytes plus the JSONL cache's block and
+// buffer capacity.
 func (r *TraceRing) footprint() float64 {
 	r.mu.Lock()
 	arena := len(r.arena)
@@ -466,16 +466,6 @@ func metaChanged(curNames []string, curMode string, curMax int, names []string, 
 	return false
 }
 
-// FeatureNames returns the feature labels last declared with SetMeta.
-func (r *TraceRing) FeatureNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.metaNames
-}
-
 // emitHeaderLocked emits the meta header record once per sink generation,
 // as soon as meta is present. Caller holds r.mu.
 func (r *TraceRing) emitHeaderLocked() {
@@ -614,28 +604,48 @@ func (r *TraceRing) AppendSnapshot(dst []byte) []byte {
 	return dst
 }
 
-// LastDecisions decodes the most recent min(n, held) decision records,
-// oldest first, skipping the spans, proc samples and headers between them
-// (empty but non-nil when the ring holds none; nil only for n <= 0 or a nil
-// ring). It allocates; it is the cold read-out path behind /v1/explain/last.
-func (r *TraceRing) LastDecisions(n int) []ExplainRecord {
+// LastDecisions returns the feature names of the current meta and the most
+// recent min(n, held) decision records after the newest header record,
+// oldest first, skipping the spans and proc samples between them: every
+// record it returns carries features under those names, even just after a
+// feature-mode-changing SetMeta (records empty but non-nil when there are
+// none; both nil only for n <= 0 or a nil ring). Names and records are read
+// under one hold of the ring mutex, which copies the framed records out;
+// they decode after it. It allocates; it is the cold read-out path behind
+// /v1/explain/last.
+func (r *TraceRing) LastDecisions(n int) (names []string, recs []ExplainRecord) {
 	if r == nil || n <= 0 {
-		return nil
+		return nil, nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]ExplainRecord, 0, min(n, r.n))
-	for i := r.n - 1; i >= 0 && len(out) < n; i-- {
+	names = r.metaNames
+	i, count, size := r.n-1, 0, 0
+	for ; i >= 0 && count < n; i-- {
 		slot := r.slotAt(i)
-		if slot[0] != FTraceKindDecision {
-			continue
+		if slot[0] == FTraceKindHeader {
+			break
 		}
-		// The body was encoded by putDecisionBody under this mutex; it decodes.
-		rec, _ := DecodeFTraceDecision(slot[ftraceRecHdrLen:])
-		out = append(out, rec)
+		if slot[0] == FTraceKindDecision {
+			count++
+			size += len(slot)
+		}
 	}
-	slices.Reverse(out)
-	return out
+	framed := make([]byte, 0, size)
+	for i++; i < r.n; i++ {
+		if slot := r.slotAt(i); slot[0] == FTraceKindDecision {
+			framed = append(framed, slot...)
+		}
+	}
+	r.mu.Unlock()
+
+	recs = make([]ExplainRecord, count)
+	for o, k := 0, 0; o < len(framed); k++ {
+		_, body, next := framedAt(framed, o)
+		o = next
+		// The body was encoded by putDecisionBody; it decodes.
+		recs[k], _ = DecodeFTraceDecision(body)
+	}
+	return names, recs
 }
 
 // Len returns how many records the ring currently holds.

@@ -160,7 +160,7 @@ func TestTraceRingOversize(t *testing.T) {
 	if r.slotSize != 1024 || r.Cap() != 4 {
 		t.Fatalf("slots grew to %d x %d, want 4 x 1024", r.Cap(), r.slotSize)
 	}
-	got := r.LastDecisions(2)
+	_, got := r.LastDecisions(2)
 	if len(got) != 2 || !reflect.DeepEqual(got[0], small) || !reflect.DeepEqual(got[1], big) {
 		t.Fatalf("records did not survive re-slotting: %+v", got)
 	}
@@ -245,24 +245,53 @@ func TestTraceRingSinkErrorMidTrace(t *testing.T) {
 	}
 
 	// The memory gauge is the 64 x 512-byte arena until a JSONL snapshot
-	// renders the window; then it counts the cache's buffers too.
+	// renders the window; then it counts the cache's blocks and buffers too.
 	if !strings.Contains(prom.String(), "schedinspector_ftrace_ring_bytes 32768\n") {
 		t.Fatalf("memory gauge is not the arena before any JSONL call:\n%s", prom.String())
 	}
-	if _, err := r.AppendJSONL(nil); err != nil {
-		t.Fatal(err)
+	gauge := func() {
+		t.Helper()
+		prom.Reset()
+		if err := reg.WriteProm(&prom); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("schedinspector_ftrace_ring_bytes %d\n", int64(len(r.arena))+r.jsonl.bytes.Load())
+		if !strings.Contains(prom.String(), want) {
+			t.Fatalf("memory gauge missing %q:\n%s", want, prom.String())
+		}
 	}
-	cache := r.jsonl.bytes.Load()
-	if cache < int64(len(r.jsonl.text)) || len(r.jsonl.text) == 0 {
-		t.Fatalf("cache counts %d bytes for %d bytes of JSONL text", cache, len(r.jsonl.text))
+	if _, n, err := r.AppendJSONL(nil); err != nil || n == 0 || r.jsonl.bytes.Load() < jsonlBlockSize {
+		t.Fatalf("%d bytes of JSONL, error %v; the cache counts %d bytes", n, err, r.jsonl.bytes.Load())
 	}
-	prom.Reset()
-	if err := reg.WriteProm(&prom); err != nil {
-		t.Fatal(err)
+	gauge()
+
+	// Many wraparounds of ~2.5 KB lines, a window of a few blocks: the
+	// blocks stay within the window's text plus two (a partly dead first
+	// block, a partly empty last one), however much text went through.
+	wide := testDecision(0)
+	wide.Features = make([]float64, 100)
+	for i := range wide.Features {
+		wide.Features[i] = 1.0 / float64(i+3)
 	}
-	if want := fmt.Sprintf("schedinspector_ftrace_ring_bytes %d\n", 32768+cache); !strings.Contains(prom.String(), want) {
-		t.Fatalf("memory gauge missing %q:\n%s", want, prom.String())
+	written := 0
+	for round := 0; round < 30; round++ {
+		for i := 0; i < 40; i++ {
+			r.EmitDecision(&wide)
+		}
+		_, n, err := r.AppendJSONL(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written += 40 * (n / r.Len())
+		c := &r.jsonl
+		if held, window := len(c.blocks)*jsonlBlockSize, c.end-c.start; held > window+2*jsonlBlockSize || window+len(c.leadLine) != n {
+			t.Fatalf("round %d: %d block bytes for a %d-byte window (%d with the lead)", round, held, window, n)
+		}
 	}
+	if written < 20*jsonlBlockSize || len(r.jsonl.blocks) < 3 {
+		t.Fatalf("%d bytes through %d blocks: eviction across blocks did not run", written, len(r.jsonl.blocks))
+	}
+	gauge()
 }
 
 // TestTraceRingHeaderPerSink pins the meta header discipline: one header
@@ -356,8 +385,10 @@ func TestNilTraceRingSafe(t *testing.T) {
 	r.SetSink(&bytes.Buffer{})
 	r.Instrument(NewRegistry())
 	if r.Len() != 0 || r.Cap() != 0 || r.Total() != 0 || r.Dropped() != 0 ||
-		r.Oversized() != 0 || r.Flush() != nil || r.SinkErr() != nil || r.FeatureNames() != nil ||
-		r.LastDecisions(1) != nil {
+		r.Oversized() != 0 || r.Flush() != nil || r.SinkErr() != nil {
+		t.Fatal("nil ring leaked state")
+	}
+	if names, recs := r.LastDecisions(1); names != nil || recs != nil {
 		t.Fatal("nil ring leaked state")
 	}
 	if _, err := ParseFTraceFileHeader(r.Snapshot()); err != nil {
@@ -376,7 +407,7 @@ func TestLastDecisions(t *testing.T) {
 		return out
 	}
 	r := NewTraceRing(8, 512)
-	if got := r.LastDecisions(4); got == nil || len(got) != 0 {
+	if _, got := r.LastDecisions(4); got == nil || len(got) != 0 {
 		t.Fatalf("empty ring returned %v, want empty and non-nil", got)
 	}
 	r.SetMeta([]string{"a"}, "m", 1) // header slot
@@ -386,17 +417,20 @@ func TestLastDecisions(t *testing.T) {
 		r.EmitSpan(&Span{ID: SpanID(seq + 1), Name: "decision"})
 	}
 	r.EmitProc(ProcStats{Wall: 1})
-	if got := r.LastDecisions(10); !reflect.DeepEqual(seqs(got), []int{0, 1, 2}) {
+	if _, got := r.LastDecisions(10); !reflect.DeepEqual(seqs(got), []int{0, 1, 2}) {
 		t.Fatalf("n > held: seqs %v, want [0 1 2]", seqs(got))
 	}
-	got := r.LastDecisions(2)
+	names, got := r.LastDecisions(2)
+	if !reflect.DeepEqual(names, []string{"a"}) {
+		t.Fatalf("names %v, want the meta's [a]", names)
+	}
 	if !reflect.DeepEqual(seqs(got), []int{1, 2}) {
 		t.Fatalf("n < held: seqs %v, want [1 2]", seqs(got))
 	}
 	if want := testDecision(2); !reflect.DeepEqual(got[1], want) {
 		t.Fatalf("decoded record:\n got %+v\nwant %+v", got[1], want)
 	}
-	if r.LastDecisions(0) != nil || r.LastDecisions(-1) != nil {
+	if names, recs := r.LastDecisions(0); names != nil || recs != nil {
 		t.Fatal("n <= 0 must return nil")
 	}
 
@@ -410,8 +444,20 @@ func TestLastDecisions(t *testing.T) {
 	if r.Dropped() == 0 {
 		t.Fatal("ring did not wrap; the wrapped case is not exercised")
 	}
-	if got := r.LastDecisions(10); !reflect.DeepEqual(seqs(got), []int{3, 4, 5, 6}) {
+	if _, got := r.LastDecisions(10); !reflect.DeepEqual(seqs(got), []int{3, 4, 5, 6}) {
 		t.Fatalf("wrapped ring: seqs %v, want [3 4 5 6]", seqs(got))
+	}
+
+	// A meta change: only the decisions after its header, under its names.
+	r.SetMeta([]string{"x", "y"}, "m2", 1)
+	if names, got := r.LastDecisions(10); !reflect.DeepEqual(names, []string{"x", "y"}) || got == nil || len(got) != 0 {
+		t.Fatalf("after a meta change: names %v, seqs %v; want [x y] and none", names, seqs(got))
+	}
+	dec := testDecision(7)
+	dec.Features = []float64{1, 2}
+	r.EmitDecision(&dec)
+	if names, got := r.LastDecisions(10); len(names) != 2 || !reflect.DeepEqual(seqs(got), []int{7}) {
+		t.Fatalf("after a meta change: names %v, seqs %v; want [x y] and [7]", names, seqs(got))
 	}
 
 	// Readers against concurrent writers: every read is an ascending run of
@@ -432,7 +478,7 @@ func TestLastDecisions(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 200; i++ {
-					got := r.LastDecisions(8)
+					_, got := r.LastDecisions(8)
 					for k := 1; k < len(got); k++ {
 						if got[k].Seq != got[k-1].Seq+1 || len(got[k].Features) != 3 {
 							t.Errorf("torn read: %v", seqs(got))
@@ -543,7 +589,7 @@ func TestTraceRingConcurrent(t *testing.T) {
 // TestAppendJSONLRendersOnce pins the render-once contract: a call renders
 // exactly the records that arrived since the previous one, at most Cap()
 // when more than a ring's worth arrived, and a warm call on an unchanged
-// ring allocates nothing.
+// ring allocates nothing when its views slice is reused.
 func TestAppendJSONLRendersOnce(t *testing.T) {
 	r := NewTraceRing(64, 0)
 	r.SetMeta([]string{"a", "b", "c"}, "manual", 72)
@@ -553,12 +599,12 @@ func TestAppendJSONLRendersOnce(t *testing.T) {
 			r.EmitDecision(&dec)
 		}
 	}
-	var buf []byte
+	var views [][]byte
 	call := func(want uint64) {
 		t.Helper()
 		before := r.jsonl.renders
 		var err error
-		if buf, err = r.AppendJSONL(buf[:0]); err != nil {
+		if views, _, err = r.AppendJSONL(views[:0]); err != nil {
 			t.Fatal(err)
 		}
 		if got := r.jsonl.renders - before; got != want {
@@ -576,12 +622,12 @@ func TestAppendJSONLRendersOnce(t *testing.T) {
 	call(3)
 	emit(r.Cap())
 	call(uint64(r.Cap()))
-	if lines := bytes.Count(buf, []byte{'\n'}); lines != r.Cap()+1 {
+	if lines := bytes.Count(bytes.Join(views, nil), []byte{'\n'}); lines != r.Cap()+1 {
 		t.Fatalf("%d lines, want the evicted header and %d decisions", lines, r.Cap())
 	}
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if allocs := testing.AllocsPerRun(20, func() { buf, _ = r.AppendJSONL(buf[:0]) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { views, _, _ = r.AppendJSONL(views[:0]) }); allocs != 0 {
 		t.Fatalf("a warm call on an unchanged ring allocates %.0f times", allocs)
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"schedinspector/internal/explain"
@@ -49,11 +51,21 @@ type ringScript struct {
 	shape *obs.SpanShape
 	names []string
 	seq   int
-	buf   []byte
+	held  []heldViews
 
 	lastTotal uint64
 	stats     scriptStats
 }
+
+// heldViews are the views an earlier call returned and the bytes they read
+// then; later emits and calls must not change them.
+type heldViews struct {
+	views [][]byte
+	text  []byte
+}
+
+// maxHeld bounds how many calls' views a script keeps re-checking.
+const maxHeld = 8
 
 // scriptStats counts what a history exercised.
 type scriptStats struct {
@@ -127,7 +139,8 @@ func (s *ringScript) burst(n int) {
 	s.seq += n
 }
 
-// check compares AppendJSONL, appended after a prefix, with the oracle.
+// check compares AppendJSONL's views, appended after a prefix view, with
+// the oracle, and re-reads the views of earlier calls.
 func (s *ringScript) check(t testing.TB) {
 	t.Helper()
 	const prefix = "prefix\n"
@@ -139,25 +152,41 @@ func (s *ringScript) check(t testing.TB) {
 		s.stats.overCap++
 	}
 	s.lastTotal = total
-	got, err := s.r.AppendJSONL(append(s.buf[:0], prefix...))
-	s.buf = got
+	views, n, err := s.r.AppendJSONL([][]byte{[]byte(prefix)})
 	var want bytes.Buffer
 	wantErr := explain.ConvertFTrace(bytes.NewReader(s.r.Snapshot()), &want)
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("after %d records: error %v, ConvertFTrace %v", total, err, wantErr)
 	}
-	if string(got[:len(prefix)]) != prefix {
-		t.Fatalf("after %d records: the prefix was overwritten: %q", total, got[:len(prefix)])
+	if string(views[0]) != prefix {
+		t.Fatalf("after %d records: the prefix view was overwritten: %q", total, views[0])
 	}
-	if body := got[len(prefix):]; !bytes.Equal(body, want.Bytes()) {
-		t.Fatalf("after %d records (%d live, capacity %d):\n got %q\nwant %q",
-			total, s.r.Len(), s.r.Cap(), body, want.Bytes())
+	body := bytes.Join(views[1:], nil)
+	if !bytes.Equal(body, want.Bytes()) || n != len(body) {
+		t.Fatalf("after %d records (%d live, capacity %d), length %d:\n got %q\nwant %q",
+			total, s.r.Len(), s.r.Cap(), n, body, want.Bytes())
 	}
+	s.recheck(t)
+	if len(s.held) == maxHeld {
+		s.held = append(s.held[:0], s.held[1:]...)
+	}
+	s.held = append(s.held, heldViews{views[1:], body})
 	s.stats.checks++
 	if err != nil {
 		s.stats.errors++
-	} else if bytes.Count(want.Bytes(), []byte{'\n'}) == s.r.Len()+1 {
+	} else if bytes.Count(body, []byte{'\n'}) == s.r.Len()+1 {
 		s.stats.leads++ // the window opens with the evicted header
+	}
+}
+
+// recheck fails when a view an earlier call returned reads other bytes now.
+func (s *ringScript) recheck(t testing.TB) {
+	t.Helper()
+	for i, h := range s.held {
+		if got := bytes.Join(h.views, nil); !bytes.Equal(got, h.text) {
+			t.Fatalf("after %d records: the views of the call %d back changed:\n got %.300q\nwant %.300q",
+				s.r.Total(), len(s.held)-i, got, h.text)
+		}
 	}
 }
 
@@ -190,6 +219,7 @@ func (s *ringScript) run(t testing.TB) {
 			m := int(s.u8()) % len(scriptMetas)
 			s.names = scriptMetas[m]
 			s.r.SetMeta(s.names, fmt.Sprintf("mode%d", m), 72+m)
+			s.recheck(t)
 		case op < 13:
 			s.check(t)
 		case op == 13:
@@ -258,29 +288,141 @@ func TestAppendJSONLNonFinite(t *testing.T) {
 	r.EmitDecision(&good)
 	for i := 0; i < 2; i++ {
 		s.check(t)
-		out, err := r.AppendJSONL(nil)
-		if err == nil || bytes.Count(out, []byte{'\n'}) != 2 {
-			t.Fatalf("call %d: %d lines, error %v; want the header and one decision, then the error", i, bytes.Count(out, []byte{'\n'}), err)
+		views, _, err := r.AppendJSONL(nil)
+		if lines := bytes.Count(bytes.Join(views, nil), []byte{'\n'}); err == nil || lines != 2 {
+			t.Fatalf("call %d: %d lines, error %v; want the header and one decision, then the error", i, lines, err)
 		}
 	}
 	for i := 0; i < r.Cap(); i++ {
 		r.EmitDecision(&good)
 		s.check(t)
 	}
-	if _, err := r.AppendJSONL(nil); err != nil {
+	if _, _, err := r.AppendJSONL(nil); err != nil {
 		t.Fatalf("the failing record was evicted, but the call still fails: %v", err)
 	}
 	if s.stats.errors == 0 || s.stats.leads == 0 {
 		t.Fatalf("the error or the lead path never ran: %+v", s.stats)
 	}
-	if out, err := (*obs.TraceRing)(nil).AppendJSONL([]byte("x")); string(out) != "x" || err != nil {
-		t.Fatalf("nil ring appends %q, %v", out, err)
+	if views, n, err := (*obs.TraceRing)(nil).AppendJSONL([][]byte{[]byte("x")}); len(views) != 1 || n != 0 || err != nil {
+		t.Fatalf("nil ring appends %q (length %d), %v", views, n, err)
 	}
 }
 
+// TestAppendJSONLViewsImmutable: the views a call returns read the same
+// bytes however the ring and its rendered window move on — eviction across
+// several blocks, a reset after more than Cap() new records, a lead-line
+// change, a failing record — and while other goroutines emit and snapshot
+// (run under -race by the Makefile race target).
+func TestAppendJSONLViewsImmutable(t *testing.T) {
+	s := &ringScript{r: obs.NewTraceRing(512, 0), names: scriptMetas[2]}
+	s.r.SetMeta(s.names, "native", 72)
+	emit := func(n int) {
+		for i := 0; i < n; i++ {
+			rec := s.decision()
+			s.r.EmitDecision(&rec)
+		}
+	}
+	emit(300) // ~900-byte lines: the window spans several 64 KiB blocks
+	s.check(t)
+	for _, n := range []int{200, 400, 450} {
+		emit(n)
+		s.check(t)
+	}
+	emit(s.r.Cap() + 10)
+	s.check(t)
+	s.names = scriptMetas[0]
+	s.r.SetMeta(s.names, "manual", 72)
+	emit(s.r.Cap()) // the lead line becomes the manual header's
+	s.check(t)
+	s.r.EmitDecision(&obs.ExplainRecord{Seq: -1, Features: []float64{math.NaN()}})
+	emit(5)
+	s.check(t)
+	emit(s.r.Cap())
+	s.check(t)
+	if len(s.held) != s.stats.checks || s.stats.overCap == 0 || s.stats.leads == 0 || s.stats.errors == 0 {
+		t.Fatalf("%d views held over %+v: a case did not run", len(s.held), s.stats)
+	}
+
+	t.Run("concurrent", func(t *testing.T) {
+		r := obs.NewTraceRing(256, 0)
+		var emitters, readers sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			emitters.Add(1)
+			go func(g int) {
+				defer emitters.Done()
+				rec := obs.ExplainRecord{Traj: g, Features: make([]float64, 40), Probs: []float64{0.25, 0.75}}
+				for i := 0; i < 3000; i++ {
+					if i%700 == 0 {
+						r.SetMeta(wideNames(40)[:20+20*(i/700%2)], "m", g)
+					}
+					rec.Seq, rec.Features = i, rec.Features[:20+20*(i/700%2)]
+					r.EmitDecision(&rec)
+				}
+			}(g)
+		}
+		done := make(chan struct{})
+		views := make(chan [][]byte)
+		for g := 0; g < 2; g++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					v, _, err := r.AppendJSONL(nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					select {
+					case views <- v:
+					case <-done:
+						return
+					}
+				}
+			}()
+		}
+		// The writer reads every byte of each body (a CRC where a client
+		// would have the socket), and reads the previous body again after
+		// later emits and calls: the same checksum.
+		var prev [][]byte
+		var prevSum uint32
+		sum := func(vs [][]byte) uint32 {
+			h := crc32.NewIEEE()
+			for _, v := range vs {
+				h.Write(v)
+			}
+			return h.Sum32()
+		}
+		stopped, failed := make(chan struct{}), make(chan struct{})
+		go func() { emitters.Wait(); close(stopped) }()
+		go func() { readers.Wait(); close(failed) }() // readers return early only on an error
+		defer readers.Wait()
+		defer close(done)
+		for bodies := 0; ; bodies++ {
+			var v [][]byte
+			select {
+			case v = <-views:
+			case <-failed:
+				return
+			}
+			if prev != nil && sum(prev) != prevSum {
+				t.Fatalf("body %d changed after it was handed out", bodies-1)
+			}
+			prev, prevSum = v, sum(v)
+			select {
+			case <-stopped:
+				if bodies >= 20 {
+					return
+				}
+			default:
+			}
+		}
+	})
+}
+
 // FuzzRingJSONL decodes the fuzz bytes into a history of emits, meta
-// changes and AppendJSONL calls (see ringScript) and holds every call to
-// ConvertFTrace over the ring's Snapshot. Run with
+// changes and AppendJSONL calls (see ringScript), holds every call to
+// ConvertFTrace over the ring's Snapshot, and re-reads the views of earlier
+// calls after each call and meta change. Run with
 // `go test -fuzz FuzzRingJSONL ./internal/obs` (make fuzz-smoke does).
 func FuzzRingJSONL(f *testing.F) {
 	f.Add([]byte{})

@@ -196,7 +196,7 @@ func TestSpanTracerConcurrent(t *testing.T) {
 				}
 				if i%17 == 0 {
 					_ = r.Snapshot()
-					_ = r.LastDecisions(4)
+					_, _ = r.LastDecisions(4)
 					_ = r.Dropped()
 				}
 			}
@@ -215,7 +215,7 @@ func TestNilExplainRecorderSafe(t *testing.T) {
 	var r *TraceRing
 	r.EmitDecision(&ExplainRecord{})
 	r.SetMeta([]string{"a"}, "manual", 72)
-	if r.LastDecisions(1) != nil || r.Total() != 0 || r.FeatureNames() != nil {
+	if names, recs := r.LastDecisions(1); names != nil || recs != nil || r.Total() != 0 {
 		t.Fatalf("nil ring leaked state")
 	}
 }
@@ -272,15 +272,14 @@ func TestExplainRecorderConcurrent(t *testing.T) {
 				r.EmitDecision(&ExplainRecord{Traj: g, Seq: i})
 				if i%13 == 0 {
 					r.SetMeta([]string{"a", "b"}[:1+i%2], "m", g)
-					_ = r.FeatureNames()
-					_ = r.LastDecisions(4)
+					_, _ = r.LastDecisions(4)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := len(r.LastDecisions(1 << 10)); got == 0 || got > 32 {
-		t.Fatalf("ring of 32 returned %d decisions", got)
+	if _, recs := r.LastDecisions(1 << 10); len(recs) == 0 || len(recs) > 32 {
+		t.Fatalf("ring of 32 returned %d decisions", len(recs))
 	}
 }
 

@@ -181,3 +181,39 @@ func BenchmarkMetricsScrape(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTraceSnapshotJSONL is one warm GET /v1/trace/snapshot (JSONL)
+// through Handler.ServeHTTP into a discarding ResponseWriter: a full
+// manual-mode ring with 376 new decisions since the last snapshot, the gap
+// serve-mixed lands between two (untimed emits of served records).
+// BenchmarkAppendJSONL{Cold,Warm376} in internal/explain time the rendered
+// window alone.
+func BenchmarkTraceSnapshotJSONL(b *testing.B) {
+	h := NewHandler(benchInspector())
+	defer h.Close()
+	for i := 0; i < h.ring.Cap(); i++ {
+		body, err := json.Marshal(waveRequest(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/inspect", bytes.NewReader(body)))
+	}
+	_, fresh := h.ring.LastDecisions(376)
+	req := httptest.NewRequest(http.MethodGet, "/v1/trace/snapshot", nil)
+	w := &discardWriter{h: make(http.Header)}
+	h.ServeHTTP(w, req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := range fresh {
+			h.ring.EmitDecision(&fresh[k])
+		}
+		b.StartTimer()
+		w.code = http.StatusOK
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d", w.code)
+		}
+	}
+}

@@ -99,7 +99,7 @@ func TestWaveEquivScalar(t *testing.T) {
 			}
 			wg.Wait()
 
-			recs := h.ring.LastDecisions(n)
+			_, recs := h.ring.LastDecisions(n)
 			if len(recs) != n {
 				t.Fatalf("recorded %d explain records, want %d", len(recs), n)
 			}

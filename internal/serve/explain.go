@@ -49,11 +49,10 @@ func (h *Handler) explainLast(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	resp := ExplainLastResponse{
-		Total:        uint64(h.decSeq.Load()),
-		FeatureNames: h.ring.FeatureNames(),
-		Records:      h.ring.LastDecisions(n), // non-nil: serves [] rather than null
-	}
+	resp := ExplainLastResponse{Total: uint64(h.decSeq.Load())}
+	// One read: the names label every record, across a feature-mode swap.
+	// Records are non-nil, so an empty ring serves [] rather than null.
+	resp.FeatureNames, resp.Records = h.ring.LastDecisions(n)
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
 	w.Header().Set("Content-Type", "application/json")

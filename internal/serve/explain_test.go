@@ -122,11 +122,8 @@ func TestExplainLastMatchesEncodingJSON(t *testing.T) {
 		t.Helper()
 		got := getExplain(t, h, "?n="+strconv.Itoa(n))
 		want := httptest.NewRecorder()
-		writeJSON(want, ExplainLastResponse{
-			Total:        uint64(h.decSeq.Load()),
-			FeatureNames: h.ring.FeatureNames(),
-			Records:      h.ring.LastDecisions(n),
-		})
+		names, recs := h.ring.LastDecisions(n)
+		writeJSON(want, ExplainLastResponse{Total: uint64(h.decSeq.Load()), FeatureNames: names, Records: recs})
 		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
 			t.Fatalf("n=%d: status %d %q, encoding/json %d %q", n, got.Code, got.Header().Get("Content-Type"),
 				want.Code, want.Header().Get("Content-Type"))
@@ -175,19 +172,38 @@ func TestExplainLastMatchesEncodingJSON(t *testing.T) {
 	})
 }
 
+// TestSwapRefreshesExplainMeta: after a feature-mode-changing Swap,
+// /v1/explain/last names the new mode's features and returns only the
+// decisions made under it, so every record's features line up with the
+// names — none of the k earlier 8-feature records under 5 compacted names.
 func TestSwapRefreshesExplainMeta(t *testing.T) {
 	h := testHandler(t)
+	defer h.Close()
+	const k = 5
+	for i := 0; i < k; i++ {
+		postInspect(t, h, waveRequest(i))
+	}
 	tr := workload.SDSCSP2Like(500, 3)
 	repl := core.NewInspector(rand.New(rand.NewSource(2)), core.CompactedFeatures,
 		core.NormalizerForTrace(tr, metrics.BSLD), nil)
 	h.Swap(repl)
-	var resp ExplainLastResponse
-	rec := getExplain(t, h, "")
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.FeatureNames) != core.CompactedFeatures.Dim() {
-		t.Errorf("after swap: %d feature names, want %d", len(resp.FeatureNames), core.CompactedFeatures.Dim())
+	for _, after := range []int{0, 3} {
+		for i := 0; i < after; i++ {
+			postInspect(t, h, waveRequest(k+i))
+		}
+		var resp ExplainLastResponse
+		if err := json.Unmarshal(getExplain(t, h, "").Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.FeatureNames) != core.CompactedFeatures.Dim() || resp.Total != uint64(k+after) || len(resp.Records) != after {
+			t.Fatalf("%d inspects after the swap: %d feature names, total %d, %d records; want %d, %d, %d",
+				after, len(resp.FeatureNames), resp.Total, len(resp.Records), core.CompactedFeatures.Dim(), k+after, after)
+		}
+		for i, r := range resp.Records {
+			if len(r.Features) != len(resp.FeatureNames) {
+				t.Fatalf("record %d (seq %d): %d features under %d names", i, r.Seq, len(r.Features), len(resp.FeatureNames))
+			}
+		}
 	}
 }
 

@@ -16,11 +16,17 @@ import (
 // is held only to copy records out (AppendSnapshot copies the whole ring,
 // AppendJSONL only the records its rendered window has not seen), the
 // rendering runs under the JSONL cache's own lock, and the body is written
-// from a pooled buffer with no lock held.
+// with no lock held: the JSONL body straight from the cache's immutable
+// views, the .ftrace image from a pooled buffer.
 
 // readBufs holds the response buffers of the read routes (*[]byte): the
-// snapshot bodies and the /v1/explain/last body, reused across requests.
+// .ftrace snapshot body and the /v1/explain/last body, reused across
+// requests.
 var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// jsonlViews holds the view lists of JSONL snapshots (*[][]byte), cleared
+// before reuse so a pooled list keeps no dropped block alive.
+var jsonlViews = sync.Pool{New: func() any { return new([][]byte) }}
 
 // TraceRing exposes the handler's binary flight-recorder ring so callers
 // (e.g. cmd/inspectord) can attach a .ftrace sink or thread ProcSampler
@@ -38,24 +44,36 @@ func (h *Handler) traceSnapshot(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown format %q (want jsonl or ftrace)", format), http.StatusBadRequest)
 		return
 	}
-	buf := readBufs.Get().(*[]byte)
-	defer readBufs.Put(buf)
 	if !jsonl {
+		buf := readBufs.Get().(*[]byte)
+		defer readBufs.Put(buf)
 		*buf = h.ring.AppendSnapshot((*buf)[:0])
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Disposition", `attachment; filename="trace.ftrace"`)
 		w.Write(*buf)
 		return
 	}
+	views := jsonlViews.Get().(*[][]byte)
+	defer func() {
+		clear(*views)
+		jsonlViews.Put(views)
+	}()
+	var n int
 	var err error
-	if *buf, err = h.ring.AppendJSONL((*buf)[:0]); err != nil {
+	if *views, n, err = h.ring.AppendJSONL((*views)[:0]); err != nil {
 		// The lines before the record that failed are in the body; the
 		// error closes it. A live ring should never fail to render: it
 		// would mean an encoder/decoder mismatch or a non-finite value
 		// recorded.
-		*buf = fmt.Appendf(*buf, "# snapshot conversion error: %v\n", err)
+		tail := fmt.Appendf(nil, "# snapshot conversion error: %v\n", err)
+		*views = append(*views, tail)
+		n += len(tail)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
-	w.Write(*buf)
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	for _, v := range *views {
+		if _, err := w.Write(v); err != nil {
+			return
+		}
+	}
 }
