@@ -100,7 +100,7 @@ func openFlight(path string) (*obs.TraceRing, *os.File, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ring := obs.NewTraceRing(0, 0)
+	ring := obs.NewTraceRing(0)
 	ring.SetSink(f)
 	return ring, f, nil
 }

@@ -66,7 +66,7 @@ func trainFlight(t *testing.T, mode FeatureMode, workers int, ring *obs.TraceRin
 // of span IDs, read back from the ring's own snapshot.
 func TestFlightRecorderWorkerEquivalence(t *testing.T) {
 	run := func(workers int) *explain.Trace {
-		ring := obs.NewTraceRing(1<<13, 0)
+		ring := obs.NewTraceRing(1 << 13)
 		_, steps := trainFlight(t, ManualFeatures, workers, ring)
 		if ring.Dropped() > 0 {
 			t.Fatalf("ring overflow invalidates the comparison; raise capacities")
@@ -95,7 +95,7 @@ func TestFlightRecorderWorkerEquivalence(t *testing.T) {
 func TestBinaryFlightWorkerEquivalence(t *testing.T) {
 	run := func(workers int) *explain.Trace {
 		var sink bytes.Buffer
-		ring := obs.NewTraceRing(64, 0)
+		ring := obs.NewTraceRing(64)
 		ring.SetSink(&sink)
 		_, steps := trainFlight(t, ManualFeatures, workers, ring)
 		if err := ring.Flush(); err != nil {
@@ -128,7 +128,7 @@ func TestFlightRecordsEveryFeatureMode(t *testing.T) {
 	for _, mode := range []FeatureMode{ManualFeatures, CompactedFeatures, NativeFeatures} {
 		t.Run(mode.String(), func(t *testing.T) {
 			var sink bytes.Buffer
-			ring := obs.NewTraceRing(0, 0)
+			ring := obs.NewTraceRing(0)
 			ring.SetSink(&sink)
 			_, steps := trainFlight(t, mode, 2, ring)
 			if err := ring.Flush(); err != nil {
@@ -165,7 +165,7 @@ func TestEvaluateFlightEquivalence(t *testing.T) {
 	for _, greedy := range []bool{false, true} {
 		run := func(workers int) []obs.ExplainRecord {
 			var sink bytes.Buffer
-			ring := obs.NewTraceRing(256, 0)
+			ring := obs.NewTraceRing(256)
 			ring.SetSink(&sink)
 			res, err := Evaluate(insp, EvalConfig{
 				Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
@@ -207,7 +207,7 @@ func TestEvaluateFlightEquivalence(t *testing.T) {
 // sampler's state but never draws from any RNG stream.
 func TestFlightRecorderDoesNotPerturbTraining(t *testing.T) {
 	_, plain := trainStats(t, workload.SDSCSP2Like(3000, 7), sched.SJF(), 4)
-	ring := obs.NewTraceRing(0, 0)
+	ring := obs.NewTraceRing(0)
 	trainer, _ := trainFlight(t, ManualFeatures, 4, ring)
 	var buf bytes.Buffer
 	if err := trainer.Inspector().Save(&buf); err != nil {

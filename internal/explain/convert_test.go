@@ -131,7 +131,7 @@ func TestConvertFTraceMutants(t *testing.T) {
 // decisionRing is a serving ring after n manual-mode decisions with seeded
 // values; its snapshot is the /v1/trace/snapshot input.
 func decisionRing(n int) *obs.TraceRing {
-	ring := obs.NewTraceRing(n+1, 0)
+	ring := obs.NewTraceRing(n + 1)
 	names := core.ManualFeatures.FeatureNames()
 	ring.SetMeta(names, core.ManualFeatures.String(), 72)
 	emitDecisions(ring, rand.New(rand.NewSource(int64(n))), 0, n)

@@ -235,7 +235,7 @@ func TestGoldenRenderings(t *testing.T) {
 // back verbatim from its JSONL rendering.
 func TestRoundTrip(t *testing.T) {
 	var ftrace bytes.Buffer
-	ring := obs.NewTraceRing(8, 0)
+	ring := obs.NewTraceRing(8)
 	ring.SetSink(&ftrace)
 	ring.SetMeta([]string{"x", "y"}, "test", 72)
 	sp := obs.StartSpan("decision", 5, 3, 100)

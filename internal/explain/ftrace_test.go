@@ -50,7 +50,7 @@ var fixtureProc = obs.ProcStats{Wall: 1700000000, Goroutines: 12,
 func ftraceFixture(t *testing.T, procs bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	r := obs.NewTraceRing(64, 512)
+	r := obs.NewTraceRing(64)
 	r.SetSink(&buf)
 	r.SetMeta([]string{"fa", "fb"}, "manual", 72)
 	spans, decs := fixtureSpans(), fixtureDecisions()
@@ -106,7 +106,7 @@ const goldenJSONL = `{"kind":"explain_header","mode":"manual","features":["wait"
 func goldenFTrace(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	r := obs.NewTraceRing(8, 512)
+	r := obs.NewTraceRing(8)
 	r.SetSink(&buf)
 	r.SetMeta([]string{"wait", "procs"}, "manual", 72)
 	r.EmitSpan(&obs.Span{ID: 11, Parent: 3, Name: "decision", WallStart: 1000, WallEnd: 1050,
@@ -228,7 +228,7 @@ func TestReadFTraceCRCMismatch(t *testing.T) {
 // flushed once.
 func TestReadFTraceMultiSegment(t *testing.T) {
 	var buf bytes.Buffer
-	r := obs.NewTraceRing(64, 512)
+	r := obs.NewTraceRing(64)
 	r.SetSink(&buf)
 	r.SetMeta([]string{"fa", "fb"}, "manual", 72)
 	if err := r.Flush(); err != nil {

@@ -21,7 +21,7 @@ func FuzzReadFTrace(f *testing.F) {
 	f.Add(obs.AppendFTraceFileHeader(nil))
 	f.Add([]byte("SCHDFTR\x02\x01\x00\x00\x00")) // wrong magic version byte
 	var buf bytes.Buffer
-	r := obs.NewTraceRing(16, 512)
+	r := obs.NewTraceRing(16)
 	r.SetSink(&buf)
 	r.SetMeta([]string{"fa", "fb"}, "manual", 72)
 	sp := obs.Span{ID: 5, Parent: 1, Name: "decision", WallStart: 10, WallEnd: 20,

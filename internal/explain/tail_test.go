@@ -7,7 +7,7 @@ import (
 )
 
 func tailFixtureRing(n int) *obs.TraceRing {
-	r := obs.NewTraceRing(256, 512)
+	r := obs.NewTraceRing(256)
 	r.SetMeta([]string{"fa", "fb"}, "manual", 5)
 	for i := 0; i < n; i++ {
 		r.EmitDecision(&obs.ExplainRecord{
@@ -53,7 +53,7 @@ func TestTailDecisions(t *testing.T) {
 }
 
 func TestTailDecisionsEmptyAndCorrupt(t *testing.T) {
-	empty := obs.NewTraceRing(16, 256)
+	empty := obs.NewTraceRing(16)
 	recs, newest, err := TailDecisions(empty.Snapshot(), 41)
 	if err != nil || len(recs) != 0 || newest != 41 {
 		t.Fatalf("empty ring: recs=%d newest=%d err=%v", len(recs), newest, err)

@@ -56,7 +56,7 @@ func TestGaugeFuncNilPanics(t *testing.T) {
 // stream decodes against the most recent preceding header, while a SetMeta
 // restating the current meta emits nothing.
 func TestTraceRingMetaChangeReemitsHeader(t *testing.T) {
-	r := NewTraceRing(16, 512)
+	r := NewTraceRing(16)
 	var sink bytes.Buffer
 	r.SetSink(&sink)
 
@@ -102,7 +102,7 @@ func TestTraceRingMetaChangeReemitsHeader(t *testing.T) {
 // header its oldest record decodes against, and a mid-ring meta change still
 // puts the new header before the first record it describes.
 func TestTraceRingSnapshotKeepsEvictedHeader(t *testing.T) {
-	r := NewTraceRing(4, 512)
+	r := NewTraceRing(4)
 	r.SetMeta([]string{"a", "b"}, "modeA", 3)
 	recA := testDecision(0)
 	recA.Features = []float64{1, 2}

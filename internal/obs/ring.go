@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// TraceRing is the flight recorder: a preallocated byte arena of equal-size
-// record slots holding spans, explain records, proc samples and the explain
+// TraceRing is the flight recorder: a byte arena of equal-size record
+// slots holding spans, explain records, proc samples and the explain
 // meta header in a canonical little-endian layout (the .ftrace format
 // below). A record is encoded straight into its slot with zero steady-state
 // allocations under one short mutex hold — cheap enough to leave on for
@@ -29,11 +29,13 @@ import (
 // payload). The flight-trace JSONL is decoder output only: internal/explain
 // renders a .ftrace file through the same per-record renderer.
 //
-// Slot size follows the records: the first record (or header) that does not
-// fit widens every slot to the next power of two that holds it and re-slots
-// the live records, once per record size class — a feature mode, in
-// practice — so the warm path never allocates. Only a record that would
-// push the arena past maxRingArenaBytes is dropped and counted oversize.
+// Slot size follows the records. The first record allocates the arena as
+// Cap() slots of the smallest power of two that holds it; a later record
+// that does not fit widens every slot to the next power of two that holds
+// it and re-slots the live records, once per record size class — a feature
+// mode, in practice — so the warm path never allocates. Only a record that
+// would push the arena past maxRingArenaBytes is dropped and counted
+// oversize.
 //
 // # .ftrace layout
 //
@@ -52,11 +54,11 @@ import (
 // A nil *TraceRing is valid and records nothing; every method is nil-safe.
 type TraceRing struct {
 	mu       sync.Mutex
-	arena    []byte // slots * slotSize bytes
+	arena    []byte // slots * slotSize bytes; nil until the first record
 	lens     []int  // framed bytes used per slot (0 = empty)
-	slotSize int
-	start    int // oldest slot
-	n        int // slots in use
+	slotSize int    // 0 until the first record
+	start    int    // oldest slot
+	n        int    // slots in use
 	total    uint64
 	dropped  uint64
 	oversize uint64
@@ -145,14 +147,12 @@ func FTraceSegmentCRC(payload []byte) uint32 {
 	return crc32.Checksum(payload, ftraceCRC)
 }
 
-// Default ring geometry: 4096 slots of 512 bytes hold every span and the
-// manual- and compacted-mode decision records (a record outgrows a slot
-// past ~45 feature+logit+prob values) in a 2 MiB arena; native mode's 102
+// DefaultRingSlots is the ring's default record capacity. Slot width is not
+// a parameter: a manual-mode daemon's first record is its header (170 bytes
+// framed), so its 4096 slots are 256 bytes, which also hold every
+// manual-mode decision (235 bytes), in a 1 MiB arena; native mode's 102
 // features and their header widen the slots on first use.
-const (
-	DefaultRingSlots    = 4096
-	DefaultRingSlotSize = 512
-)
+const DefaultRingSlots = 4096
 
 // maxRingArenaBytes is the ceiling slot growth stops at: 16 KiB slots at the
 // default slot count, a decision record of ~2000 features.
@@ -161,24 +161,16 @@ const maxRingArenaBytes = 64 << 20
 // segFlushBytes is the pending-segment size that triggers a sink flush.
 const segFlushBytes = 32 << 10
 
-// NewTraceRing returns a ring of the given geometry; values <= 0 select the
-// package defaults. slotSize is where the slots start, not a limit (see the
-// growth rule on TraceRing).
-func NewTraceRing(slots, slotSize int) *TraceRing {
+// NewTraceRing returns a ring of slots records (<= 0 selects
+// DefaultRingSlots). It allocates no arena: the first record sizes the
+// slots (see the growth rule on TraceRing). Arguments after slots are
+// ignored: they are accepted so that callers still passing the former
+// initial slot width compile.
+func NewTraceRing(slots int, _ ...int) *TraceRing {
 	if slots <= 0 {
 		slots = DefaultRingSlots
 	}
-	if slotSize <= 0 {
-		slotSize = DefaultRingSlotSize
-	}
-	if slotSize < ftraceRecHdrLen+1 {
-		slotSize = ftraceRecHdrLen + 1
-	}
-	return &TraceRing{
-		arena:    make([]byte, slots*slotSize),
-		lens:     make([]int, slots),
-		slotSize: slotSize,
-	}
+	return &TraceRing{lens: make([]int, slots)}
 }
 
 // Instrument registers the ring's self-observability metrics on reg:
@@ -211,8 +203,8 @@ func (r *TraceRing) Instrument(reg *Registry) {
 	r.occupancy.Set(float64(r.n))
 }
 
-// footprint returns the arena's bytes plus the JSONL cache's block and
-// buffer capacity.
+// footprint returns the arena's bytes (0 before the first record) plus the
+// JSONL cache's block and buffer capacity.
 func (r *TraceRing) footprint() float64 {
 	r.mu.Lock()
 	arena := len(r.arena)
@@ -222,7 +214,8 @@ func (r *TraceRing) footprint() float64 {
 
 // growLocked widens every slot to the next power of two holding a framed
 // record of need bytes and re-slots the live records, or reports false when
-// that arena would pass maxRingArenaBytes. Caller holds r.mu.
+// that arena would pass maxRingArenaBytes. The first record's call, with no
+// slots yet, allocates the arena. Caller holds r.mu.
 func (r *TraceRing) growLocked(need int) bool {
 	size := 1 << bits.Len(uint(need-1))
 	if size > maxRingArenaBytes/len(r.lens) {
@@ -233,13 +226,21 @@ func (r *TraceRing) growLocked(need int) bool {
 		copy(arena[idx*size:], r.arena[idx*r.slotSize:idx*r.slotSize+n])
 	}
 	r.arena, r.slotSize = arena, size
+	// The pending sink segment takes one more record of the new width past
+	// the flush threshold without reallocating, as SetSink sized it for the
+	// old one, so a warm emit with a sink attached stays allocation-free.
+	if want := ftraceSegHdrLen + segFlushBytes + size; r.seg != nil && cap(r.seg) < want {
+		r.seg = slices.Grow(r.seg, want-len(r.seg))
+	}
 	return true
 }
 
 // reserve claims the next slot for a record of payloadLen body bytes,
 // writes the frame header, and returns the full framed slot (encode the
 // body into frame[ftraceRecHdrLen:]), or nil when no permitted slot size
-// holds the framed record (counted as oversize). Caller holds r.mu.
+// holds the framed record (counted as oversize). The first record
+// allocates the arena, and any record wider than the slots widens them.
+// Caller holds r.mu.
 func (r *TraceRing) reserve(kind byte, payloadLen int) []byte {
 	framed := ftraceRecHdrLen + payloadLen
 	if framed > r.slotSize && !r.growLocked(framed) {

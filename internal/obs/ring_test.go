@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -64,7 +66,7 @@ func testDecision(seq int) ExplainRecord {
 }
 
 func TestTraceRingRoundTrip(t *testing.T) {
-	r := NewTraceRing(16, 512)
+	r := NewTraceRing(16)
 	r.SetMeta([]string{"wait", "procs"}, "manual", 72)
 	sp := Span{ID: 9, Parent: 2, Name: "decision", WallStart: 100, WallEnd: 150,
 		SimStart: 10.5, SimEnd: 11, Attrs: []Attr{{Key: "job", Num: 7}, {Key: "verdict", Str: "reject"}}}
@@ -74,8 +76,10 @@ func TestTraceRingRoundTrip(t *testing.T) {
 	ps := ProcStats{Wall: 1234, Goroutines: 8, HeapAlloc: 1 << 20, HeapSys: 1 << 22, NumGC: 3, PauseTotal: 5000}
 	r.EmitProc(ps)
 
-	if r.slotSize != 512 {
-		t.Fatalf("records that fit their slots grew them to %d bytes", r.slotSize)
+	// The header (44 bytes framed) sized the slots at 64, the span (121) and
+	// the decision (195) widened them to 128 and then 256; the proc sample fit.
+	if r.slotSize != 256 {
+		t.Fatalf("slots are %d bytes, want 256: the power of two holding the widest record", r.slotSize)
 	}
 	kinds, bodies := decodeImage(t, r.Snapshot())
 	if want := []byte{FTraceKindHeader, FTraceKindSpan, FTraceKindDecision, FTraceKindProc}; !bytes.Equal(kinds, want) {
@@ -109,13 +113,22 @@ func TestTraceRingRoundTrip(t *testing.T) {
 	if gotProc != ps {
 		t.Fatalf("proc round-trip: got %+v want %+v", gotProc, ps)
 	}
+
+	// Records that fit never grow the slots or move the arena.
+	arena := &r.arena[0]
+	r.EmitSpan(&sp)
+	r.EmitDecision(&dec)
+	r.EmitProc(ps)
+	if r.slotSize != 256 || &r.arena[0] != arena {
+		t.Fatalf("records that fit their slots reallocated the arena (slots now %d bytes)", r.slotSize)
+	}
 }
 
 // TestTraceRingWraparound pins the eviction order: a full ring drops the
 // oldest record per insert, the snapshot reads out oldest-first, and the
 // lifetime counters account for every emit.
 func TestTraceRingWraparound(t *testing.T) {
-	r := NewTraceRing(3, 512)
+	r := NewTraceRing(3)
 	for seq := 1; seq <= 5; seq++ {
 		dec := testDecision(seq)
 		r.EmitDecision(&dec)
@@ -141,20 +154,39 @@ func TestTraceRingWraparound(t *testing.T) {
 	}
 }
 
-// TestTraceRingOversize pins the slot-growth rule: a record wider than the
-// slots widens them once (next power of two, live records re-slotted, warm
-// path allocation-free afterwards), and only a record no slot size under the
-// arena ceiling holds is counted and skipped without disturbing the ring.
+// TestTraceRingOversize pins the slot-growth rule: the first record sizes
+// the slots, a record wider than them widens them once (next power of two,
+// live records re-slotted and earlier read-outs unchanged, warm path
+// allocation-free afterwards, with or without a sink), and only a record no
+// slot size under the arena ceiling holds is counted and skipped without
+// disturbing the ring.
 func TestTraceRingOversize(t *testing.T) {
-	r := NewTraceRing(4, 256)
 	small := testDecision(1)
-	small.Features, small.Logits, small.Probs = nil, nil, nil
-	r.EmitDecision(&small)
+	small.Features, small.Logits, small.Probs = nil, nil, nil // 139 bytes framed
 	big := testDecision(2)
-	big.Features = make([]float64, 64) // ~700-byte record in 256-byte slots
+	big.Features = make([]float64, 64) // ~700 bytes framed
 	big.Features[63] = 0.5
+
+	r := NewTraceRing(4)
+	if r.arena != nil {
+		t.Fatalf("a ring with no records holds a %d-byte arena", len(r.arena))
+	}
+	r.SetMeta([]string{"a"}, "manual", 72) // a 32-byte header record
+	if r.slotSize != 32 || len(r.arena) != 4*32 {
+		t.Fatalf("the first record sized the slots at %d x %d bytes, want 4 x 32", r.Cap(), r.slotSize)
+	}
+	r.EmitDecision(&small)
+	if r.slotSize != 256 || len(r.arena) != 4*256 {
+		t.Fatalf("slots are %d x %d bytes, want 4 x 256 for a 139-byte record", r.Cap(), r.slotSize)
+	}
+	views, _, err := r.AppendJSONL(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := bytes.Join(views, nil)
+	snap := r.Snapshot()
 	r.EmitDecision(&big)
-	if r.Oversized() != 0 || r.Len() != 2 || r.Total() != 2 {
+	if r.Oversized() != 0 || r.Len() != 3 || r.Total() != 3 {
 		t.Fatalf("growth dropped a record: Oversized=%d Len=%d Total=%d", r.Oversized(), r.Len(), r.Total())
 	}
 	if r.slotSize != 1024 || r.Cap() != 4 {
@@ -164,22 +196,52 @@ func TestTraceRingOversize(t *testing.T) {
 	if len(got) != 2 || !reflect.DeepEqual(got[0], small) || !reflect.DeepEqual(got[1], big) {
 		t.Fatalf("records did not survive re-slotting: %+v", got)
 	}
+	// File header, segment length and CRC, then the payload: the records
+	// held before growth read out as they did, followed by the new one.
+	const payloadAt = ftraceHeaderLen + ftraceSegHdrLen
+	if after := r.Snapshot(); !bytes.HasPrefix(after[payloadAt:], snap[payloadAt:]) {
+		t.Fatal("re-slotting changed the snapshot bytes of the records already held")
+	}
+	if !bytes.Equal(bytes.Join(views, nil), text) {
+		t.Fatal("re-slotting changed the bytes of earlier JSONL views")
+	}
 	if allocs := testing.AllocsPerRun(20, func() { r.EmitDecision(&big) }); allocs != 0 {
 		t.Fatalf("warm emit into grown slots allocated %.1f times, want 0", allocs)
 	}
 
-	// 16384 slots leave 4 KiB each under the ceiling: a ~5 KB record is
-	// refused, the ring and its geometry stay as they were.
-	r = NewTraceRing(1<<14, 64)
-	r.EmitDecision(&small)
+	// With a sink attached before any record, the pending segment follows
+	// the slots: the emits up to and past the first flush allocate nothing.
+	s := NewTraceRing(4)
+	s.SetSink(io.Discard)
+	s.EmitDecision(&small)
+	s.EmitDecision(&big)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 2*segFlushBytes/700; i++ {
+		s.EmitDecision(&big)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 || s.SinkErr() != nil {
+		t.Fatalf("warm emits into grown slots with a sink allocated %d times (sink error %v)", n, s.SinkErr())
+	}
+
+	// 16384 slots leave 4 KiB each under the ceiling: a ~5 KB first record
+	// is refused and leaves the arena unallocated; a fitting record then
+	// sizes the slots, and the next ~5 KB one is refused without disturbing
+	// them.
+	r = NewTraceRing(1 << 14)
 	huge := testDecision(3)
 	huge.Features = make([]float64, 600)
 	r.EmitDecision(&huge)
-	if r.Oversized() != 1 {
-		t.Fatalf("Oversized = %d, want 1", r.Oversized())
+	if r.Oversized() != 1 || r.Len() != 0 || r.Total() != 0 || r.arena != nil {
+		t.Fatalf("oversize first record: Oversized=%d Len=%d Total=%d arena=%d bytes, want 1/0/0/unallocated",
+			r.Oversized(), r.Len(), r.Total(), len(r.arena))
 	}
-	if r.Len() != 1 || r.Total() != 1 || r.slotSize != 256 {
-		t.Fatalf("oversize record disturbed the ring: Len=%d Total=%d slotSize=%d", r.Len(), r.Total(), r.slotSize)
+	r.EmitDecision(&small)
+	r.EmitDecision(&huge)
+	if r.Oversized() != 2 || r.Len() != 1 || r.Total() != 1 || r.slotSize != 256 {
+		t.Fatalf("oversize record disturbed the ring: Oversized=%d Len=%d Total=%d slotSize=%d",
+			r.Oversized(), r.Len(), r.Total(), r.slotSize)
 	}
 }
 
@@ -203,7 +265,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 // counter fires once, and records keep landing in the ring regardless.
 func TestTraceRingSinkErrorMidTrace(t *testing.T) {
 	reg := NewRegistry()
-	r := NewTraceRing(64, 512)
+	r := NewTraceRing(64)
 	r.Instrument(reg)
 	w := &failAfterWriter{ok: 1} // header write succeeds, segment flushes fail
 	r.SetSink(w)
@@ -244,9 +306,10 @@ func TestTraceRingSinkErrorMidTrace(t *testing.T) {
 		t.Fatalf("occupancy gauge missing from exposition:\n%s", prom.String())
 	}
 
-	// The memory gauge is the 64 x 512-byte arena until a JSONL snapshot
-	// renders the window; then it counts the cache's blocks and buffers too.
-	if !strings.Contains(prom.String(), "schedinspector_ftrace_ring_bytes 32768\n") {
+	// The memory gauge is the arena, 64 slots of the 256 bytes a 195-byte
+	// decision needs, until a JSONL snapshot renders the window; then it
+	// counts the cache's blocks and buffers too.
+	if !strings.Contains(prom.String(), "schedinspector_ftrace_ring_bytes 16384\n") {
 		t.Fatalf("memory gauge is not the arena before any JSONL call:\n%s", prom.String())
 	}
 	gauge := func() {
@@ -298,7 +361,7 @@ func TestTraceRingSinkErrorMidTrace(t *testing.T) {
 // record per sink generation, re-emitted when a fresh sink is attached so
 // every .ftrace file is self-describing.
 func TestTraceRingHeaderPerSink(t *testing.T) {
-	r := NewTraceRing(16, 512)
+	r := NewTraceRing(16)
 	r.SetMeta([]string{"a"}, "manual", 72)
 	r.SetMeta([]string{"a"}, "manual", 72) // idempotent: no second header
 
@@ -340,7 +403,7 @@ func TestTraceRingHeaderPerSink(t *testing.T) {
 }
 
 func TestTraceRingEmptySnapshot(t *testing.T) {
-	r := NewTraceRing(4, 64)
+	r := NewTraceRing(4)
 	snap := r.Snapshot()
 	if _, err := ParseFTraceFileHeader(snap); err != nil {
 		t.Fatal(err)
@@ -354,7 +417,7 @@ func TestTraceRingEmptySnapshot(t *testing.T) {
 // after a prefix it is the Snapshot image byte for byte, and appended into
 // the previous image's buffer it allocates nothing.
 func TestAppendSnapshotReusesBuffer(t *testing.T) {
-	r := NewTraceRing(16, 512)
+	r := NewTraceRing(16)
 	r.SetMeta([]string{"fa"}, "manual", 72)
 	for i := 0; i < 40; i++ { // wraps: the image leads with the evicted header
 		r.EmitDecision(&ExplainRecord{Seq: i, Features: []float64{float64(i)}})
@@ -406,7 +469,7 @@ func TestLastDecisions(t *testing.T) {
 		}
 		return out
 	}
-	r := NewTraceRing(8, 512)
+	r := NewTraceRing(8)
 	if _, got := r.LastDecisions(4); got == nil || len(got) != 0 {
 		t.Fatalf("empty ring returned %v, want empty and non-nil", got)
 	}
@@ -463,7 +526,7 @@ func TestLastDecisions(t *testing.T) {
 	// Readers against concurrent writers: every read is an ascending run of
 	// whole records (run under -race by the Makefile race target).
 	t.Run("concurrent", func(t *testing.T) {
-		r := NewTraceRing(16, 512)
+		r := NewTraceRing(16)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -496,7 +559,7 @@ func TestLastDecisions(t *testing.T) {
 // copies slice contents into its arena at emit time, so the caller may
 // mutate and reuse the backing arrays immediately.
 func TestTraceRingBorrowedSlices(t *testing.T) {
-	r := NewTraceRing(8, 512)
+	r := NewTraceRing(8)
 	feats := []float64{1, 2}
 	dec := testDecision(0)
 	dec.Features, dec.Logits, dec.Probs = feats, nil, nil
@@ -527,9 +590,9 @@ func TestEmitShapedSpanMatchesGeneric(t *testing.T) {
 			{Key: "free", Num: 56}, {Key: "queue", Num: 3},
 		},
 	}
-	generic := NewTraceRing(4, 512)
+	generic := NewTraceRing(4)
 	generic.EmitSpan(&sp)
-	shaped := NewTraceRing(4, 512)
+	shaped := NewTraceRing(4)
 	shaped.EmitShapedSpan(shape, sp.ID, sp.Parent, sp.WallStart, sp.WallEnd,
 		sp.SimStart, sp.SimEnd, "reject", []float64{42, 8, 1, 56, 3})
 	if !bytes.Equal(generic.Snapshot(), shaped.Snapshot()) {
@@ -547,7 +610,7 @@ func TestEmitShapedSpanMatchesGeneric(t *testing.T) {
 
 func TestEmitShapedSpanContractPanics(t *testing.T) {
 	shape := NewSpanShape("decision", "action", 6, []string{"job"})
-	r := NewTraceRing(4, 512)
+	r := NewTraceRing(4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("width-mismatched string value did not panic")
@@ -559,7 +622,7 @@ func TestEmitShapedSpanContractPanics(t *testing.T) {
 // TestTraceRingConcurrent hammers the emit paths and cold readers from many
 // goroutines; under -race this pins the single-mutex discipline.
 func TestTraceRingConcurrent(t *testing.T) {
-	r := NewTraceRing(32, 512)
+	r := NewTraceRing(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -591,7 +654,7 @@ func TestTraceRingConcurrent(t *testing.T) {
 // when more than a ring's worth arrived, and a warm call on an unchanged
 // ring allocates nothing when its views slice is reused.
 func TestAppendJSONLRendersOnce(t *testing.T) {
-	r := NewTraceRing(64, 0)
+	r := NewTraceRing(64)
 	r.SetMeta([]string{"a", "b", "c"}, "manual", 72)
 	emit := func(n int) {
 		for i := 0; i < n; i++ {
@@ -636,7 +699,7 @@ func TestAppendJSONLRendersOnce(t *testing.T) {
 // own lock, which no emit or other reader takes, so a render in progress
 // (here, the cache lock held) stalls no decision.
 func TestEmitDoesNotWaitForJSONL(t *testing.T) {
-	r := NewTraceRing(8, 0)
+	r := NewTraceRing(8)
 	r.jsonl.mu.Lock()
 	defer r.jsonl.mu.Unlock()
 	done := make(chan struct{})

@@ -192,7 +192,7 @@ func (s *ringScript) recheck(t testing.TB) {
 
 // run interprets the whole script, then checks once more.
 func (s *ringScript) run(t testing.TB) {
-	s.r = obs.NewTraceRing(2+int(s.u8()%30), 32+int(s.u8()%64))
+	s.r = obs.NewTraceRing(2 + int(s.u8()%30))
 	s.shape = obs.NewSpanShape("decision", "action", 6, []string{"job", "procs", "queue"})
 	for len(s.b) > 0 {
 		switch op := s.u8() % 16; {
@@ -277,7 +277,7 @@ func TestAppendJSONLMatchesConvert(t *testing.T) {
 // every call while it stays live, and once wraparound evicts it the output
 // is whole again.
 func TestAppendJSONLNonFinite(t *testing.T) {
-	r := obs.NewTraceRing(8, 0)
+	r := obs.NewTraceRing(8)
 	r.SetMeta([]string{"a"}, "manual", 72)
 	good := obs.ExplainRecord{Seq: 1, Features: []float64{0.5}}
 	bad := obs.ExplainRecord{Seq: 2, Features: []float64{math.Inf(1)}}
@@ -314,7 +314,7 @@ func TestAppendJSONLNonFinite(t *testing.T) {
 // change, a failing record — and while other goroutines emit and snapshot
 // (run under -race by the Makefile race target).
 func TestAppendJSONLViewsImmutable(t *testing.T) {
-	s := &ringScript{r: obs.NewTraceRing(512, 0), names: scriptMetas[2]}
+	s := &ringScript{r: obs.NewTraceRing(512), names: scriptMetas[2]}
 	s.r.SetMeta(s.names, "native", 72)
 	emit := func(n int) {
 		for i := 0; i < n; i++ {
@@ -344,7 +344,7 @@ func TestAppendJSONLViewsImmutable(t *testing.T) {
 	}
 
 	t.Run("concurrent", func(t *testing.T) {
-		r := obs.NewTraceRing(256, 0)
+		r := obs.NewTraceRing(256)
 		var emitters, readers sync.WaitGroup
 		for g := 0; g < 2; g++ {
 			emitters.Add(1)

@@ -80,7 +80,7 @@ func sinkImage(t *testing.T, r *TraceRing, sink *bytes.Buffer) []byte {
 }
 
 func TestSpanTracerRing(t *testing.T) {
-	r := NewTraceRing(3, 512)
+	r := NewTraceRing(3)
 	for i := 1; i <= 5; i++ {
 		r.EmitSpan(&Span{ID: SpanID(i), Name: "s"})
 	}
@@ -134,7 +134,7 @@ func TestSpanStartEnd(t *testing.T) {
 
 func TestSpanJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewTraceRing(8, 512)
+	r := NewTraceRing(8)
 	r.SetSink(&buf)
 	s := StartSpan("episode", 9, 2, 0)
 	s.Attrs = []Attr{{Key: "slot", Num: 4}, {Key: "mode", Str: "wave"}}
@@ -161,7 +161,7 @@ func TestSpanJSONLSink(t *testing.T) {
 // header, inside SetSink) is disabled on the spot and the ring keeps
 // recording.
 func TestSpanSinkErrorSticks(t *testing.T) {
-	r := NewTraceRing(4, 512)
+	r := NewTraceRing(4)
 	r.SetSink(&failWriter{})
 	if r.SinkErr() == nil {
 		t.Fatalf("write error not recorded")
@@ -180,7 +180,7 @@ func TestSpanSinkErrorSticks(t *testing.T) {
 // from many goroutines; run under -race this pins that ring wraparound and
 // reads during writes are safe.
 func TestSpanTracerConcurrent(t *testing.T) {
-	r := NewTraceRing(16, 512)
+	r := NewTraceRing(16)
 	shape := NewSpanShape("decision", "action", 6, []string{"job"})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -222,7 +222,7 @@ func TestNilExplainRecorderSafe(t *testing.T) {
 
 func TestExplainHeaderAndDecisionLines(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewTraceRing(8, 512)
+	r := NewTraceRing(8)
 	// Meta before sink: header must still come out once the sink lands.
 	r.SetMeta([]string{"wait", "procs"}, "manual", 72)
 	r.SetSink(&buf)
@@ -262,7 +262,7 @@ func TestExplainHeaderAndDecisionLines(t *testing.T) {
 // TestExplainRecorderConcurrent races decision writers against meta changes
 // and the two readers that serve /v1/explain/last.
 func TestExplainRecorderConcurrent(t *testing.T) {
-	r := NewTraceRing(32, 512)
+	r := NewTraceRing(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -287,7 +287,7 @@ func TestExplainRecorderConcurrent(t *testing.T) {
 // TestTraceRingMetaChangeReemitsHeader: the rendered stream keeps every
 // decision line under the header line that describes it.
 func TestExplainRecorderMetaChangeReemitsHeader(t *testing.T) {
-	r := NewTraceRing(16, 512)
+	r := NewTraceRing(16)
 	var sink bytes.Buffer
 	r.SetSink(&sink)
 
@@ -329,7 +329,7 @@ func TestExplainRecorderMetaChangeReemitsHeader(t *testing.T) {
 // stream, in emission order.
 func TestFlightRecorderSharedSink(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewTraceRing(8, 512)
+	r := NewTraceRing(8)
 	r.SetMeta([]string{"wait"}, "manual", 72)
 	r.SetSink(&buf)
 	r.EmitSpan(&Span{ID: 1, Name: "episode"})
@@ -383,7 +383,7 @@ func procRecords(t *testing.T, r *TraceRing) []ProcStats {
 
 func TestProcSampler(t *testing.T) {
 	reg := NewRegistry()
-	ring := NewTraceRing(0, 0)
+	ring := NewTraceRing(0)
 	p := NewProcSampler(reg, ring)
 	s := p.Sample()
 	if s.Goroutines <= 0 || s.HeapAlloc == 0 {
@@ -409,7 +409,7 @@ func TestProcSampler(t *testing.T) {
 }
 
 func TestProcSamplerStartStop(t *testing.T) {
-	ring := NewTraceRing(0, 0)
+	ring := NewTraceRing(0)
 	p := NewProcSampler(nil, ring)
 	stop := p.Start(time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)

@@ -81,7 +81,7 @@ type ringSource struct{ r *obs.TraceRing }
 func (s ringSource) Snapshot() []byte { return s.r.Snapshot() }
 
 func newTestRing(n int) *obs.TraceRing {
-	r := obs.NewTraceRing(4096, 512)
+	r := obs.NewTraceRing(4096)
 	r.SetMeta([]string{"a", "b", "c"}, "manual", 5)
 	fillRing(r, 0, n, rand.New(rand.NewSource(7)))
 	return r

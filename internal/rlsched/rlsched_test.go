@@ -1,8 +1,10 @@
 package rlsched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"schedinspector/internal/metrics"
@@ -128,6 +130,10 @@ func TestPolicyInSimulator(t *testing.T) {
 	}
 }
 
+// TestNewTrainerValidation: a missing or too-small trace, and the settings
+// core.TrainConfig refuses, are refused here too, naming the field, instead
+// of panicking in NewTrainer or RunEpoch, running an empty epoch, training
+// on the evaluation region, or ascending the loss.
 func TestNewTrainerValidation(t *testing.T) {
 	if _, err := NewTrainer(TrainConfig{}); err == nil {
 		t.Error("nil trace accepted")
@@ -135,6 +141,33 @@ func TestNewTrainerValidation(t *testing.T) {
 	small := workload.SDSCSP2Like(200, 1)
 	if _, err := NewTrainer(TrainConfig{Trace: small, SeqLen: 128}); err == nil {
 		t.Error("too-small trace accepted")
+	}
+	tr := workload.SDSCSP2Like(4000, 8)
+	for _, c := range []struct {
+		mut  func(*TrainConfig)
+		want string
+	}{
+		{func(c *TrainConfig) { c.SeqLen = -5 }, "TrainConfig.SeqLen = -5, must be >= 1"},
+		{func(c *TrainConfig) { c.Hidden = []int{8, 0} }, "TrainConfig.Hidden contains 0, layer sizes must be >= 1"},
+		{func(c *TrainConfig) { c.Batch = -3 }, "TrainConfig.Batch = -3, must be >= 1"},
+		{func(c *TrainConfig) { c.TrainFrac = 1.5 }, "TrainConfig.TrainFrac = 1.5, must be in (0, 1]"},
+		{func(c *TrainConfig) { c.TrainFrac = math.NaN() }, "TrainConfig.TrainFrac = NaN, must be in (0, 1]"},
+		{func(c *TrainConfig) { c.LR = -1 }, "TrainConfig.LR = -1, must be positive and finite"},
+		{func(c *TrainConfig) { c.LR = math.Inf(1) }, "TrainConfig.LR = +Inf, must be positive and finite"},
+	} {
+		cfg := TrainConfig{Trace: tr, Metric: metrics.BSLD, Batch: 4, SeqLen: 64, Seed: 3}
+		c.mut(&cfg)
+		trainer, err := func() (tr *Trainer, err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("panic: %v", p)
+				}
+			}()
+			return NewTrainer(cfg)
+		}()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("want an error containing %q, got trainer %v, error %v", c.want, trainer != nil, err)
+		}
 	}
 }
 

@@ -70,6 +70,28 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	return c
 }
 
+// validate rejects configurations that zero-defaulting would otherwise
+// silently accept, in core.TrainConfig's wording. It runs after
+// withDefaults, so a field still out of range was set deliberately.
+func (c TrainConfig) validate() error {
+	switch {
+	case c.SeqLen < 1:
+		return fmt.Errorf("rlsched: TrainConfig.SeqLen = %d, must be >= 1 (0 means the default 128)", c.SeqLen)
+	case c.Batch < 1:
+		return fmt.Errorf("rlsched: TrainConfig.Batch = %d, must be >= 1 (0 means the default 40)", c.Batch)
+	case c.LR < 0 || math.IsNaN(c.LR) || math.IsInf(c.LR, 0):
+		return fmt.Errorf("rlsched: TrainConfig.LR = %v, must be positive and finite (0 means the default 1e-3)", c.LR)
+	case c.TrainFrac < 0 || c.TrainFrac > 1 || math.IsNaN(c.TrainFrac):
+		return fmt.Errorf("rlsched: TrainConfig.TrainFrac = %v, must be in (0, 1] (0 means the default 0.2)", c.TrainFrac)
+	}
+	for _, h := range c.Hidden {
+		if h < 1 {
+			return fmt.Errorf("rlsched: TrainConfig.Hidden contains %d, layer sizes must be >= 1", h)
+		}
+	}
+	return nil
+}
+
 // EpochStats reports one training epoch.
 type EpochStats struct {
 	Epoch              int
@@ -98,6 +120,9 @@ func NewTrainer(cfg TrainConfig) (*Trainer, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Trace == nil {
 		return nil, fmt.Errorf("rlsched: TrainConfig.Trace is required")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if err := cfg.Trace.Validate(); err != nil {
 		return nil, fmt.Errorf("rlsched: %w", err)

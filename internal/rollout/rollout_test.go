@@ -200,7 +200,7 @@ func TestSlotBaseShiftsSlotsAndSpanIDs(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		eps := testEpisodes(4)
 		d := &slotDecide{}
-		ring := obs.NewTraceRing(1<<12, 0)
+		ring := obs.NewTraceRing(1 << 12)
 		out, _, err := Run(eps, over(Config{Workers: workers, NewDecide: d.worker, Ring: ring, SpanRoot: root, SlotBase: base}))
 		if err != nil {
 			t.Fatal(err)
@@ -255,7 +255,7 @@ func TestRunDoesNotMutateCallerEpisodes(t *testing.T) {
 	eps := testEpisodes(3)
 	before := testTrace.Clone()
 	d := &slotDecide{}
-	ring := obs.NewTraceRing(1<<12, 0)
+	ring := obs.NewTraceRing(1 << 12)
 	if _, _, err := Run(eps, over(Config{Workers: 2, NewDecide: d.worker, Ring: ring, SpanRoot: 9})); err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestEquivWindowWorkers(t *testing.T) {
 	for _, window := range []int{1, 3, liveWindow} {
 		for _, workers := range []int{1, 2, 8} {
 			d := &slotDecide{}
-			ring := obs.NewTraceRing(1<<14, 0)
+			ring := obs.NewTraceRing(1 << 14)
 			out, _, err := run(eps, over(Config{NewDecide: recordingDecide(d, ring, len(eps)), Ring: ring, SpanRoot: root}), workers, window)
 			if err != nil {
 				t.Fatal(err)

@@ -200,6 +200,10 @@ func parentInspect(h *Handler) http.Handler {
 			http.Error(w, "free_procs out of range", http.StatusBadRequest)
 			return
 		}
+		if msg := contextError(&req); msg != "" {
+			http.Error(w, msg, http.StatusBadRequest)
+			return
+		}
 		resp, code := h.decide(r.Context(), &req, waveState(&req))
 		if code != http.StatusOK {
 			http.Error(w, http.StatusText(code), code)

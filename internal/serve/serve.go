@@ -158,7 +158,7 @@ func NewHandler(insp *core.Inspector) *Handler {
 		mux:       http.NewServeMux(),
 		reg:       obs.NewRegistry(),
 		reqCounts: make(map[string]*obs.Counter),
-		ring:      obs.NewTraceRing(0, 0),
+		ring:      obs.NewTraceRing(0),
 	}
 	h.snap.Store(&snapshot{insp: insp, gen: 1})
 	h.pool.New = func() any { return new(requestScratch) }
@@ -467,6 +467,10 @@ func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "free_procs out of range", http.StatusBadRequest)
 		return
 	}
+	if msg := contextError(req); msg != "" {
+		http.Error(w, msg, http.StatusBadRequest)
+		return
+	}
 	p.st = *sim.NewState(workload.Job{Est: req.Job.Est, Procs: req.Job.Procs},
 		req.Job.Wait, req.Rejections, req.FreeProcs, req.TotalProcs,
 		req.BackfillEnabled, req.BackfillCount, req.Queue)
@@ -477,6 +481,29 @@ func (h *Handler) inspect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.writeResponse(w, resp)
+}
+
+// contextError names the first field of the scheduling context outside the
+// range the features are normalised over, or returns "" when there is none:
+// the counts are non-negative and every queued job, like the job itself, has
+// a positive estimate and width. It makes one pass over the queue and
+// allocates only to name a queue item.
+func contextError(req *InspectRequest) string {
+	switch {
+	case req.Rejections < 0:
+		return "rejections must be non-negative"
+	case req.BackfillCount < 0:
+		return "backfill_count must be non-negative"
+	}
+	for i := range req.Queue {
+		switch q := &req.Queue[i]; {
+		case q.Est <= 0:
+			return fmt.Sprintf("queue[%d].est must be positive", i)
+		case q.Procs <= 0:
+			return fmt.Sprintf("queue[%d].procs must be positive", i)
+		}
+	}
+	return ""
 }
 
 // writeResponse writes the verdict as writeJSON would, from p's scratch.

@@ -118,6 +118,48 @@ func TestInspectValidation(t *testing.T) {
 	}
 }
 
+// TestInspectContextRange: a scheduling context outside the range the
+// features are normalised over is answered 400 naming the field, in either
+// feature mode, and records no decision. Before these checks a negative
+// rejection count served 200 with a negative rejected_times feature.
+func TestInspectContextRange(t *testing.T) {
+	cases := []struct {
+		mut  func(*InspectRequest)
+		want string
+	}{
+		{func(r *InspectRequest) { r.Rejections = -5 }, "rejections must be non-negative"},
+		{func(r *InspectRequest) { r.BackfillCount = -1 }, "backfill_count must be non-negative"},
+		{func(r *InspectRequest) { r.Queue[0].Est = -600 }, "queue[0].est must be positive"},
+		{func(r *InspectRequest) { r.Queue[0].Est = 0 }, "queue[0].est must be positive"},
+		{func(r *InspectRequest) {
+			r.Queue = append(r.Queue, QueueItem{Wait: 1, Est: 60, Procs: -4})
+		}, "queue[1].procs must be positive"},
+		{func(r *InspectRequest) {
+			r.Queue = append(r.Queue, QueueItem{Wait: 1, Est: 60}, QueueItem{Est: -1})
+		}, "queue[1].procs must be positive"},
+	}
+	for _, mode := range []core.FeatureMode{core.ManualFeatures, core.NativeFeatures} {
+		h := NewHandler(equivInspector(1, mode))
+		defer h.Close()
+		for _, c := range cases {
+			req := validRequest()
+			c.mut(&req)
+			rec := postInspect(t, h, req)
+			if rec.Code != http.StatusBadRequest || rec.Body.String() != c.want+"\n" {
+				t.Errorf("%v, %+v: status %d %q, want 400 %q", mode, req, rec.Code, rec.Body, c.want)
+			}
+		}
+		if n := h.ring.Total(); n != 1 {
+			t.Errorf("%v: the ring holds %d records, want only the header", mode, n)
+		}
+		req := validRequest()
+		req.BackfillEnabled = true
+		if rec := postInspect(t, h, req); rec.Code != http.StatusOK {
+			t.Errorf("%v: zero counts: status %d %q, want 200", mode, rec.Code, rec.Body)
+		}
+	}
+}
+
 func validSimRequest() SimulateRequest {
 	return SimulateRequest{
 		Policy:   "SJF",

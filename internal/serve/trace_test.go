@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -364,5 +365,108 @@ func TestNativeModeDecisionsAreRecorded(t *testing.T) {
 	}
 	if n := h.TraceRing().Oversized(); n != 0 {
 		t.Fatalf("%d records dropped as oversize", n)
+	}
+}
+
+// ringBytes reads the ring's memory gauge off /metrics.
+func ringBytes(t *testing.T, h http.Handler) int {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	const name = "\nschedinspector_ftrace_ring_bytes "
+	_, rest, ok := strings.Cut(rec.Body.String(), name)
+	line, _, _ := strings.Cut(rest, "\n")
+	n, err := strconv.ParseFloat(line, 64)
+	if !ok || err != nil {
+		t.Fatalf("/metrics has no ring bytes gauge: %v\n%s", err, rec.Body)
+	}
+	return int(n)
+}
+
+// headerSlot is the slot width a feature mode's header record asks for:
+// the smallest power of two holding it framed (kind, length, then mode,
+// name count, names and rejection cap).
+func headerSlot(mode core.FeatureMode) int {
+	framed := 5 + 4 + len(mode.String()) + 4 + 8
+	for _, name := range mode.FeatureNames() {
+		framed += 4 + len(name)
+	}
+	return 1 << bits.Len(uint(framed-1))
+}
+
+// TestRingFootprint pins the daemon ring's memory. A manual-mode handler's
+// first record is its header, which sizes the slots at 256 bytes, and every
+// manual decision fits them: after a wrapped ring and a same-mode reload the
+// arena is 4096 x 256 bytes, 1 MiB. A swap to native mode widens the slots
+// to its header's width, and the JSONL and ftrace snapshots and
+// /v1/explain/last still decode every record.
+func TestRingFootprint(t *testing.T) {
+	h := NewHandler(equivInspector(1, core.ManualFeatures))
+	defer h.Close()
+	for i := 0; i < 5000; i++ {
+		if rec := postInspect(t, h, waveRequest(i)); rec.Code != http.StatusOK {
+			t.Fatalf("inspect %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	h.Swap(equivInspector(2, core.ManualFeatures))
+	if got := ringBytes(t, h); got != 1<<20 || got != h.ring.Cap()*headerSlot(core.ManualFeatures) {
+		t.Fatalf("manual-mode ring holds %d bytes, want 1 MiB (%d slots of 256)", got, h.ring.Cap())
+	}
+
+	h.Swap(equivInspector(3, core.NativeFeatures))
+	const native = 6
+	for i := 0; i < native; i++ {
+		if rec := postInspect(t, h, waveRequest(i)); rec.Code != http.StatusOK {
+			t.Fatalf("native inspect %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	if got, want := ringBytes(t, h), h.ring.Cap()*headerSlot(core.NativeFeatures); got != want {
+		t.Fatalf("after a swap to native mode the ring holds %d bytes, want %d", got, want)
+	}
+	if n := h.ring.Oversized(); n != 0 {
+		t.Fatalf("%d records dropped as oversize", n)
+	}
+
+	// The native header evicted one manual decision, each native one more.
+	held := h.ring.Cap() - 1
+	manualDim, nativeDim := core.ManualFeatures.Dim(), core.NativeFeatures.Dim()
+	checkDims := func(view string, recs []obs.ExplainRecord) {
+		t.Helper()
+		if len(recs) != held {
+			t.Fatalf("%s decodes %d decisions, want %d", view, len(recs), held)
+		}
+		for i := range recs {
+			want := manualDim
+			if i >= held-native {
+				want = nativeDim
+			}
+			if len(recs[i].Features) != want {
+				t.Fatalf("%s record %d carries %d features, want %d", view, i, len(recs[i].Features), want)
+			}
+		}
+	}
+	jsonl, err := explain.ReadTrace(bytes.NewReader(getTraceSnapshot(t, h, "").Body.Bytes()))
+	if err != nil {
+		t.Fatalf("JSONL snapshot: %v", err)
+	}
+	checkDims("JSONL snapshot", jsonl.Records)
+	ftrace, err := explain.ReadFTrace(bytes.NewReader(getTraceSnapshot(t, h, "?format=ftrace").Body.Bytes()))
+	if err != nil {
+		t.Fatalf("ftrace snapshot: %v", err)
+	}
+	checkDims("ftrace snapshot", ftrace.Records)
+
+	var last ExplainLastResponse
+	if err := json.Unmarshal(getExplain(t, h, "?n=4096").Body.Bytes(), &last); err != nil {
+		t.Fatal(err)
+	}
+	if len(last.Records) != native || len(last.FeatureNames) != nativeDim {
+		t.Fatalf("/v1/explain/last: %d records under %d names, want %d under %d",
+			len(last.Records), len(last.FeatureNames), native, nativeDim)
+	}
+	for i := range last.Records {
+		if len(last.Records[i].Features) != nativeDim {
+			t.Fatalf("/v1/explain/last record %d carries %d features, want %d", i, len(last.Records[i].Features), nativeDim)
+		}
 	}
 }

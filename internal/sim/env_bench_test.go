@@ -67,7 +67,7 @@ func BenchmarkEnvInspected(b *testing.B) {
 // allocation-free and within a few hundred nanoseconds of the untraced path.
 func BenchmarkEnvInspectedBinaryFlight(b *testing.B) {
 	jobs, cfg := benchWindow(b)
-	cfg.Ring = obs.NewTraceRing(1<<12, 512)
+	cfg.Ring = obs.NewTraceRing(1 << 12)
 	cfg.SpanParent = obs.DeriveSpanID(1)
 	decisions := runEnvEpisodes(b, jobs, cfg)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(decisions), "ns/decision")

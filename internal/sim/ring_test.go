@@ -32,7 +32,7 @@ func TestEnvDecisionSpans(t *testing.T) {
 	tr := workload.SDSCSP2Like(400, 11)
 	jobs := tr.Window(50, 64)
 	parent := obs.DeriveSpanID(42, 7)
-	ring := obs.NewTraceRing(1<<12, 512)
+	ring := obs.NewTraceRing(1 << 12)
 	cfg := Config{
 		MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Backfill: true,
 		NoValidate: true, Ring: ring, SpanParent: parent,
@@ -100,7 +100,7 @@ func TestEnvDecisionSpanIDsDeterministic(t *testing.T) {
 	tr := workload.SDSCSP2Like(400, 11)
 	jobs := tr.Window(50, 64)
 	run := func() []obs.SpanID {
-		ring := obs.NewTraceRing(1<<12, 512)
+		ring := obs.NewTraceRing(1 << 12)
 		cfg := Config{
 			MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Backfill: true,
 			NoValidate: true, Ring: ring, SpanParent: 99,
@@ -135,7 +135,7 @@ func TestEnvDecisionSpanIDsDeterministic(t *testing.T) {
 func TestEnvRingOnlySpans(t *testing.T) {
 	tr := workload.SDSCSP2Like(400, 11)
 	jobs := tr.Window(50, 64)
-	ring := obs.NewTraceRing(0, 0)
+	ring := obs.NewTraceRing(0)
 	cfg := Config{
 		MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Backfill: true,
 		NoValidate: true, Ring: ring, SpanParent: 99,
@@ -189,7 +189,7 @@ func TestEnvStepAllocsNilRing(t *testing.T) {
 // attached (no sink) must allocate nothing — spans are patched into a
 // precompiled shape inside the preallocated arena.
 func TestEnvStepAllocsBinaryRing(t *testing.T) {
-	cfg := Config{Ring: obs.NewTraceRing(1<<12, 512), SpanParent: obs.DeriveSpanID(1)}
+	cfg := Config{Ring: obs.NewTraceRing(1 << 12), SpanParent: obs.DeriveSpanID(1)}
 	if allocs := stepAllocs(t, cfg); allocs > 0 {
 		t.Fatalf("binary-ring episode allocated %.1f times, want 0", allocs)
 	}
