@@ -83,14 +83,15 @@ func usage() {
   schedinspect fleet -targets name=host:port,... | -targets-file FILE [-interval D] [-window D] [-addr HOST:PORT] [-once [-json]]
   schedinspect version
 
-train and eval accept -flight OUT to record a decision flight trace (spans +
-per-decision explain records) for schedinspect explain. The trace is written
-as binary .ftrace; explain reads it directly and -convert renders it as JSONL.`)
+train and eval accept -flight OUT to record a decision flight trace (one
+explain record per decision, under epoch/eval and episode spans) for
+schedinspect explain. The trace is written as binary .ftrace; explain reads
+it directly and -convert renders it as JSONL.`)
 }
 
 // flightFlag adds the shared flight-recorder flag to fs.
 func flightFlag(fs *flag.FlagSet) *string {
-	return fs.String("flight", "", "record a decision flight trace (spans + explain records) to this .ftrace file")
+	return fs.String("flight", "", "record a decision flight trace (one explain record per decision, epoch/eval and episode spans) to this .ftrace file")
 }
 
 // openFlight builds the flight recorder for -flight and attaches the sink

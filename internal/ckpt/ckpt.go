@@ -142,10 +142,14 @@ func WriteFrame(w io.Writer, version uint32, payload []byte) error {
 	return Encode(w, version, payload)
 }
 
+// frameChunk is the payload buffer ReadFrame starts with: a frame up to
+// this size costs one allocation.
+const frameChunk = 256 << 10
+
 // ReadFrame reads exactly one container frame from r and returns its
-// payload version and payload. maxPayload bounds the allocation a frame
-// header can demand (<= 0 means MaxPayload); a longer length field, bad
-// magic or CRC mismatch yields a *CorruptError, while plain I/O failures
+// payload version and payload. maxPayload bounds the payload length a
+// frame header may declare (<= 0 means MaxPayload); a longer length field,
+// bad magic or CRC mismatch yields a *CorruptError, while plain I/O failures
 // (including a cleanly closed stream before any header byte, io.EOF) pass
 // through. A stream truncated mid-frame surfaces as corruption, not EOF.
 func ReadFrame(r io.Reader, maxPayload int) (version uint32, payload []byte, err error) {
@@ -171,9 +175,19 @@ func ReadFrame(r io.Reader, maxPayload int) (version uint32, payload []byte, err
 	if n > limit {
 		return 0, nil, corrupt("", "frame payload length %d exceeds limit %d", n, limit)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, corrupt("", "frame truncated in %d-byte payload: %v", n, err)
+	// The length field is not believed before the bytes arrive: the buffer
+	// starts at one chunk and doubles only once it is full, so a damaged
+	// length costs at most one chunk or twice the bytes actually sent.
+	payload = make([]byte, min(n, frameChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, payload[got:])
+		if got += k; err != nil {
+			return 0, nil, corrupt("", "frame truncated at %d of %d payload bytes: %v", got, n, err)
+		}
+		if uint64(got) == n {
+			break
+		}
+		payload = append(payload, make([]byte, min(n-uint64(got), uint64(got)))...)
 	}
 	if sum := crc32.Checksum(payload, castagnoli); sum != binary.BigEndian.Uint32(hdr[20:24]) {
 		return 0, nil, corrupt("", "frame CRC mismatch (stored %08x, computed %08x)",

@@ -2,14 +2,20 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	payloads := [][]byte{[]byte("first"), {}, []byte("third frame with more bytes")}
+	big := make([]byte, 3*frameChunk+5) // read in growing chunks
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	payloads := [][]byte{[]byte("first"), {}, []byte("third frame with more bytes"), big}
 	for i, p := range payloads {
 		if err := WriteFrame(&buf, uint32(i+1), p); err != nil {
 			t.Fatal(err)
@@ -71,5 +77,29 @@ func TestFrameLengthBound(t *testing.T) {
 	// The exact size passes.
 	if _, _, err := ReadFrame(bytes.NewReader(buf.Bytes()), 64); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameLengthNotBelieved: a header claiming a 64 MiB payload (the dist
+// transport's bound) followed by 16 bytes and EOF is corruption, and costs
+// far less than the claimed length in allocations.
+func TestFrameLengthNotBelieved(t *testing.T) {
+	const claim = 64 << 20
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, 1, make([]byte, 16)); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.BigEndian.PutUint64(b[12:20], claim)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(b), claim)
+	runtime.ReadMemStats(&after)
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err=%v, want a *CorruptError", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("a 16-byte frame claiming %d bytes allocated %d bytes, want < 1 MiB", claim, alloc)
 	}
 }

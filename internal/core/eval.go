@@ -41,9 +41,9 @@ type EvalConfig struct {
 	Metrics *RolloutMetrics
 
 	// Flight, when non-nil, attaches the decision flight recorder: an
-	// "eval" span roots per-episode and per-decision spans, and every
-	// inspector decision records an explain record (Epoch 0; Traj is the
-	// episode slot — inspected arms occupy slots Sequences..2*Sequences-1).
+	// "eval" span roots one span per episode, and every inspector decision
+	// records one explain record (Epoch 0; Traj is the episode slot —
+	// inspected arms occupy slots Sequences..2*Sequences-1).
 	Flight *obs.TraceRing
 }
 

@@ -92,6 +92,8 @@ func TestFlightRecorderWorkerEquivalence(t *testing.T) {
 // TestBinaryFlightWorkerEquivalence is the same pin on the streamed file,
 // which is what train -flight writes: a ring far smaller than the run wraps
 // many times over, yet the sink holds every record at either worker count.
+// A decision is recorded once, as its explain record: spans only bracket
+// epochs, evaluations and episodes.
 func TestBinaryFlightWorkerEquivalence(t *testing.T) {
 	run := func(workers int) *explain.Trace {
 		var sink bytes.Buffer
@@ -107,6 +109,15 @@ func TestBinaryFlightWorkerEquivalence(t *testing.T) {
 		tr := readFlight(t, ring, sink.Bytes())
 		if len(tr.Records) != steps {
 			t.Fatalf("workers=%d: %d decision records for %d inspections", workers, len(tr.Records), steps)
+		}
+		for _, sp := range tr.Spans {
+			switch sp.Name {
+			case "epoch", "eval", "episode":
+			case "decision":
+				t.Fatalf("workers=%d: a decision span; decisions are recorded once, as explain records", workers)
+			default:
+				t.Fatalf("workers=%d: span named %q, want epoch, eval or episode", workers, sp.Name)
+			}
 		}
 		return tr
 	}

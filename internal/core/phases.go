@@ -163,9 +163,10 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 		Workers: workers, NewDecide: sampler.worker, SlotBase: lo,
 	}
 	if t.cfg.Flight != nil {
-		// The epoch span roots this epoch's episode and decision spans; its
-		// ID is a pure function of (seed, epoch), never of scheduling, so
-		// every worker's shard records under the same root.
+		// The epoch span roots this epoch's episode spans; its ID is a pure
+		// function of (seed, epoch), never of scheduling, so every worker's
+		// shard records under the same root. Decisions go to the ring as
+		// explain records, through the sampler.
 		epochID := obs.DeriveSpanID(uint64(t.cfg.Seed), streamTrain, uint64(t.epoch))
 		if !t.epochSpanOpen {
 			t.epochSpan = obs.StartSpan("epoch", epochID, 0, 0)

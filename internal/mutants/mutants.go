@@ -1,6 +1,7 @@
-// Package mutants is test support for decoder hardening (ROADMAP 6b): it
-// enumerates the damaged copies of an encoded image that a decoder must
-// answer with a typed error or a usable value — never a panic or a hang.
+// Package mutants is test support for decoder hardening against damaged
+// input: it enumerates the damaged copies of an encoded image (every
+// truncation and every single-bit flip) that a decoder must answer with a
+// typed error or a usable value — never a panic or a hang.
 // Its adopters are the /v1/inspect and /v1/simulate body decoders
 // (internal/serve), the model/checkpoint payload decoder (internal/core),
 // the .ftrace to JSONL converter (internal/explain) and the Prometheus text

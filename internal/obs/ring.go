@@ -341,95 +341,6 @@ func (r *TraceRing) EmitProc(s ProcStats) {
 	r.mu.Unlock()
 }
 
-// WallNow returns the wall clock in UnixNano, through the same source
-// StartSpan stamps spans with (swappable in tests). Hot paths that emit
-// shaped spans sample it at their own cadence.
-func WallNow() int64 { return wallNow() }
-
-// SpanShape precompiles the wire image of a fixed-shape span record: a
-// constant name, one leading string attribute with a constant key and
-// constant-width value, and a run of numeric attributes with constant keys.
-// Env's per-decision spans fit this shape; emitting through it costs one
-// arena memcpy plus scalar patches instead of a field-by-field encode. The
-// template is built by the generic span encoder itself, so a shaped record
-// is byte-identical to the equivalent EmitSpan record by construction.
-type SpanShape struct {
-	frame    []byte // framed record template (kind + length + body)
-	wallOff  int    // body offset of WallStart (WallEnd, SimStart, SimEnd follow)
-	strOff   int    // body offset of the string attr's value bytes
-	strWidth int
-	numOffs  []int // body offsets of each numeric attr's value
-}
-
-// NewSpanShape compiles the template. Every EmitShapedSpan against it must
-// pass a string value of exactly strWidth bytes and len(numKeys) numbers.
-func NewSpanShape(name, strKey string, strWidth int, numKeys []string) *SpanShape {
-	proto := Span{Name: name, Attrs: make([]Attr, 0, 1+len(numKeys))}
-	proto.Attrs = append(proto.Attrs, Attr{Key: strKey, Str: string(make([]byte, strWidth))})
-	for _, k := range numKeys {
-		proto.Attrs = append(proto.Attrs, Attr{Key: k})
-	}
-	n := spanBodyLen(&proto)
-	frame := make([]byte, ftraceRecHdrLen+n)
-	frame[0] = FTraceKindSpan
-	binary.LittleEndian.PutUint32(frame[1:], uint32(n))
-	putSpanBody(frame[ftraceRecHdrLen:], &proto)
-
-	sh := &SpanShape{
-		frame:    frame,
-		wallOff:  8 + 8 + strLen(name),
-		strWidth: strWidth,
-		numOffs:  make([]int, len(numKeys)),
-	}
-	// An attr encodes key | num | str, in that order. The string attr's
-	// value is its Str field (the final element), so the cursor lands
-	// directly after the value bytes.
-	o := sh.wallOff + 8 + 8 + 8 + 8 + 4 // walls, sim times, attr count
-	o += strLen(strKey) + 8             // string attr: key + unused num
-	sh.strOff = o + 4                   // skip the value's length prefix
-	o = sh.strOff + strWidth
-	for i, k := range numKeys {
-		o += strLen(k)
-		sh.numOffs[i] = o
-		o += 8 + 4 // num + empty str
-	}
-	if o != n {
-		panic(fmt.Sprintf("obs: span shape template is %d bytes, cursor ended at %d", n, o))
-	}
-	return sh
-}
-
-// EmitShapedSpan records one span through a precompiled shape: template
-// memcpy into the arena, then scalar patches. strVal must be exactly the
-// shape's declared width and nums must match its numeric key count — the
-// shape is a compiled contract, so a mismatch is a programming error and
-// panics. Safe on a nil ring.
-func (r *TraceRing) EmitShapedSpan(sh *SpanShape, id, parent SpanID, wallStart, wallEnd int64, simStart, simEnd float64, strVal string, nums []float64) {
-	if r == nil {
-		return
-	}
-	if len(strVal) != sh.strWidth || len(nums) != len(sh.numOffs) {
-		panic("obs: EmitShapedSpan arguments do not match the compiled shape")
-	}
-	r.mu.Lock()
-	if frame := r.reserve(FTraceKindSpan, len(sh.frame)-ftraceRecHdrLen); frame != nil {
-		copy(frame, sh.frame)
-		b := frame[ftraceRecHdrLen:]
-		putU64At(b, 0, uint64(id))
-		putU64At(b, 8, uint64(parent))
-		o := putI64At(b, sh.wallOff, wallStart)
-		o = putI64At(b, o, wallEnd)
-		o = putF64At(b, o, simStart)
-		putF64At(b, o, simEnd)
-		copy(b[sh.strOff:sh.strOff+sh.strWidth], strVal)
-		for i, off := range sh.numOffs {
-			putF64At(b, off, nums[i])
-		}
-		r.commit(frame)
-	}
-	r.mu.Unlock()
-}
-
 // SetMeta declares the feature names, feature-mode name and rejection cap
 // of subsequent decision records: the first call after construction (or
 // after SetSink) emits one header record, and a later call that actually

@@ -575,50 +575,6 @@ func TestTraceRingBorrowedSlices(t *testing.T) {
 	}
 }
 
-// TestEmitShapedSpanMatchesGeneric is the shaped-emit contract: a span sent
-// through a precompiled SpanShape produces byte-for-byte the record the
-// generic EmitSpan encoder writes for the equivalent Span — the template IS
-// the generic encoding with the scalars patched in.
-func TestEmitShapedSpanMatchesGeneric(t *testing.T) {
-	shape := NewSpanShape("decision", "action", 6, []string{"job", "procs", "rejections", "free", "queue"})
-	sp := Span{
-		ID: 77, Parent: 13, Name: "decision", WallStart: 1111, WallEnd: 2222,
-		SimStart: 10.5, SimEnd: 12.5,
-		Attrs: []Attr{
-			{Key: "action", Str: "reject"},
-			{Key: "job", Num: 42}, {Key: "procs", Num: 8}, {Key: "rejections", Num: 1},
-			{Key: "free", Num: 56}, {Key: "queue", Num: 3},
-		},
-	}
-	generic := NewTraceRing(4)
-	generic.EmitSpan(&sp)
-	shaped := NewTraceRing(4)
-	shaped.EmitShapedSpan(shape, sp.ID, sp.Parent, sp.WallStart, sp.WallEnd,
-		sp.SimStart, sp.SimEnd, "reject", []float64{42, 8, 1, 56, 3})
-	if !bytes.Equal(generic.Snapshot(), shaped.Snapshot()) {
-		t.Fatal("shaped span record differs from the generic encoding")
-	}
-	_, bodies := decodeImage(t, shaped.Snapshot())
-	got, err := DecodeFTraceSpan(bodies[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sp) {
-		t.Fatalf("shaped span round-trip:\n got %+v\nwant %+v", got, sp)
-	}
-}
-
-func TestEmitShapedSpanContractPanics(t *testing.T) {
-	shape := NewSpanShape("decision", "action", 6, []string{"job"})
-	r := NewTraceRing(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("width-mismatched string value did not panic")
-		}
-	}()
-	r.EmitShapedSpan(shape, 1, 2, 0, 0, 0, 0, "too long for six", []float64{1})
-}
-
 // TestTraceRingConcurrent hammers the emit paths and cold readers from many
 // goroutines; under -race this pins the single-mutex discipline.
 func TestTraceRingConcurrent(t *testing.T) {

@@ -18,9 +18,9 @@ import (
 // ring's Snapshot: the same bytes, and on failure the same prefix and the
 // same error text. ringScript turns a byte string into a flight-recorder
 // history — decisions under changing meta (slots grow with the wide one),
-// generic and shaped spans, proc samples, bursts past the ring's capacity —
-// with oracle checks between steps, so the seeded histories below and
-// FuzzRingJSONL drive the same interpreter.
+// spans of two attribute shapes, proc samples, bursts past the ring's
+// capacity — with oracle checks between steps, so the seeded histories
+// below and FuzzRingJSONL drive the same interpreter.
 
 // Feature-name sets a script switches between: a manual-sized one, a small
 // one and one as wide as native mode, whose records outgrow the slots.
@@ -48,7 +48,6 @@ var scriptFloats = []float64{
 type ringScript struct {
 	b     []byte
 	r     *obs.TraceRing
-	shape *obs.SpanShape
 	names []string
 	seq   int
 	held  []heldViews
@@ -193,7 +192,6 @@ func (s *ringScript) recheck(t testing.TB) {
 // run interprets the whole script, then checks once more.
 func (s *ringScript) run(t testing.TB) {
 	s.r = obs.NewTraceRing(2 + int(s.u8()%30))
-	s.shape = obs.NewSpanShape("decision", "action", 6, []string{"job", "procs", "queue"})
 	for len(s.b) > 0 {
 		switch op := s.u8() % 16; {
 		case op < 7:
@@ -211,7 +209,12 @@ func (s *ringScript) run(t testing.TB) {
 			if s.u8()&1 == 1 {
 				verdict = "reject"
 			}
-			s.r.EmitShapedSpan(s.shape, obs.SpanID(s.u64()), 3, 7, 7, s.float(), s.float(), verdict, s.floats(3))
+			sp := obs.Span{ID: obs.SpanID(s.u64()), Parent: 3, Name: "decision", WallStart: 7, WallEnd: 7,
+				SimStart: s.float(), SimEnd: s.float(), Attrs: []obs.Attr{{Key: "action", Str: verdict}}}
+			for i, v := range s.floats(3) {
+				sp.Attrs = append(sp.Attrs, obs.Attr{Key: [...]string{"job", "procs", "queue"}[i], Num: v})
+			}
+			s.r.EmitSpan(&sp)
 		case op == 9:
 			s.r.EmitProc(obs.ProcStats{Wall: int64(s.u64()), Goroutines: int(s.u8()), HeapAlloc: s.u64(),
 				HeapSys: s.u64(), NumGC: uint32(s.u8()), PauseTotal: s.u64()})
@@ -238,9 +241,10 @@ func (s *ringScript) run(t testing.TB) {
 
 // TestAppendJSONLMatchesConvert runs seeded random histories through the
 // oracle after every step that calls: manual, small and native-width meta
-// (slots grow), spans, shaped spans and proc samples, meta changes with the
-// evicted-header lead, wraparound many times over, calls with 0, some and
-// more than a ring's worth of new records, and non-finite records.
+// (slots grow), spans of both attribute shapes and proc samples, meta
+// changes with the evicted-header lead, wraparound many times over, calls
+// with 0, some and more than a ring's worth of new records, and non-finite
+// records.
 func TestAppendJSONLMatchesConvert(t *testing.T) {
 	seeds := 24
 	if testing.Short() {

@@ -105,8 +105,6 @@ func TestSpanTracerRing(t *testing.T) {
 func TestNilSpanTracerSafe(t *testing.T) {
 	var r *TraceRing
 	r.EmitSpan(&Span{ID: 1})
-	shape := NewSpanShape("decision", "action", 6, []string{"job"})
-	r.EmitShapedSpan(shape, 1, 2, 0, 0, 0, 0, "accept", []float64{1})
 	if r.Total() != 0 || r.Dropped() != 0 {
 		t.Fatalf("nil ring leaked state")
 	}
@@ -176,12 +174,11 @@ func TestSpanSinkErrorSticks(t *testing.T) {
 	}
 }
 
-// TestSpanTracerConcurrent hammers both span emit paths and the cold readers
-// from many goroutines; run under -race this pins that ring wraparound and
-// reads during writes are safe.
+// TestSpanTracerConcurrent hammers EmitSpan (bare and attributed spans) and
+// the cold readers from many goroutines; run under -race this pins that ring
+// wraparound and reads during writes are safe.
 func TestSpanTracerConcurrent(t *testing.T) {
 	r := NewTraceRing(16)
-	shape := NewSpanShape("decision", "action", 6, []string{"job"})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -192,7 +189,7 @@ func TestSpanTracerConcurrent(t *testing.T) {
 				if i%2 == 0 {
 					r.EmitSpan(&Span{ID: id, Name: "x"})
 				} else {
-					r.EmitShapedSpan(shape, id, 1, 0, 0, 0, 0, "accept", []float64{float64(i)})
+					r.EmitSpan(&Span{ID: id, Parent: 1, Name: "y", Attrs: []Attr{{Key: "action", Str: "accept"}, {Key: "i", Num: float64(i)}}})
 				}
 				if i%17 == 0 {
 					_ = r.Snapshot()

@@ -102,13 +102,12 @@ type Config struct {
 	// Required if any episode is interactive.
 	NewDecide func(w int) Decide
 
-	// Ring attaches the flight recorder: each episode slot gets an
-	// "episode" span (child of SpanRoot, ID derived from (SpanRoot, slot))
-	// and its environment emits per-decision child spans. The driver owns
-	// span attachment — it overrides any Ring/SpanParent set on episode
-	// configs — so IDs stay a pure function of (SpanRoot, slot, decision
-	// seq) and are identical at any worker count. Wall timestamps and ring
-	// order remain execution-dependent; only identity is deterministic.
+	// Ring attaches the flight recorder: each episode slot gets one
+	// "episode" span, a child of SpanRoot whose ID is derived from
+	// (SpanRoot, slot), so IDs are identical at any worker count. The
+	// decisions themselves are recorded by the caller's Decide, not here.
+	// Wall timestamps and ring order remain execution-dependent; only
+	// identity is deterministic.
 	Ring     *obs.TraceRing
 	SpanRoot obs.SpanID
 
@@ -235,20 +234,18 @@ func run(eps []Episode, cfg Config, workers, window int) ([]Outcome, Report, err
 					lv.env = sim.NewEnv()
 				}
 				lv.jobs = cfg.Trace.WindowInto(lv.jobs, eps[i].Start, cfg.SeqLen)
-				ec := eps[i].Cfg // a copy: the caller's Episodes are never mutated
 				if cfg.Ring != nil {
-					ec.Ring = cfg.Ring
-					ec.SpanParent = obs.DeriveSpanID(uint64(cfg.SpanRoot), uint64(cfg.SlotBase+i))
-					lv.span = obs.StartSpan("episode", ec.SpanParent, cfg.SpanRoot, 0)
+					id := obs.DeriveSpanID(uint64(cfg.SpanRoot), uint64(cfg.SlotBase+i))
+					lv.span = obs.StartSpan("episode", id, cfg.SpanRoot, 0)
 				}
 				if eps[i].Interactive {
 					var done bool
-					if lv.state, done, errs[i] = lv.env.Reset(lv.jobs, ec); errs[i] == nil && !done {
+					if lv.state, done, errs[i] = lv.env.Reset(lv.jobs, eps[i].Cfg); errs[i] == nil && !done {
 						lives = append(lives, lv)
 						continue
 					}
 				} else {
-					_, errs[i] = sim.RunEnv(lv.env, lv.jobs, ec)
+					_, errs[i] = sim.RunEnv(lv.env, lv.jobs, eps[i].Cfg)
 				}
 				if errs[i] == nil {
 					finish(&lv)

@@ -219,20 +219,17 @@ func TestSlotBaseShiftsSlotsAndSpanIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 		episodes := make(map[obs.SpanID]int) // episode span ID -> its slot attr
-		decisions := make(map[obs.SpanID]int)
 		for _, sp := range tr.Spans {
-			switch sp.Name {
-			case "episode":
-				if sp.Parent != root {
-					t.Fatalf("episode span parent %d, want the root %d", sp.Parent, root)
-				}
-				if sp.Attrs[1].Key != "jobs" || sp.Attrs[1].Num != testSeqLen {
-					t.Fatalf("episode span attr %+v, want jobs=%d", sp.Attrs[1], testSeqLen)
-				}
-				episodes[sp.ID] = int(sp.Attrs[0].Num)
-			case "decision":
-				decisions[sp.Parent]++
+			if sp.Name != "episode" {
+				t.Fatalf("workers=%d: span %q in the ring; the driver emits episode spans only", workers, sp.Name)
 			}
+			if sp.Parent != root {
+				t.Fatalf("episode span parent %d, want the root %d", sp.Parent, root)
+			}
+			if sp.Attrs[1].Key != "jobs" || sp.Attrs[1].Num != testSeqLen {
+				t.Fatalf("episode span attr %+v, want jobs=%d", sp.Attrs[1], testSeqLen)
+			}
+			episodes[sp.ID] = int(sp.Attrs[0].Num)
 		}
 		if len(episodes) != len(eps) {
 			t.Fatalf("workers=%d: %d episode spans for %d episodes", workers, len(episodes), len(eps))
@@ -242,17 +239,19 @@ func TestSlotBaseShiftsSlotsAndSpanIDs(t *testing.T) {
 			if slot, ok := episodes[id]; !ok || slot != base+i {
 				t.Fatalf("workers=%d: episode %d has no span with ID derived from slot %d (slot attr %d)", workers, i, base+i, slot)
 			}
-			if got, want := decisions[id], d.seq[base+i]; got != want {
-				t.Fatalf("workers=%d: slot %d has %d decision spans under its episode span, Decide answered %d", workers, base+i, got, want)
+			if got, want := out[i].Inspections, d.seq[base+i]; got != want {
+				t.Fatalf("workers=%d: slot %d reports %d inspections, Decide answered %d", workers, base+i, got, want)
 			}
 		}
 	}
 }
 
-// TestRunDoesNotMutateCallerEpisodes: span plumbing is attached to a copy,
-// and the trace windows are copied out, never written.
+// TestRunDoesNotMutateCallerEpisodes: a traced run leaves the caller's
+// episodes as they were, and the trace windows are copied out, never
+// written.
 func TestRunDoesNotMutateCallerEpisodes(t *testing.T) {
 	eps := testEpisodes(3)
+	epsBefore := append([]Episode(nil), eps...)
 	before := testTrace.Clone()
 	d := &slotDecide{}
 	ring := obs.NewTraceRing(1 << 12)
@@ -263,8 +262,10 @@ func TestRunDoesNotMutateCallerEpisodes(t *testing.T) {
 		t.Fatal("ring attached but nothing recorded")
 	}
 	for i := range eps {
-		if eps[i].Cfg.Ring != nil || eps[i].Cfg.SpanParent != 0 {
-			t.Fatalf("caller's episode %d now carries ring %p / span parent %d", i, eps[i].Cfg.Ring, eps[i].Cfg.SpanParent)
+		got, want := eps[i], epsBefore[i]
+		got.Cfg.Policy, want.Cfg.Policy = nil, nil // func-valued: DeepEqual cannot compare them
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Run wrote into the caller's episode %d: %+v, was %+v", i, got, want)
 		}
 	}
 	if !reflect.DeepEqual(testTrace.Jobs, before.Jobs) {

@@ -60,19 +60,7 @@ type Env struct {
 	resScratch []runningJob   // reservation's clamped estimated-end copy
 	jobScratch workload.Job   // escape-free pointer handoff to UsageObservers
 	selScratch []workload.Job // queue view handed to sched.Selector policies
-	numScratch [5]float64     // decision-span numeric attrs
-
-	// Coarse wall clock for decision spans: refreshed every 32 decisions so
-	// the hot path pays ~1/32 of a time.Now per span.
-	wallCoarse int64
-	wallTick   uint32
 }
-
-// decisionShape is the precompiled wire image of the Env's per-decision
-// span: constant name and attr keys, a 6-byte action value ("accept" and
-// "reject" are deliberately the same width) and five numeric attrs.
-var decisionShape = obs.NewSpanShape("decision", "action", 6,
-	[]string{"job", "procs", "rejections", "free", "queue"})
 
 // NewEnv returns an empty environment; Reset starts the first episode.
 func NewEnv() *Env { return &Env{} }
@@ -153,33 +141,6 @@ func (e *Env) Step(reject bool) (*State, bool) {
 	}
 	idx := e.decision
 	w := &e.queue[idx]
-	if e.cfg.Ring != nil {
-		// One span per inspected decision, through the precompiled shape (one
-		// arena memcpy plus scalar patches), so Step stays allocation-free.
-		// The ID is keyed by the decision index: identity is a pure function
-		// of (episode span, decision seq), identical at any worker count. The
-		// wall clock is sampled once per 32 decisions — a sub-microsecond hot
-		// path cannot afford a syscall per span — so decision wall times are
-		// correlation timestamps (drift bounded by 32 decision latencies),
-		// not durations; the sim duration is zero because decisions are
-		// instantaneous in simulation time.
-		if e.wallTick&31 == 0 {
-			e.wallCoarse = obs.WallNow()
-		}
-		e.wallTick++
-		action := "accept"
-		if reject {
-			action = "reject"
-		}
-		e.numScratch[0] = float64(w.job.ID)
-		e.numScratch[1] = float64(w.job.Procs)
-		e.numScratch[2] = float64(w.rejects)
-		e.numScratch[3] = float64(e.free)
-		e.numScratch[4] = float64(len(e.queue))
-		id := obs.DeriveSpanID(uint64(e.cfg.SpanParent), uint64(e.out.Inspections-1))
-		e.cfg.Ring.EmitShapedSpan(decisionShape, id, e.cfg.SpanParent,
-			e.wallCoarse, e.wallCoarse, e.now, e.now, action, e.numScratch[:])
-	}
 	if t := e.cfg.Tracer; t != nil {
 		kind := obs.EventAccept
 		if reject {

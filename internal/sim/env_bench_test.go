@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"schedinspector/internal/obs"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
@@ -56,19 +55,6 @@ func runEnvEpisodes(b *testing.B, jobs []workload.Job, cfg Config) int {
 // BenchmarkEnvInspected measures the Env-driven interactive episode.
 func BenchmarkEnvInspected(b *testing.B) {
 	jobs, cfg := benchWindow(b)
-	decisions := runEnvEpisodes(b, jobs, cfg)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(decisions), "ns/decision")
-}
-
-// BenchmarkEnvInspectedBinaryFlight is the same episode with the flight
-// recorder attached (arena-backed trace ring, no sink): the price of
-// always-on production tracing relative to BenchmarkEnvInspected. Gated in
-// BENCH_env.json — the whole point of the ring is that this stays
-// allocation-free and within a few hundred nanoseconds of the untraced path.
-func BenchmarkEnvInspectedBinaryFlight(b *testing.B) {
-	jobs, cfg := benchWindow(b)
-	cfg.Ring = obs.NewTraceRing(1 << 12)
-	cfg.SpanParent = obs.DeriveSpanID(1)
 	decisions := runEnvEpisodes(b, jobs, cfg)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(decisions), "ns/decision")
 }

@@ -101,17 +101,6 @@ type Config struct {
 	TrackUsage    bool         // record the usage timeline (Result.Usage)
 	Tracer        *obs.Tracer  // optional event tracer; nil (the default) costs one branch per event site
 
-	// Ring attaches the flight recorder: every inspected decision emits one
-	// "decision" span, encoded straight into the arena-backed trace ring
-	// with zero per-decision allocations. SpanParent is the enclosing span
-	// — the rollout engine sets it to the episode span so traces nest run →
-	// epoch → episode → decision. Decision span IDs are derived from
-	// (SpanParent, decision index), never from execution order, so they are
-	// identical at any worker count. A nil Ring (the default) costs one
-	// branch per decision.
-	Ring       *obs.TraceRing
-	SpanParent obs.SpanID
-
 	// NoValidate skips the per-run job validation and sortedness check.
 	// Set it when the jobs come from a pre-validated source — e.g. a
 	// workload.Trace that already passed Validate — so hot paths that
