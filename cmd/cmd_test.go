@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -571,6 +572,90 @@ func TestCLIInspectordPortTaken(t *testing.T) {
 	out, err := exec.Command(bin(t, "inspectord"), "-model", model, "-addr", ln.Addr().String()).CombinedOutput()
 	if err == nil || strings.Contains(string(out), "serving") {
 		t.Fatalf("inspectord on a taken port (%v):\n%s", err, out)
+	}
+}
+
+// TestCLIInspectordFlightRotation serves with a 1 MiB -flight bound and
+// sends enough deep inspects to rotate. After SIGTERM both generations read
+// alone with schedinspect explain; a restart on the same path keeps the
+// previous run as FILE.1; the deleted -audit flag is a usage error.
+func TestCLIInspectordFlightRotation(t *testing.T) {
+	si := bin(t, "schedinspect")
+	work := t.TempDir()
+	model := filepath.Join(work, "model.ckpt")
+	run(t, si, train("train", 1, "-model", model)...)
+	flight := filepath.Join(work, "flight.ftrace")
+
+	queue := strings.Repeat(`{"wait":60,"est":600,"procs":4},`, 159) + `{"wait":5,"est":60,"procs":1}`
+	post := func(d *daemon, i int) {
+		body := fmt.Sprintf(`{"job":{"wait":%d,"est":3600,"procs":16},"free_procs":32,"total_procs":128,"queue":[%s]}`, i, queue)
+		resp, err := client.Post(d.url("/v1/inspect"), "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("inspect %d: status %d", i, resp.StatusCode)
+		}
+	}
+	summary := regexp.MustCompile(`: ([1-9][0-9]*) decisions \(.*, manual features`)
+	explainBoth := func() {
+		t.Helper()
+		for _, f := range []string{flight, flight + ".1"} {
+			if out := run(t, si, "explain", "-in", f); !summary.MatchString(out) {
+				t.Fatalf("explain -in %s does not read alone:\n%s", f, out)
+			}
+		}
+	}
+
+	d := inspectord(t, "-model", model, "-seed", "7", "-flight", flight, "-flight-max-mb", "1")
+	const clients = 4
+	var sent atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Until the first rotation, then a few more for the new file.
+			for extra := 0; extra < 25 && !t.Failed(); {
+				post(d, int(sent.Add(1)))
+				if _, err := os.Stat(flight + ".1"); err == nil {
+					extra++
+				} else if n := sent.Load(); n > 20000 {
+					t.Errorf("no rotation after %d decisions", n)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if err := d.stop(t); err != nil {
+		t.Fatalf("inspectord exit after SIGTERM: %v", err)
+	}
+	explainBoth()
+
+	// A restart moves the last run's newest file aside instead of truncating it.
+	last, err := os.ReadFile(flight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = inspectord(t, "-model", model, "-seed", "7", "-flight", flight, "-flight-max-mb", "1")
+	post(d, 0)
+	if err := d.stop(t); err != nil {
+		t.Fatalf("restarted inspectord exit after SIGTERM: %v", err)
+	}
+	if prev, err := os.ReadFile(flight + ".1"); err != nil || !bytes.Equal(prev, last) {
+		t.Fatalf("after a restart %s.1 is not the previous run's file (%v)", flight, err)
+	}
+	explainBoth()
+
+	err = exec.Command(bin(t, "inspectord"), "-model", model, "-audit", filepath.Join(work, "audit.jsonl")).Run()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 2 {
+		t.Fatalf("inspectord -audit: %v, want exit status 2", err)
 	}
 }
 

@@ -81,15 +81,14 @@ const (
 
 func main() {
 	var (
-		model      = flag.String("model", "model.ckpt", "trained model or checkpoint path (see schedinspect train)")
-		addr       = flag.String("addr", ":8642", "listen address")
-		seed       = flag.Int64("seed", 0, "decision-sampling seed (0 = time-based)")
-		audit      = flag.String("audit", "", "append a JSONL decision audit log (request, features, verdict) to this file")
-		auditMaxMB = flag.Int("audit-max-mb", 64, "rotate the audit log when it exceeds this many MiB, keeping one previous generation (0 = unlimited)")
-		flight     = flag.String("flight", "", "stream the binary flight-recorder ring to this .ftrace file (decisions + proc samples; always queryable live at /v1/trace/snapshot)")
-		procEvery  = flag.Duration("proc-interval", 30*time.Second, "runtime self-profiling snapshot interval (0 disables)")
-		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		drainFor   = flag.Duration("drain", 10*time.Second, "graceful-shutdown timeout for in-flight requests")
+		model       = flag.String("model", "model.ckpt", "trained model or checkpoint path (see schedinspect train)")
+		addr        = flag.String("addr", ":8642", "listen address")
+		seed        = flag.Int64("seed", 0, "decision-sampling seed (0 = time-based)")
+		flight      = flag.String("flight", "", "stream the binary flight-recorder ring to this .ftrace file (decisions + proc samples; always queryable live at /v1/trace/snapshot); a file already there moves to FILE.1")
+		flightMaxMB = flag.Int("flight-max-mb", 64, "start a new -flight file past this many MiB, keeping one previous generation as FILE.1 (0 = unbounded)")
+		procEvery   = flag.Duration("proc-interval", 30*time.Second, "runtime self-profiling snapshot interval (0 disables)")
+		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
+		drainFor    = flag.Duration("drain", 10*time.Second, "graceful-shutdown timeout for in-flight requests")
 
 		onlineOn        = flag.Bool("online", false, "enable the online continual-learning loop (tail decisions, retrain, shadow-evaluate, promote)")
 		onlineInterval  = flag.Duration("online-interval", 30*time.Second, "online loop cycle interval")
@@ -134,33 +133,19 @@ func main() {
 		}
 	}()
 
-	if *audit != "" {
-		w, err := serve.NewRotatingWriter(*audit, int64(*auditMaxMB)<<20)
-		if err != nil {
-			log.Fatalf("inspectord: audit log: %v", err)
-		}
-		defer w.Close()
-		h.SetAuditSink(w)
-		if *auditMaxMB > 0 {
-			log.Printf("inspectord: auditing decisions to %s (rotating at %d MiB)", *audit, *auditMaxMB)
-		} else {
-			log.Printf("inspectord: auditing decisions to %s", *audit)
-		}
-	}
-
 	if *flight != "" {
-		f, err := os.Create(*flight)
+		w, err := serve.NewRotatingWriter(*flight, int64(*flightMaxMB)<<20)
 		if err != nil {
 			log.Fatalf("inspectord: flight trace: %v", err)
 		}
-		defer f.Close()
-		h.TraceRing().SetSink(f)
+		defer w.Close()
+		h.TraceRing().SetSink(w)
 		defer func() {
 			if err := h.TraceRing().Flush(); err != nil {
 				log.Printf("inspectord: flight trace: %v", err)
 			}
 		}()
-		log.Printf("inspectord: recording binary flight trace to %s", *flight)
+		log.Printf("inspectord: recording binary flight trace to %s (rotating at %d MiB, 0 = never)", *flight, *flightMaxMB)
 	}
 
 	version.Register(h.Registry(), insp.Mode.String())

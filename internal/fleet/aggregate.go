@@ -80,7 +80,6 @@ var (
 		"schedinspector_online_rollbacks_total",
 		"schedinspector_ftrace_sink_errors_total",
 		"schedinspector_ftrace_ring_evicted_total",
-		"schedinspector_audit_write_failures_total",
 		"schedinspector_model_reloads_total",
 	}
 	statusHistograms = []string{

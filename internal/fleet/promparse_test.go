@@ -178,6 +178,26 @@ func TestParsePromMalformed(t *testing.T) {
 	}
 }
 
+// TestParsePromLabelNames: WriteTo renders labels through obs, which panics
+// on a label name it would not register, so ParseProm must reject every
+// such name first and accept (and render) every name obs takes.
+func TestParsePromLabelNames(t *testing.T) {
+	for _, name := range []string{"", "1a", "a-b", "a.b", "é", "a b"} {
+		if _, err := ParseProm([]byte("m{" + name + `="v"} 1` + "\n")); err == nil {
+			t.Errorf("label name %q parsed", name)
+		}
+	}
+	src := []byte(`m{_:a1="x",Z="y"} 1` + "\n")
+	s, err := ParseProm(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if _, err := s.WriteTo(&out); err != nil || out.String() != `m{Z="y",_:a1="x"} 1`+"\n" {
+		t.Errorf("rendered %q, %v", out.String(), err)
+	}
+}
+
 func TestParsePromTolerated(t *testing.T) {
 	// Shapes a strict-but-interoperable parser should accept: comments,
 	// blank lines, timestamps, untyped samples, non-finite values.

@@ -245,7 +245,6 @@ func DefaultRules() []Rule {
 		{Name: "wave-latency-burn", Eval: ruleWaveLatencyBurn},
 		{Name: "trace-sink-errors", Eval: ruleTraceSinkErrors},
 		{Name: "trace-ring-evictions", Eval: ruleTraceRingEvictions},
-		{Name: "audit-write-failures", Eval: ruleAuditWriteFailures},
 		{Name: "promotion-churn", Eval: rulePromotionChurn},
 	}
 }
@@ -422,8 +421,6 @@ var (
 		"schedinspector_ftrace_sink_errors_total", "trace sink write errors", SevWarning)
 	ruleTraceRingEvictions = counterDeltaRule(
 		"schedinspector_ftrace_ring_evicted_total", "trace records evicted unflushed", SevInfo)
-	ruleAuditWriteFailures = counterDeltaRule(
-		"schedinspector_audit_write_failures_total", "audit write failures", SevWarning)
 )
 
 func rulePromotionChurn(ctx *RuleContext) []Finding {

@@ -28,7 +28,7 @@ func WritePromFmt(r *Registry, w io.Writer) error {
 	for i := range fams {
 		f := &fams[i]
 		if f.help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, EscapeHelp(f.help))
+			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
 		for _, s := range f.series {
@@ -62,7 +62,7 @@ func WritePromFmt(r *Registry, w io.Writer) error {
 	return bw.Flush()
 }
 
-// fmtValue is FormatValue as it was.
+// fmtValue is appendValue as it was.
 func fmtValue(v float64) string {
 	switch {
 	case math.IsInf(v, 1):

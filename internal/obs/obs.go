@@ -45,16 +45,16 @@ func renderLabels(ls Labels) string {
 		}
 		b.WriteString(k)
 		b.WriteString(`="`)
-		b.WriteString(EscapeLabelValue(ls[k]))
+		b.WriteString(escapeLabelValue(ls[k]))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// EscapeLabelValue escapes a label value per the Prometheus text format:
+// escapeLabelValue escapes a label value per the Prometheus text format:
 // backslash, double quote and line feed.
-func EscapeLabelValue(v string) string {
+func escapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
@@ -74,8 +74,8 @@ func EscapeLabelValue(v string) string {
 	return b.String()
 }
 
-// EscapeHelp escapes a HELP string: backslash and line feed only.
-func EscapeHelp(v string) string {
+// escapeHelp escapes a HELP string: backslash and line feed only.
+func escapeHelp(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
@@ -96,12 +96,9 @@ func validName(s string) bool {
 	return true
 }
 
-// FormatValue renders a sample value the way Prometheus clients do:
-// shortest round-trip decimal, with +Inf/-Inf/NaN spelled out.
-func FormatValue(v float64) string { return string(AppendValue(nil, v)) }
-
-// AppendValue appends FormatValue(v) to b.
-func AppendValue(b []byte, v float64) []byte {
+// appendValue appends a sample value the way Prometheus clients render
+// it: shortest round-trip decimal, with +Inf/-Inf/NaN spelled out.
+func appendValue(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
 		return append(b, "+Inf"...)

@@ -105,7 +105,56 @@ func (g gaugeFunc) appendTo(b []byte, name, labels string) []byte {
 // appendSample appends one "name+suffix labels value" line.
 func appendSample(b []byte, name, suffix, labels string, v float64) []byte {
 	b = append(append(append(b, name...), suffix...), labels...)
-	return append(AppendValue(append(b, ' '), v), '\n')
+	return append(appendValue(append(b, ' '), v), '\n')
+}
+
+// AppendPromFamily appends a family's "# HELP" and "# TYPE" lines, each
+// omitted when empty.
+func AppendPromFamily(b []byte, name, help, typ string) []byte {
+	if help != "" {
+		b = append(append(append(append(b, "# HELP "...), name...), ' '), escapeHelp(help)...)
+		b = append(b, '\n')
+	}
+	if typ != "" {
+		b = append(append(append(append(b, "# TYPE "...), name...), ' '), typ...)
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// appendHistogram appends one histogram series: a _bucket line per bucket,
+// its bound spliced into the labels as a last le label, then _sum, then
+// _count, which is the last bucket's cumulative count. bucket(i) returns
+// the i-th bound and cumulative count; the last bound is +Inf.
+func appendHistogram(b []byte, name, labels string, buckets int, bucket func(i int) (le float64, cum uint64), sum float64) []byte {
+	prefix := "{"
+	if labels != "" {
+		prefix = labels[:len(labels)-1] + ","
+	}
+	var cum uint64
+	for i := 0; i < buckets; i++ {
+		var le float64
+		le, cum = bucket(i)
+		b = append(append(append(b, name...), "_bucket"...), prefix...)
+		b = appendValue(append(b, `le="`...), le)
+		b = append(strconv.AppendUint(append(b, `"} `...), cum, 10), '\n')
+	}
+	b = appendSample(b, name, "_sum", labels, sum)
+	b = append(append(append(append(b, name...), "_count"...), labels...), ' ')
+	return append(strconv.AppendUint(b, cum, 10), '\n')
+}
+
+// AppendPromSample appends one sample line as WriteProm renders it, for a
+// caller holding labels as a map (fleet.Scrape.WriteTo). It panics on an
+// invalid label name.
+func AppendPromSample(b []byte, name string, labels Labels, v float64) []byte {
+	return appendSample(b, name, "", renderLabels(labels), v)
+}
+
+// AppendPromHistogram is appendHistogram for a caller holding labels as a
+// map. It panics on an invalid label name.
+func AppendPromHistogram(b []byte, name string, labels Labels, buckets int, bucket func(i int) (le float64, cum uint64), sum float64) []byte {
+	return appendHistogram(b, name, renderLabels(labels), buckets, bucket, sum)
 }
 
 // Histogram registers a histogram with the given upper bucket bounds (the
@@ -151,12 +200,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	}
 	for i := range fams {
 		f := &fams[i]
-		if f.help != "" {
-			b = append(append(append(append(b, "# HELP "...), f.name...), ' '), EscapeHelp(f.help)...)
-			b = append(b, '\n')
-		}
-		b = append(append(append(append(b, "# TYPE "...), f.name...), ' '), f.typ...)
-		b = append(b, '\n')
+		b = AppendPromFamily(b, f.name, f.help, f.typ)
 		for _, s := range f.series {
 			b = s.metric.appendTo(b, f.name, s.labels)
 		}
@@ -272,27 +316,15 @@ func (h *Histogram) Count() uint64 {
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
 func (h *Histogram) appendTo(b []byte, name, labels string) []byte {
-	// _bucket lines carry an extra le label; splice it into the suffix.
-	prefix := "{"
-	if labels != "" {
-		prefix = labels[:len(labels)-1] + ","
-	}
 	var cum uint64
-	for i := 0; i <= len(h.upper); i++ {
-		le := math.Inf(1) // AppendValue spells it +Inf
-		if i < len(h.upper) {
-			le = h.upper[i]
-			cum += h.counts[i].Load()
-		} else {
+	return appendHistogram(b, name, labels, len(h.upper)+1, func(i int) (float64, uint64) {
+		if i == len(h.upper) {
 			cum += h.inf.Load()
+			return math.Inf(1), cum
 		}
-		b = append(append(append(b, name...), "_bucket"...), prefix...)
-		b = AppendValue(append(b, `le="`...), le)
-		b = append(strconv.AppendUint(append(b, `"} `...), cum, 10), '\n')
-	}
-	b = appendSample(b, name, "_sum", labels, h.Sum())
-	b = append(append(append(append(b, name...), "_count"...), labels...), ' ')
-	return append(strconv.AppendUint(b, cum, 10), '\n')
+		cum += h.counts[i].Load()
+		return h.upper[i], cum
+	}, h.Sum())
 }
 
 // DefBuckets returns the conventional latency buckets (seconds), matching

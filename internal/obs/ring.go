@@ -21,7 +21,8 @@ import (
 //
 // The ring is the in-memory truth; four cold paths read it out. SetSink
 // streams every subsequent record into CRC-checked segments of a .ftrace
-// file, AppendSnapshot copies the live ring into a self-contained .ftrace
+// file (a RotatingSink moves to a new file between segments),
+// AppendSnapshot copies the live ring into a self-contained .ftrace
 // byte image (the ?format=ftrace snapshot), AppendJSONL renders the live
 // ring as flight-trace JSONL (the default /v1/trace/snapshot payload,
 // keeping each record's line in immutable blocks while it stays live), and
@@ -66,6 +67,7 @@ type TraceRing struct {
 	metaNames  []string
 	metaMode   string
 	metaMaxRej int
+	metaFrom   uint64 // lifetime index of the first record under the current meta
 	headerOut  bool
 	lostHeader []byte // framed copy of the newest header record wraparound evicted
 
@@ -293,6 +295,7 @@ func (r *TraceRing) commit(framed []byte) {
 	r.seg = append(r.seg, framed...)
 	if len(r.seg)-ftraceSegHdrLen >= segFlushBytes {
 		r.flushLocked()
+		r.rotateLocked()
 	}
 }
 
@@ -355,6 +358,7 @@ func (r *TraceRing) SetMeta(names []string, mode string, maxRejections int) {
 	r.mu.Lock()
 	if metaChanged(r.metaNames, r.metaMode, r.metaMaxRej, names, mode, maxRejections) {
 		r.headerOut = false
+		r.metaFrom = r.total
 	}
 	r.metaNames = names
 	r.metaMode = mode
@@ -392,11 +396,20 @@ func (r *TraceRing) emitHeaderLocked() {
 	}
 }
 
+// A RotatingSink is a sink that moves to a new file when the current one
+// is full. The ring asks it after every segment it flushes at the size
+// threshold, never at Flush; when Rotate reports a new file, the ring opens
+// that file as SetSink opens a sink, so every file decodes alone.
+type RotatingSink interface {
+	io.Writer
+	Rotate() (rotated bool, err error)
+}
+
 // SetSink streams every subsequent record to w in .ftrace segments. The
 // file header is written immediately, followed by a fresh meta header
-// record when SetMeta has been called. The first write error sticks (see
-// SinkErr), bumps the sink-error counter, and disables the sink; records
-// keep landing in the ring regardless.
+// record when SetMeta has been called. The first write or rotation error
+// sticks (see SinkErr), bumps the sink-error counter, and disables the
+// sink; records keep landing in the ring regardless.
 func (r *TraceRing) SetSink(w io.Writer) {
 	if r == nil {
 		return
@@ -409,16 +422,34 @@ func (r *TraceRing) SetSink(w io.Writer) {
 	} else {
 		r.seg = r.seg[:ftraceSegHdrLen]
 	}
-	if _, err := w.Write(AppendFTraceFileHeader(nil)); err != nil {
+	r.startStreamLocked()
+	r.mu.Unlock()
+}
+
+// startStreamLocked starts a record stream on the sink: the file header,
+// then the meta header re-emitted, so the file is self-describing even when
+// meta predates it. Caller holds r.mu with an empty pending segment.
+func (r *TraceRing) startStreamLocked() {
+	if _, err := r.sink.Write(AppendFTraceFileHeader(nil)); err != nil {
 		r.failSinkLocked(err)
-		r.mu.Unlock()
 		return
 	}
-	// A new sink starts a new record stream: re-emit the meta header so the
-	// file is self-describing even when meta predates the sink.
 	r.headerOut = false
 	r.emitHeaderLocked()
-	r.mu.Unlock()
+}
+
+// rotateLocked moves a full RotatingSink to its next file and starts that
+// file's stream. Caller holds r.mu, just after a flush.
+func (r *TraceRing) rotateLocked() {
+	rs, ok := r.sink.(RotatingSink)
+	if !ok {
+		return
+	}
+	if rotated, err := rs.Rotate(); err != nil {
+		r.failSinkLocked(err)
+	} else if rotated {
+		r.startStreamLocked()
+	}
 }
 
 // failSinkLocked records the first sink error. Caller holds r.mu.
@@ -517,13 +548,13 @@ func (r *TraceRing) AppendSnapshot(dst []byte) []byte {
 }
 
 // LastDecisions returns the feature names of the current meta and the most
-// recent min(n, held) decision records after the newest header record,
-// oldest first, skipping the spans and proc samples between them: every
-// record it returns carries features under those names, even just after a
-// feature-mode-changing SetMeta (records empty but non-nil when there are
-// none; both nil only for n <= 0 or a nil ring). Names and records are read
-// under one hold of the ring mutex, which copies the framed records out;
-// they decode after it. It allocates; it is the cold read-out path behind
+// recent min(n, held) decision records emitted since SetMeta declared it,
+// oldest first, skipping the headers, spans and proc samples between them:
+// every record it returns carries features under those names, even just
+// after a feature-mode-changing SetMeta (records empty but non-nil when
+// there are none; both nil only for n <= 0 or a nil ring). Names and
+// records are read under one hold of the ring mutex, which copies the
+// framed records out; they decode after it. It allocates; it is the cold read-out path behind
 // /v1/explain/last.
 func (r *TraceRing) LastDecisions(n int) (names []string, recs []ExplainRecord) {
 	if r == nil || n <= 0 {
@@ -531,13 +562,10 @@ func (r *TraceRing) LastDecisions(n int) (names []string, recs []ExplainRecord) 
 	}
 	r.mu.Lock()
 	names = r.metaNames
+	first := r.total - uint64(r.n) // lifetime index of the oldest slot
 	i, count, size := r.n-1, 0, 0
-	for ; i >= 0 && count < n; i-- {
-		slot := r.slotAt(i)
-		if slot[0] == FTraceKindHeader {
-			break
-		}
-		if slot[0] == FTraceKindDecision {
+	for ; i >= 0 && first+uint64(i) >= r.metaFrom && count < n; i-- {
+		if slot := r.slotAt(i); slot[0] == FTraceKindDecision {
 			count++
 			size += len(slot)
 		}

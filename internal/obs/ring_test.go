@@ -357,6 +357,28 @@ func TestTraceRingSinkErrorMidTrace(t *testing.T) {
 	gauge()
 }
 
+// TestLastDecisionsAcrossSinkHeader: a header that only restates the meta
+// (a new sink, or a rotation into a new file) does not cut LastDecisions
+// short; a meta change does.
+func TestLastDecisionsAcrossSinkHeader(t *testing.T) {
+	r := NewTraceRing(16)
+	r.SetMeta([]string{"a", "b", "c"}, "m", 72)
+	for seq := 0; seq < 3; seq++ {
+		if seq == 2 {
+			r.SetSink(io.Discard) // re-emits the header into the ring
+		}
+		dec := testDecision(seq)
+		r.EmitDecision(&dec)
+	}
+	if _, got := r.LastDecisions(10); len(got) != 3 {
+		t.Fatalf("%d decisions across a restated header, want 3", len(got))
+	}
+	r.SetMeta([]string{"a", "b", "c"}, "m2", 72)
+	if _, got := r.LastDecisions(10); len(got) != 0 {
+		t.Fatalf("%d decisions after a meta change, want 0", len(got))
+	}
+}
+
 // TestTraceRingHeaderPerSink pins the meta header discipline: one header
 // record per sink generation, re-emitted when a fresh sink is attached so
 // every .ftrace file is self-describing.

@@ -23,7 +23,7 @@ import (
 
 // maxWaiting bounds the requests parked on the model lock; past it a request
 // is answered 429 without waiting. A scheduler sends one request at a time,
-// so a pile-up this deep is a stuck lock holder (a slow audit disk) or abuse.
+// so a pile-up this deep is a stuck lock holder (a slow flight disk) or abuse.
 const maxWaiting = 512
 
 // statusClientClosed is nginx's "client closed request": nobody reads the
@@ -76,8 +76,7 @@ func (h *Handler) putScratch(p *requestScratch) {
 
 // decide answers one validated request under the model lock and returns the
 // verdict with status 200, or the status that says why not. By the time a
-// client has its verdict, the metrics, the flight ring and the audit log all
-// reflect it. A request that is shed (429), arrives after Close (503) or
+// client has its verdict, the metrics and the flight ring both reflect it. A request that is shed (429), arrives after Close (503) or
 // whose client has left draws nothing from the RNG stream and writes no
 // record.
 func (h *Handler) decide(ctx context.Context, req *InspectRequest, st *sim.State) (InspectResponse, int) {

@@ -272,7 +272,7 @@ func walkFTrace(t *testing.T, img []byte, visit func(kind byte, body []byte)) {
 }
 
 // failAfterWriter accepts the first ok writes, then fails forever —
-// an audit sink tearing mid-stream (disk full, closed pipe).
+// a flight sink tearing mid-stream (disk full, closed pipe).
 type failAfterWriter struct {
 	mu sync.Mutex
 	ok int
@@ -282,34 +282,38 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.ok <= 0 {
-		return 0, errors.New("audit sink torn")
+		return 0, errors.New("flight sink torn")
 	}
 	w.ok--
 	return len(p), nil
 }
 
-// TestAuditWriteFailureMidStream pins satellite behavior: when the audit
-// sink starts failing mid-stream, decisions keep serving and every dropped
-// line is counted instead of vanishing silently.
-func TestAuditWriteFailureMidStream(t *testing.T) {
+// TestFlightSinkFailureMidStream: when the flight sink starts failing
+// mid-stream, decisions keep serving, the first error sticks and is counted
+// once, and the ring keeps every decision.
+func TestFlightSinkFailureMidStream(t *testing.T) {
 	h := testHandler(t)
 	defer h.Close()
-	h.SetAuditSink(&failAfterWriter{ok: 3})
+	h.ring.SetSink(&failAfterWriter{ok: 2}) // the file header, then one segment
 
-	const n = 10
+	const n = 600 // past segFlushBytes several times over
 	for i := 0; i < n; i++ {
 		if rec := postInspect(t, h, validRequest()); rec.Code != http.StatusOK {
-			t.Fatalf("inspect %d failed once the audit sink tore: status %d", i, rec.Code)
+			t.Fatalf("inspect %d failed once the flight sink tore: status %d", i, rec.Code)
 		}
 	}
-	page := metricsPage(t, h)
-	if want := "schedinspector_audit_write_failures_total 7"; !strings.Contains(page, want) {
-		t.Errorf("want %q (3 of %d lines written), got %s",
-			want, n, pageLine(page, "schedinspector_audit_write_failures_total"))
+	if h.ring.SinkErr() == nil {
+		t.Fatal("the torn sink reported no error")
 	}
-	// Decisions themselves were all still recorded.
-	if !strings.Contains(page, `schedinspector_http_requests_total{code="200",route="/v1/inspect"} 10`) {
+	page := metricsPage(t, h)
+	if want := "schedinspector_ftrace_sink_errors_total 1"; !strings.Contains(page, want) {
+		t.Errorf("want %q, got %s", want, pageLine(page, "schedinspector_ftrace_sink_errors_total"))
+	}
+	if !strings.Contains(page, `schedinspector_http_requests_total{code="200",route="/v1/inspect"} 600`) {
 		t.Errorf("request counter: %s", pageLine(page, "schedinspector_http_requests_total"))
+	}
+	if _, recs := h.ring.LastDecisions(n); len(recs) != n {
+		t.Errorf("ring holds %d decisions, want %d", len(recs), n)
 	}
 }
 

@@ -85,7 +85,7 @@ func DecodeInspect(body []byte, req *InspectRequest) error {
 	}
 	if seen&kQueue != 0 {
 		// encoding/json leaves an absent queue nil and makes an empty one
-		// non-nil; the audit log renders the difference (null vs []).
+		// non-nil, and the decoder's contract is encoding/json's result.
 		if queue == nil {
 			queue = []sim.QueueItem{}
 		}

@@ -9,11 +9,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
+	"slices"
 	"testing"
 
 	"schedinspector/internal/core"
 	"schedinspector/internal/mutants"
+	"schedinspector/internal/obs"
 	"schedinspector/internal/workload"
 )
 
@@ -122,8 +123,8 @@ func stdInspect(body []byte) (InspectRequest, error) {
 }
 
 // diffRequests compares two decoded requests the strict way: floats by bit
-// pattern (so -0 is not 0) and the queue's nil-ness too (the audit log
-// renders it).
+// pattern (so -0 is not 0) and the queue's nil-ness too (encoding/json
+// decodes null and [] apart).
 func diffRequests(got, want *InspectRequest) string {
 	feq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	switch {
@@ -234,11 +235,10 @@ func parentSimulate(h *Handler) http.Handler {
 // routePair is the live routes and the reference routes over two handlers
 // that serve the same model with the same sampling stream: fed the same
 // bodies in the same order they must answer identically, sampled verdicts
-// included, and write identical audit lines.
+// included, and record identical flight records.
 type routePair struct {
-	live, ref           *Handler
-	refRoutes           map[string]http.Handler // by path
-	liveAudit, refAudit bytes.Buffer
+	live, ref *Handler
+	refRoutes map[string]http.Handler // by path
 }
 
 func newRoutePair(tb testing.TB) *routePair {
@@ -250,26 +250,35 @@ func newRoutePair(tb testing.TB) *routePair {
 		"/v1/inspect":  parentInspect(rp.ref),
 		"/v1/simulate": parentSimulate(rp.ref),
 	}
-	rp.live.SetAuditSink(&rp.liveAudit)
-	rp.ref.SetAuditSink(&rp.refAudit)
 	tb.Cleanup(rp.live.Close)
 	tb.Cleanup(rp.ref.Close)
 	return rp
 }
 
-// auditRequest cuts the "request" member out of an audit line (the time
-// stamp beside it differs between two handlers).
-func auditRequest(line []byte) string {
-	s := string(line)
-	i, j := strings.Index(s, `"request":`), strings.Index(s, `,"features":`)
-	if i < 0 || j < i {
-		return s
+// recordBits flattens a flight record: integers and bools as they are,
+// floats by bit pattern (so -0 is not 0), each slice behind its length.
+func recordBits(r *obs.ExplainRecord) []uint64 {
+	b2u := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
 	}
-	return s[i:j]
+	out := []uint64{uint64(r.Epoch), uint64(r.Traj), uint64(r.Seq), math.Float64bits(r.Time),
+		uint64(r.JobID), math.Float64bits(r.Wait), uint64(r.Procs), math.Float64bits(r.Est),
+		uint64(r.Rejections), uint64(r.MaxRejections), uint64(r.QueueLen), uint64(r.FreeProcs),
+		uint64(r.TotalProcs), math.Float64bits(r.Utilization), uint64(r.Action), b2u(r.Sampled), b2u(r.Rejected)}
+	for _, vs := range [][]float64{r.Features, r.Logits, r.Probs} {
+		out = append(out, uint64(len(vs)))
+		for _, v := range vs {
+			out = append(out, math.Float64bits(v))
+		}
+	}
+	return out
 }
 
 // check posts body to both handlers' route at path and requires the same
-// status, the same response bytes, the same audit line, and the route's
+// status, the same response bytes, the same last flight record, and the route's
 // fallback counter to move exactly when its single-pass decoder stepped
 // aside.
 func (rp *routePair) check(t *testing.T, path string, body []byte, canonical bool) {
@@ -283,8 +292,6 @@ func (rp *routePair) check(t *testing.T, path string, body []byte, canonical boo
 	if path == "/v1/simulate" {
 		fallbacks = rp.live.simFallbacks
 	}
-	rp.liveAudit.Reset()
-	rp.refAudit.Reset()
 	before := fallbacks.Value()
 	got, want := post(rp.live), post(rp.refRoutes[path])
 	if got.Code != want.Code || got.Body.String() != want.Body.String() {
@@ -293,8 +300,10 @@ func (rp *routePair) check(t *testing.T, path string, body []byte, canonical boo
 	if g, w := got.Header().Get("Content-Type"), want.Header().Get("Content-Type"); g != w {
 		t.Fatalf("body %q: Content-Type %q, want %q", body, g, w)
 	}
-	if g, w := auditRequest(rp.liveAudit.Bytes()), auditRequest(rp.refAudit.Bytes()); g != w {
-		t.Fatalf("body %q:\naudited   %s\nreference %s", body, g, w)
+	_, g := rp.live.ring.LastDecisions(1)
+	_, w := rp.ref.ring.LastDecisions(1)
+	if len(g) != len(w) || len(g) == 1 && !slices.Equal(recordBits(&g[0]), recordBits(&w[0])) {
+		t.Fatalf("body %q:\nrecorded  %+v\nreference %+v", body, g, w)
 	}
 	fell := fallbacks.Value() - before
 	if canonical && fell != 0 || !canonical && fell != 1 {

@@ -12,9 +12,9 @@ import (
 // scheduling context — into the flight ring, and the last N decisions in
 // it are served back over GET /v1/explain/last. This is the
 // flight-recorder answer to "why did the model reject job X at 03:12"
-// without restarting the daemon or attaching a debugger: the audit log
-// (when enabled) has the full history on disk, the ring has the recent
-// past queryable over HTTP.
+// without restarting the daemon or attaching a debugger: the ring has the
+// recent past queryable over HTTP, and inspectord's -flight file (when
+// enabled) streams the same records to disk.
 
 // defaultExplainLast is how many records /v1/explain/last returns when the
 // n query parameter is absent.

@@ -7,8 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -204,104 +202,5 @@ func TestSwapRefreshesExplainMeta(t *testing.T) {
 				t.Fatalf("record %d (seq %d): %d features under %d names", i, r.Seq, len(r.Features), len(resp.FeatureNames))
 			}
 		}
-	}
-}
-
-func TestRotatingWriter(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "audit.jsonl")
-	w, err := NewRotatingWriter(path, 34)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	line := []byte("0123456789\n") // 11 bytes
-	for i := 0; i < 5; i++ {
-		if _, err := w.Write(line); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	// 3 lines fit under 34 bytes; the 4th write rotates. Current file holds
-	// lines 4-5, the .1 generation holds 1-3.
-	cur, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev, err := os.ReadFile(path + ".1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cur) != 2*len(line) {
-		t.Errorf("current file %d bytes, want %d", len(cur), 2*len(line))
-	}
-	if len(prev) != 3*len(line) {
-		t.Errorf("rotated file %d bytes, want %d", len(prev), 3*len(line))
-	}
-}
-
-func TestRotatingWriterOversizedWrite(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "audit.jsonl")
-	w, err := NewRotatingWriter(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	big := []byte("this single line exceeds the bound\n")
-	if _, err := w.Write([]byte("ab")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(big); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(cur) != string(big) {
-		t.Errorf("oversized write split across rotation: %q", cur)
-	}
-}
-
-func TestRotatingWriterUnbounded(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "audit.jsonl")
-	w, err := NewRotatingWriter(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for i := 0; i < 100; i++ {
-		if _, err := w.Write([]byte("xxxxxxxxxx\n")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := os.Stat(path + ".1"); !os.IsNotExist(err) {
-		t.Errorf("maxBytes=0 must never rotate, found %s.1", path)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() != 100*11 {
-		t.Errorf("file size %d, want 1100", st.Size())
-	}
-}
-
-func TestRotatingWriterClosed(t *testing.T) {
-	dir := t.TempDir()
-	w, err := NewRotatingWriter(filepath.Join(dir, "a.log"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write([]byte("x")); err == nil {
-		t.Error("write after Close should fail")
-	}
-	if err := w.Close(); err != nil {
-		t.Errorf("double Close: %v", err)
 	}
 }

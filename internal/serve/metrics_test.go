@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bufio"
-	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"regexp"
@@ -140,44 +138,5 @@ func TestHealthzInstrumented(t *testing.T) {
 	page := scrape(t, h)
 	if v := metricValue(t, page, "schedinspector_http_requests_total", `{code="200",route="/healthz"}`); v != 1 {
 		t.Errorf("healthz counter %v", v)
-	}
-}
-
-func TestAuditSink(t *testing.T) {
-	h := testHandler(t)
-	var buf strings.Builder
-	h.SetAuditSink(&buf)
-	for i := 0; i < 3; i++ {
-		if rec := postInspect(t, h, validRequest()); rec.Code != 200 {
-			t.Fatalf("inspect status %d", rec.Code)
-		}
-	}
-	h.SetAuditSink(nil)
-	postInspect(t, h, validRequest()) // not audited
-
-	sc := bufio.NewScanner(strings.NewReader(buf.String()))
-	lines := 0
-	for sc.Scan() {
-		lines++
-		var rec struct {
-			Time       string    `json:"time"`
-			Features   []float64 `json:"features"`
-			RejectProb float64   `json:"reject_prob"`
-			Request    struct {
-				TotalProcs int `json:"total_procs"`
-			} `json:"request"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("audit line %q: %v", sc.Text(), err)
-		}
-		if rec.Time == "" || len(rec.Features) == 0 || rec.Request.TotalProcs != 128 {
-			t.Errorf("audit record incomplete: %s", sc.Text())
-		}
-		if rec.RejectProb < 0 || rec.RejectProb > 1 {
-			t.Errorf("audit prob %v", rec.RejectProb)
-		}
-	}
-	if lines != 3 {
-		t.Errorf("audited %d decisions, want 3", lines)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"net/http"
@@ -25,18 +24,16 @@ type poolClient struct {
 
 // TestScratchPoolLifetime drives the pooled request scratch from eight
 // clients at once, queue depths 0 to 256 so buffers change hands across
-// sizes, with the audit sink on. A scratch released while its request still
-// reads it, or handed to two requests, shows up as the race detector
-// firing or as a record that mixes two requests: every verdict, audit line
-// and explain record must carry the values of exactly one client.
+// sizes. A scratch released while its request still reads it, or handed to
+// two requests, shows up as the race detector firing or as a record that
+// mixes two requests: every verdict and flight record must carry the values
+// of exactly one client.
 func TestScratchPoolLifetime(t *testing.T) {
 	const rounds = 40
 	depths := []int{0, 1, 8, 32, 64, 128, 200, 256}
 	ref := equivInspector(5, core.ManualFeatures)
 	h := NewHandler(equivInspector(5, core.ManualFeatures))
 	defer h.Close()
-	var audit bytes.Buffer
-	h.SetAuditSink(&audit)
 
 	clients := make([]poolClient, len(depths))
 	for c, depth := range depths {
@@ -80,59 +77,21 @@ func TestScratchPoolLifetime(t *testing.T) {
 		t.Errorf("%v canonical requests fell back to encoding/json", v)
 	}
 
-	// owner maps a job.wait back to the client that sent it.
-	owner := func(wait float64) *poolClient {
-		if c := int(wait) - 1000; c >= 0 && c < len(clients) && float64(1000+c) == wait {
-			return &clients[c]
-		}
-		return nil
+	_, recs := h.ring.LastDecisions(rounds * len(clients))
+	if len(recs) != rounds*len(clients) {
+		t.Errorf("%d flight records, want %d", len(recs), rounds*len(clients))
 	}
-	lines := 0
-	sc := bufio.NewScanner(&audit)
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		lines++
-		var rec struct {
-			Request    InspectRequest `json:"request"`
-			Features   []float64      `json:"features"`
-			RejectProb float64        `json:"reject_prob"`
+	for _, r := range recs {
+		// job.wait names the client; every other field must be that client's.
+		c := int(r.Wait) - 1000
+		if c < 0 || c >= len(clients) || float64(1000+c) != r.Wait {
+			t.Fatalf("flight record seq %d: wait %v belongs to no client", r.Seq, r.Wait)
 		}
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("audit line %d: %v", lines, err)
-		}
-		cl := owner(rec.Request.Job.Wait)
-		if cl == nil {
-			t.Fatalf("audit line %d: job.wait %v belongs to no client", lines, rec.Request.Job.Wait)
-		}
-		var sent InspectRequest
-		if err := json.Unmarshal(cl.body, &sent); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rec.Request, sent) {
-			t.Fatalf("audit line %d mixes requests:\naudited %+v\nsent    %+v", lines, rec.Request, sent)
-		}
-		if !reflect.DeepEqual(rec.Features, cl.features) || rec.RejectProb != cl.prob {
-			t.Fatalf("audit line %d: features/prob of another request (depth %d)", lines, cl.depth)
-		}
-	}
-	if want := rounds * len(clients); lines != want {
-		t.Errorf("%d audit lines, want %d", lines, want)
-	}
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/explain/last?n=512", nil))
-	var last ExplainLastResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &last); err != nil {
-		t.Fatal(err)
-	}
-	if len(last.Records) != rounds*len(clients) {
-		t.Errorf("%d explain records, want %d", len(last.Records), rounds*len(clients))
-	}
-	for _, r := range last.Records {
-		cl := owner(r.Wait)
-		if cl == nil || r.QueueLen != cl.depth+1 || !reflect.DeepEqual(r.Features, cl.features) ||
+		cl := &clients[c]
+		if r.Est != 3600 || r.Procs != 16 || r.Rejections != c%3 || r.FreeProcs != 8*c ||
+			r.QueueLen != cl.depth+1 || !reflect.DeepEqual(r.Features, cl.features) ||
 			r.Probs[core.ActionReject] != cl.prob {
-			t.Fatalf("explain record seq %d mixes requests: %+v", r.Seq, r)
+			t.Fatalf("flight record seq %d mixes requests (client depth %d): %+v", r.Seq, cl.depth, r)
 		}
 	}
 }

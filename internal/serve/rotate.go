@@ -1,28 +1,28 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
-	"sync"
 )
 
-// RotatingWriter is a size-bounded append-only log file: when the file
-// would exceed maxBytes, it is renamed to path+".1" (replacing any previous
-// rotation) and a fresh file is opened. At most two generations therefore
-// exist on disk — 2*maxBytes bounds the total footprint — which is all a
-// long-running inspectord's audit log needs to never grow without limit.
-// Writes are serialized; a Write is never split across the rotation.
+// RotatingWriter is inspectord's -flight file: an obs.RotatingSink that
+// keeps one previous generation. Opening it moves a file already at path to
+// path+".1", so a restart keeps the last run's record; Rotate does the same
+// once the current file holds maxBytes. At most two generations therefore
+// exist on disk. The trace ring calls Write and Rotate under its own lock,
+// and Rotate only between segments, so every file opens with its own
+// headers and decodes alone.
 type RotatingWriter struct {
-	mu       sync.Mutex
 	path     string
 	maxBytes int64
 	f        *os.File
 	size     int64
 }
 
-// NewRotatingWriter opens (appending) the log at path, rotating whenever it
-// would exceed maxBytes. maxBytes <= 0 disables rotation — the file grows
-// unbounded, exactly like a plain os.OpenFile append.
+// NewRotatingWriter moves any file at path to path+".1" and opens a fresh
+// one. maxBytes <= 0 never rotates: the file grows unbounded.
 func NewRotatingWriter(path string, maxBytes int64) (*RotatingWriter, error) {
 	w := &RotatingWriter{path: path, maxBytes: maxBytes}
 	if err := w.open(); err != nil {
@@ -31,59 +31,44 @@ func NewRotatingWriter(path string, maxBytes int64) (*RotatingWriter, error) {
 	return w, nil
 }
 
-// open (re)opens the current-generation file and records its size. Caller
-// holds w.mu (or is the constructor).
+// open moves the file at path, if there is one, to path+".1" (replacing the
+// previous generation) and creates an empty file at path.
 func (w *RotatingWriter) open() error {
-	f, err := os.OpenFile(w.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("serve: rotating log: %w", err)
+	if err := os.Rename(w.path, w.path+".1"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("serve: rotating file: %w", err)
 	}
-	st, err := f.Stat()
+	f, err := os.Create(w.path)
 	if err != nil {
-		f.Close()
-		return fmt.Errorf("serve: rotating log: %w", err)
+		return fmt.Errorf("serve: rotating file: %w", err)
 	}
-	w.f = f
-	w.size = st.Size()
+	w.f, w.size = f, 0
 	return nil
 }
 
-// Write appends p, rotating first when the write would push the current
-// file past the size bound (an oversized single write still lands whole in
-// a fresh file).
+// Write appends p to the current file. A write never rotates, so one
+// larger than maxBytes lands whole.
 func (w *RotatingWriter) Write(p []byte) (int, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return 0, fmt.Errorf("serve: rotating log: closed")
-	}
-	if w.maxBytes > 0 && w.size > 0 && w.size+int64(len(p)) > w.maxBytes {
-		if err := w.rotate(); err != nil {
-			return 0, err
-		}
-	}
 	n, err := w.f.Write(p)
 	w.size += int64(n)
 	return n, err
 }
 
-// rotate closes the current generation, shifts it to path+".1" and opens a
-// fresh file. Caller holds w.mu.
-func (w *RotatingWriter) rotate() error {
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("serve: rotating log: %w", err)
+// Rotate starts a new generation once the current file holds maxBytes and
+// reports whether it did.
+func (w *RotatingWriter) Rotate() (bool, error) {
+	if w.maxBytes <= 0 || w.size < w.maxBytes {
+		return false, nil
 	}
-	w.f = nil
-	if err := os.Rename(w.path, w.path+".1"); err != nil {
-		return fmt.Errorf("serve: rotating log: %w", err)
+	err := w.f.Close()
+	w.f = nil // a nil *os.File fails every write
+	if err != nil {
+		return false, fmt.Errorf("serve: rotating file: %w", err)
 	}
-	return w.open()
+	return true, w.open()
 }
 
-// Close closes the underlying file. Subsequent writes fail.
+// Close closes the current file; later writes fail.
 func (w *RotatingWriter) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.f == nil {
 		return nil
 	}

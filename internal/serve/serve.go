@@ -113,38 +113,37 @@ type Handler struct {
 	mux  *http.ServeMux
 
 	// mu is the model lock (see decide.go): decisions, swaps and Close take
-	// it. It guards the served inspector's scratch and RNG, closed and audit.
+	// it. It guards the served inspector's scratch and RNG, and closed.
 	mu      sync.Mutex
 	closed  bool
-	audit   *json.Encoder // decision audit log (JSONL), nil unless enabled
-	waiting atomic.Int64  // requests parked on mu
-	pool    sync.Pool     // *requestScratch
+	waiting atomic.Int64 // requests parked on mu
+	pool    sync.Pool    // *requestScratch
 
 	// Hot reload (see reload.go). reloader is set once before serving.
 	reloadMu sync.Mutex // serializes reloads, NOT held while serving
 	reloader func() (*core.Inspector, error)
 
 	// Telemetry.
-	reg           *obs.Registry
-	reqMu         sync.Mutex
-	reqCounts     map[string]*obs.Counter // "route code" -> requests_total series
-	fallbacks     *obs.Counter            // /v1/inspect bodies encoding/json decoded
-	simFallbacks  *obs.Counter            // /v1/simulate bodies encoding/json decoded
-	accepts       *obs.Counter
-	rejects       *obs.Counter
-	probHist      *obs.Histogram
-	params        *obs.Gauge
-	reloads       *obs.Counter
-	loadFailures  *obs.Counter
-	generation    *obs.Gauge
-	shed          *obs.Counter
-	lockWait      *obs.Histogram
-	auditFailures *obs.Counter
+	reg          *obs.Registry
+	reqMu        sync.Mutex
+	reqCounts    map[string]*obs.Counter // "route code" -> requests_total series
+	fallbacks    *obs.Counter            // /v1/inspect bodies encoding/json decoded
+	simFallbacks *obs.Counter            // /v1/simulate bodies encoding/json decoded
+	accepts      *obs.Counter
+	rejects      *obs.Counter
+	probHist     *obs.Histogram
+	params       *obs.Gauge
+	reloads      *obs.Counter
+	loadFailures *obs.Counter
+	generation   *obs.Gauge
+	shed         *obs.Counter
+	lockWait     *obs.Histogram
 
 	// Always-on flight recorder: every served decision is encoded into the
 	// arena-backed trace ring, read back over GET /v1/explain/last (see
 	// explain.go) and GET /v1/trace/snapshot (see trace.go) and optionally
-	// streamed to a .ftrace sink. The ring has its own lock.
+	// streamed to a .ftrace sink, the daemon's one durable decision record.
+	// The ring has its own lock.
 	ring   *obs.TraceRing
 	decSeq atomic.Int64 // lifetime decision sequence for explain records
 }
@@ -220,8 +219,6 @@ func NewHandler(insp *core.Inspector) *Handler {
 	// Constant until ROADMAP bench item 1a drops bench/'s reader of it.
 	h.reg.Gauge("schedinspector_inspect_wave_size_p50",
 		"Decisions answered per forward: always 1.", nil).Set(1)
-	h.auditFailures = h.reg.Counter("schedinspector_audit_write_failures_total",
-		"Decision audit log encode/write failures (the decision still serves).", nil)
 	h.fallbacks = h.reg.Counter("schedinspector_inspect_decode_fallback_total",
 		"/v1/inspect bodies decoded by encoding/json because they were not in the canonical form the single-pass decoder takes.", nil)
 	h.simFallbacks = h.reg.Counter("schedinspector_simulate_decode_fallback_total",
@@ -240,19 +237,6 @@ func NewHandler(insp *core.Inspector) *Handler {
 // Registry exposes the handler's metrics registry so callers (e.g.
 // cmd/inspectord) can add process-level series to the same /metrics page.
 func (h *Handler) Registry() *obs.Registry { return h.reg }
-
-// SetAuditSink enables the decision audit log: one JSON line per
-// /v1/inspect decision, recording the request, the normalized feature
-// vector the model saw, and the verdict. Pass nil to disable.
-func (h *Handler) SetAuditSink(w io.Writer) {
-	h.mu.Lock()
-	if w == nil {
-		h.audit = nil
-	} else {
-		h.audit = json.NewEncoder(w)
-	}
-	h.mu.Unlock()
-}
 
 // statusWriter captures the response code for the request counters.
 type statusWriter struct {
@@ -313,28 +297,18 @@ func (h *Handler) requestCounter(route string, code int) *obs.Counter {
 	return c
 }
 
-// auditRecord is one line of the decision audit log.
-type auditRecord struct {
-	Time       string    `json:"time"`
-	Request    any       `json:"request"`
-	Features   []float64 `json:"features"`
-	RejectProb float64   `json:"reject_prob"`
-	Reject     bool      `json:"reject"`
-}
-
-// recordDecision updates the decision metrics, the flight ring, and (if
-// enabled) the audit log. maxRej is the served model's rejection cap,
-// read from the same snapshot the decision was computed under. The caller
-// holds mu; feat, logits and probs may be views of scratch mu guards, so
-// they are encoded here and not retained.
+// recordDecision updates the decision metrics and the flight ring. maxRej
+// is the served model's rejection cap, read from the same snapshot the
+// decision was computed under. The caller holds mu; feat, logits and probs
+// may be views of scratch mu guards, so they are encoded here and not
+// retained.
 func (h *Handler) recordDecision(req *InspectRequest, feat, logits, probs []float64, action, maxRej int, reject bool) {
-	prob := probs[core.ActionReject]
 	if reject {
 		h.rejects.Inc()
 	} else {
 		h.accepts.Inc()
 	}
-	h.probHist.Observe(prob)
+	h.probHist.Observe(probs[core.ActionReject])
 
 	util := 0.0
 	if req.TotalProcs > 0 {
@@ -350,21 +324,6 @@ func (h *Handler) recordDecision(req *InspectRequest, feat, logits, probs []floa
 		Action: action, Sampled: true, Rejected: reject,
 	}
 	h.ring.EmitDecision(&rec)
-
-	if h.audit != nil {
-		err := h.audit.Encode(auditRecord{
-			Time:       time.Now().UTC().Format(time.RFC3339Nano),
-			Request:    req,
-			Features:   feat,
-			RejectProb: prob,
-			Reject:     reject,
-		})
-		if err != nil {
-			// The sink tore mid-stream (disk full, closed pipe). The decision
-			// still serves; the gap is observable instead of silent.
-			h.auditFailures.Inc()
-		}
-	}
 }
 
 // ServeHTTP implements http.Handler.
