@@ -99,10 +99,11 @@ bench-fleet-check:
 # detector. The trainer's baseline arm runs through the rollout driver too,
 # so the legacy-trainer oracle pins it as well. The PPO update is pinned
 # the same way: internal/rl's frozen digest of the per-sample update (amd64
-# bits) and, on every architecture, internal/nn's batch kernels against the
-# per-sample Forward/Backward.
+# bits) and, on every architecture, internal/nn's batch kernels and rl's
+# many-row policy pass against the per-sample Forward/Backward. The
+# RLScheduler baseline's training is pinned to its seed.
 equiv:
-	$(GO) test -race -run 'Equiv|BatchBitIdentical' -count=1 ./internal/sim/ ./internal/rollout/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/rl/ ./internal/nn/
+	$(GO) test -race -run 'Equiv|BatchBitIdentical' -count=1 ./internal/sim/ ./internal/rollout/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/rl/ ./internal/nn/ ./internal/rlsched/
 
 # fuzz-smoke gives every fuzz target a short budget (override with
 # FUZZTIME=...) — enough to catch shallow parser/decoder regressions, and

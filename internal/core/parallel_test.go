@@ -11,6 +11,7 @@ import (
 
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/obs"
+	"schedinspector/internal/rl"
 	"schedinspector/internal/rlsched"
 	"schedinspector/internal/rollout"
 	"schedinspector/internal/sched"
@@ -278,7 +279,7 @@ func TestPolicyClones(t *testing.T) {
 
 	// rlsched in sampling mode declines to clone: sequential fallback.
 	rp := rlsched.New(rand.New(rand.NewSource(1)), rlsched.NormForTrace(tr), nil)
-	rp.SetSampling(true, &[]rlsched.Step{})
+	rp.SetSampling(true, &[]rl.Step{})
 	if pols, ok = rollout.PolicyClones(rp, 4); ok || len(pols) != 1 {
 		t.Errorf("sampling rlsched: ok=%v len=%d, want fallback", ok, len(pols))
 	}

@@ -45,6 +45,28 @@ func sampleBatch(a *Agent, rng *rand.Rand, lens []int) []Trajectory {
 	return batch
 }
 
+// rowsBatch samples an on-policy batch of many-row steps: trajectory k has
+// one step per entry of rows[k], observing that many rows of random
+// features, and the action is drawn over all of the step's rows' logits.
+func rowsBatch(a *Agent, rng *rand.Rand, rows [][]int) []Trajectory {
+	dim := a.Policy.InputSize()
+	batch := make([]Trajectory, len(rows))
+	for i, steps := range rows {
+		tr := Trajectory{Reward: rng.Float64()*2 - 1}
+		for _, n := range steps {
+			obs := make([]float64, n*dim)
+			for j := range obs {
+				obs[j] = rng.NormFloat64()
+			}
+			logits := a.Policy.ForwardBatch(obs, n, nil)
+			act, logp := SampleCategorical(rng, logits, make([]float64, len(logits)))
+			tr.Steps = append(tr.Steps, Step{Obs: obs, Action: act, LogP: logp})
+		}
+		batch[i] = tr
+	}
+	return batch
+}
+
 // stateHasher folds UpdateStats, network weights and optimizer state into
 // one sha-256, every float by its exact bit pattern.
 type stateHasher struct {
@@ -236,7 +258,8 @@ func statsBits(st UpdateStats) string {
 // TestEquivUpdateShardInvariant: the update's bits do not depend on how the
 // batch is dealt. The digest batch, once as it is (7 leaves, so the tree
 // has a ragged right spine) and once with a trajectory of zero steps added
-// (8 leaves, a perfect tree), goes through UpdateShard under every
+// (8 leaves, a perfect tree), and a batch of many-row steps (8 leaves, one
+// empty, one needing two chunks), goes through UpdateShard under every
 // contiguous two-way split and an unaligned three- and five-way split —
 // shards whose covers are several nodes — and every shard must return the
 // statistics, and end with the weights and Adam moments, of plain Update.
@@ -247,18 +270,29 @@ func TestEquivUpdateShardInvariant(t *testing.T) {
 		a := NewAgent(rng, 8, []int{32, 16, 8}, 2)
 		return a, NewPPO(a, PPOConfig{LR: 5e-3, NoCritic: noCritic}), rng
 	}
-	for _, lens := range [][]int{digestLens, {37, 5, 91, 0, 128, 1, 64, 53}} {
+	for _, tc := range []struct {
+		name   string
+		sample func(*Agent, *rand.Rand) []Trajectory
+	}{
+		{"digest", digestBatch},
+		{"digest+empty", func(a *Agent, rng *rand.Rand) []Trajectory {
+			return sampleBatch(a, rng, []int{37, 5, 91, 0, 128, 1, 64, 53})
+		}},
+		{"many-row", func(a *Agent, rng *rand.Rand) []Trajectory {
+			return rowsBatch(a, rng, [][]int{{3, 1, 7}, {12, 2}, {1, 1, 1}, {}, {5, 30, 2, 9}, {64, 1}, {2, 4, 8, 16, 1}, {100, 70}})
+		}},
+	} {
 		for _, noCritic := range []bool{false, true} {
 			// The reference: three Updates as in updateDigest, keeping the
 			// batches so that the shards can replay them.
 			a, ppo, rng := build(noCritic)
-			first := sampleBatch(a, rng, lens)
+			first := tc.sample(a, rng)
 			batches := [][]Trajectory{first, nil, first}
 			var wantStats []UpdateStats
 			stopped := false
 			for i := range batches {
 				if batches[i] == nil {
-					batches[i] = sampleBatch(a, rng, lens)
+					batches[i] = tc.sample(a, rng)
 				}
 				st, err := ppo.Update(batches[i])
 				if err != nil {
@@ -268,12 +302,12 @@ func TestEquivUpdateShardInvariant(t *testing.T) {
 				wantStats = append(wantStats, st)
 			}
 			if !stopped {
-				t.Fatalf("lens %v noCritic %v: no update stopped early on KL; the test no longer covers that exit", lens, noCritic)
+				t.Fatalf("%s noCritic %v: no update stopped early on KL; the test no longer covers that exit", tc.name, noCritic)
 			}
 			var want stateHasher
 			want.state(a, ppo)
 
-			n := len(lens)
+			n := len(first)
 			var splits [][]int // cut points, 0 and n included
 			for c := 1; c < n; c++ {
 				splits = append(splits, []int{0, c, n})
@@ -314,10 +348,147 @@ func TestEquivUpdateShardInvariant(t *testing.T) {
 				wg.Wait()
 				for r, err := range errs {
 					if err != nil {
-						t.Errorf("lens %v noCritic %v cuts %v shard %d: %v", lens, noCritic, cuts, r, err)
+						t.Errorf("%s noCritic %v cuts %v shard %d: %v", tc.name, noCritic, cuts, r, err)
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestEquivKernelLeafOracle pins the many-row path to the per-row kernels
+// it batches. One trajectory of steps with 1, 3, 64 and 70 rows on a
+// 5→8→1 scoring network — one logit per row, RLScheduler's kernel policy —
+// runs one moments, one policy and one value round. The policy gradient
+// and sums must equal, bit for bit, a reference that softmaxes each step's
+// rows, computes every row's dLogit and calls Forward and Backward once per
+// row in row order; the advantages and the value round must equal the same
+// on each step's mean row.
+func TestEquivKernelLeafOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	sizes := []int{5, 8, 1}
+	a := AgentFromNets(nn.New(rng, sizes, nn.Tanh, nn.Identity), nn.New(rng, sizes, nn.Tanh, nn.Identity), nil)
+	ppo := NewPPO(a, PPOConfig{})
+	batch := rowsBatch(a, rng, [][]int{{1, 3, 64, 70}})
+	steps, ret := batch[0].Steps, batch[0].Reward
+	for i := range steps {
+		steps[i].LogP += 0.3 * rng.NormFloat64() // spread the ratios across the clip band
+	}
+	if err := ppo.flatten(batch); err != nil {
+		t.Fatal(err)
+	}
+	ppo.lo, ppo.hi = 0, 1
+	bitsEqual := func(what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Errorf("%s[%d] = %v, the per-row reference gives %v", what, k, got[k], want[k])
+			}
+		}
+	}
+	flat := func(g *nn.Grads) []float64 {
+		var out []float64
+		for l := range g.W {
+			out = append(append(out, g.W[l]...), g.B[l]...)
+		}
+		return out
+	}
+	var cache nn.Cache
+
+	// The critic's input is each step's mean row.
+	pooled := make([][]float64, len(steps))
+	for i, s := range steps {
+		pooled[i] = make([]float64, 5)
+		for r := 0; r < len(s.Obs); r += 5 {
+			for k := range pooled[i] {
+				pooled[i][k] += s.Obs[r+k]
+			}
+		}
+		for k := range pooled[i] {
+			pooled[i][k] /= float64(len(s.Obs) / 5)
+		}
+	}
+	if _, err := ppo.reduce(Round{Phase: PhaseMoments}, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	wantAdv := make([]float64, len(steps))
+	for i := range steps {
+		wantAdv[i] = ret - a.Value.Forward(pooled[i], &cache)[0]
+	}
+	bitsEqual("advantage", ppo.adv, wantAdv)
+
+	// One policy pass on advantages of both signs.
+	for i := range ppo.adv {
+		ppo.adv[i] = rng.NormFloat64()
+	}
+	got, err := ppo.reduce(Round{Phase: PhasePolicy}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ppo.cfg
+	g := nn.NewGrads(a.Policy)
+	var kl, ent, loss float64
+	clippedSteps := 0
+	for i, s := range steps {
+		n := len(s.Obs) / 5
+		logits := make([]float64, n)
+		for r := range logits {
+			logits[r] = a.Policy.Forward(s.Obs[r*5:(r+1)*5], &cache)[0]
+		}
+		probs := nn.Softmax(logits, nil)
+		adv := ppo.adv[i]
+		logpNew := math.Log(math.Max(probs[s.Action], 1e-12))
+		ratio := math.Exp(logpNew - s.LogP)
+		kl += s.LogP - logpNew
+		clipped := math.Max(math.Min(ratio, 1+cfg.ClipRatio), 1-cfg.ClipRatio)
+		loss += -math.Min(ratio*adv, clipped*adv)
+		coef := 0.0
+		if adv >= 0 && ratio < 1+cfg.ClipRatio || adv < 0 && ratio > 1-cfg.ClipRatio {
+			coef = -ratio * adv
+		} else {
+			clippedSteps++
+		}
+		var h float64
+		for _, q := range probs {
+			if q > 0 {
+				h -= q * math.Log(q)
+			}
+		}
+		ent += h
+		for r, q := range probs {
+			ind := 0.0
+			if r == s.Action {
+				ind = 1
+			}
+			dLogit := coef * (ind - q)
+			if q > 0 {
+				dLogit += cfg.EntropyCoef * q * (math.Log(q) + h)
+			}
+			a.Policy.Forward(s.Obs[r*5:(r+1)*5], &cache)
+			a.Policy.Backward(&cache, []float64{dLogit}, g)
+		}
+	}
+	if clippedSteps == len(steps) {
+		t.Fatal("every step is clipped; the gradient is the entropy bonus alone")
+	}
+	bitsEqual("policy gradient", got[:ppo.nPol], flat(g))
+	bitsEqual("policy kl/entropy/loss", got[ppo.nPol:ppo.nPol+3], []float64{kl, ent, loss})
+
+	// One value pass.
+	got, err = ppo.reduce(Round{Phase: PhaseValue}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = nn.NewGrads(a.Value)
+	loss = 0
+	for i := range steps {
+		d := a.Value.Forward(pooled[i], &cache)[0] - ret
+		loss += 0.5 * d * d
+		a.Value.Backward(&cache, []float64{d}, g)
+	}
+	bitsEqual("value gradient", got[:ppo.nVal], flat(g))
+	bitsEqual("value loss", got[ppo.nVal:ppo.nVal+1], []float64{loss})
 }

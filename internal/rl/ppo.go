@@ -7,6 +7,14 @@
 // a single terminal reward per trajectory, so with an undiscounted horizon
 // every step's return equals the trajectory's final reward; the critic
 // supplies the variance-reducing baseline.
+//
+// A step's observation is one or more rows of the policy's input size. Its
+// logits are the rows' outputs, concatenated, and its action indexes them;
+// the critic sees the mean of the rows, or the row itself when there is
+// one. The inspector's steps are the one-row case: one row, two logits.
+// RLScheduler's kernel policy (internal/rlsched) is the many-row case: one
+// row per waiting job, one logit each, so one network scores a candidate
+// set of any size and the softmax runs over the whole set.
 package rl
 
 import (
@@ -18,7 +26,9 @@ import (
 )
 
 // Step is one agent interaction: an observation, the sampled action, and
-// the log-probability the behavior policy assigned to it.
+// the log-probability the behavior policy assigned to it. Obs holds one or
+// more rows of Policy.InputSize() values; Action indexes the rows' outputs
+// laid end to end (row r's output k is logit r*OutputSize()+k).
 type Step struct {
 	Obs    []float64
 	Action int
@@ -104,7 +114,7 @@ func (a *Agent) Sample(obs []float64) (action int, logp float64) {
 
 // SampleCategorical draws one action from the categorical distribution the
 // logits define, consuming exactly one rng.Float64, and returns it with its
-// log-probability. probs is softmax scratch (len >= len(logits)). It is the
+// log-probability. probs is softmax scratch of len(logits). It is the
 // sampling kernel shared by Agent.Sample and the batched rollout driver,
 // which forwards whole decision waves at once and then samples each row
 // from that row's private trajectory stream — factoring the kernel out
@@ -227,14 +237,19 @@ type PPO struct {
 	nPol, nVal int // parameter counts of the two networks
 
 	// The update's scratch, reused across calls. The local trajectories are
-	// flattened once per update into struct-of-arrays form — obs is N x dim
-	// row-major, the rest one value per transition, off[k]..off[k+1] the
-	// rows of local trajectory k — and grow only when a larger shard
-	// arrives. Everything a network pass touches (activations, deltas,
-	// dOut) is sized by updateChunk, never by N.
+	// flattened once per update into struct-of-arrays form — obs is every
+	// step's rows stacked, rowOff[i]..rowOff[i+1] the rows of step i, vin
+	// the critic's input (one row per step), the rest one value per step,
+	// off[k]..off[k+1] the steps of local trajectory k — and grow only when
+	// a larger shard arrives. Everything a network pass touches
+	// (activations, deltas, dOut) is sized by updateChunk or by the widest
+	// step, never by N.
 	lo, hi   int // the batch indices of the local trajectories
 	off      []int
+	rowOff   []int
 	obs      []float64
+	vin      []float64 // obs itself when every step has one row, else pooled
+	pooled   []float64
 	act      []int
 	logp     []float64
 	ret      []float64
@@ -243,8 +258,8 @@ type PPO struct {
 	steps    []int
 	polCache nn.BatchCache
 	valCache nn.BatchCache
-	dOut     []float64 // updateChunk x nActions (policy) or x 1 (value)
-	probs    []float64 // softmax of one row
+	dOut     []float64 // a chunk's rows x nActions (policy) or x 1 (value)
+	probs    []float64 // softmax of one step's logits
 	logq     []float64 // log of each entry of probs
 
 	// The reduction tree's storage (tree.go): the local shard's nodes of
@@ -256,19 +271,20 @@ type PPO struct {
 	own   []Node
 }
 
-// updateChunk is how many transitions one ForwardBatch/BackwardBatch pair of
-// an update pass covers, at most: a chunk never crosses a trajectory, whose
-// rows are one leaf of the reduction tree. The batch kernels add every row
-// to a parameter's accumulator in row order and carry the accumulator from
-// chunk to chunk, so the value cannot change a bit of the result — only
-// speed and scratch size. 32, 128 and 512 measured equal on the train-epoch
-// benchmark; 128 keeps a chunk's activations and deltas near 100 KB.
+// updateChunk is how many rows one ForwardBatch/BackwardBatch pair of an
+// update pass covers, at most, unless a single step has more: a chunk never
+// splits a step, whose softmax spans its rows, and never crosses a
+// trajectory, whose rows are one leaf of the reduction tree. The batch
+// kernels add every row to a parameter's accumulator in row order and carry
+// the accumulator from chunk to chunk, so the value cannot change a bit of
+// the result — only speed and scratch size. 32, 128 and 512 measured equal
+// on the train-epoch benchmark; 128 keeps a chunk's activations and deltas
+// near 100 KB.
 const updateChunk = 128
 
 // NewPPO creates the optimizer for agent.
 func NewPPO(agent *Agent, cfg PPOConfig) *PPO {
 	cfg = cfg.WithDefaults()
-	nA := agent.Policy.OutputSize()
 	return &PPO{
 		cfg:    cfg,
 		agent:  agent,
@@ -276,9 +292,6 @@ func NewPPO(agent *Agent, cfg PPOConfig) *PPO {
 		valOpt: nn.NewAdam(agent.Value, cfg.LR),
 		nPol:   agent.Policy.NumParams(),
 		nVal:   agent.Value.NumParams(),
-		dOut:   make([]float64, updateChunk*nA),
-		probs:  make([]float64, nA),
-		logq:   make([]float64, nA),
 	}
 }
 
@@ -322,29 +335,57 @@ type UpdateStats struct {
 // flatten validates the local trajectories and copies them into the
 // struct-of-arrays scratch. Nothing is touched when it fails.
 func (p *PPO) flatten(local []Trajectory) error {
-	dim := p.agent.Policy.InputSize()
-	n := 0
+	dim, nA := p.agent.Policy.InputSize(), p.agent.Policy.OutputSize()
+	n, rows, widest := 0, 0, 1
 	for _, tr := range local {
 		for _, s := range tr.Steps {
-			if len(s.Obs) != dim {
-				return fmt.Errorf("rl: observation size %d, want %d", len(s.Obs), dim)
+			if len(s.Obs) == 0 || len(s.Obs)%dim != 0 {
+				return fmt.Errorf("rl: observation size %d, want a positive multiple of %d", len(s.Obs), dim)
 			}
+			r := len(s.Obs) / dim
+			if s.Action < 0 || s.Action >= r*nA {
+				return fmt.Errorf("rl: action %d outside the %d logits of its step", s.Action, r*nA)
+			}
+			rows += r
+			widest = max(widest, r)
 		}
 		n += len(tr.Steps)
 	}
 	if cap(p.act) < n {
-		p.obs = make([]float64, n*dim)
 		p.act = make([]int, n)
 		p.logp = make([]float64, n)
 		p.ret = make([]float64, n)
 		p.adv = make([]float64, n)
 	}
-	p.obs, p.act, p.logp, p.ret, p.adv = p.obs[:n*dim], p.act[:n], p.logp[:n], p.ret[:n], p.adv[:n]
+	if cap(p.obs) < rows*dim {
+		p.obs = make([]float64, rows*dim)
+	}
+	if len(p.probs) < widest*nA {
+		p.probs = make([]float64, widest*nA)
+		p.logq = make([]float64, widest*nA)
+	}
+	if len(p.dOut) < max(updateChunk, widest)*nA {
+		p.dOut = make([]float64, max(updateChunk, widest)*nA)
+	}
+	p.obs, p.act, p.logp, p.ret, p.adv = p.obs[:rows*dim], p.act[:n], p.logp[:n], p.ret[:n], p.adv[:n]
+	p.vin = p.obs
+	if rows > n {
+		if cap(p.pooled) < n*dim {
+			p.pooled = make([]float64, n*dim)
+		}
+		p.vin = p.pooled[:n*dim]
+	}
 	p.off = append(p.off[:0], 0)
-	i := 0
+	p.rowOff = append(p.rowOff[:0], 0)
+	i, row := 0, 0
 	for _, tr := range local {
 		for _, s := range tr.Steps {
-			copy(p.obs[i*dim:(i+1)*dim], s.Obs)
+			copy(p.obs[row*dim:], s.Obs)
+			if rows > n {
+				meanRows(p.vin[i*dim:(i+1)*dim], s.Obs)
+			}
+			row += len(s.Obs) / dim
+			p.rowOff = append(p.rowOff, row)
 			p.act[i] = s.Action
 			p.logp[i] = s.LogP
 			// Undiscounted sparse terminal reward: every step's return is the
@@ -357,10 +398,30 @@ func (p *PPO) flatten(local []Trajectory) error {
 	return nil
 }
 
+// meanRows writes the critic's input for a step with observation obs into
+// dst: the mean of its rows, each column summed from zero in row order, or
+// the row itself when there is one.
+func meanRows(dst, obs []float64) {
+	if len(obs) == len(dst) {
+		copy(dst, obs)
+		return
+	}
+	clear(dst)
+	for r := 0; r < len(obs); r += len(dst) {
+		for k, v := range obs[r : r+len(dst)] {
+			dst[k] += v
+		}
+	}
+	for k := range dst {
+		dst[k] /= float64(len(obs) / len(dst))
+	}
+}
+
 // Update runs one PPO update over the batch and returns statistics. A
-// batch with a wrong-sized observation is rejected before any state
-// changes, with zero statistics. It is UpdateShard for a process that
-// holds every trajectory.
+// batch with an observation that is not whole rows, or an action outside
+// its step's logits, is rejected before any state changes, with zero
+// statistics. It is UpdateShard for a process that holds every
+// trajectory.
 func (p *PPO) Update(batch []Trajectory) (UpdateStats, error) {
 	p.rewards, p.steps = p.rewards[:0], p.steps[:0]
 	for _, tr := range batch {
@@ -454,8 +515,8 @@ func (p *PPO) leaf(ph Phase, i int, dst *partial) {
 	}
 }
 
-// momentsLeaf stores the raw advantages of rows [lo, hi) and leaves their
-// count and Welford mean and M2, taken in row order, in vec.
+// momentsLeaf stores the raw advantages of steps [lo, hi) and leaves their
+// count and Welford mean and M2, taken in step order, in vec.
 func (p *PPO) momentsLeaf(lo, hi int, vec []float64) {
 	dim := p.agent.Policy.InputSize()
 	var mean, m2 float64
@@ -463,7 +524,7 @@ func (p *PPO) momentsLeaf(lo, hi int, vec []float64) {
 		ch := min(c+updateChunk, hi)
 		var values []float64
 		if !p.cfg.NoCritic {
-			values = p.agent.Value.ForwardBatch(p.obs[c*dim:ch*dim], ch-c, &p.valCache)
+			values = p.agent.Value.ForwardBatch(p.vin[c*dim:ch*dim], ch-c, &p.valCache)
 		}
 		for i := c; i < ch; i++ {
 			adv := p.ret[i]
@@ -506,22 +567,28 @@ func (p *PPO) updatePolicy(batch, n int, ex Exchange) (iters int, kl, entropy, l
 	return iters, kl, entropy, loss, nil
 }
 
-// policyLeaf sums one policy pass over rows [lo, hi) into dst: the
-// gradients, then the KL, entropy and surrogate-loss sums.
+// policyLeaf sums one policy pass over steps [lo, hi) into dst: the
+// gradients, then the KL, entropy and surrogate-loss sums. Each chunk of
+// whole steps is one ForwardBatch over their rows, a softmax over each
+// step's own segment of the logits, and one BackwardBatch.
 func (p *PPO) policyLeaf(lo, hi int, dst *partial) {
 	pol := p.agent.Policy
 	dim, nA := pol.InputSize(), pol.OutputSize()
-	probs, logq := p.probs, p.logq
 	clear(dst.vec[:p.nPol])
 	var klSum, entSum, lossSum float64
-	for c := lo; c < hi; c += updateChunk {
-		ch := min(c+updateChunk, hi)
-		rows := ch - c
-		logits := pol.ForwardBatch(p.obs[c*dim:ch*dim], rows, &p.polCache)
+	for c := lo; c < hi; {
+		ch := c + 1
+		for ch < hi && p.rowOff[ch+1]-p.rowOff[c] <= updateChunk {
+			ch++
+		}
+		r0, rows := p.rowOff[c], p.rowOff[ch]-p.rowOff[c]
+		logits := pol.ForwardBatch(p.obs[r0*dim:(r0+rows)*dim], rows, &p.polCache)
 		dLogits := p.dOut[:rows*nA]
-		for r := 0; r < rows; r++ {
-			act, logpOld, adv := p.act[c+r], p.logp[c+r], p.adv[c+r]
-			nn.Softmax(logits[r*nA:(r+1)*nA], probs)
+		for i := c; i < ch; i++ {
+			a, b := (p.rowOff[i]-r0)*nA, (p.rowOff[i+1]-r0)*nA
+			act, logpOld, adv := p.act[i], p.logp[i], p.adv[i]
+			probs := nn.Softmax(logits[a:b], p.probs[:b-a])
+			logq := p.logq[:b-a]
 			logpNew := math.Log(math.Max(probs[act], 1e-12))
 			ratio := math.Exp(logpNew - logpOld)
 			klSum += logpOld - logpNew
@@ -543,7 +610,7 @@ func (p *PPO) policyLeaf(lo, hi int, dst *partial) {
 			}
 			entSum += h
 
-			dl := dLogits[r*nA : (r+1)*nA]
+			dl := dLogits[a:b]
 			for k := range dl {
 				ind := 0.0
 				if k == act {
@@ -558,6 +625,7 @@ func (p *PPO) policyLeaf(lo, hi int, dst *partial) {
 			}
 		}
 		pol.BackwardBatch(&p.polCache, dLogits, rows, dst.pol)
+		c = ch
 	}
 	dst.vec[p.nPol], dst.vec[p.nPol+1], dst.vec[p.nPol+2] = klSum, entSum, lossSum
 }
@@ -579,7 +647,7 @@ func (p *PPO) updateValue(batch, n int, ex Exchange) (loss float64, err error) {
 	return loss, nil
 }
 
-// valueLeaf sums one critic pass over rows [lo, hi) into dst: the
+// valueLeaf sums one critic pass over steps [lo, hi) into dst: the
 // gradients, then the squared-error loss sum.
 func (p *PPO) valueLeaf(lo, hi int, dst *partial) {
 	val := p.agent.Value
@@ -589,7 +657,7 @@ func (p *PPO) valueLeaf(lo, hi int, dst *partial) {
 	for c := lo; c < hi; c += updateChunk {
 		ch := min(c+updateChunk, hi)
 		rows := ch - c
-		values := val.ForwardBatch(p.obs[c*dim:ch*dim], rows, &p.valCache)
+		values := val.ForwardBatch(p.vin[c*dim:ch*dim], rows, &p.valCache)
 		dOut := p.dOut[:rows]
 		for r, v := range values {
 			d := v - p.ret[c+r]

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,7 +64,8 @@ func TestGreedyMatchesArgmax(t *testing.T) {
 	}
 }
 
-// TestUpdateValidatesObsSize: a wrong-sized observation anywhere in the
+// TestUpdateValidatesObsSize: an observation that is not whole rows of the
+// policy's input, or an action outside its step's logits, anywhere in the
 // batch fails the Update before it touches a statistic, the scratch or the
 // networks, so the next valid Update is the one a fresh PPO would run.
 func TestUpdateValidatesObsSize(t *testing.T) {
@@ -75,21 +77,34 @@ func TestUpdateValidatesObsSize(t *testing.T) {
 		Steps:  []Step{{Obs: []float64{1, 2, 3}, Action: 1, LogP: -0.6}, {Obs: []float64{0, -1, 2}, Action: 0, LogP: -0.8}},
 		Reward: 0.5,
 	}
-	bad := Trajectory{
-		Steps:  []Step{{Obs: []float64{1, 2}, Action: 0, LogP: -0.7}},
-		Reward: 1,
-	}
 
 	a, ppo := build()
-	st, err := ppo.Update([]Trajectory{good, bad})
-	if err == nil {
-		t.Fatal("wrong obs size accepted")
-	}
-	if want := "rl: observation size 2, want 3"; err.Error() != want {
-		t.Errorf("error %q, want %q", err, want)
-	}
-	if st != (UpdateStats{}) {
-		t.Errorf("failed Update returned non-zero stats %+v", st)
+	for _, c := range []struct {
+		bad  Step
+		want string
+	}{
+		{Step{Obs: []float64{1, 2}, Action: 0, LogP: -0.7}, "rl: observation size 2, want a positive multiple of 3"},
+		{Step{Obs: nil, Action: 0, LogP: -0.7}, "rl: observation size 0, want a positive multiple of 3"},
+		{Step{Obs: []float64{1, 2, 3, 4}, Action: 0, LogP: -0.7}, "rl: observation size 4, want a positive multiple of 3"},
+		{Step{Obs: []float64{1, 2, 3}, Action: 2, LogP: -0.7}, "rl: action 2 outside the 2 logits of its step"},
+		{Step{Obs: []float64{1, 2, 3}, Action: -1, LogP: -0.7}, "rl: action -1 outside the 2 logits of its step"},
+		{Step{Obs: []float64{1, 2, 3, 4, 5, 6}, Action: 4, LogP: -0.7}, "rl: action 4 outside the 4 logits of its step"},
+	} {
+		bad := Trajectory{Steps: []Step{c.bad}, Reward: 1}
+		st, err := func() (st UpdateStats, err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			return ppo.Update([]Trajectory{good, bad})
+		}()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("error %v, want %q", err, c.want)
+		}
+		if st != (UpdateStats{}) {
+			t.Errorf("failed Update returned non-zero stats %+v", st)
+		}
 	}
 
 	fa, fresh := build()
@@ -120,6 +135,9 @@ func TestUpdateWarmAllocs(t *testing.T) {
 	a, ppo, rng := build()
 	small := digestBatch(a, rng)
 	large := append(digestBatch(a, rng), digestBatch(a, rng)...)
+	// Many-row steps, one wider than a chunk: the softmax, chunk and critic
+	// scratch grow once more.
+	manyRow := rowsBatch(a, rng, [][]int{{3, 64, 1}, {150, 7}, {}, {20, 20, 20}})
 	update := func(p *PPO, batch []Trajectory) UpdateStats {
 		t.Helper()
 		st, err := p.Update(batch)
@@ -140,6 +158,10 @@ func TestUpdateWarmAllocs(t *testing.T) {
 	update(ppo, large) // grows the scratch
 	if n := testing.AllocsPerRun(3, func() { update(ppo, large) }); n != 0 {
 		t.Errorf("warm Update on the larger batch: %v allocs, want 0", n)
+	}
+	update(ppo, manyRow) // grows it again
+	if n := testing.AllocsPerRun(3, func() { update(ppo, manyRow) }); n != 0 {
+		t.Errorf("warm Update on the many-row batch: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(3, func() { update(ppo, small) }); n != 0 {
 		t.Errorf("Update on a smaller batch after growth: %v allocs, want 0", n)

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 
 	"schedinspector/internal/nn"
+	"schedinspector/internal/rl"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
@@ -68,32 +69,24 @@ func (n Norm) features(dst []float64, j *workload.Job, now float64, free, total 
 	dst[4] = float64(free) / float64(total)
 }
 
-// Step is one recorded scheduling decision for PPO: the candidate feature
-// matrix, the chosen index, and the behavior log-probability.
-type Step struct {
-	Cands  [][]float64 // per-candidate kernel inputs
-	Pooled []float64   // value-network input
-	Chosen int
-	LogP   float64
-}
-
 // Policy is the learned scheduler. It implements sched.Policy (Score orders
 // backfill candidates deterministically) and sched.Selector (Select makes
 // the scheduling decision).
 type Policy struct {
 	Kernel *nn.MLP // kernelFeatures -> 1 logit
-	Value  *nn.MLP // kernelFeatures (pooled) -> 1
+	Value  *nn.MLP // kernelFeatures (mean over the candidates) -> 1
 	Norm   Norm
 
 	rng      *rand.Rand
-	sampling bool    // softmax sampling + recording vs argmax
-	rec      *[]Step // set during training
+	sampling bool       // softmax sampling + recording vs argmax
+	rec      *[]rl.Step // set during training
 
 	// scratch
-	cache  nn.Cache
-	feat   []float64
-	logits []float64
-	probs  []float64
+	cache nn.Cache
+	batch nn.BatchCache
+	feat  []float64 // one job's kernel input, for Score
+	feats []float64 // the observed candidates' kernel inputs, row after row
+	probs []float64
 
 	lastFree, lastTotal int // cluster view from the latest Select, used by Score
 }
@@ -136,7 +129,10 @@ func (p *Policy) ClonePolicy() sched.Policy {
 }
 
 // SetSampling toggles softmax exploration (training) vs argmax (greedy).
-func (p *Policy) SetSampling(on bool, rec *[]Step) {
+// While sampling, a non-nil rec receives every decision as an rl.Step: the
+// candidates' kernel inputs row after row, the chosen row and its
+// log-probability — the many-row step rl.PPO trains the kernel on.
+func (p *Policy) SetSampling(on bool, rec *[]rl.Step) {
 	p.sampling = on
 	p.rec = rec
 }
@@ -158,30 +154,19 @@ func (p *Policy) Score(j *workload.Job, now float64) float64 {
 // sample (training) or argmax (evaluation).
 func (p *Policy) Select(queue []workload.Job, now float64, free, total int) int {
 	p.lastFree, p.lastTotal = free, total
-	n := len(queue)
+	n := min(len(queue), MaxObserve)
 	if n == 0 {
 		return -1
 	}
-	if n > MaxObserve {
-		n = MaxObserve
-	}
-	if cap(p.logits) < n {
-		p.logits = make([]float64, n)
+	if cap(p.feats) < n*kernelFeatures {
+		p.feats = make([]float64, n*kernelFeatures)
 		p.probs = make([]float64, n)
 	}
-	logits := p.logits[:n]
-
-	var cands [][]float64
-	if p.sampling && p.rec != nil {
-		cands = make([][]float64, n)
-	}
+	feats := p.feats[:n*kernelFeatures]
 	for i := 0; i < n; i++ {
-		p.Norm.features(p.feat, &queue[i], now, free, total)
-		logits[i] = p.Kernel.Forward(p.feat, &p.cache)[0]
-		if cands != nil {
-			cands[i] = append([]float64(nil), p.feat...)
-		}
+		p.Norm.features(feats[i*kernelFeatures:(i+1)*kernelFeatures], &queue[i], now, free, total)
 	}
+	logits := p.Kernel.ForwardBatch(feats, n, &p.batch)
 
 	if !p.sampling {
 		best := 0
@@ -192,44 +177,9 @@ func (p *Policy) Select(queue []workload.Job, now float64, free, total int) int 
 		}
 		return best
 	}
-
-	probs := nn.Softmax(logits, p.probs[:n])
-	u := p.rng.Float64()
-	chosen := n - 1
-	acc := 0.0
-	for i, q := range probs {
-		acc += q
-		if u <= acc {
-			chosen = i
-			break
-		}
-	}
+	chosen, logp := rl.SampleCategorical(p.rng, logits, p.probs[:n])
 	if p.rec != nil {
-		*p.rec = append(*p.rec, Step{
-			Cands:  cands,
-			Pooled: pool(cands, p.feat),
-			Chosen: chosen,
-			LogP:   math.Log(math.Max(probs[chosen], 1e-12)),
-		})
+		*p.rec = append(*p.rec, rl.Step{Obs: append([]float64(nil), feats...), Action: chosen, LogP: logp})
 	}
 	return chosen
-}
-
-// pool aggregates candidate features into the value-network input: the
-// element-wise mean of the candidate matrix (scratch is only used for
-// sizing; the result is freshly allocated since it is retained in Steps).
-func pool(cands [][]float64, scratch []float64) []float64 {
-	out := make([]float64, len(scratch))
-	if len(cands) == 0 {
-		return out
-	}
-	for _, c := range cands {
-		for k, v := range c {
-			out[k] += v
-		}
-	}
-	for k := range out {
-		out[k] /= float64(len(cands))
-	}
-	return out
 }
