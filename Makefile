@@ -16,7 +16,7 @@ FUZZTIME ?= 30s
 VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 LDFLAGS := -ldflags '-X schedinspector/internal/version.Version=$(VERSION)'
 
-.PHONY: all build bin vet fmt-check test test-short race bench bench-env bench-check bench-serve bench-serve-check bench-fleet bench-fleet-check equiv fuzz-smoke verify
+.PHONY: all build bin vet fmt-check test test-short race equiv fuzz-smoke verify
 
 all: build
 
@@ -44,52 +44,6 @@ test-short:
 race:
 	$(GO) test -race ./internal/obs/ ./internal/serve/ ./internal/rollout/ ./internal/ckpt/ ./internal/explain/ ./internal/dist/ ./internal/online/ ./internal/fleet/
 	$(GO) test -race -short ./internal/core/ ./internal/rl/ ./internal/sim/
-
-bench: bench-env
-	$(GO) test -bench=. -benchmem .
-
-# bench-env runs the Env-core benchmarks (steppable simulator vs the
-# preserved seed engine) and archives the parsed results in BENCH_env.json.
-bench-env:
-	$(GO) test -run '^$$' -bench 'EnvInspected|LegacyInspected' -benchmem ./internal/sim/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_env.json
-	$(GO) test -run '^$$' -bench 'BenchmarkEnvStep$$' -benchmem .
-
-# bench-check reruns the Env benchmarks and gates them against the
-# committed BENCH_env.json: fail on a >25% ns/op regression or on any new
-# allocation in a benchmark the baseline records as allocation-free.
-bench-check:
-	$(GO) test -run '^$$' -bench 'EnvInspected|LegacyInspected' -benchmem ./internal/sim/ \
-		| $(GO) run ./cmd/benchjson -check BENCH_env.json -tolerance 0.25
-
-# bench-serve runs the serving-throughput benchmarks (/v1/inspect through
-# Handler.ServeHTTP at 1/64/512 concurrent clients) and the
-# /v1/inspect decoder benchmarks (single-pass vs encoding/json, shallow and
-# deep bodies) and archives the parsed results — decisions/s, p99 latency,
-# ns/op, allocs/op — in BENCH_serve.json.
-bench-serve:
-	$(GO) test -run '^$$' -bench 'BenchmarkInspectC|DecodeInspect' -benchmem ./internal/serve/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_serve.json
-
-# bench-serve-check reruns the serving benchmarks against the committed
-# BENCH_serve.json baseline (advisory in CI: serving throughput is noisy on
-# shared runners, so regressions warn rather than gate).
-bench-serve-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkInspectC|DecodeInspect' -benchmem ./internal/serve/ \
-		| $(GO) run ./cmd/benchjson -check BENCH_serve.json -tolerance 0.25
-
-# bench-fleet runs the fleet-plane benchmarks (exposition parse, full
-# HTTP scrape, /v1/fleet aggregation) and archives the parsed results in
-# BENCH_fleet.json.
-bench-fleet:
-	$(GO) test -run '^$$' -bench 'Fleet' -benchmem ./internal/fleet/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_fleet.json
-
-# bench-fleet-check reruns the fleet benchmarks against the committed
-# BENCH_fleet.json baseline (advisory in CI, same as bench-serve-check).
-bench-fleet-check:
-	$(GO) test -run '^$$' -bench 'Fleet' -benchmem ./internal/fleet/ \
-		| $(GO) run ./cmd/benchjson -check BENCH_fleet.json -tolerance 0.25
 
 # equiv runs the golden equivalence suites that pin the Env/wave engines to
 # the verbatim seed implementations, the rollout loop at every window and

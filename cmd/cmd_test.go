@@ -73,7 +73,7 @@ func bin(t *testing.T, name string) string {
 			return
 		}
 		build := exec.Command("go", "build", "-o", binDir+string(os.PathSeparator),
-			"./tracegen", "./schedinspect", "./inspectord", "./expreport", "./benchjson")
+			"./tracegen", "./schedinspect", "./inspectord", "./expreport")
 		if out, err := build.CombinedOutput(); err != nil {
 			binErr = fmt.Errorf("go build: %v\n%s", err, out)
 		}
@@ -301,130 +301,6 @@ func waitMetric(t *testing.T, d *daemon, family string, want float64) {
 		}
 		return err
 	})
-}
-
-// TestBenchJSON pipes canned `go test -bench` output through benchjson and
-// checks the emitted document.
-func TestBenchJSON(t *testing.T) {
-	bj := bin(t, "benchjson")
-	out := filepath.Join(t.TempDir(), "bench.json")
-	cmd := exec.Command(bj, "-o", out)
-	cmd.Stdin = strings.NewReader(`goos: linux
-goarch: amd64
-pkg: schedinspector
-BenchmarkEnvStep-8   	   16825	     71833 ns/op	       362.8 ns/decision	       0 B/op	       0 allocs/op
-BenchmarkSimulator 	    9423	    121741 ns/op
-PASS
-ok  	schedinspector	1.949s
-`)
-	if b, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("benchjson: %v\n%s", err, b)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Benchmarks []struct {
-			Name       string             `json:"name"`
-			Procs      int                `json:"procs"`
-			Iterations int64              `json:"iterations"`
-			Metrics    map[string]float64 `json:"metrics"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("bad JSON: %v\n%s", err, raw)
-	}
-	if len(rep.Benchmarks) != 2 {
-		t.Fatalf("parsed %d benchmarks, want 2:\n%s", len(rep.Benchmarks), raw)
-	}
-	env := rep.Benchmarks[0]
-	if env.Name != "EnvStep" || env.Procs != 8 || env.Iterations != 16825 {
-		t.Errorf("EnvStep parsed as %+v", env)
-	}
-	if env.Metrics["ns/decision"] != 362.8 || env.Metrics["allocs/op"] != 0 {
-		t.Errorf("EnvStep metrics %+v", env.Metrics)
-	}
-	if sim := rep.Benchmarks[1]; sim.Name != "Simulator" || sim.Procs != 1 ||
-		sim.Metrics["ns/op"] != 121741 {
-		t.Errorf("Simulator parsed as %+v", sim)
-	}
-	// empty input is an error, not an empty document
-	cmd = exec.Command(bj)
-	cmd.Stdin = strings.NewReader("PASS\n")
-	if err := cmd.Run(); err == nil {
-		t.Error("benchjson accepted input with no benchmarks")
-	}
-}
-
-// TestBenchJSONCheck exercises the regression-gate mode against a canned
-// baseline: pass within tolerance, fail beyond it, fail on a new
-// allocation where the baseline was allocation-free, fail on a missing
-// benchmark.
-func TestBenchJSONCheck(t *testing.T) {
-	bj := bin(t, "benchjson")
-	baseline := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(baseline, []byte(`{"benchmarks":[
-		{"name":"EnvStep","procs":8,"iterations":10000,
-		 "metrics":{"ns/op":1000,"allocs/op":0}},
-		{"name":"Simulator","procs":8,"iterations":10000,
-		 "metrics":{"ns/op":2000,"allocs/op":5}}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	checkRun := func(stdin string) (string, error) {
-		cmd := exec.Command(bj, "-check", baseline, "-tolerance", "0.25")
-		cmd.Stdin = strings.NewReader(stdin)
-		var buf bytes.Buffer
-		cmd.Stdout = &buf
-		cmd.Stderr = io.Discard
-		err := cmd.Run()
-		return buf.String(), err
-	}
-
-	// Within tolerance (+20% ns/op, allocs unchanged): pass.
-	out, err := checkRun(`BenchmarkEnvStep-8   10000   1200 ns/op   0 allocs/op
-BenchmarkSimulator-8   10000   2100 ns/op   5 allocs/op
-PASS
-`)
-	if err != nil {
-		t.Fatalf("within-tolerance run failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "ok   EnvStep") {
-		t.Errorf("missing ok line:\n%s", out)
-	}
-
-	// Beyond tolerance: fail and say so.
-	out, err = checkRun(`BenchmarkEnvStep-8   10000   1300 ns/op   0 allocs/op
-BenchmarkSimulator-8   10000   2000 ns/op   5 allocs/op
-`)
-	if err == nil {
-		t.Fatalf("+30%% regression accepted:\n%s", out)
-	}
-	if !strings.Contains(out, "FAIL EnvStep") {
-		t.Errorf("regression not named:\n%s", out)
-	}
-
-	// New allocation on a 0-alloc baseline: fail even though ns/op is fine.
-	out, err = checkRun(`BenchmarkEnvStep-8   10000   1000 ns/op   2 allocs/op
-BenchmarkSimulator-8   10000   2000 ns/op   5 allocs/op
-`)
-	if err == nil {
-		t.Fatalf("new allocation accepted:\n%s", out)
-	}
-	if !strings.Contains(out, "allocation-free") {
-		t.Errorf("allocation failure not explained:\n%s", out)
-	}
-
-	// Baseline benchmark missing from the run: fail.
-	out, err = checkRun(`BenchmarkEnvStep-8   10000   1000 ns/op   0 allocs/op
-`)
-	if err == nil {
-		t.Fatalf("missing benchmark accepted:\n%s", out)
-	}
-	if !strings.Contains(out, "FAIL Simulator") {
-		t.Errorf("missing benchmark not named:\n%s", out)
-	}
 }
 
 // TestCLICheckpointResume pins the CLI half of the kill-and-resume
@@ -660,15 +536,27 @@ func TestCLIInspectordFlightRotation(t *testing.T) {
 }
 
 // TestCLIBadTraceFlags feeds both trace-building binaries values they
-// cannot generate from: each must exit non-zero with an error naming the
-// trace or the flag, never with a panic.
+// cannot generate from, and the training front-ends negative epoch and
+// checkpoint counts: each must exit non-zero with an error naming the
+// trace or the flag, never with a panic or a silent "never"/"keep all".
+// The training cases are small, so a binary that accepted the value would
+// finish quickly and fail the test.
 func TestCLIBadTraceFlags(t *testing.T) {
 	si, tg := bin(t, "schedinspect"), bin(t, "tracegen")
+	work := t.TempDir()
+	small := func(sub string, bad ...string) []string {
+		return append([]string{sub, "-jobs", "800", "-batch", "2", "-seqlen", "32",
+			"-model", filepath.Join(work, "model.ckpt"), "-checkpoint-dir", work}, bad...)
+	}
 	for _, c := range []struct {
 		bin  string
 		args []string
 		want string
 	}{
+		{si, small("train", "-epochs", "-3"), "-epochs"},
+		{si, small("train-worker", "-world", "1", "-epochs", "-1"), "-epochs"},
+		{si, small("train", "-epochs", "1", "-checkpoint-every", "-1"), "-checkpoint-every"},
+		{si, small("train", "-epochs", "1", "-checkpoint-keep", "-2"), "-checkpoint-keep"},
 		{si, []string{"stats", "-trace", "Foo"}, "Foo"},
 		{si, []string{"train", "-trace", "Foo"}, "Foo"},
 		{si, []string{"eval", "-trace", "Foo"}, "Foo"},
@@ -692,6 +580,26 @@ func TestCLIBadTraceFlags(t *testing.T) {
 			strings.Contains(out, "panic:") || strings.Contains(out, "goroutine ") {
 			t.Errorf("%s %v: %v; want a non-zero exit, %q on stderr and no panic; output:\n%s",
 				filepath.Base(c.bin), c.args, err, c.want, out)
+		}
+	}
+}
+
+// TestCLIEvalHeader: eval's header names the sequence count and length
+// that ran, after EvalConfig's defaults, not the raw flag values.
+func TestCLIEvalHeader(t *testing.T) {
+	si := bin(t, "schedinspect")
+	model := filepath.Join(t.TempDir(), "model.ckpt")
+	run(t, si, "train", "-jobs", "3000", "-epochs", "0", "-model", model)
+	for _, c := range []struct {
+		seqs, seqLen, header, box string
+	}{
+		{"0", "16", "over 50 sequences of 16 jobs", "n=50 "},
+		{"3", "0", "over 3 sequences of 256 jobs", "n=3 "},
+		{"2", "32", "over 2 sequences of 32 jobs", "n=2 "},
+	} {
+		out := run(t, si, "eval", "-jobs", "3000", "-sequences", c.seqs, "-seqlen", c.seqLen, "-model", model)
+		if !strings.Contains(out, c.header) || !strings.Contains(out, c.box) {
+			t.Errorf("eval -sequences %s -seqlen %s: want %q and %q in\n%s", c.seqs, c.seqLen, c.header, c.box, out)
 		}
 	}
 }

@@ -186,7 +186,14 @@ func cmdTrain(args []string, worker bool) error {
 	}
 	fs.Parse(args)
 
-	if *resume && *ckptDir == "" {
+	switch {
+	case *epochs < 0:
+		return fmt.Errorf("-epochs must be >= 0, got %d", *epochs)
+	case *ckptEvery < 0:
+		return fmt.Errorf("-checkpoint-every must be >= 0 (0 = only on interruption and completion), got %d", *ckptEvery)
+	case *ckptKeep < 0:
+		return fmt.Errorf("-checkpoint-keep must be >= 0 (0 = keep all), got %d", *ckptKeep)
+	case *resume && *ckptDir == "":
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
 	tr, err := loadTrace(*name, *swf, *jobs, *seed)
@@ -385,9 +392,11 @@ func cmdEval(args []string) error {
 			return err
 		}
 	}
+	// Report what ran, not the raw flags: EvalConfig turns 0 into its
+	// defaults, and every sequence summarises the same SeqLen jobs.
 	base, ins := res.Boxes(m)
 	fmt.Printf("metric %s over %d sequences of %d jobs (%s, backfill=%v):\n",
-		m, *sequences, *seqLen, pol.Name(), *backfill)
+		m, len(res.Base), res.Base[0].Jobs, pol.Name(), *backfill)
 	fmt.Printf("  base:      %v\n", base)
 	fmt.Printf("  inspected: %v\n", ins)
 	fmt.Printf("  mean improvement: %+.1f%%, rejection ratio %.2f\n",

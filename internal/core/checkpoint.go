@@ -409,6 +409,9 @@ type EpochFunc func() (EpochStats, error)
 // on epoch boundaries, which is what keeps kill-and-resume bit-identical
 // to an uninterrupted run.
 func (t *Trainer) DriveEpochs(ctx context.Context, epochs int, ck CheckpointConfig, run EpochFunc, cb func(EpochStats)) ([]EpochStats, error) {
+	if epochs < 0 {
+		return nil, fmt.Errorf("core: DriveEpochs epochs = %d, must be >= 0", epochs)
+	}
 	out := make([]EpochStats, 0, epochs)
 	save := func() error {
 		if ck.Dir == "" {

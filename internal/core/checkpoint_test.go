@@ -355,6 +355,26 @@ func TestTrainCtxInterruptSaveFailure(t *testing.T) {
 	}
 }
 
+// TestDriveEpochsRejectsNegative: a negative epoch count is an error
+// returned before anything runs or is saved, not a makeslice panic.
+func TestDriveEpochsRejectsNegative(t *testing.T) {
+	tr, err := NewTrainer(TrainConfig{
+		Trace: workload.SDSCSP2Like(2500, 6), Policy: sched.SJF(), Metric: metrics.BSLD,
+		Batch: 2, SeqLen: 64, Seed: 13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	out, err := tr.DriveEpochs(context.Background(), -1, CheckpointConfig{Dir: dir, Every: 1}, tr.RunEpoch, nil)
+	if err == nil || !contains(err.Error(), "-1") || out != nil {
+		t.Fatalf("DriveEpochs(-1) = %v, %v; want no stats and an error naming the count", out, err)
+	}
+	if entries, err := ckpt.List(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("DriveEpochs(-1) left checkpoints %+v (err %v)", entries, err)
+	}
+}
+
 // TestTrainCtxPeriodicSavesAndPrune: Every controls checkpoint cadence and
 // Keep bounds the directory.
 func TestTrainCtxPeriodicSavesAndPrune(t *testing.T) {

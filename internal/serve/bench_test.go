@@ -18,10 +18,10 @@ import (
 )
 
 // Serving-throughput benchmarks: /v1/inspect through Handler.ServeHTTP at 1,
-// 64 and 512 concurrent clients. Results are archived in BENCH_serve.json by
-// `make bench-serve` and gated advisorily by `make bench-serve-check`; each
-// benchmark reports decisions/s and the p99 request latency alongside the
-// standard ns/op.
+// 64 and 512 concurrent clients. Each reports decisions/s and the p99
+// request latency alongside the standard ns/op. They are developer
+// microbenchmarks; the serving numbers of record come from bench/ over a
+// real socket.
 
 func benchInspector() *core.Inspector {
 	tr := workload.SDSCSP2Like(500, 3)
