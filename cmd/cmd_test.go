@@ -816,6 +816,16 @@ func TestCLIFlightRecorder(t *testing.T) {
 	if !strings.Contains(out, "verdict") {
 		t.Fatalf("window output unexpected:\n%s", out)
 	}
+	if out = run(t, si, "explain", "-in", flight1, "-window", "-inf:inf"); !strings.Contains(out, "verdict") {
+		t.Fatalf("-window -inf:inf output unexpected:\n%s", out)
+	}
+	// A NaN bound selects nothing; it is refused, not answered with no rows.
+	for _, w := range []string{"NaN:5", "5:NaN"} {
+		out, err := exec.Command(si, "explain", "-in", flight1, "-window", w).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "T1 > T0") {
+			t.Fatalf("-window %s: err=%v, want a refusal naming T1 > T0:\n%s", w, err, out)
+		}
+	}
 
 	// expreport -rejects plots the reject-rate-vs-utilization curve.
 	out = run(t, bin(t, "expreport"), "-rejects", flight1)

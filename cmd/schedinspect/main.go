@@ -510,7 +510,7 @@ func cmdExplain(args []string) error {
 		}
 		t0, err0 := strconv.ParseFloat(t0s, 64)
 		t1, err1 := strconv.ParseFloat(t1s, 64)
-		if err0 != nil || err1 != nil || t1 <= t0 {
+		if err0 != nil || err1 != nil || !(t1 > t0) { // !(>) refuses a NaN bound too
 			return fmt.Errorf("-window wants numeric T0:T1 with T1 > T0, got %q", *window)
 		}
 		return explain.WriteRecords(os.Stdout, tr.Window(t0, t1))

@@ -48,8 +48,8 @@ import (
 // container-layout version, separate from the caller's payload version.
 var magic = [8]byte{'S', 'C', 'H', 'D', 'C', 'K', 'P', 1}
 
-// headerSize is the fixed prefix before the payload.
-const headerSize = 8 + 4 + 8 + 4
+// FrameHeaderSize is the fixed prefix before the payload.
+const FrameHeaderSize = 8 + 4 + 8 + 4
 
 // MaxPayload caps how large a payload Read will believe. It exists so a
 // corrupt length field cannot demand an absurd allocation; 1 GiB is orders
@@ -85,13 +85,38 @@ func corrupt(path, format string, args ...any) error {
 	return &CorruptError{Path: path, Reason: fmt.Sprintf(format, args...)}
 }
 
-// Encode writes one container (header + payload) to w.
-func Encode(w io.Writer, version uint32, payload []byte) error {
-	var hdr [headerSize]byte
+// putHeader writes the container header for payload into hdr, which holds
+// at least FrameHeaderSize bytes.
+func putHeader(hdr []byte, version uint32, payload []byte) {
 	copy(hdr[:8], magic[:])
 	binary.BigEndian.PutUint32(hdr[8:12], version)
 	binary.BigEndian.PutUint64(hdr[12:20], uint64(len(payload)))
 	binary.BigEndian.PutUint32(hdr[20:24], crc32.Checksum(payload, castagnoli))
+}
+
+// SealFrame fills the header of a frame built in place: frame holds
+// FrameHeaderSize reserved bytes followed by the payload, and after the
+// call it is one whole container, ready for a single Write. It is the
+// allocation-free form of WriteFrame for a writer that owns its buffer.
+func SealFrame(frame []byte, version uint32) {
+	putHeader(frame, version, frame[FrameHeaderSize:])
+}
+
+// FrameVersion reports the payload version of a buffer that opens with a
+// container header (ok is false for fewer than 12 bytes or another magic).
+// It checks neither the length nor the CRC: it sniffs, it does not
+// validate.
+func FrameVersion(data []byte) (version uint32, ok bool) {
+	if len(data) < 12 || [8]byte(data[:8]) != magic {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(data[8:12]), true
+}
+
+// Encode writes one container (header + payload) to w.
+func Encode(w io.Writer, version uint32, payload []byte) error {
+	var hdr [FrameHeaderSize]byte
+	putHeader(hdr[:], version, payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("ckpt: %w", err)
 	}
@@ -109,8 +134,8 @@ func Decode(data []byte) (version uint32, payload []byte, err error) {
 }
 
 func decode(data []byte, path string) (uint32, []byte, error) {
-	if len(data) < headerSize {
-		return 0, nil, corrupt(path, "%d bytes, need at least the %d-byte header", len(data), headerSize)
+	if len(data) < FrameHeaderSize {
+		return 0, nil, corrupt(path, "%d bytes, need at least the %d-byte header", len(data), FrameHeaderSize)
 	}
 	if [8]byte(data[:8]) != magic {
 		return 0, nil, corrupt(path, "bad magic %q", data[:8])
@@ -120,11 +145,11 @@ func decode(data []byte, path string) (uint32, []byte, error) {
 	if n > MaxPayload {
 		return 0, nil, corrupt(path, "payload length %d exceeds limit %d", n, MaxPayload)
 	}
-	if uint64(len(data)-headerSize) != n {
+	if uint64(len(data)-FrameHeaderSize) != n {
 		return 0, nil, corrupt(path, "payload length %d, header promises %d (truncated or padded)",
-			len(data)-headerSize, n)
+			len(data)-FrameHeaderSize, n)
 	}
-	payload := data[headerSize:]
+	payload := data[FrameHeaderSize:]
 	if sum := crc32.Checksum(payload, castagnoli); sum != binary.BigEndian.Uint32(data[20:24]) {
 		return 0, nil, corrupt(path, "CRC mismatch (stored %08x, computed %08x)",
 			binary.BigEndian.Uint32(data[20:24]), sum)
@@ -157,7 +182,7 @@ func ReadFrame(r io.Reader, maxPayload int) (version uint32, payload []byte, err
 	if maxPayload > 0 {
 		limit = uint64(maxPayload)
 	}
-	var hdr [headerSize]byte
+	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF // clean end of stream between frames
@@ -165,7 +190,7 @@ func ReadFrame(r io.Reader, maxPayload int) (version uint32, payload []byte, err
 		return 0, nil, fmt.Errorf("ckpt: read frame header: %w", err)
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return 0, nil, corrupt("", "frame truncated in %d-byte header: %v", headerSize, err)
+		return 0, nil, corrupt("", "frame truncated in %d-byte header: %v", FrameHeaderSize, err)
 	}
 	if [8]byte(hdr[:8]) != magic {
 		return 0, nil, corrupt("", "bad frame magic %q", hdr[:8])
@@ -177,8 +202,14 @@ func ReadFrame(r io.Reader, maxPayload int) (version uint32, payload []byte, err
 	}
 	// The length field is not believed before the bytes arrive: the buffer
 	// starts at one chunk and doubles only once it is full, so a damaged
-	// length costs at most one chunk or twice the bytes actually sent.
-	payload = make([]byte, min(n, frameChunk))
+	// length costs at most one chunk or twice the bytes actually sent. An
+	// in-memory reader (bytes.Reader, bytes.Buffer) reports the bytes it
+	// holds, which have arrived: a frame they cover costs one allocation.
+	chunk := uint64(frameChunk)
+	if l, ok := r.(interface{ Len() int }); ok {
+		chunk = max(chunk, uint64(l.Len()))
+	}
+	payload = make([]byte, min(n, chunk))
 	for got := 0; ; {
 		k, err := io.ReadFull(r, payload[got:])
 		if got += k; err != nil {

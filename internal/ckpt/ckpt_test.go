@@ -91,7 +91,7 @@ func TestBitFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, off := range []int{0, 5, 13, 19, 21, headerSize, headerSize + 100, len(data) - 1} {
+	for _, off := range []int{0, 5, 13, 19, 21, FrameHeaderSize, FrameHeaderSize + 100, len(data) - 1} {
 		flipped := append([]byte(nil), data...)
 		flipped[off] ^= 0x40
 		bad := filepath.Join(dir, "flipped.ckpt")

@@ -50,9 +50,9 @@ func TestFrameCorruption(t *testing.T) {
 		mut  func([]byte) []byte
 	}{
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
-		{"truncated header", func(b []byte) []byte { return b[:headerSize-3] }},
+		{"truncated header", func(b []byte) []byte { return b[:FrameHeaderSize-3] }},
 		{"truncated payload", func(b []byte) []byte { return b[:len(b)-2] }},
-		{"flipped payload bit", func(b []byte) []byte { b[headerSize+4] ^= 0x01; return b }},
+		{"flipped payload bit", func(b []byte) []byte { b[FrameHeaderSize+4] ^= 0x01; return b }},
 		{"flipped CRC", func(b []byte) []byte { b[20] ^= 0x10; return b }},
 	}
 	for _, tc := range cases {
@@ -101,5 +101,26 @@ func TestFrameLengthNotBelieved(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Fatalf("a 16-byte frame claiming %d bytes allocated %d bytes, want < 1 MiB", claim, alloc)
+	}
+}
+
+// TestFrameInMemoryAllocs: a frame read from an in-memory reader that holds
+// all of it costs as many allocations as a one-byte frame, however many
+// chunks long it is: its payload is allocated once, at its size.
+func TestFrameInMemoryAllocs(t *testing.T) {
+	allocs := func(size int) float64 {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, 1, make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, _, err := ReadFrame(bytes.NewReader(buf.Bytes()), 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, big := allocs(1), allocs(3*frameChunk+5); small != big {
+		t.Fatalf("ReadFrame allocates %.0f times for a 1-byte frame and %.0f for a %d-byte one",
+			small, big, 3*frameChunk+5)
 	}
 }

@@ -16,14 +16,14 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(magic[:])
 	f.Add([]byte("SCHDCKP\x02 wrong container version"))
-	f.Add(bytes.Repeat([]byte{0xFF}, headerSize))
+	f.Add(bytes.Repeat([]byte{0xFF}, FrameHeaderSize))
 	var valid bytes.Buffer
 	if err := Encode(&valid, 3, []byte("payload")); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:valid.Len()-1])
-	truncatedHeader := append([]byte(nil), valid.Bytes()[:headerSize-2]...)
+	truncatedHeader := append([]byte(nil), valid.Bytes()[:FrameHeaderSize-2]...)
 	f.Add(truncatedHeader)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

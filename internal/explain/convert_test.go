@@ -10,13 +10,14 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"schedinspector/internal/ckpt"
 	"schedinspector/internal/core"
 	"schedinspector/internal/mutants"
 	"schedinspector/internal/obs"
 )
 
 // referenceConvert is ConvertFTrace as it was built on encoding/json: the
-// same segment walk, every record decoded afresh and rendered as
+// same frame walk, every record decoded afresh and rendered as
 // json.Marshal of its wire wrapper plus a newline. It returns the lines
 // written before the first error and that error.
 func referenceConvert(img []byte) (string, error) {
@@ -24,66 +25,51 @@ func referenceConvert(img []byte) (string, error) {
 		Kind string `json:"kind"`
 	}
 	var out bytes.Buffer
-	walker, err := newFTraceWalker(bytes.NewReader(img))
-	if err != nil {
-		return "", err
-	}
-	for {
-		seg, err := walker.next()
-		if err == io.EOF {
-			return out.String(), nil
-		}
-		if err != nil {
-			return out.String(), err
-		}
-		err = walkRecords(walker.segNo-1, seg, func(kind byte, body []byte) error {
-			var v any
-			var err error
-			switch kind {
-			case obs.FTraceKindHeader:
-				var h obs.ExplainHeader
-				h, err = obs.DecodeFTraceHeader(body)
-				h.Kind = "explain_header"
-				v = h
-			case obs.FTraceKindSpan:
-				var s obs.Span
-				s, err = obs.DecodeFTraceSpan(body)
-				v = struct {
-					wire
-					obs.Span
-				}{wire{"span"}, s}
-			case obs.FTraceKindDecision:
-				var d obs.ExplainRecord
-				d, err = obs.DecodeFTraceDecision(body)
-				v = struct {
-					wire
-					obs.ExplainRecord
-				}{wire{"decision"}, d}
-			case obs.FTraceKindProc:
-				var p obs.ProcStats
-				p, err = obs.DecodeFTraceProc(body)
-				v = struct {
-					wire
-					obs.ProcStats
-				}{wire{"proc"}, p}
-			default:
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			b, err := json.Marshal(v)
-			if err != nil {
-				return err
-			}
-			out.Write(b)
-			out.WriteByte('\n')
+	err := walkFTrace(bytes.NewReader(img), func(kind byte, body []byte) error {
+		var v any
+		var err error
+		switch kind {
+		case obs.FTraceKindHeader:
+			var h obs.ExplainHeader
+			h, err = obs.DecodeFTraceHeader(body)
+			h.Kind = "explain_header"
+			v = h
+		case obs.FTraceKindSpan:
+			var s obs.Span
+			s, err = obs.DecodeFTraceSpan(body)
+			v = struct {
+				wire
+				obs.Span
+			}{wire{"span"}, s}
+		case obs.FTraceKindDecision:
+			var d obs.ExplainRecord
+			d, err = obs.DecodeFTraceDecision(body)
+			v = struct {
+				wire
+				obs.ExplainRecord
+			}{wire{"decision"}, d}
+		case obs.FTraceKindProc:
+			var p obs.ProcStats
+			p, err = obs.DecodeFTraceProc(body)
+			v = struct {
+				wire
+				obs.ProcStats
+			}{wire{"proc"}, p}
+		default:
 			return nil
-		})
-		if err != nil {
-			return out.String(), err
 		}
-	}
+		if err != nil {
+			return err
+		}
+		b, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		out.Write(b)
+		out.WriteByte('\n')
+		return nil
+	})
+	return out.String(), err
 }
 
 // checkConvertMatchesReference converts img both ways and requires the same
@@ -101,19 +87,18 @@ func checkConvertMatchesReference(t *testing.T, img []byte) {
 	}
 }
 
-// sealFTrace frames payload as a one-segment .ftrace image with a valid CRC.
+// sealFTrace frames payload as a one-frame .ftrace image with a valid CRC.
 func sealFTrace(payload []byte) []byte {
-	img := obs.AppendFTraceFileHeader(nil)
-	img = binary.LittleEndian.AppendUint32(img, uint32(len(payload)))
-	img = binary.LittleEndian.AppendUint32(img, obs.FTraceSegmentCRC(payload))
-	return append(img, payload...)
+	img := append(make([]byte, ckpt.FrameHeaderSize), payload...)
+	ckpt.SealFrame(img, obs.FTraceVersion)
+	return img
 }
 
 // TestConvertFTraceMutants sweeps every prefix and single-bit flip of
 // goldenFTrace through ConvertFTrace and the encoding/json reference: same
 // lines, same error or nil, never a panic or a hang. The CRC turns nearly
-// every flip of the image into a segment error, so the sweep runs a second
-// time over the segment payload re-sealed with a fresh CRC; those mutants
+// every flip of the image into a frame error, so the sweep runs a second
+// time over the frame payload re-sealed with a fresh CRC; those mutants
 // reach the record decoders and the appenders, flipped floats into NaN and
 // ±Inf included.
 func TestConvertFTraceMutants(t *testing.T) {
@@ -121,9 +106,9 @@ func TestConvertFTraceMutants(t *testing.T) {
 	checkConvertMatchesReference(t, golden)
 	mutants.Each(golden, func(m []byte) { checkConvertMatchesReference(t, m) })
 
-	const segStart = 12 + 8 // file header + segment header
-	if n := binary.LittleEndian.Uint32(golden[12:]); int(n) != len(golden)-segStart {
-		t.Fatalf("goldenFTrace is not one segment: payload %d of %d bytes", n, len(golden)-segStart)
+	const segStart = ckpt.FrameHeaderSize
+	if n := binary.BigEndian.Uint64(golden[12:]); int(n) != len(golden)-segStart {
+		t.Fatalf("goldenFTrace is not one frame: payload %d of %d bytes", n, len(golden)-segStart)
 	}
 	mutants.Each(golden[segStart:], func(m []byte) { checkConvertMatchesReference(t, sealFTrace(m)) })
 }

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"schedinspector/internal/ckpt"
 	"schedinspector/internal/obs"
 )
 
@@ -97,9 +98,14 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
+// ftraceV1Magic opened every version 1 .ftrace file, the container that
+// preceded .ftrace's ckpt frames.
+const ftraceV1Magic = "SCHDFTR\x01"
+
 // ReadTraceFile reads a flight-recorder trace from a file path, sniffing
-// the format: files opening with the .ftrace magic decode through
-// ReadFTrace, everything else parses as JSONL via ReadTrace.
+// the format: files opening with a ckpt frame decode through ReadFTrace,
+// everything else parses as JSONL via ReadTrace. A version 1 .ftrace file
+// is refused with an error that says so.
 func ReadTraceFile(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -107,9 +113,13 @@ func ReadTraceFile(path string) (*Trace, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 64*1024)
-	head, _ := br.Peek(8)
-	if obs.IsFTrace(head) {
-		return ReadFTrace(br)
+	head, _ := br.Peek(ckpt.FrameHeaderSize)
+	if strings.HasPrefix(string(head), ftraceV1Magic) {
+		return nil, fmt.Errorf("explain: %s is a version 1 flight trace, which this build no longer reads (it reads version %d); record it again",
+			path, obs.FTraceVersion)
+	}
+	if _, ok := ckpt.FrameVersion(head); ok {
+		return ReadFTrace(br) // a frame of another version fails there, naming both
 	}
 	return ReadTrace(br)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"schedinspector/internal/ckpt"
 	"schedinspector/internal/obs"
 )
 
@@ -15,75 +16,59 @@ import (
 // through the obs JSONL appenders.
 //
 // Both readers are resilient to torn tails: a crash mid-write leaves a
-// partial segment after the last complete flush, so they return everything
+// partial frame after the last complete flush, so they return everything
 // decoded up to the corruption alongside the error. Callers that care about
 // integrity (schedinspect explain) surface the error; the partial prefix
 // remains usable for triage.
 
-// ftraceWalker streams segments of a .ftrace container, validating the
-// file header, segment framing and per-segment CRC-32C.
-type ftraceWalker struct {
-	r      *bufio.Reader
-	seg    []byte // reused segment payload buffer
-	segNo  int
-	hdrBuf [12]byte
+// VersionError reports a ckpt frame in a .ftrace stream whose version is
+// not obs.FTraceVersion: a model or checkpoint file, or a trace written
+// with an incompatible record layout.
+type VersionError struct {
+	Frame   int    // index of the frame in the stream
+	Version uint32 // the frame's version
 }
 
-func newFTraceWalker(r io.Reader) (*ftraceWalker, error) {
-	w := &ftraceWalker{r: bufio.NewReaderSize(r, 64*1024)}
-	if _, err := io.ReadFull(w.r, w.hdrBuf[:]); err != nil {
-		return nil, fmt.Errorf("explain: ftrace file header: %w", err)
-	}
-	if _, err := obs.ParseFTraceFileHeader(w.hdrBuf[:]); err != nil {
-		return nil, fmt.Errorf("explain: %w", err)
-	}
-	return w, nil
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("explain: ftrace frame %d has version %d, want ftrace version %d",
+		e.Frame, e.Version, obs.FTraceVersion)
 }
 
-// next returns the next verified segment payload, io.EOF at a clean end of
-// stream, or an error describing the corruption. The returned slice is
-// valid until the next call.
-func (w *ftraceWalker) next() ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(w.r, hdr[:]); err != nil {
+// walkFTrace reads the ckpt frames of a .ftrace stream in order and calls
+// visit with the kind and body of each record, until a clean end of stream
+// (nil), a corrupt or foreign frame, or visit's error.
+func walkFTrace(r io.Reader, visit func(kind byte, body []byte) error) error {
+	for frame := 0; ; frame++ {
+		version, payload, err := ckpt.ReadFrame(r, obs.MaxFTraceSegment)
 		if err == io.EOF {
-			return nil, io.EOF
+			return nil
 		}
-		return nil, fmt.Errorf("explain: ftrace segment %d: truncated header: %w", w.segNo, err)
+		if err != nil {
+			return fmt.Errorf("explain: ftrace frame %d: %w", frame, err)
+		}
+		if version != obs.FTraceVersion {
+			return &VersionError{Frame: frame, Version: version}
+		}
+		if err := walkRecords(frame, payload, visit); err != nil {
+			return err
+		}
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-	if length == 0 || length > obs.MaxFTraceSegment {
-		return nil, fmt.Errorf("explain: ftrace segment %d: implausible length %d", w.segNo, length)
-	}
-	if cap(w.seg) < int(length) {
-		w.seg = make([]byte, length)
-	}
-	w.seg = w.seg[:length]
-	if _, err := io.ReadFull(w.r, w.seg); err != nil {
-		return nil, fmt.Errorf("explain: ftrace segment %d: truncated payload: %w", w.segNo, err)
-	}
-	if got := obs.FTraceSegmentCRC(w.seg); got != wantCRC {
-		return nil, fmt.Errorf("explain: ftrace segment %d: CRC mismatch (got %08x want %08x)", w.segNo, got, wantCRC)
-	}
-	w.segNo++
-	return w.seg, nil
 }
 
-// walkRecords iterates the framed records of one segment payload, calling
+// walkRecords iterates the framed records of one frame payload, calling
 // visit with each record's kind and body. Unknown kinds are skipped by
 // length for forward compatibility.
-func walkRecords(segNo int, payload []byte, visit func(kind byte, body []byte) error) error {
+func walkRecords(frame int, payload []byte, visit func(kind byte, body []byte) error) error {
 	o := 0
 	for o < len(payload) {
 		if o+5 > len(payload) {
-			return fmt.Errorf("explain: ftrace segment %d: truncated record frame at offset %d", segNo, o)
+			return fmt.Errorf("explain: ftrace frame %d: truncated record header at offset %d", frame, o)
 		}
 		kind := payload[o]
 		length := int(binary.LittleEndian.Uint32(payload[o+1:]))
 		o += 5
 		if length < 0 || o+length > len(payload) {
-			return fmt.Errorf("explain: ftrace segment %d: record body overruns segment at offset %d", segNo, o-5)
+			return fmt.Errorf("explain: ftrace frame %d: record body overruns frame at offset %d", frame, o-5)
 		}
 		if err := visit(kind, payload[o:o+length]); err != nil {
 			return err
@@ -98,55 +83,37 @@ func walkRecords(segNo int, payload []byte, visit func(kind byte, body []byte) e
 // so a torn tail still yields the usable prefix.
 func ReadFTrace(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
-	w, err := newFTraceWalker(r)
-	if err != nil {
-		return tr, err
-	}
-	for {
-		seg, err := w.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			sortRecords(tr.Records)
-			return tr, err
-		}
-		err = walkRecords(w.segNo-1, seg, func(kind byte, body []byte) error {
-			switch kind {
-			case obs.FTraceKindHeader:
-				h, err := obs.DecodeFTraceHeader(body)
-				if err != nil {
-					return err
-				}
-				tr.Header = &h
-			case obs.FTraceKindSpan:
-				s, err := obs.DecodeFTraceSpan(body)
-				if err != nil {
-					return err
-				}
-				tr.Spans = append(tr.Spans, s)
-			case obs.FTraceKindDecision:
-				d, err := obs.DecodeFTraceDecision(body)
-				if err != nil {
-					return err
-				}
-				tr.Records = append(tr.Records, d)
-			case obs.FTraceKindProc:
-				p, err := obs.DecodeFTraceProc(body)
-				if err != nil {
-					return err
-				}
-				tr.Procs = append(tr.Procs, p)
+	err := walkFTrace(r, func(kind byte, body []byte) error {
+		switch kind {
+		case obs.FTraceKindHeader:
+			h, err := obs.DecodeFTraceHeader(body)
+			if err != nil {
+				return err
 			}
-			return nil
-		})
-		if err != nil {
-			sortRecords(tr.Records)
-			return tr, err
+			tr.Header = &h
+		case obs.FTraceKindSpan:
+			s, err := obs.DecodeFTraceSpan(body)
+			if err != nil {
+				return err
+			}
+			tr.Spans = append(tr.Spans, s)
+		case obs.FTraceKindDecision:
+			d, err := obs.DecodeFTraceDecision(body)
+			if err != nil {
+				return err
+			}
+			tr.Records = append(tr.Records, d)
+		case obs.FTraceKindProc:
+			p, err := obs.DecodeFTraceProc(body)
+			if err != nil {
+				return err
+			}
+			tr.Procs = append(tr.Procs, p)
 		}
-	}
+		return nil
+	})
 	sortRecords(tr.Records)
-	return tr, nil
+	return tr, err
 }
 
 // ConvertFTrace streams a binary .ftrace trace to w as flight-trace JSONL —
@@ -154,38 +121,23 @@ func ReadFTrace(r io.Reader) (*Trace, error) {
 // by obs.AppendFTraceRecordJSONL (which TraceRing.AppendJSONL renders a live
 // ring with). Lines decoded before a corruption are written before the
 // error returns. Every decision decodes into one reused record and renders
-// into one reused line, so the allocations of a conversion do not grow with
-// its decision count.
+// into one reused line, so the allocations of a conversion grow with its
+// frames (one payload buffer each), not with its decisions.
 func ConvertFTrace(r io.Reader, w io.Writer) error {
-	walker, err := newFTraceWalker(r)
-	if err != nil {
-		return err
-	}
 	bw := bufio.NewWriterSize(w, 64*1024)
 	var line []byte
 	var dec obs.ExplainRecord
-	for {
-		seg, err := walker.next()
-		if err == io.EOF {
-			break
-		}
+	err := walkFTrace(r, func(kind byte, body []byte) error {
+		var err error
+		line, err = obs.AppendFTraceRecordJSONL(line[:0], kind, body, &dec)
 		if err != nil {
-			bw.Flush()
 			return err
 		}
-		err = walkRecords(walker.segNo-1, seg, func(kind byte, body []byte) error {
-			var err error
-			line, err = obs.AppendFTraceRecordJSONL(line[:0], kind, body, &dec)
-			if err != nil {
-				return err
-			}
-			_, err = bw.Write(line)
-			return err
-		})
-		if err != nil {
-			bw.Flush()
-			return err
-		}
+		_, err = bw.Write(line)
+		return err
+	})
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
 	}
-	return bw.Flush()
+	return err
 }

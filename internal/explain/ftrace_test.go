@@ -2,12 +2,18 @@ package explain
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"schedinspector/internal/ckpt"
 	"schedinspector/internal/obs"
 )
 
@@ -187,8 +193,8 @@ func TestConvertFTraceProcLines(t *testing.T) {
 	}
 }
 
-// TestReadFTraceTornTail pins crash resilience: truncating mid-segment
-// yields the records of every complete segment plus an error.
+// TestReadFTraceTornTail pins crash resilience: truncating mid-frame
+// yields the records of every complete frame plus an error.
 func TestReadFTraceTornTail(t *testing.T) {
 	full := ftraceFixture(t, false)
 	for _, cut := range []int{len(full) - 1, len(full) - 7, 15} {
@@ -200,13 +206,73 @@ func TestReadFTraceTornTail(t *testing.T) {
 			t.Fatalf("cut at %d: no partial trace returned", cut)
 		}
 	}
-	// Too short for even the file header.
+	// Too short for even the frame header.
 	if _, err := ReadFTrace(bytes.NewReader(full[:4])); err == nil {
 		t.Fatal("header truncation not reported")
 	}
 	// Not an ftrace stream at all.
 	if _, err := ReadFTrace(strings.NewReader(`{"kind":"span"}`)); err == nil {
 		t.Fatal("JSONL input accepted as ftrace")
+	}
+}
+
+// lyingFrame is a 24-byte .ftrace frame header declaring
+// obs.MaxFTraceSegment payload bytes, followed by only 16 of them.
+func lyingFrame() []byte {
+	img := sealFTrace(make([]byte, 16))
+	binary.BigEndian.PutUint64(img[12:20], obs.MaxFTraceSegment)
+	return img
+}
+
+// TestReadFTraceLengthNotBelieved pins the hostile path: a frame that
+// declares 64 MiB and delivers 16 bytes is a truncation error, and neither
+// reader allocates anywhere near the declared length.
+func TestReadFTraceLengthNotBelieved(t *testing.T) {
+	img := lyingFrame()
+	for name, read := range map[string]func() error{
+		"ReadFTrace":    func() error { _, err := ReadFTrace(bytes.NewReader(img)); return err },
+		"ConvertFTrace": func() error { return ConvertFTrace(bytes.NewReader(img), io.Discard) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Fatalf("%s: err=%v, want a corrupt-frame error", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s: a %d-byte image declaring %d payload bytes allocated %d bytes, want < 1 MiB",
+				name, len(img), obs.MaxFTraceSegment, alloc)
+		}
+	}
+}
+
+// TestReadFTraceForeignVersion: a frame of another version (a model file,
+// a version 3 trace) is a *VersionError naming both versions.
+func TestReadFTraceForeignVersion(t *testing.T) {
+	img := make([]byte, ckpt.FrameHeaderSize)
+	ckpt.SealFrame(img, obs.FTraceVersion+1)
+	_, err := ReadFTrace(bytes.NewReader(img))
+	var ve *VersionError
+	if !errors.As(err, &ve) || ve.Version != obs.FTraceVersion+1 {
+		t.Fatalf("err=%v, want a *VersionError for version %d", err, obs.FTraceVersion+1)
+	}
+	if want := fmt.Sprintf("version %d, want ftrace version %d", obs.FTraceVersion+1, obs.FTraceVersion); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name both versions", err)
+	}
+}
+
+// TestReadTraceFileRefusesV1 pins the message for a file in the retired
+// version 1 container: it names the format instead of failing as JSON.
+func TestReadTraceFileRefusesV1(t *testing.T) {
+	path := t.TempDir() + "/old.ftrace"
+	if err := writeFile(path, []byte("SCHDFTR\x01\x01\x00\x00\x00")); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadTraceFile(path)
+	if err == nil || !strings.Contains(err.Error(), "version 1 flight trace") ||
+		!strings.Contains(err.Error(), "no longer reads") {
+		t.Fatalf("v1 file: err=%v, want a version 1 refusal", err)
 	}
 }
 
@@ -223,7 +289,7 @@ func TestReadFTraceCRCMismatch(t *testing.T) {
 	}
 }
 
-// TestReadFTraceMultiSegment pins that segment boundaries are invisible to
+// TestReadFTraceMultiSegment pins that frame boundaries are invisible to
 // the reader: a stream flushed every record decodes identically to one
 // flushed once.
 func TestReadFTraceMultiSegment(t *testing.T) {

@@ -5,21 +5,27 @@ import (
 	"io"
 	"testing"
 
+	"schedinspector/internal/ckpt"
 	"schedinspector/internal/obs"
 )
 
 // FuzzReadFTrace throws arbitrary bytes at the binary flight-trace reader:
 // it must never panic or over-allocate, and whatever it accepts must also
 // convert to JSONL cleanly (the decoded structs are by definition valid
-// records). Seeds cover the empty input, a bare file header, a valid
-// multi-record stream, its truncations and a CRC-corrupted copy. Run with
+// records). Seeds cover the empty input, a bare frame magic, an empty
+// frame, a frame of another version, a frame header whose length outruns
+// its bytes, a valid multi-record stream, its truncations and a
+// CRC-corrupted copy. Run with
 // `go test -fuzz FuzzReadFTrace ./internal/explain` (the CI fuzz-smoke job
 // does); the seeds run in the normal test suite.
 func FuzzReadFTrace(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte("SCHDFTR\x01"))
-	f.Add(obs.AppendFTraceFileHeader(nil))
-	f.Add([]byte("SCHDFTR\x02\x01\x00\x00\x00")) // wrong magic version byte
+	f.Add([]byte("SCHDCKP\x01"))
+	f.Add(obs.NewTraceRing(1).Snapshot())
+	wrong := make([]byte, ckpt.FrameHeaderSize)
+	ckpt.SealFrame(wrong, obs.FTraceVersion-1) // wrong frame version
+	f.Add(wrong)
+	f.Add(lyingFrame())
 	var buf bytes.Buffer
 	r := obs.NewTraceRing(16)
 	r.SetSink(&buf)

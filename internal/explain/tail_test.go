@@ -67,8 +67,8 @@ func TestTailDecisionsEmptyAndCorrupt(t *testing.T) {
 		t.Fatal("want error for truncated image")
 	}
 	if len(recs) != 0 {
-		// The whole payload lives in one CRC-framed segment, so a torn
-		// tail invalidates that segment; tolerate either an empty or
+		// The whole payload lives in one CRC-checked frame, so a torn
+		// tail invalidates that frame; tolerate either an empty or
 		// partial prefix, but records that do come back must be ordered.
 		for i := 1; i < len(recs); i++ {
 			if recs[i].Seq <= recs[i-1].Seq {

@@ -2,14 +2,14 @@ package obs
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/bits"
 	"slices"
 	"sync"
 	"time"
+
+	"schedinspector/internal/ckpt"
 )
 
 // TraceRing is the flight recorder: a byte arena of equal-size record
@@ -20,10 +20,10 @@ import (
 // every production decision.
 //
 // The ring is the in-memory truth; four cold paths read it out. SetSink
-// streams every subsequent record into CRC-checked segments of a .ftrace
-// file (a RotatingSink moves to a new file between segments),
-// AppendSnapshot copies the live ring into a self-contained .ftrace
-// byte image (the ?format=ftrace snapshot), AppendJSONL renders the live
+// streams every subsequent record into CRC-checked frames of a .ftrace
+// file (a RotatingSink moves to a new file between frames),
+// AppendSnapshot copies the live ring into a self-contained one-frame
+// .ftrace image (the ?format=ftrace snapshot), AppendJSONL renders the live
 // ring as flight-trace JSONL (the default /v1/trace/snapshot payload,
 // keeping each record's line in immutable blocks while it stays live), and
 // LastDecisions decodes the newest decision records (the /v1/explain/last
@@ -40,17 +40,19 @@ import (
 //
 // # .ftrace layout
 //
-// All integers little-endian; floats are IEEE-754 bits via math.Float64bits.
+// A .ftrace stream is a sequence of internal/ckpt frames, the container
+// model files, checkpoints and the dist wire use, each carrying
+// FTraceVersion as its payload version. No file header precedes them.
 //
-//	file   := magic(8) version(u32) segment*
-//	segment := length(u32) crc32c(u32) payload(length bytes)
+//	stream  := frame*
+//	frame   := ckpt header(24: magic, version, length, CRC-32C) payload
 //	payload := record*
-//	record := kind(u8) length(u32) body(length bytes)
+//	record  := kind(u8) length(u32) body(length bytes)
 //
-// The segment CRC is CRC-32C (Castagnoli) over the payload, the same
-// polynomial as internal/ckpt. Records never straddle segment boundaries.
-// Unknown record kinds are skipped by length on decode (forward
-// compatibility); a version bump signals an incompatible body layout.
+// Record integers are little-endian; floats are IEEE-754 bits via
+// math.Float64bits. Records never straddle frames. Unknown record kinds
+// are skipped by length on decode (forward compatibility); a version bump
+// signals an incompatible body layout.
 //
 // A nil *TraceRing is valid and records nothing; every method is nil-safe.
 type TraceRing struct {
@@ -73,7 +75,7 @@ type TraceRing struct {
 
 	sink    io.Writer
 	sinkErr error
-	seg     []byte // pending segment: 8-byte header space + framed records
+	seg     []byte // pending frame: ckpt.FrameHeaderSize header space + framed records
 
 	jsonl jsonlCache // AppendJSONL's rendered window; its own lock, taken before mu
 
@@ -84,19 +86,16 @@ type TraceRing struct {
 	flushHist *Histogram
 }
 
-// .ftrace container constants.
+// .ftrace format constants.
 const (
-	// FTraceVersion is the current container version, bumped on any
-	// incompatible change to record body layouts.
-	FTraceVersion = 1
+	// FTraceVersion is the ckpt frame version of .ftrace frames, bumped on
+	// any incompatible change to the record layout.
+	FTraceVersion = 2
 
-	ftraceMagicLen  = 8
-	ftraceHeaderLen = ftraceMagicLen + 4 // magic + version
-	ftraceSegHdrLen = 8                  // u32 length + u32 crc32c
-	ftraceRecHdrLen = 5                  // u8 kind + u32 length
+	ftraceRecHdrLen = 5 // u8 kind + u32 length
 
-	// MaxFTraceSegment caps a declared segment length on decode, so a
-	// corrupt length field cannot drive an absurd allocation.
+	// MaxFTraceSegment caps the payload length a .ftrace frame may declare
+	// on decode (the ckpt.ReadFrame bound).
 	MaxFTraceSegment = 1 << 26
 )
 
@@ -107,47 +106,6 @@ const (
 	FTraceKindDecision = 3 // explain record (ExplainRecord)
 	FTraceKindProc     = 4 // runtime sample (ProcStats)
 )
-
-// ftraceMagic opens every .ftrace file.
-var ftraceMagic = [ftraceMagicLen]byte{'S', 'C', 'H', 'D', 'F', 'T', 'R', 1}
-
-// ftraceCRC is the Castagnoli table, matching internal/ckpt's checksum
-// discipline.
-var ftraceCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// IsFTrace reports whether data begins with the .ftrace magic. It needs at
-// least the first 8 bytes.
-func IsFTrace(data []byte) bool {
-	return len(data) >= ftraceMagicLen && string(data[:ftraceMagicLen]) == string(ftraceMagic[:])
-}
-
-// AppendFTraceFileHeader appends the 12-byte .ftrace file header (magic +
-// version) to dst.
-func AppendFTraceFileHeader(dst []byte) []byte {
-	dst = append(dst, ftraceMagic[:]...)
-	return binary.LittleEndian.AppendUint32(dst, FTraceVersion)
-}
-
-// ParseFTraceFileHeader validates a .ftrace file header and returns the
-// container version.
-func ParseFTraceFileHeader(b []byte) (version uint32, err error) {
-	if len(b) < ftraceHeaderLen {
-		return 0, fmt.Errorf("obs: ftrace header truncated: %d bytes", len(b))
-	}
-	if !IsFTrace(b) {
-		return 0, fmt.Errorf("obs: not an ftrace file (bad magic)")
-	}
-	v := binary.LittleEndian.Uint32(b[ftraceMagicLen:])
-	if v != FTraceVersion {
-		return 0, fmt.Errorf("obs: unsupported ftrace version %d (want %d)", v, FTraceVersion)
-	}
-	return v, nil
-}
-
-// FTraceSegmentCRC returns the CRC-32C of a segment payload.
-func FTraceSegmentCRC(payload []byte) uint32 {
-	return crc32.Checksum(payload, ftraceCRC)
-}
 
 // DefaultRingSlots is the ring's default record capacity. Slot width is not
 // a parameter: a manual-mode daemon's first record is its header (170 bytes
@@ -160,7 +118,8 @@ const DefaultRingSlots = 4096
 // default slot count, a decision record of ~2000 features.
 const maxRingArenaBytes = 64 << 20
 
-// segFlushBytes is the pending-segment size that triggers a sink flush.
+// segFlushBytes is the pending-frame payload size that triggers a sink
+// flush.
 const segFlushBytes = 32 << 10
 
 // NewTraceRing returns a ring of slots records (<= 0 selects
@@ -200,7 +159,7 @@ func (r *TraceRing) Instrument(reg *Registry) {
 	r.sinkErrs = reg.Counter("schedinspector_ftrace_sink_errors_total",
 		"Binary trace sink write errors (the first error sticks and disables the sink).", nil)
 	r.flushHist = reg.Histogram("schedinspector_ftrace_flush_seconds",
-		"Latency of binary trace segment flushes to the sink.",
+		"Latency of binary trace frame flushes to the sink.",
 		ExponentialBuckets(1e-5, 4, 8), nil)
 	r.occupancy.Set(float64(r.n))
 }
@@ -228,10 +187,10 @@ func (r *TraceRing) growLocked(need int) bool {
 		copy(arena[idx*size:], r.arena[idx*r.slotSize:idx*r.slotSize+n])
 	}
 	r.arena, r.slotSize = arena, size
-	// The pending sink segment takes one more record of the new width past
+	// The pending sink frame takes one more record of the new width past
 	// the flush threshold without reallocating, as SetSink sized it for the
 	// old one, so a warm emit with a sink attached stays allocation-free.
-	if want := ftraceSegHdrLen + segFlushBytes + size; r.seg != nil && cap(r.seg) < want {
+	if want := ckpt.FrameHeaderSize + segFlushBytes + size; r.seg != nil && cap(r.seg) < want {
 		r.seg = slices.Grow(r.seg, want-len(r.seg))
 	}
 	return true
@@ -286,14 +245,14 @@ func (r *TraceRing) reserve(kind byte, payloadLen int) []byte {
 	return slot
 }
 
-// commit streams the just-encoded slot to the pending sink segment.
+// commit streams the just-encoded slot to the pending sink frame.
 // Caller holds r.mu; framed is the full frame including header.
 func (r *TraceRing) commit(framed []byte) {
 	if r.sink == nil || r.sinkErr != nil {
 		return
 	}
 	r.seg = append(r.seg, framed...)
-	if len(r.seg)-ftraceSegHdrLen >= segFlushBytes {
+	if len(r.seg)-ckpt.FrameHeaderSize >= segFlushBytes {
 		r.flushLocked()
 		r.rotateLocked()
 	}
@@ -397,7 +356,7 @@ func (r *TraceRing) emitHeaderLocked() {
 }
 
 // A RotatingSink is a sink that moves to a new file when the current one
-// is full. The ring asks it after every segment it flushes at the size
+// is full. The ring asks it after every frame it flushes at the size
 // threshold, never at Flush; when Rotate reports a new file, the ring opens
 // that file as SetSink opens a sink, so every file decodes alone.
 type RotatingSink interface {
@@ -405,9 +364,9 @@ type RotatingSink interface {
 	Rotate() (rotated bool, err error)
 }
 
-// SetSink streams every subsequent record to w in .ftrace segments. The
-// file header is written immediately, followed by a fresh meta header
-// record when SetMeta has been called. The first write or rotation error
+// SetSink streams every subsequent record to w in .ftrace frames, the
+// first of them opening with a fresh meta header record when SetMeta has
+// been called. The first write or rotation error
 // sticks (see SinkErr), bumps the sink-error counter, and disables the
 // sink; records keep landing in the ring regardless.
 func (r *TraceRing) SetSink(w io.Writer) {
@@ -418,22 +377,18 @@ func (r *TraceRing) SetSink(w io.Writer) {
 	r.sink = w
 	r.sinkErr = nil
 	if r.seg == nil {
-		r.seg = make([]byte, ftraceSegHdrLen, ftraceSegHdrLen+segFlushBytes+r.slotSize)
+		r.seg = make([]byte, ckpt.FrameHeaderSize, ckpt.FrameHeaderSize+segFlushBytes+r.slotSize)
 	} else {
-		r.seg = r.seg[:ftraceSegHdrLen]
+		r.seg = r.seg[:ckpt.FrameHeaderSize]
 	}
 	r.startStreamLocked()
 	r.mu.Unlock()
 }
 
-// startStreamLocked starts a record stream on the sink: the file header,
-// then the meta header re-emitted, so the file is self-describing even when
-// meta predates it. Caller holds r.mu with an empty pending segment.
+// startStreamLocked starts a record stream on the sink by re-emitting the
+// meta header, so the file is self-describing even when meta predates it.
+// Caller holds r.mu with an empty pending frame.
 func (r *TraceRing) startStreamLocked() {
-	if _, err := r.sink.Write(AppendFTraceFileHeader(nil)); err != nil {
-		r.failSinkLocked(err)
-		return
-	}
 	r.headerOut = false
 	r.emitHeaderLocked()
 }
@@ -463,27 +418,25 @@ func (r *TraceRing) failSinkLocked(err error) {
 	r.sink = nil
 }
 
-// flushLocked writes the pending segment (if any) as one length+CRC framed
-// write. Caller holds r.mu.
+// flushLocked seals the pending frame (if any) in place and writes it
+// whole in one Write. Caller holds r.mu.
 func (r *TraceRing) flushLocked() {
-	if r.sink == nil || r.sinkErr != nil || len(r.seg) <= ftraceSegHdrLen {
+	if r.sink == nil || r.sinkErr != nil || len(r.seg) <= ckpt.FrameHeaderSize {
 		return
 	}
-	payload := r.seg[ftraceSegHdrLen:]
-	binary.LittleEndian.PutUint32(r.seg[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(r.seg[4:], FTraceSegmentCRC(payload))
+	ckpt.SealFrame(r.seg, FTraceVersion)
 	start := time.Now()
 	_, err := r.sink.Write(r.seg)
 	if r.flushHist != nil {
 		r.flushHist.Observe(time.Since(start).Seconds())
 	}
-	r.seg = r.seg[:ftraceSegHdrLen]
+	r.seg = r.seg[:ckpt.FrameHeaderSize]
 	if err != nil {
 		r.failSinkLocked(err)
 	}
 }
 
-// Flush writes any buffered segment to the sink and returns the sticky sink
+// Flush writes any buffered frame to the sink and returns the sticky sink
 // error, if any. Call it before closing the sink file.
 func (r *TraceRing) Flush() error {
 	if r == nil {
@@ -510,40 +463,34 @@ func (r *TraceRing) slotAt(i int) []byte {
 func (r *TraceRing) Snapshot() []byte { return r.AppendSnapshot(nil) }
 
 // AppendSnapshot appends the live ring to dst as a self-contained .ftrace
-// image — file header plus one CRC-framed segment holding every buffered
-// record, oldest first. When wraparound has evicted the header the oldest
-// record decodes against, the image leads with the retained copy, so it
-// always opens with the header describing its first record. The ring mutex
-// is held only for the copy; a caller that passes back its previous image
-// (/v1/trace/snapshot does) allocates nothing once that buffer is large
-// enough.
+// image: one frame holding every buffered record, oldest first (an empty
+// or nil ring yields one empty frame). When wraparound has evicted the
+// header the oldest record decodes against, the image leads with the
+// retained copy, so it always opens with the header describing its first
+// record. The ring mutex is held only for the copy; a caller that passes
+// back its previous image (/v1/trace/snapshot does) allocates nothing once
+// that buffer is large enough.
 func (r *TraceRing) AppendSnapshot(dst []byte) []byte {
+	at := len(dst)
 	if r == nil {
-		return AppendFTraceFileHeader(dst)
-	}
-	r.mu.Lock()
-	if r.n == 0 {
+		dst = slices.Grow(dst, ckpt.FrameHeaderSize)[:at+ckpt.FrameHeaderSize]
+	} else {
+		r.mu.Lock()
+		var lead []byte
+		if r.n > 0 && r.slotAt(0)[0] != FTraceKindHeader {
+			lead = r.lostHeader
+		}
+		size := ckpt.FrameHeaderSize + len(lead)
+		for i := 0; i < r.n; i++ {
+			size += len(r.slotAt(i))
+		}
+		dst = append(slices.Grow(dst, size)[:at+ckpt.FrameHeaderSize], lead...)
+		for i := 0; i < r.n; i++ {
+			dst = append(dst, r.slotAt(i)...)
+		}
 		r.mu.Unlock()
-		return AppendFTraceFileHeader(dst)
 	}
-	lead := r.lostHeader
-	if r.slotAt(0)[0] == FTraceKindHeader {
-		lead = nil
-	}
-	size := len(lead)
-	for i := 0; i < r.n; i++ {
-		size += len(r.slotAt(i))
-	}
-	dst = AppendFTraceFileHeader(slices.Grow(dst, ftraceHeaderLen+ftraceSegHdrLen+size))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(size))
-	dst = append(dst, 0, 0, 0, 0) // CRC placeholder
-	payloadStart := len(dst)
-	dst = append(dst, lead...)
-	for i := 0; i < r.n; i++ {
-		dst = append(dst, r.slotAt(i)...)
-	}
-	r.mu.Unlock()
-	binary.LittleEndian.PutUint32(dst[payloadStart-4:], FTraceSegmentCRC(dst[payloadStart:]))
+	ckpt.SealFrame(dst[at:], FTraceVersion)
 	return dst
 }
 

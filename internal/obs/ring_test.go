@@ -13,35 +13,25 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"schedinspector/internal/ckpt"
 )
 
-// decodeImage parses a complete .ftrace byte image (file header plus any
-// number of CRC-framed segments) into (kind, body) record pairs. It is the
-// test-side mirror of the encoder; the full offline reader lives in
-// internal/explain, which cannot be imported from an in-package obs test.
+// decodeImage parses a complete .ftrace byte image (any number of ckpt
+// frames) into (kind, body) record pairs. It is the test-side mirror of the
+// encoder; the full offline reader lives in internal/explain, which cannot
+// be imported from an in-package obs test.
 func decodeImage(t *testing.T, img []byte) (kinds []byte, bodies [][]byte) {
 	t.Helper()
-	if _, err := ParseFTraceFileHeader(img); err != nil {
-		t.Fatalf("file header: %v", err)
-	}
-	o := ftraceHeaderLen
-	for o < len(img) {
-		if o+ftraceSegHdrLen > len(img) {
-			t.Fatalf("truncated segment header at %d", o)
+	for r := bytes.NewReader(img); r.Len() > 0; {
+		version, payload, err := ckpt.ReadFrame(r, MaxFTraceSegment)
+		if err != nil {
+			t.Fatal(err)
 		}
-		length := int(binary.LittleEndian.Uint32(img[o:]))
-		crc := binary.LittleEndian.Uint32(img[o+4:])
-		o += ftraceSegHdrLen
-		if o+length > len(img) {
-			t.Fatalf("segment overruns image at %d", o)
+		if version != FTraceVersion {
+			t.Fatalf("frame version %d, want %d", version, FTraceVersion)
 		}
-		payload := img[o : o+length]
-		if got := FTraceSegmentCRC(payload); got != crc {
-			t.Fatalf("segment CRC mismatch: got %08x want %08x", got, crc)
-		}
-		o += length
-		p := 0
-		for p < len(payload) {
+		for p := 0; p < len(payload); {
 			kind := payload[p]
 			n := int(binary.LittleEndian.Uint32(payload[p+1:]))
 			p += ftraceRecHdrLen
@@ -196,9 +186,9 @@ func TestTraceRingOversize(t *testing.T) {
 	if len(got) != 2 || !reflect.DeepEqual(got[0], small) || !reflect.DeepEqual(got[1], big) {
 		t.Fatalf("records did not survive re-slotting: %+v", got)
 	}
-	// File header, segment length and CRC, then the payload: the records
-	// held before growth read out as they did, followed by the new one.
-	const payloadAt = ftraceHeaderLen + ftraceSegHdrLen
+	// The frame header, then the payload: the records held before growth
+	// read out as they did, followed by the new one.
+	const payloadAt = ckpt.FrameHeaderSize
 	if after := r.Snapshot(); !bytes.HasPrefix(after[payloadAt:], snap[payloadAt:]) {
 		t.Fatal("re-slotting changed the snapshot bytes of the records already held")
 	}
@@ -209,7 +199,7 @@ func TestTraceRingOversize(t *testing.T) {
 		t.Fatalf("warm emit into grown slots allocated %.1f times, want 0", allocs)
 	}
 
-	// With a sink attached before any record, the pending segment follows
+	// With a sink attached before any record, the pending frame follows
 	// the slots: the emits up to and past the first flush allocate nothing.
 	s := NewTraceRing(4)
 	s.SetSink(io.Discard)
@@ -261,16 +251,16 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 }
 
 // TestTraceRingSinkErrorMidTrace is the write-failure regression test: the
-// sink dies after the file header, the first flush error sticks, the error
+// sink fails its first frame, the first flush error sticks, the error
 // counter fires once, and records keep landing in the ring regardless.
 func TestTraceRingSinkErrorMidTrace(t *testing.T) {
 	reg := NewRegistry()
 	r := NewTraceRing(64)
 	r.Instrument(reg)
-	w := &failAfterWriter{ok: 1} // header write succeeds, segment flushes fail
+	w := &failAfterWriter{} // every frame flush fails
 	r.SetSink(w)
 	if r.SinkErr() != nil {
-		t.Fatalf("header write should have succeeded: %v", r.SinkErr())
+		t.Fatalf("SetSink writes nothing, yet reported %v", r.SinkErr())
 	}
 	for seq := 0; seq < 8; seq++ {
 		dec := testDecision(seq)
@@ -289,8 +279,8 @@ func TestTraceRingSinkErrorMidTrace(t *testing.T) {
 	if err := r.Flush(); err == nil {
 		t.Fatal("sticky error cleared by a later flush")
 	}
-	if w.writes != 2 {
-		t.Fatalf("sink written %d times after error, want 2 (header + failed flush)", w.writes)
+	if w.writes != 1 {
+		t.Fatalf("sink written %d times after error, want 1 (the failed flush)", w.writes)
 	}
 	if r.Len() != 12 {
 		t.Fatalf("ring stopped recording after sink error: Len=%d, want 12", r.Len())
@@ -427,11 +417,11 @@ func TestTraceRingHeaderPerSink(t *testing.T) {
 func TestTraceRingEmptySnapshot(t *testing.T) {
 	r := NewTraceRing(4)
 	snap := r.Snapshot()
-	if _, err := ParseFTraceFileHeader(snap); err != nil {
-		t.Fatal(err)
+	if kinds, _ := decodeImage(t, snap); len(kinds) != 0 {
+		t.Fatalf("empty ring snapshot holds records %v", kinds)
 	}
-	if len(snap) != ftraceHeaderLen {
-		t.Fatalf("empty snapshot is %d bytes, want bare %d-byte file header", len(snap), ftraceHeaderLen)
+	if len(snap) != ckpt.FrameHeaderSize {
+		t.Fatalf("empty snapshot is %d bytes, want one empty %d-byte frame", len(snap), ckpt.FrameHeaderSize)
 	}
 }
 
@@ -456,7 +446,7 @@ func TestAppendSnapshotReusesBuffer(t *testing.T) {
 	if !bytes.Equal(buf, want) {
 		t.Fatal("reused-buffer image differs from Snapshot")
 	}
-	if got := new(TraceRing).AppendSnapshot([]byte("x")); string(got) != "x"+string(AppendFTraceFileHeader(nil)) {
+	if got := new(TraceRing).AppendSnapshot([]byte("x")); string(got) != "x"+string(new(TraceRing).Snapshot()) {
 		t.Fatalf("empty ring appends %q", got)
 	}
 }
@@ -476,8 +466,8 @@ func TestNilTraceRingSafe(t *testing.T) {
 	if names, recs := r.LastDecisions(1); names != nil || recs != nil {
 		t.Fatal("nil ring leaked state")
 	}
-	if _, err := ParseFTraceFileHeader(r.Snapshot()); err != nil {
-		t.Fatalf("nil ring snapshot not a valid empty image: %v", err)
+	if kinds, _ := decodeImage(t, r.Snapshot()); len(kinds) != 0 {
+		t.Fatalf("nil ring snapshot holds records %v", kinds)
 	}
 }
 

@@ -155,16 +155,15 @@ func TestSpanJSONLSink(t *testing.T) {
 	}
 }
 
-// TestSpanSinkErrorSticks: a sink that fails its very first write (the file
-// header, inside SetSink) is disabled on the spot and the ring keeps
-// recording.
+// TestSpanSinkErrorSticks: a sink that fails its very first write (the
+// first frame flush) is disabled on the spot and the ring keeps recording.
 func TestSpanSinkErrorSticks(t *testing.T) {
 	r := NewTraceRing(4)
 	r.SetSink(&failWriter{})
-	if r.SinkErr() == nil {
+	r.EmitSpan(&Span{ID: 1})
+	if r.Flush() == nil || r.SinkErr() == nil {
 		t.Fatalf("write error not recorded")
 	}
-	r.EmitSpan(&Span{ID: 1})
 	r.EmitSpan(&Span{ID: 2}) // must not panic; ring keeps working
 	if r.Len() != 2 {
 		t.Fatalf("ring stopped after sink error")
@@ -355,8 +354,8 @@ func TestNilFlightRecorderSafe(t *testing.T) {
 	if r.Flush() != nil || r.SinkErr() != nil {
 		t.Fatalf("nil flight recorder leaked state")
 	}
-	if _, err := ParseFTraceFileHeader(r.Snapshot()); err != nil {
-		t.Fatalf("nil ring snapshot not a valid empty image: %v", err)
+	if kinds, _ := decodeImage(t, r.Snapshot()); len(kinds) != 0 {
+		t.Fatalf("nil ring snapshot holds records %v", kinds)
 	}
 }
 

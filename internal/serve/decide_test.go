@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"schedinspector/internal/ckpt"
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/obs"
@@ -250,23 +251,19 @@ func TestReloadMetaTearRegression(t *testing.T) {
 }
 
 // walkFTrace visits the records of a complete .ftrace stream in stream
-// order: 12-byte file header, then segments of u32 length + u32 CRC-32C +
-// payload, each payload a run of u8 kind + u32 length + body (obs/ring.go).
+// order: ckpt frames of version obs.FTraceVersion, each payload a run of
+// u8 kind + u32 length + body (obs/ring.go).
 func walkFTrace(t *testing.T, img []byte, visit func(kind byte, body []byte)) {
 	t.Helper()
-	if _, err := obs.ParseFTraceFileHeader(img); err != nil {
-		t.Fatal(err)
-	}
-	for img = img[12:]; len(img) > 0; {
-		seg := img[8 : 8+binary.LittleEndian.Uint32(img)]
-		if obs.FTraceSegmentCRC(seg) != binary.LittleEndian.Uint32(img[4:]) {
-			t.Fatal("segment CRC mismatch")
+	for r := bytes.NewReader(img); r.Len() > 0; {
+		version, payload, err := ckpt.ReadFrame(r, obs.MaxFTraceSegment)
+		if err != nil || version != obs.FTraceVersion {
+			t.Fatalf("frame version %d: %v", version, err)
 		}
-		img = img[8+len(seg):]
-		for len(seg) > 0 {
-			body := seg[5 : 5+binary.LittleEndian.Uint32(seg[1:])]
-			visit(seg[0], body)
-			seg = seg[5+len(body):]
+		for len(payload) > 0 {
+			body := payload[5 : 5+binary.LittleEndian.Uint32(payload[1:])]
+			visit(payload[0], body)
+			payload = payload[5+len(body):]
 		}
 	}
 }
@@ -294,7 +291,7 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 func TestFlightSinkFailureMidStream(t *testing.T) {
 	h := testHandler(t)
 	defer h.Close()
-	h.ring.SetSink(&failAfterWriter{ok: 2}) // the file header, then one segment
+	h.ring.SetSink(&failAfterWriter{ok: 1}) // one frame, then failures
 
 	const n = 600 // past segFlushBytes several times over
 	for i := 0; i < n; i++ {

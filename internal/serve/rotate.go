@@ -12,7 +12,7 @@ import (
 // path+".1", so a restart keeps the last run's record; Rotate does the same
 // once the current file holds maxBytes. At most two generations therefore
 // exist on disk. The trace ring calls Write and Rotate under its own lock,
-// and Rotate only between segments, so every file opens with its own
+// and Rotate only between frames, so every file opens with its own
 // headers and decodes alone.
 type RotatingWriter struct {
 	path     string

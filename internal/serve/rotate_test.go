@@ -128,7 +128,7 @@ func (c *countingRotator) Rotate() (bool, error) {
 }
 
 // TestFlightRotation streams a handler's flight ring through a
-// RotatingWriter bound small enough to rotate after every segment, across a
+// RotatingWriter bound small enough to rotate after every frame, across a
 // Swap that changes the feature mode. The two files left on disk must each
 // decode alone, open with the header current at their first decision, and
 // hold contiguous runs of Seq, the newer one continuing the older.
@@ -239,7 +239,7 @@ func TestFlightRotationFailure(t *testing.T) {
 	defer h.Close()
 	h.ring.SetSink(w)
 
-	const n = 600 // several segments
+	const n = 600 // several frames
 	for i := 0; i < n; i++ {
 		if rec := postInspect(t, h, waveRequest(i)); rec.Code != http.StatusOK {
 			t.Fatalf("inspect %d after the failed rotation: status %d", i, rec.Code)

@@ -40,7 +40,7 @@ func (h *Handler) traceSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	format := r.URL.Query().Get("format")
 	jsonl := format == "" || format == "jsonl"
-	if !jsonl && format != "ftrace" && format != "binary" {
+	if !jsonl && format != "ftrace" {
 		http.Error(w, fmt.Sprintf("unknown format %q (want jsonl or ftrace)", format), http.StatusBadRequest)
 		return
 	}

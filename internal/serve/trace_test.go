@@ -81,8 +81,15 @@ func TestTraceSnapshotEndpoint(t *testing.T) {
 		}
 	}
 
-	if rec := getTraceSnapshot(t, h, "?format=yaml"); rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown format: status %d, want 400", rec.Code)
+	yaml := getTraceSnapshot(t, h, "?format=yaml")
+	if yaml.Code != http.StatusBadRequest {
+		t.Errorf("unknown format: status %d, want 400", yaml.Code)
+	}
+	// "binary" is not an alias of ftrace: it is refused like any other
+	// unknown format.
+	bin := getTraceSnapshot(t, h, "?format=binary")
+	if bin.Code != http.StatusBadRequest || !strings.Contains(bin.Body.String(), "want jsonl or ftrace") {
+		t.Errorf("format=binary: status %d, want the unknown-format 400", bin.Code)
 	}
 	req := httptest.NewRequest(http.MethodPost, "/v1/trace/snapshot", strings.NewReader("{}"))
 	post := httptest.NewRecorder()
