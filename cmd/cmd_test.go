@@ -604,6 +604,27 @@ func TestCLIEvalHeader(t *testing.T) {
 	}
 }
 
+// TestCLIInspectFeatureLabels pins that schedinspect inspect labels each
+// feature by the name the model's mode gives it: a compacted model's five
+// features include free_nodes and runnable, and none of the manual-only
+// rejected_times or queue_delays.
+func TestCLIInspectFeatureLabels(t *testing.T) {
+	si := bin(t, "schedinspect")
+	model := filepath.Join(t.TempDir(), "compacted.ckpt")
+	run(t, si, train("train", 1, "-features", "compacted", "-model", model)...)
+	out := run(t, si, "inspect", "-jobs", "2000", "-model", model)
+	for _, name := range []string{"free_nodes", "runnable"} {
+		if !regexp.MustCompile(`(?m)^` + name + `\s`).MatchString(out) {
+			t.Errorf("no %s row in inspect output:\n%s", name, out)
+		}
+	}
+	for _, name := range []string{"rejected_times", "queue_delays"} {
+		if regexp.MustCompile(`(?m)^` + name + `\s`).MatchString(out) {
+			t.Errorf("a compacted model has no %s feature, but inspect printed a row for it:\n%s", name, out)
+		}
+	}
+}
+
 func TestCLIEndToEnd(t *testing.T) {
 	si, er := bin(t, "schedinspect"), bin(t, "expreport")
 	work := t.TempDir()

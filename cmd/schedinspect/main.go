@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -23,7 +24,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"text/tabwriter"
 	"time"
 
 	"schedinspector/internal/core"
@@ -135,13 +135,6 @@ func loadTrace(name, swf string, jobs int, seed int64) (*workload.Trace, error) 
 	return workload.ParseSWFFile(swf) // handles .gz transparently
 }
 
-func policyFor(name string, tr *workload.Trace) (sched.Policy, error) {
-	if name == "Slurm" {
-		return sched.NewSlurm(tr), nil
-	}
-	return sched.ByName(name)
-}
-
 // cmdTrain implements both the single-process "train" subcommand and the
 // distributed "train-worker" one (worker=true): the flows are identical —
 // build config, resume, drive epochs, save the model — except that a
@@ -200,7 +193,7 @@ func cmdTrain(args []string, worker bool) error {
 	if err != nil {
 		return err
 	}
-	pol, err := policyFor(*polName, tr)
+	pol, err := sched.ForTrace(*polName, tr)
 	if err != nil {
 		return err
 	}
@@ -219,10 +212,10 @@ func cmdTrain(args []string, worker bool) error {
 			cfg.Peers = strings.Split(*peersList, ",")
 		}
 	}
-	if cfg.FeatureMode, err = parseFeatures(*features); err != nil {
+	if cfg.FeatureMode, err = core.ParseFeatureMode(*features); err != nil {
 		return err
 	}
-	if cfg.RewardKind, err = parseReward(*reward); err != nil {
+	if cfg.RewardKind, err = core.ParseRewardKind(*reward); err != nil {
 		return err
 	}
 	// -metrics-addr turns a worker into a scrape target: the dist exchange
@@ -354,7 +347,7 @@ func cmdEval(args []string) error {
 	if err != nil {
 		return err
 	}
-	pol, err := policyFor(*polName, tr)
+	pol, err := sched.ForTrace(*polName, tr)
 	if err != nil {
 		return err
 	}
@@ -437,7 +430,7 @@ func cmdInspect(args []string) error {
 	if err != nil {
 		return err
 	}
-	pol, err := policyFor(*polName, tr)
+	pol, err := sched.ForTrace(*polName, tr)
 	if err != nil {
 		return err
 	}
@@ -450,27 +443,18 @@ func cmdInspect(args []string) error {
 		return err
 	}
 	mod = mod.WithNormalizer(core.NormalizerForTrace(tr, m))
-	rec, err := core.ReplayWhole(mod, core.EvalConfig{
-		Trace: tr, Policy: pol, Metric: m, Backfill: *backfill,
+	img, err := core.ReplayWhole(mod, core.EvalConfig{
+		Trace: tr, Policy: pol, Metric: m, Backfill: *backfill, Seed: *seed,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replayed %d jobs: %d inspections, %.1f%% rejected\n",
-		tr.Len(), len(rec.Records), 100*rec.RejectionRatio())
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "feature\tCDF@0.25 tot/rej\tCDF@0.5 tot/rej\tCDF@0.75 tot/rej")
-	for _, c := range rec.Analyze(core.ManualFeatureNames()) {
-		if c.Rejected.N() == 0 {
-			fmt.Fprintf(tw, "%s\t-\t-\t-\n", c.Name)
-			continue
-		}
-		fmt.Fprintf(tw, "%s\t%.2f/%.2f\t%.2f/%.2f\t%.2f/%.2f\n", c.Name,
-			c.Total.At(0.25), c.Rejected.At(0.25),
-			c.Total.At(0.5), c.Rejected.At(0.5),
-			c.Total.At(0.75), c.Rejected.At(0.75))
+	flight, err := explain.ReadFTrace(bytes.NewReader(img))
+	if err != nil {
+		return err
 	}
-	return tw.Flush()
+	fmt.Printf("replayed %d jobs with %s features: ", tr.Len(), mod.Mode)
+	return explain.WriteFeatureCDFs(os.Stdout, flight.FeatureCDFs())
 }
 
 // cmdExplain queries a recorded decision flight trace: the offline half of
@@ -565,28 +549,4 @@ func convertTrace(in, out string) error {
 		fmt.Printf("converted %s to %s\n", in, out)
 	}
 	return nil
-}
-
-func parseFeatures(s string) (core.FeatureMode, error) {
-	switch s {
-	case "manual":
-		return core.ManualFeatures, nil
-	case "compacted":
-		return core.CompactedFeatures, nil
-	case "native":
-		return core.NativeFeatures, nil
-	}
-	return 0, fmt.Errorf("unknown feature mode %q", s)
-}
-
-func parseReward(s string) (core.RewardKind, error) {
-	switch s {
-	case "percentage":
-		return core.PercentageReward, nil
-	case "native":
-		return core.NativeReward, nil
-	case "winloss":
-		return core.WinLossReward, nil
-	}
-	return 0, fmt.Errorf("unknown reward kind %q", s)
 }

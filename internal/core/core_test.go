@@ -12,7 +12,6 @@ import (
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/rl"
 	"schedinspector/internal/sched"
-	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
 )
 
@@ -359,66 +358,5 @@ func TestValuesAndSummaryWith(t *testing.T) {
 		if got := summaryWith(m, 7.5).Of(m); got != 7.5 {
 			t.Errorf("summaryWith(%v) = %v", m, got)
 		}
-	}
-}
-
-func TestRecorder(t *testing.T) {
-	tr := workload.SDSCSP2Like(1200, 9)
-	in := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD), nil)
-	rec, err := ReplayWhole(in, EvalConfig{Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) == 0 {
-		t.Fatal("no decisions recorded")
-	}
-	ratio := rec.RejectionRatio()
-	if ratio < 0 || ratio > 1 {
-		t.Fatalf("ratio %v", ratio)
-	}
-	cdfs := rec.Analyze(ManualFeatureNames())
-	if len(cdfs) != 8 {
-		t.Fatalf("analyzed %d features", len(cdfs))
-	}
-	for _, c := range cdfs {
-		if c.Total.N() != len(rec.Records) {
-			t.Errorf("%s: total CDF has %d of %d", c.Name, c.Total.N(), len(rec.Records))
-		}
-		if c.Total.At(1.01) != 1 {
-			t.Errorf("%s: CDF does not reach 1", c.Name)
-		}
-	}
-	// empty recorder edge cases
-	empty := &Recorder{}
-	if empty.RejectionRatio() != 0 || empty.Analyze(ManualFeatureNames()) != nil {
-		t.Error("empty recorder misbehaves")
-	}
-	if _, err := ReplayWhole(in, EvalConfig{Policy: sched.SJF()}); err == nil {
-		t.Error("missing trace accepted")
-	}
-}
-
-func TestRecorderMatchesInspections(t *testing.T) {
-	tr := workload.SDSCSP2Like(2000, 11)
-	in := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD), nil)
-	rec := &Recorder{}
-	jobs := tr.Window(0, 200)
-	res, err := sim.Run(jobs, sim.Config{
-		MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Inspector: rec.Recording(in),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) != res.Inspections {
-		t.Errorf("recorded %d, simulator reports %d inspections", len(rec.Records), res.Inspections)
-	}
-	rejects := 0
-	for _, r := range rec.Records {
-		if r.Rejected {
-			rejects++
-		}
-	}
-	if rejects != res.Rejections {
-		t.Errorf("recorded %d rejections, simulator %d", rejects, res.Rejections)
 	}
 }

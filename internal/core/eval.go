@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -287,4 +288,31 @@ func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 		cfg.Flight.EmitSpan(&evalSpan)
 	}
 	return out, nil
+}
+
+// ReplayWhole schedules the entire trace under the base policy with the
+// inspector on top, as §5 does ("used the trained model to schedule the
+// whole SDSC-SP2 job trace from beginning to the end"), and returns the
+// run's flight record as a .ftrace image: one explain record per decision
+// under a header naming the inspector's features, for explain.ReadFTrace.
+// It is Evaluate over one sequence spanning the trace, so cfg's Sequences,
+// SeqLen and Flight are overridden.
+func ReplayWhole(insp *Inspector, cfg EvalConfig) ([]byte, error) {
+	if cfg.Trace == nil {
+		return nil, fmt.Errorf("core: ReplayWhole needs Trace and Policy")
+	}
+	var img bytes.Buffer
+	ring := obs.NewTraceRing(0)
+	ring.SetSink(&img)
+	cfg.Sequences, cfg.SeqLen, cfg.Flight = 1, cfg.Trace.Len(), ring
+	if _, err := Evaluate(insp, cfg); err != nil {
+		return nil, err
+	}
+	if err := ring.Flush(); err != nil {
+		return nil, fmt.Errorf("core: replay flight record: %w", err)
+	}
+	if n := ring.Oversized(); n > 0 {
+		return nil, fmt.Errorf("core: replay flight record dropped %d oversize records", n)
+	}
+	return img.Bytes(), nil
 }

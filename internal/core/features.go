@@ -1,8 +1,9 @@
 // Package core implements SchedInspector itself: the feature-building
 // mechanism (§3.3), the reward functions (§3.4), the RL inspector that
 // accepts or rejects base-scheduler decisions, its PPO training loop
-// (Figure 3), evaluation helpers for the paper's experiments, and the
-// decision recorder behind the §5 "what SchedInspector learns" analysis.
+// (Figure 3), and evaluation helpers for the paper's experiments, among
+// them the whole-trace replay (ReplayWhole) whose flight record feeds the
+// §5 "what SchedInspector learns" analysis in internal/explain.
 package core
 
 import (
@@ -211,22 +212,16 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// ManualFeatureNames labels the manual feature vector, used by the §5
-// analysis and Figure 13 reproduction.
-func ManualFeatureNames() []string {
-	return []string{
-		"waiting_time", "job_execution_time", "requested_nodes",
-		"rejected_times", "queue_delays", "free_nodes", "runnable", "backfill_contributions",
-	}
-}
-
 // FeatureNames labels the feature vector of any mode, index-aligned with
 // Normalizer.Features output — the explain-record header that lets the
 // analysis layer report per-feature statistics by name.
 func (m FeatureMode) FeatureNames() []string {
 	switch m {
 	case ManualFeatures:
-		return ManualFeatureNames()
+		return []string{
+			"waiting_time", "job_execution_time", "requested_nodes",
+			"rejected_times", "queue_delays", "free_nodes", "runnable", "backfill_contributions",
+		}
 	case CompactedFeatures:
 		return []string{
 			"waiting_time", "job_execution_time", "requested_nodes", "free_nodes", "runnable",

@@ -53,9 +53,6 @@ func TestFeatureModeBasics(t *testing.T) {
 	if NativeFeatures.Dim() != 6+3*NativeQueueSlots {
 		t.Errorf("native dim %d", NativeFeatures.Dim())
 	}
-	if len(ManualFeatureNames()) != ManualFeatures.Dim() {
-		t.Error("feature names do not cover manual dims")
-	}
 }
 
 func TestManualFeatureSemantics(t *testing.T) {

@@ -232,6 +232,46 @@ func TestFlightRecorderDoesNotPerturbTraining(t *testing.T) {
 	}
 }
 
+// TestReplayWholeMatchesInspections pins the §5 replay's flight record
+// against the engine it runs on: one decision record per inspection of a
+// single whole-trace Evaluate sequence, a reject record per rejection, and a
+// header naming the mode's features, in every feature mode.
+func TestReplayWholeMatchesInspections(t *testing.T) {
+	tr := workload.SDSCSP2Like(1200, 9)
+	for _, mode := range []FeatureMode{ManualFeatures, CompactedFeatures, NativeFeatures} {
+		t.Run(mode.String(), func(t *testing.T) {
+			insp := newTestInspector(t, mode)
+			cfg := EvalConfig{Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD, Seed: 5}
+			img, err := ReplayWhole(insp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Sequences, cfg.SeqLen = 1, tr.Len()
+			res, err := Evaluate(insp, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := readFlight(t, nil, img)
+			rejects := 0
+			for _, r := range got.Records {
+				if r.Rejected {
+					rejects++
+				}
+			}
+			if res.Inspections == 0 || len(got.Records) != res.Inspections || rejects != res.Rejections {
+				t.Fatalf("flight record has %d decisions and %d rejections, Evaluate %d and %d",
+					len(got.Records), rejects, res.Inspections, res.Rejections)
+			}
+			if got.Header == nil || !reflect.DeepEqual(got.FeatureNames(), mode.FeatureNames()) {
+				t.Fatalf("header %+v does not name the %s features", got.Header, mode)
+			}
+		})
+	}
+	if _, err := ReplayWhole(newTestInspector(t, ManualFeatures), EvalConfig{Policy: sched.SJF()}); err == nil {
+		t.Error("missing trace accepted")
+	}
+}
+
 // TestFeatureNamesAlignWithDim pins that every mode's label list matches
 // its feature vector length — the explain header contract.
 func TestFeatureNamesAlignWithDim(t *testing.T) {

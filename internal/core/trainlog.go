@@ -108,23 +108,6 @@ func (l *JSONLTrainLogger) LogEpoch(st EpochStats) {
 	})
 }
 
-// MultiTrainLogger fans one epoch out to several loggers.
-func MultiTrainLogger(ls ...TrainLogger) TrainLogger { return multiLogger(ls) }
-
-type multiLogger []TrainLogger
-
-func (m multiLogger) LogEpoch(st EpochStats) {
-	for _, l := range m {
-		l.LogEpoch(st)
-	}
-}
-
-// FuncTrainLogger adapts a plain function to the TrainLogger interface.
-type FuncTrainLogger func(EpochStats)
-
-// LogEpoch implements TrainLogger.
-func (f FuncTrainLogger) LogEpoch(st EpochStats) { f(st) }
-
 // ReadEpochJSONL parses telemetry written by JSONLTrainLogger back into
 // EpochStats.
 func ReadEpochJSONL(r io.Reader) ([]EpochStats, error) {

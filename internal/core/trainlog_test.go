@@ -83,19 +83,6 @@ func TestJSONLTrainLogger(t *testing.T) {
 	}
 }
 
-func TestMultiAndFuncLogger(t *testing.T) {
-	var a, b int
-	l := MultiTrainLogger(
-		FuncTrainLogger(func(EpochStats) { a++ }),
-		FuncTrainLogger(func(EpochStats) { b++ }),
-	)
-	l.LogEpoch(EpochStats{})
-	l.LogEpoch(EpochStats{})
-	if a != 2 || b != 2 {
-		t.Errorf("fan-out counts %d/%d", a, b)
-	}
-}
-
 // TestTrainerEmitsTelemetry runs a tiny real training loop and checks the
 // logger hook fires with populated PPO fields — the acceptance path for
 // "a training run writes per-epoch telemetry with loss/entropy/KL/reward".

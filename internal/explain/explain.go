@@ -23,6 +23,7 @@ import (
 
 	"schedinspector/internal/ckpt"
 	"schedinspector/internal/obs"
+	"schedinspector/internal/stats"
 )
 
 // Trace is a parsed flight-recorder trace.
@@ -278,6 +279,41 @@ func (t *Trace) FeatureStats() (stats []FeatureStat, accepts, rejects int) {
 	return stats, accepts, rejects
 }
 
+// FeatureCDF is the Figure 13 pair for one feature: its empirical CDF over
+// all decisions and over the rejected ones. A rejected CDF that rises faster
+// at low x means the policy rejects more often when the feature is small.
+type FeatureCDF struct {
+	Name     string
+	Total    *stats.CDF
+	Rejected *stats.CDF
+}
+
+// FeatureCDFs builds the per-feature CDF pairs over all decisions, labelled
+// from the trace header so every feature mode reports under its own names.
+// Records whose feature vector length disagrees with the header are
+// skipped, as in FeatureStats.
+func (t *Trace) FeatureCDFs() []FeatureCDF {
+	names := t.FeatureNames()
+	total := make([][]float64, len(names))
+	rejected := make([][]float64, len(names))
+	for _, r := range t.Records {
+		if len(r.Features) != len(names) {
+			continue
+		}
+		for i, v := range r.Features {
+			total[i] = append(total[i], v)
+			if r.Rejected {
+				rejected[i] = append(rejected[i], v)
+			}
+		}
+	}
+	out := make([]FeatureCDF, len(names))
+	for i, name := range names {
+		out[i] = FeatureCDF{Name: name, Total: stats.NewCDF(total[i]), Rejected: stats.NewCDF(rejected[i])}
+	}
+	return out
+}
+
 // UtilBucket is one bin of the reject-rate-vs-utilization curve.
 type UtilBucket struct {
 	Lo, Hi    float64
@@ -375,6 +411,34 @@ func WriteFeatureStats(w io.Writer, stats []FeatureStat, accepts, rejects int) e
 			bar = strings.Repeat("#", n)
 		}
 		fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%+.4f\t%s\n", s.Name, s.MeanAccept, s.MeanReject, s.Delta, bar)
+	}
+	return tw.Flush()
+}
+
+// WriteFeatureCDFs renders the Figure 13 table: the decision counts, then
+// per feature the total and rejected CDFs at 0.25, 0.5 and 0.75 and the
+// largest value any rejected decision had.
+func WriteFeatureCDFs(w io.Writer, cdfs []FeatureCDF) error {
+	if len(cdfs) > 0 {
+		n, rej := cdfs[0].Total.N(), cdfs[0].Rejected.N()
+		ratio := 0.0
+		if n > 0 {
+			ratio = float64(rej) / float64(n)
+		}
+		fmt.Fprintf(w, "%d decisions, %d rejected (ratio %.2f)\n", n, rej, ratio)
+	}
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "feature\tCDF@0.25 total/rej\tCDF@0.5 total/rej\tCDF@0.75 total/rej\tmax rejected x")
+	for _, c := range cdfs {
+		if c.Rejected.N() == 0 {
+			fmt.Fprintf(tw, "%s\t-\t-\t-\t(never rejected)\n", c.Name)
+			continue
+		}
+		fmt.Fprintf(tw, "%s\t%.2f/%.2f\t%.2f/%.2f\t%.2f/%.2f\t%.2f\n", c.Name,
+			c.Total.At(0.25), c.Rejected.At(0.25),
+			c.Total.At(0.5), c.Rejected.At(0.5),
+			c.Total.At(0.75), c.Rejected.At(0.75),
+			c.Rejected.Quantile(1))
 	}
 	return tw.Flush()
 }

@@ -121,6 +121,40 @@ func TestFeatureStats(t *testing.T) {
 	}
 }
 
+func TestFeatureCDFs(t *testing.T) {
+	// A record whose length disagrees with the header is skipped.
+	tr, err := ReadTrace(strings.NewReader(fixture +
+		`{"kind":"decision","traj":2,"seq":0,"features":[9,9,9],"rejected":true}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdfs := tr.FeatureCDFs()
+	if len(cdfs) != 2 || cdfs[0].Name != "fa" || cdfs[1].Name != "fb" {
+		t.Fatalf("cdfs %+v", cdfs)
+	}
+	for _, c := range cdfs {
+		if c.Total.N() != 4 || c.Rejected.N() != 2 {
+			t.Errorf("%s: %d total / %d rejected observations, want 4 / 2", c.Name, c.Total.N(), c.Rejected.N())
+		}
+		if c.Total.At(1) != 1 || c.Rejected.At(1) != 1 {
+			t.Errorf("%s: CDFs do not reach 1", c.Name)
+		}
+	}
+	// rejects carry fb = 0.8 and 0.2.
+	if got := cdfs[1].Rejected.Quantile(1); got != 0.8 {
+		t.Errorf("fb max rejected %v, want 0.8", got)
+	}
+
+	empty, err := ReadTrace(strings.NewReader(`{"kind":"explain_header","features":["fa","fb"]}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdfs = empty.FeatureCDFs()
+	if len(cdfs) != 2 || cdfs[0].Total.N() != 0 || cdfs[1].Rejected.N() != 0 {
+		t.Fatalf("empty trace cdfs %+v", cdfs)
+	}
+}
+
 func TestRejectByUtilization(t *testing.T) {
 	tr := parseFixture(t)
 	buckets := tr.RejectByUtilization(4)
@@ -202,6 +236,17 @@ const goldenRejectPlot = `util     decisions  rejects  rate
 0.8-1.0  2          1        0.500  ####################
 `
 
+const goldenFeatureCDFs = `4 decisions, 2 rejected (ratio 0.50)
+feature  CDF@0.25 total/rej  CDF@0.5 total/rej  CDF@0.75 total/rej  max rejected x
+fa       0.50/0.50           1.00/1.00          1.00/1.00           0.40
+fb       0.50/0.50           0.75/0.50          0.75/0.50           0.80
+`
+
+const goldenFeatureCDFsNoRejects = `1 decisions, 0 rejected (ratio 0.00)
+feature  CDF@0.25 total/rej  CDF@0.5 total/rej  CDF@0.75 total/rej  max rejected x
+fa       -                   -                  -                   (never rejected)
+`
+
 func TestGoldenRenderings(t *testing.T) {
 	tr := parseFixture(t)
 
@@ -229,6 +274,24 @@ func TestGoldenRenderings(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "reject plot", b.String(), goldenRejectPlot)
+
+	b.Reset()
+	if err := WriteFeatureCDFs(&b, tr.FeatureCDFs()); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "feature cdfs", b.String(), goldenFeatureCDFs)
+
+	accepted, err := ReadTrace(strings.NewReader(`{"kind":"explain_header","features":["fa"]}
+{"kind":"decision","features":[0.5],"rejected":false}
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	if err := WriteFeatureCDFs(&b, accepted.FeatureCDFs()); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "feature cdfs without rejects", b.String(), goldenFeatureCDFsNoRejects)
 }
 
 // TestRoundTrip pins that what the flight recorder writes, ReadTrace reads

@@ -6,6 +6,7 @@ import (
 
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
+	"schedinspector/internal/sched"
 	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
 )
@@ -19,13 +20,12 @@ func Cost(o Options) error {
 	fmt.Fprintln(o.Out, "§4.6: computational cost")
 	fmt.Fprintln(o.Out, "(paper: ~35 min training, 0.7 ms inference per decision)")
 
-	spec := trainSpec{traceName: "SDSC-SP2", policy: "SJF", metric: metrics.BSLD}
-	tr, err := o.trace(spec.traceName)
+	tr, err := o.trace("SDSC-SP2")
 	if err != nil {
 		return err
 	}
 	trainer, err := core.NewTrainer(core.TrainConfig{
-		Trace: tr, Policy: mustPolicy(spec.policy), Metric: spec.metric,
+		Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
 		SeqLen: o.SeqLen, Batch: o.Batch, Seed: o.Seed + 1, Workers: o.Workers,
 	})
 	if err != nil {

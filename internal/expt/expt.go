@@ -148,11 +148,6 @@ type cachedTrain struct {
 
 var trainMemo = map[string]cachedTrain{}
 
-// ResetMemo clears the training cache. Benchmarks call it between
-// iterations so each measured run performs real training instead of a
-// cache lookup.
-func ResetMemo() { trainMemo = map[string]cachedTrain{} }
-
 func (o Options) memoKey(spec trainSpec) string {
 	return fmt.Sprintf("%s|%s|%v|%v|%v|%v|j%d|e%d|b%d|s%d|seed%d",
 		spec.traceName, spec.policy, spec.metric, spec.reward, spec.features, spec.backfill,
@@ -177,7 +172,7 @@ func (o Options) trainUncached(spec trainSpec) (*core.Trainer, []core.EpochStats
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	pol, err := policyFor(spec.policy, tr)
+	pol, err := sched.ForTrace(spec.policy, tr)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -205,7 +200,7 @@ func (o Options) trainUncached(spec trainSpec) (*core.Trainer, []core.EpochStats
 
 // evalOpts builds the evaluation configuration for a trained spec.
 func (o Options) evalConfig(tr *workload.Trace, spec trainSpec) (core.EvalConfig, error) {
-	pol, err := policyFor(spec.policy, tr)
+	pol, err := sched.ForTrace(spec.policy, tr)
 	if err != nil {
 		return core.EvalConfig{}, err
 	}
@@ -214,13 +209,6 @@ func (o Options) evalConfig(tr *workload.Trace, spec trainSpec) (core.EvalConfig
 		Sequences: o.EvalSequences, SeqLen: o.EvalSeqLen, Seed: o.Seed + 2,
 		Workers: o.Workers,
 	}, nil
-}
-
-func policyFor(name string, tr *workload.Trace) (sched.Policy, error) {
-	if name == "Slurm" {
-		return sched.NewSlurm(tr), nil
-	}
-	return sched.ByName(name)
 }
 
 // converged returns the mean of the last k epochs' value, the number the

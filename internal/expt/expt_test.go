@@ -148,12 +148,3 @@ func TestMemoKeyDistinguishesConfigs(t *testing.T) {
 		t.Error("memo key ignores batch size")
 	}
 }
-
-func TestResetMemo(t *testing.T) {
-	o := Tiny(nil).withDefaults()
-	trainMemo[o.memoKey(trainSpec{traceName: "x"})] = cachedTrain{}
-	ResetMemo()
-	if len(trainMemo) != 0 {
-		t.Error("ResetMemo did not clear the cache")
-	}
-}

@@ -1,12 +1,13 @@
 package expt
 
 import (
+	"bytes"
 	"fmt"
 	"text/tabwriter"
 
 	"schedinspector/internal/core"
+	"schedinspector/internal/explain"
 	"schedinspector/internal/metrics"
-	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
 
@@ -238,35 +239,17 @@ func Fig13(o Options) error {
 	if err != nil {
 		return err
 	}
-	rec, err := core.ReplayWhole(trainer.Inspector(), core.EvalConfig{
-		Trace: tr, Policy: mustPolicy("SJF"), Metric: metrics.BSLD,
-	})
+	cfg, err := o.evalConfig(tr, spec)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(o.Out, "  total samples: %d, rejected samples: %d (ratio %.2f)\n",
-		len(rec.Records), int(rec.RejectionRatio()*float64(len(rec.Records))+0.5), rec.RejectionRatio())
-	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "  feature\tCDF@0.25 total/rej\tCDF@0.5 total/rej\tCDF@0.75 total/rej\tmax rejected x\n")
-	for _, c := range rec.Analyze(core.ManualFeatureNames()) {
-		if c.Rejected.N() == 0 {
-			fmt.Fprintf(tw, "  %s\t-\t-\t-\t(never rejected)\n", c.Name)
-			continue
-		}
-		fmt.Fprintf(tw, "  %s\t%.2f/%.2f\t%.2f/%.2f\t%.2f/%.2f\t%.2f\n",
-			c.Name,
-			c.Total.At(0.25), c.Rejected.At(0.25),
-			c.Total.At(0.5), c.Rejected.At(0.5),
-			c.Total.At(0.75), c.Rejected.At(0.75),
-			c.Rejected.Quantile(1.0))
-	}
-	return tw.Flush()
-}
-
-func mustPolicy(name string) sched.Policy {
-	p, err := policyFor(name, nil)
+	img, err := core.ReplayWhole(trainer.Inspector(), cfg)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	return p
+	flight, err := explain.ReadFTrace(bytes.NewReader(img))
+	if err != nil {
+		return err
+	}
+	return explain.WriteFeatureCDFs(o.Out, flight.FeatureCDFs())
 }

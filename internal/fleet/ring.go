@@ -242,30 +242,6 @@ func (h *History) HistQuantile(family string, q float64, windowSec float64) floa
 	return obs.HistQuantile(q, uppers, cum)
 }
 
-// HistCountRate is the observation rate of a histogram family over the
-// window (merged across series). NaN when underivable.
-func (h *History) HistCountRate(family string, windowSec float64) float64 {
-	old, newest := h.window(windowSec)
-	if old == nil {
-		return math.NaN()
-	}
-	nf := newest.s.Family(family)
-	if nf == nil || len(nf.Histograms) == 0 {
-		return math.NaN()
-	}
-	var oldCount float64
-	if of := old.s.Family(family); of != nil {
-		for i := range of.Histograms {
-			oldCount += float64(of.Histograms[i].Count)
-		}
-	}
-	var newCount float64
-	for i := range nf.Histograms {
-		newCount += float64(nf.Histograms[i].Count)
-	}
-	return counterIncrease(oldCount, newCount) / (newest.unix - old.unix)
-}
-
 // HistSumRate is the rate of a histogram family's _sum over the window
 // (merged across series) — for a seconds-valued histogram this is the
 // fraction of wall time spent in the measured state. NaN when

@@ -61,10 +61,6 @@ func TestHistoryRates(t *testing.T) {
 	if math.IsNaN(q) || q <= 0.1 || q > 1 {
 		t.Errorf("windowed p50 = %v, want within (0.1, 1]", q)
 	}
-	// Observation rate: 20 over 10s.
-	if got := h.HistCountRate("test_lat_seconds", 0); math.Abs(got-2) > 1e-9 {
-		t.Errorf("HistCountRate = %v, want 2", got)
-	}
 	// Sum rate: (2.5 - 1.5)/10.
 	if got := h.HistSumRate("test_lat_seconds", 0); math.Abs(got-0.1) > 1e-9 {
 		t.Errorf("HistSumRate = %v, want 0.1", got)

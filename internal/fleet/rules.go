@@ -84,7 +84,6 @@ type Engine struct {
 	mu        sync.Mutex
 	active    map[string]*Alert // keyed rule + "\x00" + target
 	evaluated map[string]uint64
-	fired     uint64 // lifetime distinct firings
 }
 
 // NewEngine builds an engine over the given rules (DefaultRules() when
@@ -144,7 +143,6 @@ func (e *Engine) Evaluate(ctx *RuleContext) (alerts []Alert, newlyFired int) {
 			LastSeenUnix: ctx.NowUnix,
 			Count:        1,
 		}
-		e.fired++
 		newlyFired++
 	}
 	for key := range e.active {
@@ -177,20 +175,6 @@ func sevRank(s Severity) int {
 	default:
 		return 2
 	}
-}
-
-// FiredTotal is the lifetime count of distinct alert firings.
-func (e *Engine) FiredTotal() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.fired
-}
-
-// ActiveCount is the current active-alert count.
-func (e *Engine) ActiveCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.active)
 }
 
 // RuleStatuses reports every rule's evaluation and active-alert counts,

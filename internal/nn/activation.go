@@ -90,8 +90,3 @@ func LogSumExp(logits []float64) float64 {
 	}
 	return maxL + math.Log(sum)
 }
-
-// LogSoftmax returns log-softmax(logits)[idx].
-func LogSoftmax(logits []float64, idx int) float64 {
-	return logits[idx] - LogSumExp(logits)
-}

@@ -136,6 +136,15 @@ func ByName(name string) (Policy, error) {
 	return nil, fmt.Errorf("sched: unknown policy %q", name)
 }
 
+// ForTrace returns the policy called name for trace tr: any policy ByName
+// knows, or "Slurm", whose shares NewSlurm estimates from tr.
+func ForTrace(name string, tr *workload.Trace) (Policy, error) {
+	if name == "Slurm" {
+		return NewSlurm(tr), nil
+	}
+	return ByName(name)
+}
+
 // Names lists every name ByName accepts, sorted — the enumeration the marker
 // and simulator-invariant tests sweep.
 func Names() []string {
@@ -146,6 +155,3 @@ func Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// PaperPolicies lists the Table 3 policies in paper order.
-func PaperPolicies() []string { return []string{"FCFS", "LCFS", "SJF", "SAF", "SRF", "F1"} }

@@ -68,7 +68,7 @@ func TestF1Score(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range PaperPolicies() {
+	for _, name := range Names() {
 		p, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%s): %v", name, err)
@@ -77,10 +77,19 @@ func TestByName(t *testing.T) {
 			t.Errorf("Name = %s, want %s", p.Name(), name)
 		}
 	}
-	if p, err := ByName("SQF"); err != nil || p.Name() != "SQF" {
-		t.Errorf("SQF lookup failed: %v", err)
-	}
 	if _, err := ByName("bogus"); err == nil {
+		t.Error("unknown policy accepted")
+	}
+}
+
+func TestForTrace(t *testing.T) {
+	if p, err := ForTrace("SJF", nil); err != nil || p.Name() != "SJF" {
+		t.Errorf("ForTrace(SJF) = %v, %v", p, err)
+	}
+	if p, err := ForTrace("Slurm", slurmTrace()); err != nil || p.Name() != "Slurm" {
+		t.Errorf("ForTrace(Slurm) = %v, %v", p, err)
+	}
+	if _, err := ForTrace("bogus", slurmTrace()); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }

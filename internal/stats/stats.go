@@ -167,45 +167,3 @@ func (c *CDF) Quantile(q float64) float64 {
 
 // N returns the number of observations in the CDF.
 func (c *CDF) N() int { return len(c.xs) }
-
-// Curve samples the CDF at n evenly spaced points across [min, max] and
-// returns (x, F(x)) pairs — the format the Figure 13 reproduction prints.
-func (c *CDF) Curve(n int) (xs, fs []float64) {
-	if len(c.xs) == 0 || n < 2 {
-		return nil, nil
-	}
-	lo, hi := c.xs[0], c.xs[len(c.xs)-1]
-	xs = make([]float64, n)
-	fs = make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		xs[i] = x
-		fs[i] = c.At(x)
-	}
-	return xs, fs
-}
-
-// Normalize maps xs into [0,1] by min-max scaling, returning a new slice.
-// Used to put features on the common x-axis of Figure 13.
-func Normalize(xs []float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	out := make([]float64, len(xs))
-	if hi == lo {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - lo) / (hi - lo)
-	}
-	return out
-}

@@ -98,34 +98,6 @@ func TestCDF(t *testing.T) {
 	if c.N() != 4 {
 		t.Errorf("N = %d", c.N())
 	}
-	xs, fs := c.Curve(5)
-	if len(xs) != 5 || len(fs) != 5 {
-		t.Fatalf("curve lengths %d/%d", len(xs), len(fs))
-	}
-	if fs[len(fs)-1] != 1 {
-		t.Errorf("curve must end at 1, got %v", fs[len(fs)-1])
-	}
-	for i := 1; i < len(fs); i++ {
-		if fs[i] < fs[i-1] {
-			t.Error("CDF curve not monotone")
-		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{10, 20, 30})
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if math.Abs(out[i]-want[i]) > 1e-12 {
-			t.Errorf("Normalize[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	if got := Normalize([]float64{7, 7}); got[0] != 0 || got[1] != 0 {
-		t.Error("constant input should normalize to zeros")
-	}
-	if Normalize(nil) != nil {
-		t.Error("nil input should return nil")
-	}
 }
 
 // Property: CDF At is monotone and bounded for arbitrary inputs.
