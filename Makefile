@@ -54,10 +54,9 @@ race:
 # so the legacy-trainer oracle pins it as well. The PPO update is pinned
 # the same way: internal/rl's frozen digest of the per-sample update (amd64
 # bits) and, on every architecture, internal/nn's batch kernels and rl's
-# many-row policy pass against the per-sample Forward/Backward. The
-# RLScheduler baseline's training is pinned to its seed.
+# update leaves against the per-sample Forward/Backward.
 equiv:
-	$(GO) test -race -run 'Equiv|BatchBitIdentical' -count=1 ./internal/sim/ ./internal/rollout/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/rl/ ./internal/nn/ ./internal/rlsched/
+	$(GO) test -race -run 'Equiv|BatchBitIdentical' -count=1 ./internal/sim/ ./internal/rollout/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/rl/ ./internal/nn/
 
 # fuzz-smoke gives every fuzz target a short budget (override with
 # FUZZTIME=...) — enough to catch shallow parser/decoder regressions, and

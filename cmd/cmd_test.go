@@ -570,6 +570,10 @@ func TestCLIBadTraceFlags(t *testing.T) {
 		{tg, []string{"-custom", "-interval", "-1"}, "-interval"},
 		{tg, []string{"-custom", "-est", "0"}, "-est"},
 		{tg, []string{"-custom", "-res", "-2"}, "-res"},
+		{tg, []string{"-custom", "-jobs", "50", "-burst", "0"}, "-burst"},
+		{tg, []string{"-custom", "-jobs", "50", "-burst", "-1"}, "-burst"},
+		{tg, []string{"-custom", "-jobs", "50", "-diurnal", "5"}, "-diurnal"},
+		{tg, []string{"-custom", "-jobs", "50", "-diurnal", "-0.5"}, "-diurnal"},
 	} {
 		cmd := exec.Command(c.bin, c.args...)
 		var stdout, stderr bytes.Buffer
@@ -687,7 +691,7 @@ func TestCLIEndToEnd(t *testing.T) {
 
 	// expreport: list and one tiny experiment.
 	out = run(t, er, "-list")
-	if !strings.Contains(out, "fig13") || !strings.Contains(out, "rlsched") {
+	if !strings.Contains(out, "fig13") || !strings.Contains(out, "ablate-backfill") {
 		t.Fatalf("expreport -list unexpected:\n%s", out)
 	}
 	out = run(t, er, "-tiny", "-exp", "table1")

@@ -46,6 +46,10 @@ func main() {
 			usageError("-est must be > 0, got %v", *est)
 		case !(*res > 0):
 			usageError("-res must be > 0, got %v", *res)
+		case !(*burst > 0):
+			usageError("-burst must be > 0, got %v", *burst)
+		case !(*diurnal >= 0 && *diurnal <= 1):
+			usageError("-diurnal must be in [0, 1], got %v", *diurnal)
 		case *jobs < 0:
 			usageError("-jobs must be >= 0, got %d", *jobs)
 		}

@@ -11,8 +11,6 @@ import (
 
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/obs"
-	"schedinspector/internal/rl"
-	"schedinspector/internal/rlsched"
 	"schedinspector/internal/rollout"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
@@ -275,18 +273,6 @@ func TestPolicyClones(t *testing.T) {
 	// Stateful without Cloner: sequential fallback.
 	if pols, ok = rollout.PolicyClones(statefulNoClone{sched.SJF()}, 4); ok || len(pols) != 1 {
 		t.Errorf("stateful non-cloner: ok=%v len=%d, want fallback", ok, len(pols))
-	}
-
-	// rlsched in sampling mode declines to clone: sequential fallback.
-	rp := rlsched.New(rand.New(rand.NewSource(1)), rlsched.NormForTrace(tr), nil)
-	rp.SetSampling(true, &[]rl.Step{})
-	if pols, ok = rollout.PolicyClones(rp, 4); ok || len(pols) != 1 {
-		t.Errorf("sampling rlsched: ok=%v len=%d, want fallback", ok, len(pols))
-	}
-	// ...but clones fine outside sampling mode.
-	rp.SetSampling(false, nil)
-	if pols, ok = rollout.PolicyClones(rp, 2); !ok || len(pols) != 2 || pols[0] == pols[1] {
-		t.Errorf("plain rlsched: ok=%v len=%d", ok, len(pols))
 	}
 
 	// One worker never needs clones, whatever the policy.

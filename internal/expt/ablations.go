@@ -7,7 +7,6 @@ import (
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/rl"
-	"schedinspector/internal/rlsched"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/sim"
 	"schedinspector/internal/stats"
@@ -16,8 +15,7 @@ import (
 
 // Extension experiments: ablations of the design choices DESIGN.md calls
 // out (the rejection hyperparameters of §4.1, the actor-critic of §3.1, the
-// backfilling variant of §3.2) and the paper's §7 future-work item —
-// SchedInspector on top of a learned RLScheduler-style policy.
+// backfilling variant of §3.2).
 
 // AblateInterval sweeps MAX_INTERVAL, the retry cut-off after a rejection.
 // The paper fixes it at 600 s "to avoid idling resources for too long";
@@ -194,6 +192,9 @@ func evalWithVariant(insp *core.Inspector, tr *workload.Trace, o Options, backfi
 	if hi <= lo {
 		lo = 0
 	}
+	if hi < 1 {
+		return core.EvalResult{}, fmt.Errorf("expt: trace has %d jobs, need at least SeqLen=%d", tr.Len(), o.EvalSeqLen)
+	}
 	simCfg := sim.Config{
 		MaxProcs: tr.MaxProcs, Policy: sched.SJF(),
 		Backfill: backfill, Conservative: conservative,
@@ -217,76 +218,4 @@ func evalWithVariant(insp *core.Inspector, tr *workload.Trace, o Options, backfi
 		out.Rejections += ins.Rejections
 	}
 	return out, nil
-}
-
-// RLSchedExperiment trains an RLScheduler-style learned policy, compares it
-// against SJF and F1, and then trains a SchedInspector on top of the frozen
-// learned policy — the paper's §7 future-work item.
-func RLSchedExperiment(o Options) error {
-	o = o.withDefaults()
-	fmt.Fprintln(o.Out, "Extension: SchedInspector over a learned RLScheduler-style policy (SDSC-SP2, bsld)")
-	tr, err := o.trace("SDSC-SP2")
-	if err != nil {
-		return err
-	}
-
-	rlTrainer, err := rlsched.NewTrainer(rlsched.TrainConfig{
-		Trace: tr, Metric: metrics.BSLD,
-		SeqLen: o.SeqLen, Batch: o.Batch, Seed: o.Seed + 1,
-	})
-	if err != nil {
-		return err
-	}
-	hist, err := rlTrainer.Train(o.Epochs, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(o.Out, "  RLSched training: reward (pct vs SJF) %.3f -> %.3f over %d epochs\n",
-		hist[0].MeanReward, hist[len(hist)-1].MeanReward, len(hist))
-
-	pol := rlTrainer.Policy()
-	pol.SetSampling(false, nil)
-
-	// Head-to-head on held-out sequences.
-	rng := newSeededRNG(o.Seed + 2)
-	lo := tr.Split(0.2)
-	var sjfB, f1B, rlB stats.Welford
-	for i := 0; i < o.EvalSequences; i++ {
-		jobs := tr.RandomWindow(rng, o.EvalSeqLen, lo, 0)
-		for _, c := range []struct {
-			p sched.Policy
-			w *stats.Welford
-		}{{sched.SJF(), &sjfB}, {sched.F1(), &f1B}, {pol, &rlB}} {
-			res, err := sim.Run(jobs, sim.Config{MaxProcs: tr.MaxProcs, Policy: c.p})
-			if err != nil {
-				return err
-			}
-			c.w.Add(res.Summary(tr.MaxProcs).AvgBSLD)
-		}
-	}
-	fmt.Fprintf(o.Out, "  head-to-head mean bsld: SJF %.1f, F1 %.1f, RLSched %.1f\n",
-		sjfB.Mean(), f1B.Mean(), rlB.Mean())
-
-	// Inspector on top of the frozen learned policy.
-	inspTrainer, err := core.NewTrainer(core.TrainConfig{
-		Trace: tr, Policy: pol, Metric: metrics.BSLD,
-		SeqLen: o.SeqLen, Batch: o.Batch, Seed: o.Seed + 3, Workers: o.Workers,
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := inspTrainer.Train(o.Epochs, nil); err != nil {
-		return err
-	}
-	res, err := core.Evaluate(inspTrainer.Inspector(), core.EvalConfig{
-		Trace: tr, Policy: pol, Metric: metrics.BSLD,
-		Sequences: o.EvalSequences, SeqLen: o.EvalSeqLen, Seed: o.Seed + 4, Workers: o.Workers,
-	})
-	if err != nil {
-		return err
-	}
-	b, i := res.Boxes(metrics.BSLD)
-	fmt.Fprintf(o.Out, "  inspector over RLSched: base %.1f -> inspected %.1f (%+.1f%%), rejection ratio %.2f\n",
-		b.Mean, i.Mean, 100*res.MeanImprovement(metrics.BSLD), res.RejectionRatio())
-	return nil
 }

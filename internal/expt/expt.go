@@ -103,7 +103,6 @@ func All() []Experiment {
 		{"ablate-cap", "Extension: MAX_REJECTION_TIMES sweep", AblateRejectionCap},
 		{"ablate-critic", "Extension: actor-critic vs REINFORCE variance", AblateCritic},
 		{"ablate-backfill", "Extension: none/EASY/conservative backfilling", AblateBackfillVariant},
-		{"rlsched", "Extension: inspector over a learned RLScheduler policy (§7)", RLSchedExperiment},
 	}
 }
 

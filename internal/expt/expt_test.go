@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 20 {
-		t.Fatalf("registry has %d experiments, want 20", len(all))
+	if len(all) != 19 {
+		t.Fatalf("registry has %d experiments, want 19", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -94,6 +95,25 @@ func TestEveryExperimentRunsTiny(t *testing.T) {
 				t.Fatalf("%s produced no output", e.Name)
 			}
 		})
+	}
+}
+
+// TestAblateBackfillShortTrace: a test sequence longer than the trace is
+// an error naming both lengths, as it is for core.Evaluate, not a panic
+// in the window sampler.
+func TestAblateBackfillShortTrace(t *testing.T) {
+	o := Tiny(nil)
+	o.Epochs, o.EvalSeqLen = 1, 5000
+	err := func() (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return AblateBackfillVariant(o)
+	}()
+	if err == nil || !strings.Contains(err.Error(), "trace has 3000 jobs, need at least SeqLen=5000") {
+		t.Errorf("error %v, want one naming 3000 jobs and SeqLen=5000", err)
 	}
 }
 

@@ -45,28 +45,6 @@ func sampleBatch(a *Agent, rng *rand.Rand, lens []int) []Trajectory {
 	return batch
 }
 
-// rowsBatch samples an on-policy batch of many-row steps: trajectory k has
-// one step per entry of rows[k], observing that many rows of random
-// features, and the action is drawn over all of the step's rows' logits.
-func rowsBatch(a *Agent, rng *rand.Rand, rows [][]int) []Trajectory {
-	dim := a.Policy.InputSize()
-	batch := make([]Trajectory, len(rows))
-	for i, steps := range rows {
-		tr := Trajectory{Reward: rng.Float64()*2 - 1}
-		for _, n := range steps {
-			obs := make([]float64, n*dim)
-			for j := range obs {
-				obs[j] = rng.NormFloat64()
-			}
-			logits := a.Policy.ForwardBatch(obs, n, nil)
-			act, logp := SampleCategorical(rng, logits, make([]float64, len(logits)))
-			tr.Steps = append(tr.Steps, Step{Obs: obs, Action: act, LogP: logp})
-		}
-		batch[i] = tr
-	}
-	return batch
-}
-
 // stateHasher folds UpdateStats, network weights and optimizer state into
 // one sha-256, every float by its exact bit pattern.
 type stateHasher struct {
@@ -258,8 +236,7 @@ func statsBits(st UpdateStats) string {
 // TestEquivUpdateShardInvariant: the update's bits do not depend on how the
 // batch is dealt. The digest batch, once as it is (7 leaves, so the tree
 // has a ragged right spine) and once with a trajectory of zero steps added
-// (8 leaves, a perfect tree), and a batch of many-row steps (8 leaves, one
-// empty, one needing two chunks), goes through UpdateShard under every
+// (8 leaves, a perfect tree), goes through UpdateShard under every
 // contiguous two-way split and an unaligned three- and five-way split —
 // shards whose covers are several nodes — and every shard must return the
 // statistics, and end with the weights and Adam moments, of plain Update.
@@ -270,29 +247,18 @@ func TestEquivUpdateShardInvariant(t *testing.T) {
 		a := NewAgent(rng, 8, []int{32, 16, 8}, 2)
 		return a, NewPPO(a, PPOConfig{LR: 5e-3, NoCritic: noCritic}), rng
 	}
-	for _, tc := range []struct {
-		name   string
-		sample func(*Agent, *rand.Rand) []Trajectory
-	}{
-		{"digest", digestBatch},
-		{"digest+empty", func(a *Agent, rng *rand.Rand) []Trajectory {
-			return sampleBatch(a, rng, []int{37, 5, 91, 0, 128, 1, 64, 53})
-		}},
-		{"many-row", func(a *Agent, rng *rand.Rand) []Trajectory {
-			return rowsBatch(a, rng, [][]int{{3, 1, 7}, {12, 2}, {1, 1, 1}, {}, {5, 30, 2, 9}, {64, 1}, {2, 4, 8, 16, 1}, {100, 70}})
-		}},
-	} {
+	for _, lens := range [][]int{digestLens, {37, 5, 91, 0, 128, 1, 64, 53}} {
 		for _, noCritic := range []bool{false, true} {
 			// The reference: three Updates as in updateDigest, keeping the
 			// batches so that the shards can replay them.
 			a, ppo, rng := build(noCritic)
-			first := tc.sample(a, rng)
+			first := sampleBatch(a, rng, lens)
 			batches := [][]Trajectory{first, nil, first}
 			var wantStats []UpdateStats
 			stopped := false
 			for i := range batches {
 				if batches[i] == nil {
-					batches[i] = tc.sample(a, rng)
+					batches[i] = sampleBatch(a, rng, lens)
 				}
 				st, err := ppo.Update(batches[i])
 				if err != nil {
@@ -302,7 +268,7 @@ func TestEquivUpdateShardInvariant(t *testing.T) {
 				wantStats = append(wantStats, st)
 			}
 			if !stopped {
-				t.Fatalf("%s noCritic %v: no update stopped early on KL; the test no longer covers that exit", tc.name, noCritic)
+				t.Fatalf("lens %v noCritic %v: no update stopped early on KL; the test no longer covers that exit", lens, noCritic)
 			}
 			var want stateHasher
 			want.state(a, ppo)
@@ -348,7 +314,7 @@ func TestEquivUpdateShardInvariant(t *testing.T) {
 				wg.Wait()
 				for r, err := range errs {
 					if err != nil {
-						t.Errorf("%s noCritic %v cuts %v shard %d: %v", tc.name, noCritic, cuts, r, err)
+						t.Errorf("lens %v noCritic %v cuts %v shard %d: %v", lens, noCritic, cuts, r, err)
 					}
 				}
 			}
@@ -356,20 +322,18 @@ func TestEquivUpdateShardInvariant(t *testing.T) {
 	}
 }
 
-// TestEquivKernelLeafOracle pins the many-row path to the per-row kernels
-// it batches. One trajectory of steps with 1, 3, 64 and 70 rows on a
-// 5→8→1 scoring network — one logit per row, RLScheduler's kernel policy —
-// runs one moments, one policy and one value round. The policy gradient
-// and sums must equal, bit for bit, a reference that softmaxes each step's
-// rows, computes every row's dLogit and calls Forward and Backward once per
-// row in row order; the advantages and the value round must equal the same
-// on each step's mean row.
+// TestEquivKernelLeafOracle pins the update's leaves to the per-row kernels
+// they batch, on every architecture (TestEquivUpdateDigest runs on amd64
+// only). One trajectory of 200 steps — two chunks, the second ragged — on
+// a 5→8→3 policy and a 5→8→1 critic runs one moments, one policy and one
+// value round. The advantages, the gradients and the sums must equal, bit
+// for bit, a reference that calls Forward and Backward once per step in
+// step order.
 func TestEquivKernelLeafOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
-	sizes := []int{5, 8, 1}
-	a := AgentFromNets(nn.New(rng, sizes, nn.Tanh, nn.Identity), nn.New(rng, sizes, nn.Tanh, nn.Identity), nil)
+	a := NewAgent(rng, 5, []int{8}, 3)
 	ppo := NewPPO(a, PPOConfig{})
-	batch := rowsBatch(a, rng, [][]int{{1, 3, 64, 70}})
+	batch := sampleBatch(a, rng, []int{200})
 	steps, ret := batch[0].Steps, batch[0].Reward
 	for i := range steps {
 		steps[i].LogP += 0.3 * rng.NormFloat64() // spread the ratios across the clip band
@@ -396,27 +360,14 @@ func TestEquivKernelLeafOracle(t *testing.T) {
 		}
 		return out
 	}
-	var cache nn.Cache
+	var polCache, valCache nn.Cache // one per network: a Cache is sized by its first Forward
 
-	// The critic's input is each step's mean row.
-	pooled := make([][]float64, len(steps))
-	for i, s := range steps {
-		pooled[i] = make([]float64, 5)
-		for r := 0; r < len(s.Obs); r += 5 {
-			for k := range pooled[i] {
-				pooled[i][k] += s.Obs[r+k]
-			}
-		}
-		for k := range pooled[i] {
-			pooled[i][k] /= float64(len(s.Obs) / 5)
-		}
-	}
 	if _, err := ppo.reduce(Round{Phase: PhaseMoments}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	wantAdv := make([]float64, len(steps))
-	for i := range steps {
-		wantAdv[i] = ret - a.Value.Forward(pooled[i], &cache)[0]
+	for i, s := range steps {
+		wantAdv[i] = ret - a.Value.Forward(s.Obs, &valCache)[0]
 	}
 	bitsEqual("advantage", ppo.adv, wantAdv)
 
@@ -433,12 +384,7 @@ func TestEquivKernelLeafOracle(t *testing.T) {
 	var kl, ent, loss float64
 	clippedSteps := 0
 	for i, s := range steps {
-		n := len(s.Obs) / 5
-		logits := make([]float64, n)
-		for r := range logits {
-			logits[r] = a.Policy.Forward(s.Obs[r*5:(r+1)*5], &cache)[0]
-		}
-		probs := nn.Softmax(logits, nil)
+		probs := nn.Softmax(a.Policy.Forward(s.Obs, &polCache), nil)
 		adv := ppo.adv[i]
 		logpNew := math.Log(math.Max(probs[s.Action], 1e-12))
 		ratio := math.Exp(logpNew - s.LogP)
@@ -458,21 +404,21 @@ func TestEquivKernelLeafOracle(t *testing.T) {
 			}
 		}
 		ent += h
-		for r, q := range probs {
+		dLogits := make([]float64, len(probs))
+		for k, q := range probs {
 			ind := 0.0
-			if r == s.Action {
+			if k == s.Action {
 				ind = 1
 			}
-			dLogit := coef * (ind - q)
+			dLogits[k] = coef * (ind - q)
 			if q > 0 {
-				dLogit += cfg.EntropyCoef * q * (math.Log(q) + h)
+				dLogits[k] += cfg.EntropyCoef * q * (math.Log(q) + h)
 			}
-			a.Policy.Forward(s.Obs[r*5:(r+1)*5], &cache)
-			a.Policy.Backward(&cache, []float64{dLogit}, g)
 		}
+		a.Policy.Backward(&polCache, dLogits, g)
 	}
-	if clippedSteps == len(steps) {
-		t.Fatal("every step is clipped; the gradient is the entropy bonus alone")
+	if clippedSteps == 0 || clippedSteps == len(steps) {
+		t.Fatalf("%d of %d steps clipped; the pass must see both branches", clippedSteps, len(steps))
 	}
 	bitsEqual("policy gradient", got[:ppo.nPol], flat(g))
 	bitsEqual("policy kl/entropy/loss", got[ppo.nPol:ppo.nPol+3], []float64{kl, ent, loss})
@@ -484,10 +430,10 @@ func TestEquivKernelLeafOracle(t *testing.T) {
 	}
 	g = nn.NewGrads(a.Value)
 	loss = 0
-	for i := range steps {
-		d := a.Value.Forward(pooled[i], &cache)[0] - ret
+	for _, s := range steps {
+		d := a.Value.Forward(s.Obs, &valCache)[0] - ret
 		loss += 0.5 * d * d
-		a.Value.Backward(&cache, []float64{d}, g)
+		a.Value.Backward(&valCache, []float64{d}, g)
 	}
 	bitsEqual("value gradient", got[:ppo.nVal], flat(g))
 	bitsEqual("value loss", got[ppo.nVal:ppo.nVal+1], []float64{loss})

@@ -64,8 +64,8 @@ func TestGreedyMatchesArgmax(t *testing.T) {
 	}
 }
 
-// TestUpdateValidatesObsSize: an observation that is not whole rows of the
-// policy's input, or an action outside its step's logits, anywhere in the
+// TestUpdateValidatesObsSize: an observation that is not the policy's input
+// size, or an action outside the policy's logits, anywhere in the
 // batch fails the Update before it touches a statistic, the scratch or the
 // networks, so the next valid Update is the one a fresh PPO would run.
 func TestUpdateValidatesObsSize(t *testing.T) {
@@ -83,12 +83,12 @@ func TestUpdateValidatesObsSize(t *testing.T) {
 		bad  Step
 		want string
 	}{
-		{Step{Obs: []float64{1, 2}, Action: 0, LogP: -0.7}, "rl: observation size 2, want a positive multiple of 3"},
-		{Step{Obs: nil, Action: 0, LogP: -0.7}, "rl: observation size 0, want a positive multiple of 3"},
-		{Step{Obs: []float64{1, 2, 3, 4}, Action: 0, LogP: -0.7}, "rl: observation size 4, want a positive multiple of 3"},
+		{Step{Obs: []float64{1, 2}, Action: 0, LogP: -0.7}, "rl: observation size 2, want 3"},
+		{Step{Obs: nil, Action: 0, LogP: -0.7}, "rl: observation size 0, want 3"},
+		{Step{Obs: []float64{1, 2, 3, 4}, Action: 0, LogP: -0.7}, "rl: observation size 4, want 3"},
+		{Step{Obs: []float64{1, 2, 3, 4, 5, 6}, Action: 0, LogP: -0.7}, "rl: observation size 6, want 3"},
 		{Step{Obs: []float64{1, 2, 3}, Action: 2, LogP: -0.7}, "rl: action 2 outside the 2 logits of its step"},
 		{Step{Obs: []float64{1, 2, 3}, Action: -1, LogP: -0.7}, "rl: action -1 outside the 2 logits of its step"},
-		{Step{Obs: []float64{1, 2, 3, 4, 5, 6}, Action: 4, LogP: -0.7}, "rl: action 4 outside the 4 logits of its step"},
 	} {
 		bad := Trajectory{Steps: []Step{c.bad}, Reward: 1}
 		st, err := func() (st UpdateStats, err error) {
@@ -135,9 +135,6 @@ func TestUpdateWarmAllocs(t *testing.T) {
 	a, ppo, rng := build()
 	small := digestBatch(a, rng)
 	large := append(digestBatch(a, rng), digestBatch(a, rng)...)
-	// Many-row steps, one wider than a chunk: the softmax, chunk and critic
-	// scratch grow once more.
-	manyRow := rowsBatch(a, rng, [][]int{{3, 64, 1}, {150, 7}, {}, {20, 20, 20}})
 	update := func(p *PPO, batch []Trajectory) UpdateStats {
 		t.Helper()
 		st, err := p.Update(batch)
@@ -158,10 +155,6 @@ func TestUpdateWarmAllocs(t *testing.T) {
 	update(ppo, large) // grows the scratch
 	if n := testing.AllocsPerRun(3, func() { update(ppo, large) }); n != 0 {
 		t.Errorf("warm Update on the larger batch: %v allocs, want 0", n)
-	}
-	update(ppo, manyRow) // grows it again
-	if n := testing.AllocsPerRun(3, func() { update(ppo, manyRow) }); n != 0 {
-		t.Errorf("warm Update on the many-row batch: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(3, func() { update(ppo, small) }); n != 0 {
 		t.Errorf("Update on a smaller batch after growth: %v allocs, want 0", n)

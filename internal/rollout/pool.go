@@ -22,9 +22,9 @@ func ResolveWorkers(w int) int {
 // PolicyClones returns n scheduling-policy instances with the original at
 // index 0. Stateless policies are shared; stateful ones (sched.Cloner) are
 // cloned so concurrent simulations never race on their accounting. The
-// second result is false when the policy is stateful but cannot be cloned
-// in its current mode — the caller must then fall back to sequential
-// execution on the shared instance.
+// second result is false when the policy is stateful but has no Cloner —
+// the caller must then fall back to sequential execution on the shared
+// instance.
 func PolicyClones(p sched.Policy, n int) ([]sched.Policy, bool) {
 	out := make([]sched.Policy, n)
 	out[0] = p
@@ -42,11 +42,7 @@ func PolicyClones(p sched.Policy, n int) ([]sched.Policy, bool) {
 		return out, true
 	}
 	for i := 1; i < n; i++ {
-		cp := c.ClonePolicy()
-		if cp == nil {
-			return out[:1], false
-		}
-		out[i] = cp
+		out[i] = c.ClonePolicy()
 	}
 	return out, true
 }
@@ -58,9 +54,6 @@ func PolicyStateful(p sched.Policy) bool {
 		return true
 	}
 	if _, ok := p.(sched.UsageObserver); ok {
-		return true
-	}
-	if _, ok := p.(sched.Selector); ok {
 		return true
 	}
 	return false

@@ -43,17 +43,6 @@ type UsageObserver interface {
 	ObserveStart(j *workload.Job, now float64)
 }
 
-// Selector is implemented by policies that pick the next job directly from
-// the whole waiting queue instead of through a per-job score — learned
-// policies such as the RLScheduler-style kernel network. When a Policy also
-// implements Selector, the simulator calls Select for the scheduling
-// decision (Score is still used to order backfill candidates). Select
-// returns an index into queue; out-of-range values fall back to the
-// score-based pick.
-type Selector interface {
-	Select(queue []workload.Job, now float64, freeProcs, totalProcs int) int
-}
-
 // Resetter is implemented by stateful policies whose accounting must be
 // cleared between independent simulation runs.
 type Resetter interface {
@@ -62,11 +51,8 @@ type Resetter interface {
 
 // Cloner is implemented by stateful policies that can hand out independent
 // copies for concurrent simulation runs: the copy shares read-only data
-// (trained weights, precomputed shares) but owns all mutable state.
-// ClonePolicy returns nil when the policy is in a mode that cannot be
-// copied safely (e.g. recording training samples); callers must then fall
-// back to sequential use. Stateless policies need not implement this —
-// they are shared as-is.
+// (precomputed shares) but owns all mutable state. Stateless policies need
+// not implement this — they are shared as-is.
 type Cloner interface {
 	ClonePolicy() Policy
 }

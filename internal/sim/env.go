@@ -57,9 +57,8 @@ type Env struct {
 	decision    int // queue index awaiting a verdict while phase == envYield
 
 	// Scratch buffers, retained across episodes.
-	resScratch []runningJob   // reservation's clamped estimated-end copy
-	jobScratch workload.Job   // escape-free pointer handoff to UsageObservers
-	selScratch []workload.Job // queue view handed to sched.Selector policies
+	resScratch []runningJob // reservation's clamped estimated-end copy
+	jobScratch workload.Job // escape-free pointer handoff to UsageObservers
 }
 
 // NewEnv returns an empty environment; Reset starts the first episode.
@@ -254,19 +253,8 @@ func (e *Env) fillState(idx int) {
 }
 
 // pickTop returns the index of the queue job the base policy schedules
-// next. Policies implementing sched.Selector choose directly from the
-// queue; otherwise the pick is lowest score, ties broken by smaller job ID.
+// next: the lowest score, ties broken by smaller job ID.
 func (e *Env) pickTop() int {
-	if sel, ok := e.cfg.Policy.(sched.Selector); ok {
-		jobs := e.selScratch[:0]
-		for i := range e.queue {
-			jobs = append(jobs, e.queue[i].job)
-		}
-		e.selScratch = jobs
-		if idx := sel.Select(jobs, e.now, e.free, e.cfg.MaxProcs); idx >= 0 && idx < len(e.queue) {
-			return idx
-		}
-	}
 	best := 0
 	bestScore := e.score(0)
 	for i := 1; i < len(e.queue); i++ {

@@ -160,15 +160,6 @@ func (s *legacySim) fillState(idx int) {
 }
 
 func (s *legacySim) pickTop() int {
-	if sel, ok := s.cfg.Policy.(sched.Selector); ok {
-		jobs := make([]workload.Job, len(s.queue))
-		for i := range s.queue {
-			jobs[i] = s.queue[i].job
-		}
-		if idx := sel.Select(jobs, s.now, s.free, s.cfg.MaxProcs); idx >= 0 && idx < len(s.queue) {
-			return idx
-		}
-	}
 	best := 0
 	bestScore := s.cfg.Policy.Score(&s.queue[0].job, s.now)
 	for i := 1; i < len(s.queue); i++ {

@@ -41,15 +41,13 @@ func fuzzEpisode(data []byte) (jobs []workload.Job, cfg Config, snapAt int, deci
 
 	names := sched.Names()
 	var policy sched.Policy
-	switch pick := int(hdr[0]) % (len(names) + 3); {
+	switch pick := int(hdr[0]) % (len(names) + 2); {
 	case pick < len(names):
 		policy, _ = sched.ByName(names[pick])
 	case pick == len(names):
 		policy = sched.NewSlurm(&workload.Trace{Name: "fuzz", MaxProcs: fuzzProcs, Jobs: jobs})
-	case pick == len(names)+1:
-		policy = unmarked{sched.F1()}
 	default:
-		policy = &fixedSelector{idx: int(hdr[0]) % 5} // out of range on short queues: falls back to Score
+		policy = unmarked{sched.F1()}
 	}
 	cfg = Config{
 		MaxProcs: fuzzProcs, Policy: policy,
@@ -79,7 +77,7 @@ func FuzzEnvStep(f *testing.F) {
 		0xa5, 0x5a, 0xff})
 	f.Add([]byte{7, 2, 0, 0, 2, 5, // Slurm, conservative, default cap and interval
 		0, 100, 90, 15, 0, 5, 5, 3, 1, 200, 255, 9, 2, 3, 1, 0, 0, 60, 70, 11, 0x0f})
-	f.Add([]byte{9, 1, 1, 1, 0, 4, // selector, EASY, no rejections allowed
+	f.Add([]byte{8, 1, 1, 1, 0, 4, // F1 re-scored at every use, EASY, no rejections allowed
 		0, 9, 9, 15, 0, 9, 9, 15, 0, 1, 1, 0, 0, 1, 1, 0, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		jobs, cfg, snapAt, decide := fuzzEpisode(data)

@@ -11,7 +11,7 @@
 // The simulator is exposed two ways. Env is the resumable core: a
 // reset/step environment that yields control to the caller at every
 // scheduling point, in the style of the step-based RL environments of
-// RLScheduler and Decima. Run is the run-to-completion convenience built on
+// SchedGym and Decima. Run is the run-to-completion convenience built on
 // top of it, driving an Env with the Config.Inspector callback.
 package sim
 

@@ -38,7 +38,7 @@ const (
 // size; it can be overridden afterwards by assigning Trace.MaxProcs.
 //
 // Jobs with no usable runtime or processor count (cancelled entries) are
-// skipped, matching how RLScheduler's SchedGym loads these logs. If a job
+// skipped, matching how SchedGym loads these logs. If a job
 // has no requested (estimated) runtime, the actual runtime is used, so that
 // estimate-driven schedulers such as SJF stay well defined.
 func ParseSWF(r io.Reader, name string) (*Trace, error) {
