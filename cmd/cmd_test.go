@@ -797,6 +797,22 @@ func TestCLIFlightRecorder(t *testing.T) {
 		t.Fatalf("explain summary unexpected:\n%s", out)
 	}
 
+	// A torn trace is refused with the reason, which calls the frame data,
+	// not a checkpoint.
+	full, err := os.ReadFile(flight1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(work, "torn.ftrace")
+	if err := os.WriteFile(torn, full[:100], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command(si, "explain", "-in", torn).CombinedOutput(); err == nil ||
+		!strings.Contains(string(out), "ckpt: corrupt data: frame truncated at 76 of") ||
+		strings.Contains(string(out), "checkpoint") {
+		t.Fatalf("explain -in a torn trace: err=%v, want a truncated-frame error naming no checkpoint:\n%s", err, out)
+	}
+
 	// Native feature mode (102 features) records too: its records and header
 	// outgrow the ring's initial slots, which used to drop every one of them
 	// while the command still reported success.

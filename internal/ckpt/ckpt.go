@@ -62,10 +62,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrCorrupt is the sentinel every corruption failure matches via
 // errors.Is, whatever the specific reason (bad magic, short file, CRC
 // mismatch, ...).
-var ErrCorrupt = errors.New("corrupt checkpoint")
+var ErrCorrupt = errors.New("corrupt data")
 
-// CorruptError reports a checkpoint that failed validation. It matches
-// ErrCorrupt with errors.Is.
+// CorruptError reports a container, frame or payload that failed
+// validation: a checkpoint or model file, a dist frame or a .ftrace frame
+// alike. It matches ErrCorrupt with errors.Is.
 type CorruptError struct {
 	Path   string // file path, "" for in-memory decodes
 	Reason string
@@ -73,9 +74,9 @@ type CorruptError struct {
 
 func (e *CorruptError) Error() string {
 	if e.Path == "" {
-		return fmt.Sprintf("ckpt: corrupt checkpoint: %s", e.Reason)
+		return fmt.Sprintf("ckpt: corrupt data: %s", e.Reason)
 	}
-	return fmt.Sprintf("ckpt: corrupt checkpoint %s: %s", e.Path, e.Reason)
+	return fmt.Sprintf("ckpt: corrupt file %s: %s", e.Path, e.Reason)
 }
 
 // Is reports whether target is ErrCorrupt.

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // Writer appends the canonical binary encoding every payload in this
@@ -27,12 +28,20 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
+// Str writes a u32 byte count followed by the bytes of s.
+func (w *Writer) Str(s string) {
+	w.U32(uint32(len(s)))
+	w.Buf = append(w.Buf, s...)
+}
+
 // F64s writes a u32 count followed by the values.
 func (w *Writer) F64s(s []float64) {
 	w.U32(uint32(len(s)))
+	b := slices.Grow(w.Buf, 8*len(s))
 	for _, v := range s {
-		w.F64(v)
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(v))
 	}
+	w.Buf = b
 }
 
 // Reader consumes the canonical encoding with one sticky error, so decode
@@ -42,6 +51,7 @@ func (w *Writer) F64s(s []float64) {
 // sizes an allocation the remaining bytes cannot back.
 type Reader struct {
 	data []byte
+	off  int // bytes consumed; an int, so a read stores no pointer
 	err  error
 }
 
@@ -50,58 +60,72 @@ func NewReader(data []byte) Reader { return Reader{data: data} }
 
 // Fail records a decode failure unless one is already recorded; decoders
 // use it for semantic checks so the first problem is the one reported.
+// The Reader skips its unread bytes, so every later read comes up short
+// and returns a zero value.
 func (r *Reader) Fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = corrupt("", format, args...)
 	}
+	r.off = len(r.data)
 }
 
 // Err returns the first failure, or nil.
 func (r *Reader) Err() error { return r.err }
 
-// Len returns the number of unread bytes.
-func (r *Reader) Len() int { return len(r.data) }
+// Len returns the number of unread bytes (0 after a failure).
+func (r *Reader) Len() int { return len(r.data) - r.off }
 
 // Done returns the first failure, or an error if any bytes are left unread.
 func (r *Reader) Done() error {
-	if r.err == nil && len(r.data) != 0 {
-		r.Fail("%d trailing bytes", len(r.data))
+	if r.err == nil && r.Len() != 0 {
+		r.Fail("%d trailing bytes", r.Len())
 	}
 	return r.err
 }
 
+// short records a read of n bytes past the end.
+func (r *Reader) short(n int) {
+	r.Fail("truncated: need %d bytes, have %d", n, r.Len())
+}
+
 func (r *Reader) take(n int) []byte {
-	if r.err != nil {
+	if r.Len() < n {
+		r.short(n)
 		return nil
 	}
-	if len(r.data) < n {
-		r.Fail("truncated: need %d bytes, have %d", n, len(r.data))
-		return nil
-	}
-	b := r.data[:n]
-	r.data = r.data[n:]
+	b := r.data[r.off : r.off+n]
+	r.off += n
 	return b
 }
 
 func (r *Reader) U8() uint8 {
-	if b := r.take(1); b != nil {
-		return b[0]
+	if r.Len() < 1 {
+		r.short(1)
+		return 0
 	}
-	return 0
+	v := r.data[r.off]
+	r.off++
+	return v
 }
 
 func (r *Reader) U32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.BigEndian.Uint32(b)
+	if r.Len() < 4 {
+		r.short(4)
+		return 0
 	}
-	return 0
+	v := binary.BigEndian.Uint32(r.data[r.off:])
+	r.off += 4
+	return v
 }
 
 func (r *Reader) U64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.BigEndian.Uint64(b)
+	if r.Len() < 8 {
+		r.short(8)
+		return 0
 	}
-	return 0
+	v := binary.BigEndian.Uint64(r.data[r.off:])
+	r.off += 8
+	return v
 }
 
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
@@ -116,21 +140,51 @@ func (r *Reader) Bool() bool {
 	return b == 1
 }
 
+// Bytes reads a count-prefixed byte string, as Writer.Str wrote it, and
+// returns a view of the data it reads from (nil on failure).
+func (r *Reader) Bytes() []byte {
+	n := r.U32()
+	if uint64(n) > uint64(r.Len()) {
+		r.Fail("%d bytes claimed, %d left", n, r.Len())
+		return nil
+	}
+	return r.take(int(n))
+}
+
+// Str reads a count-prefixed string.
+func (r *Reader) Str() string { return string(r.Bytes()) }
+
 // F64s reads a count-prefixed []float64 (never nil on success). The count
 // is checked against the bytes left before the slice is allocated.
 func (r *Reader) F64s() []float64 {
+	if s := r.F64sInto(nil); s != nil || r.err != nil {
+		return s
+	}
+	return []float64{}
+}
+
+// F64sInto reads a count-prefixed []float64 into dst's backing array when
+// it holds the count, so a decoder that refills one value reuses its
+// slices; a larger count allocates, after the same check as F64s. A zero
+// count yields nil.
+func (r *Reader) F64sInto(dst []float64) []float64 {
 	n := r.U32()
-	if r.err != nil {
+	if r.err != nil || n == 0 {
 		return nil
 	}
-	if uint64(n)*8 > uint64(len(r.data)) {
-		r.Fail("%d float64s claimed, %d bytes left", n, len(r.data))
+	if uint64(n)*8 > uint64(r.Len()) {
+		r.Fail("%d float64s claimed, %d bytes left", n, r.Len())
 		return nil
 	}
-	out := make([]float64, n)
+	out := dst[:0]
+	if uint64(cap(out)) < uint64(n) {
+		out = make([]float64, n)
+	}
+	out = out[:n]
+	src := r.data[r.off:]
 	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(r.data[8*i:]))
+		out[i] = math.Float64frombits(binary.BigEndian.Uint64(src[8*i:]))
 	}
-	r.data = r.data[8*n:]
+	r.off += 8 * int(n)
 	return out
 }

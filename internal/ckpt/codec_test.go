@@ -57,6 +57,16 @@ func TestReaderRefuses(t *testing.T) {
 				t.Errorf("forged count yielded %d values", len(s))
 			}
 		}},
+		{"forged string length", []byte{0, 0, 0, 5, 'a', 'b'}, func(r *Reader) {
+			if s := r.Bytes(); s != nil {
+				t.Errorf("forged length yielded %q", s)
+			}
+		}},
+		{"forged count into", []byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0}, func(r *Reader) {
+			if s := r.F64sInto(make([]float64, 4)); s != nil {
+				t.Errorf("forged count yielded %d values", len(s))
+			}
+		}},
 		{"sticky", []byte{1}, func(r *Reader) {
 			r.Fail("first")
 			r.U64()
@@ -76,5 +86,45 @@ func TestReaderRefuses(t *testing.T) {
 				t.Errorf("reason %q, want the first failure", ce.Reason)
 			}
 		})
+	}
+}
+
+// TestCodecStrings pins the count-prefixed string (the dist fingerprint's
+// policy name and every .ftrace string are written with it) and the
+// float-slice read into a caller's array.
+func TestCodecStrings(t *testing.T) {
+	var w Writer
+	w.Str("SJF")
+	w.Str("")
+	w.F64s([]float64{2, 3})
+	w.F64s(nil)
+	w.F64s([]float64{4, 5, 6})
+	want := []byte{0, 0, 0, 3, 'S', 'J', 'F', 0, 0, 0, 0,
+		0, 0, 0, 2, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x40, 0x08, 0, 0, 0, 0, 0, 0,
+		0, 0, 0, 0,
+		0, 0, 0, 3, 0x40, 0x10, 0, 0, 0, 0, 0, 0, 0x40, 0x14, 0, 0, 0, 0, 0, 0, 0x40, 0x18, 0, 0, 0, 0, 0, 0}
+	if !bytes.Equal(w.Buf, want) {
+		t.Fatalf("encoding\n%x, want\n%x", w.Buf, want)
+	}
+
+	r := NewReader(w.Buf)
+	if s := r.Str(); s != "SJF" {
+		t.Fatalf("Str = %q", s)
+	}
+	if b := r.Bytes(); b == nil || len(b) != 0 {
+		t.Fatalf("empty Bytes = %#v, want empty non-nil", b)
+	}
+	dst := make([]float64, 2)
+	if s := r.F64sInto(dst); len(s) != 2 || &s[0] != &dst[0] || s[0] != 2 || s[1] != 3 {
+		t.Fatalf("F64sInto = %v, want [2 3] in dst's array", s)
+	}
+	if s := r.F64sInto(dst); s != nil {
+		t.Fatalf("zero count = %#v, want nil", s)
+	}
+	if s := r.F64sInto(dst); len(s) != 3 || &s[0] == &dst[0] || s[2] != 6 {
+		t.Fatalf("F64sInto past dst's capacity = %v, want a fresh [4 5 6]", s)
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -62,8 +62,7 @@ func Fingerprint(cfg core.TrainConfig) uint64 {
 		w.U32(uint32(h))
 	}
 	if cfg.Policy != nil {
-		w.U32(uint32(len(cfg.Policy.Name())))
-		w.Buf = append(w.Buf, cfg.Policy.Name()...)
+		w.Str(cfg.Policy.Name())
 	}
 	w.U32(uint32(cfg.Metric))
 	w.U32(uint32(cfg.RewardKind))

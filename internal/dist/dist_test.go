@@ -423,6 +423,21 @@ func TestConnectRejectsFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestFingerprintGolden pins the handshake value of one defaulted config
+// with a policy set, so an encoding change to any hashed field — the
+// policy name's count-prefixed string included — is a deliberate wire
+// break, not an accident that strands a mixed-version mesh.
+func TestFingerprintGolden(t *testing.T) {
+	cfg := defaulted(t, testConfig(2, 0, sockets(t, 2)))
+	if cfg.Policy == nil {
+		t.Fatal("config has no policy; the golden covers the policy name")
+	}
+	const want = 0xf3dc995451e785c7
+	if got := Fingerprint(cfg); got != want {
+		t.Fatalf("Fingerprint = %#016x, want %#016x", got, uint64(want))
+	}
+}
+
 // testNodes returns nodes over the given cut points with random vectors of
 // the given width.
 func testNodes(rng *rand.Rand, width int, cuts ...int) []rl.Node {

@@ -1,8 +1,9 @@
-// Package explain reads decision flight-recorder traces (the JSONL files
-// written by TrainConfig.Flight / EvalConfig.Flight / inspectord) back into
-// memory and answers the questions the paper's §5 behavior analysis poses:
-// why was this job rejected, what was the cluster doing at the time, and
-// which features separate accepted from rejected decisions.
+// Package explain reads decision flight-recorder traces (the .ftrace files
+// TrainConfig.Flight, EvalConfig.Flight and inspectord write, or their
+// flight-trace JSONL rendering) back into memory and answers the questions
+// the paper's §5 behavior analysis poses: why was this job rejected, what
+// was the cluster doing at the time, and which features separate accepted
+// from rejected decisions.
 //
 // Everything here is deterministic: records are sorted by their stable
 // (Epoch, Traj, Seq) key on load, so the same trace file produces the same

@@ -2,7 +2,6 @@ package explain
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -36,7 +35,9 @@ func (e *VersionError) Error() string {
 
 // walkFTrace reads the ckpt frames of a .ftrace stream in order and calls
 // visit with the kind and body of each record, until a clean end of stream
-// (nil), a corrupt or foreign frame, or visit's error.
+// (nil), a corrupt or foreign frame, a record overrunning its frame, or
+// visit's error. Unknown kinds reach visit too, which skips them (forward
+// compatibility).
 func walkFTrace(r io.Reader, visit func(kind byte, body []byte) error) error {
 	for frame := 0; ; frame++ {
 		version, payload, err := ckpt.ReadFrame(r, obs.MaxFTraceSegment)
@@ -49,33 +50,17 @@ func walkFTrace(r io.Reader, visit func(kind byte, body []byte) error) error {
 		if version != obs.FTraceVersion {
 			return &VersionError{Frame: frame, Version: version}
 		}
-		if err := walkRecords(frame, payload, visit); err != nil {
-			return err
+		for o := 0; o < len(payload); {
+			kind, body, next, err := obs.FTraceRecordAt(payload, o)
+			if err != nil {
+				return fmt.Errorf("explain: ftrace frame %d: %w", frame, err)
+			}
+			if err := visit(kind, body); err != nil {
+				return err
+			}
+			o = next
 		}
 	}
-}
-
-// walkRecords iterates the framed records of one frame payload, calling
-// visit with each record's kind and body. Unknown kinds are skipped by
-// length for forward compatibility.
-func walkRecords(frame int, payload []byte, visit func(kind byte, body []byte) error) error {
-	o := 0
-	for o < len(payload) {
-		if o+5 > len(payload) {
-			return fmt.Errorf("explain: ftrace frame %d: truncated record header at offset %d", frame, o)
-		}
-		kind := payload[o]
-		length := int(binary.LittleEndian.Uint32(payload[o+1:]))
-		o += 5
-		if length < 0 || o+length > len(payload) {
-			return fmt.Errorf("explain: ftrace frame %d: record body overruns frame at offset %d", frame, o-5)
-		}
-		if err := visit(kind, payload[o:o+length]); err != nil {
-			return err
-		}
-		o += length
-	}
-	return nil
 }
 
 // ReadFTrace decodes a binary .ftrace stream into a Trace. On corruption or

@@ -248,17 +248,51 @@ func TestReadFTraceLengthNotBelieved(t *testing.T) {
 }
 
 // TestReadFTraceForeignVersion: a frame of another version (a model file,
-// a version 3 trace) is a *VersionError naming both versions.
+// a version 4 trace, a version 2 trace in the retired little-endian record
+// layout) is a *VersionError naming both versions.
 func TestReadFTraceForeignVersion(t *testing.T) {
-	img := make([]byte, ckpt.FrameHeaderSize)
-	ckpt.SealFrame(img, obs.FTraceVersion+1)
-	_, err := ReadFTrace(bytes.NewReader(img))
-	var ve *VersionError
-	if !errors.As(err, &ve) || ve.Version != obs.FTraceVersion+1 {
-		t.Fatalf("err=%v, want a *VersionError for version %d", err, obs.FTraceVersion+1)
+	next := make([]byte, ckpt.FrameHeaderSize)
+	ckpt.SealFrame(next, obs.FTraceVersion+1)
+	// A version 2 frame holding one proc record: kind 4, a little-endian
+	// u32 body length of 44, and the body.
+	old := append(make([]byte, ckpt.FrameHeaderSize), 4, 44, 0, 0, 0)
+	old = append(old, make([]byte, 44)...)
+	ckpt.SealFrame(old, 2)
+	for _, tc := range []struct {
+		img     []byte
+		version uint32
+	}{{next, obs.FTraceVersion + 1}, {old, 2}} {
+		_, err := ReadFTrace(bytes.NewReader(tc.img))
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Version != tc.version {
+			t.Fatalf("err=%v, want a *VersionError for version %d", err, tc.version)
+		}
+		if want := fmt.Sprintf("version %d, want ftrace version %d", tc.version, obs.FTraceVersion); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name both versions", err)
+		}
 	}
-	if want := fmt.Sprintf("version %d, want ftrace version %d", obs.FTraceVersion+1, obs.FTraceVersion); !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not name both versions", err)
+}
+
+// TestReadFTraceRecordOverrun: a record whose header or body runs past its
+// frame is an error naming the frame and the record's offset, and the
+// records before it are kept.
+func TestReadFTraceRecordOverrun(t *testing.T) {
+	ring := obs.NewTraceRing(4)
+	ring.SetMeta([]string{"wait"}, "manual", 72)
+	img := ring.Snapshot()
+	head := len(img) - ckpt.FrameHeaderSize // the header record's framed length
+	for name, tail := range map[string][]byte{
+		"record header": {obs.FTraceKindProc, 0, 0},
+		"record body":   {obs.FTraceKindProc, 0, 0, 0, 44, 1, 2, 3},
+	} {
+		tr, err := ReadFTrace(bytes.NewReader(sealFTrace(append(img[ckpt.FrameHeaderSize:len(img):len(img)], tail...))))
+		want := fmt.Sprintf("explain: ftrace frame 0: obs: ftrace record at offset %d overruns its frame", head)
+		if err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, ckpt.ErrCorrupt) {
+			t.Errorf("%s: err=%v, want %q... matching ckpt.ErrCorrupt", name, err, want)
+		}
+		if tr.Header == nil {
+			t.Errorf("%s: the header record before the overrun was lost", name)
+		}
 	}
 }
 

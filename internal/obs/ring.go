@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"encoding/binary"
+	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -14,8 +13,8 @@ import (
 
 // TraceRing is the flight recorder: a byte arena of equal-size record
 // slots holding spans, explain records, proc samples and the explain
-// meta header in a canonical little-endian layout (the .ftrace format
-// below). A record is encoded straight into its slot with zero steady-state
+// meta header in the canonical ckpt encoding (the .ftrace format below).
+// A record is encoded straight into its slot with zero steady-state
 // allocations under one short mutex hold — cheap enough to leave on for
 // every production decision.
 //
@@ -49,9 +48,12 @@ import (
 //	payload := record*
 //	record  := kind(u8) length(u32) body(length bytes)
 //
-// Record integers are little-endian; floats are IEEE-754 bits via
-// math.Float64bits. Records never straddle frames. Unknown record kinds
-// are skipped by length on decode (forward compatibility); a version bump
+// Records, their headers included, are written with ckpt.Writer and read
+// with ckpt.Reader: integers big-endian, floats IEEE-754 bits, strings and
+// float slices u32-count-prefixed, bools one strict 0/1 byte, as in model
+// files, checkpoints and dist frames. FTraceRecordAt is the one record
+// splitter. Records never straddle frames. Unknown record kinds are
+// skipped by length on decode (forward compatibility); a version bump
 // signals an incompatible body layout.
 //
 // A nil *TraceRing is valid and records nothing; every method is nil-safe.
@@ -89,8 +91,9 @@ type TraceRing struct {
 // .ftrace format constants.
 const (
 	// FTraceVersion is the ckpt frame version of .ftrace frames, bumped on
-	// any incompatible change to the record layout.
-	FTraceVersion = 2
+	// any incompatible change to the record layout. Version 3 moved the
+	// records from little-endian to the ckpt codec's big-endian.
+	FTraceVersion = 3
 
 	ftraceRecHdrLen = 5 // u8 kind + u32 length
 
@@ -196,20 +199,21 @@ func (r *TraceRing) growLocked(need int) bool {
 	return true
 }
 
-// reserve claims the next slot for a record of payloadLen body bytes,
-// writes the frame header, and returns the full framed slot (encode the
-// body into frame[ftraceRecHdrLen:]), or nil when no permitted slot size
-// holds the framed record (counted as oversize). The first record
-// allocates the arena, and any record wider than the slots widens them.
-// Caller holds r.mu.
-func (r *TraceRing) reserve(kind byte, payloadLen int) []byte {
-	framed := ftraceRecHdrLen + payloadLen
+// reserve claims the next slot for a record of bodyLen body bytes and
+// returns a writer over exactly that slot with the record header written
+// (encode the body through it), or false when no permitted slot size holds
+// the framed record (counted as oversize). The writer's buffer is capped at
+// the slot, so a body longer than bodyLen reallocates instead of running
+// into the next slot. The first record allocates the arena, and any record
+// wider than the slots widens them. Caller holds r.mu.
+func (r *TraceRing) reserve(kind byte, bodyLen int) (ckpt.Writer, bool) {
+	framed := ftraceRecHdrLen + bodyLen
 	if framed > r.slotSize && !r.growLocked(framed) {
 		r.oversize++
 		if r.oversizeC != nil {
 			r.oversizeC.Inc()
 		}
-		return nil
+		return ckpt.Writer{}, false
 	}
 	r.total++
 	var idx int
@@ -239,14 +243,16 @@ func (r *TraceRing) reserve(kind byte, payloadLen int) []byte {
 		r.occupancy.Set(float64(r.n))
 	}
 	r.lens[idx] = framed
-	slot := r.arena[idx*r.slotSize : idx*r.slotSize+framed]
-	slot[0] = kind
-	binary.LittleEndian.PutUint32(slot[1:], uint32(payloadLen))
-	return slot
+	a := idx * r.slotSize
+	slot := r.arena[a : a+framed : a+framed]
+	w := ckpt.Writer{Buf: slot[:0]}
+	w.U8(kind)
+	w.U32(uint32(bodyLen))
+	return w, true
 }
 
 // commit streams the just-encoded slot to the pending sink frame.
-// Caller holds r.mu; framed is the full frame including header.
+// Caller holds r.mu; framed is the whole record, header included.
 func (r *TraceRing) commit(framed []byte) {
 	if r.sink == nil || r.sinkErr != nil {
 		return
@@ -267,9 +273,8 @@ func (r *TraceRing) EmitSpan(s *Span) {
 	}
 	n := spanBodyLen(s)
 	r.mu.Lock()
-	if frame := r.reserve(FTraceKindSpan, n); frame != nil {
-		putSpanBody(frame[ftraceRecHdrLen:], s)
-		r.commit(frame)
+	if w, ok := r.reserve(FTraceKindSpan, n); ok {
+		r.commit(putSpanBody(w, s))
 	}
 	r.mu.Unlock()
 }
@@ -283,9 +288,8 @@ func (r *TraceRing) EmitDecision(rec *ExplainRecord) {
 	}
 	n := decisionBodyLen(rec)
 	r.mu.Lock()
-	if frame := r.reserve(FTraceKindDecision, n); frame != nil {
-		putDecisionBody(frame[ftraceRecHdrLen:], rec)
-		r.commit(frame)
+	if w, ok := r.reserve(FTraceKindDecision, n); ok {
+		r.commit(putDecisionBody(w, rec))
 	}
 	r.mu.Unlock()
 }
@@ -296,9 +300,8 @@ func (r *TraceRing) EmitProc(s ProcStats) {
 		return
 	}
 	r.mu.Lock()
-	if frame := r.reserve(FTraceKindProc, procBodyLen); frame != nil {
-		putProcBody(frame[ftraceRecHdrLen:], s)
-		r.commit(frame)
+	if w, ok := r.reserve(FTraceKindProc, procBodyLen); ok {
+		r.commit(putProcBody(w, s))
 	}
 	r.mu.Unlock()
 }
@@ -348,9 +351,8 @@ func (r *TraceRing) emitHeaderLocked() {
 		return
 	}
 	h := ExplainHeader{Mode: r.metaMode, Features: r.metaNames, MaxRejections: r.metaMaxRej}
-	if frame := r.reserve(FTraceKindHeader, headerBodyLen(&h)); frame != nil {
-		putHeaderBody(frame[ftraceRecHdrLen:], &h)
-		r.commit(frame)
+	if w, ok := r.reserve(FTraceKindHeader, headerBodyLen(&h)); ok {
+		r.commit(putHeaderBody(w, &h))
 		r.headerOut = true
 	}
 }
@@ -526,10 +528,11 @@ func (r *TraceRing) LastDecisions(n int) (names []string, recs []ExplainRecord) 
 	r.mu.Unlock()
 
 	recs = make([]ExplainRecord, count)
-	for o, k := 0, 0; o < len(framed); k++ {
-		_, body, next := framedAt(framed, o)
+	for o, k := 0, 0; k < count; k++ {
+		// The records were framed by reserve and encoded by
+		// putDecisionBody; they split and decode.
+		_, body, next, _ := FTraceRecordAt(framed, o)
 		o = next
-		// The body was encoded by putDecisionBody; it decodes.
 		recs[k], _ = DecodeFTraceDecision(body)
 	}
 	return names, recs
@@ -597,56 +600,28 @@ func (r *TraceRing) SinkErr() error {
 
 // --- binary record bodies -------------------------------------------------
 //
-// Encoding primitives. Integers widen to int64/uint64 little-endian; floats
-// are Float64bits; strings and slices carry a u32 length/count prefix;
-// bools are one byte. Encoders write into a pre-sized buffer via an offset
-// cursor; the matching decoders live in ftrace_decode.go and must mirror
-// field order exactly.
-
-func putU32At(b []byte, o int, v uint32) int {
-	binary.LittleEndian.PutUint32(b[o:], v)
-	return o + 4
-}
-
-func putU64At(b []byte, o int, v uint64) int {
-	binary.LittleEndian.PutUint64(b[o:], v)
-	return o + 8
-}
-
-func putI64At(b []byte, o int, v int64) int {
-	return putU64At(b, o, uint64(v))
-}
-
-func putF64At(b []byte, o int, v float64) int {
-	return putU64At(b, o, math.Float64bits(v))
-}
-
-func putStrAt(b []byte, o int, s string) int {
-	o = putU32At(b, o, uint32(len(s)))
-	copy(b[o:], s)
-	return o + len(s)
-}
-
-func putBoolAt(b []byte, o int, v bool) int {
-	if v {
-		b[o] = 1
-	} else {
-		b[o] = 0
-	}
-	return o + 1
-}
-
-func putF64sAt(b []byte, o int, vs []float64) int {
-	o = putU32At(b, o, uint32(len(vs)))
-	for _, v := range vs {
-		o = putF64At(b, o, v)
-	}
-	return o
-}
+// Each put* encoder appends its body to the ckpt.Writer reserve returned,
+// record header already written, and returns the whole record. Signed
+// integers widen to int64 and are written as their uint64 bits. The
+// *BodyLen functions size the slot and must count exactly what the put*
+// encoders write; the matching decoders live in ftrace_decode.go and must
+// mirror field order exactly.
 
 func strLen(s string) int { return 4 + len(s) }
 
 func f64sLen(vs []float64) int { return 4 + 8*len(vs) }
+
+// FTraceRecordAt splits the record at offset o of a .ftrace frame payload
+// into its kind and body and returns the offset of the record after it. A
+// record header or body that runs past the payload is an error naming o.
+func FTraceRecordAt(payload []byte, o int) (kind byte, body []byte, next int, err error) {
+	rd := ckpt.NewReader(payload[o:])
+	kind, body = rd.U8(), rd.Bytes()
+	if err = rd.Err(); err != nil {
+		return 0, nil, 0, fmt.Errorf("obs: ftrace record at offset %d overruns its frame: %w", o, err)
+	}
+	return kind, body, len(payload) - rd.Len(), nil
+}
 
 // Span body: id u64 | parent u64 | name str | wall0 i64 | wall1 i64 |
 // t0 f64 | t1 f64 | nattrs u32 | attrs{key str | num f64 | str str}.
@@ -658,21 +633,22 @@ func spanBodyLen(s *Span) int {
 	return n
 }
 
-func putSpanBody(b []byte, s *Span) {
-	o := putU64At(b, 0, uint64(s.ID))
-	o = putU64At(b, o, uint64(s.Parent))
-	o = putStrAt(b, o, s.Name)
-	o = putI64At(b, o, s.WallStart)
-	o = putI64At(b, o, s.WallEnd)
-	o = putF64At(b, o, s.SimStart)
-	o = putF64At(b, o, s.SimEnd)
-	o = putU32At(b, o, uint32(len(s.Attrs)))
+func putSpanBody(w ckpt.Writer, s *Span) []byte {
+	w.U64(uint64(s.ID))
+	w.U64(uint64(s.Parent))
+	w.Str(s.Name)
+	w.U64(uint64(s.WallStart))
+	w.U64(uint64(s.WallEnd))
+	w.F64(s.SimStart)
+	w.F64(s.SimEnd)
+	w.U32(uint32(len(s.Attrs)))
 	for i := range s.Attrs {
 		a := &s.Attrs[i]
-		o = putStrAt(b, o, a.Key)
-		o = putF64At(b, o, a.Num)
-		o = putStrAt(b, o, a.Str)
+		w.Str(a.Key)
+		w.F64(a.Num)
+		w.Str(a.Str)
 	}
+	return w.Buf
 }
 
 // Decision body: epoch traj seq i64 | t f64 | job i64 | wait f64 |
@@ -683,27 +659,28 @@ func decisionBodyLen(r *ExplainRecord) int {
 	return 15*8 + 2 + f64sLen(r.Features) + f64sLen(r.Logits) + f64sLen(r.Probs)
 }
 
-func putDecisionBody(b []byte, r *ExplainRecord) {
-	o := putI64At(b, 0, int64(r.Epoch))
-	o = putI64At(b, o, int64(r.Traj))
-	o = putI64At(b, o, int64(r.Seq))
-	o = putF64At(b, o, r.Time)
-	o = putI64At(b, o, int64(r.JobID))
-	o = putF64At(b, o, r.Wait)
-	o = putI64At(b, o, int64(r.Procs))
-	o = putF64At(b, o, r.Est)
-	o = putI64At(b, o, int64(r.Rejections))
-	o = putI64At(b, o, int64(r.MaxRejections))
-	o = putI64At(b, o, int64(r.QueueLen))
-	o = putI64At(b, o, int64(r.FreeProcs))
-	o = putI64At(b, o, int64(r.TotalProcs))
-	o = putF64At(b, o, r.Utilization)
-	o = putI64At(b, o, int64(r.Action))
-	o = putBoolAt(b, o, r.Sampled)
-	o = putBoolAt(b, o, r.Rejected)
-	o = putF64sAt(b, o, r.Features)
-	o = putF64sAt(b, o, r.Logits)
-	putF64sAt(b, o, r.Probs)
+func putDecisionBody(w ckpt.Writer, r *ExplainRecord) []byte {
+	w.U64(uint64(r.Epoch))
+	w.U64(uint64(r.Traj))
+	w.U64(uint64(r.Seq))
+	w.F64(r.Time)
+	w.U64(uint64(r.JobID))
+	w.F64(r.Wait)
+	w.U64(uint64(r.Procs))
+	w.F64(r.Est)
+	w.U64(uint64(r.Rejections))
+	w.U64(uint64(r.MaxRejections))
+	w.U64(uint64(r.QueueLen))
+	w.U64(uint64(r.FreeProcs))
+	w.U64(uint64(r.TotalProcs))
+	w.F64(r.Utilization)
+	w.U64(uint64(r.Action))
+	w.Bool(r.Sampled)
+	w.Bool(r.Rejected)
+	w.F64s(r.Features)
+	w.F64s(r.Logits)
+	w.F64s(r.Probs)
+	return w.Buf
 }
 
 // Header body: mode str | u32 count | feature names | max_rejections i64.
@@ -715,24 +692,26 @@ func headerBodyLen(h *ExplainHeader) int {
 	return n
 }
 
-func putHeaderBody(b []byte, h *ExplainHeader) {
-	o := putStrAt(b, 0, h.Mode)
-	o = putU32At(b, o, uint32(len(h.Features)))
+func putHeaderBody(w ckpt.Writer, h *ExplainHeader) []byte {
+	w.Str(h.Mode)
+	w.U32(uint32(len(h.Features)))
 	for _, f := range h.Features {
-		o = putStrAt(b, o, f)
+		w.Str(f)
 	}
-	putI64At(b, o, int64(h.MaxRejections))
+	w.U64(uint64(h.MaxRejections))
+	return w.Buf
 }
 
 // Proc body: wall i64 | goroutines i64 | heap_alloc u64 | heap_sys u64 |
 // num_gc u32 | gc_pause_total_ns u64.
 const procBodyLen = 8 + 8 + 8 + 8 + 4 + 8
 
-func putProcBody(b []byte, s ProcStats) {
-	o := putI64At(b, 0, s.Wall)
-	o = putI64At(b, o, int64(s.Goroutines))
-	o = putU64At(b, o, s.HeapAlloc)
-	o = putU64At(b, o, s.HeapSys)
-	o = putU32At(b, o, s.NumGC)
-	putU64At(b, o, s.PauseTotal)
+func putProcBody(w ckpt.Writer, s ProcStats) []byte {
+	w.U64(uint64(s.Wall))
+	w.U64(uint64(s.Goroutines))
+	w.U64(s.HeapAlloc)
+	w.U64(s.HeapSys)
+	w.U32(s.NumGC)
+	w.U64(s.PauseTotal)
+	return w.Buf
 }

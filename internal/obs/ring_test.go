@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -32,12 +31,13 @@ func decodeImage(t *testing.T, img []byte) (kinds []byte, bodies [][]byte) {
 			t.Fatalf("frame version %d, want %d", version, FTraceVersion)
 		}
 		for p := 0; p < len(payload); {
-			kind := payload[p]
-			n := int(binary.LittleEndian.Uint32(payload[p+1:]))
-			p += ftraceRecHdrLen
+			kind, body, next, err := FTraceRecordAt(payload, p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			kinds = append(kinds, kind)
-			bodies = append(bodies, payload[p:p+n])
-			p += n
+			bodies = append(bodies, body)
+			p = next
 		}
 	}
 	return kinds, bodies
@@ -111,6 +111,49 @@ func TestTraceRingRoundTrip(t *testing.T) {
 	r.EmitProc(ps)
 	if r.slotSize != 256 || &r.arena[0] != arena {
 		t.Fatalf("records that fit their slots reallocated the arena (slots now %d bytes)", r.slotSize)
+	}
+}
+
+// TestFTraceByteLayout pins the .ftrace bytes of one record of each kind,
+// emitted through a ring: a layout change that does not bump FTraceVersion
+// fails here, where the JSONL goldens would not notice it.
+func TestFTraceByteLayout(t *testing.T) {
+	r := NewTraceRing(8)
+	r.SetMeta([]string{"wait"}, "m", 72)
+	r.EmitSpan(&Span{ID: 9, Parent: 2, Name: "d", WallStart: 100, WallEnd: -1, SimStart: 0.5, SimEnd: 1,
+		Attrs: []Attr{{Key: "k", Num: 2, Str: "v"}}})
+	r.EmitDecision(&ExplainRecord{Epoch: 1, Traj: 2, Seq: 3, Time: 4, JobID: 5, Wait: 6, Procs: 7, Est: 8,
+		Rejections: 9, MaxRejections: 10, QueueLen: 11, FreeProcs: 12, TotalProcs: 13, Utilization: 0.25,
+		Action: 1, Sampled: true, Rejected: false, Features: []float64{0.5}, Logits: []float64{1, -1}})
+	r.EmitProc(ProcStats{Wall: 1, Goroutines: 2, HeapAlloc: 3, HeapSys: 4, NumGC: 5, PauseTotal: 6})
+	want := strings.Join([]string{
+		// ckpt frame header: magic, version 3, payload length 322, CRC-32C.
+		"53434844434b5001", "00000003", "0000000000000142", "54be23c0",
+		// Header record, kind 1, 25 body bytes: mode "m", 1 feature name
+		// "wait", max rejections 72.
+		"01", "00000019", "00000001", "6d", "00000001", "00000004", "77616974", "0000000000000048",
+		// Span record, kind 2, 75 body bytes: id 9, parent 2, name "d", wall
+		// 100 and -1, sim 0.5 and 1, 1 attr {"k", 2, "v"}.
+		"02", "0000004b", "0000000000000009", "0000000000000002", "00000001", "64",
+		"0000000000000064", "ffffffffffffffff", "3fe0000000000000", "3ff0000000000000",
+		"00000001", "00000001", "6b", "4000000000000000", "00000001", "76",
+		// Decision record, kind 3, 158 body bytes: epoch 1, traj 2, seq 3,
+		// time 4, job 5, wait 6, procs 7, est 8, rejections 9 of 10, queue 11,
+		// free 12 of 13, utilization 0.25, action 1, sampled, not rejected,
+		// features [0.5], logits [1 -1], probs none.
+		"03", "0000009e", "0000000000000001", "0000000000000002", "0000000000000003",
+		"4010000000000000", "0000000000000005", "4018000000000000", "0000000000000007",
+		"4020000000000000", "0000000000000009", "000000000000000a", "000000000000000b",
+		"000000000000000c", "000000000000000d", "3fd0000000000000", "0000000000000001",
+		"01", "00", "00000001", "3fe0000000000000", "00000002", "3ff0000000000000",
+		"bff0000000000000", "00000000",
+		// Proc record, kind 4, 44 body bytes: wall 1, goroutines 2, heap 3
+		// of 4, 5 GCs, 6 ns paused.
+		"04", "0000002c", "0000000000000001", "0000000000000002", "0000000000000003",
+		"0000000000000004", "00000005", "0000000000000006",
+	}, "")
+	if got := fmt.Sprintf("%x", r.Snapshot()); got != want {
+		t.Fatalf(".ftrace bytes\n%s\nwant\n%s", got, want)
 	}
 }
 

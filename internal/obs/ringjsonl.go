@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/binary"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -101,14 +100,18 @@ func (r *TraceRing) AppendJSONL(dst [][]byte) ([][]byte, int, error) {
 		c.leadLine = nil // a view may still hold the old line
 		if len(c.leadSrc) > 0 {
 			// A header's line has no float in it; it cannot fail.
-			c.leadLine, _ = AppendFTraceRecordJSONL(nil, c.leadSrc[0], c.leadSrc[ftraceRecHdrLen:], &c.dec)
+			kind, body, _, _ := FTraceRecordAt(c.leadSrc, 0)
+			c.leadLine, _ = AppendFTraceRecordJSONL(nil, kind, body, &c.dec)
 		}
 	}
 
 	var err error
 	for o := 0; o < len(c.framed); {
-		kind, body, next := framedAt(c.framed, o)
-		o = next
+		var kind byte
+		var body []byte
+		if kind, body, o, err = FTraceRecordAt(c.framed, o); err != nil {
+			break // cannot happen: the ring framed these records
+		}
 		c.renders++
 		if c.line, err = AppendFTraceRecordJSONL(c.line[:0], kind, body, &c.dec); err != nil {
 			break
@@ -163,13 +166,6 @@ func (c *jsonlCache) write(p []byte) {
 		*last = append(*last, p[:m]...)
 		p = p[m:]
 	}
-}
-
-// framedAt splits the framed record at offset o of b into its kind and body
-// and returns the offset of the next one.
-func framedAt(b []byte, o int) (kind byte, body []byte, next int) {
-	next = o + ftraceRecHdrLen + int(binary.LittleEndian.Uint32(b[o+1:]))
-	return b[o], b[o+ftraceRecHdrLen : next], next
 }
 
 // AppendFTraceRecordJSONL appends the flight-trace JSONL line of one .ftrace

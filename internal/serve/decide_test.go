@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -252,7 +251,7 @@ func TestReloadMetaTearRegression(t *testing.T) {
 
 // walkFTrace visits the records of a complete .ftrace stream in stream
 // order: ckpt frames of version obs.FTraceVersion, each payload a run of
-// u8 kind + u32 length + body (obs/ring.go).
+// records split by obs.FTraceRecordAt.
 func walkFTrace(t *testing.T, img []byte, visit func(kind byte, body []byte)) {
 	t.Helper()
 	for r := bytes.NewReader(img); r.Len() > 0; {
@@ -260,10 +259,13 @@ func walkFTrace(t *testing.T, img []byte, visit func(kind byte, body []byte)) {
 		if err != nil || version != obs.FTraceVersion {
 			t.Fatalf("frame version %d: %v", version, err)
 		}
-		for len(payload) > 0 {
-			body := payload[5 : 5+binary.LittleEndian.Uint32(payload[1:])]
-			visit(payload[0], body)
-			payload = payload[5+len(body):]
+		for o := 0; o < len(payload); {
+			kind, body, next, err := obs.FTraceRecordAt(payload, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visit(kind, body)
+			o = next
 		}
 	}
 }
