@@ -536,13 +536,15 @@ func TestCLIInspectordFlightRotation(t *testing.T) {
 }
 
 // TestCLIBadTraceFlags feeds both trace-building binaries values they
-// cannot generate from, and the training front-ends negative epoch and
-// checkpoint counts: each must exit non-zero with an error naming the
-// trace or the flag, never with a panic or a silent "never"/"keep all".
-// The training cases are small, so a binary that accepted the value would
-// finish quickly and fail the test.
+// cannot generate from, the training front-ends negative epoch and
+// checkpoint counts, and the daemon negative sizes and durations and a
+// non-finite margin: each must exit non-zero with an error naming the trace
+// or the flag, never with a panic or a silent "never"/"keep all". The
+// training cases are small, so a binary that accepted the value would finish
+// quickly and fail the test. The daemon must refuse before it loads a model
+// (none exists here) and exit 2.
 func TestCLIBadTraceFlags(t *testing.T) {
-	si, tg := bin(t, "schedinspect"), bin(t, "tracegen")
+	si, tg, id := bin(t, "schedinspect"), bin(t, "tracegen"), bin(t, "inspectord")
 	work := t.TempDir()
 	small := func(sub string, bad ...string) []string {
 		return append([]string{sub, "-jobs", "800", "-batch", "2", "-seqlen", "32",
@@ -574,6 +576,14 @@ func TestCLIBadTraceFlags(t *testing.T) {
 		{tg, []string{"-custom", "-jobs", "50", "-burst", "-1"}, "-burst"},
 		{tg, []string{"-custom", "-jobs", "50", "-diurnal", "5"}, "-diurnal"},
 		{tg, []string{"-custom", "-jobs", "50", "-diurnal", "-0.5"}, "-diurnal"},
+		{id, []string{"-online-margin", "NaN"}, "-online-margin"},
+		{id, []string{"-online-margin", "Inf"}, "-online-margin"},
+		{id, []string{"-online-margin", "-Inf"}, "-online-margin"},
+		{id, []string{"-flight-max-mb", "-1"}, "-flight-max-mb"},
+		{id, []string{"-drain", "-1s"}, "-drain"},
+		{id, []string{"-proc-interval", "-1s"}, "-proc-interval"},
+		{id, []string{"-online-interval", "-1s"}, "-online-interval"},
+		{id, []string{"-online-min-window", "-1"}, "-online-min-window"},
 	} {
 		cmd := exec.Command(c.bin, c.args...)
 		var stdout, stderr bytes.Buffer
@@ -584,6 +594,9 @@ func TestCLIBadTraceFlags(t *testing.T) {
 			strings.Contains(out, "panic:") || strings.Contains(out, "goroutine ") {
 			t.Errorf("%s %v: %v; want a non-zero exit, %q on stderr and no panic; output:\n%s",
 				filepath.Base(c.bin), c.args, err, c.want, out)
+		}
+		if c.bin == id && cmd.ProcessState.ExitCode() != 2 {
+			t.Errorf("inspectord %v: exit %d, want 2", c.args, cmd.ProcessState.ExitCode())
 		}
 	}
 }

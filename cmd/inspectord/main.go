@@ -51,7 +51,9 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -97,6 +99,22 @@ func main() {
 		onlineDir       = flag.String("online-dir", "", "persist promoted candidates as checkpoints in this directory (servable via -model on restart)")
 	)
 	flag.Parse()
+	// Checked before the model loads. Past here a negative or non-finite
+	// value would silently mean "never", "at once", "disabled" or a default.
+	switch {
+	case *flightMaxMB < 0:
+		usageError("-flight-max-mb must be >= 0 (0 = unbounded), got %d", *flightMaxMB)
+	case *procEvery < 0:
+		usageError("-proc-interval must be >= 0 (0 disables), got %v", *procEvery)
+	case *drainFor < 0:
+		usageError("-drain must be >= 0, got %v", *drainFor)
+	case *onlineInterval < 0:
+		usageError("-online-interval must be >= 0, got %v", *onlineInterval)
+	case math.IsNaN(*onlineMargin) || math.IsInf(*onlineMargin, 0):
+		usageError("-online-margin must be finite, got %v", *onlineMargin)
+	case *onlineMinWindow < 0:
+		usageError("-online-min-window must be >= 0, got %d", *onlineMinWindow)
+	}
 
 	if *seed == 0 {
 		*seed = time.Now().UnixNano()
@@ -236,4 +254,10 @@ func main() {
 		h.Close()
 		log.Printf("inspectord: stopped")
 	}
+}
+
+// usageError reports a flag value the daemon cannot use and exits 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "inspectord: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -202,6 +202,12 @@ func New(cfg Config) (*Loop, error) {
 	if cfg.Serving == nil {
 		return nil, fmt.Errorf("online: Config.Serving is required")
 	}
+	if math.IsNaN(cfg.Margin) || math.IsInf(cfg.Margin, 0) {
+		// A NaN margin fails both gates' comparisons, so every candidate
+		// would be promoted and none rolled back; an infinite one fixes
+		// the promotion verdict whatever the scores.
+		return nil, fmt.Errorf("online: Config.Margin must be finite, got %v", cfg.Margin)
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("online: Config.Policy is required (default SJF unavailable)")

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -284,6 +285,19 @@ func TestDivergedCandidateRejected(t *testing.T) {
 	st := l.Status()
 	if st.Rejections != 1 || st.Promotions != 0 || st.ServingGeneration != 1 {
 		t.Fatalf("diverged candidate not rejected: %+v", st)
+	}
+}
+
+// TestNewRefusesNonFiniteMargin: a NaN margin passes the promotion gate
+// and never trips the rollback check, and an infinite one fixes the
+// verdict whatever the scores; New refuses all three and names the field.
+func TestNewRefusesNonFiniteMargin(t *testing.T) {
+	srv := newFakeServer(testInspector(1))
+	for _, m := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		l, err := New(Config{Source: ringSource{newTestRing(1)}, Serving: srv, Margin: m})
+		if err == nil || !strings.Contains(err.Error(), "Margin") {
+			t.Errorf("New with Margin %v: loop %v, error %v; want an error naming Margin", m, l != nil, err)
+		}
 	}
 }
 

@@ -227,12 +227,18 @@ func (s *scanner) member(first bool) (key []byte, more bool) {
 }
 
 // job decodes the {wait, est, procs} object shared by the inspected job and
-// every queue item.
+// every queue item. It first reads the object as json.Marshal writes it; at
+// the first byte that differs it rewinds to the '{' and reads the members in
+// any order, so every other body is judged as before.
 func (s *scanner) job(wait, est *float64, procs *int) bool {
 	if s.skip() != '{' {
 		return false
 	}
-	s.i++
+	open := s.i
+	if s.marshalledJob(wait, est, procs) {
+		return true
+	}
+	s.i = open + 1
 	const (
 		kWait = 1 << iota
 		kEst
@@ -263,12 +269,39 @@ func (s *scanner) job(wait, est *float64, procs *int) bool {
 	}
 }
 
-// simJob decodes one {submit, run, est, procs} object of a simulate body.
+// marshalledJob reads {"wait":W,"est":E,"procs":P} with no whitespace, the
+// members in json.Marshal's order, and reports whether the whole object was
+// that. On false the cursor is anywhere and some fields may be written: each
+// was read from a member the member loop reads again from the same bytes, so
+// it overwrites them or fails first. Each literal is compared whole, written out at the compare: against a
+// constant the compare compiles to word loads, where a helper taking the
+// literal as an argument would call memequal for every member.
+func (s *scanner) marshalledJob(wait, est *float64, procs *int) bool {
+	var ok bool
+	if string(s.take(8)) != `{"wait":` {
+		return false
+	}
+	if *wait, ok = s.float(); !ok || string(s.take(7)) != `,"est":` {
+		return false
+	}
+	if *est, ok = s.float(); !ok || string(s.take(9)) != `,"procs":` {
+		return false
+	}
+	*procs, ok = s.int()
+	return ok && string(s.take(1)) == "}"
+}
+
+// simJob decodes one {submit, run, est, procs} object of a simulate body,
+// trying json.Marshal's spelling first as job does.
 func (s *scanner) simJob(j *SimJob) bool {
 	if s.skip() != '{' {
 		return false
 	}
-	s.i++
+	open := s.i
+	if s.marshalledSimJob(j) {
+		return true
+	}
+	s.i = open + 1
 	const (
 		kSubmit = 1 << iota
 		kRun
@@ -301,6 +334,25 @@ func (s *scanner) simJob(j *SimJob) bool {
 		}
 		seen |= bit
 	}
+}
+
+// marshalledSimJob is marshalledJob for {"submit":S,"run":R,"est":E,"procs":P}.
+func (s *scanner) marshalledSimJob(j *SimJob) bool {
+	var ok bool
+	if string(s.take(10)) != `{"submit":` {
+		return false
+	}
+	if j.Submit, ok = s.float(); !ok || string(s.take(7)) != `,"run":` {
+		return false
+	}
+	if j.Run, ok = s.float(); !ok || string(s.take(7)) != `,"est":` {
+		return false
+	}
+	if j.Est, ok = s.float(); !ok || string(s.take(9)) != `,"procs":` {
+		return false
+	}
+	j.Procs, ok = s.int()
+	return ok && string(s.take(1)) == "}"
 }
 
 // elem advances to the next element of the array the cursor is inside: past
@@ -393,6 +445,15 @@ func (s *scanner) bool() (v, ok bool) {
 	return false, false
 }
 
+// take consumes the next n bytes and returns them, fewer at the end of the
+// body.
+func (s *scanner) take(n int) []byte {
+	i := min(s.i+n, len(s.b))
+	t := s.b[s.i:i]
+	s.i = i
+	return t
+}
+
 // number scans one token of the JSON number grammar at the cursor, reading
 // each digit once. ok is false when there is none. plain reports a token with
 // no exponent part and at most 19 digits after its leading zeros; its
@@ -413,10 +474,7 @@ func (s *scanner) number() (tok []byte, w uint64, k int, neg, plain, ok bool) {
 		i++
 		sig = i
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for i < len(b) && b[i]-'0' <= 9 {
-			w = w*10 + uint64(b[i]-'0')
-			i++
-		}
+		i, w = digitRun(b, i, 0)
 	default:
 		return nil, 0, 0, false, false, false
 	}
@@ -428,10 +486,7 @@ func (s *scanner) number() (tok []byte, w uint64, k int, neg, plain, ok bool) {
 			i++
 		}
 		sig = i
-		for i < len(b) && b[i]-'0' <= 9 {
-			w = w*10 + uint64(b[i]-'0')
-			i++
-		}
+		i, w = digitRun(b, i, w)
 		if k = i - frac; k == 0 {
 			return nil, 0, 0, false, false, false
 		}
@@ -455,6 +510,51 @@ func (s *scanner) number() (tok []byte, w uint64, k int, neg, plain, ok bool) {
 	tok = b[s.i:i]
 	s.i = i
 	return tok, w, k, neg, plain, true
+}
+
+// digitRun reads the run of ASCII digits at b[i:] onto w, one w*10 + d per
+// digit modulo 2^64, and returns the index past the run with the new w.
+// While eight bytes remain it takes them as one word in a SWAR step
+// (Langdale & Lemire, "Parsing Gigabytes of JSON per Second"): the word is
+// loaded little-endian, so the first digit is its low byte; the first
+// non-digit byte, if any, ends the run at n < 8 digits and the rest of the
+// word is shifted out; three multiply-shift folds join neighbouring digits,
+// pairs and quads into the n-digit value v; and w*10^n + v is the n single
+// steps, the same bits modulo 2^64. The last bytes of the body go a digit at
+// a time.
+func digitRun(b []byte, i int, w uint64) (int, uint64) {
+	for ; i+8 <= len(b); i += 8 {
+		c := b[i : i+8]
+		v := uint64(c[0]) | uint64(c[1])<<8 | uint64(c[2])<<16 | uint64(c[3])<<24 |
+			uint64(c[4])<<32 | uint64(c[5])<<40 | uint64(c[6])<<48 | uint64(c[7])<<56
+		// A byte below '0' or from 0xb0 up sets its top bit in the
+		// difference, one from ':' to 0x7f in the sum. A borrow or carry only
+		// starts at such a byte, so the lowest bit set marks the first
+		// non-digit exactly.
+		d := v - 0x3030303030303030
+		bad := (d | (v + 0x4646464646464646)) & 0x8080808080808080
+		if bad == 0 {
+			w = w*1e8 + fold(d)
+			continue
+		}
+		n := bits.TrailingZeros64(bad) >> 3
+		if n == 0 {
+			return i, w
+		}
+		return i + n, w*pow10u[n&7] + fold(d<<((64-8*n)&63)) // the n digits on top, zero digits below them
+	}
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		w = w*10 + uint64(b[i]-'0')
+	}
+	return i, w
+}
+
+// fold turns the eight digit values in the bytes of d, the first in the low
+// byte, into the eight-digit number they spell.
+func fold(d uint64) uint64 {
+	d = d * 2561 >> 8 & 0x00ff00ff00ff00ff     // 2561 = 10<<8 + 1: even bytes hold 10·d + the next d
+	d = d * 6553601 >> 16 & 0x0000ffff0000ffff // 100<<16 + 1: low pairs of 16 bits, 100·pair + the next
+	return d * 42949672960001 >> 32            // 10000<<32 + 1: 10000·quad + the next
 }
 
 // int64 decodes an int64 field: integral tokens in int64's range only, as
@@ -482,7 +582,8 @@ func (s *scanner) int() (int, bool) {
 var (
 	pow10 = [23]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
 		1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-	pow5 = func() (t [23]uint64) {
+	pow10u = [8]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7}
+	pow5   = func() (t [23]uint64) {
 		t[0] = 1
 		for k := 1; k < len(t); k++ {
 			t[k] = 5 * t[k-1]

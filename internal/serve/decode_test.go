@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 
 	"schedinspector/internal/core"
@@ -71,11 +72,26 @@ var decodeCases = []struct {
 	{"19-digit integer", `{"job":{"wait":120,"est":3600,"procs":16},"free_procs":32,"total_procs":1234567890123456789}`, true},
 	{"int64 extremes", `{"job":{"wait":1,"est":1,"procs":9223372036854775807},"total_procs":-9223372036854775808}`, true},
 	{"long float token", `{"job":{"wait":0.1234567890123456789012345678901234567890,"est":1,"procs":1},"total_procs":1}`, true},
+	{"digit runs of 7 to 9", `{"job":{"wait":1234567,"est":12345678.123456789,"procs":123456789},"total_procs":4,"queue":[{"wait":0.1234567,"est":0.12345678,"procs":12345678},{"wait":123456789,"est":1.12345678,"procs":1234567}]}`, true},
+	{"digit runs of 15 to 17", `{"job":{"wait":123456789012345,"est":1234567890123456.5,"procs":12345678901234567},"total_procs":4,"queue":[{"wait":0.123456789012345,"est":0.1234567890123456,"procs":123456789012345},{"wait":12345678901234567,"est":1.1234567890123456,"procs":1234567890123456}]}`, true},
+	{"digit runs of 19 and 20", `{"job":{"wait":1234567890123456789,"est":12345678901234567890,"procs":1234567890123456789},"total_procs":4,"queue":[{"wait":0.1234567890123456789,"est":0.12345678901234567890,"procs":1}]}`, true},
+	{"'.', ',' and '}' at each window position", windowItems(queueHead, `{"wait":D,"est":D.5,"procs":D}`), true},
+	{"'e' at each window position, fraction runs", windowItems(queueHead, `{"wait":De1,"est":0.D,"procs":1}`), true},
+	{"many fraction digits after zeros", `{"job":{"wait":1,"est":0.000000001234567890123,"procs":1},"total_procs":4,"queue":[{"wait":0.000000001234567890123,"est":1,"procs":1}]}`, true},
+	{"negative zeros in an item", `{"job":{"wait":-0,"est":-0.00000000,"procs":-0},"total_procs":4,"queue":[{"wait":-0.00000000,"est":-0,"procs":-0}]}`, true},
+	{"exponent in a predicted item", `{"job":{"wait":1e2,"est":2,"procs":3},"total_procs":4,"queue":[{"wait":1e2,"est":2,"procs":3}]}`, true},
+	{"space before an item's brace", `{"job":{"wait":1,"est":2,"procs":3 },"total_procs":4,"queue":[{"wait":1,"est":2,"procs":3 }]}`, true},
+	{"item ends after est", `{"job":{"wait":1,"est":2},"total_procs":4,"queue":[{"wait":1,"est":2},{"wait":1,"est":2,"procs":3}]}`, true},
 
 	{"duplicate queue", `{"job":{"wait":1,"est":2,"procs":3},"total_procs":4,"queue":[{"wait":1,"est":1,"procs":1},{"wait":2,"est":2,"procs":2}],"queue":[{"wait":9}]}`, false},
 	{"duplicate scalar", `{"job":{"wait":1,"est":2,"procs":3},"total_procs":4,"total_procs":8}`, false},
 	{"duplicate job", `{"job":{"wait":1,"est":2,"procs":3},"job":{"procs":5},"total_procs":8}`, false},
 	{"duplicate key in item", `{"job":{"wait":1,"est":2,"procs":3},"total_procs":8,"queue":[{"wait":1,"wait":2}]}`, false},
+	{"duplicate key after a predicted item", `{"job":{"wait":1,"est":2,"procs":3},"total_procs":8,"queue":[{"wait":1,"est":2,"procs":3,"wait":4}]}`, false},
+	{"duplicate key after the predicted job", `{"job":{"wait":1,"est":2,"procs":3,"wait":4},"total_procs":8}`, false},
+	{"20-digit procs in an item", `{"job":{"wait":1,"est":2,"procs":3},"total_procs":8,"queue":[{"wait":1,"est":2,"procs":12345678901234567890}]}`, false},
+	{"'-' after three digits", `{"job":{"wait":1,"est":2,"procs":3},"total_procs":8,"queue":[{"wait":123-4,"est":2,"procs":3}]}`, false},
+	{"'-' after eight digits", `{"job":{"wait":1,"est":2,"procs":3},"total_procs":8,"queue":[{"wait":12345678-9,"est":2,"procs":3}]}`, false},
 	{"case-variant key", `{"Job":{"wait":120,"est":3600,"procs":16},"free_procs":32,"total_procs":128}`, false},
 	{"case-variant nested key", `{"job":{"WAIT":120,"est":3600,"procs":16},"free_procs":32,"total_procs":128}`, false},
 	{"escaped key", `{"j\u006fb":{"wait":120,"est":3600,"procs":16},"free_procs":32,"total_procs":128}`, false},
@@ -84,6 +100,7 @@ var decodeCases = []struct {
 	{"null values", `{"job":null,"rejections":null,"free_procs":32,"total_procs":128,"queue":null}`, false},
 	{"null queue item", `{"job":{"wait":1,"est":2,"procs":3},"total_procs":4,"queue":[null]}`, false},
 	{"float for int field", `{"job":{"wait":120,"est":3600,"procs":1.0},"free_procs":32,"total_procs":128}`, false},
+	{"float procs after a predicted prefix", `{"job":{"wait":1,"est":2,"procs":3},"total_procs":8,"queue":[{"wait":1,"est":2,"procs":1.0}]}`, false},
 	{"exponent for int field", `{"job":{"wait":120,"est":3600,"procs":1e2},"free_procs":32,"total_procs":128}`, false},
 	{"out of range float", `{"job":{"wait":1e999,"est":3600,"procs":16},"free_procs":32,"total_procs":128}`, false},
 	{"past MaxInt64", `{"job":{"wait":120,"est":3600,"procs":16},"free_procs":32,"total_procs":9223372036854775808}`, false},
@@ -115,6 +132,21 @@ var decodeCases = []struct {
 	{"only whitespace", "  \n", false},
 	{"byte order mark", "\xef\xbb\xbf{}", false},
 }
+
+// windowItems is head, then item sixteen times with its every D replaced by
+// the first k digits of 1234567890… for k from 1 to 16, then "]}": the byte
+// after the run sits at each position of a run's first and second eight-byte
+// window.
+func windowItems(head, item string) string {
+	items := make([]string, 16)
+	for k := range items {
+		items[k] = strings.ReplaceAll(item, "D", strings.Repeat("1234567890", 2)[:k+1])
+	}
+	return head + strings.Join(items, ",") + "]}"
+}
+
+// queueHead opens an inspect body's queue for windowItems.
+const queueHead = `{"job":{"wait":1,"est":2,"procs":3},"total_procs":8,"queue":[`
 
 func stdInspect(body []byte) (InspectRequest, error) {
 	var req InspectRequest
@@ -408,5 +440,35 @@ func TestDecodeInspectReusesQueue(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("warm DecodeInspect allocates %v times", n)
+	}
+}
+
+// TestMarshalledItemsTakePredictedPath: json.Marshal's spelling of a queue
+// item and of a simulate job is read whole by the predicted-order path, so
+// the bodies a Go client sends never reach the member loop.
+func TestMarshalledItemsTakePredictedPath(t *testing.T) {
+	var inspect InspectRequest
+	var simulate SimulateRequest
+	if err := json.Unmarshal(benchShapedBody(10, 64), &inspect); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(benchShapedSimBody(10, 64), &simulate); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range inspect.Queue {
+		b, _ := json.Marshal(want)
+		s := scanner{b: b}
+		var got QueueItem
+		if !s.marshalledJob(&got.Wait, &got.Est, &got.Procs) || s.i != len(b) || got != want {
+			t.Fatalf("%s: read %+v up to byte %d", b, got, s.i)
+		}
+	}
+	for _, want := range simulate.Jobs {
+		b, _ := json.Marshal(want)
+		s := scanner{b: b}
+		var got SimJob
+		if !s.marshalledSimJob(&got) || s.i != len(b) || got != want {
+			t.Fatalf("%s: read %+v up to byte %d", b, got, s.i)
+		}
 	}
 }

@@ -58,6 +58,23 @@ var floatEdges = []struct {
 	{"1e2", false, true}, {"1E+2", false, true}, {"1.5e-7", false, true}, {"1e-999", false, true},
 	{"1e999", false, false}, {"-1e999", false, false},
 	{"", false, false}, {"-", false, false}, {"1.", false, false}, {".5", false, false}, {"+1", false, false}, {"1e", false, false}, {"1e+", false, false},
+	// integer and fraction digit runs on both sides of each eight-digit step and of 19 digits
+	{"1234567", true, true}, {"12345678", true, true}, {"123456789", true, true}, {"123456789012345", true, true}, {"1234567890123456", true, true}, {"12345678901234567", true, true}, {"1234567890123456789", true, true}, {"12345678901234567890", false, true},
+	{"0.1234567", true, true}, {"0.12345678", true, true}, {"0.123456789", true, true}, {"0.123456789012345", true, true}, {"0.1234567890123456", true, true}, {"0.12345678901234567", true, true}, {"0.1234567890123456789", true, true}, {"0.12345678901234567890", false, true},
+	{"1.1234567", true, true}, {"1.12345678", true, true}, {"1.123456789", true, true}, {"1.123456789012345", true, true}, {"1.1234567890123456", true, true}, {"1.12345678901234567", true, true}, {"1.1234567890123456789", false, true}, {"1.12345678901234567890", false, true},
+	{"0.000000001234567890123", true, true}, {"-0.00000000", true, true},
+	// a '.', 'e', '-', ',' or '}' at each position of the first and the second eight-byte window,
+	// of an integer and of a fraction run
+	{"1.5", true, true}, {"12.5", true, true}, {"123.5", true, true}, {"1234.5", true, true}, {"12345.5", true, true}, {"123456.5", true, true}, {"1234567.5", true, true}, {"12345678.5", true, true}, {"123456781.5", true, true}, {"1234567812.5", true, true}, {"12345678123.5", true, true}, {"123456781234.5", true, true}, {"1234567812345.5", true, true}, {"12345678123456.5", true, true}, {"123456781234567.5", true, true},
+	{"0.1.5", true, true}, {"0.12.5", true, true}, {"0.123.5", true, true}, {"0.1234.5", true, true}, {"0.12345.5", true, true}, {"0.123456.5", true, true}, {"0.1234567.5", true, true}, {"0.12345678.5", true, true}, {"0.123456781.5", true, true}, {"0.1234567812.5", true, true}, {"0.12345678123.5", true, true}, {"0.123456781234.5", true, true}, {"0.1234567812345.5", true, true}, {"0.12345678123456.5", true, true}, {"0.123456781234567.5", true, true},
+	{"1e5", false, true}, {"12e5", false, true}, {"123e5", false, true}, {"1234e5", false, true}, {"12345e5", false, true}, {"123456e5", false, true}, {"1234567e5", false, true}, {"12345678e5", false, true}, {"123456781e5", false, true}, {"1234567812e5", false, true}, {"12345678123e5", false, true}, {"123456781234e5", false, true}, {"1234567812345e5", false, true}, {"12345678123456e5", false, true}, {"123456781234567e5", false, true},
+	{"0.1e5", false, true}, {"0.12e5", false, true}, {"0.123e5", false, true}, {"0.1234e5", false, true}, {"0.12345e5", false, true}, {"0.123456e5", false, true}, {"0.1234567e5", false, true}, {"0.12345678e5", false, true}, {"0.123456781e5", false, true}, {"0.1234567812e5", false, true}, {"0.12345678123e5", false, true}, {"0.123456781234e5", false, true}, {"0.1234567812345e5", false, true}, {"0.12345678123456e5", false, true}, {"0.123456781234567e5", false, true},
+	{"1-5", true, true}, {"12-5", true, true}, {"123-5", true, true}, {"1234-5", true, true}, {"12345-5", true, true}, {"123456-5", true, true}, {"1234567-5", true, true}, {"12345678-5", true, true}, {"123456781-5", true, true}, {"1234567812-5", true, true}, {"12345678123-5", true, true}, {"123456781234-5", true, true}, {"1234567812345-5", true, true}, {"12345678123456-5", true, true}, {"123456781234567-5", true, true},
+	{"0.1-5", true, true}, {"0.12-5", true, true}, {"0.123-5", true, true}, {"0.1234-5", true, true}, {"0.12345-5", true, true}, {"0.123456-5", true, true}, {"0.1234567-5", true, true}, {"0.12345678-5", true, true}, {"0.123456781-5", true, true}, {"0.1234567812-5", true, true}, {"0.12345678123-5", true, true}, {"0.123456781234-5", true, true}, {"0.1234567812345-5", true, true}, {"0.12345678123456-5", true, true}, {"0.123456781234567-5", true, true},
+	{"1,", true, true}, {"12,", true, true}, {"123,", true, true}, {"1234,", true, true}, {"12345,", true, true}, {"123456,", true, true}, {"1234567,", true, true}, {"12345678,", true, true}, {"123456781,", true, true}, {"1234567812,", true, true}, {"12345678123,", true, true}, {"123456781234,", true, true}, {"1234567812345,", true, true}, {"12345678123456,", true, true}, {"123456781234567,", true, true},
+	{"0.1,", true, true}, {"0.12,", true, true}, {"0.123,", true, true}, {"0.1234,", true, true}, {"0.12345,", true, true}, {"0.123456,", true, true}, {"0.1234567,", true, true}, {"0.12345678,", true, true}, {"0.123456781,", true, true}, {"0.1234567812,", true, true}, {"0.12345678123,", true, true}, {"0.123456781234,", true, true}, {"0.1234567812345,", true, true}, {"0.12345678123456,", true, true}, {"0.123456781234567,", true, true},
+	{"1}", true, true}, {"12}", true, true}, {"123}", true, true}, {"1234}", true, true}, {"12345}", true, true}, {"123456}", true, true}, {"1234567}", true, true}, {"12345678}", true, true}, {"123456781}", true, true}, {"1234567812}", true, true}, {"12345678123}", true, true}, {"123456781234}", true, true}, {"1234567812345}", true, true}, {"12345678123456}", true, true}, {"123456781234567}", true, true},
+	{"0.1}", true, true}, {"0.12}", true, true}, {"0.123}", true, true}, {"0.1234}", true, true}, {"0.12345}", true, true}, {"0.123456}", true, true}, {"0.1234567}", true, true}, {"0.12345678}", true, true}, {"0.123456781}", true, true}, {"0.1234567812}", true, true}, {"0.12345678123}", true, true}, {"0.123456781234}", true, true}, {"0.1234567812345}", true, true}, {"0.12345678123456}", true, true}, {"0.123456781234567}", true, true},
 }
 
 // TestFloatTokenExact compares the in-line conversion to strconv.ParseFloat

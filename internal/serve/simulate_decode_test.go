@@ -59,6 +59,14 @@ var simDecodeCases = []struct {
 	{"printable punctuation", `{"policy":"S J/F~!{}[]:,","max_procs":4,"jobs":[{"submit":0,"run":1,"est":1,"procs":1}]}`, true},
 	{"unknown mode", `{"inspector":"psychic","max_procs":4,"jobs":[{"submit":0,"run":1,"est":1,"procs":1}]}`, true},
 	{"schedule overflows", overflowBody, true},
+	{"digit runs of 7 to 20", `{"max_procs":4,"jobs":[{"submit":1234567,"run":12345678,"est":123456789,"procs":1},{"submit":0.123456789012345,"run":1234567890123456,"est":0.12345678901234567,"procs":1},{"submit":1234567890123456789,"run":0.1234567890123456789,"est":12345678901234567890,"procs":1},{"submit":0.12345678901234567890,"run":1.1234567,"est":1.12345678,"procs":1234567890123456789}]}`, true},
+	{"'.', 'e' and '}' at each window position", windowItems(`{"max_procs":4,"jobs":[`, `{"submit":D,"run":D.5,"est":De1,"procs":D}`), true},
+	{"',' at each window position, fraction runs", windowItems(`{"max_procs":4,"jobs":[`, `{"submit":0.D,"run":D,"est":1,"procs":1}`), true},
+	{"many fraction digits after zeros", `{"max_procs":4,"jobs":[{"submit":0.000000001234567890123,"run":1,"est":1,"procs":1}]}`, true},
+	{"negative zeros in a job", `{"max_procs":4,"jobs":[{"submit":-0,"run":-0.00000000,"est":-0,"procs":-0}]}`, true},
+	{"exponent in a predicted job", `{"max_procs":4,"jobs":[{"submit":1e2,"run":2,"est":3,"procs":1}]}`, true},
+	{"space before a job's brace", `{"max_procs":4,"jobs":[{"submit":0,"run":2,"est":3,"procs":1 }]}`, true},
+	{"job ends after est", `{"max_procs":4,"jobs":[{"submit":0,"run":2,"est":3},{"submit":0,"run":2},{"submit":0,"run":1,"est":1,"procs":1}]}`, true},
 
 	{"seed past MaxInt64", `{"max_procs":4,"seed":9223372036854775808,"jobs":[{"submit":0,"run":1,"est":1,"procs":1}]}`, false},
 	{"seed past MinInt64", `{"max_procs":4,"seed":-9223372036854775809,"jobs":[{"submit":0,"run":1,"est":1,"procs":1}]}`, false},
@@ -79,6 +87,10 @@ var simDecodeCases = []struct {
 	{"duplicate seed", `{"max_procs":4,"seed":1,"seed":2,"jobs":[{"submit":0,"run":1,"est":1,"procs":1}]}`, false},
 	{"duplicate jobs", `{"max_procs":4,"jobs":[{"submit":0,"run":1,"est":1,"procs":1},{"submit":1,"run":2,"est":2,"procs":2}],"jobs":[{"run":9}]}`, false},
 	{"duplicate key in job", `{"max_procs":4,"jobs":[{"submit":0,"run":1,"run":2,"est":1,"procs":1}]}`, false},
+	{"duplicate key after a predicted job", `{"max_procs":4,"jobs":[{"submit":0,"run":1,"est":1,"procs":1,"submit":2}]}`, false},
+	{"20-digit procs in a job", `{"max_procs":4,"jobs":[{"submit":0,"run":1,"est":1,"procs":12345678901234567890}]}`, false},
+	{"'-' after eight digits", `{"max_procs":4,"jobs":[{"submit":0,"run":12345678-9,"est":1,"procs":1}]}`, false},
+	{"float procs after a predicted prefix", `{"max_procs":4,"jobs":[{"submit":0,"run":1,"est":1,"procs":1.0}]}`, false},
 	{"null policy", `{"policy":null,"max_procs":4,"jobs":[{"submit":0,"run":1,"est":1,"procs":1}]}`, false},
 	{"null jobs", `{"max_procs":4,"jobs":null}`, false},
 	{"null job", `{"max_procs":4,"jobs":[null]}`, false},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -470,5 +471,33 @@ func TestPaperTracesList(t *testing.T) {
 	names := PaperTraces()
 	if len(names) != 4 || names[0] != "SDSC-SP2" || names[3] != "Lublin" {
 		t.Errorf("paper traces = %v", names)
+	}
+}
+
+func TestSWFFileGzipRoundTrip(t *testing.T) {
+	tr := SDSCSP2Like(200, 4)
+	dir := t.TempDir()
+	for _, name := range []string{"plain.swf", "zipped.swf.gz"} {
+		path := dir + "/" + name
+		if err := WriteSWFFile(path, tr); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseSWFFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != tr.Len() || got.MaxProcs != tr.MaxProcs {
+			t.Fatalf("%s: %d jobs procs %d", name, got.Len(), got.MaxProcs)
+		}
+	}
+	if _, err := ParseSWFFile(dir + "/missing.swf"); err == nil {
+		t.Error("missing file accepted")
+	}
+	// corrupt gz
+	if err := os.WriteFile(dir+"/bad.gz", []byte("not gzip"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseSWFFile(dir + "/bad.gz"); err == nil {
+		t.Error("corrupt gzip accepted")
 	}
 }
