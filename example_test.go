@@ -57,8 +57,8 @@ func Example() {
 
 // ExampleSimulate shows EASY backfilling on an 8-processor cluster: a wide
 // job waits behind a running one, and a short narrow job slips into the
-// idle window in front of it only when backfilling is on. The tracer
-// records what the simulator did.
+// idle window in front of it only when backfilling is on. The OnEvent hook
+// collects what the simulator did.
 func ExampleSimulate() {
 	jobs := []schedinspector.Job{
 		{ID: 1, Submit: 0, Run: 3600, Est: 3600, Procs: 6},
@@ -66,9 +66,10 @@ func ExampleSimulate() {
 		{ID: 3, Submit: 120, Run: 600, Est: 600, Procs: 2},  // short and narrow
 	}
 	for _, backfill := range []bool{false, true} {
-		tr := schedinspector.NewTracer(0)
+		var events []schedinspector.SimEvent
 		res, err := schedinspector.Simulate(jobs, schedinspector.SimConfig{
-			MaxProcs: 8, Policy: schedinspector.FCFS(), Backfill: backfill, Tracer: tr,
+			MaxProcs: 8, Policy: schedinspector.FCFS(), Backfill: backfill,
+			OnEvent: func(e schedinspector.SimEvent) { events = append(events, e) },
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -78,7 +79,7 @@ func ExampleSimulate() {
 			fmt.Printf("  job %d starts at %4.0f s\n", r.ID, r.Start)
 		}
 		if backfill {
-			for _, e := range tr.Events() {
+			for _, e := range events {
 				fmt.Printf("  %-11s t=%4.0f job %d\n", e.Kind, e.Time, e.JobID)
 			}
 		}

@@ -1,13 +1,11 @@
 // Package obs is the observability substrate of the repository: a
 // dependency-free metrics registry that renders the Prometheus text
 // exposition format (counters, gauges, histograms with lock-free hot
-// paths), and a structured event tracer for the cluster simulator with a
-// bounded ring buffer and an optional JSONL sink.
+// paths), and the decision flight recorder (TraceRing) with its binary
+// .ftrace layout and JSONL rendering.
 //
 // Everything here is standard library only, mirroring the rest of the
-// module. The registry backs the /metrics endpoint of cmd/inspectord; the
-// tracer plugs into sim.Config and costs a single nil check per event site
-// when disabled.
+// module. The registry backs the /metrics endpoint of cmd/inspectord.
 package obs
 
 import (

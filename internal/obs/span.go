@@ -3,7 +3,7 @@ package obs
 import "time"
 
 // Span-based structured tracing: the decision flight recorder's skeleton.
-// Where the event Tracer records flat simulator events, spans carry
+// Where sim.Config.OnEvent reports flat simulator events, spans carry
 // identity (an ID and a parent ID), duration in both wall-clock and
 // simulation time, and free-form key/value attributes — enough to
 // reconstruct "why did the model reject job X at 03:12" after the fact by

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -155,11 +156,16 @@ func TestSpanJSONLSink(t *testing.T) {
 	}
 }
 
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("disk full") }
+
 // TestSpanSinkErrorSticks: a sink that fails its very first write (the
 // first frame flush) is disabled on the spot and the ring keeps recording.
 func TestSpanSinkErrorSticks(t *testing.T) {
 	r := NewTraceRing(4)
-	r.SetSink(&failWriter{})
+	r.SetSink(failWriter{})
 	r.EmitSpan(&Span{ID: 1})
 	if r.Flush() == nil || r.SinkErr() == nil {
 		t.Fatalf("write error not recorded")

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"schedinspector/internal/metrics"
-	"schedinspector/internal/obs"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
@@ -115,14 +114,13 @@ func (e *Env) reset(jobs []workload.Job, cfg Config, interactive bool) (*State, 
 	if cap(results) < len(jobs) {
 		results = make([]metrics.JobResult, 0, len(jobs))
 	}
-	e.out = Result{Results: results, Usage: e.out.Usage[:0]}
+	e.out = Result{Results: results}
 	e.interactive = interactive
 	_, e.scoreStored = cfg.Policy.(sched.TimeInvariant)
 	e.phase = envIdle
 	e.decision = -1
 
 	e.ingestArrivals()
-	e.recordUsage() // initial sample at t=0 for the usage timeline
 	if e.advance() {
 		return &e.state, false, nil
 	}
@@ -140,12 +138,12 @@ func (e *Env) Step(reject bool) (*State, bool) {
 	}
 	idx := e.decision
 	w := &e.queue[idx]
-	if t := e.cfg.Tracer; t != nil {
-		kind := obs.EventAccept
+	if f := e.cfg.OnEvent; f != nil {
+		kind := EventAccept
 		if reject {
-			kind = obs.EventReject
+			kind = EventReject
 		}
-		t.Emit(obs.Event{
+		f(Event{
 			Kind: kind, Time: e.now, JobID: w.job.ID, Procs: w.job.Procs,
 			Wait: e.now - w.job.Submit, FreeProcs: e.free, QueueLen: len(e.queue),
 			Rejections: w.rejects,
@@ -204,10 +202,10 @@ func (e *Env) advance() bool {
 			continue
 		}
 		idx := e.pickTop()
-		if t := e.cfg.Tracer; t != nil {
+		if f := e.cfg.OnEvent; f != nil {
 			w := &e.queue[idx]
-			t.Emit(obs.Event{
-				Kind: obs.EventSchedPoint, Time: e.now, JobID: w.job.ID, Procs: w.job.Procs,
+			f(Event{
+				Kind: EventSchedPoint, Time: e.now, JobID: w.job.ID, Procs: w.job.Procs,
 				Wait: e.now - w.job.Submit, FreeProcs: e.free, QueueLen: len(e.queue),
 			})
 		}
@@ -349,13 +347,12 @@ func (e *Env) startJob(idx int) {
 		ob.ObserveStart(&e.jobScratch, e.now)
 	}
 	e.queue = append(e.queue[:idx], e.queue[idx+1:]...)
-	if t := e.cfg.Tracer; t != nil {
-		t.Emit(obs.Event{
-			Kind: obs.EventJobStart, Time: e.now, JobID: j.ID, Procs: j.Procs,
+	if f := e.cfg.OnEvent; f != nil {
+		f(Event{
+			Kind: EventJobStart, Time: e.now, JobID: j.ID, Procs: j.Procs,
 			Wait: e.now - j.Submit, FreeProcs: e.free, QueueLen: len(e.queue),
 		})
 	}
-	e.recordUsage()
 }
 
 // reservation computes the EASY shadow time and extra processors for the
@@ -421,16 +418,16 @@ func (e *Env) backfill(reservedID int) {
 	}
 }
 
-// emitBackfill traces that queue[idx] is about to start via backfilling
+// emitBackfill reports that queue[idx] is about to start via backfilling
 // (followed by its job_start event).
 func (e *Env) emitBackfill(idx int) {
-	t := e.cfg.Tracer
-	if t == nil {
+	f := e.cfg.OnEvent
+	if f == nil {
 		return
 	}
 	j := &e.queue[idx].job
-	t.Emit(obs.Event{
-		Kind: obs.EventBackfill, Time: e.now, JobID: j.ID, Procs: j.Procs,
+	f(Event{
+		Kind: EventBackfill, Time: e.now, JobID: j.ID, Procs: j.Procs,
 		Wait: e.now - j.Submit, FreeProcs: e.free, QueueLen: len(e.queue),
 	})
 }
@@ -507,15 +504,14 @@ func (e *Env) advanceTo(t float64) {
 	for len(e.running) > 0 && e.running[0].end <= t {
 		r := e.running.pop()
 		e.free += r.procs
-		if tr := e.cfg.Tracer; tr != nil {
-			tr.Emit(obs.Event{
-				Kind: obs.EventJobEnd, Time: r.end, JobID: r.id, Procs: r.procs,
+		if f := e.cfg.OnEvent; f != nil {
+			f(Event{
+				Kind: EventJobEnd, Time: r.end, JobID: r.id, Procs: r.procs,
 				FreeProcs: e.free, QueueLen: len(e.queue),
 			})
 		}
 	}
 	e.ingestArrivals()
-	e.recordUsage()
 }
 
 // ingestArrivals moves pending jobs submitted at or before now into the

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"schedinspector/internal/metrics"
-	"schedinspector/internal/obs"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
@@ -70,7 +69,6 @@ func legacyRun(jobs []workload.Job, cfg Config) (Result, error) {
 
 func (s *legacySim) run() {
 	s.ingestArrivals()
-	s.recordUsage()
 	for {
 		s.ingestArrivals()
 		if len(s.queue) == 0 || s.free == 0 {
@@ -82,10 +80,10 @@ func (s *legacySim) run() {
 			continue
 		}
 		idx := s.pickTop()
-		if t := s.cfg.Tracer; t != nil {
+		if f := s.cfg.OnEvent; f != nil {
 			w := &s.queue[idx]
-			t.Emit(obs.Event{
-				Kind: obs.EventSchedPoint, Time: s.now, JobID: w.job.ID, Procs: w.job.Procs,
+			f(Event{
+				Kind: EventSchedPoint, Time: s.now, JobID: w.job.ID, Procs: w.job.Procs,
 				Wait: s.now - w.job.Submit, FreeProcs: s.free, QueueLen: len(s.queue),
 			})
 		}
@@ -116,12 +114,12 @@ func (s *legacySim) rejectDecision(idx int) bool {
 	s.fillState(idx)
 	s.out.Inspections++
 	rejected := s.cfg.Inspector(&s.state)
-	if t := s.cfg.Tracer; t != nil {
-		kind := obs.EventAccept
+	if f := s.cfg.OnEvent; f != nil {
+		kind := EventAccept
 		if rejected {
-			kind = obs.EventReject
+			kind = EventReject
 		}
-		t.Emit(obs.Event{
+		f(Event{
 			Kind: kind, Time: s.now, JobID: w.job.ID, Procs: w.job.Procs,
 			Wait: s.now - w.job.Submit, FreeProcs: s.free, QueueLen: len(s.queue),
 			Rejections: w.rejects,
@@ -228,33 +226,12 @@ func (s *legacySim) startJob(idx int) {
 		obs.ObserveStart(&j, s.now)
 	}
 	s.queue = append(s.queue[:idx], s.queue[idx+1:]...)
-	if t := s.cfg.Tracer; t != nil {
-		t.Emit(obs.Event{
-			Kind: obs.EventJobStart, Time: s.now, JobID: j.ID, Procs: j.Procs,
+	if f := s.cfg.OnEvent; f != nil {
+		f(Event{
+			Kind: EventJobStart, Time: s.now, JobID: j.ID, Procs: j.Procs,
 			Wait: s.now - j.Submit, FreeProcs: s.free, QueueLen: len(s.queue),
 		})
 	}
-	s.recordUsage()
-}
-
-func (s *legacySim) recordUsage() {
-	if !s.cfg.TrackUsage {
-		return
-	}
-	used := s.cfg.MaxProcs - s.free
-	q := len(s.queue)
-	n := len(s.out.Usage)
-	if n > 0 {
-		last := &s.out.Usage[n-1]
-		if last.UsedProc == used && last.QueueLen == q {
-			return
-		}
-		if last.Time == s.now {
-			last.UsedProc, last.QueueLen = used, q
-			return
-		}
-	}
-	s.out.Usage = append(s.out.Usage, UsagePoint{Time: s.now, UsedProc: used, QueueLen: q})
 }
 
 func (s *legacySim) reservation(reservedProcs int) (shadow float64, extra int) {
@@ -298,13 +275,13 @@ func (s *legacySim) backfill(reservedID int) {
 }
 
 func (s *legacySim) emitBackfill(idx int) {
-	t := s.cfg.Tracer
-	if t == nil {
+	f := s.cfg.OnEvent
+	if f == nil {
 		return
 	}
 	j := &s.queue[idx].job
-	t.Emit(obs.Event{
-		Kind: obs.EventBackfill, Time: s.now, JobID: j.ID, Procs: j.Procs,
+	f(Event{
+		Kind: EventBackfill, Time: s.now, JobID: j.ID, Procs: j.Procs,
 		Wait: s.now - j.Submit, FreeProcs: s.free, QueueLen: len(s.queue),
 	})
 }
@@ -422,15 +399,14 @@ func (s *legacySim) advanceTo(t float64) {
 	for len(s.running) > 0 && s.running[0].end <= t {
 		r := heap.Pop(&s.running).(runningJob)
 		s.free += r.procs
-		if tr := s.cfg.Tracer; tr != nil {
-			tr.Emit(obs.Event{
-				Kind: obs.EventJobEnd, Time: r.end, JobID: r.id, Procs: r.procs,
+		if f := s.cfg.OnEvent; f != nil {
+			f(Event{
+				Kind: EventJobEnd, Time: r.end, JobID: r.id, Procs: r.procs,
 				FreeProcs: s.free, QueueLen: len(s.queue),
 			})
 		}
 	}
 	s.ingestArrivals()
-	s.recordUsage()
 }
 
 func (s *legacySim) ingestArrivals() {
@@ -472,7 +448,7 @@ func equivPolicies(t *testing.T, tr *workload.Trace) map[string]func() sched.Pol
 // TestEquivEnvVsLegacyRun pins the Env-driven simulator against the
 // verbatim pre-refactor implementation across all base policies, backfill
 // variants and inspection settings: identical Result structs and identical
-// trace event streams.
+// OnEvent streams.
 func TestEquivEnvVsLegacyRun(t *testing.T) {
 	tr := workload.SDSCSP2Like(3000, 11)
 	jobs := tr.Window(40, 220)
@@ -493,19 +469,19 @@ func TestEquivEnvVsLegacyRun(t *testing.T) {
 				{"scripted", scriptedInspector},
 			} {
 				t.Run(name+"/"+bf.name+"/"+insp.name, func(t *testing.T) {
-					mkCfg := func(tracer *obs.Tracer, ins Inspector) Config {
+					mkCfg := func(ins Inspector) Config {
 						return Config{
 							MaxProcs: tr.MaxProcs, Policy: mk(), Backfill: bf.backfill,
 							Conservative: bf.conservative, Inspector: ins,
-							TrackUsage: true, Tracer: tracer,
 						}
 					}
-					legacyTr, newTr := obs.NewTracer(1<<16), obs.NewTracer(1<<16)
-					want, err := legacyRun(jobs, mkCfg(legacyTr, insp.mk()))
+					legacyCfg, newCfg := mkCfg(insp.mk()), mkCfg(insp.mk())
+					legacyEv, newEv := recordEvents(&legacyCfg), recordEvents(&newCfg)
+					want, err := legacyRun(jobs, legacyCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := Run(jobs, mkCfg(newTr, insp.mk()))
+					got, err := Run(jobs, newCfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -513,16 +489,16 @@ func TestEquivEnvVsLegacyRun(t *testing.T) {
 						t.Errorf("Run result diverged from legacy\nlegacy: %+v\nnew:    %+v",
 							summarizeResult(want), summarizeResult(got))
 					}
-					if !reflect.DeepEqual(legacyTr.Events(), newTr.Events()) {
-						t.Errorf("trace events diverged: legacy %d events, new %d events",
-							len(legacyTr.Events()), len(newTr.Events()))
+					if !reflect.DeepEqual(*legacyEv, *newEv) {
+						t.Errorf("events diverged: legacy %d events, new %d events",
+							len(*legacyEv), len(*newEv))
 					}
 
 					// The caller-driven Env path must match too: answer every
 					// yield with the same decision rule Run used.
 					ins := insp.mk()
 					env := NewEnv()
-					obsState, done, err := env.Reset(jobs, mkCfg(nil, nil))
+					obsState, done, err := env.Reset(jobs, mkCfg(nil))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -549,7 +525,7 @@ func TestEquivEnvVsLegacyRun(t *testing.T) {
 func summarizeResult(r Result) map[string]any {
 	return map[string]any{
 		"jobs": len(r.Results), "inspections": r.Inspections, "rejections": r.Rejections,
-		"backfills": r.Backfills, "idle": r.IdleDelay, "usage": len(r.Usage),
+		"backfills": r.Backfills, "idle": r.IdleDelay,
 	}
 }
 
@@ -583,7 +559,6 @@ func TestEnvReuseAcrossEpisodes(t *testing.T) {
 // cloneResult copies a Result out of Env-owned storage.
 func cloneResult(r Result) Result {
 	r.Results = append([]metrics.JobResult(nil), r.Results...)
-	r.Usage = append([]UsagePoint(nil), r.Usage...)
 	return r
 }
 
@@ -613,7 +588,7 @@ func TestEnvSnapshotRestore(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			testEnvSnapshotRestore(t, jobs, tc.other,
-				Config{MaxProcs: tr.MaxProcs, Policy: tc.policy, Backfill: true, TrackUsage: true})
+				Config{MaxProcs: tr.MaxProcs, Policy: tc.policy, Backfill: true})
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"schedinspector/internal/obs"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
@@ -54,7 +53,6 @@ func fuzzEpisode(data []byte) (jobs []workload.Job, cfg Config, snapAt int, deci
 		Backfill: hdr[1]%3 > 0, Conservative: hdr[1]%3 == 2,
 		MaxRejections: int(hdr[2])%6 - 1, // -1 (none allowed), 0 (the default 72), 1..4
 		MaxInterval:   float64(hdr[3]) * 5,
-		TrackUsage:    true,
 	}
 	decide = func(step int) bool {
 		return step/8 < len(bits) && bits[step/8]>>(step%8)&1 == 1
@@ -87,10 +85,7 @@ func FuzzEnvStep(f *testing.F) {
 		_, maxRej := limits(cfg)
 		maxSteps := len(jobs) * (maxRej + 1)
 
-		// One scheduling point and one verdict per step, and per job at most
-		// an uninspected scheduling point, a backfill, a start and an end.
-		tracer := obs.NewTracer(2*maxSteps + 4*len(jobs))
-		cfg.Tracer = tracer
+		events := recordEvents(&cfg)
 		env := NewEnv()
 		_, done, err := env.Reset(jobs, cfg)
 		if err != nil {
@@ -108,10 +103,7 @@ func FuzzEnvStep(f *testing.F) {
 			_, done = env.Step(decide(steps))
 		}
 		want := cloneResult(env.Result())
-		if tracer.Dropped() != 0 {
-			t.Fatalf("tracer dropped %d events", tracer.Dropped())
-		}
-		checkInvariants(t, jobs, cfg, want, tracer.Events())
+		checkInvariants(t, jobs, cfg, want, *events)
 
 		// A snapshot does not hold a stateful policy's own accounting, so a
 		// mid-episode Slurm replay is not expected to repeat.

@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"schedinspector/internal/metrics"
-	"schedinspector/internal/obs"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
@@ -98,8 +97,7 @@ type Config struct {
 	Inspector     Inspector    // optional; nil runs the base policy alone (ignored by Env.Reset)
 	MaxInterval   float64      // retry cut-off; 0 means DefaultMaxInterval
 	MaxRejections int          // per-job rejection cap; 0 means DefaultMaxRejections; <0 means none allowed
-	TrackUsage    bool         // record the usage timeline (Result.Usage)
-	Tracer        *obs.Tracer  // optional event tracer; nil (the default) costs one branch per event site
+	OnEvent       func(Event)  // optional event hook; nil (the default) costs one branch per event site
 
 	// NoValidate skips the per-run job validation and sortedness check.
 	// Set it when the jobs come from a pre-validated source — e.g. a
@@ -116,7 +114,6 @@ type Result struct {
 	Rejections  int                 // how many decisions it rejected
 	Backfills   int                 // jobs started by backfilling
 	IdleDelay   float64             // total time spent idling due to rejections
-	Usage       []UsagePoint        // usage timeline (only with Config.TrackUsage)
 }
 
 // RejectionRatio returns rejections/inspections (0 if never consulted),
@@ -168,8 +165,8 @@ func Run(jobs []workload.Job, cfg Config) (Result, error) {
 // across calls — the allocation-lean path for drivers that replay many
 // windows (the rollout driver's straight-through episodes). The returned
 // Result aliases env storage and is invalidated by the env's next Reset or
-// RunEnv; callers retaining it across episodes must copy the Results and
-// Usage slices.
+// RunEnv; callers retaining it across episodes must copy the Results
+// slice.
 func RunEnv(env *Env, jobs []workload.Job, cfg Config) (Result, error) {
 	obs, done, err := env.reset(jobs, cfg, cfg.Inspector != nil)
 	if err != nil {

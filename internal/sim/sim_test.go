@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"schedinspector/internal/obs"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
@@ -343,20 +342,16 @@ func TestBackfillCountFeature(t *testing.T) {
 	mustRun(t, jobs, Config{MaxProcs: 4, Policy: sched.FCFS(), Inspector: insp2})
 }
 
-// runChecked runs jobs under cfg with a tracer attached and holds the run to
-// every invariant checkInvariants knows.
+// runChecked runs jobs under cfg with an event hook attached and holds the
+// run to every invariant checkInvariants knows.
 func runChecked(t testing.TB, jobs []workload.Job, cfg Config) Result {
 	t.Helper()
-	tr := obs.NewTracer(1 << 16)
-	cfg.Tracer = tr
+	events := recordEvents(&cfg)
 	res, err := Run(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("tracer dropped %d events; the invariant check needs all of them", tr.Dropped())
-	}
-	checkInvariants(t, jobs, cfg, res, tr.Events())
+	checkInvariants(t, jobs, cfg, res, *events)
 	return res
 }
 
@@ -376,8 +371,8 @@ func limits(cfg Config) (maxInterval float64, maxRej int) {
 // checkInvariants verifies one finished run against the simulator's safety
 // properties. From the Result: every job scheduled exactly once, no start
 // before submit, end = start + run, and capacity never exceeded when the
-// schedule is replayed. From events, the run's complete obs.Tracer stream:
-// time never goes backwards; processors are conserved at every event
+// schedule is replayed. From events, all that the run handed OnEvent: time
+// never goes backwards; processors are conserved at every event
 // (FreeProcs plus the processors of started, unfinished jobs is the cluster
 // size); each job starts and ends exactly once, starts in Result order; an
 // inspection follows the scheduling point that picked its job, sees fewer
@@ -388,7 +383,7 @@ func limits(cfg Config) (maxInterval float64, maxRej int) {
 // the base policy picks the rejected job again the gap between its two
 // inspections is at most MaxInterval, but a better-ranked arrival may be
 // picked (and wait for processors) in between.
-func checkInvariants(t testing.TB, jobs []workload.Job, cfg Config, res Result, events []obs.Event) {
+func checkInvariants(t testing.TB, jobs []workload.Job, cfg Config, res Result, events []Event) {
 	t.Helper()
 	maxProcs := cfg.MaxProcs
 	maxInterval, maxRej := limits(cfg)
@@ -456,14 +451,14 @@ func checkInvariants(t testing.TB, jobs []workload.Job, cfg Config, res Result, 
 		}
 		now = e.Time
 		switch e.Kind {
-		case obs.EventSchedPoint:
+		case EventSchedPoint:
 			if e.Time > rejectedAt+maxInterval {
 				t.Fatalf("event %d: scheduling point at %v, more than MaxInterval %v after the rejection at %v",
 					k, e.Time, maxInterval, rejectedAt)
 			}
 			rejectedAt = math.NaN()
-		case obs.EventAccept, obs.EventReject:
-			if k == 0 || events[k-1].Kind != obs.EventSchedPoint ||
+		case EventAccept, EventReject:
+			if k == 0 || events[k-1].Kind != EventSchedPoint ||
 				events[k-1].JobID != e.JobID || events[k-1].Time != e.Time {
 				t.Fatalf("event %d: %s of job %d does not follow its scheduling point", k, e.Kind, e.JobID)
 			}
@@ -475,17 +470,17 @@ func checkInvariants(t testing.TB, jobs []workload.Job, cfg Config, res Result, 
 				t.Fatalf("event %d: job %d inspected after %d rejections, cap %d", k, e.JobID, e.Rejections, maxRej)
 			}
 			inspections++
-			if e.Kind == obs.EventReject {
+			if e.Kind == EventReject {
 				rejects[e.JobID]++
 				rejections++
 				rejectedAt = e.Time
 			}
-		case obs.EventBackfill:
+		case EventBackfill:
 			backfills++
-			if k+1 >= len(events) || events[k+1].Kind != obs.EventJobStart || events[k+1].JobID != e.JobID {
+			if k+1 >= len(events) || events[k+1].Kind != EventJobStart || events[k+1].JobID != e.JobID {
 				t.Fatalf("event %d: backfill of job %d not followed by its start", k, e.JobID)
 			}
-		case obs.EventJobStart:
+		case EventJobStart:
 			j, ok := byID[e.JobID]
 			if !ok || j.Procs != e.Procs {
 				t.Fatalf("event %d: start of unknown job %d (%d procs)", k, e.JobID, e.Procs)
@@ -499,7 +494,7 @@ func checkInvariants(t testing.TB, jobs []workload.Job, cfg Config, res Result, 
 			starts[e.JobID]++
 			running[e.JobID] = e.Procs
 			busy += e.Procs
-		case obs.EventJobEnd:
+		case EventJobEnd:
 			procs, ok := running[e.JobID]
 			if !ok || procs != e.Procs {
 				t.Fatalf("event %d: job %d ended without running", k, e.JobID)

@@ -16,8 +16,8 @@ import (
 // What a snapshot does NOT capture is external state: the Config.Policy
 // instance (stateful policies such as Slurm fairshare keep their own
 // accounting — restore across a stateful policy only at episode boundaries,
-// or pair the snapshot with a policy clone) and the Config.Tracer (restored
-// runs re-emit events from the restore point onward).
+// or pair the snapshot with a policy clone) and whatever the Config.OnEvent
+// hook collects (restored runs call it again from the restore point onward).
 type Snapshot struct {
 	cfg     Config
 	jobs    []workload.Job // shared read-only with the source Env
@@ -56,7 +56,6 @@ func (e *Env) Snapshot() *Snapshot {
 			Rejections:  e.out.Rejections,
 			Backfills:   e.out.Backfills,
 			IdleDelay:   e.out.IdleDelay,
-			Usage:       append([]UsagePoint(nil), e.out.Usage...),
 		},
 		interactive: e.interactive,
 		phase:       e.phase,
@@ -83,7 +82,6 @@ func (e *Env) Restore(s *Snapshot) (*State, bool) {
 		Rejections:  s.out.Rejections,
 		Backfills:   s.out.Backfills,
 		IdleDelay:   s.out.IdleDelay,
-		Usage:       append(e.out.Usage[:0], s.out.Usage...),
 	}
 	e.interactive = s.interactive
 	// The queue entries carry scores exactly when the snapshot's policy is

@@ -1,13 +1,36 @@
 package sim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
-	"schedinspector/internal/obs"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
+
+// recordEvents sets cfg.OnEvent to a hook that appends every event to the
+// returned slice.
+func recordEvents(cfg *Config) *[]Event {
+	var events []Event
+	cfg.OnEvent = func(e Event) { events = append(events, e) }
+	return &events
+}
+
+func TestEventKindString(t *testing.T) {
+	cases := map[EventKind]string{
+		EventSchedPoint: "sched_point", EventAccept: "accept", EventReject: "reject",
+		EventBackfill: "backfill", EventJobStart: "job_start", EventJobEnd: "job_end",
+	}
+	for k, want := range cases {
+		if k.String() != want {
+			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
+		}
+	}
+	if s := EventKind(200).String(); !strings.Contains(s, "200") {
+		t.Errorf("unknown kind %q", s)
+	}
+}
 
 // traceJobs is a tiny deterministic sequence: J1 fills half the cluster,
 // J2 arrives later and fits alongside, J3 needs the whole machine.
@@ -20,61 +43,62 @@ func traceJobs() []workload.Job {
 }
 
 func TestTracerEventLifecycle(t *testing.T) {
-	tr := obs.NewTracer(128)
-	res, err := Run(traceJobs(), Config{MaxProcs: 4, Policy: sched.FCFS(), Tracer: tr})
+	cfg := Config{MaxProcs: 4, Policy: sched.FCFS()}
+	events := recordEvents(&cfg)
+	res, err := Run(traceJobs(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Results) != 3 {
 		t.Fatalf("scheduled %d jobs", len(res.Results))
 	}
-	ev := tr.Events()
-	counts := map[obs.EventKind]int{}
+	counts := map[EventKind]int{}
 	starts := map[int]bool{}
 	ends := map[int]bool{}
 	var lastTime float64
-	for _, e := range ev {
+	for _, e := range *events {
 		counts[e.Kind]++
 		if e.Time < lastTime {
 			t.Fatalf("events out of order: %v after t=%v", e, lastTime)
 		}
 		lastTime = e.Time
 		switch e.Kind {
-		case obs.EventJobStart:
+		case EventJobStart:
 			starts[e.JobID] = true
-		case obs.EventJobEnd:
+		case EventJobEnd:
 			if !starts[e.JobID] {
 				t.Errorf("job %d ended before starting", e.JobID)
 			}
 			ends[e.JobID] = true
 		}
 	}
-	if counts[obs.EventJobStart] != 3 {
-		t.Errorf("%d job_start events, want 3", counts[obs.EventJobStart])
+	if counts[EventJobStart] != 3 {
+		t.Errorf("%d job_start events, want 3", counts[EventJobStart])
 	}
 	// All three jobs start, so all three completions are eventually popped
 	// only if the sim advances past them; the run ends when the last job
 	// STARTS, so ends <= starts.
-	if counts[obs.EventJobEnd] > counts[obs.EventJobStart] {
-		t.Errorf("more ends (%d) than starts (%d)", counts[obs.EventJobEnd], counts[obs.EventJobStart])
+	if counts[EventJobEnd] > counts[EventJobStart] {
+		t.Errorf("more ends (%d) than starts (%d)", counts[EventJobEnd], counts[EventJobStart])
 	}
-	if counts[obs.EventSchedPoint] < 3 {
-		t.Errorf("%d sched_point events, want >= 3", counts[obs.EventSchedPoint])
+	if counts[EventSchedPoint] < 3 {
+		t.Errorf("%d sched_point events, want >= 3", counts[EventSchedPoint])
 	}
 	// No inspector: no accept/reject events.
-	if counts[obs.EventAccept] != 0 || counts[obs.EventReject] != 0 {
+	if counts[EventAccept] != 0 || counts[EventReject] != 0 {
 		t.Errorf("inspection events without inspector: %v", counts)
 	}
 }
 
 func TestTracerInspectionEvents(t *testing.T) {
-	tr := obs.NewTracer(0)
 	rejectFirst := 0
 	insp := func(s *State) bool {
 		rejectFirst++
 		return rejectFirst == 1 // reject exactly the first consulted decision
 	}
-	res, err := Run(traceJobs(), Config{MaxProcs: 4, Policy: sched.FCFS(), Inspector: insp, Tracer: tr})
+	cfg := Config{MaxProcs: 4, Policy: sched.FCFS(), Inspector: insp}
+	events := recordEvents(&cfg)
+	res, err := Run(traceJobs(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +106,11 @@ func TestTracerInspectionEvents(t *testing.T) {
 		t.Fatalf("rejections %d", res.Rejections)
 	}
 	var accepts, rejects int
-	for _, e := range tr.Events() {
+	for _, e := range *events {
 		switch e.Kind {
-		case obs.EventAccept:
+		case EventAccept:
 			accepts++
-		case obs.EventReject:
+		case EventReject:
 			rejects++
 			if e.JobID != 1 || e.Rejections != 0 {
 				t.Errorf("reject event %+v", e)
@@ -106,8 +130,9 @@ func TestTracerBackfillEvent(t *testing.T) {
 		{ID: 2, Submit: 1, Run: 50, Est: 50, Procs: 4},
 		{ID: 3, Submit: 2, Run: 10, Est: 10, Procs: 1},
 	}
-	tr := obs.NewTracer(0)
-	res, err := Run(jobs, Config{MaxProcs: 4, Policy: sched.FCFS(), Backfill: true, Tracer: tr})
+	cfg := Config{MaxProcs: 4, Policy: sched.FCFS(), Backfill: true}
+	events := recordEvents(&cfg)
+	res, err := Run(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +140,8 @@ func TestTracerBackfillEvent(t *testing.T) {
 		t.Fatalf("backfills %d, want 1", res.Backfills)
 	}
 	found := false
-	for _, e := range tr.Events() {
-		if e.Kind == obs.EventBackfill {
+	for _, e := range *events {
+		if e.Kind == EventBackfill {
 			found = true
 			if e.JobID != 3 {
 				t.Errorf("backfill event for job %d, want 3", e.JobID)
@@ -128,44 +153,26 @@ func TestTracerBackfillEvent(t *testing.T) {
 	}
 }
 
-func TestTracerJSONLSinkFromSim(t *testing.T) {
-	var buf strings.Builder
-	tr := obs.NewTracer(4) // ring smaller than the event stream
-	tr.SetSink(&buf)
-	if _, err := Run(traceJobs(), Config{MaxProcs: 4, Policy: sched.SJF(), Tracer: tr}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SinkErr(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(buf.String(), "\n")
-	if uint64(lines) != tr.Total() {
-		t.Errorf("sink got %d lines, tracer emitted %d", lines, tr.Total())
-	}
-	if !strings.Contains(buf.String(), `"kind":"sched_point"`) {
-		t.Errorf("sink output missing sched_point:\n%s", buf.String())
-	}
-}
-
-// TestNilTracerUnchanged pins the fast path: a run with a nil tracer is
-// byte-identical in results to the same run without the field set.
-func TestNilTracerUnchanged(t *testing.T) {
+// TestOnEventLeavesResultUnchanged pins that the hook only observes: a run
+// with OnEvent set is identical in results to the same run without it.
+func TestOnEventLeavesResultUnchanged(t *testing.T) {
 	tr := workload.SDSCSP2Like(600, 11)
 	jobs := tr.Window(0, 200)
-	a, err := Run(jobs, Config{MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Backfill: true})
+	cfg := Config{MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Backfill: true, Inspector: scriptedInspector()}
+	a, err := Run(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(jobs, Config{MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Backfill: true, Tracer: nil})
+	cfg.Inspector = scriptedInspector()
+	events := recordEvents(&cfg)
+	b, err := Run(jobs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Results) != len(b.Results) || a.Backfills != b.Backfills {
-		t.Fatal("nil tracer changed results")
+	if len(*events) == 0 {
+		t.Fatal("hook saw no events")
 	}
-	for i := range a.Results {
-		if a.Results[i] != b.Results[i] {
-			t.Fatalf("result %d differs: %+v vs %+v", i, a.Results[i], b.Results[i])
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("hook changed the result: %+v vs %+v", summarizeResult(a), summarizeResult(b))
 	}
 }

@@ -29,7 +29,6 @@ import (
 
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
-	"schedinspector/internal/obs"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
@@ -54,8 +53,8 @@ type (
 	SimConfig = sim.Config
 	// SimResult is the outcome of one simulation run.
 	SimResult = sim.Result
-	// Tracer records structured simulator events (set SimConfig.Tracer).
-	Tracer = obs.Tracer
+	// SimEvent is one simulator event, handed by value to SimConfig.OnEvent.
+	SimEvent = sim.Event
 
 	// Inspector is a SchedInspector model.
 	Inspector = core.Inspector
@@ -141,11 +140,6 @@ func ParseSWF(r io.Reader, name string) (*Trace, error) { return workload.ParseS
 
 // Simulate schedules a job sequence under cfg and returns the results.
 func Simulate(jobs []Job, cfg SimConfig) (SimResult, error) { return sim.Run(jobs, cfg) }
-
-// NewTracer returns a simulator event tracer holding the last capacity
-// events (a default of 4096 for capacity <= 0). Attach it via
-// SimConfig.Tracer; stream JSONL with its SetSink method.
-func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
 
 // NewTrainer builds a PPO trainer for a fresh inspector.
 func NewTrainer(cfg TrainConfig) (*Trainer, error) { return core.NewTrainer(cfg) }
