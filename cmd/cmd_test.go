@@ -642,6 +642,47 @@ func TestCLIInspectFeatureLabels(t *testing.T) {
 	}
 }
 
+// TestCLIInterruptedTrainKeepsFlight: SIGINT ends a -flight training run
+// after the epoch in flight, and the trace still holds the epoch span of
+// every epoch the run printed, the last one included.
+func TestCLIInterruptedTrainKeepsFlight(t *testing.T) {
+	si, er := bin(t, "schedinspect"), bin(t, "expreport")
+	work := t.TempDir()
+	flight := filepath.Join(work, "train.ftrace")
+	cmd := exec.Command(si, train("train", 100000, "-flight", flight, "-model", filepath.Join(work, "model.ckpt"))...)
+	var out syncBuffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	t.Cleanup(func() { cmd.Process.Kill() })
+	epochLine := regexp.MustCompile(`(?m)^epoch +[0-9]+/100000:`)
+	poll(t, 60*time.Second, func() error {
+		if !epochLine.MatchString(out.String()) {
+			return errors.New("no epoch printed yet")
+		}
+		return nil
+	})
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("interrupted train: %v\n%s", err, out.String())
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatalf("train did not exit after SIGINT\n%s", out.String())
+	}
+	printed := len(epochLine.FindAllString(out.String(), -1))
+	curves := run(t, er, "-curves", flight)
+	if want := fmt.Sprintf("(%d epochs)", printed); !strings.Contains(curves, want) {
+		t.Fatalf("train printed %d epochs, but the flight trace's curves do not report %s:\n%s", printed, want, curves)
+	}
+}
+
 func TestCLIEndToEnd(t *testing.T) {
 	si, er := bin(t, "schedinspect"), bin(t, "expreport")
 	work := t.TempDir()
@@ -660,32 +701,25 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("stats output unexpected:\n%s", out)
 	}
 
-	// train a tiny model on the SWF trace, with telemetry.
-	telemetry := filepath.Join(work, "telemetry.csv")
+	// train a tiny model on the SWF trace, recording its flight trace.
+	flight := filepath.Join(work, "train.ftrace")
 	out = run(t, si, "train",
 		"-swf", swf, "-policy", "SJF", "-metric", "bsld",
 		"-epochs", "2", "-batch", "4", "-seqlen", "64", "-model", model,
-		"-telemetry", telemetry)
+		"-flight", flight)
 	if !strings.Contains(out, "model saved") {
 		t.Fatalf("train did not save:\n%s", out)
 	}
-	tele, err := os.ReadFile(telemetry)
-	if err != nil {
-		t.Fatalf("telemetry file: %v", err)
-	}
-	if head := strings.SplitN(string(tele), "\n", 2)[0]; !strings.Contains(head, "entropy") ||
-		!strings.Contains(head, "approx_kl") || !strings.Contains(head, "mean_reward") ||
-		!strings.Contains(head, "policy_loss") {
-		t.Fatalf("telemetry header missing columns: %q", head)
-	}
-	if lines := strings.Count(strings.TrimSpace(string(tele)), "\n"); lines != 2 {
-		t.Fatalf("telemetry rows %d, want 2 epochs + header:\n%s", lines, tele)
-	}
 
-	// expreport plots learning curves from the telemetry file.
-	out = run(t, er, "-curves", telemetry)
-	if !strings.Contains(out, "mean_reward") || !strings.Contains(out, "2 epochs") {
-		t.Fatalf("expreport -curves unexpected:\n%s", out)
+	// expreport plots learning curves from the trace's epoch spans, in
+	// either of its two forms.
+	converted := filepath.Join(work, "train.jsonl")
+	run(t, si, "explain", "-in", flight, "-convert", converted)
+	for _, f := range []string{flight, converted} {
+		out = run(t, er, "-curves", f)
+		if !strings.Contains(out, "mean_reward") || !strings.Contains(out, "2 epochs") {
+			t.Fatalf("expreport -curves %s unexpected:\n%s", filepath.Base(f), out)
+		}
 	}
 
 	// evaluate the model.

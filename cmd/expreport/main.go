@@ -39,13 +39,13 @@ func main() {
 		evalLen  = flag.Int("eval-seqlen", 0, "jobs per test sequence")
 		seed     = flag.Int64("seed", 0, "base RNG seed")
 		workers  = flag.Int("workers", 0, "rollout worker goroutines (0 = one per CPU); results are identical at any count")
-		curves   = flag.String("curves", "", "plot learning curves from a training-telemetry CSV/JSONL file and exit (see schedinspect train -telemetry)")
+		curves   = flag.String("curves", "", "plot learning curves from the epoch spans of a training flight trace (.ftrace or its JSONL) and exit (see schedinspect train -flight)")
 		rejects  = flag.String("rejects", "", "plot reject rate vs utilization from a decision flight trace and exit (see schedinspect train/eval -flight)")
 	)
 	flag.Parse()
 
 	if *curves != "" {
-		if err := expt.PlotTelemetry(os.Stdout, *curves); err != nil {
+		if err := expt.PlotCurves(os.Stdout, *curves); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

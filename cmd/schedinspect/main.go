@@ -74,7 +74,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  schedinspect train -trace NAME [-swf FILE] -policy SJF -metric bsld [-epochs N] [-batch N] [-workers N] [-backfill] [-telemetry OUT.csv] [-checkpoint-dir DIR [-checkpoint-every N] [-resume]] -model OUT.ckpt
+  schedinspect train -trace NAME [-swf FILE] -policy SJF -metric bsld [-epochs N] [-batch N] [-workers N] [-backfill] [-flight OUT.ftrace] [-checkpoint-dir DIR [-checkpoint-every N] [-resume]] -model OUT.ckpt
   schedinspect train-worker -rank N -world M -peers ADDR0,ADDR1,... [train flags] -model OUT.ckpt
   schedinspect eval  -trace NAME [-swf FILE] -policy SJF -metric bsld [-sequences N] [-workers N] [-backfill] -model IN.ckpt
   schedinspect stats -trace NAME [-swf FILE]
@@ -142,7 +142,7 @@ func loadTrace(name, swf string, jobs int, seed int64) (*workload.Trace, error) 
 // dist engine's exchange barrier. Every worker rank saves -model, and the
 // bytes are identical across ranks and to a single-process run on the
 // same seed/config (the property cmd's TestProcessDistWorldSizes diffs).
-func cmdTrain(args []string, worker bool) error {
+func cmdTrain(args []string, worker bool) (err error) {
 	cmdName := "train"
 	if worker {
 		cmdName = "train-worker"
@@ -158,7 +158,6 @@ func cmdTrain(args []string, worker bool) error {
 	features := fs.String("features", "manual", "feature mode (manual, compacted, native)")
 	reward := fs.String("reward", "percentage", "reward function (percentage, native, winloss)")
 	model := fs.String("model", "model.ckpt", "output model path")
-	telemetry := fs.String("telemetry", "", "write per-epoch training telemetry to this file (.jsonl for JSON lines, otherwise CSV)")
 	workers := fs.Int("workers", 0, "rollout worker goroutines (0 = one per CPU); results are identical at any count")
 	ckptDir := fs.String("checkpoint-dir", "", "write durable training checkpoints to this directory (atomic, CRC-guarded)")
 	ckptEvery := fs.Int("checkpoint-every", 10, "epochs between periodic checkpoints (with -checkpoint-dir)")
@@ -236,27 +235,20 @@ func cmdTrain(args []string, worker bool) error {
 		}
 		defer shutdownMetrics()
 	}
-	if *telemetry != "" {
-		f, err := os.Create(*telemetry)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if strings.HasSuffix(*telemetry, ".jsonl") {
-			cfg.Logger = core.NewJSONLTrainLogger(f)
-		} else {
-			cfg.Logger = core.NewCSVTrainLogger(f)
-		}
-	}
-	var flightRec *obs.TraceRing
 	if *flight != "" {
-		rec, f, err := openFlight(*flight)
-		if err != nil {
-			return err
+		rec, f, ferr := openFlight(*flight)
+		if ferr != nil {
+			return ferr
 		}
 		defer f.Close()
-		flightRec = rec
-		cfg.Flight = flightRec
+		cfg.Flight = rec
+		// Flush on every exit path: the ring's pending frame holds the last
+		// epochs' spans, which an interrupted or failed run keeps too.
+		defer func() {
+			if ferr := closeFlight(rec, *flight); err == nil {
+				err = ferr
+			}
+		}()
 	}
 	trainer, err := core.NewTrainer(cfg)
 	if err != nil {
@@ -322,11 +314,6 @@ func cmdTrain(args []string, worker bool) error {
 		return err
 	}
 	fmt.Printf("model saved to %s\n", *model)
-	if flightRec != nil {
-		if err := closeFlight(flightRec, *flight); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

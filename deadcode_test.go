@@ -20,20 +20,14 @@ var uncalledAllowed = map[string]string{
 	"serve.statusWriter.Unwrap": "http.ResponseController calls it to reach the connection's writer",
 	"mutants.Each":              "test support by design: the codec tests' every-prefix, every-bit-flip sweep",
 
-	"nn.MLP.Backward":         "the per-step gradient oracle of rl's equivalence tests, which cannot see nn's test files",
-	"nn.NewGrads":             "the per-step gradient oracle of rl's equivalence tests, which cannot see nn's test files",
-	"nn.LogSumExp":            "only nn's tests call it; to move into them",
-	"nn.Grads.Zero":           "only nn's tests call it; to move into them",
-	"rl.PPO.Update":           "core's legacy-equivalence test compares the sharded update against it",
-	"rl.Agent.Reseed":         "core's legacy-equivalence test reseeds its reference agent with it",
-	"rl.Agent.StateValue":     "only rl's tests call it; to move into them",
-	"core.Inspector.Save":     "only core's tests call it; to move into them",
-	"core.Inspector.Sampling": "only core's tests call it; to move into them",
-	"core.LoadInspector":      "only core's tests call it; to move into them",
-	"fleet.Scrape.WriteTo":    "ParseProm's round-trip test renders with it; to move into fleet's tests",
-	"obs.TraceRing.Dropped":   "ring-health assertions in several packages' tests; production reads Flush and the ring's metrics",
-	"obs.TraceRing.SinkErr":   "ring-health assertions in several packages' tests; production reads Flush and the ring's metrics",
-	"sched.Names":             "drives the sim tests' loops over every policy",
+	"nn.MLP.Backward":       "the per-step gradient oracle of rl's equivalence tests, which cannot see nn's test files",
+	"nn.NewGrads":           "the per-step gradient oracle of rl's equivalence tests, which cannot see nn's test files",
+	"rl.PPO.Update":         "core's legacy-equivalence test compares the sharded update against it",
+	"rl.Agent.Reseed":       "core's legacy-equivalence test reseeds its reference agent with it",
+	"fleet.Scrape.WriteTo":  "ParseProm's round-trip oracle; in a test file it would leave obs.AppendPromSample and obs.AppendPromHistogram uncalled",
+	"obs.TraceRing.Dropped": "ring-health assertions in several packages' tests; production reads Flush and the ring's metrics",
+	"obs.TraceRing.SinkErr": "ring-health assertions in several packages' tests; production reads Flush and the ring's metrics",
+	"sched.Names":           "drives the sim tests' loops over every policy",
 }
 
 // TestNoUncalledFunctions: every function and method declared in a

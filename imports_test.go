@@ -72,3 +72,19 @@ func TestOneJSONLWriter(t *testing.T) {
 		}
 	})
 }
+
+// TestOneTrainingRecord: a training run's per-epoch statistics have one
+// durable form, the flight trace's epoch span (see core.EpochStatsFromSpans).
+// No non-test file imports encoding/csv, and core's non-test files do not
+// import encoding/json, so a second telemetry file format fails here.
+func TestOneTrainingRecord(t *testing.T) {
+	coreDir := filepath.Join("internal", "core")
+	eachImport(t, func(path, imp string) {
+		switch {
+		case imp == "encoding/csv":
+			t.Errorf("%s imports encoding/csv; per-epoch statistics are recorded as the flight trace's epoch span", path)
+		case imp == "encoding/json" && filepath.Dir(path) == coreDir:
+			t.Errorf("%s imports encoding/json; per-epoch statistics are recorded as the flight trace's epoch span", path)
+		}
+	})
+}

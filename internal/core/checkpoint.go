@@ -37,7 +37,7 @@ const TrainerCheckpointVersion = 1
 //     under; they make a checkpoint self-describing enough to serve
 //     directly (see Inspector) and let Resume reject a mismatched config.
 //
-// A model file (Inspector.Save) is the same payload with zero Epoch and
+// A model file (Inspector.SaveFile) is the same payload with zero Epoch and
 // Seed and no Opt: one format, one loader, for models and checkpoints.
 type TrainerCheckpoint struct {
 	Epoch  int
@@ -277,8 +277,12 @@ func LoadTrainerCheckpoint(path string) (*TrainerCheckpoint, error) {
 // LoadServable loads a servable inspector from path: a model file
 // (Inspector.SaveFile, schedinspect train -model) or a trainer checkpoint —
 // one format, so inspectord serves a training run's checkpoints and the
-// online loop's promoted generations without an export step. Loading never
-// draws from rng (see LoadInspector).
+// online loop's promoted generations without an export step. The returned
+// model uses rng for any sampling-mode exploration. Loading never draws
+// from rng — the networks come from the payload, not from fresh
+// initialization — so a caller may hand over an rng that concurrent
+// decision paths are sampling from under their own lock (inspectord's
+// hot-reload does exactly that).
 func LoadServable(path string, rng *rand.Rand) (*Inspector, error) {
 	c, err := LoadTrainerCheckpoint(path)
 	if err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/rl"
 	"schedinspector/internal/sched"
+	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
 )
 
@@ -359,4 +362,48 @@ func TestValuesAndSummaryWith(t *testing.T) {
 			t.Errorf("summaryWith(%v) = %v", m, got)
 		}
 	}
+}
+
+// Sampling returns a stochastic sim.Inspector that samples actions from the
+// policy and appends each (observation, action, logp) step to rec: the
+// one-decision-at-a-time reference the trainer's wave sampler must match.
+func (in *Inspector) Sampling(rec *[]rl.Step) sim.Inspector {
+	return func(s *sim.State) bool {
+		in.feat = in.Norm.Features(in.feat, in.Mode, s)
+		action, logp := in.Agent.Sample(in.feat)
+		*rec = append(*rec, rl.Step{
+			Obs:    append([]float64(nil), in.feat...),
+			Action: action,
+			LogP:   logp,
+		})
+		return action == ActionReject
+	}
+}
+
+// Save writes the inspector to w as a model file: a ckpt container whose
+// payload is a TrainerCheckpoint (see there).
+func (in *Inspector) Save(w io.Writer) error {
+	payload, err := in.payload()
+	if err != nil {
+		return err
+	}
+	return ckpt.Encode(w, TrainerCheckpointVersion, payload)
+}
+
+// LoadInspector reads a model (or checkpoint) written by Save: LoadServable
+// for a reader.
+func LoadInspector(r io.Reader, rng *rand.Rand) (*Inspector, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: load inspector: %w", err)
+	}
+	version, payload, err := ckpt.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	c, err := DecodeTrainerCheckpoint(version, payload)
+	if err != nil {
+		return nil, err
+	}
+	return c.Inspector(rng), nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
 	"slices"
 
@@ -88,22 +86,6 @@ func (in *Inspector) Stochastic() sim.Inspector {
 	}
 }
 
-// Sampling returns a stochastic sim.Inspector that samples actions from the
-// policy and appends each (observation, action, logp) step to rec — the
-// exploration mode that builds training trajectories.
-func (in *Inspector) Sampling(rec *[]rl.Step) sim.Inspector {
-	return func(s *sim.State) bool {
-		in.feat = in.Norm.Features(in.feat, in.Mode, s)
-		action, logp := in.Agent.Sample(in.feat)
-		*rec = append(*rec, rl.Step{
-			Obs:    append([]float64(nil), in.feat...),
-			Action: action,
-			LogP:   logp,
-		})
-		return action == ActionReject
-	}
-}
-
 // Explain runs one decision with the policy's internals exported: the
 // chosen action plus copies of the observed feature vector, the raw logits
 // and the softmax probabilities — the flight recorder's per-decision
@@ -147,16 +129,6 @@ func (in *Inspector) payload() ([]byte, error) {
 	return c.Encode()
 }
 
-// Save writes the inspector to w as a model file: a ckpt container whose
-// payload is a TrainerCheckpoint (see there).
-func (in *Inspector) Save(w io.Writer) error {
-	payload, err := in.payload()
-	if err != nil {
-		return err
-	}
-	return ckpt.Encode(w, TrainerCheckpointVersion, payload)
-}
-
 // SaveFile writes the inspector's model file to path atomically (temp
 // file, fsync, rename): a daemon reloading path while it is overwritten
 // reads the old model or the new one, never half of one.
@@ -166,28 +138,6 @@ func (in *Inspector) SaveFile(path string) error {
 		return err
 	}
 	return ckpt.Write(path, TrainerCheckpointVersion, payload)
-}
-
-// LoadInspector reads a model (or checkpoint) written by Save; LoadServable
-// is the same loader for a path. The returned model uses rng for any
-// sampling-mode exploration. Loading never draws from rng — the networks
-// come from the payload, not from fresh initialization — so a caller may
-// hand over an rng that concurrent decision paths are sampling from under
-// their own lock (inspectord's hot-reload does exactly that).
-func LoadInspector(r io.Reader, rng *rand.Rand) (*Inspector, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: load inspector: %w", err)
-	}
-	version, payload, err := ckpt.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	c, err := DecodeTrainerCheckpoint(version, payload)
-	if err != nil {
-		return nil, err
-	}
-	return c.Inspector(rng), nil
 }
 
 // NormalizerForTrace is a convenience that derives a Normalizer from a

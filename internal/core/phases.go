@@ -169,7 +169,7 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 		// explain records, through the sampler.
 		epochID := obs.DeriveSpanID(uint64(t.cfg.Seed), streamTrain, uint64(t.epoch))
 		if !t.epochSpanOpen {
-			t.epochSpan = obs.StartSpan("epoch", epochID, 0, 0)
+			t.epochSpan = obs.StartSpan(epochSpanName, epochID, 0, 0)
 			t.epochSpanOpen = true
 		}
 		rollCfg.Ring = t.cfg.Flight
@@ -318,19 +318,11 @@ func (t *Trainer) ApplyShard(local []TrajDelta, ex rl.Exchange) (EpochStats, err
 	stats.Steps = up.Steps
 	stats.Seconds = time.Since(t.epochT0).Seconds()
 	if t.cfg.Flight != nil && t.epochSpanOpen {
-		t.epochSpan.Attrs = append(t.epochSpan.Attrs,
-			obs.Attr{Key: "epoch", Num: float64(t.epoch)},
-			obs.Attr{Key: "steps", Num: float64(stats.Steps)},
-			obs.Attr{Key: "reject_ratio", Num: stats.RejectionRatio},
-			obs.Attr{Key: "mean_reward", Num: stats.MeanReward},
-		)
+		t.epochSpan.Attrs = appendEpochAttrs(t.epochSpan.Attrs, stats)
 		t.epochSpan.End(0)
 		t.cfg.Flight.EmitSpan(&t.epochSpan)
 		t.epochSpan = obs.Span{}
 		t.epochSpanOpen = false
-	}
-	if t.cfg.Logger != nil {
-		t.cfg.Logger.LogEpoch(stats)
 	}
 	return stats, nil
 }

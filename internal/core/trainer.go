@@ -56,11 +56,6 @@ type TrainConfig struct {
 
 	PPO rl.PPOConfig // optional PPO overrides (zero values take defaults)
 
-	// Logger, when non-nil, receives every epoch's statistics as soon as
-	// the PPO update completes — the telemetry hook behind the CSV/JSONL
-	// learning-curve exports (see NewCSVTrainLogger, NewJSONLTrainLogger).
-	Logger TrainLogger
-
 	// Metrics, when non-nil, receives worker-utilization and rollout-latency
 	// observations (see NewRolloutMetrics).
 	Metrics *RolloutMetrics
@@ -69,8 +64,10 @@ type TrainConfig struct {
 	// epoch emits an "epoch" span rooting per-episode and per-decision
 	// spans, and every inspector decision records an explain record
 	// (features, logits, probabilities, verdict, scheduling context). The
-	// set of explain records is identical for any Workers value; only ring
-	// order and wall timestamps depend on execution.
+	// epoch span carries every EpochStats field as an attribute (see
+	// EpochStatsFromSpans). The set of explain records is identical for
+	// any Workers value; only ring order and wall timestamps depend on
+	// execution.
 	Flight *obs.TraceRing
 }
 

@@ -4,33 +4,24 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strings"
 
 	"schedinspector/internal/core"
+	"schedinspector/internal/explain"
 )
 
-// PlotTelemetry reads a per-epoch training-telemetry file written by the
-// TrainLogger hook (`schedinspect train -telemetry out.csv` / `.jsonl`)
-// and renders the learning curves as ASCII sparklines — the quick-look
-// equivalent of the paper's training-curve figures.
-func PlotTelemetry(w io.Writer, path string) error {
-	f, err := os.Open(path)
+// PlotCurves reads the epoch spans of a flight trace recorded during
+// training (`schedinspect train -flight out.ftrace`, or its `explain
+// -convert` JSONL) and renders the learning curves as ASCII sparklines —
+// the quick-look equivalent of the paper's training-curve figures.
+func PlotCurves(w io.Writer, path string) error {
+	tr, err := explain.ReadTraceFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	var hist []core.EpochStats
-	if strings.HasSuffix(path, ".jsonl") {
-		hist, err = core.ReadEpochJSONL(f)
-	} else {
-		hist, err = core.ReadEpochCSV(f)
-	}
-	if err != nil {
-		return err
-	}
+	hist := core.EpochStatsFromSpans(tr.Spans)
 	if len(hist) == 0 {
-		return fmt.Errorf("expt: %s holds no epochs", path)
+		return fmt.Errorf("expt: %s holds no epoch spans; record a training run with schedinspect train -flight", path)
 	}
 	fmt.Fprintf(w, "learning curves from %s (%d epochs)\n", path, len(hist))
 	series := []struct {

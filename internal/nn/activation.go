@@ -72,21 +72,3 @@ func Softmax(logits, out []float64) []float64 {
 	}
 	return out
 }
-
-// LogSumExp returns log(sum(exp(logits))) stably.
-func LogSumExp(logits []float64) float64 {
-	maxL := math.Inf(-1)
-	for _, l := range logits {
-		if l > maxL {
-			maxL = l
-		}
-	}
-	if math.IsInf(maxL, -1) {
-		return maxL
-	}
-	var sum float64
-	for _, l := range logits {
-		sum += math.Exp(l - maxL)
-	}
-	return maxL + math.Log(sum)
-}

@@ -149,14 +149,6 @@ func NewGrads(m *MLP) *Grads {
 	return g
 }
 
-// Zero clears the accumulator.
-func (g *Grads) Zero() {
-	for l := range g.W {
-		clear(g.W[l])
-		clear(g.B[l])
-	}
-}
-
 // Scale multiplies all gradients by f (e.g. 1/batchSize).
 func (g *Grads) Scale(f float64) {
 	for l := range g.W {

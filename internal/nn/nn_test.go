@@ -369,3 +369,29 @@ func TestXavierInitBounds(t *testing.T) {
 		}
 	}
 }
+
+// LogSumExp returns log(sum(exp(logits))) stably.
+func LogSumExp(logits []float64) float64 {
+	maxL := math.Inf(-1)
+	for _, l := range logits {
+		if l > maxL {
+			maxL = l
+		}
+	}
+	if math.IsInf(maxL, -1) {
+		return maxL
+	}
+	var sum float64
+	for _, l := range logits {
+		sum += math.Exp(l - maxL)
+	}
+	return maxL + math.Log(sum)
+}
+
+// Zero clears the accumulator.
+func (g *Grads) Zero() {
+	for l := range g.W {
+		clear(g.W[l])
+		clear(g.B[l])
+	}
+}

@@ -38,7 +38,6 @@ type Agent struct {
 
 	rng      *rand.Rand
 	polCache nn.Cache
-	valCache nn.Cache
 	probs    []float64
 }
 
@@ -63,7 +62,7 @@ func NewAgent(rng *rand.Rand, obsDim int, hidden []int, nActions int) *Agent {
 // AgentFromNets wraps already-built policy and value networks in an agent
 // without reinitializing any weights — the deserialization path (model
 // files, training checkpoints). rng drives action sampling and may be nil
-// when only Greedy, ActionProb or StateValue will be called.
+// when only Greedy or ActionProb will be called.
 func AgentFromNets(policy, value *nn.MLP, rng *rand.Rand) *Agent {
 	if policy == nil || value == nil {
 		panic("rl: AgentFromNets needs both networks")
@@ -79,8 +78,8 @@ func AgentFromNets(policy, value *nn.MLP, rng *rand.Rand) *Agent {
 // Clone returns an agent with deep-copied networks, private scratch
 // buffers, and rng as its sampling stream — the read-only policy snapshot a
 // rollout worker owns, which later optimizer steps on the original can
-// never race with. rng may be nil when only Greedy, ActionProb or
-// StateValue will be called; install one later with Reseed.
+// never race with. rng may be nil when only Greedy or ActionProb will
+// be called; install one later with Reseed.
 func (a *Agent) Clone(rng *rand.Rand) *Agent {
 	return &Agent{
 		Policy: a.Policy.Clone(),
@@ -167,11 +166,6 @@ func (a *Agent) Greedy(obs []float64) int {
 func (a *Agent) ActionProb(obs []float64, action int) float64 {
 	logits := a.Policy.Forward(obs, &a.polCache)
 	return nn.Softmax(logits, a.probs)[action]
-}
-
-// StateValue returns the critic's value estimate for obs.
-func (a *Agent) StateValue(obs []float64) float64 {
-	return a.Value.Forward(obs, &a.valCache)[0]
 }
 
 // PPOConfig holds the optimization hyperparameters.

@@ -319,3 +319,9 @@ func TestUpdateStatsPopulated(t *testing.T) {
 		t.Errorf("mean reward %v outside [0,1]", st.MeanReward)
 	}
 }
+
+// StateValue returns the critic's value estimate for obs.
+func (a *Agent) StateValue(obs []float64) float64 {
+	var c nn.Cache
+	return a.Value.Forward(obs, &c)[0]
+}
