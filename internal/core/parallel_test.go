@@ -13,6 +13,7 @@ import (
 	"schedinspector/internal/obs"
 	"schedinspector/internal/rollout"
 	"schedinspector/internal/sched"
+	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
 )
 
@@ -435,6 +436,32 @@ func TestRolloutShardAllocs(t *testing.T) {
 	}
 }
 
+// allocated returns the bytes f allocates on the heap.
+func allocated(f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// evalBytesPerPass is the mean of what three Evaluate passes allocate after
+// a warm-up pass has built the lazily built state.
+func evalBytesPerPass(t *testing.T, insp *Inspector, cfg EvalConfig) float64 {
+	t.Helper()
+	if _, err := Evaluate(insp, cfg); err != nil {
+		t.Fatal(err)
+	}
+	const passes = 3
+	return allocated(func() {
+		for i := 0; i < passes; i++ {
+			if _, err := Evaluate(insp, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / passes
+}
+
 // TestEvaluateBytesIndependentOfSeqLen: an evaluation pass keeps nothing of
 // an episode but its outcome, so the bytes it allocates grow with the one
 // live window a worker recycles, not with sequences x jobs. Four times the
@@ -447,27 +474,58 @@ func TestEvaluateBytesIndependentOfSeqLen(t *testing.T) {
 	tr := workload.SDSCSP2Like(3000, 17)
 	insp := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD), nil)
 	bytesPerPass := func(seqLen int) float64 {
-		cfg := EvalConfig{
+		return evalBytesPerPass(t, insp, EvalConfig{
 			Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
 			Sequences: 64, SeqLen: seqLen, Seed: 5, Workers: 1,
-		}
-		if _, err := Evaluate(insp, cfg); err != nil { // warm lazily built state
-			t.Fatal(err)
-		}
-		const passes = 3
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < passes; i++ {
-			if _, err := Evaluate(insp, cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / passes
+		})
 	}
 	short, long := bytesPerPass(64), bytesPerPass(256)
 	t.Logf("bytes per pass: %.0f at SeqLen 64, %.0f at SeqLen 256", short, long)
 	if long-short >= 256<<10 {
 		t.Fatalf("SeqLen 256 allocates %.0f B more per pass than SeqLen 64; the budget is 256 KB", long-short)
+	}
+}
+
+// TestEvaluateWorkersBytes: the live window a rollout worker keeps is sized
+// for memory. Evaluate 200 x 256 at Workers 2 may allocate per pass at most
+// what Workers 1 allocates (one recycled Env) plus 2 x evalWindow Envs, each
+// priced at the most one fresh Env and its job buffer allocate over an
+// episode of the trace. A window of 32 or 64 episodes per worker exceeds it.
+func TestEvaluateWorkersBytes(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's shadow allocations are counted in TotalAlloc")
+	}
+	const evalWindow = 16 // live episodes per worker
+	const seqLen = 256
+	tr := workload.SDSCSP2Like(6000, 17)
+	insp := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD), nil)
+	// Windows differ in how far their queues grow, so an Env is priced at
+	// the heaviest of a fresh Env's episodes every 100 jobs, each job
+	// rejected once.
+	simCfg := sim.Config{MaxProcs: tr.MaxProcs, Policy: sched.F1(), Backfill: true, NoValidate: true}
+	var envBytes float64
+	for start := 0; start+seqLen <= tr.Len(); start += 100 {
+		envBytes = max(envBytes, allocated(func() {
+			env := sim.NewEnv()
+			st, done, err := env.Reset(tr.WindowInto(nil, start, seqLen), simCfg)
+			for err == nil && !done {
+				st, done = env.Step(st.Rejections == 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	bytesPerPass := func(workers int) float64 {
+		return evalBytesPerPass(t, insp, EvalConfig{
+			Trace: tr, Policy: sched.F1(), Metric: metrics.BSLD, Backfill: true,
+			Sequences: 200, SeqLen: seqLen, Seed: 29, Workers: workers,
+		})
+	}
+	one, two := bytesPerPass(1), bytesPerPass(2)
+	t.Logf("bytes per pass: %.0f at Workers 1, %.0f at Workers 2; an Env %.0f", one, two, envBytes)
+	if budget := one + 2*evalWindow*envBytes; two > budget {
+		t.Fatalf("Evaluate at Workers 2 allocates %.0f B per pass; the budget is Workers 1's %.0f B plus %d Envs of %.0f B",
+			two, one, 2*evalWindow, envBytes)
 	}
 }

@@ -109,21 +109,67 @@ const ftraceV1Magic = "SCHDFTR\x01"
 // everything else parses as JSONL via ReadTrace. A version 1 .ftrace file
 // is refused with an error that says so.
 func ReadTraceFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
+	f, br, ftrace, err := openTraceFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("explain: %w", err)
+		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 64*1024)
-	head, _ := br.Peek(ckpt.FrameHeaderSize)
-	if strings.HasPrefix(string(head), ftraceV1Magic) {
-		return nil, fmt.Errorf("explain: %s is a version 1 flight trace, which this build no longer reads (it reads version %d); record it again",
-			path, obs.FTraceVersion)
-	}
-	if _, ok := ckpt.FrameVersion(head); ok {
+	if ftrace {
 		return ReadFTrace(br) // a frame of another version fails there, naming both
 	}
 	return ReadTrace(br)
+}
+
+// ReadSpansFile reads only the spans of a flight-recorder trace file, in
+// file order. A .ftrace file is walked frame by frame like ReadFTrace, so a
+// torn or corrupt frame fails the same way, but every record other than a
+// span is skipped undecoded: a training trace's curves cost its epoch spans,
+// not its decisions. JSONL parses whole through ReadTrace.
+func ReadSpansFile(path string) ([]obs.Span, error) {
+	f, br, ftrace, err := openTraceFile(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if !ftrace {
+		tr, err := ReadTrace(br)
+		if err != nil {
+			return nil, err
+		}
+		return tr.Spans, nil
+	}
+	var spans []obs.Span
+	err = walkFTrace(br, func(kind byte, body []byte) error {
+		if kind != obs.FTraceKindSpan {
+			return nil
+		}
+		s, err := obs.DecodeFTraceSpan(body)
+		if err != nil {
+			return err
+		}
+		spans = append(spans, s)
+		return nil
+	})
+	return spans, err
+}
+
+// openTraceFile opens path for one of the readers above and reports whether
+// it opens with a ckpt frame (a .ftrace file). A version 1 .ftrace file is
+// refused here.
+func openTraceFile(path string) (*os.File, *bufio.Reader, bool, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("explain: %w", err)
+	}
+	br := bufio.NewReaderSize(f, 64*1024)
+	head, _ := br.Peek(ckpt.FrameHeaderSize)
+	if strings.HasPrefix(string(head), ftraceV1Magic) {
+		f.Close()
+		return nil, nil, false, fmt.Errorf("explain: %s is a version 1 flight trace, which this build no longer reads (it reads version %d); record it again",
+			path, obs.FTraceVersion)
+	}
+	_, ftrace := ckpt.FrameVersion(head)
+	return f, br, ftrace, nil
 }
 
 // sortRecords orders by the stable decision key (Epoch, Traj, Seq) — the

@@ -383,6 +383,47 @@ func TestReadTraceFileSniffsFTrace(t *testing.T) {
 	}
 }
 
+// TestReadSpansFile: the span-only pass returns the spans ReadTraceFile
+// does, from a .ftrace (proc and decision records skipped) or its JSONL,
+// and fails on a torn or corrupt frame as ReadFTrace does.
+func TestReadSpansFile(t *testing.T) {
+	dir := t.TempDir()
+	img := ftraceFixture(t, true)
+	bin := dir + "/flight.ftrace"
+	var jsonl bytes.Buffer
+	if err := ConvertFTrace(bytes.NewReader(img), &jsonl); err != nil {
+		t.Fatal(err)
+	}
+	txt := dir + "/flight.jsonl"
+	if err := writeFile(bin, img); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFile(txt, jsonl.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{bin, txt} {
+		spans, err := ReadSpansFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(spans, fixtureSpans()) {
+			t.Fatalf("%s: spans\n got %+v\nwant %+v", path, spans, fixtureSpans())
+		}
+	}
+	torn := dir + "/torn.ftrace"
+	corrupt := append([]byte(nil), img...)
+	corrupt[len(corrupt)-3] ^= 0xFF
+	for _, bad := range [][]byte{img[:len(img)-5], corrupt} {
+		if err := writeFile(torn, bad); err != nil {
+			t.Fatal(err)
+		}
+		_, want := ReadFTrace(bytes.NewReader(bad))
+		if _, err := ReadSpansFile(torn); err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("damaged file: err=%v, want ReadFTrace's %v", err, want)
+		}
+	}
+}
+
 // TestFTraceQueriesWork runs the analysis layer over a binary-sourced trace:
 // the tentpole's point is that the cheap format answers the same questions.
 func TestFTraceQueriesWork(t *testing.T) {

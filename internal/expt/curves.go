@@ -13,13 +13,14 @@ import (
 // PlotCurves reads the epoch spans of a flight trace recorded during
 // training (`schedinspect train -flight out.ftrace`, or its `explain
 // -convert` JSONL) and renders the learning curves as ASCII sparklines —
-// the quick-look equivalent of the paper's training-curve figures.
+// the quick-look equivalent of the paper's training-curve figures. Only
+// the spans are decoded; a .ftrace file's decision records are skipped.
 func PlotCurves(w io.Writer, path string) error {
-	tr, err := explain.ReadTraceFile(path)
+	spans, err := explain.ReadSpansFile(path)
 	if err != nil {
 		return err
 	}
-	hist := core.EpochStatsFromSpans(tr.Spans)
+	hist := core.EpochStatsFromSpans(spans)
 	if len(hist) == 0 {
 		return fmt.Errorf("expt: %s holds no epoch spans; record a training run with schedinspect train -flight", path)
 	}

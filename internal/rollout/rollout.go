@@ -75,9 +75,13 @@ type Pending struct {
 type Decide func(pending []Pending, rejects []bool)
 
 // liveWindow is how many interactive episodes one worker keeps live, and so
-// the most rows one Decide call sees. Evaluate 500 x 256 on one CPU takes
-// the same time from 8 to 128 and 2-7 % longer at 256 and 500.
-const liveWindow = 64
+// the most rows one Decide call sees. Each live episode holds an Env and
+// its job buffer, 45-67 KB allocated at SeqLen 256. With two workers on
+// one CPU, Evaluate 500 x 256 took the same time at windows 8, 16, 32 and
+// 64 (245-252 ms median), while its peak RSS fell from 62.4 MB at 64 to
+// 57.1 at 32, 56.0 at 16 and 54.8 at 8. 16 takes most of that saving and
+// still batches 16 rows per forward.
+const liveWindow = 16
 
 // Config parameterizes one driver run.
 type Config struct {
@@ -92,7 +96,7 @@ type Config struct {
 	// episodes run strictly one at a time in slot order on the calling
 	// goroutine, with single-slot waves — required when episodes share one
 	// stateful, uncloneable policy instance, whose consultation order must
-	// match a sequential loop. With Workers > 1 up to Workers x 64 episodes
+	// match a sequential loop. With Workers > 1 up to Workers x 16 episodes
 	// are live at once, so stateful policies need per-episode instances
 	// (see PolicyClones).
 	Workers int

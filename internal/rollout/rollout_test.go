@@ -181,14 +181,19 @@ func TestRunSlotOrderAndWorkerEquivalence(t *testing.T) {
 		t.Fatalf("per-slot decision counts differ: %v vs %v", seqD.seq, parD.seq)
 	}
 	// Which of four racing workers claims which episode is up to the
-	// scheduler; one worker with the full window must hold all three
-	// interactive episodes in its first wave.
+	// scheduler; one worker fills its whole window before its first wave,
+	// so over twice the window's episodes that wave holds exactly the first
+	// liveWindow interactive (even) slots.
 	d := &slotDecide{}
-	if _, _, err := run(eps, over(Config{NewDecide: d.worker}), 1, liveWindow); err != nil {
+	if _, _, err := run(testEpisodes(2*liveWindow+2), over(Config{NewDecide: d.worker}), 1, liveWindow); err != nil {
 		t.Fatal(err)
 	}
-	if want := []int{0, 2, 4}; !reflect.DeepEqual(d.waves[0], want) {
-		t.Fatalf("one worker's first wave is %v, want %v", d.waves[0], want)
+	first := make([]int, liveWindow)
+	for k := range first {
+		first[k] = 2 * k
+	}
+	if !reflect.DeepEqual(d.waves[0], first) {
+		t.Fatalf("one worker's first wave is %v, want %v", d.waves[0], first)
 	}
 }
 
@@ -372,13 +377,15 @@ func recordingDecide(d *slotDecide, ring *obs.TraceRing, slots int) func(int) De
 // each interactive one a sequential Env fed the same verdicts, bit for bit;
 // flight-record identities do not depend on the window or the worker count;
 // and no worker is ever handed more than its window, a descending wave, or
-// another worker's slot.
+// another worker's slot. The 40 episodes hold 20 interactive ones, so
+// windows 3 and liveWindow fill and refill; 64, the window before it was
+// sized for memory, stays pinned beside it.
 func TestEquivWindowWorkers(t *testing.T) {
-	eps := testEpisodes(21)
+	eps := testEpisodes(40)
 	want := oracle(t, testTrace, testSeqLen, eps, 0)
 	const root = obs.SpanID(77)
 	var wantIDs map[string]int
-	for _, window := range []int{1, 3, liveWindow} {
+	for _, window := range []int{1, 3, liveWindow, 64} {
 		for _, workers := range []int{1, 2, 8} {
 			d := &slotDecide{}
 			ring := obs.NewTraceRing(1 << 14)
