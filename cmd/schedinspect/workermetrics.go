@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -16,19 +15,25 @@ import (
 // serveWorkerMetrics exposes a train-worker's registry at
 // http://addr/metrics and returns a shutdown function that drains
 // in-flight scrapes before the worker exits — the fleet poller must see
-// a clean connection-refused after exit, not a torn exposition. Render
-// failures, write failures, and a fatal Serve error all count into
+// a clean connection-refused after exit, not a torn exposition. Write
+// failures and a fatal Serve error count into
 // schedinspector_metrics_serve_errors_total so the fleet plane can alert
 // on a worker whose own telemetry path is broken.
 func serveWorkerMetrics(reg *obs.Registry, addr string, rank int) (shutdown func(), err error) {
 	serveErrs := reg.Counter("schedinspector_metrics_serve_errors_total",
-		"Failed renders or writes of the /metrics exposition.", nil)
+		"Failed writes of the /metrics exposition.", nil)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", countingMetricsHandler(reg, serveErrs))
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		// WriteProm renders the whole page before its one Write.
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := reg.WriteProm(w); err != nil {
+			serveErrs.Add(1)
+		}
+	})
 	srv := &http.Server{Handler: mux}
 	go func() {
 		if serr := srv.Serve(ln); serr != nil && !errors.Is(serr, http.ErrServerClosed) {
@@ -44,22 +49,4 @@ func serveWorkerMetrics(reg *obs.Registry, addr string, rank int) (shutdown func
 			srv.Close()
 		}
 	}, nil
-}
-
-// countingMetricsHandler renders the whole exposition to a buffer before
-// writing, so a mid-render registry error becomes a clean 500 (and a
-// counter tick) instead of a torn 200 body.
-func countingMetricsHandler(reg *obs.Registry, serveErrs *obs.Counter) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		var buf bytes.Buffer
-		if err := reg.WriteProm(&buf); err != nil {
-			serveErrs.Add(1)
-			http.Error(w, "exposition render failed", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			serveErrs.Add(1)
-		}
-	})
 }

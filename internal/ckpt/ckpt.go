@@ -127,13 +127,9 @@ func Encode(w io.Writer, version uint32, payload []byte) error {
 	return nil
 }
 
-// Decode validates data as one container and returns its payload version
-// and payload. The returned payload aliases data. Every validation failure
-// is a *CorruptError.
-func Decode(data []byte) (version uint32, payload []byte, err error) {
-	return decode(data, "")
-}
-
+// decode validates data, read from path, as one container and returns its
+// payload version and payload. The returned payload aliases data. Every
+// validation failure is a *CorruptError.
 func decode(data []byte, path string) (uint32, []byte, error) {
 	if len(data) < FrameHeaderSize {
 		return 0, nil, corrupt(path, "%d bytes, need at least the %d-byte header", len(data), FrameHeaderSize)

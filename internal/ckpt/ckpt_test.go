@@ -130,7 +130,7 @@ func TestOversizedLengthRejected(t *testing.T) {
 	for i := 12; i < 20; i++ {
 		data[i] = 0xFF
 	}
-	if _, _, err := Decode(data); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := decode(data, ""); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("forged length: err=%v, want ErrCorrupt", err)
 	}
 }

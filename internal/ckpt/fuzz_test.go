@@ -27,7 +27,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(truncatedHeader)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		version, payload, err := Decode(data)
+		version, payload, err := decode(data, "")
 		if err != nil {
 			var ce *CorruptError
 			if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) {
@@ -44,7 +44,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatalf("accepted container is not canonical: %x vs %x", buf.Bytes(), data)
 		}
-		v2, p2, err := Decode(buf.Bytes())
+		v2, p2, err := decode(buf.Bytes(), "")
 		if err != nil || v2 != version || !bytes.Equal(p2, payload) {
 			t.Fatalf("round trip diverged: v=%d err=%v", v2, err)
 		}

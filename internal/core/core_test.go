@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -393,11 +392,7 @@ func (in *Inspector) Save(w io.Writer) error {
 // LoadInspector reads a model (or checkpoint) written by Save: LoadServable
 // for a reader.
 func LoadInspector(r io.Reader, rng *rand.Rand) (*Inspector, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: load inspector: %w", err)
-	}
-	version, payload, err := ckpt.Decode(data)
+	version, payload, err := ckpt.ReadFrame(r, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -37,10 +37,6 @@ type EvalConfig struct {
 	// summaries are reduced in index order.
 	Workers int
 
-	// Metrics, when non-nil, receives worker-utilization and per-sequence
-	// latency observations (see NewRolloutMetrics).
-	Metrics *RolloutMetrics
-
 	// Flight, when non-nil, attaches the decision flight recorder: an
 	// "eval" span roots one span per episode, and every inspector decision
 	// records one explain record (Epoch 0; Traj is the episode slot —
@@ -258,13 +254,7 @@ func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 			sampler.explainTo(cfg.Flight, 0, cfg.MaxRejections)
 		}
 	}
-	outcomes, rep, err := rollout.Run(episodes, rollCfg)
-	cfg.Metrics.observeRollout(workers, rep.Busy.Seconds(), rep.Wall.Seconds())
-	if cfg.Metrics != nil {
-		for i := 0; i < n; i++ {
-			cfg.Metrics.TrajectorySeconds.Observe(rep.EpisodeSeconds[i] + rep.EpisodeSeconds[n+i])
-		}
-	}
+	outcomes, _, err := rollout.Run(episodes, rollCfg)
 	if err != nil {
 		return EvalResult{}, err
 	}

@@ -3,9 +3,9 @@ package core
 import "schedinspector/internal/obs"
 
 // RolloutMetrics is the obs instrumentation of the parallel rollout engine.
-// Attach one (via TrainConfig.Metrics or EvalConfig.Metrics) to export
-// worker utilization and per-trajectory rollout latency through an
-// obs.Registry — e.g. mounted at /metrics.
+// Attach one (via TrainConfig.Metrics) to export worker utilization and
+// per-trajectory rollout latency through an obs.Registry — e.g. mounted at
+// /metrics.
 type RolloutMetrics struct {
 	// Workers is the effective worker count of the most recent rollout.
 	Workers *obs.Gauge
@@ -14,8 +14,7 @@ type RolloutMetrics struct {
 	WorkerUtilization *obs.Gauge
 	// TrajectorySeconds observes each trajectory's share of its rollout
 	// workers' time, policy inference included, at any worker count: the
-	// baseline arm's rollout.Report.EpisodeSeconds plus the inspected arm's,
-	// for the trainer and Evaluate alike.
+	// baseline arm's rollout.Report.EpisodeSeconds plus the inspected arm's.
 	TrajectorySeconds *obs.Histogram
 
 	// Unregistered and never incremented: they go when ROADMAP item 1 drops core.basecache_hit_ratio.

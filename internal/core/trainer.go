@@ -185,7 +185,6 @@ type Trainer struct {
 	cfg   TrainConfig
 	insp  *Inspector
 	ppo   *rl.PPO
-	rng   *rand.Rand
 	epoch int
 
 	trainLo, trainHi int // window-start range for training sequences
@@ -253,7 +252,6 @@ func newTrainer(cfg TrainConfig, warm *Inspector) (*Trainer, error) {
 		cfg:     cfg,
 		insp:    insp,
 		ppo:     rl.NewPPO(insp.Agent, cfg.PPO),
-		rng:     rng,
 		trainLo: 0,
 		trainHi: hi,
 	}, nil

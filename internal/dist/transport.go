@@ -257,7 +257,7 @@ func readHello(c net.Conn) (hello, error) {
 
 // Exchange runs one all-to-all barrier round: payload goes to every peer,
 // and the returned slice holds each rank's payload (the local one included
-// at m.Rank()) once every peer's frame has arrived. Reads and writes are
+// at m.rank) once every peer's frame has arrived. Reads and writes are
 // bounded by opt.ExchangeTimeout — a dead or silent peer surfaces as a
 // *PeerError (deadline or closed-connection cause) instead of a hang.
 //
@@ -325,12 +325,6 @@ func (m *Mesh) Exchange(payload []byte) ([][]byte, time.Duration, error) {
 	}
 	return out, elapsed, nil
 }
-
-// Rank returns the mesh's local rank.
-func (m *Mesh) Rank() int { return m.rank }
-
-// World returns the mesh's world size.
-func (m *Mesh) World() int { return m.world }
 
 func (m *Mesh) closeConns() {
 	for _, c := range m.conns {

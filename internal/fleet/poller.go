@@ -122,12 +122,6 @@ func NewPoller(cfg Config) *Poller {
 	return p
 }
 
-// Registry exposes the self-metrics registry (for mounting at /metrics).
-func (p *Poller) Registry() *obs.Registry { return p.cfg.Registry }
-
-// Window reports the derivation window.
-func (p *Poller) Window() time.Duration { return p.cfg.Window }
-
 // Run polls until the context is cancelled. The first cycle starts
 // immediately.
 func (p *Poller) Run(ctx context.Context) {

@@ -118,21 +118,3 @@ func (a *Adam) Restore(s AdamState) error {
 	install(a.vB, s.VB)
 	return nil
 }
-
-// SGD is a plain stochastic-gradient-descent optimizer, kept for ablations
-// and tests.
-type SGD struct {
-	LR float64
-}
-
-// Step applies one descent update.
-func (s SGD) Step(m *MLP, g *Grads) {
-	for l := range m.W {
-		for i := range m.W[l] {
-			m.W[l][i] -= s.LR * g.W[l][i]
-		}
-		for i := range m.B[l] {
-			m.B[l][i] -= s.LR * g.B[l][i]
-		}
-	}
-}

@@ -231,20 +231,6 @@ func TestAdamConvergesRegression(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := New(rng, []int{1, 1}, Identity, Identity)
-	m.W[0][0] = 1
-	m.B[0][0] = 1
-	g := NewGrads(m)
-	g.W[0][0] = 0.5
-	g.B[0][0] = -0.5
-	SGD{LR: 0.1}.Step(m, g)
-	if math.Abs(m.W[0][0]-0.95) > 1e-12 || math.Abs(m.B[0][0]-1.05) > 1e-12 {
-		t.Errorf("SGD step wrong: W=%v B=%v", m.W[0][0], m.B[0][0])
-	}
-}
-
 func TestSoftmaxAndLogSoftmax(t *testing.T) {
 	p := Softmax([]float64{1, 2, 3}, nil)
 	var sum float64

@@ -264,9 +264,6 @@ type Gauge struct{ v atomicFloat }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.v.store(v) }
 
-// Add shifts the value by v (negative to subtract).
-func (g *Gauge) Add(v float64) { g.v.add(v) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v.load() }
 

@@ -84,8 +84,7 @@ func TestHelpEscaping(t *testing.T) {
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("temp", "", nil)
-	g.Set(4.5)
-	g.Add(-1.5)
+	g.Set(3)
 	if g.Value() != 3 {
 		t.Errorf("gauge %v", g.Value())
 	}

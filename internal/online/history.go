@@ -32,8 +32,8 @@ type CandidateRecord struct {
 	Detail     string  `json:"detail,omitempty"`
 }
 
-// DefaultHistoryCap bounds the verdict ring when Config.HistoryCap is
-// unset.
+// DefaultHistoryCap bounds the candidate-verdict audit ring served at
+// /v1/online/history.
 const DefaultHistoryCap = 64
 
 // candHistory is a bounded ring of verdict records.
@@ -45,9 +45,6 @@ type candHistory struct {
 }
 
 func newCandHistory(capRecords int) *candHistory {
-	if capRecords <= 0 {
-		capRecords = DefaultHistoryCap
-	}
 	return &candHistory{buf: make([]CandidateRecord, capRecords)}
 }
 

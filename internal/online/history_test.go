@@ -20,7 +20,7 @@ func TestHistoryRecordsVerdicts(t *testing.T) {
 	cand := testInspector(2)
 	l, err := New(Config{
 		Source: ringSource{ring}, Serving: srv,
-		MinWindow: 50, Margin: 0.05, HistoryCap: 16,
+		MinWindow: 50, Margin: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -83,16 +83,14 @@ type Config struct {
 	// EvalResult.MeanImprovement (0 = any non-regression promotes).
 	Margin float64
 
-	MinWindow   int     // decisions required before retraining (default 512)
-	MaxWindow   int     // sliding-window bound (default 8192)
-	HoldoutFrac float64 // newest fraction of the window held out for shadow eval (default 0.2)
+	MinWindow int // decisions required before retraining (default 512)
+	MaxWindow int // sliding-window bound (default 8192)
 
 	// Fine-tuning shape. Deliberately small: the loop runs on the serving
 	// box and must stay off the hot path's CPU budget.
-	Epochs int     // retrain epochs per cycle (default 2)
-	Batch  int     // trajectories per epoch (default 8)
-	SeqLen int     // jobs per trajectory, clamped to the window (default 64)
-	LR     float64 // fine-tune learning rate (default 1e-4)
+	Epochs int // retrain epochs per cycle (default 2)
+	Batch  int // trajectories per epoch (default 8)
+	SeqLen int // jobs per trajectory, clamped to the window (default 64)
 
 	ShadowSequences int // eval sequences per shadow arm (default 8)
 	ShadowSeqLen    int // jobs per eval sequence, clamped (default 64)
@@ -102,13 +100,9 @@ type Config struct {
 
 	// PromotedDir, when set, persists every promoted candidate as a full
 	// trainer checkpoint (ckpt container, CRC-verified) named by serving
-	// generation, so a restarted daemon can -model the newest survivor.
-	PromotedDir  string
-	PromotedKeep int // checkpoints retained in PromotedDir (default 4)
-
-	// HistoryCap bounds the candidate-verdict audit ring served at
-	// /v1/online/history (default DefaultHistoryCap).
-	HistoryCap int
+	// generation, so a restarted daemon can -model the newest survivor;
+	// the newest promotedKeep are kept.
+	PromotedDir string
 
 	Logf func(string, ...any) // optional progress log
 }
@@ -129,9 +123,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxWindow < c.MinWindow {
 		c.MaxWindow = c.MinWindow
 	}
-	if c.HoldoutFrac <= 0 || c.HoldoutFrac >= 1 {
-		c.HoldoutFrac = 0.2
-	}
 	if c.Epochs <= 0 {
 		c.Epochs = 2
 	}
@@ -141,17 +132,11 @@ func (c Config) withDefaults() Config {
 	if c.SeqLen <= 0 {
 		c.SeqLen = 64
 	}
-	if c.LR <= 0 {
-		c.LR = 1e-4
-	}
 	if c.ShadowSequences <= 0 {
 		c.ShadowSequences = 8
 	}
 	if c.ShadowSeqLen <= 0 {
 		c.ShadowSeqLen = 64
-	}
-	if c.PromotedKeep <= 0 {
-		c.PromotedKeep = 4
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -215,7 +200,7 @@ func New(cfg Config) (*Loop, error) {
 	l := &Loop{
 		cfg:     cfg,
 		m:       newMetricsSet(cfg.Registry),
-		hist:    newCandHistory(cfg.HistoryCap),
+		hist:    newCandHistory(DefaultHistoryCap),
 		lastSeq: -1,
 		stopCh:  make(chan struct{}),
 		doneCh:  make(chan struct{}),
@@ -453,7 +438,7 @@ func (l *Loop) confirmOrRollback(hold *workload.Trace, seed int64, cycle uint64)
 }
 
 // persistPromoted writes the promoted candidate's full trainer checkpoint
-// into PromotedDir (CRC-verified ckpt container, pruned to PromotedKeep).
+// into PromotedDir (CRC-verified ckpt container, pruned to promotedKeep).
 // Persistence failures never affect serving; they are logged and surfaced
 // on status.
 func (l *Loop) persistPromoted(ck *core.TrainerCheckpoint, gen int64) {
@@ -472,7 +457,7 @@ func (l *Loop) persistPromoted(ck *core.TrainerCheckpoint, gen int64) {
 		if err := ckpt.Write(path, core.TrainerCheckpointVersion, payload); err != nil {
 			return err
 		}
-		return ckpt.Prune(l.cfg.PromotedDir, l.cfg.PromotedKeep)
+		return ckpt.Prune(l.cfg.PromotedDir, promotedKeep)
 	}()
 	if err != nil {
 		l.fail(fmt.Errorf("persist promoted generation %d: %w", gen, err))

@@ -38,7 +38,7 @@ func (l *Loop) retrainCandidate(ctx context.Context, serving *core.Inspector, tr
 		FeatureMode:   serving.Mode,
 		SeqLen:        seqLen,
 		Batch:         l.cfg.Batch,
-		LR:            l.cfg.LR,
+		LR:            fineTuneLR,
 		Seed:          seed,
 		TrainFrac:     1, // the holdout was already carved off the window
 		MaxInterval:   serving.Norm.MaxInterval,

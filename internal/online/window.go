@@ -20,6 +20,15 @@ const (
 	minHoldoutJobs = 4
 )
 
+// The cycle's fixed shape: the newest holdoutFrac of the window is held
+// out for shadow evaluation, candidates fine-tune at fineTuneLR, and
+// PromotedDir keeps the newest promotedKeep checkpoints.
+const (
+	holdoutFrac  = 0.2
+	fineTuneLR   = 1e-4
+	promotedKeep = 4
+)
+
 // tail pulls a fresh ring snapshot and appends the decisions the loop has
 // not seen yet (Seq-deduplicated) to the sliding window. A corrupt image
 // counts against corrupt_windows but its decoded prefix is still consumed
@@ -49,12 +58,12 @@ func (l *Loop) tail() {
 }
 
 // reconstruct splits the window by time — older records train, the newest
-// HoldoutFrac are held out for shadow evaluation — and rebuilds a
+// holdoutFrac are held out for shadow evaluation — and rebuilds a
 // validated workload trace from each part. Held-out decisions are by
 // construction decisions the candidate never trained on.
 func (l *Loop) reconstruct() (train, hold *workload.Trace, err error) {
 	n := len(l.window)
-	holdN := int(float64(n) * l.cfg.HoldoutFrac)
+	holdN := int(float64(n) * holdoutFrac)
 	if holdN < minHoldoutJobs {
 		holdN = minHoldoutJobs
 	}

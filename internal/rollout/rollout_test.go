@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -257,7 +258,7 @@ func TestSlotBaseShiftsSlotsAndSpanIDs(t *testing.T) {
 func TestRunDoesNotMutateCallerEpisodes(t *testing.T) {
 	eps := testEpisodes(3)
 	epsBefore := append([]Episode(nil), eps...)
-	before := testTrace.Clone()
+	jobsBefore := slices.Clone(testTrace.Jobs)
 	d := &slotDecide{}
 	ring := obs.NewTraceRing(1 << 12)
 	if _, _, err := Run(eps, over(Config{Workers: 2, NewDecide: d.worker, Ring: ring, SpanRoot: 9})); err != nil {
@@ -273,7 +274,7 @@ func TestRunDoesNotMutateCallerEpisodes(t *testing.T) {
 			t.Fatalf("Run wrote into the caller's episode %d: %+v, was %+v", i, got, want)
 		}
 	}
-	if !reflect.DeepEqual(testTrace.Jobs, before.Jobs) {
+	if !reflect.DeepEqual(testTrace.Jobs, jobsBefore) {
 		t.Fatal("Run wrote into its trace")
 	}
 }
@@ -310,7 +311,7 @@ func TestRunReturnsFirstErrorInSlotOrder(t *testing.T) {
 	// Unsort one pair of jobs inside each bad episode's window, where no
 	// other episode's window reaches (windows start 40 apart and overlap by
 	// 8), and have only the bad episodes validate.
-	tr := testTrace.Clone()
+	tr := &workload.Trace{MaxProcs: testTrace.MaxProcs, Jobs: slices.Clone(testTrace.Jobs)}
 	for _, bad := range []int{1, 2, 4} { // one non-interactive, two interactive
 		eps[bad].Cfg.NoValidate = false
 		k := eps[bad].Start + 10 + bad // unsorted at window index 11+bad

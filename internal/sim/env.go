@@ -173,9 +173,6 @@ func (e *Env) Step(reject bool) (*State, bool) {
 // invalidated by the next Reset.
 func (e *Env) Result() Result { return e.out }
 
-// Done reports whether the current episode has run to completion.
-func (e *Env) Done() bool { return e.phase == envDone }
-
 // Now returns the current simulation time — the clock value callers stamp
 // into spans that bracket env activity (episode and epoch spans).
 func (e *Env) Now() float64 { return e.now }

@@ -116,15 +116,6 @@ type Result struct {
 	IdleDelay   float64             // total time spent idling due to rejections
 }
 
-// RejectionRatio returns rejections/inspections (0 if never consulted),
-// the orange curves of Figures 7, 9 and 11.
-func (r Result) RejectionRatio() float64 {
-	if r.Inspections == 0 {
-		return 0
-	}
-	return float64(r.Rejections) / float64(r.Inspections)
-}
-
 // Summary computes the metrics summary of the run.
 func (r Result) Summary(maxProcs int) metrics.Summary {
 	return metrics.Compute(r.Results, maxProcs)

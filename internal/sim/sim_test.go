@@ -654,16 +654,6 @@ func TestRunProperty(t *testing.T) {
 	}
 }
 
-func TestRejectionRatio(t *testing.T) {
-	if (Result{}).RejectionRatio() != 0 {
-		t.Error("empty ratio not 0")
-	}
-	r := Result{Inspections: 10, Rejections: 3}
-	if got := r.RejectionRatio(); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("ratio = %v", got)
-	}
-}
-
 func TestSlurmPolicyInSim(t *testing.T) {
 	tr := workload.SDSCSP2Like(2000, 31)
 	pol := sched.NewSlurm(tr)

@@ -1,5 +1,5 @@
 // Package stats provides the small descriptive-statistics toolkit used by
-// the evaluation harness: streaming moments, percentiles, box-and-whisker
+// the evaluation harness: moments, percentiles, box-and-whisker
 // summaries, and empirical CDFs (for the §5 "what SchedInspector learns"
 // analysis).
 package stats
@@ -9,54 +9,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Welford accumulates mean and variance in a single streaming pass.
-type Welford struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 if empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the sample variance (0 if fewer than two observations).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
-// Min returns the smallest observation (0 if empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 if empty).
-func (w *Welford) Max() float64 { return w.max }
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {

@@ -8,41 +8,53 @@ import (
 	"testing/quick"
 )
 
+func TestMeanStd(t *testing.T) {
+	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
+	if got := Mean(xs); got != 5 {
+		t.Errorf("Mean = %v, want 5", got)
+	}
+	if got, want := Std(xs), math.Sqrt(32.0/7); math.Abs(got-want) > 1e-12 {
+		t.Errorf("Std = %v, want %v", got, want)
+	}
+}
+
+// welford is an independent one-pass oracle for Mean and Std: Welford's
+// streaming recurrence for the mean and the sample standard deviation.
+func welford(xs []float64) (mean, std float64) {
+	var m2 float64
+	for i, x := range xs {
+		d := x - mean
+		mean += d / float64(i+1)
+		m2 += d * (x - mean)
+	}
+	if len(xs) < 2 {
+		return mean, 0
+	}
+	return mean, math.Sqrt(m2 / float64(len(xs)-1))
+}
+
 func TestWelfordAgainstDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	xs := make([]float64, 1000)
-	var w Welford
 	for i := range xs {
 		xs[i] = rng.NormFloat64()*3 + 7
-		w.Add(xs[i])
 	}
-	if w.N() != len(xs) {
-		t.Fatalf("N = %d", w.N())
+	mean, std := welford(xs)
+	if math.Abs(mean-Mean(xs)) > 1e-9 {
+		t.Errorf("mean %v vs %v", mean, Mean(xs))
 	}
-	if math.Abs(w.Mean()-Mean(xs)) > 1e-9 {
-		t.Errorf("mean %v vs %v", w.Mean(), Mean(xs))
-	}
-	if math.Abs(w.Std()-Std(xs)) > 1e-9 {
-		t.Errorf("std %v vs %v", w.Std(), Std(xs))
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	if w.Min() != lo || w.Max() != hi {
-		t.Errorf("min/max %v/%v vs %v/%v", w.Min(), w.Max(), lo, hi)
+	if math.Abs(std-Std(xs)) > 1e-9 {
+		t.Errorf("std %v vs %v", std, Std(xs))
 	}
 }
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Std() != 0 || w.N() != 0 {
-		t.Error("empty accumulator not zero")
+	if mean, std := welford(nil); mean != 0 || std != 0 || Mean(nil) != 0 || Std(nil) != 0 {
+		t.Error("empty input not zero")
 	}
-	w.Add(5)
-	if w.Mean() != 5 || w.Var() != 0 {
-		t.Errorf("single obs: mean %v var %v", w.Mean(), w.Var())
+	one := []float64{5}
+	if mean, std := welford(one); mean != 5 || std != 0 || Mean(one) != 5 || Std(one) != 0 {
+		t.Errorf("single obs: mean %v std %v", Mean(one), Std(one))
 	}
 }
 

@@ -108,10 +108,3 @@ func (t *Trace) Split(frac float64) int {
 	}
 	return n
 }
-
-// Clone deep-copies the trace.
-func (t *Trace) Clone() *Trace {
-	jobs := make([]Job, len(t.Jobs))
-	copy(jobs, t.Jobs)
-	return &Trace{Name: t.Name, MaxProcs: t.MaxProcs, Jobs: jobs}
-}

@@ -458,15 +458,6 @@ func TestWindowProperty(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	tr := SDSCSP2Like(100, 1)
-	cl := tr.Clone()
-	cl.Jobs[0].Submit = 12345
-	if tr.Jobs[0].Submit == 12345 {
-		t.Error("Clone shares job storage")
-	}
-}
-
 func TestPaperTracesList(t *testing.T) {
 	names := PaperTraces()
 	if len(names) != 4 || names[0] != "SDSC-SP2" || names[3] != "Lublin" {
