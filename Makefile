@@ -5,7 +5,8 @@
 # races would hide. The rollout packages run with -short so the race pass
 # stays fast; the long learning test is covered by the plain `test` target,
 # as are cmd/'s process tests (train-worker meshes, inspectord's online loop
-# under a fleet daemon, the flight recorder through the CLI).
+# beside a training mesh (TestProcessOnlineMesh), the flight recorder
+# through the CLI).
 
 GO ?= go
 FUZZTIME ?= 30s

@@ -1,8 +1,9 @@
 // Package cmd_test builds the repository's binaries once and drives them as
 // processes end to end: tracegen → schedinspect train → eval → inspect →
 // inspectord serving the trained model over HTTP, train-worker meshes
-// against single-process training, and inspectord's online loop watched by
-// a fleet daemon. Every test skips under -short.
+// against single-process training, and inspectord's online loop beside a
+// training mesh, each process scraped directly. Every test skips under
+// -short.
 package cmd_test
 
 import (
@@ -260,7 +261,7 @@ func inspect(t *testing.T, d *daemon, rng *rand.Rand) float64 {
 	return *v.RejectProb
 }
 
-// scrape parses d's /metrics with the fleet plane's own parser.
+// scrape parses d's /metrics with the repository's exposition parser.
 func scrape(t *testing.T, d *daemon) *fleet.Scrape {
 	t.Helper()
 	s, err := (&fleet.Client{HTTP: client}).Scrape(context.Background(), d.url("/metrics"))
@@ -1008,13 +1009,13 @@ func TestProcessDistWorldSizes(t *testing.T) {
 	}
 }
 
-// TestProcessOnlineFleet stands up inspectord's online loop, two
-// train-workers meshed over unix sockets with -metrics-addr, and a fleet
-// daemon scraping all three, then drives seeded /v1/inspect traffic until
-// the loop reaches a verdict and the fleet plane shows it. Serving must
-// stay uninterrupted throughout, and the generation gauge must agree with
-// /v1/online/status before and after.
-func TestProcessOnlineFleet(t *testing.T) {
+// TestProcessOnlineMesh stands up inspectord's online loop beside two
+// train-workers meshed over unix sockets with -metrics-addr, scrapes all
+// three directly, and drives seeded /v1/inspect traffic until the loop
+// reaches a verdict. Decisions and epochs must rise between scrapes,
+// serving must stay uninterrupted throughout, and the generation gauge must
+// agree with /v1/online/status before and after.
+func TestProcessOnlineMesh(t *testing.T) {
 	si := bin(t, "schedinspect")
 	work := t.TempDir()
 	model := filepath.Join(work, "model.ckpt")
@@ -1023,16 +1024,12 @@ func TestProcessOnlineFleet(t *testing.T) {
 	insp := inspectord(t, "-model", model, "-seed", "7", "-online", "-online-interval", "500ms",
 		"-online-min-window", "256", "-online-dir", filepath.Join(work, "promoted"))
 	insp.status = "/v1/online/status"
-	targets := "inspectord=" + insp.addr
 	peers := filepath.Join(work, "w0.sock") + "," + filepath.Join(work, "w1.sock")
+	var workers []*daemon
 	for r := range 2 {
-		w := start(t, "/metrics", si, train("train-worker", 100000, "-world", "2", "-rank", strconv.Itoa(r),
-			"-peers", peers, "-metrics-addr", "127.0.0.1:0", "-model", filepath.Join(work, fmt.Sprintf("rank%d.ckpt", r)))...)
-		targets += fmt.Sprintf(",w%d=%s", r, w.addr)
+		workers = append(workers, start(t, "/metrics", si, train("train-worker", 100000, "-world", "2", "-rank", strconv.Itoa(r),
+			"-peers", peers, "-metrics-addr", "127.0.0.1:0", "-model", filepath.Join(work, fmt.Sprintf("rank%d.ckpt", r)))...))
 	}
-	fl := start(t, "/v1/fleet", si, "fleet", "-targets", targets, "-addr", "127.0.0.1:0",
-		"-interval", "1s", "-window", "30s")
-	fl.status = "/v1/fleet"
 
 	status := func() online.Status {
 		var st online.Status
@@ -1048,6 +1045,25 @@ func TestProcessOnlineFleet(t *testing.T) {
 		}
 		return int64(g)
 	}
+	decisions := func() float64 {
+		s := scrape(t, insp)
+		var n float64
+		for _, verdict := range []string{"accept", "reject"} {
+			v, err := series(s, "schedinspector_inspect_decisions_total", "verdict", verdict)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += v
+		}
+		return n
+	}
+	epochs := func(w *daemon) float64 {
+		v, err := series(scrape(t, w), "schedinspector_dist_epochs_total")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
 	st := status()
 	if !st.Enabled {
 		t.Fatalf("online loop disabled: %+v", st)
@@ -1056,18 +1072,46 @@ func TestProcessOnlineFleet(t *testing.T) {
 	if g := generation(); g != startGen {
 		t.Fatalf("generation gauge %d, status %d at start", g, startGen)
 	}
+	startDecisions := decisions()
+	var startEpochs []float64
+	for _, w := range workers {
+		startEpochs = append(startEpochs, epochs(w))
+	}
 
 	rng := rand.New(rand.NewSource(1))
 	for range 1500 {
 		inspect(t, insp, rng)
 	}
-	var fs fleet.FleetStatus
 	poll(t, 120*time.Second, func() error {
-		st, fs = status(), fleet.FleetStatus{}
-		if err := getJSON(fl.url("/v1/fleet"), &fs); err != nil {
+		var unmet []string
+		if d := decisions(); !(d > startDecisions) {
+			unmet = append(unmet, fmt.Sprintf("inspectord decisions %v, %v before traffic", d, startDecisions))
+		}
+		for r, w := range workers {
+			s := scrape(t, w)
+			if e, err := series(s, "schedinspector_dist_epochs_total"); err != nil || !(e > startEpochs[r]) {
+				unmet = append(unmet, fmt.Sprintf("rank %d epochs %v (%v), %v at start", r, e, err, startEpochs[r]))
+			}
+			if f := s.Family("schedinspector_dist_straggler_seconds"); f == nil || f.Type != "histogram" || len(f.Histograms) != 1 || f.Histograms[0].Count == 0 {
+				unmet = append(unmet, fmt.Sprintf("rank %d straggler histogram %+v", r, f))
+			}
+		}
+		var hist struct {
+			Candidates []online.CandidateRecord `json:"candidates"`
+		}
+		if err := getJSON(insp.url("/v1/online/history"), &hist); err != nil {
 			return err
 		}
-		unmet := assessFleet(&fs)
+		verdicts := 0
+		for _, c := range hist.Candidates {
+			if c.Verdict != "" {
+				verdicts++
+			}
+		}
+		if verdicts == 0 {
+			unmet = append(unmet, "no verdict in /v1/online/history")
+		}
+		st = status()
 		if st.Retrains == 0 || st.ShadowEvals == 0 || st.Promotions+st.Rejections == 0 {
 			unmet = append(unmet, fmt.Sprintf("no loop verdict: retrains %d, shadow evals %d, promotions %d, rejections %d, window %d/%d, last error %q",
 				st.Retrains, st.ShadowEvals, st.Promotions, st.Rejections, st.WindowRecords, st.MinWindow, st.LastError))
@@ -1099,72 +1143,4 @@ func TestProcessOnlineFleet(t *testing.T) {
 	for range 100 {
 		inspect(t, insp, rng)
 	}
-
-	// The plane's own exposition agrees that every target is up.
-	s := scrape(t, fl)
-	for _, tg := range fs.Targets {
-		if v, err := series(s, "schedinspector_fleet_target_up", "target", tg.Name); err != nil || v != 1 {
-			t.Errorf("fleet target_up{target=%q} = %v (%v), want 1", tg.Name, v, err)
-		}
-	}
-	run(t, si, "fleet", "-once", "-targets", targets, "-interval", "1s")
-}
-
-// assessFleet returns the fleet-plane assertions st does not meet yet.
-func assessFleet(st *fleet.FleetStatus) []string {
-	if len(st.Targets) != 3 {
-		return []string{fmt.Sprintf("%d targets, want 3", len(st.Targets))}
-	}
-	var (
-		unmet              []string
-		insp               *fleet.TargetStatus
-		workers, quantiles int
-	)
-	for i, tg := range st.Targets {
-		if !tg.Up || tg.Points < 2 {
-			unmet = append(unmet, fmt.Sprintf("target %s up %v with %d points %s", tg.Name, tg.Up, tg.Points, tg.LastErr))
-		}
-		switch tg.Kind {
-		case "train-worker":
-			workers++
-		case "inspectord":
-			insp = &st.Targets[i]
-		}
-		quantiles += len(tg.Quantiles)
-	}
-	if workers != 2 || insp == nil {
-		return append(unmet, fmt.Sprintf("%d train-workers and inspectord %v classified", workers, insp != nil))
-	}
-	if r := insp.Rates["schedinspector_inspect_decisions_total"]; !(r > 0) {
-		unmet = append(unmet, fmt.Sprintf("inspectord decision rate %v", r))
-	}
-	if quantiles == 0 {
-		unmet = append(unmet, "no histogram quantile on any target")
-	}
-	if st.Dist == nil || st.Dist.Workers != 2 || !(st.Dist.EpochRate > 0) {
-		unmet = append(unmet, fmt.Sprintf("dist summary %+v, want 2 workers at a positive epoch rate", st.Dist))
-	}
-	straggler := false
-	for _, rs := range st.Rules {
-		straggler = straggler || rs.Name == "rank-straggler" && rs.Evaluated > 0
-	}
-	if !straggler {
-		unmet = append(unmet, "rank-straggler rule never evaluated")
-	}
-	var hist struct {
-		Candidates []struct {
-			Verdict string `json:"verdict"`
-		} `json:"candidates"`
-	}
-	_ = json.Unmarshal(insp.OnlineHistory, &hist) // empty until the first fetch: no verdicts yet
-	verdicts := 0
-	for _, c := range hist.Candidates {
-		if c.Verdict != "" {
-			verdicts++
-		}
-	}
-	if verdicts == 0 {
-		unmet = append(unmet, "no online verdict surfaced in /v1/fleet")
-	}
-	return unmet
 }

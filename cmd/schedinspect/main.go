@@ -55,8 +55,6 @@ func main() {
 		err = cmdInspect(os.Args[2:])
 	case "explain":
 		err = cmdExplain(os.Args[2:])
-	case "fleet":
-		err = cmdFleet(os.Args[2:])
 	case "version":
 		fmt.Println("schedinspect", version.String())
 	case "-h", "--help", "help":
@@ -80,7 +78,6 @@ func usage() {
   schedinspect stats -trace NAME [-swf FILE]
   schedinspect inspect -trace NAME [-swf FILE] -policy SJF -model IN.ckpt
   schedinspect explain -in FLIGHT[.jsonl|.ftrace] [-convert OUT.jsonl | -job ID | -window T0:T1 | -top-rejected N | -feature-stats]
-  schedinspect fleet -targets name=host:port,... | -targets-file FILE [-interval D] [-window D] [-addr HOST:PORT] [-once [-json]]
   schedinspect version
 
 train and eval accept -flight OUT to record a decision flight trace (one
@@ -174,7 +171,7 @@ func cmdTrain(args []string, worker bool) (err error) {
 		network = fs.String("network", "", "peer network: tcp, unix, or empty to infer per address")
 		dialTimeout = fs.Duration("dial-timeout", 30*time.Second, "bound on establishing the peer mesh")
 		exchangeTimeout = fs.Duration("exchange-timeout", 10*time.Minute, "bound on each exchange round of an epoch; must cover the slowest peer's rollout")
-		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus /metrics (dist exchange + rollout telemetry) on this address for a training-fleet dashboard")
+		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus /metrics (dist exchange + rollout telemetry) on this address for any scraper")
 	}
 	fs.Parse(args)
 

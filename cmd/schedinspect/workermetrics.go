@@ -14,11 +14,11 @@ import (
 
 // serveWorkerMetrics exposes a train-worker's registry at
 // http://addr/metrics and returns a shutdown function that drains
-// in-flight scrapes before the worker exits — the fleet poller must see
-// a clean connection-refused after exit, not a torn exposition. Write
-// failures and a fatal Serve error count into
-// schedinspector_metrics_serve_errors_total so the fleet plane can alert
-// on a worker whose own telemetry path is broken.
+// in-flight scrapes before the worker exits — a scraper must see a clean
+// connection-refused after exit, not a torn exposition. Write failures and
+// a fatal Serve error count into schedinspector_metrics_serve_errors_total,
+// so a worker whose own telemetry path is broken says so on its next
+// scrape.
 func serveWorkerMetrics(reg *obs.Registry, addr string, rank int) (shutdown func(), err error) {
 	serveErrs := reg.Counter("schedinspector_metrics_serve_errors_total",
 		"Failed writes of the /metrics exposition.", nil)

@@ -19,8 +19,9 @@ import (
 )
 
 // uncalledAllowed are the functions, methods and types under internal/ and
-// cmd/ that no non-test file uses, each with the reason it stays. An entry
-// goes when its declaration is deleted or gains a user;
+// cmd/ that no non-test file uses, and the fields of internal/ *Config
+// structs that no non-test file sets, each with the reason it stays. An
+// entry goes when its declaration is deleted or gains a user;
 // TestNoUncalledFunctions fails on an entry that no longer names an unused
 // declaration.
 var uncalledAllowed = map[string]string{
@@ -31,13 +32,17 @@ var uncalledAllowed = map[string]string{
 	"nn.NewGrads":           "the per-step gradient oracle of rl's equivalence tests, which cannot see nn's test files",
 	"rl.PPO.Update":         "core's legacy-equivalence test compares the sharded update against it",
 	"rl.Agent.Reseed":       "core's legacy-equivalence test reseeds its reference agent with it",
-	"fleet.Scrape.WriteTo":  "ParseProm's round-trip oracle; in a test file it would leave obs.AppendPromSample and obs.AppendPromHistogram uncalled",
+	"fleet.Scrape.WriteTo":  "ParseProm's round-trip oracle, rendering through obs's own exposition appenders; the parser and fuzz tests compare against it",
 	"obs.TraceRing.Dropped": "ring-health assertions in several packages' tests; production reads Flush and the ring's metrics",
 	"obs.TraceRing.SinkErr": "ring-health assertions in several packages' tests; production reads Flush and the ring's metrics",
 	"obs.TraceRing.Total":   "ring-health assertions in several packages' tests; production reads Flush and the ring's metrics",
 	"sched.Names":           "drives the sim tests' loops over every policy",
 	"sim.Env.Snapshot":      "ROADMAP's hindsight-headroom oracle is to branch the simulator with it; FuzzEnvStep replays through it",
 	"sim.Env.Restore":       "ROADMAP's hindsight-headroom oracle is to branch the simulator with it; FuzzEnvStep replays through it",
+
+	"core.EvalConfig.Greedy":  "the paper's argmax inference option, set through the facade's EvalConfig alias",
+	"core.TrainConfig.Hidden": "the network shape, set through the facade's TrainConfig alias; unset means the paper's 32-16-8",
+	"sim.Config.OnEvent":      "the facade's SimConfig event hook (ExampleSimulate); ROADMAP item 18 decides whether it stays",
 }
 
 // TestNoUncalledFunctions: every function, method and type declared in a
@@ -49,9 +54,12 @@ var uncalledAllowed = map[string]string{
 // types.Implements, an interface that has it: any interface the module's
 // code mentions, plus error, fmt.Stringer and the errors package's Unwrap
 // and Is. A type's uses as its own methods' receiver do not count. Struct
-// fields are not checked: encoding/json reads tagged ones by reflection.
-// Code that only tests use fails here unless uncalledAllowed says why it
-// stays.
+// fields are checked only in the exported *Config structs under internal/,
+// and there for being set, not read: every field must be set by some
+// non-test file (a composite-literal key, an assignment or inc/dec, or the
+// operand of &); encoding/json reads other tagged fields by reflection.
+// Code that only tests use, and a Config field only tests set, fails here
+// unless uncalledAllowed says why it stays.
 func TestNoUncalledFunctions(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // import path → non-test files
@@ -216,7 +224,61 @@ func TestNoUncalledFunctions(t *testing.T) {
 		}
 	}
 
+	// A field of an exported *Config struct under internal/ is live when a
+	// non-test file sets it: as a composite-literal key, on the left of an
+	// assignment or inc/dec, or as the operand of & (a flag.Var target).
+	set := map[types.Object]bool{}
+	setBy := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			set[info.Uses[sel.Sel]] = true
+		}
+	}
+	for _, fs := range files {
+		for _, f := range fs {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						set[info.Uses[id]] = true
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						setBy(lhs)
+					}
+				case *ast.IncDecStmt:
+					setBy(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setBy(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+
 	keys := map[string]bool{}
+	for obj, name := range declared {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || !tn.Exported() || !strings.HasSuffix(tn.Name(), "Config") || !strings.HasPrefix(tn.Pkg().Path(), "schedinspector/internal/") {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			field := name + "." + st.Field(i).Name()
+			keys[field] = true
+			_, allowed := uncalledAllowed[field]
+			switch {
+			case !set[st.Field(i)] && !allowed:
+				t.Errorf("%s (%s): no non-test file sets it; delete it, or allow it with the reason it stays", field, fset.Position(st.Field(i).Pos()))
+			case set[st.Field(i)] && allowed:
+				t.Errorf("uncalledAllowed[%q]: a non-test file sets it now; drop the entry", field)
+			}
+		}
+	}
 	for obj, name := range declared {
 		keys[name] = true
 		_, allowed := uncalledAllowed[name]

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"schedinspector/internal/obs"
 )
@@ -79,37 +78,6 @@ func BenchmarkFleetScrape(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Scrape(ctx, srv.URL); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFleetAggregate measures Status() — the /v1/fleet build — over
-// a poller with full history rings for several targets.
-func BenchmarkFleetAggregate(b *testing.B) {
-	src := benchExposition(b)
-	s, err := ParseProm(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := NewPoller(Config{
-		Targets: []Target{
-			{Name: "inspectord", Addr: "127.0.0.1:1"},
-			{Name: "w0", Addr: "127.0.0.1:2"},
-			{Name: "w1", Addr: "127.0.0.1:3"},
-		},
-		Interval: time.Second,
-		Window:   time.Minute,
-	})
-	for _, st := range p.states {
-		for i := 0; i < DefaultHistoryCap; i++ {
-			st.hist.Add(float64(i), s)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if fs := p.Status(); len(fs.Targets) != 3 {
-			b.Fatal("bad status")
 		}
 	}
 }

@@ -1,15 +1,12 @@
-// Package fleet is the observability plane over a running schedinspector
-// fleet: it scrapes the Prometheus text endpoints every process in the
-// reproduction already exports (inspectord's /metrics, each train-worker's
-// -metrics-addr), keeps a bounded time-series window per target, derives
-// rates and histogram quantiles from the raw counters, evaluates grounded
-// health rules (stragglers, queue saturation, sink errors, promotion
-// churn) into deduplicated alerts, and serves the aggregate as one JSON
-// document, one HTML dashboard, and one text table.
+// Package fleet reads the Prometheus text exposition that every
+// schedinspector process serves on /metrics: ParseProm parses a page into
+// families, samples and assembled histograms, Scrape.WriteTo renders one
+// back, and Client fetches and parses a page over HTTP. The benchmark and
+// the process tests read running daemons through it.
 //
-// Like the rest of the module it is standard library only: the scrape
-// client and this parser are the repo's own, sized to round-trip exactly
-// what obs.Registry renders (Prometheus text exposition format 0.0.4).
+// Like the rest of the module it is standard library only: the parser is
+// the repo's own, sized to round-trip exactly what obs.Registry renders
+// (Prometheus text exposition format 0.0.4).
 package fleet
 
 import (
@@ -60,20 +57,6 @@ type HistogramSample struct {
 	Buckets []Bucket
 	Sum     float64
 	Count   uint64
-}
-
-// Uppers returns the finite bounds and cumulative counts in the shape
-// obs.HistQuantile consumes (the final count is the +Inf total).
-func (h *HistogramSample) Uppers() (uppers []float64, cum []uint64) {
-	uppers = make([]float64, 0, len(h.Buckets)-1)
-	cum = make([]uint64, 0, len(h.Buckets))
-	for _, b := range h.Buckets {
-		if !math.IsInf(b.Upper, 1) {
-			uppers = append(uppers, b.Upper)
-		}
-		cum = append(cum, b.CumCount)
-	}
-	return uppers, cum
 }
 
 // Family is one metric family: name, HELP/TYPE metadata, and its series in

@@ -113,12 +113,13 @@ func TestParsePromContents(t *testing.T) {
 	if h.Count != h.Buckets[len(h.Buckets)-1].CumCount || h.Count != 200 {
 		t.Errorf("count mismatch: %d vs %d", h.Count, h.Buckets[len(h.Buckets)-1].CumCount)
 	}
-	uppers, cum := h.Uppers()
-	if len(uppers) != len(obs.DefBuckets()) || len(cum) != len(uppers)+1 {
-		t.Fatalf("Uppers shape: %d/%d", len(uppers), len(cum))
+	if len(h.Buckets) != len(obs.DefBuckets())+1 {
+		t.Fatalf("%d buckets, want %d bounds + Inf", len(h.Buckets), len(obs.DefBuckets()))
 	}
-	if q := obs.HistQuantile(0.5, uppers, cum); math.IsNaN(q) || q <= 0 {
-		t.Errorf("median from parsed buckets: %v", q)
+	for i, upper := range obs.DefBuckets() {
+		if h.Buckets[i].Upper != upper {
+			t.Errorf("bucket %d upper %v, want %v", i, h.Buckets[i].Upper, upper)
+		}
 	}
 
 	if e := s.Family("fleet_test_empty_seconds"); e == nil || e.Histograms[0].Count != 0 {

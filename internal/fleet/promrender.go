@@ -12,9 +12,8 @@ import (
 // same HELP/TYPE lines, same sorted-label rendering and value formatting,
 // histograms as cumulative buckets (le spliced last) followed by _sum and
 // _count. The round-trip is the parser's correctness oracle — see
-// TestParsePromRoundTrip — and makes a Scrape a lossless intermediate
-// representation for re-export. ParseProm accepts only label names obs
-// renders, so a parsed scrape always renders.
+// TestParsePromRoundTrip and FuzzParseProm. ParseProm accepts only label
+// names obs renders, so a parsed scrape always renders.
 func (s *Scrape) WriteTo(w io.Writer) (int64, error) {
 	var b []byte
 	for _, f := range s.Families {

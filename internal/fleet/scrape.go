@@ -5,88 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"strings"
-	"time"
 )
-
-// Target names one process the fleet plane watches. Addr is a host:port
-// (scraped at http://addr/metrics) or a full URL when the exposition
-// lives somewhere else.
-type Target struct {
-	Name string `json:"name"`
-	Addr string `json:"addr"`
-}
-
-// MetricsURL is the exposition endpoint for the target.
-func (t Target) MetricsURL() string {
-	if strings.Contains(t.Addr, "://") {
-		return t.Addr
-	}
-	return "http://" + t.Addr + "/metrics"
-}
-
-// BaseURL is the target's HTTP root, for sibling endpoints like
-// /v1/online/history. Empty when the target was given as a full URL that
-// does not end in /metrics — there is no root to derive.
-func (t Target) BaseURL() string {
-	if !strings.Contains(t.Addr, "://") {
-		return "http://" + t.Addr
-	}
-	if base, ok := strings.CutSuffix(t.Addr, "/metrics"); ok {
-		return base
-	}
-	return ""
-}
-
-// ParseTargets parses the -targets flag: comma-separated name=addr
-// entries, e.g. "inspectord=127.0.0.1:9090,worker0=127.0.0.1:9100". A
-// bare addr gets its addr as the name.
-func ParseTargets(spec string) ([]Target, error) {
-	var out []Target
-	seen := make(map[string]bool)
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, addr, ok := strings.Cut(part, "=")
-		if !ok {
-			name, addr = part, part
-		}
-		name, addr = strings.TrimSpace(name), strings.TrimSpace(addr)
-		if name == "" || addr == "" {
-			return nil, fmt.Errorf("fleet: bad target entry %q", part)
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("fleet: duplicate target name %q", name)
-		}
-		seen[name] = true
-		out = append(out, Target{Name: name, Addr: addr})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("fleet: no targets in %q", spec)
-	}
-	return out, nil
-}
-
-// LoadTargetsFile reads targets from a file, one name=addr (or bare
-// addr) per line; blank lines and #-comments are skipped.
-func LoadTargetsFile(path string) ([]Target, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var entries []string
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		entries = append(entries, line)
-	}
-	return ParseTargets(strings.Join(entries, ","))
-}
 
 // maxScrapeBytes bounds how much exposition a single scrape will buffer;
 // a healthy schedinspector process renders a few KiB.
@@ -106,8 +25,8 @@ func (c *Client) httpClient() *http.Client {
 	return &http.Client{}
 }
 
-// Scrape fetches and parses one exposition. The context carries the
-// per-target timeout.
+// Scrape fetches and parses one exposition. The context bounds the
+// request.
 func (c *Client) Scrape(ctx context.Context, url string) (*Scrape, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -129,39 +48,4 @@ func (c *Client) Scrape(ctx context.Context, url string) (*Scrape, error) {
 		return nil, fmt.Errorf("fleet: scrape %s: exposition exceeds %d bytes", url, maxScrapeBytes)
 	}
 	return ParseProm(body)
-}
-
-// FetchJSON GETs a sibling endpoint (e.g. /v1/online/history) and
-// returns the raw body on 200, (nil, nil) on 404 — the endpoint simply
-// not existing on this kind of target is not an error.
-func (c *Client) FetchJSON(ctx context.Context, url string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, nil
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxScrapeBytes))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: fetch %s: status %s", url, resp.Status)
-	}
-	return body, nil
-}
-
-// withTimeout derives the per-scrape context.
-func withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		d = 5 * time.Second
-	}
-	return context.WithTimeout(ctx, d)
 }

@@ -4,8 +4,8 @@
 // typed error or a usable value — never a panic or a hang.
 // Its adopters are the /v1/inspect and /v1/simulate body decoders
 // (internal/serve), the model/checkpoint payload decoder (internal/core),
-// the .ftrace to JSONL converter (internal/explain) and the Prometheus text
-// parser (internal/fleet).
+// the .ftrace to JSONL converter (internal/explain) and the /metrics
+// exposition parser (internal/fleet).
 package mutants
 
 // Each calls f with every prefix of data, empty and whole included, and

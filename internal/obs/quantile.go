@@ -5,11 +5,8 @@ import "math"
 // HistQuantile estimates the q-quantile of a histogram from its cumulative
 // bucket counts, the way Prometheus's histogram_quantile() does: find the
 // bucket the rank falls in and interpolate linearly inside it. The
-// estimator is shared by everything that turns bucket counts back into a
-// latency number — the serve handler's scrape-time p99 gauges, the fleet
-// plane's per-target quantiles, and any dashboard math over dist exchange
-// histograms — so every surface reports the same estimate for the same
-// buckets.
+// estimator is what the serve handler's scrape-time p50/p99 gauges read,
+// so they agree with histogram_quantile() over the same exposed buckets.
 //
 // uppers are the finite upper bounds, strictly increasing (may be empty).
 // cum has len(uppers)+1 entries: cum[i] counts observations <= uppers[i],

@@ -145,7 +145,8 @@ func appendHistogram(b []byte, name, labels string, buckets int, bucket func(i i
 }
 
 // AppendPromSample appends one sample line as WriteProm renders it, for a
-// caller holding labels as a map (fleet.Scrape.WriteTo). It panics on an
+// caller holding labels as a map (the exposition parser's round-trip
+// oracle, fleet.Scrape.WriteTo). It panics on an
 // invalid label name.
 func AppendPromSample(b []byte, name string, labels Labels, v float64) []byte {
 	return appendSample(b, name, "", renderLabels(labels), v)

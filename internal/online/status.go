@@ -43,7 +43,7 @@ func (l *Loop) setState(s loopState) {
 
 // Status is the externally visible snapshot of the state machine, served
 // as JSON on GET /v1/online/status and asserted on by cmd's
-// TestProcessOnlineFleet.
+// TestProcessOnlineMesh.
 type Status struct {
 	Enabled bool   `json:"enabled"`
 	State   string `json:"state"`

@@ -204,9 +204,9 @@ func NewHandler(insp *core.Inspector) *Handler {
 	h.lockWait = h.reg.Histogram("schedinspector_inspect_coalesce_seconds",
 		"Time a request waited for the model lock.",
 		obs.ExponentialBuckets(1e-6, 4, 10), nil)
-	// Scrape-time quantile gauges over the live histogram, through the same
-	// estimator the fleet plane uses on parsed expositions — a dashboard
-	// reading either surface sees the same number for the same buckets.
+	// Scrape-time quantile gauges over the live histogram, through the
+	// histogram_quantile() estimator a scraper would apply to the same
+	// buckets, so both read the same number.
 	// GaugeFunc evaluates at render, so the gauges cost nothing between
 	// scrapes; NaN (empty histogram) renders as NaN, which every
 	// Prometheus-compatible consumer treats as absent.
