@@ -43,7 +43,7 @@ test-short:
 	$(GO) test -short ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/serve/ ./internal/rollout/ ./internal/ckpt/ ./internal/explain/ ./internal/dist/ ./internal/online/ ./internal/fleet/
+	$(GO) test -race ./internal/obs/ ./internal/serve/ ./internal/rollout/ ./internal/ckpt/ ./internal/explain/ ./internal/dist/ ./internal/online/
 	$(GO) test -race -short ./internal/core/ ./internal/rl/ ./internal/sim/
 
 # equiv runs the golden equivalence suites that pin the Env/wave engines to

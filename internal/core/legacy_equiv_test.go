@@ -142,7 +142,7 @@ func legacyEvaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 	for i := range results {
 		r := &results[i]
 		rng := streamRNG(cfg.Seed, streamEval, uint64(i))
-		jobs := cfg.Trace.RandomWindow(rng, cfg.SeqLen, lo, hi)
+		jobs := cfg.Trace.Window(lo+rng.Intn(hi-lo), cfg.SeqLen)
 		simCfg := sim.Config{
 			MaxProcs:      cfg.Trace.MaxProcs,
 			Policy:        cfg.Policy,

@@ -8,9 +8,7 @@ import (
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/rl"
 	"schedinspector/internal/sched"
-	"schedinspector/internal/sim"
 	"schedinspector/internal/stats"
-	"schedinspector/internal/workload"
 )
 
 // Extension experiments: ablations of the design choices DESIGN.md calls
@@ -139,83 +137,36 @@ func AblateCritic(o Options) error {
 	return tw.Flush()
 }
 
-// AblateBackfillVariant compares no backfilling, EASY, and conservative
-// backfilling as the simulated environment, with and without a trained
-// inspector on top.
+// AblateBackfillVariant compares no backfilling against EASY as the
+// simulated environment, with and without a trained inspector on top. Its
+// models and evaluations are Table 5's SDSC-SP2 SJF rows.
 func AblateBackfillVariant(o Options) error {
 	o = o.withDefaults()
 	fmt.Fprintln(o.Out, "Ablation: backfilling variant in the simulated environment (SJF, SDSC-SP2, bsld)")
-	tr, err := o.trace("SDSC-SP2")
-	if err != nil {
-		return err
-	}
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "  variant\tbase bsld\tinsp bsld\timprovement\tbase util\n")
-	for _, v := range []struct {
-		name                   string
-		backfill, conservative bool
-	}{
-		{"none", false, false},
-		{"EASY", true, false},
-		{"conservative", true, true},
-	} {
-		trainer, err := core.NewTrainer(core.TrainConfig{
-			Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD, Backfill: v.backfill,
-			SeqLen: o.SeqLen, Batch: o.Batch, Seed: o.Seed + 1, Workers: o.Workers,
-		})
+	for _, backfill := range []bool{false, true} {
+		spec := trainSpec{traceName: "SDSC-SP2", policy: "SJF", metric: metrics.BSLD, backfill: backfill}
+		trainer, _, tr, err := o.train(spec)
 		if err != nil {
 			return err
 		}
-		if _, err := trainer.Train(o.Epochs, nil); err != nil {
-			return err
-		}
-		// Evaluation must use the matching simulator variant, including the
-		// conservative planner the trainer does not model.
-		res, err := evalWithVariant(trainer.Inspector(), tr, o, v.backfill, v.conservative)
+		evalCfg, err := o.evalConfig(tr, spec)
 		if err != nil {
 			return err
+		}
+		res, err := core.Evaluate(trainer.Inspector(), evalCfg)
+		if err != nil {
+			return err
+		}
+		name := "none"
+		if backfill {
+			name = "EASY"
 		}
 		b, i := res.Boxes(metrics.BSLD)
 		ub, _ := res.Boxes(metrics.Util)
 		fmt.Fprintf(tw, "  %s\t%.1f\t%.1f\t%+.1f%%\t%.1f%%\n",
-			v.name, b.Mean, i.Mean, 100*res.MeanImprovement(metrics.BSLD), 100*ub.Mean)
+			name, b.Mean, i.Mean, 100*res.MeanImprovement(metrics.BSLD), 100*ub.Mean)
 	}
 	return tw.Flush()
-}
-
-// evalWithVariant mirrors core.Evaluate but allows the conservative
-// backfilling variant, which EvalConfig does not expose.
-func evalWithVariant(insp *core.Inspector, tr *workload.Trace, o Options, backfill, conservative bool) (core.EvalResult, error) {
-	rng := newSeededRNG(o.Seed + 2)
-	lo := tr.Split(0.2)
-	hi := tr.Len() - o.EvalSeqLen + 1
-	if hi <= lo {
-		lo = 0
-	}
-	if hi < 1 {
-		return core.EvalResult{}, fmt.Errorf("expt: trace has %d jobs, need at least SeqLen=%d", tr.Len(), o.EvalSeqLen)
-	}
-	simCfg := sim.Config{
-		MaxProcs: tr.MaxProcs, Policy: sched.SJF(),
-		Backfill: backfill, Conservative: conservative,
-	}
-	var out core.EvalResult
-	for i := 0; i < o.EvalSequences; i++ {
-		jobs := tr.RandomWindow(rng, o.EvalSeqLen, lo, hi)
-		simCfg.Inspector = nil
-		base, err := sim.Run(jobs, simCfg)
-		if err != nil {
-			return out, err
-		}
-		out.Base = append(out.Base, base.Summary(tr.MaxProcs))
-		simCfg.Inspector = insp.Stochastic()
-		ins, err := sim.Run(jobs, simCfg)
-		if err != nil {
-			return out, err
-		}
-		out.Insp = append(out.Insp, ins.Summary(tr.MaxProcs))
-		out.Inspections += ins.Inspections
-		out.Rejections += ins.Rejections
-	}
-	return out, nil
 }

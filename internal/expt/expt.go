@@ -12,7 +12,6 @@ package expt
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"text/tabwriter"
 
 	"schedinspector/internal/core"
@@ -102,12 +101,9 @@ func All() []Experiment {
 		{"ablate-interval", "Extension: MAX_INTERVAL sweep", AblateInterval},
 		{"ablate-cap", "Extension: MAX_REJECTION_TIMES sweep", AblateRejectionCap},
 		{"ablate-critic", "Extension: actor-critic vs REINFORCE variance", AblateCritic},
-		{"ablate-backfill", "Extension: none/EASY/conservative backfilling", AblateBackfillVariant},
+		{"ablate-backfill", "Extension: no backfilling vs EASY", AblateBackfillVariant},
 	}
 }
-
-// newSeededRNG returns a deterministic RNG for evaluation sampling.
-func newSeededRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // ByName returns the experiment with the given name.
 func ByName(name string) (Experiment, error) {

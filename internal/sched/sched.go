@@ -19,8 +19,8 @@ import (
 //
 // How often Score runs depends on the TimeInvariant marker: a policy that
 // carries it is scored once per job, when the job arrives, and the simulator
-// reuses that value at every scheduling point, backfill probe and
-// conservative planning pass; any other policy is re-scored at every use.
+// reuses that value at every scheduling point and backfill probe; any other
+// policy is re-scored at every use.
 type Policy interface {
 	Name() string
 	// Score rates job j at the current simulation time. Lower runs first.

@@ -112,7 +112,6 @@ func DecodeSimulate(body []byte, req *SimulateRequest) error {
 	const (
 		kPolicy = 1 << iota
 		kBackfill
-		kConservative
 		kMaxProcs
 		kInspector
 		kSeed
@@ -132,9 +131,6 @@ func DecodeSimulate(body []byte, req *SimulateRequest) error {
 		case "backfill":
 			bit = kBackfill
 			req.Backfill, ok = s.bool()
-		case "conservative":
-			bit = kConservative
-			req.Conservative, ok = s.bool()
 		case "max_procs":
 			bit = kMaxProcs
 			req.MaxProcs, ok = s.int()

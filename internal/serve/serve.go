@@ -58,10 +58,9 @@ type InspectResponse struct {
 type SimulateRequest struct {
 	// Policy is the base scheduling policy by its Table 3 abbreviation
 	// (FCFS, LCFS, SJF, SQF, SAF, SRF, F1). Default SJF.
-	Policy       string `json:"policy"`
-	Backfill     bool   `json:"backfill"`
-	Conservative bool   `json:"conservative"`
-	MaxProcs     int    `json:"max_procs"`
+	Policy   string `json:"policy"`
+	Backfill bool   `json:"backfill"` // EASY backfilling
+	MaxProcs int    `json:"max_procs"`
 
 	// Inspector selects how the served model drives the decisions:
 	// "stochastic" (default) samples the policy distribution, "greedy"
@@ -527,12 +526,7 @@ func (h *Handler) runSimulate(w http.ResponseWriter, req *SimulateRequest) {
 	for i, j := range req.Jobs {
 		jobs[i] = workload.Job{ID: i + 1, Submit: j.Submit, Run: j.Run, Est: j.Est, Procs: j.Procs}
 	}
-	cfg := sim.Config{
-		MaxProcs:     req.MaxProcs,
-		Policy:       pol,
-		Backfill:     req.Backfill,
-		Conservative: req.Conservative,
-	}
+	cfg := sim.Config{MaxProcs: req.MaxProcs, Policy: pol, Backfill: req.Backfill}
 	if err := sim.ValidateJobs(jobs, req.MaxProcs); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

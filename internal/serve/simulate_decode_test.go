@@ -50,7 +50,7 @@ var simDecodeCases = []struct {
 	{"bench shaped", string(benchShapedSimBody(1, 16)), true},
 	{"bench shaped, 128 jobs", string(benchShapedSimBody(2, 128)), true},
 	{"trailing newline", string(benchShapedSimBody(3, 2)) + "\n", true},
-	{"reordered keys, whitespace", " { \"jobs\" : [ { \"procs\" : 4 , \"est\" : 600 , \"run\" : 300 , \"submit\" : 0 } ,\n{ \"submit\" : 5.5 , \"run\" : 10 , \"est\" : 1e2 , \"procs\" : 2 } ] , \"seed\" : -9223372036854775808 ,\r\n\"inspector\" : \"greedy\" , \"max_procs\" : 64 , \"conservative\" : true , \"backfill\" : true , \"policy\" : \"F1\" } \t", true},
+	{"reordered keys, whitespace", " { \"jobs\" : [ { \"procs\" : 4 , \"est\" : 600 , \"run\" : 300 , \"submit\" : 0 } ,\n{ \"submit\" : 5.5 , \"run\" : 10 , \"est\" : 1e2 , \"procs\" : 2 } ] , \"seed\" : -9223372036854775808 ,\r\n\"inspector\" : \"greedy\" , \"max_procs\" : 64 , \"backfill\" : true , \"policy\" : \"F1\" } \t", true},
 	{"max seed", `{"policy":"SJF","max_procs":8,"seed":9223372036854775807,"jobs":[{"submit":0,"run":10,"est":20,"procs":2}]}`, true},
 	{"empty object", `{}`, true},
 	{"empty jobs", `{"max_procs":4,"jobs":[]}`, true},
@@ -97,6 +97,7 @@ var simDecodeCases = []struct {
 	{"number for string", `{"policy":1,"max_procs":4,"jobs":[{"submit":0,"run":1,"est":1,"procs":1}]}`, false},
 	{"string for number", `{"max_procs":"4","jobs":[{"submit":0,"run":1,"est":1,"procs":1}]}`, false},
 	{"string for bool", `{"backfill":"true","max_procs":4,"jobs":[{"submit":0,"run":1,"est":1,"procs":1}]}`, false},
+	{"removed conservative key", `{"conservative":true,"backfill":true,"max_procs":4,"jobs":[{"submit":0,"run":1,"est":1,"procs":1}]}`, false},
 	{"object for jobs", `{"max_procs":4,"jobs":{}}`, false},
 	{"out of range float", `{"max_procs":4,"jobs":[{"submit":1e999,"run":1,"est":1,"procs":1}]}`, false},
 	{"trailing comma in jobs", `{"max_procs":4,"jobs":[{"submit":0,"run":1,"est":1,"procs":1},]}`, false},
@@ -113,8 +114,8 @@ var simDecodeCases = []struct {
 func diffSimRequests(got, want *SimulateRequest) string {
 	feq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	switch {
-	case got.Policy != want.Policy || got.Backfill != want.Backfill || got.Conservative != want.Conservative ||
-		got.MaxProcs != want.MaxProcs || got.Inspector != want.Inspector || got.Seed != want.Seed:
+	case got.Policy != want.Policy || got.Backfill != want.Backfill || got.MaxProcs != want.MaxProcs ||
+		got.Inspector != want.Inspector || got.Seed != want.Seed:
 		return fmt.Sprintf("scalars %+v, want %+v", got, want)
 	case len(got.Jobs) != len(want.Jobs) || (got.Jobs == nil) != (want.Jobs == nil):
 		return fmt.Sprintf("jobs len %d nil %v, want len %d nil %v", len(got.Jobs), got.Jobs == nil, len(want.Jobs), want.Jobs == nil)
@@ -135,7 +136,7 @@ func checkDecodeSimulate(t *testing.T, body []byte) (canonical bool) {
 	t.Helper()
 	var want SimulateRequest
 	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
-	used := &SimulateRequest{Policy: "x", Backfill: true, Conservative: true, MaxProcs: 7, Inspector: "y", Seed: 7,
+	used := &SimulateRequest{Policy: "x", Backfill: true, MaxProcs: 7, Inspector: "y", Seed: 7,
 		Jobs: []SimJob{{Submit: 7, Run: 7, Est: 7, Procs: 7}, {Submit: 7, Run: 7, Est: 7, Procs: 7}}}
 	for _, got := range []*SimulateRequest{{}, used} {
 		switch err := DecodeSimulate(body, got); {

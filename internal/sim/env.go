@@ -264,8 +264,8 @@ func (e *Env) pickTop() int {
 // score returns the base policy's score of queue[i] at the current time: the
 // value stored at arrival for a sched.TimeInvariant policy, a fresh Score
 // call for any other (Slurm, learned and user policies). It is the only
-// reader of either, so every ordering decision — scheduling point, backfill
-// probe, conservative plan — sees the same choice.
+// reader of either, so every ordering decision — scheduling point and
+// backfill probe — sees the same choice.
 func (e *Env) score(i int) float64 {
 	if e.scoreStored {
 		return e.queue[i].score
@@ -291,16 +291,9 @@ func (e *Env) scheduleJob(idx int) {
 			return
 		}
 		if e.cfg.Backfill {
-			if e.cfg.Conservative {
-				e.backfillConservative(reservedID)
-			} else {
-				e.backfill(reservedID)
-			}
-			i = e.indexOf(reservedID)
-			if e.queue[i].job.Procs <= e.free {
-				e.startJob(i)
-				return
-			}
+			// Backfilling only starts jobs, so the reserved job cannot fit
+			// before the next event.
+			e.backfill(reservedID)
 		}
 		t, ok := e.nextEvent()
 		if !ok {

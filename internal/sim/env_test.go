@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"schedinspector/internal/metrics"
@@ -182,11 +181,7 @@ func (s *legacySim) scheduleJob(idx int) {
 			return
 		}
 		if s.cfg.Backfill {
-			if s.cfg.Conservative {
-				s.backfillConservative(reservedID)
-			} else {
-				s.backfill(reservedID)
-			}
+			s.backfill(reservedID)
 			i = s.indexOf(reservedID)
 			if s.queue[i].job.Procs <= s.free {
 				s.startJob(i)
@@ -327,56 +322,6 @@ func (s *legacySim) countBackfillable(idx int) int {
 	return n
 }
 
-// legacy conservative backfilling, verbatim from the seed (profile.go held
-// the planner; the driver loop lived alongside backfill).
-func (s *legacySim) backfillConservative(reservedID int) {
-	for {
-		if !s.conservativePass(reservedID) {
-			return
-		}
-	}
-}
-
-func (s *legacySim) conservativePass(reservedID int) bool {
-	p := newProfile(s.now, s.free, s.running)
-	order := make([]int, 0, len(s.queue))
-	ri := s.indexOf(reservedID)
-	order = append(order, ri)
-	type scored struct {
-		idx   int
-		score float64
-		id    int
-	}
-	rest := make([]scored, 0, len(s.queue)-1)
-	for i := range s.queue {
-		if i == ri {
-			continue
-		}
-		rest = append(rest, scored{i, s.cfg.Policy.Score(&s.queue[i].job, s.now), s.queue[i].job.ID})
-	}
-	sort.Slice(rest, func(a, b int) bool {
-		if rest[a].score != rest[b].score {
-			return rest[a].score < rest[b].score
-		}
-		return rest[a].id < rest[b].id
-	})
-	for _, r := range rest {
-		order = append(order, r.idx)
-	}
-	for _, idx := range order {
-		j := &s.queue[idx].job
-		start := p.earliestStart(j.Procs, j.Est)
-		if start <= s.now && j.Procs <= s.free && j.ID != reservedID {
-			s.emitBackfill(idx)
-			s.startJob(idx)
-			s.out.Backfills++
-			return true
-		}
-		p.reserve(start, j.Procs, j.Est)
-	}
-	return false
-}
-
 func (s *legacySim) nextEvent() (float64, bool) {
 	t := math.Inf(1)
 	if len(s.pending) > 0 {
@@ -454,12 +399,11 @@ func TestEquivEnvVsLegacyRun(t *testing.T) {
 	jobs := tr.Window(40, 220)
 	for name, mk := range equivPolicies(t, tr) {
 		for _, bf := range []struct {
-			name                   string
-			backfill, conservative bool
+			name     string
+			backfill bool
 		}{
-			{"nobf", false, false},
-			{"easy", true, false},
-			{"conservative", true, true},
+			{"nobf", false},
+			{"easy", true},
 		} {
 			for _, insp := range []struct {
 				name string
@@ -472,7 +416,7 @@ func TestEquivEnvVsLegacyRun(t *testing.T) {
 					mkCfg := func(ins Inspector) Config {
 						return Config{
 							MaxProcs: tr.MaxProcs, Policy: mk(), Backfill: bf.backfill,
-							Conservative: bf.conservative, Inspector: ins,
+							Inspector: ins,
 						}
 					}
 					legacyCfg, newCfg := mkCfg(insp.mk()), mkCfg(insp.mk())

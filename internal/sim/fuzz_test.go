@@ -50,7 +50,7 @@ func fuzzEpisode(data []byte) (jobs []workload.Job, cfg Config, snapAt int, deci
 	}
 	cfg = Config{
 		MaxProcs: fuzzProcs, Policy: policy,
-		Backfill: hdr[1]%3 > 0, Conservative: hdr[1]%3 == 2,
+		Backfill:      hdr[1]%3 > 0,
 		MaxRejections: int(hdr[2])%6 - 1, // -1 (none allowed), 0 (the default 72), 1..4
 		MaxInterval:   float64(hdr[3]) * 5,
 	}
@@ -73,7 +73,7 @@ func FuzzEnvStep(f *testing.F) {
 		0, 10, 10, 12, 3, 50, 60, 15, 0, 2, 1, 0, 9, 90, 20, 7,
 		1, 4, 200, 3, 0, 30, 30, 15, 20, 1, 1, 1, 5, 255, 0, 8,
 		0xa5, 0x5a, 0xff})
-	f.Add([]byte{7, 2, 0, 0, 2, 5, // Slurm, conservative, default cap and interval
+	f.Add([]byte{7, 2, 0, 0, 2, 5, // Slurm, EASY, default cap and interval
 		0, 100, 90, 15, 0, 5, 5, 3, 1, 200, 255, 9, 2, 3, 1, 0, 0, 60, 70, 11, 0x0f})
 	f.Add([]byte{8, 1, 1, 1, 0, 4, // F1 re-scored at every use, EASY, no rejections allowed
 		0, 9, 9, 15, 0, 9, 9, 15, 0, 1, 1, 0, 0, 1, 1, 0, 0xff, 0xff})

@@ -92,8 +92,7 @@ func NewState(job workload.Job, wait float64, rejections, freeProcs, totalProcs 
 type Config struct {
 	MaxProcs      int          // cluster size; must be > 0
 	Policy        sched.Policy // base scheduling policy; required
-	Backfill      bool         // enable backfilling (EASY unless Conservative)
-	Conservative  bool         // with Backfill: conservative (all-reservations) variant
+	Backfill      bool         // enable EASY backfilling
 	Inspector     Inspector    // optional; nil runs the base policy alone (ignored by Env.Reset)
 	MaxInterval   float64      // retry cut-off; 0 means DefaultMaxInterval
 	MaxRejections int          // per-job rejection cap; 0 means DefaultMaxRejections; <0 means none allowed

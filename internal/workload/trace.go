@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -76,24 +75,6 @@ func (t *Trace) WindowInto(dst []Job, start, n int) []Job {
 // CanWindow reports whether Window(start, n) is in range.
 func (t *Trace) CanWindow(start, n int) bool {
 	return start >= 0 && n > 0 && start+n <= len(t.Jobs)
-}
-
-// RandomWindow samples a window of n consecutive jobs uniformly from
-// [lo, hi) start indices using rng. hi <= 0 means "to the end of the trace".
-// It is the sampling primitive behind both training trajectories and the
-// 50-sequence test evaluations in the paper (§4.4).
-func (t *Trace) RandomWindow(rng *rand.Rand, n, lo, hi int) []Job {
-	if hi <= 0 || hi > len(t.Jobs)-n+1 {
-		hi = len(t.Jobs) - n + 1
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi <= lo {
-		panic(fmt.Sprintf("workload: no window of %d jobs in [%d,%d) of %d jobs", n, lo, hi, len(t.Jobs)))
-	}
-	start := lo + rng.Intn(hi-lo)
-	return t.Window(start, n)
 }
 
 // Split returns the index that separates the first frac of jobs (training

@@ -131,28 +131,6 @@ func TestWindowInto(t *testing.T) {
 	}
 }
 
-func TestRandomWindowRespectsBounds(t *testing.T) {
-	tr := &Trace{MaxProcs: 4}
-	for i := 0; i < 100; i++ {
-		tr.Jobs = append(tr.Jobs, Job{ID: i + 1, Submit: float64(i), Run: 1, Est: 1, Procs: 1})
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
-		w := tr.RandomWindow(rng, 10, 20, 50)
-		first := w[0].ID
-		if first < 21 || first > 50 {
-			t.Fatalf("window start job ID %d outside [21,50]", first)
-		}
-	}
-	// hi<=0 means to the end
-	for i := 0; i < 200; i++ {
-		w := tr.RandomWindow(rng, 10, 0, 0)
-		if w[0].ID < 1 || w[0].ID > 91 {
-			t.Fatalf("window start job ID %d outside [1,91]", w[0].ID)
-		}
-	}
-}
-
 func TestTraceSplit(t *testing.T) {
 	tr := &Trace{Jobs: make([]Job, 100)}
 	if got := tr.Split(0.2); got != 20 {
