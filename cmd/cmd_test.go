@@ -543,9 +543,10 @@ func TestCLIInspectordFlightRotation(t *testing.T) {
 // or the flag, never with a panic or a silent "never"/"keep all". The
 // training cases are small, so a binary that accepted the value would finish
 // quickly and fail the test. The daemon must refuse before it loads a model
-// (none exists here) and exit 2.
+// (none exists here) and exit 2, as expreport must for an unknown experiment
+// and for -tiny with -full, a pair it once ran silently at tiny scale.
 func TestCLIBadTraceFlags(t *testing.T) {
-	si, tg, id := bin(t, "schedinspect"), bin(t, "tracegen"), bin(t, "inspectord")
+	si, tg, id, er := bin(t, "schedinspect"), bin(t, "tracegen"), bin(t, "inspectord"), bin(t, "expreport")
 	work := t.TempDir()
 	small := func(sub string, bad ...string) []string {
 		return append([]string{sub, "-jobs", "800", "-batch", "2", "-seqlen", "32",
@@ -585,6 +586,8 @@ func TestCLIBadTraceFlags(t *testing.T) {
 		{id, []string{"-proc-interval", "-1s"}, "-proc-interval"},
 		{id, []string{"-online-interval", "-1s"}, "-online-interval"},
 		{id, []string{"-online-min-window", "-1"}, "-online-min-window"},
+		{er, []string{"-exp", "nope"}, "nope"},
+		{er, []string{"-tiny", "-full", "-exp", "table1"}, "-tiny and -full"},
 	} {
 		cmd := exec.Command(c.bin, c.args...)
 		var stdout, stderr bytes.Buffer
@@ -596,8 +599,8 @@ func TestCLIBadTraceFlags(t *testing.T) {
 			t.Errorf("%s %v: %v; want a non-zero exit, %q on stderr and no panic; output:\n%s",
 				filepath.Base(c.bin), c.args, err, c.want, out)
 		}
-		if c.bin == id && cmd.ProcessState.ExitCode() != 2 {
-			t.Errorf("inspectord %v: exit %d, want 2", c.args, cmd.ProcessState.ExitCode())
+		if (c.bin == id || c.bin == er) && cmd.ProcessState.ExitCode() != 2 {
+			t.Errorf("%s %v: exit %d, want 2", filepath.Base(c.bin), c.args, cmd.ProcessState.ExitCode())
 		}
 	}
 }
@@ -741,6 +744,18 @@ func TestCLIEndToEnd(t *testing.T) {
 	out = run(t, er, "-list")
 	if !strings.Contains(out, "fig13") || !strings.Contains(out, "ablate-backfill") {
 		t.Fatalf("expreport -list unexpected:\n%s", out)
+	}
+	titleCol := -1
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		col := len(line) - len(strings.TrimLeft(line[len(name):], " "))
+		if titleCol < 0 {
+			titleCol = col
+		}
+		if col != titleCol || col == len(line) {
+			t.Fatalf("expreport -list: %q's title starts in column %d, the first line's in %d:\n%s",
+				name, col, titleCol, out)
+		}
 	}
 	out = run(t, er, "-tiny", "-exp", "table1")
 	if !strings.Contains(out, "Case(b)-Inspected") {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"schedinspector/internal/expt"
@@ -43,6 +44,10 @@ func main() {
 		rejects  = flag.String("rejects", "", "plot reject rate vs utilization from a decision flight trace and exit (see schedinspect train/eval -flight)")
 	)
 	flag.Parse()
+	if *tiny && *full {
+		fmt.Fprintln(os.Stderr, "expreport: -tiny and -full select different scales; give one of them")
+		os.Exit(2)
+	}
 
 	if *curves != "" {
 		if err := expt.PlotCurves(os.Stdout, *curves); err != nil {
@@ -60,9 +65,11 @@ func main() {
 	}
 
 	if *list {
+		tw := tabwriter.NewWriter(os.Stdout, 0, 0, 1, ' ', 0)
 		for _, e := range expt.All() {
-			fmt.Printf("%-8s %s\n", e.Name, e.Title)
+			fmt.Fprintf(tw, "%s\t%s\n", e.Name, e.Title)
 		}
+		tw.Flush()
 		return
 	}
 

@@ -1,6 +1,7 @@
 package schedinspector_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -87,4 +88,53 @@ func TestOneTrainingRecord(t *testing.T) {
 			t.Errorf("%s imports encoding/json; per-epoch statistics are recorded as the flight trace's epoch span", path)
 		}
 	})
+}
+
+// TestOneTrainingPath: internal/expt trains through one memoized path.
+// Every experiment names a trainSpec and calls Options.train (or evaluate);
+// the single reference to core.NewTrainer is trainUncached's, in expt.go. A
+// sweep that builds its own trainer skips the memo and -v's epoch lines, and
+// fails here.
+func TestOneTrainingPath(t *testing.T) {
+	dir := filepath.Join("internal", "expt")
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	refs := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		core := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "schedinspector/internal/core" {
+				core = "core"
+				if imp.Name != nil {
+					core = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "NewTrainer" {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && core != "" && x.Name == core {
+				refs++
+				if filepath.Base(path) != "expt.go" {
+					t.Errorf("%s calls core.NewTrainer; train through Options.train", fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	if refs != 1 {
+		t.Errorf("internal/expt references core.NewTrainer %d times, want 1 (trainUncached)", refs)
+	}
 }

@@ -6,8 +6,6 @@ import (
 
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
-	"schedinspector/internal/rl"
-	"schedinspector/internal/sched"
 	"schedinspector/internal/stats"
 )
 
@@ -22,29 +20,11 @@ import (
 func AblateInterval(o Options) error {
 	o = o.withDefaults()
 	fmt.Fprintln(o.Out, "Ablation: MAX_INTERVAL retry cut-off (SJF, SDSC-SP2, bsld; paper fixes 600s)")
-	tr, err := o.trace("SDSC-SP2")
-	if err != nil {
-		return err
-	}
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "  MAX_INTERVAL\tbsld impr.\tutil delta\trej.ratio\n")
 	for _, interval := range []float64{60, 300, 600, 1800, 3600} {
-		trainer, err := core.NewTrainer(core.TrainConfig{
-			Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
-			SeqLen: o.SeqLen, Batch: o.Batch, Seed: o.Seed + 1, Workers: o.Workers,
-			MaxInterval: interval,
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := trainer.Train(o.Epochs, nil); err != nil {
-			return err
-		}
-		res, err := core.Evaluate(trainer.Inspector(), core.EvalConfig{
-			Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
-			Sequences: o.EvalSequences, SeqLen: o.EvalSeqLen, Seed: o.Seed + 2, Workers: o.Workers,
-			MaxInterval: interval,
-		})
+		spec := trainSpec{traceName: "SDSC-SP2", policy: "SJF", metric: metrics.BSLD, maxInterval: interval}
+		res, _, err := o.evaluate(spec)
 		if err != nil {
 			return err
 		}
@@ -60,29 +40,11 @@ func AblateInterval(o Options) error {
 func AblateRejectionCap(o Options) error {
 	o = o.withDefaults()
 	fmt.Fprintln(o.Out, "Ablation: MAX_REJECTION_TIMES cap (SJF, SDSC-SP2, bsld; paper fixes 72)")
-	tr, err := o.trace("SDSC-SP2")
-	if err != nil {
-		return err
-	}
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "  cap\tbsld impr.\tutil delta\tmbsld impr.\n")
 	for _, cap := range []int{4, 16, 72, 288} {
-		trainer, err := core.NewTrainer(core.TrainConfig{
-			Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
-			SeqLen: o.SeqLen, Batch: o.Batch, Seed: o.Seed + 1, Workers: o.Workers,
-			MaxRejections: cap,
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := trainer.Train(o.Epochs, nil); err != nil {
-			return err
-		}
-		res, err := core.Evaluate(trainer.Inspector(), core.EvalConfig{
-			Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
-			Sequences: o.EvalSequences, SeqLen: o.EvalSeqLen, Seed: o.Seed + 2, Workers: o.Workers,
-			MaxRejections: cap,
-		})
+		spec := trainSpec{traceName: "SDSC-SP2", policy: "SJF", metric: metrics.BSLD, maxRejections: cap}
+		res, _, err := o.evaluate(spec)
 		if err != nil {
 			return err
 		}
@@ -105,19 +67,8 @@ func AblateCritic(o Options) error {
 	tw := tabwriter.NewWriter(o.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "  agent\tconverged impr.\timpr. stddev (2nd half)\tfinal rej.ratio\n")
 	for _, noCritic := range []bool{false, true} {
-		tr, err := o.trace("SDSC-SP2")
-		if err != nil {
-			return err
-		}
-		trainer, err := core.NewTrainer(core.TrainConfig{
-			Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
-			SeqLen: o.SeqLen, Batch: o.Batch, Seed: o.Seed + 1, Workers: o.Workers,
-			PPO: rl.PPOConfig{NoCritic: noCritic},
-		})
-		if err != nil {
-			return err
-		}
-		hist, err := trainer.Train(o.Epochs, nil)
+		spec := trainSpec{traceName: "SDSC-SP2", policy: "SJF", metric: metrics.BSLD, noCritic: noCritic}
+		_, hist, _, err := o.train(spec)
 		if err != nil {
 			return err
 		}
@@ -147,15 +98,7 @@ func AblateBackfillVariant(o Options) error {
 	fmt.Fprintf(tw, "  variant\tbase bsld\tinsp bsld\timprovement\tbase util\n")
 	for _, backfill := range []bool{false, true} {
 		spec := trainSpec{traceName: "SDSC-SP2", policy: "SJF", metric: metrics.BSLD, backfill: backfill}
-		trainer, _, tr, err := o.train(spec)
-		if err != nil {
-			return err
-		}
-		evalCfg, err := o.evalConfig(tr, spec)
-		if err != nil {
-			return err
-		}
-		res, err := core.Evaluate(trainer.Inspector(), evalCfg)
+		res, _, err := o.evaluate(spec)
 		if err != nil {
 			return err
 		}

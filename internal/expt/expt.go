@@ -16,7 +16,9 @@ import (
 
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
+	"schedinspector/internal/rl"
 	"schedinspector/internal/sched"
+	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
 )
 
@@ -120,14 +122,19 @@ func (o Options) trace(name string) (*workload.Trace, error) {
 	return workload.ByName(name, o.Jobs, o.Seed)
 }
 
-// trainSpec fully describes one training configuration.
+// trainSpec fully describes one training configuration. A zero field
+// takes its default, so every experiment that means "the SDSC-SP2 SJF bsld
+// model" names the same spec.
 type trainSpec struct {
-	traceName string
-	policy    string // sched.ByName abbreviation, or "Slurm"
-	metric    metrics.Metric
-	reward    core.RewardKind
-	features  core.FeatureMode
-	backfill  bool
+	traceName     string
+	policy        string // sched.ByName abbreviation, or "Slurm"
+	metric        metrics.Metric
+	reward        core.RewardKind
+	features      core.FeatureMode
+	backfill      bool
+	maxInterval   float64 // retry cut-off (0 = sim.DefaultMaxInterval)
+	maxRejections int     // per-job rejection cap (0 = sim.DefaultMaxRejections)
+	noCritic      bool    // train without the value network
 }
 
 // cachedTrain memoizes one completed training run. Several experiments
@@ -141,23 +148,38 @@ type cachedTrain struct {
 	trace   *workload.Trace
 }
 
-var trainMemo = map[string]cachedTrain{}
+// trainKey is everything a training run's bits depend on. Workers is not
+// in it: results are bit-identical at any worker count.
+type trainKey struct {
+	spec                        trainSpec
+	jobs, epochs, batch, seqLen int
+	seed                        int64
+}
 
-func (o Options) memoKey(spec trainSpec) string {
-	return fmt.Sprintf("%s|%s|%v|%v|%v|%v|j%d|e%d|b%d|s%d|seed%d",
-		spec.traceName, spec.policy, spec.metric, spec.reward, spec.features, spec.backfill,
-		o.Jobs, o.Epochs, o.Batch, o.SeqLen, o.Seed)
+var trainMemo = map[trainKey]cachedTrain{}
+
+func (o Options) memoKey(spec trainSpec) trainKey {
+	// A default spelled out is the default: a sweep's default arm shares
+	// the model every other experiment trains.
+	if spec.maxInterval == sim.DefaultMaxInterval {
+		spec.maxInterval = 0
+	}
+	if spec.maxRejections == sim.DefaultMaxRejections {
+		spec.maxRejections = 0
+	}
+	return trainKey{spec, o.Jobs, o.Epochs, o.Batch, o.SeqLen, o.Seed}
 }
 
 // train runs one training configuration (memoized) and returns the trainer
 // holding the trained inspector plus the per-epoch history.
 func (o Options) train(spec trainSpec) (*core.Trainer, []core.EpochStats, *workload.Trace, error) {
-	if c, ok := trainMemo[o.memoKey(spec)]; ok {
+	key := o.memoKey(spec)
+	if c, ok := trainMemo[key]; ok {
 		return c.trainer, c.hist, c.trace, nil
 	}
 	trainer, hist, tr, err := o.trainUncached(spec)
 	if err == nil {
-		trainMemo[o.memoKey(spec)] = cachedTrain{trainer, hist, tr}
+		trainMemo[key] = cachedTrain{trainer, hist, tr}
 	}
 	return trainer, hist, tr, err
 }
@@ -174,6 +196,8 @@ func (o Options) trainUncached(spec trainSpec) (*core.Trainer, []core.EpochStats
 	trainer, err := core.NewTrainer(core.TrainConfig{
 		Trace: tr, Policy: pol, Metric: spec.metric,
 		RewardKind: spec.reward, FeatureMode: spec.features, Backfill: spec.backfill,
+		MaxInterval: spec.maxInterval, MaxRejections: spec.maxRejections,
+		PPO:    rl.PPOConfig{NoCritic: spec.noCritic},
 		SeqLen: o.SeqLen, Batch: o.Batch, Seed: o.Seed + 1, Workers: o.Workers,
 	})
 	if err != nil {
@@ -193,7 +217,7 @@ func (o Options) trainUncached(spec trainSpec) (*core.Trainer, []core.EpochStats
 	return trainer, hist, tr, nil
 }
 
-// evalOpts builds the evaluation configuration for a trained spec.
+// evalConfig builds the evaluation configuration for a trained spec.
 func (o Options) evalConfig(tr *workload.Trace, spec trainSpec) (core.EvalConfig, error) {
 	pol, err := sched.ForTrace(spec.policy, tr)
 	if err != nil {
@@ -201,9 +225,25 @@ func (o Options) evalConfig(tr *workload.Trace, spec trainSpec) (core.EvalConfig
 	}
 	return core.EvalConfig{
 		Trace: tr, Policy: pol, Metric: spec.metric, Backfill: spec.backfill,
+		MaxInterval: spec.maxInterval, MaxRejections: spec.maxRejections,
 		Sequences: o.EvalSequences, SeqLen: o.EvalSeqLen, Seed: o.Seed + 2,
 		Workers: o.Workers,
 	}, nil
+}
+
+// evaluate trains spec (memoized) and evaluates its inspector against the
+// base policy on the held-out part of its trace.
+func (o Options) evaluate(spec trainSpec) (core.EvalResult, []core.EpochStats, error) {
+	trainer, hist, tr, err := o.train(spec)
+	if err != nil {
+		return core.EvalResult{}, nil, err
+	}
+	cfg, err := o.evalConfig(tr, spec)
+	if err != nil {
+		return core.EvalResult{}, nil, err
+	}
+	res, err := core.Evaluate(trainer.Inspector(), cfg)
+	return res, hist, err
 }
 
 // converged returns the mean of the last k epochs' value, the number the

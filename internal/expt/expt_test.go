@@ -3,10 +3,12 @@ package expt
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
 	"schedinspector/internal/core"
+	"schedinspector/internal/sim"
 )
 
 func TestRegistry(t *testing.T) {
@@ -156,15 +158,101 @@ func TestPrintCurveSubsamples(t *testing.T) {
 
 func TestMemoKeyDistinguishesConfigs(t *testing.T) {
 	o := Tiny(nil).withDefaults()
-	a := o.memoKey(trainSpec{traceName: "SDSC-SP2", policy: "SJF"})
-	b := o.memoKey(trainSpec{traceName: "SDSC-SP2", policy: "F1"})
-	c := o.memoKey(trainSpec{traceName: "SDSC-SP2", policy: "SJF", backfill: true})
-	if a == b || a == c || b == c {
-		t.Error("memo keys collide across configs")
+	sdsc := trainSpec{traceName: "SDSC-SP2", policy: "SJF"}
+	keys := map[trainKey]string{}
+	for name, spec := range map[string]trainSpec{
+		"default":       sdsc,
+		"policy":        {traceName: "SDSC-SP2", policy: "F1"},
+		"backfill":      {traceName: "SDSC-SP2", policy: "SJF", backfill: true},
+		"maxInterval":   {traceName: "SDSC-SP2", policy: "SJF", maxInterval: 60},
+		"maxRejections": {traceName: "SDSC-SP2", policy: "SJF", maxRejections: 16},
+		"noCritic":      {traceName: "SDSC-SP2", policy: "SJF", noCritic: true},
+	} {
+		k := o.memoKey(spec)
+		if other, ok := keys[k]; ok {
+			t.Errorf("memo keys collide: %s and %s", name, other)
+		}
+		keys[k] = name
 	}
 	o2 := o
 	o2.Batch++
-	if o2.memoKey(trainSpec{traceName: "SDSC-SP2", policy: "SJF"}) == a {
+	if o2.memoKey(sdsc) == o.memoKey(sdsc) {
 		t.Error("memo key ignores batch size")
+	}
+	o2 = o
+	o2.Workers = 3
+	if o2.memoKey(sdsc) != o.memoKey(sdsc) {
+		t.Error("memo key depends on the worker count")
+	}
+	spelled := sdsc
+	spelled.maxInterval, spelled.maxRejections = sim.DefaultMaxInterval, sim.DefaultMaxRejections
+	if o.memoKey(spelled) != o.memoKey(sdsc) {
+		t.Error("a spec spelling out the simulator defaults gets its own memo entry")
+	}
+}
+
+// TestAblationsShareDefaultModel: the sweeps train through the memo, so
+// their default arms (600 s, cap 72, actor-critic) are ablate-backfill's
+// "none" model, trained once, and -v prints an epoch line for every model
+// that is trained and for no other.
+func TestAblationsShareDefaultModel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains eight tiny models; skipped in -short mode")
+	}
+	saved := trainMemo
+	trainMemo = map[trainKey]cachedTrain{}
+	t.Cleanup(func() { trainMemo = saved })
+
+	epochLine := regexp.MustCompile(`(?m)^    epoch +[0-9]+:`)
+	// run returns the experiment's verbose output and its epoch-line count.
+	run := func(exp func(Options) error) (string, int) {
+		t.Helper()
+		var buf bytes.Buffer
+		o := Tiny(&buf)
+		o.Verbose = true
+		if err := exp(o); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), len(epochLine.FindAllString(buf.String(), -1))
+	}
+	// cell returns the given column of the table row whose first column is row.
+	cell := func(out, row string, col int) string {
+		t.Helper()
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) > col && f[0] == row {
+				return f[col]
+			}
+		}
+		t.Fatalf("no %q row in:\n%s", row, out)
+		return ""
+	}
+
+	epochs := Tiny(nil).Epochs
+	out, lines := run(AblateBackfillVariant)
+	if lines != 2*epochs {
+		t.Errorf("ablate-backfill trains two models but printed %d epoch lines, want %d:\n%s", lines, 2*epochs, out)
+	}
+	none := cell(out, "none", 3)
+	for _, c := range []struct {
+		name   string
+		exp    func(Options) error
+		models int    // arms other than the default
+		row    string // the default arm's row, whose bsld impr. is none's
+	}{
+		{"ablate-interval", AblateInterval, 4, "600s"},
+		{"ablate-cap", AblateRejectionCap, 3, "72"},
+		{"ablate-critic", AblateCritic, 1, ""},
+	} {
+		out, lines := run(c.exp)
+		if lines != c.models*epochs {
+			t.Errorf("%s printed %d epoch lines, want %d (%d new models of %d epochs):\n%s",
+				c.name, lines, c.models*epochs, c.models, epochs, out)
+		}
+		if c.row != "" {
+			if got := cell(out, c.row, 1); got != none {
+				t.Errorf("%s row %s reads bsld impr. %s, want ablate-backfill's none row %s:\n%s",
+					c.name, c.row, got, none, out)
+			}
+		}
 	}
 }

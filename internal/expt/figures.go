@@ -99,15 +99,7 @@ func Fig8(o Options) error {
 	for _, polName := range []string{"SJF", "F1"} {
 		for _, traceName := range workload.PaperTraces() {
 			spec := trainSpec{traceName: traceName, policy: polName, metric: metrics.BSLD}
-			trainer, _, tr, err := o.train(spec)
-			if err != nil {
-				return err
-			}
-			evalCfg, err := o.evalConfig(tr, spec)
-			if err != nil {
-				return err
-			}
-			res, err := core.Evaluate(trainer.Inspector(), evalCfg)
+			res, _, err := o.evaluate(spec)
 			if err != nil {
 				return err
 			}
@@ -152,15 +144,7 @@ func Fig10(o Options) error {
 	for _, polName := range []string{"SJF", "F1"} {
 		for _, traceName := range workload.PaperTraces() {
 			spec := trainSpec{traceName: traceName, policy: polName, metric: metrics.BSLD}
-			trainer, _, tr, err := o.train(spec)
-			if err != nil {
-				return err
-			}
-			evalCfg, err := o.evalConfig(tr, spec)
-			if err != nil {
-				return err
-			}
-			res, err := core.Evaluate(trainer.Inspector(), evalCfg)
+			res, _, err := o.evaluate(spec)
 			if err != nil {
 				return err
 			}
@@ -203,19 +187,11 @@ func Fig12(o Options) error {
 	fmt.Fprintln(o.Out, "Figure 12: SchedInspector working with Slurm multifactor + backfilling (SDSC-SP2)")
 	fmt.Fprintln(o.Out, "(paper: 24.7% better bsld, 0.49% utilization reduction)")
 	spec := trainSpec{traceName: "SDSC-SP2", policy: "Slurm", metric: metrics.BSLD, backfill: true}
-	trainer, hist, tr, err := o.train(spec)
+	res, hist, err := o.evaluate(spec)
 	if err != nil {
 		return err
 	}
 	printCurve(o.Out, "Slurm training:", hist)
-	evalCfg, err := o.evalConfig(tr, spec)
-	if err != nil {
-		return err
-	}
-	res, err := core.Evaluate(trainer.Inspector(), evalCfg)
-	if err != nil {
-		return err
-	}
 	b, i := res.Boxes(metrics.BSLD)
 	uB, uI := res.Boxes(metrics.Util)
 	fmt.Fprintf(o.Out, "  bsld: base %.1f vs inspected %.1f (%+.1f%%)\n",

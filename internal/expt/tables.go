@@ -102,23 +102,10 @@ func Table4(o Options) error {
 	for _, name := range workload.PaperTraces() {
 		ySpec := trainSpec{traceName: name, policy: "SJF", metric: metrics.BSLD}
 
-		var ownModel *core.Inspector
-		var tr *workload.Trace
-		if name == spec.traceName {
-			ownModel = sdscModel
-			tr, err = o.trace(name)
-			if err != nil {
-				return err
-			}
-		} else {
-			var yTrainer *core.Trainer
-			yTrainer, _, tr, err = o.train(ySpec)
-			if err != nil {
-				return err
-			}
-			ownModel = yTrainer.Inspector()
+		yTrainer, _, tr, err := o.train(ySpec)
+		if err != nil {
+			return err
 		}
-
 		evalCfg, err := o.evalConfig(tr, ySpec)
 		if err != nil {
 			return err
@@ -128,7 +115,7 @@ func Table4(o Options) error {
 		if err != nil {
 			return err
 		}
-		ownRes, err := core.Evaluate(ownModel, evalCfg)
+		ownRes, err := core.Evaluate(yTrainer.Inspector(), evalCfg)
 		if err != nil {
 			return err
 		}
@@ -152,15 +139,7 @@ func Table5(o Options) error {
 		for _, traceName := range workload.PaperTraces() {
 			for _, polName := range []string{"SJF", "F1"} {
 				spec := trainSpec{traceName: traceName, policy: polName, metric: metrics.BSLD, backfill: backfill}
-				trainer, _, tr, err := o.train(spec)
-				if err != nil {
-					return err
-				}
-				evalCfg, err := o.evalConfig(tr, spec)
-				if err != nil {
-					return err
-				}
-				res, err := core.Evaluate(trainer.Inspector(), evalCfg)
+				res, _, err := o.evaluate(spec)
 				if err != nil {
 					return err
 				}
