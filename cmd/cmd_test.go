@@ -757,9 +757,13 @@ func TestCLIEndToEnd(t *testing.T) {
 				name, col, titleCol, out)
 		}
 	}
-	out = run(t, er, "-tiny", "-exp", "table1")
+	out = run(t, er, "-tiny", "-exp", "table1", "-batch", "7")
 	if !strings.Contains(out, "Case(b)-Inspected") {
 		t.Fatalf("expreport table1 unexpected:\n%s", out)
+	}
+	// The block's header names the scale it ran at, flags applied.
+	if head := "=== table1: Motivating example metrics (Table 1 / Figure 1) [batch 7, 3 epochs, 4 eval seqs] ==="; !strings.HasPrefix(out, head) {
+		t.Fatalf("expreport table1 header is not %q:\n%s", head, out)
 	}
 
 	// inspectord: serve the trained model and query it. -seed is explicit

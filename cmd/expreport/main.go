@@ -123,7 +123,7 @@ func main() {
 		if i > 0 {
 			fmt.Println()
 		}
-		fmt.Printf("=== %s: %s ===\n", e.Name, e.Title)
+		fmt.Printf("=== %s: %s [%s] ===\n", e.Name, e.Title, o.Scale())
 		t0 := time.Now()
 		if err := e.Run(o); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)

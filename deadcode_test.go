@@ -18,9 +18,10 @@ import (
 	"testing"
 )
 
-// uncalledAllowed are the functions, methods and types under internal/ and
-// cmd/ that no non-test file uses, and the fields of internal/ *Config
-// structs that no non-test file sets, each with the reason it stays. An
+// uncalledAllowed are the functions, methods, types and constants under
+// internal/ and cmd/ that no non-test file uses, and the fields of
+// internal/ *Config structs that no non-test file sets, each with the
+// reason it stays. An
 // entry goes when its declaration is deleted or gains a user;
 // TestNoUncalledFunctions fails on an entry that no longer names an unused
 // declaration.
@@ -40,13 +41,12 @@ var uncalledAllowed = map[string]string{
 	"sim.Env.Snapshot":      "ROADMAP's hindsight-headroom oracle is to branch the simulator with it; FuzzEnvStep replays through it",
 	"sim.Env.Restore":       "ROADMAP's hindsight-headroom oracle is to branch the simulator with it; FuzzEnvStep replays through it",
 
-	"core.EvalConfig.Greedy":  "the paper's argmax inference option, set through the facade's EvalConfig alias",
-	"core.TrainConfig.Hidden": "the network shape, set through the facade's TrainConfig alias; unset means the paper's 32-16-8",
-	"sim.Config.OnEvent":      "the facade's SimConfig event hook (ExampleSimulate); ROADMAP item 18 decides whether it stays",
+	"sim.Config.OnEvent": "the facade's SimConfig event hook (ExampleSimulate); ROADMAP item 18 decides whether it stays",
 }
 
-// TestNoUncalledFunctions: every function, method and type declared in a
-// non-test file under internal/ or cmd/ is used by some non-test file of
+// TestNoUncalledFunctions: every function, method, type and package-level
+// constant declared in a non-test file under internal/ or cmd/ is used by
+// some non-test file of
 // the module (bench/ and the root facade count as users; the facade's own
 // declarations are the public API and are not checked). Uses are resolved
 // by go/types, so a dead method is found even when a live identifier shares
@@ -57,7 +57,9 @@ var uncalledAllowed = map[string]string{
 // fields are checked only in the exported *Config structs under internal/,
 // and there for being set, not read: every field must be set by some
 // non-test file (a composite-literal key, an assignment or inc/dec, or the
-// operand of &); encoding/json reads other tagged fields by reflection.
+// operand of &) outside a withDefaults or WithDefaults method, since a
+// field that only its own defaults set has one value and is a constant;
+// encoding/json reads other tagged fields by reflection.
 // Code that only tests use, and a Config field only tests set, fails here
 // unless uncalledAllowed says why it stays.
 func TestNoUncalledFunctions(t *testing.T) {
@@ -162,8 +164,18 @@ func TestNoUncalledFunctions(t *testing.T) {
 					declared[info.Defs[dcl.Name]] = path.Base(dir) + "." + name
 				case *ast.GenDecl:
 					for _, spec := range dcl.Specs {
-						if ts, ok := spec.(*ast.TypeSpec); ok {
-							declared[info.Defs[ts.Name]] = path.Base(dir) + "." + ts.Name.Name
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							declared[info.Defs[spec.Name]] = path.Base(dir) + "." + spec.Name.Name
+						case *ast.ValueSpec:
+							if dcl.Tok != token.CONST {
+								continue
+							}
+							for _, id := range spec.Names {
+								if id.Name != "_" {
+									declared[info.Defs[id]] = path.Base(dir) + "." + id.Name
+								}
+							}
 						}
 					}
 				}
@@ -225,8 +237,9 @@ func TestNoUncalledFunctions(t *testing.T) {
 	}
 
 	// A field of an exported *Config struct under internal/ is live when a
-	// non-test file sets it: as a composite-literal key, on the left of an
-	// assignment or inc/dec, or as the operand of & (a flag.Var target).
+	// non-test file sets it outside a withDefaults method: as a
+	// composite-literal key, on the left of an assignment or inc/dec, or
+	// as the operand of & (a flag.Var target).
 	set := map[types.Object]bool{}
 	setBy := func(e ast.Expr) {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
@@ -237,6 +250,10 @@ func TestNoUncalledFunctions(t *testing.T) {
 		for _, f := range fs {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Recv != nil && (n.Name.Name == "withDefaults" || n.Name.Name == "WithDefaults") {
+						return false
+					}
 				case *ast.KeyValueExpr:
 					if id, ok := n.Key.(*ast.Ident); ok {
 						set[info.Uses[id]] = true
@@ -273,7 +290,7 @@ func TestNoUncalledFunctions(t *testing.T) {
 			_, allowed := uncalledAllowed[field]
 			switch {
 			case !set[st.Field(i)] && !allowed:
-				t.Errorf("%s (%s): no non-test file sets it; delete it, or allow it with the reason it stays", field, fset.Position(st.Field(i).Pos()))
+				t.Errorf("%s (%s): no non-test file sets it outside withDefaults; make it a constant or delete it, or allow it with the reason it stays", field, fset.Position(st.Field(i).Pos()))
 			case set[st.Field(i)] && allowed:
 				t.Errorf("uncalledAllowed[%q]: a non-test file sets it now; drop the entry", field)
 			}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"schedinspector/internal/ckpt"
 	"schedinspector/internal/metrics"
+	"schedinspector/internal/rl"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
@@ -233,25 +235,29 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 	c := src.Checkpoint()
 
+	// Each case changes the trainer's config or, for the network shape,
+	// which no config sets, the checkpoint.
 	cases := []struct {
 		name string
-		mut  func(*TrainConfig)
+		mut  func(*TrainConfig, *TrainerCheckpoint)
 		want string
 	}{
-		{"seed", func(cfg *TrainConfig) { cfg.Seed = 10 }, "seed"},
-		{"feature mode", func(cfg *TrainConfig) { cfg.FeatureMode = CompactedFeatures }, "feature mode"},
-		{"architecture", func(cfg *TrainConfig) { cfg.Hidden = []int{16, 16} }, "layers"},
-		{"metric", func(cfg *TrainConfig) { cfg.Metric = metrics.Wait }, "normalizer"},
+		{"seed", func(cfg *TrainConfig, _ *TrainerCheckpoint) { cfg.Seed = 10 }, "seed"},
+		{"feature mode", func(cfg *TrainConfig, _ *TrainerCheckpoint) { cfg.FeatureMode = CompactedFeatures }, "feature mode"},
+		{"architecture", func(_ *TrainConfig, c *TrainerCheckpoint) {
+			c.Policy = rl.NewAgent(rand.New(rand.NewSource(1)), c.Policy.InputSize(), []int{16, 16}, 2).Policy
+		}, "layers"},
+		{"metric", func(cfg *TrainConfig, _ *TrainerCheckpoint) { cfg.Metric = metrics.Wait }, "normalizer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := base
-			tc.mut(&cfg)
+			cfg, src := base, *c
+			tc.mut(&cfg, &src)
 			dst, err := NewTrainer(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = dst.Resume(c)
+			err = dst.Resume(&src)
 			if err == nil {
 				t.Fatal("mismatched checkpoint accepted")
 			}

@@ -74,7 +74,7 @@ func TestClampReward(t *testing.T) {
 func newTestInspector(t *testing.T, mode FeatureMode) *Inspector {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
-	return NewInspector(rng, mode, testNormalizer(metrics.BSLD), nil)
+	return NewInspector(rng, mode, testNormalizer(metrics.BSLD))
 }
 
 func TestInspectorGreedySamplingConsistency(t *testing.T) {
@@ -111,7 +111,7 @@ func TestInspectorSamplingRecordsSteps(t *testing.T) {
 		if len(st.Obs) != ManualFeatures.Dim() {
 			t.Fatalf("obs dim %d", len(st.Obs))
 		}
-		if st.Action != ActionAccept && st.Action != ActionReject {
+		if st.Action != 0 && st.Action != ActionReject {
 			t.Fatalf("bad action %d", st.Action)
 		}
 		if st.LogP > 0 {

@@ -23,7 +23,6 @@ type EvalConfig struct {
 	Metric metrics.Metric
 
 	Backfill      bool
-	Greedy        bool    // use argmax decisions instead of the default stochastic policy
 	Sequences     int     // number of sampled sequences (50)
 	SeqLen        int     // jobs per sequence (256)
 	TestFrom      float64 // fraction of the trace where the test region starts (0.2)
@@ -171,8 +170,8 @@ func (r EvalResult) RejectionRatio() float64 {
 // order, so the result is identical for any worker count and wave
 // composition.
 //
-// The inspector runs in stochastic mode by default (inference mirrors
-// training, §3.2); set cfg.Greedy for argmax decisions. A nil inspector
+// The inspector samples its decisions from the policy, as in training
+// (inference mirrors training, §3.2). A nil inspector
 // evaluates the base policy against itself (useful for harness plumbing
 // tests).
 func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
@@ -240,7 +239,7 @@ func Evaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 	rollCfg := rollout.Config{Trace: cfg.Trace, SeqLen: cfg.SeqLen, Workers: workers}
 	var sampler *waveSampler
 	if insp != nil {
-		sampler = newWaveSampler(insp.Clone(nil), rngs, cfg.Greedy, false)
+		sampler = newWaveSampler(insp.Clone(nil), rngs, false)
 		rollCfg.NewDecide = sampler.worker
 	}
 	var evalSpan obs.Span

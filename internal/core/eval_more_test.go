@@ -7,6 +7,7 @@ import (
 
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/sched"
+	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
 )
 
@@ -30,40 +31,48 @@ func TestStochasticMatchesPolicyDistribution(t *testing.T) {
 	}
 }
 
+// TestEvaluateGreedyVsStochastic: the argmax inspector (Inspector.Greedy,
+// which serving's greedy mode uses) is deterministic, so two runs over one
+// window agree exactly; Evaluate samples, from per-sequence streams of its
+// seed, so two evaluations of one seed agree too. Both produce valid
+// summaries.
 func TestEvaluateGreedyVsStochastic(t *testing.T) {
 	tr := workload.SDSCSP2Like(3000, 6)
-	in := NewInspector(rand.New(rand.NewSource(8)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD), nil)
-	base := EvalConfig{
-		Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
-		Sequences: 5, SeqLen: 64, Seed: 3,
-	}
-	// Greedy runs are deterministic: two greedy evaluations agree exactly.
-	g := base
-	g.Greedy = true
-	r1, err := Evaluate(in, g)
+	in := NewInspector(rand.New(rand.NewSource(8)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD))
+	simCfg := sim.Config{MaxProcs: tr.MaxProcs, Policy: sched.SJF(), Inspector: in.Greedy()}
+	g1, err := sim.Run(tr.Window(1000, 64), simCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Evaluate(in, g)
+	g2, err := sim.Run(tr.Window(1000, 64), simCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g1.Inspections == 0 || g1.Summary(tr.MaxProcs) != g2.Summary(tr.MaxProcs) || g1.Rejections != g2.Rejections {
+		t.Fatalf("greedy runs differ or inspect nothing: %+v vs %+v", g1.Summary(tr.MaxProcs), g2.Summary(tr.MaxProcs))
+	}
+
+	cfg := EvalConfig{
+		Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
+		Sequences: 5, SeqLen: 64, Seed: 3,
+	}
+	r1, err := Evaluate(in, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Evaluate(in, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range r1.Insp {
 		if r1.Insp[i] != r2.Insp[i] {
-			t.Fatalf("greedy evaluation not deterministic at %d", i)
+			t.Fatalf("stochastic evaluation not deterministic at %d", i)
 		}
 	}
-	// An untrained inspector rejects roughly half the time under the
-	// stochastic mode; greedy collapses to one side per state. Both must
-	// produce valid summaries.
-	st, err := Evaluate(in, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Inspections == 0 {
+	if r1.Inspections == 0 {
 		t.Error("stochastic evaluation made no inspections")
 	}
-	for _, s := range st.Insp {
+	for _, s := range r1.Insp {
 		if s.Jobs == 0 || math.IsNaN(s.AvgBSLD) {
 			t.Errorf("bad inspected summary %+v", s)
 		}

@@ -168,47 +168,45 @@ func TestFlightRecordsEveryFeatureMode(t *testing.T) {
 	}
 }
 
-// TestEvaluateFlightEquivalence covers the evaluation path: same explain
-// record set at any worker count, both stochastic and greedy.
+// TestEvaluateFlightEquivalence covers the evaluation path: the same
+// explain record set at any worker count.
 func TestEvaluateFlightEquivalence(t *testing.T) {
 	tr := workload.SDSCSP2Like(3000, 6)
 	insp := newTestInspector(t, ManualFeatures)
-	for _, greedy := range []bool{false, true} {
-		run := func(workers int) []obs.ExplainRecord {
-			var sink bytes.Buffer
-			ring := obs.NewTraceRing(256)
-			ring.SetSink(&sink)
-			res, err := Evaluate(insp, EvalConfig{
-				Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
-				Sequences: 6, SeqLen: 64, Seed: 3, Workers: workers,
-				Greedy: greedy, Flight: ring,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ring.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			recs := readFlight(t, ring, sink.Bytes()).Records
-			if len(recs) != res.Inspections {
-				t.Fatalf("%d explain records for %d inspections", len(recs), res.Inspections)
-			}
-			return recs
+	run := func(workers int) []obs.ExplainRecord {
+		var sink bytes.Buffer
+		ring := obs.NewTraceRing(256)
+		ring.SetSink(&sink)
+		res, err := Evaluate(insp, EvalConfig{
+			Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
+			Sequences: 6, SeqLen: 64, Seed: 3, Workers: workers,
+			Flight: ring,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seq, par := run(1), run(8)
-		if len(seq) == 0 {
-			t.Fatalf("greedy=%v: evaluation recorded no explain records", greedy)
+		if err := ring.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("greedy=%v: explain records differ between worker counts", greedy)
+		recs := readFlight(t, ring, sink.Bytes()).Records
+		if len(recs) != res.Inspections {
+			t.Fatalf("%d explain records for %d inspections", len(recs), res.Inspections)
 		}
-		for _, r := range seq {
-			if r.Sampled == greedy {
-				t.Fatalf("greedy=%v: record claims Sampled=%v", greedy, r.Sampled)
-			}
-			if len(r.Features) != ManualFeatures.Dim() || len(r.Logits) != 2 || len(r.Probs) != 2 {
-				t.Fatalf("record shapes wrong: %+v", r)
-			}
+		return recs
+	}
+	seq, par := run(1), run(8)
+	if len(seq) == 0 {
+		t.Fatal("evaluation recorded no explain records")
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatal("explain records differ between worker counts")
+	}
+	for _, r := range seq {
+		if !r.Sampled {
+			t.Fatal("an evaluation record claims a greedy decision")
+		}
+		if len(r.Features) != ManualFeatures.Dim() || len(r.Logits) != 2 || len(r.Probs) != 2 {
+			t.Fatalf("record shapes wrong: %+v", r)
 		}
 	}
 }

@@ -11,11 +11,9 @@ import (
 	"schedinspector/internal/workload"
 )
 
-// Actions of the inspector's binary policy head.
-const (
-	ActionAccept = 0
-	ActionReject = 1
-)
+// ActionReject is the reject action of the inspector's binary policy
+// head; action 0 accepts.
+const ActionReject = 1
 
 // Inspector is a trained (or in-training) SchedInspector model: the RL
 // agent, the feature mode it observes through, and the normalization
@@ -28,18 +26,16 @@ type Inspector struct {
 	feat []float64 // scratch feature buffer
 }
 
-// DefaultHidden is the paper's network architecture: three hidden layers of
-// 32, 16 and 8 neurons (§3.1).
-func DefaultHidden() []int { return []int{32, 16, 8} }
+// Hidden is the paper's network architecture, of both the policy and the
+// value network: three hidden layers of 32, 16 and 8 neurons (§3.1). Model
+// files record their own shape, so a model of any shape still loads.
+func Hidden() []int { return []int{32, 16, 8} }
 
 // NewInspector creates an untrained inspector with the paper's architecture
-// (or custom hidden sizes) for the given feature mode and normalizer.
-func NewInspector(rng *rand.Rand, mode FeatureMode, norm Normalizer, hidden []int) *Inspector {
-	if len(hidden) == 0 {
-		hidden = DefaultHidden()
-	}
+// for the given feature mode and normalizer.
+func NewInspector(rng *rand.Rand, mode FeatureMode, norm Normalizer) *Inspector {
 	return &Inspector{
-		Agent: rl.NewAgent(rng, mode.Dim(), hidden, 2),
+		Agent: rl.NewAgent(rng, mode.Dim(), Hidden(), 2),
 		Mode:  mode,
 		Norm:  norm,
 	}

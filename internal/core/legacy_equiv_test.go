@@ -158,12 +158,8 @@ func legacyEvaluate(insp *Inspector, cfg EvalConfig) (EvalResult, error) {
 		r.base = base.Summary(cfg.Trace.MaxProcs)
 
 		if insp != nil {
-			if cfg.Greedy {
-				simCfg.Inspector = snap.Greedy()
-			} else {
-				snap.Agent.Reseed(rng)
-				simCfg.Inspector = snap.Stochastic()
-			}
+			snap.Agent.Reseed(rng)
+			simCfg.Inspector = snap.Stochastic()
 		}
 		ins, err := sim.Run(jobs, simCfg)
 		if err != nil {
@@ -257,7 +253,7 @@ func TestEquivTrainerVsLegacy(t *testing.T) {
 
 // TestEquivEvaluateVsLegacy compares Evaluate against the verbatim legacy
 // evaluator: identical per-sequence summaries and rejection accounting
-// across policies, inspection modes and worker counts.
+// across policies, with and without an inspector, and across worker counts.
 func TestEquivEvaluateVsLegacy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full equivalence evaluation skipped in -short mode (run via make equiv)")
@@ -268,20 +264,18 @@ func TestEquivEvaluateVsLegacy(t *testing.T) {
 		name    string
 		policy  func() sched.Policy
 		insp    *Inspector
-		greedy  bool
 		workers int
 	}{
-		{"SJF/stochastic/seq", sched.SJF, insp, false, 1},
-		{"SJF/stochastic/par", sched.SJF, insp, false, 8},
-		{"SJF/greedy/par", sched.SJF, insp, true, 8},
-		{"Slurm/stochastic/par", func() sched.Policy { return sched.NewSlurm(tr) }, insp, false, 8},
-		{"SJF/nil-inspector/par", sched.SJF, nil, false, 8},
+		{"SJF/stochastic/seq", sched.SJF, insp, 1},
+		{"SJF/stochastic/par", sched.SJF, insp, 8},
+		{"Slurm/stochastic/par", func() sched.Policy { return sched.NewSlurm(tr) }, insp, 8},
+		{"SJF/nil-inspector/par", sched.SJF, nil, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := EvalConfig{
 				Trace: tr, Policy: tc.policy(), Metric: metrics.BSLD,
 				Sequences: 6, SeqLen: 64, Seed: 31, Workers: tc.workers,
-				Backfill: true, Greedy: tc.greedy,
+				Backfill: true,
 			}
 			got, err := Evaluate(tc.insp, cfg)
 			if err != nil {

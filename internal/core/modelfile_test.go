@@ -14,19 +14,26 @@ import (
 	"schedinspector/internal/ckpt"
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/mutants"
+	"schedinspector/internal/rl"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/workload"
 )
 
 // trainedCheckpoint is a fixed seeded trainer's full state after one epoch.
+// A non-nil hidden trains networks of that shape in place of the paper's,
+// to keep fuzz seeds small.
 func trainedCheckpoint(tb testing.TB, hidden []int) *TrainerCheckpoint {
 	tb.Helper()
 	tr, err := NewTrainer(TrainConfig{
 		Trace: workload.SDSCSP2Like(2500, 2), Policy: sched.SJF(), Metric: metrics.BSLD,
-		Batch: 3, SeqLen: 64, Seed: 17, Hidden: hidden,
+		Batch: 3, SeqLen: 64, Seed: 17,
 	})
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if hidden != nil {
+		tr.insp = shapedInspector(rand.New(rand.NewSource(17)), tr.insp.Mode, tr.insp.Norm, hidden)
+		tr.ppo = rl.NewPPO(tr.insp.Agent, tr.cfg.LR, false)
 	}
 	if _, err := tr.Train(1, nil); err != nil {
 		tb.Fatal(err)
@@ -52,10 +59,17 @@ func TestCheckpointEncodeGolden(t *testing.T) {
 	}
 }
 
+// shapedInspector is NewInspector with hidden layers of the given sizes.
+// No config builds one, but a model file records its shape and loading
+// accepts any.
+func shapedInspector(rng *rand.Rand, mode FeatureMode, norm Normalizer, hidden []int) *Inspector {
+	return &Inspector{Agent: rl.NewAgent(rng, mode.Dim(), hidden, 2), Mode: mode, Norm: norm}
+}
+
 // modelPayload is the model-file payload of a small untrained inspector.
 func modelPayload(tb testing.TB, hidden []int) (*Inspector, []byte) {
 	tb.Helper()
-	in := NewInspector(rand.New(rand.NewSource(3)), ManualFeatures, testNormalizer(metrics.BSLD), hidden)
+	in := shapedInspector(rand.New(rand.NewSource(3)), ManualFeatures, testNormalizer(metrics.BSLD), hidden)
 	payload, err := in.payload()
 	if err != nil {
 		tb.Fatal(err)
@@ -90,7 +104,7 @@ func defectPayloads(tb testing.TB, hidden []int) map[string][]byte {
 }
 
 func TestLoadServableRefusesDefects(t *testing.T) {
-	for name, payload := range defectPayloads(t, nil) {
+	for name, payload := range defectPayloads(t, Hidden()) {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "model.ckpt")
 			if err := ckpt.Write(path, TrainerCheckpointVersion, payload); err != nil {

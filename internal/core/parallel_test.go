@@ -145,7 +145,6 @@ func TestTrainConfigValidate(t *testing.T) {
 		{"NaN MaxInterval", func(c *TrainConfig) { c.MaxInterval = math.NaN() }, "MaxInterval"},
 		{"negative MaxRejections", func(c *TrainConfig) { c.MaxRejections = -1 }, "MaxRejections"},
 		{"negative Workers", func(c *TrainConfig) { c.Workers = -4 }, "Workers"},
-		{"zero hidden layer", func(c *TrainConfig) { c.Hidden = []int{32, 0} }, "Hidden"},
 		{"negative World", func(c *TrainConfig) { c.World = -1 }, "World"},
 		{"World above Batch", func(c *TrainConfig) { c.World = 5 /* Batch is 4 */ }, "World"},
 		{"negative Rank", func(c *TrainConfig) {
@@ -355,7 +354,7 @@ func BenchmarkRunEpochWorkers(b *testing.B) {
 // 1/workers of the workers=1 time, and on one core all rows cost the same.
 func BenchmarkEvaluateWorkers(b *testing.B) {
 	tr := workload.SDSCSP2Like(6000, 17)
-	insp := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD), nil)
+	insp := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD))
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := EvalConfig{
@@ -466,7 +465,7 @@ func TestEvaluateBytesIndependentOfSeqLen(t *testing.T) {
 		t.Skip("the race detector's shadow allocations are counted in TotalAlloc")
 	}
 	tr := workload.SDSCSP2Like(3000, 17)
-	insp := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD), nil)
+	insp := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD))
 	bytesPerPass := func(seqLen int) float64 {
 		return evalBytesPerPass(t, insp, EvalConfig{
 			Trace: tr, Policy: sched.SJF(), Metric: metrics.BSLD,
@@ -492,7 +491,7 @@ func TestEvaluateWorkersBytes(t *testing.T) {
 	const evalWindow = 16 // live episodes per worker
 	const seqLen = 256
 	tr := workload.SDSCSP2Like(6000, 17)
-	insp := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD), nil)
+	insp := NewInspector(rand.New(rand.NewSource(4)), ManualFeatures, NormalizerForTrace(tr, metrics.BSLD))
 	// Windows differ in how far their queues grow, so an Env is priced at
 	// the heaviest of a fresh Env's episodes every 100 jobs, each job
 	// rejected once.

@@ -157,7 +157,7 @@ func (t *Trainer) RolloutShard(lo, hi int) ([]TrajDelta, error) {
 
 	// The inspector needs only one snapshot, which every worker's forward
 	// reads.
-	sampler := newWaveSampler(t.insp.Clone(nil), rngs, false, true)
+	sampler := newWaveSampler(t.insp.Clone(nil), rngs, true)
 	rollCfg := rollout.Config{
 		Trace: t.cfg.Trace, SeqLen: t.cfg.SeqLen,
 		Workers: workers, NewDecide: sampler.worker, SlotBase: lo,

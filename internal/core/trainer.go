@@ -27,7 +27,6 @@ type TrainConfig struct {
 	FeatureMode FeatureMode // feature building mechanism (manual)
 	Backfill    bool        // EASY backfilling in the simulated environment
 
-	Hidden    []int   // policy/value hidden sizes (32, 16, 8)
 	SeqLen    int     // jobs per trajectory (128)
 	Batch     int     // trajectories per epoch (100)
 	LR        float64 // learning rate (1e-3)
@@ -54,7 +53,9 @@ type TrainConfig struct {
 	Rank  int
 	Peers []string
 
-	PPO rl.PPOConfig // optional PPO overrides (zero values take defaults)
+	// NoCritic trains without the value-network baseline, the §3.1
+	// ablation (rl.NewPPO).
+	NoCritic bool
 
 	// Metrics, when non-nil, receives worker-utilization and rollout-latency
 	// observations (see NewRolloutMetrics).
@@ -96,10 +97,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.World == 0 {
 		c.World = 1
 	}
-	if c.PPO.LR == 0 {
-		c.PPO.LR = c.LR
-	}
-	c.PPO = c.PPO.WithDefaults()
 	return c
 }
 
@@ -137,11 +134,6 @@ func (c TrainConfig) validate() error {
 			len(c.Peers), c.World)
 	case c.World == 1 && len(c.Peers) > 0:
 		return fmt.Errorf("core: TrainConfig.Peers set with World = 1; peer addresses only apply to distributed runs")
-	}
-	for _, h := range c.Hidden {
-		if h < 1 {
-			return fmt.Errorf("core: TrainConfig.Hidden contains %d, layer sizes must be >= 1", h)
-		}
 	}
 	return nil
 }
@@ -245,13 +237,13 @@ func newTrainer(cfg TrainConfig, warm *Inspector) (*Trainer, error) {
 		insp = warm.Clone(rng)
 	} else {
 		norm := NewNormalizer(workload.ComputeStats(cfg.Trace), cfg.Metric, cfg.MaxRejections, cfg.MaxInterval)
-		insp = NewInspector(rng, cfg.FeatureMode, norm, cfg.Hidden)
+		insp = NewInspector(rng, cfg.FeatureMode, norm)
 	}
 	cfg.Flight.SetMeta(cfg.FeatureMode.FeatureNames(), cfg.FeatureMode.String(), cfg.MaxRejections)
 	return &Trainer{
 		cfg:     cfg,
 		insp:    insp,
-		ppo:     rl.NewPPO(insp.Agent, cfg.PPO),
+		ppo:     rl.NewPPO(insp.Agent, cfg.LR, cfg.NoCritic),
 		trainLo: 0,
 		trainHi: hi,
 	}, nil

@@ -13,7 +13,7 @@ import (
 // actions with one matrix-shaped policy forward per wave. Where the old
 // engine ran one scalar MLP forward inside every simulator callback, a
 // worker stacks the features of every decision pending in its window into
-// one batch, forwards it once, and then samples (or argmaxes) each row.
+// one batch, forwards it once, and then samples each row.
 //
 // Bit-identity with the callback path holds row by row: ForwardBatch
 // reproduces Forward's accumulation order exactly, Softmax and the
@@ -29,7 +29,6 @@ type waveSampler struct {
 	insp   *Inspector
 	slots  []slotState // indexed by episode slot
 	record bool        // keep per-slot step logs (training)
-	greedy bool
 
 	// Flight-recorder hookup (explainTo): every decision emits one explain
 	// record keyed (epoch, slot, per-slot sequence). A slot's decisions
@@ -42,7 +41,7 @@ type waveSampler struct {
 
 // slotState is what one episode slot carries from decision to decision.
 type slotState struct {
-	rng   *rand.Rand // the slot's action draws; unread in greedy mode
+	rng   *rand.Rand // the slot's action draws
 	steps []rl.Step  // transition records when recording
 	slab  []float64  // backing store of the recorded observations
 	seq   int        // explain records emitted so far
@@ -60,10 +59,9 @@ type waveWorker struct {
 
 // newWaveSampler builds a sampler over len(rngs) episode slots using insp
 // as the read-only policy snapshot. rngs[slot] supplies the slot's action
-// draws; greedy takes the argmax instead and consumes no randomness.
-// record keeps per-slot step logs for training.
-func newWaveSampler(insp *Inspector, rngs []*rand.Rand, greedy, record bool) *waveSampler {
-	s := &waveSampler{insp: insp, slots: make([]slotState, len(rngs)), record: record, greedy: greedy}
+// draws. record keeps per-slot step logs for training.
+func newWaveSampler(insp *Inspector, rngs []*rand.Rand, record bool) *waveSampler {
+	s := &waveSampler{insp: insp, slots: make([]slotState, len(rngs)), record: record}
 	for i, rng := range rngs {
 		s.slots[i].rng = rng
 	}
@@ -120,17 +118,7 @@ func (w *waveWorker) decide(pending []rollout.Pending, rejects []bool) {
 		lg := logits[i*nAct : (i+1)*nAct]
 		slot := pending[i].Slot
 		sl := &w.slots[slot]
-		var action int
-		var logp float64
-		if w.greedy {
-			for a := 1; a < len(lg); a++ {
-				if lg[a] > lg[action] {
-					action = a
-				}
-			}
-		} else {
-			action, logp = rl.SampleCategorical(sl.rng, lg, w.probs)
-		}
+		action, logp := rl.SampleCategorical(sl.rng, lg, w.probs)
 		if w.record {
 			sl.steps = append(sl.steps, rl.Step{
 				Obs:    sl.recordObs(w.feats[i*dim : (i+1)*dim]),
@@ -140,11 +128,6 @@ func (w *waveWorker) decide(pending []rollout.Pending, rejects []bool) {
 		}
 		rejects[i] = action == ActionReject
 		if w.flight != nil {
-			if w.greedy {
-				// Sampling left softmax(lg) in w.probs; the greedy branch
-				// skipped it, so fill the scratch now for the record.
-				nn.Softmax(lg, w.probs)
-			}
 			st := pending[i].State
 			util := 0.0
 			if st.TotalProcs > 0 {
@@ -161,7 +144,7 @@ func (w *waveWorker) decide(pending []rollout.Pending, rejects []bool) {
 				Features: w.feats[i*dim : (i+1)*dim],
 				Logits:   lg,
 				Probs:    w.probs[:len(lg)],
-				Action:   action, Sampled: !w.greedy, Rejected: rejects[i],
+				Action:   action, Sampled: true, Rejected: rejects[i],
 			}
 			sl.seq++
 			w.flight.EmitDecision(&w.recScratch)

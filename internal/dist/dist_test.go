@@ -352,7 +352,6 @@ var fingerprintFields = []struct {
 	{"World", func(c *core.TrainConfig) { c.World++ }},
 	{"LR", func(c *core.TrainConfig) { c.LR *= 2 }},
 	{"TrainFrac", func(c *core.TrainConfig) { c.TrainFrac /= 2 }},
-	{"Hidden", func(c *core.TrainConfig) { c.Hidden = []int{16, 8} }},
 	{"Policy", func(c *core.TrainConfig) { c.Policy = sched.FCFS() }},
 	{"Metric", func(c *core.TrainConfig) { c.Metric = metrics.Wait }},
 	{"RewardKind", func(c *core.TrainConfig) { c.RewardKind = core.NativeReward }},
@@ -360,14 +359,7 @@ var fingerprintFields = []struct {
 	{"Backfill", func(c *core.TrainConfig) { c.Backfill = !c.Backfill }},
 	{"MaxInterval", func(c *core.TrainConfig) { c.MaxInterval *= 2 }},
 	{"MaxRejections", func(c *core.TrainConfig) { c.MaxRejections++ }},
-	{"PPO.LR", func(c *core.TrainConfig) { c.PPO.LR *= 2 }},
-	{"PPO.ClipRatio", func(c *core.TrainConfig) { c.PPO.ClipRatio *= 2 }},
-	{"PPO.PolicyIters", func(c *core.TrainConfig) { c.PPO.PolicyIters++ }},
-	{"PPO.ValueIters", func(c *core.TrainConfig) { c.PPO.ValueIters++ }},
-	{"PPO.TargetKL", func(c *core.TrainConfig) { c.PPO.TargetKL *= 2 }},
-	{"PPO.EntropyCoef", func(c *core.TrainConfig) { c.PPO.EntropyCoef *= 2 }},
-	{"PPO.MaxGradNorm", func(c *core.TrainConfig) { c.PPO.MaxGradNorm *= 2 }},
-	{"PPO.NoCritic", func(c *core.TrainConfig) { c.PPO.NoCritic = true }},
+	{"NoCritic", func(c *core.TrainConfig) { c.NoCritic = true }},
 }
 
 // defaulted returns cfg as a trainer built from it reports it.
@@ -388,7 +380,7 @@ func TestConnectRejectsFingerprintMismatch(t *testing.T) {
 	peers := sockets(t, 2)
 	base := defaulted(t, testConfig(2, 0, peers))
 	spelled := testConfig(2, 0, peers)
-	spelled.PPO.PolicyIters, spelled.MaxRejections, spelled.TrainFrac = 10, base.MaxRejections, base.TrainFrac
+	spelled.LR, spelled.MaxRejections, spelled.TrainFrac = base.LR, base.MaxRejections, base.TrainFrac
 	if Fingerprint(defaulted(t, spelled)) != Fingerprint(base) {
 		t.Error("a config that spells its defaults out hashes differently from one that leaves them unset")
 	}

@@ -14,6 +14,7 @@ import (
 
 	"schedinspector/internal/ckpt"
 	"schedinspector/internal/core"
+	"schedinspector/internal/rl"
 )
 
 type faultMode int
@@ -118,7 +119,7 @@ func TestFaultAtEveryFrameBoundary(t *testing.T) {
 	want := stateBytes(t, ref)
 	// Statistics, advantage moments, the policy passes that ran, the value
 	// passes, the digest.
-	rounds := 2 + refStats[1].PolicyIters + ref.Config().PPO.ValueIters + 1
+	rounds := 2 + refStats[1].PolicyIters + rl.ValueIters + 1
 	if rounds != 23 {
 		t.Fatalf("epoch 2 exchanges %d rounds; the sweep expects the default epoch's 23", rounds)
 	}

@@ -16,7 +16,6 @@ import (
 
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
-	"schedinspector/internal/rl"
 	"schedinspector/internal/sched"
 	"schedinspector/internal/sim"
 	"schedinspector/internal/workload"
@@ -64,6 +63,13 @@ func (o Options) withDefaults() Options {
 		o.Out = io.Discard
 	}
 	return o
+}
+
+// Scale names the options' training and evaluation scale, defaults
+// applied: what expreport prints in each block's header.
+func (o Options) Scale() string {
+	o = o.withDefaults()
+	return fmt.Sprintf("batch %d, %d epochs, %d eval seqs", o.Batch, o.Epochs, o.EvalSequences)
 }
 
 // Tiny returns options small enough for unit tests and testing.B bench
@@ -137,6 +143,32 @@ type trainSpec struct {
 	noCritic      bool    // train without the value network
 }
 
+// label names the spec in -v output: its trace, policy and metric, then
+// each field that differs from the default run. Simulator defaults are
+// spelled as zero (memoKey) before it is called.
+func (s trainSpec) label() string {
+	l := fmt.Sprintf("%s %s %v", s.traceName, s.policy, s.metric)
+	if s.reward != core.PercentageReward {
+		l += " reward=" + s.reward.String()
+	}
+	if s.features != core.ManualFeatures {
+		l += " features=" + s.features.String()
+	}
+	if s.backfill {
+		l += " easy"
+	}
+	if s.maxInterval != 0 {
+		l += fmt.Sprintf(" interval=%gs", s.maxInterval)
+	}
+	if s.maxRejections != 0 {
+		l += fmt.Sprintf(" cap=%d", s.maxRejections)
+	}
+	if s.noCritic {
+		l += " no-critic"
+	}
+	return l
+}
+
 // cachedTrain memoizes one completed training run. Several experiments
 // train identical configurations (e.g. Figures 4, 8 and 10 and Table 5 all
 // need [SJF|F1, trace, bsld] models); experiments run sequentially, so a
@@ -196,8 +228,7 @@ func (o Options) trainUncached(spec trainSpec) (*core.Trainer, []core.EpochStats
 	trainer, err := core.NewTrainer(core.TrainConfig{
 		Trace: tr, Policy: pol, Metric: spec.metric,
 		RewardKind: spec.reward, FeatureMode: spec.features, Backfill: spec.backfill,
-		MaxInterval: spec.maxInterval, MaxRejections: spec.maxRejections,
-		PPO:    rl.PPOConfig{NoCritic: spec.noCritic},
+		MaxInterval: spec.maxInterval, MaxRejections: spec.maxRejections, NoCritic: spec.noCritic,
 		SeqLen: o.SeqLen, Batch: o.Batch, Seed: o.Seed + 1, Workers: o.Workers,
 	})
 	if err != nil {
@@ -205,9 +236,10 @@ func (o Options) trainUncached(spec trainSpec) (*core.Trainer, []core.EpochStats
 	}
 	var cb func(core.EpochStats)
 	if o.Verbose {
+		label := o.memoKey(spec).spec.label()
 		cb = func(st core.EpochStats) {
-			fmt.Fprintf(o.Out, "    epoch %3d: improvement %9.2f (%.1f%%), rejection ratio %.2f\n",
-				st.Epoch, st.MeanImprovement, 100*st.MeanPctImprovement, st.RejectionRatio)
+			fmt.Fprintf(o.Out, "    [%s] epoch %3d: improvement %9.2f (%.1f%%), rejection ratio %.2f\n",
+				label, st.Epoch, st.MeanImprovement, 100*st.MeanPctImprovement, st.RejectionRatio)
 		}
 	}
 	hist, err := trainer.Train(o.Epochs, cb)

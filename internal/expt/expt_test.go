@@ -203,7 +203,7 @@ func TestAblationsShareDefaultModel(t *testing.T) {
 	trainMemo = map[trainKey]cachedTrain{}
 	t.Cleanup(func() { trainMemo = saved })
 
-	epochLine := regexp.MustCompile(`(?m)^    epoch +[0-9]+:`)
+	epochLine := regexp.MustCompile(`(?m)^    \[[^]]+\] epoch +[0-9]+:`)
 	// run returns the experiment's verbose output and its epoch-line count.
 	run := func(exp func(Options) error) (string, int) {
 		t.Helper()
@@ -238,15 +238,21 @@ func TestAblationsShareDefaultModel(t *testing.T) {
 		exp    func(Options) error
 		models int    // arms other than the default
 		row    string // the default arm's row, whose bsld impr. is none's
+		tag    string // what every new arm's epoch lines name
 	}{
-		{"ablate-interval", AblateInterval, 4, "600s"},
-		{"ablate-cap", AblateRejectionCap, 3, "72"},
-		{"ablate-critic", AblateCritic, 1, ""},
+		{"ablate-interval", AblateInterval, 4, "600s", " interval="},
+		{"ablate-cap", AblateRejectionCap, 3, "72", " cap="},
+		{"ablate-critic", AblateCritic, 1, "", " no-critic]"},
 	} {
 		out, lines := run(c.exp)
 		if lines != c.models*epochs {
 			t.Errorf("%s printed %d epoch lines, want %d (%d new models of %d epochs):\n%s",
 				c.name, lines, c.models*epochs, c.models, epochs, out)
+		}
+		for _, line := range epochLine.FindAllString(out, -1) {
+			if !strings.Contains(line, "[SDSC-SP2 SJF bsld") || !strings.Contains(line, c.tag) {
+				t.Errorf("%s: epoch line %q does not name its spec (SDSC-SP2 SJF bsld and %q)", c.name, line, c.tag)
+			}
 		}
 		if c.row != "" {
 			if got := cell(out, c.row, 1); got != none {

@@ -24,7 +24,7 @@ import (
 func TestWritePromMatchesFmt(t *testing.T) {
 	tr := workload.SDSCSP2Like(500, 3)
 	h := serve.NewHandler(core.NewInspector(rand.New(rand.NewSource(1)), core.ManualFeatures,
-		core.NormalizerForTrace(tr, metrics.BSLD), nil))
+		core.NormalizerForTrace(tr, metrics.BSLD)))
 	defer h.Close()
 	for i, c := range []struct{ method, path, body string }{
 		{"POST", "/v1/inspect", `{"job":{"wait":120,"est":3600,"procs":16},"free_procs":32,"total_procs":128,"queue":[{"wait":60,"est":600,"procs":4}]}`},

@@ -22,7 +22,7 @@ import (
 func testInspector(seed int64) *core.Inspector {
 	tr := workload.SDSCSP2Like(400, 3)
 	return core.NewInspector(rand.New(rand.NewSource(seed)), core.ManualFeatures,
-		core.NormalizerForTrace(tr, metrics.BSLD), nil)
+		core.NormalizerForTrace(tr, metrics.BSLD))
 }
 
 // fakeServer is a minimal Server for unit tests that must not spin up the

@@ -105,7 +105,7 @@ func updateDigest(t *testing.T, noCritic bool) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20220627))
 	a := NewAgent(rng, 8, []int{32, 16, 8}, 2)
-	ppo := NewPPO(a, PPOConfig{LR: 3e-3, NoCritic: noCritic})
+	ppo := NewPPO(a, 3e-3, noCritic)
 	first := digestBatch(a, rng)
 	var h stateHasher
 	for _, batch := range [][]Trajectory{first, nil, first} {
@@ -245,7 +245,7 @@ func TestEquivUpdateShardInvariant(t *testing.T) {
 	build := func(noCritic bool) (*Agent, *PPO, *rand.Rand) {
 		rng := rand.New(rand.NewSource(seed))
 		a := NewAgent(rng, 8, []int{32, 16, 8}, 2)
-		return a, NewPPO(a, PPOConfig{LR: 5e-3, NoCritic: noCritic}), rng
+		return a, NewPPO(a, 5e-3, noCritic), rng
 	}
 	for _, lens := range [][]int{digestLens, {37, 5, 91, 0, 128, 1, 64, 53}} {
 		for _, noCritic := range []bool{false, true} {
@@ -332,7 +332,7 @@ func TestEquivUpdateShardInvariant(t *testing.T) {
 func TestEquivKernelLeafOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	a := NewAgent(rng, 5, []int{8}, 3)
-	ppo := NewPPO(a, PPOConfig{})
+	ppo := NewPPO(a, 1e-3, false)
 	batch := sampleBatch(a, rng, []int{200})
 	steps, ret := batch[0].Steps, batch[0].Reward
 	for i := range steps {
@@ -379,7 +379,6 @@ func TestEquivKernelLeafOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ppo.cfg
 	g := nn.NewGrads(a.Policy)
 	var kl, ent, loss float64
 	clippedSteps := 0
@@ -389,10 +388,10 @@ func TestEquivKernelLeafOracle(t *testing.T) {
 		logpNew := math.Log(math.Max(probs[s.Action], 1e-12))
 		ratio := math.Exp(logpNew - s.LogP)
 		kl += s.LogP - logpNew
-		clipped := math.Max(math.Min(ratio, 1+cfg.ClipRatio), 1-cfg.ClipRatio)
+		clipped := math.Max(math.Min(ratio, 1+ClipRatio), 1-ClipRatio)
 		loss += -math.Min(ratio*adv, clipped*adv)
 		coef := 0.0
-		if adv >= 0 && ratio < 1+cfg.ClipRatio || adv < 0 && ratio > 1-cfg.ClipRatio {
+		if adv >= 0 && ratio < 1+ClipRatio || adv < 0 && ratio > 1-ClipRatio {
 			coef = -ratio * adv
 		} else {
 			clippedSteps++
@@ -412,7 +411,7 @@ func TestEquivKernelLeafOracle(t *testing.T) {
 			}
 			dLogits[k] = coef * (ind - q)
 			if q > 0 {
-				dLogits[k] += cfg.EntropyCoef * q * (math.Log(q) + h)
+				dLogits[k] += EntropyCoef * q * (math.Log(q) + h)
 			}
 		}
 		a.Policy.Backward(&polCache, dLogits, g)

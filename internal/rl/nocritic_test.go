@@ -12,7 +12,7 @@ func TestNoCriticStillLearns(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := NewAgent(rng, 1, []int{16, 8}, 2)
 	before := a.Value.Clone()
-	ppo := NewPPO(a, PPOConfig{LR: 3e-3, NoCritic: true})
+	ppo := NewPPO(a, 3e-3, true)
 	var last UpdateStats
 	for epoch := 0; epoch < 60; epoch++ {
 		st, err := ppo.Update(banditBatch(a, rng, 16, 32))
@@ -48,7 +48,7 @@ func TestCriticReducesVariance(t *testing.T) {
 	variance := func(noCritic bool, seed int64) float64 {
 		rng := rand.New(rand.NewSource(seed))
 		a := NewAgent(rng, 1, []int{8}, 2)
-		ppo := NewPPO(a, PPOConfig{LR: 1e-3, NoCritic: noCritic})
+		ppo := NewPPO(a, 1e-3, noCritic)
 		var kls []float64
 		for epoch := 0; epoch < 30; epoch++ {
 			// reward has a large state-dependent component the critic can

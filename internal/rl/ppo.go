@@ -168,57 +168,31 @@ func (a *Agent) ActionProb(obs []float64, action int) float64 {
 	return nn.Softmax(logits, a.probs)[action]
 }
 
-// PPOConfig holds the optimization hyperparameters.
-type PPOConfig struct {
-	LR          float64 // Adam learning rate for both networks (paper: 1e-3)
-	ClipRatio   float64 // PPO clipping epsilon (default 0.2)
-	PolicyIters int     // gradient passes over the batch per update (default 10)
-	ValueIters  int     // critic passes per update (default 10)
-	TargetKL    float64 // early-stop threshold on approx KL (default 0.015)
-	EntropyCoef float64 // entropy bonus weight (default 0.01)
-	MaxGradNorm float64 // global-norm gradient clip (default 1.0)
-
-	// NoCritic disables the value-network baseline: advantages are the raw
-	// (normalized) returns and the critic is not trained. The paper's §3.1
-	// reports high training variance in this configuration; the repository
-	// keeps it as an ablation.
-	NoCritic bool
-}
-
-// WithDefaults returns c with every unset (zero) field at its documented
-// default — the configuration NewPPO actually trains under.
-func (c PPOConfig) WithDefaults() PPOConfig {
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
-	if c.ClipRatio == 0 {
-		c.ClipRatio = 0.2
-	}
-	if c.PolicyIters == 0 {
-		c.PolicyIters = 10
-	}
-	if c.ValueIters == 0 {
-		c.ValueIters = 10
-	}
-	if c.TargetKL == 0 {
-		c.TargetKL = 0.015
-	}
-	if c.EntropyCoef == 0 {
-		c.EntropyCoef = 0.01
-	}
-	if c.MaxGradNorm == 0 {
-		c.MaxGradNorm = 1.0
-	}
-	return c
-}
+// The PPO recipe (SpinningUp's PPO-clip defaults, which the paper trains
+// with, §4.1). They are typed so that each expression of one of them and
+// one other operand rounds once, as a float64 variable would: 1+ClipRatio
+// and 1.5*TargetKL are the bits a run-time operation gives.
+const (
+	ClipRatio   float64 = 0.2   // PPO clipping epsilon
+	PolicyIters         = 10    // gradient passes over the batch per update
+	ValueIters          = 10    // critic passes per update
+	TargetKL    float64 = 0.015 // early-stop threshold on approx KL
+	EntropyCoef float64 = 0.01  // entropy bonus weight
+	MaxGradNorm float64 = 1.0   // global-norm gradient clip
+)
 
 // PPO optimizes an Agent from batches of trajectories.
 type PPO struct {
-	cfg        PPOConfig
 	agent      *Agent
 	polOpt     *nn.Adam
 	valOpt     *nn.Adam
 	nPol, nVal int // parameter counts of the two networks
+
+	// noCritic disables the value-network baseline: advantages are the raw
+	// (normalized) returns and the critic is not trained. The paper's §3.1
+	// reports high training variance in this configuration; the repository
+	// keeps it as an ablation.
+	noCritic bool
 
 	// The update's scratch, reused across calls. The local trajectories are
 	// flattened once per update into struct-of-arrays form — obs is N x dim
@@ -259,20 +233,20 @@ type PPO struct {
 // benchmark; 128 keeps a chunk's activations and deltas near 100 KB.
 const updateChunk = 128
 
-// NewPPO creates the optimizer for agent.
-func NewPPO(agent *Agent, cfg PPOConfig) *PPO {
-	cfg = cfg.WithDefaults()
+// NewPPO creates the optimizer for agent: Adam at learning rate lr for
+// both networks, and with noCritic the critic-free ablation.
+func NewPPO(agent *Agent, lr float64, noCritic bool) *PPO {
 	nA := agent.Policy.OutputSize()
 	return &PPO{
-		cfg:    cfg,
-		agent:  agent,
-		polOpt: nn.NewAdam(agent.Policy, cfg.LR),
-		valOpt: nn.NewAdam(agent.Value, cfg.LR),
-		nPol:   agent.Policy.NumParams(),
-		nVal:   agent.Value.NumParams(),
-		dOut:   make([]float64, updateChunk*nA),
-		probs:  make([]float64, nA),
-		logq:   make([]float64, nA),
+		agent:    agent,
+		polOpt:   nn.NewAdam(agent.Policy, lr),
+		valOpt:   nn.NewAdam(agent.Value, lr),
+		nPol:     agent.Policy.NumParams(),
+		nVal:     agent.Value.NumParams(),
+		noCritic: noCritic,
+		dOut:     make([]float64, updateChunk*nA),
+		probs:    make([]float64, nA),
+		logq:     make([]float64, nA),
 	}
 }
 
@@ -432,7 +406,7 @@ func (p *PPO) UpdateShard(lo int, local []Trajectory, rewards []float64, steps [
 	}
 
 	stats.PolicyIters, stats.ApproxKL, stats.Entropy, stats.PolicyLoss, err = p.updatePolicy(batch, n, ex)
-	if err == nil && !p.cfg.NoCritic {
+	if err == nil && !p.noCritic {
 		stats.ValueLoss, err = p.updateValue(batch, n, ex)
 	}
 	return stats, err
@@ -459,7 +433,7 @@ func (p *PPO) momentsLeaf(lo, hi int, vec []float64) {
 	for c := lo; c < hi; c += updateChunk {
 		ch := min(c+updateChunk, hi)
 		var values []float64
-		if !p.cfg.NoCritic {
+		if !p.noCritic {
 			values = p.agent.Value.ForwardBatch(p.obs[c*dim:ch*dim], ch-c, &p.valCache)
 		}
 		for i := c; i < ch; i++ {
@@ -482,7 +456,7 @@ func (p *PPO) momentsLeaf(lo, hi int, vec []float64) {
 // entropy bonus) of the last pass. The early stop reads the reduced KL, so
 // processes sharing the batch stop on the same pass.
 func (p *PPO) updatePolicy(batch, n int, ex Exchange) (iters int, kl, entropy, loss float64, err error) {
-	for iter := 0; iter < p.cfg.PolicyIters; iter++ {
+	for iter := 0; iter < PolicyIters; iter++ {
 		sum, err := p.reduce(Round{Phase: PhasePolicy, Iter: iter}, batch, ex)
 		if err != nil {
 			return iters, kl, entropy, loss, err
@@ -490,14 +464,14 @@ func (p *PPO) updatePolicy(batch, n int, ex Exchange) (iters int, kl, entropy, l
 		klSum, entSum, lossSum := sum[p.nPol], sum[p.nPol+1], sum[p.nPol+2]
 		kl = klSum / float64(n)
 		entropy = entSum / float64(n)
-		loss = (lossSum - p.cfg.EntropyCoef*entSum) / float64(n)
+		loss = (lossSum - EntropyCoef*entSum) / float64(n)
 		iters = iter + 1
-		if kl > 1.5*p.cfg.TargetKL && iter > 0 {
+		if kl > 1.5*TargetKL && iter > 0 {
 			break // stop before applying a step that drifts too far
 		}
 		g := p.cover[0].pol
 		g.Scale(1 / float64(n))
-		g.ClipGlobalNorm(p.cfg.MaxGradNorm)
+		g.ClipGlobalNorm(MaxGradNorm)
 		p.polOpt.Step(p.agent.Policy, g)
 	}
 	return iters, kl, entropy, loss, nil
@@ -522,12 +496,12 @@ func (p *PPO) policyLeaf(lo, hi int, dst *partial) {
 			logpNew := math.Log(math.Max(probs[act], 1e-12))
 			ratio := math.Exp(logpNew - logpOld)
 			klSum += logpOld - logpNew
-			clipped := math.Max(math.Min(ratio, 1+p.cfg.ClipRatio), 1-p.cfg.ClipRatio)
+			clipped := math.Max(math.Min(ratio, 1+ClipRatio), 1-ClipRatio)
 			lossSum += -math.Min(ratio*adv, clipped*adv)
 
 			// Clipped surrogate: gradient flows only when unclipped.
 			coef := 0.0
-			if adv >= 0 && ratio < 1+p.cfg.ClipRatio || adv < 0 && ratio > 1-p.cfg.ClipRatio {
+			if adv >= 0 && ratio < 1+ClipRatio || adv < 0 && ratio > 1-ClipRatio {
 				coef = -ratio * adv // d(-surrogate)/d(logpNew)
 			}
 
@@ -550,7 +524,7 @@ func (p *PPO) policyLeaf(lo, hi int, dst *partial) {
 				dl[k] = coef * (ind - probs[k])
 				// entropy bonus: loss -= c*H, dH/dl_k = -p_k(log p_k + H)
 				if probs[k] > 0 {
-					dl[k] += p.cfg.EntropyCoef * probs[k] * (logq[k] + h)
+					dl[k] += EntropyCoef * probs[k] * (logq[k] + h)
 				}
 			}
 		}
@@ -562,7 +536,7 @@ func (p *PPO) policyLeaf(lo, hi int, dst *partial) {
 // updateValue fits the critic to the returns with MSE over a batch of n
 // transitions; returns final loss.
 func (p *PPO) updateValue(batch, n int, ex Exchange) (loss float64, err error) {
-	for iter := 0; iter < p.cfg.ValueIters; iter++ {
+	for iter := 0; iter < ValueIters; iter++ {
 		sum, err := p.reduce(Round{Phase: PhaseValue, Iter: iter}, batch, ex)
 		if err != nil {
 			return loss, err
@@ -570,7 +544,7 @@ func (p *PPO) updateValue(batch, n int, ex Exchange) (loss float64, err error) {
 		loss = sum[p.nVal] / float64(n)
 		g := p.cover[0].val
 		g.Scale(1 / float64(n))
-		g.ClipGlobalNorm(p.cfg.MaxGradNorm)
+		g.ClipGlobalNorm(MaxGradNorm)
 		p.valOpt.Step(p.agent.Value, g)
 	}
 	return loss, nil

@@ -71,7 +71,7 @@ func TestGreedyMatchesArgmax(t *testing.T) {
 func TestUpdateValidatesObsSize(t *testing.T) {
 	build := func() (*Agent, *PPO) {
 		a := NewAgent(rand.New(rand.NewSource(4)), 3, []int{4}, 2)
-		return a, NewPPO(a, PPOConfig{})
+		return a, NewPPO(a, 1e-3, false)
 	}
 	good := Trajectory{
 		Steps:  []Step{{Obs: []float64{1, 2, 3}, Action: 1, LogP: -0.6}, {Obs: []float64{0, -1, 2}, Action: 0, LogP: -0.8}},
@@ -130,7 +130,7 @@ func TestUpdateWarmAllocs(t *testing.T) {
 	build := func() (*Agent, *PPO, *rand.Rand) {
 		rng := rand.New(rand.NewSource(11))
 		a := NewAgent(rng, 8, []int{32, 16, 8}, 2)
-		return a, NewPPO(a, PPOConfig{}), rng
+		return a, NewPPO(a, 1e-3, false), rng
 	}
 	a, ppo, rng := build()
 	small := digestBatch(a, rng)
@@ -185,7 +185,7 @@ func TestUpdateWarmAllocs(t *testing.T) {
 func TestUpdateEmptyBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := NewAgent(rng, 3, []int{4}, 2)
-	ppo := NewPPO(a, PPOConfig{})
+	ppo := NewPPO(a, 1e-3, false)
 	st, err := ppo.Update(nil)
 	if err != nil || st.Steps != 0 {
 		t.Errorf("empty batch: %+v, %v", st, err)
@@ -222,7 +222,7 @@ func banditBatch(a *Agent, rng *rand.Rand, trajs, steps int) []Trajectory {
 func TestPPOLearnsContextualBandit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := NewAgent(rng, 1, []int{16, 8}, 2)
-	ppo := NewPPO(a, PPOConfig{LR: 3e-3})
+	ppo := NewPPO(a, 3e-3, false)
 	var last UpdateStats
 	for epoch := 0; epoch < 60; epoch++ {
 		batch := banditBatch(a, rng, 16, 32)
@@ -258,7 +258,7 @@ func TestCriticLearnsBaseline(t *testing.T) {
 	// to it.
 	rng := rand.New(rand.NewSource(8))
 	a := NewAgent(rng, 1, []int{8}, 2)
-	ppo := NewPPO(a, PPOConfig{LR: 5e-3})
+	ppo := NewPPO(a, 5e-3, false)
 	for epoch := 0; epoch < 40; epoch++ {
 		var batch []Trajectory
 		for i := 0; i < 8; i++ {
@@ -284,15 +284,15 @@ func TestCriticLearnsBaseline(t *testing.T) {
 func TestKLEarlyStopEngages(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := NewAgent(rng, 1, []int{8}, 2)
-	// Huge LR forces big policy shifts; with a tight KL target, iterations
-	// must stop well before the configured maximum.
-	ppo := NewPPO(a, PPOConfig{LR: 0.1, PolicyIters: 50, TargetKL: 1e-4})
+	// A huge LR forces policy shifts past 1.5*TargetKL, so the passes must
+	// stop before PolicyIters.
+	ppo := NewPPO(a, 0.1, false)
 	batch := banditBatch(a, rng, 8, 16)
 	st, err := ppo.Update(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PolicyIters >= 50 {
+	if st.PolicyIters >= PolicyIters {
 		t.Errorf("KL early stop never engaged: %d iters", st.PolicyIters)
 	}
 }
@@ -300,7 +300,7 @@ func TestKLEarlyStopEngages(t *testing.T) {
 func TestUpdateStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := NewAgent(rng, 1, []int{8}, 2)
-	ppo := NewPPO(a, PPOConfig{})
+	ppo := NewPPO(a, 1e-3, false)
 	batch := banditBatch(a, rng, 4, 8)
 	st, err := ppo.Update(batch)
 	if err != nil {

@@ -26,7 +26,7 @@ import (
 func benchInspector() *core.Inspector {
 	tr := workload.SDSCSP2Like(500, 3)
 	return core.NewInspector(rand.New(rand.NewSource(17)), core.ManualFeatures,
-		core.NormalizerForTrace(tr, metrics.BSLD), nil)
+		core.NormalizerForTrace(tr, metrics.BSLD))
 }
 
 // benchInspect drives b.N requests through a handler from the given number

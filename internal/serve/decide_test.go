@@ -31,7 +31,7 @@ import (
 func equivInspector(seed int64, mode core.FeatureMode) *core.Inspector {
 	tr := workload.SDSCSP2Like(500, 3)
 	return core.NewInspector(rand.New(rand.NewSource(seed)), mode,
-		core.NormalizerForTrace(tr, metrics.BSLD), nil)
+		core.NormalizerForTrace(tr, metrics.BSLD))
 }
 
 // waveRequest varies the scheduling context per index so a run of requests

@@ -183,7 +183,7 @@ func TestSwapRefreshesExplainMeta(t *testing.T) {
 	}
 	tr := workload.SDSCSP2Like(500, 3)
 	repl := core.NewInspector(rand.New(rand.NewSource(2)), core.CompactedFeatures,
-		core.NormalizerForTrace(tr, metrics.BSLD), nil)
+		core.NormalizerForTrace(tr, metrics.BSLD))
 	h.Swap(repl)
 	for _, after := range []int{0, 3} {
 		for i := 0; i < after; i++ {

@@ -18,6 +18,7 @@ import (
 	"schedinspector/internal/core"
 	"schedinspector/internal/metrics"
 	"schedinspector/internal/obs"
+	"schedinspector/internal/rl"
 	"schedinspector/internal/workload"
 )
 
@@ -28,8 +29,12 @@ func reloadPair(t *testing.T) (*core.Inspector, *core.Inspector) {
 	t.Helper()
 	tr := workload.SDSCSP2Like(500, 3)
 	norm := core.NormalizerForTrace(tr, metrics.BSLD)
-	a := core.NewInspector(rand.New(rand.NewSource(1)), core.ManualFeatures, norm, nil)
-	b := core.NewInspector(rand.New(rand.NewSource(2)), core.ManualFeatures, norm, []int{8, 8})
+	a := core.NewInspector(rand.New(rand.NewSource(1)), core.ManualFeatures, norm)
+	b := &core.Inspector{
+		Agent: rl.NewAgent(rand.New(rand.NewSource(2)), core.ManualFeatures.Dim(), []int{8, 8}, 2),
+		Mode:  core.ManualFeatures,
+		Norm:  norm,
+	}
 	return a, b
 }
 

@@ -20,7 +20,7 @@ func testHandler(t *testing.T) *Handler {
 	t.Helper()
 	tr := workload.SDSCSP2Like(500, 3)
 	insp := core.NewInspector(rand.New(rand.NewSource(1)), core.ManualFeatures,
-		core.NormalizerForTrace(tr, metrics.BSLD), nil)
+		core.NormalizerForTrace(tr, metrics.BSLD))
 	return NewHandler(insp)
 }
 

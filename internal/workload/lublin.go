@@ -44,94 +44,59 @@ const (
 	// Gamma log-interarrival parameters
 	lublinAArr = 10.23
 	lublinBArr = 0.4871
+
+	// The paper's Lublin trace (Table 2): the cluster, the calibration
+	// targets, the daily-cycle strength and the mean over-estimation
+	// factor (est = run * (1 + Exp(mean lublinOverest-1))).
+	lublinMaxProcs         = 256
+	lublinInterval float64 = 771  // mean interarrival after calibration (s)
+	lublinMeanEst  float64 = 4862 // mean estimate after calibration (s)
+	lublinMinEst   float64 = 30   // estimate floor (s)
+	lublinDiurnal  float64 = 0.8
+	lublinOverest  float64 = 1.7
 )
 
-// LublinConfig controls the Lublin model generator.
-type LublinConfig struct {
-	Name     string
-	MaxProcs int
-	Jobs     int
-	Seed     int64
-	Interval float64 // target mean interarrival after calibration (seconds)
-	MeanEst  float64 // target mean estimate after calibration (seconds)
-	MaxEst   float64 // estimate cap (seconds)
-	Diurnal  float64 // daily-cycle strength, 0..1
-	Overest  float64 // mean multiplicative user over-estimation factor (>= 1)
-}
-
-func (c LublinConfig) withDefaults() LublinConfig {
-	if c.Name == "" {
-		c.Name = "Lublin"
+// LublinTrace returns the paper's "Lublin" trace from the Lublin-Feitelson
+// model: 256 processors, interval 771 s, mean estimate 4862 s, mean size
+// 22. jobs 0 means 20000, as for the other generators.
+func LublinTrace(jobs int, seed int64) *Trace {
+	if jobs == 0 {
+		jobs = 20000
 	}
-	if c.MaxProcs == 0 {
-		c.MaxProcs = 256
-	}
-	if c.Jobs == 0 {
-		c.Jobs = 20000
-	}
-	if c.Interval == 0 {
-		c.Interval = 771
-	}
-	if c.MeanEst == 0 {
-		c.MeanEst = 4862
-	}
-	if c.MaxEst == 0 {
-		c.MaxEst = 36 * 3600
-	}
-	if c.Diurnal == 0 {
-		c.Diurnal = 0.8
-	}
-	if c.Overest == 0 {
-		c.Overest = 1.7
-	}
-	return c
-}
-
-// GenerateLublin builds a trace from the Lublin-Feitelson model.
-func GenerateLublin(cfg LublinConfig) *Trace {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	uHi := math.Log2(float64(cfg.MaxProcs))
+	rng := rand.New(rand.NewSource(seed))
+	uHi := math.Log2(float64(lublinMaxProcs))
 	uMed := uHi - lublinUMedOff
 
-	jobs := make([]Job, cfg.Jobs)
+	js := make([]Job, jobs)
 	now := 0.0
-	for i := range jobs {
+	for i := range js {
 		gap := math.Exp(sampleGamma(rng, lublinAArr, lublinBArr))
-		if cfg.Diurnal > 0 {
-			gap /= diurnalRate(now, cfg.Diurnal)
-		}
+		gap /= diurnalRate(now, lublinDiurnal)
 		now += gap
 
-		size := lublinSize(rng, cfg.MaxProcs, uMed, uHi)
+		size := lublinSize(rng, lublinMaxProcs, uMed, uHi)
 		run := lublinRuntime(rng, size)
 		if run < 1 {
 			run = 1
 		}
-		// Users over-estimate: est = run * (1 + Exp(mean Overest-1)).
-		est := run * (1 + rng.ExpFloat64()*(cfg.Overest-1))
-		est = clamp(est, 30, cfg.MaxEst)
+		// Users over-estimate.
+		est := run * (1 + rng.ExpFloat64()*(lublinOverest-1))
+		est = clamp(est, lublinMinEst, maxEst)
 		if run > est {
 			run = est
 		}
-		jobs[i] = Job{
+		js[i] = Job{
 			ID: i + 1, Submit: now, Run: run, Est: est, Procs: size,
-			User: zipfInt(rng, 64), Group: zipfInt(rng, 16), Queue: zipfInt(rng, 4), Partition: 1,
+			User: zipfInt(rng, users), Group: zipfInt(rng, 16), Queue: zipfInt(rng, queues), Partition: 1,
 		}
 	}
 
-	recalibrateSubmit(jobs, cfg.Interval)
-	recalibrateEst(jobs, cfg.MeanEst, 30, cfg.MaxEst)
+	recalibrateSubmit(js, lublinInterval)
+	recalibrateEst(js, lublinMeanEst, lublinMinEst, maxEst)
 
-	t := &Trace{Name: cfg.Name, MaxProcs: cfg.MaxProcs, Jobs: jobs}
+	t := &Trace{Name: "Lublin", MaxProcs: lublinMaxProcs, Jobs: js}
 	t.SortBySubmit()
 	return t
-}
-
-// LublinTrace returns the paper's "Lublin" trace: 256 processors,
-// interval 771 s, mean estimate 4862 s, mean size 22.
-func LublinTrace(jobs int, seed int64) *Trace {
-	return GenerateLublin(LublinConfig{Jobs: jobs, Seed: seed})
 }
 
 // lublinSize samples the processor count.

@@ -10,26 +10,27 @@ import (
 
 // SWF (Standard Workload Format) field indices, per the Parallel Workloads
 // Archive definition. Every data line has 18 whitespace-separated fields;
-// -1 marks a missing value.
+// -1 marks a missing value. The columns the parser does not read are
+// blank, named in a comment.
 const (
 	swfJobNumber = iota
 	swfSubmitTime
-	swfWaitTime
+	_ // wait time
 	swfRunTime
 	swfAllocProcs
-	swfAvgCPUTime
-	swfUsedMemory
+	_ // average CPU time
+	_ // used memory
 	swfReqProcs
 	swfReqTime
-	swfReqMemory
-	swfStatus
+	_ // requested memory
+	_ // status
 	swfUserID
 	swfGroupID
-	swfExecutable
+	_ // executable number
 	swfQueueNumber
 	swfPartition
-	swfPrecedingJob
-	swfThinkTime
+	_ // preceding job number
+	_ // think time
 	swfNumFields
 )
 

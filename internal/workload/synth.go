@@ -18,14 +18,7 @@ type SynthConfig struct {
 	Interval float64 // target mean arrival interval, seconds
 	Burst    float64 // gamma shape for interarrival times; <1 is bursty, 1 is Poisson
 	MeanEst  float64 // target mean estimated runtime, seconds
-	EstSigma float64 // log-stddev of the log-normal runtime-estimate distribution
-	MaxEst   float64 // wallclock cap for estimates, seconds
-	MinEst   float64 // floor for estimates, seconds
-	RunFrac  float64 // exponent a in run = est * U^a (larger a, earlier finishes)
-	ExactRun float64 // probability that a job runs exactly to its estimate
 	Procs    float64 // target mean requested processors
-	Users    int     // number of distinct users (for Slurm multifactor)
-	Queues   int     // number of distinct queues (for Slurm multifactor)
 	Diurnal  float64 // 0..1 strength of the day/night arrival cycle
 
 	// RegimeStrength turns on a Markov-modulated arrival process: the
@@ -60,33 +53,26 @@ type SynthConfig struct {
 	TargetLoad float64
 }
 
+// The synthetic generator's fixed shape, shared by the three archive-log
+// traces and tracegen -custom (maxEst, users and queues by the Lublin
+// trace too). Typed, so that each expression of one of them and one other
+// operand rounds once, as a float64 variable would.
+const (
+	estSigma float64 = 1.6       // log-stddev of the log-normal runtime-estimate distribution
+	maxEst   float64 = 36 * 3600 // wallclock cap for estimates, seconds
+	minEst   float64 = 60        // floor for estimates, seconds
+	runFrac  float64 = 1.1       // exponent a in run = est * U^a (larger a, earlier finishes)
+	exactRun float64 = 0.12      // probability that a job runs exactly to its estimate
+	users            = 64        // distinct users (for Slurm multifactor)
+	queues           = 4         // distinct queues (for Slurm multifactor)
+)
+
 func (c SynthConfig) withDefaults() SynthConfig {
 	if c.Jobs == 0 {
 		c.Jobs = 20000
 	}
 	if c.Burst == 0 {
 		c.Burst = 0.45
-	}
-	if c.EstSigma == 0 {
-		c.EstSigma = 1.6
-	}
-	if c.MaxEst == 0 {
-		c.MaxEst = 36 * 3600
-	}
-	if c.MinEst == 0 {
-		c.MinEst = 60
-	}
-	if c.RunFrac == 0 {
-		c.RunFrac = 1.1
-	}
-	if c.ExactRun == 0 {
-		c.ExactRun = 0.12
-	}
-	if c.Users == 0 {
-		c.Users = 64
-	}
-	if c.Queues == 0 {
-		c.Queues = 4
 	}
 	return c
 }
@@ -101,7 +87,7 @@ func Generate(cfg SynthConfig) *Trace {
 	procDist := newPow2Dist(cfg.MaxProcs, cfg.Procs)
 
 	jobs := make([]Job, cfg.Jobs)
-	mu := logNormalMu(cfg.MeanEst, cfg.EstSigma)
+	mu := logNormalMu(cfg.MeanEst, estSigma)
 	now := 0.0
 	regimeRate := 1.0
 	regimeUntil := 0.0
@@ -129,7 +115,7 @@ func Generate(cfg SynthConfig) *Trace {
 		if rng.Float64() < cfg.Corr {
 			// comonotone draw: big jobs run long
 			u := rng.Float64()
-			est = math.Exp(mu + cfg.EstSigma*invNormalCDF(u))
+			est = math.Exp(mu + estSigma*invNormalCDF(u))
 			procs = procDist.quantile(u)
 			if procs > 2 && rng.Float64() < 0.25 {
 				procs -= rng.Intn(procs / 4)
@@ -138,19 +124,19 @@ func Generate(cfg SynthConfig) *Trace {
 				procs = cfg.MaxProcs
 			}
 		} else {
-			est = sampleLogNormal(rng, mu, cfg.EstSigma)
+			est = sampleLogNormal(rng, mu, estSigma)
 			procs = procDist.sample(rng, cfg.MaxProcs, 0.25)
 		}
-		est = clamp(est, cfg.MinEst, cfg.MaxEst)
+		est = clamp(est, minEst, maxEst)
 		run := est
-		if rng.Float64() >= cfg.ExactRun {
-			run = est * math.Pow(rng.Float64(), cfg.RunFrac)
+		if rng.Float64() >= exactRun {
+			run = est * math.Pow(rng.Float64(), runFrac)
 		}
 		if run < 1 {
 			run = 1
 		}
 		if rng.Float64() < cfg.DefaultEstProb {
-			est = canonicalEst(rng, run, cfg.MaxEst)
+			est = canonicalEst(rng, run)
 		}
 		jobs[i] = Job{
 			ID:        i + 1,
@@ -158,15 +144,15 @@ func Generate(cfg SynthConfig) *Trace {
 			Est:       est,
 			Run:       run,
 			Procs:     procs,
-			User:      zipfInt(rng, cfg.Users),
-			Group:     zipfInt(rng, cfg.Users/4+1),
-			Queue:     zipfInt(rng, cfg.Queues),
+			User:      zipfInt(rng, users),
+			Group:     zipfInt(rng, users/4+1),
+			Queue:     zipfInt(rng, queues),
 			Partition: 1,
 		}
 	}
 
 	recalibrateSubmit(jobs, cfg.Interval)
-	recalibrateEst(jobs, cfg.MeanEst, cfg.MinEst, cfg.MaxEst)
+	recalibrateEst(jobs, cfg.MeanEst, minEst, maxEst)
 	calibrateLoad(jobs, cfg.MaxProcs, cfg.TargetLoad)
 
 	t := &Trace{Name: cfg.Name, MaxProcs: cfg.MaxProcs, Jobs: jobs}
@@ -200,8 +186,9 @@ func recalibrateSubmit(jobs []Job, interval float64) {
 }
 
 // recalibrateEst rescales estimates (and runtimes with them) toward the
-// target mean. A few iterations converge despite the clamping.
-func recalibrateEst(jobs []Job, meanEst, minEst, maxEst float64) {
+// target mean, keeping them in [lo, hi]. A few iterations converge despite
+// the clamping.
+func recalibrateEst(jobs []Job, meanEst, lo, hi float64) {
 	for iter := 0; iter < 6; iter++ {
 		var sum float64
 		for i := range jobs {
@@ -214,7 +201,7 @@ func recalibrateEst(jobs []Job, meanEst, minEst, maxEst float64) {
 		}
 		for i := range jobs {
 			ratio := jobs[i].Run / jobs[i].Est
-			jobs[i].Est = clamp(jobs[i].Est*f, minEst, maxEst)
+			jobs[i].Est = clamp(jobs[i].Est*f, lo, hi)
 			jobs[i].Run = math.Max(1, jobs[i].Est*ratio)
 		}
 	}
@@ -222,7 +209,7 @@ func recalibrateEst(jobs []Job, meanEst, minEst, maxEst float64) {
 
 // canonicalEst picks a canonical wallclock request at or above run,
 // skewed toward over-requesting by one or two notches.
-func canonicalEst(rng *rand.Rand, run, maxEst float64) float64 {
+func canonicalEst(rng *rand.Rand, run float64) float64 {
 	buckets := [...]float64{1800, 3600, 4 * 3600, 12 * 3600, 24 * 3600, 36 * 3600}
 	lo := 0
 	for lo < len(buckets) && buckets[lo] < run {

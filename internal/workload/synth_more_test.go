@@ -55,7 +55,7 @@ func TestCanonicalEst(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		run := math.Exp(rng.Float64()*12) / 10 // 0.1s .. ~16000s
-		est := canonicalEst(rng, run, 36*3600)
+		est := canonicalEst(rng, run)
 		if est < run {
 			t.Fatalf("canonical est %v below run %v", est, run)
 		}
@@ -64,7 +64,7 @@ func TestCanonicalEst(t *testing.T) {
 		}
 	}
 	// run beyond the largest bucket: falls back to the cap
-	if got := canonicalEst(rng, 200000, 36*3600); got != 36*3600 {
+	if got := canonicalEst(rng, 200000); got != 36*3600 {
 		t.Errorf("huge run est = %v, want cap", got)
 	}
 }
