@@ -55,9 +55,18 @@ race:
 # so the legacy-trainer oracle pins it as well. The PPO update is pinned
 # the same way: internal/rl's frozen digest of the per-sample update (amd64
 # bits) and, on every architecture, internal/nn's batch kernels and rl's
-# update leaves against the per-sample Forward/Backward.
+# update leaves against the per-sample Forward/Backward. amd64 runs those
+# kernels through an SSE2 assembly block (internal/nn/madd_amd64.s) and
+# every other GOARCH through its pure-Go twin, so the last three lines run
+# the twin's bit-identity tests as 386 (which executes on an amd64 host),
+# the dead-code ratchet over the files a 386 build compiles (it reads only
+# the target's), and check that the arm64 build and its asm declarations
+# vet clean.
 equiv:
 	$(GO) test -race -run 'Equiv|BatchBitIdentical' -count=1 ./internal/sim/ ./internal/rollout/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/rl/ ./internal/nn/
+	GOARCH=386 $(GO) test -count=1 ./internal/nn/ ./internal/rl/
+	GOARCH=386 $(GO) test -count=1 -run TestNoUncalledFunctions .
+	GOARCH=arm64 $(GO) vet ./internal/nn/
 
 # fuzz-smoke gives every fuzz target a short budget (override with
 # FUZZTIME=...) — enough to catch shallow parser/decoder regressions, and

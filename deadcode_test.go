@@ -3,6 +3,7 @@ package schedinspector_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -61,7 +62,10 @@ var uncalledAllowed = map[string]string{
 // field that only its own defaults set has one value and is a constant;
 // encoding/json reads other tagged fields by reflection.
 // Code that only tests use, and a Config field only tests set, fails here
-// unless uncalledAllowed says why it stays.
+// unless uncalledAllowed says why it stays. Only the files go build would
+// compile for the target GOOS and GOARCH are read, so a declaration that
+// lives in an other-architecture file is checked by running this test
+// under that GOARCH.
 func TestNoUncalledFunctions(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // import path → non-test files
@@ -78,6 +82,11 @@ func TestNoUncalledFunctions(t *testing.T) {
 		}
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
+		}
+		// Of a pair like madd_amd64.go and its !amd64 twin, which both
+		// declare one name, only the target's file may be read.
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+			return err
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The batch kernels process rows stacked samples at a time and are pinned
@@ -20,8 +21,11 @@ import (
 // The speed comes only from which accumulators advance together: several
 // independent chains are held in registers per loaded weight or delta,
 // where the per-sample code is one add-latency chain that reloads and
-// stores every gradient once per sample. No chain's own operation sequence
-// changes, so neither blocking nor the caller's chunking can move a bit.
+// stores every gradient once per sample. On amd64 the three matrix products
+// advance sixteen chains at once in SSE2 lanes (madd_amd64.s), and a lane
+// rounds each multiply and add exactly as scalar code does. No chain's own
+// operation sequence changes, so neither blocking, the lanes, nor the
+// caller's chunking can move a bit.
 
 // BatchCache holds the per-layer activation matrices of one ForwardBatch
 // call and the delta matrices BackwardBatch works in. A zero BatchCache is
@@ -29,6 +33,10 @@ import (
 // only when a larger batch arrives.
 type BatchCache struct {
 	as [][]float64 // as[l] is rows x Sizes[l], row-major; as[0] is the input
+
+	// wt is the transpose of the layer ForwardBatch is computing, sized
+	// for the largest layer and rebuilt per layer per call.
+	wt []float64
 
 	// dL/dz of the layer being back-propagated and of the one below it,
 	// each rows x (widest layer), row-major; swapped per layer.
@@ -46,6 +54,13 @@ func (c *BatchCache) ensure(m *MLP, rows int) {
 			c.as[l] = make([]float64, need)
 		}
 		c.as[l] = c.as[l][:need]
+	}
+	maxW := 0
+	for _, w := range m.W {
+		maxW = max(maxW, len(w))
+	}
+	if cap(c.wt) < maxW {
+		c.wt = make([]float64, maxW)
 	}
 }
 
@@ -69,24 +84,41 @@ func (m *MLP) ForwardBatch(xs []float64, rows int, cache *BatchCache) []float64 
 	cache.ensure(m, rows)
 	copy(cache.as[0], xs)
 	for l := range m.W {
-		forwardLayer(m.W[l], m.B[l], m.Acts[l], m.Sizes[l], m.Sizes[l+1], cache.as[l], cache.as[l+1], rows)
+		forwardLayer(m.W[l], cache.wt, m.B[l], m.Acts[l], m.Sizes[l], m.Sizes[l+1], cache.as[l], cache.as[l+1], rows)
 	}
 	return cache.as[len(m.W)]
 }
 
-// forwardLayer computes one dense layer for rows stacked inputs. Four rows
-// advance together: each weight row is read once per block and feeds four
-// independent sums, one per input row. A block smaller than four runs
-// forwardRow, Forward's kernel. Sums land in outAll as pre-activations and
-// one pass at the end turns them into activations.
-func forwardLayer(w, bias []float64, act Activation, nIn, nOut int, inAll, outAll []float64, rows int) {
+// forwardLayer computes one dense layer for rows stacked inputs. Pairs of
+// rows run through maddPair against blocks of eight outputs: wt is filled
+// with the transpose of w (nIn x nOut), so for input i the weights of eight
+// consecutive outputs are contiguous, and each sum starts from its bias and
+// adds in[i]*w[o][i] with i ascending — Forward's operations, since in*w and
+// w*in are the same float64. Outputs past the last multiple of eight, a
+// last odd row, and layers narrower than eight outputs (the policy and value
+// heads) run forwardRow, Forward's kernel. Sums land in outAll as
+// pre-activations and one pass at the end turns them into activations.
+func forwardLayer(w, wt, bias []float64, act Activation, nIn, nOut int, inAll, outAll []float64, rows int) {
 	r := 0
-	for ; r+4 <= rows; r += 4 {
-		in := inAll[r*nIn : (r+4)*nIn]
-		in0, in1, in2, in3 := in[:nIn], in[nIn:2*nIn], in[2*nIn:3*nIn], in[3*nIn:]
-		out := outAll[r*nOut : (r+4)*nOut]
+	if nOut >= 8 && rows >= 2 {
 		for o := 0; o < nOut; o++ {
-			out[o], out[nOut+o], out[2*nOut+o], out[3*nOut+o] = dot4(w[o*nIn:(o+1)*nIn], in0, in1, in2, in3, bias[o])
+			for i, v := range w[o*nIn : (o+1)*nIn] {
+				wt[i*nOut+o] = v
+			}
+		}
+		for ; r+2 <= rows; r += 2 {
+			in := inAll[r*nIn : (r+2)*nIn]
+			out0, out1 := outAll[r*nOut:(r+1)*nOut], outAll[(r+1)*nOut:(r+2)*nOut]
+			copy(out0, bias)
+			copy(out1, bias)
+			o := 0
+			for ; o+8 <= nOut; o += 8 {
+				maddPair(out0[o:], out1[o:], in, 1, nIn, wt[o:], nOut, nIn)
+			}
+			if o < nOut {
+				forwardRow(w[o*nIn:], bias[o:], in[:nIn], out0[o:])
+				forwardRow(w[o*nIn:], bias[o:], in[nIn:], out1[o:])
+			}
 		}
 	}
 	for ; r < rows; r++ {
@@ -140,28 +172,6 @@ func activate(z []float64, act Activation) {
 			}
 		}
 	}
-}
-
-// dot4 returns b + row·x0, b + row·x1, b + row·x2 and b + row·x3, each sum
-// adding row[i]*x[i] with i ascending.
-//
-// It is a leaf kept out of line on purpose, like madd4 below: inlined into
-// its caller's loop nest the register allocator spills the loop counter (or,
-// with more accumulators, the accumulators themselves) to the stack, and the
-// store-to-load round trip per iteration costs more than the blocking wins
-// (0.57 vs 0.35 ns per multiply-add on the 32-wide layer).
-//
-//go:noinline
-func dot4(row, x0, x1, x2, x3 []float64, b float64) (s0, s1, s2, s3 float64) {
-	x0, x1, x2, x3 = x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
-	s0, s1, s2, s3 = b, b, b, b
-	for i, w := range row {
-		s0 += w * x0[i]
-		s1 += w * x1[i]
-		s2 += w * x2[i]
-		s3 += w * x3[i]
-	}
-	return s0, s1, s2, s3
 }
 
 // BackwardBatch accumulates into g the gradients of the rows samples of the
@@ -241,21 +251,70 @@ func gradBias(gb, delta []float64, nOut, rows int) {
 
 // gradWeights adds delta[r][o]*in[r][i] to every weight gradient, rows
 // ascending: output o's gradient row advances over column o of delta and
-// the rows of in.
+// the rows of in. Pairs of outputs run through maddPair against blocks of
+// eight input columns; columns past the last multiple of eight and a last
+// odd output run maddRow.
 func gradWeights(gw, delta, in []float64, nIn, nOut, rows int) {
-	for o := 0; o < nOut; o++ {
+	o := 0
+	for ; o+2 <= nOut; o += 2 {
+		g0, g1 := gw[o*nIn:(o+1)*nIn], gw[(o+1)*nIn:(o+2)*nIn]
+		i := 0
+		for ; i+8 <= nIn; i += 8 {
+			maddPair(g0[i:], g1[i:], delta[o:], nOut, 1, in[i:], nIn, rows)
+		}
+		if i < nIn {
+			maddRow(g0[i:], delta[o:], nOut, in[i:], nIn)
+			maddRow(g1[i:], delta[o+1:], nOut, in[i:], nIn)
+		}
+	}
+	if o < nOut {
 		maddRow(gw[o*nIn:(o+1)*nIn], delta[o:], nOut, in, nIn)
 	}
 }
 
 // propagateDelta computes prev[r][i] = sum over o of delta[r][o]*w[o][i],
 // each sum starting from +0 and adding with o ascending: row r of prev
-// advances over row r of delta and the rows of w.
+// advances over row r of delta and the rows of w. Pairs of rows run
+// through maddPair against blocks of eight columns; columns past the last
+// multiple of eight and a last odd row run maddRow.
 func propagateDelta(prev, delta, w []float64, nIn, nOut, rows int) {
 	clear(prev)
-	for r := 0; r < rows; r++ {
+	r := 0
+	for ; r+2 <= rows; r += 2 {
+		p0, p1 := prev[r*nIn:(r+1)*nIn], prev[(r+1)*nIn:(r+2)*nIn]
+		d := delta[r*nOut : (r+2)*nOut]
+		i := 0
+		for ; i+8 <= nIn; i += 8 {
+			maddPair(p0[i:], p1[i:], d, 1, nOut, w[i:], nIn, nOut)
+		}
+		if i < nIn {
+			maddRow(p0[i:], d[:nOut], 1, w[i:], nIn)
+			maddRow(p1[i:], d[nOut:], 1, w[i:], nIn)
+		}
+	}
+	if r < rows {
 		maddRow(prev[r*nIn:(r+1)*nIn], delta[r*nOut:(r+1)*nOut], 1, w, nIn)
 	}
+}
+
+// maddPair runs madd2x8 after checking every index it reaches: eight
+// values of a0 and of a1, x[(n-1)*xs+xp] and y[(n-1)*ys+7]. It panics
+// otherwise, so the kernel never reads or writes outside a slice. Both
+// strides are at least one.
+func maddPair(a0, a1, x []float64, xs, xp int, y []float64, ys, n int) {
+	if len(a0) < 8 || len(a1) < 8 || n < 0 || xs < 1 || ys < 1 ||
+		n > 0 && (!within(n, xs, xp, len(x)) || !within(n, ys, 7, len(y))) {
+		panic(fmt.Sprintf("nn: maddPair out of range: len(a0)=%d len(a1)=%d, x[%d] of %d (xs=%d xp=%d), y[%d] of %d (ys=%d), n=%d",
+			len(a0), len(a1), (n-1)*xs+xp, len(x), xs, xp, (n-1)*ys+7, len(y), ys, n))
+	}
+	madd2x8(a0, a1, x, xs, xp, y, ys, n)
+}
+
+// within reports whether index (n-1)*stride+last, for n >= 1 and
+// stride >= 1, lies in [0, length), with no product that can overflow.
+func within(n, stride, last, length int) bool {
+	hi, lo := bits.Mul64(uint64(n-1), uint64(stride))
+	return hi == 0 && last >= 0 && lo < uint64(length) && uint64(last) < uint64(length)-lo
 }
 
 // maddRow adds to every acc[k] the products x[j*xs]*y[j*ys+k] for
@@ -276,10 +335,13 @@ func maddRow(acc, x []float64, xs int, y []float64, ys int) {
 	}
 }
 
-// madd4 is maddRow's four-accumulator block; see dot4 for why it is not
-// inlined. Four chains, not eight: with eight the compiler spills two
-// accumulators and the block runs slower (0.35 vs 0.33 ns per
-// multiply-add out of line, 0.48 inlined).
+// madd4 is maddRow's four-accumulator block, and four of them make
+// madd_generic.go's madd2x8. It is a leaf kept out of line on purpose:
+// inlined into its caller's loop nest the register allocator spills the
+// loop counter or the accumulators, and the store-to-load round trip costs
+// more than the blocking wins (0.48 vs 0.33 ns per multiply-add). Four
+// chains, not eight: with eight the compiler spills two accumulators and
+// the block runs slower (0.35 vs 0.33 ns).
 //
 //go:noinline
 func madd4(acc, x []float64, xs int, y []float64, ys int) {

@@ -8,19 +8,38 @@ import (
 
 // oracleNets are the networks the batch kernels are pinned on: the paper's
 // tanh shape, a ReLU net (exact zeros, so ±0 products reach the
-// accumulators), and widths that are multiples of neither 4 nor 8, so every
-// tail loop of the blocked kernels runs.
+// accumulators), widths that are multiples of neither 4 nor 8, so every
+// tail loop of the blocked kernels runs, and the widths that reach each
+// remainder of the eight-wide pair kernel: the compacted features' 5
+// inputs (no full block of input columns), the native features' 102 (twelve
+// input blocks and a 6-column tail), and 8-9-17-2 (outputs one past a
+// block, an odd output count, a two-output head under eight). Biases are
+// random, not New's zeros, so a sum that added its bias out of order would
+// show.
 func oracleNets(rng *rand.Rand) []*MLP {
-	return []*MLP{
+	nets := []*MLP{
 		New(rng, []int{9, 32, 16, 8, 2}, Tanh, Identity),
 		New(rng, []int{8, 32, 16, 8, 2}, ReLU, Identity),
 		New(rng, []int{9, 5, 3, 2}, Tanh, Identity),
 		New(rng, []int{9, 5, 3, 2}, ReLU, Tanh),
+		New(rng, []int{5, 32, 16, 8, 2}, Tanh, Identity),
+		New(rng, []int{102, 32, 16, 8, 1}, Tanh, Identity),
+		New(rng, []int{8, 9, 17, 2}, Tanh, Identity),
 	}
+	for _, m := range nets {
+		for _, b := range m.B {
+			for o := range b {
+				b[o] = rng.NormFloat64() / 4
+			}
+		}
+	}
+	return nets
 }
 
-// oracleRows straddle the 4-row block and a 128-row chunk; the trailing 5
-// shrinks the batch so a reused cache is exercised too.
+// oracleRows are one row, the first row pair and an odd row past it, small
+// even and odd batches, and a 128-row chunk with an odd and an even
+// neighbour; the trailing 5 shrinks the batch so a reused cache is
+// exercised too.
 var oracleRows = []int{1, 2, 3, 4, 5, 7, 8, 9, 127, 128, 129, 5}
 
 func randVec(rng *rand.Rand, n int) []float64 {
@@ -192,7 +211,7 @@ func refForward(m *MLP, x []float64) []float64 {
 }
 
 // TestForwardRowOracle pins Forward, and every row of ForwardBatch at 1 to 9
-// rows (one 4-row block and both tails), to refForward bit for bit: the
+// rows (row pairs and an odd last row), to refForward bit for bit: the
 // paper's shapes with one and two outputs, widths that are 1, 2 and 3 past a
 // multiple of four, under each activation. Inputs carry exact and negative
 // zeros so ReLU's and the sums' signed zeros are compared too.
@@ -241,5 +260,35 @@ func BenchmarkForward(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Forward(x, &cache)
+	}
+}
+
+// BenchmarkBatchPass is one 128-row chunk of the PPO update, ForwardBatch
+// then BackwardBatch, through the paper's policy (8 -> 32 -> 16 -> 8 -> 2)
+// and value (... -> 1) networks: the pair kernel's layer-level number, in
+// ns per row.
+func BenchmarkBatchPass(b *testing.B) {
+	const rows = 128
+	for _, c := range []struct {
+		name string
+		out  int
+	}{{"policy", 2}, {"value", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			m := New(rng, []int{8, 32, 16, 8, c.out}, Tanh, Identity)
+			xs, dOut := randVec(rng, rows*8), randVec(rng, rows*c.out)
+			g := NewGrads(m)
+			var cache BatchCache
+			// One untimed pass sizes the cache.
+			m.ForwardBatch(xs, rows, &cache)
+			m.BackwardBatch(&cache, dOut, rows, g)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ForwardBatch(xs, rows, &cache)
+				m.BackwardBatch(&cache, dOut, rows, g)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
 }

@@ -125,8 +125,8 @@ func TestGradientCheck(t *testing.T) {
 			return l
 		}, g)
 
-		// BackwardBatch: the same squared error summed over 5 rows, one
-		// 4-row block plus the row tail.
+		// BackwardBatch: the same squared error summed over 5 rows, two
+		// row pairs plus an odd last row.
 		const rows = 5
 		xs := randVec(rng, rows*4)
 		targets := randVec(rng, rows*3)
