@@ -57,16 +57,21 @@ race:
 # bits) and, on every architecture, internal/nn's batch kernels and rl's
 # update leaves against the per-sample Forward/Backward. amd64 runs those
 # kernels through an SSE2 assembly block (internal/nn/madd_amd64.s) and
-# every other GOARCH through its pure-Go twin, so the last three lines run
+# every other GOARCH through its pure-Go twin, so the 386 and arm64 lines run
 # the twin's bit-identity tests as 386 (which executes on an amd64 host),
 # the dead-code ratchet over the files a 386 build compiles (it reads only
 # the target's), and check that the arm64 build and its asm declarations
 # vet clean.
+# The hidden layers' tanh runs its rational branch in SSE2 lanes
+# (internal/nn/tanh_amd64.s) and hands the other inputs to math.Tanh, whose
+# Exp takes its FMA path when the CPU has one; the cpu.fma=off line runs
+# internal/nn as a host without FMA would, lanes and fallback together.
 equiv:
 	$(GO) test -race -run 'Equiv|BatchBitIdentical' -count=1 ./internal/sim/ ./internal/rollout/ ./internal/core/ ./internal/serve/ ./internal/dist/ ./internal/rl/ ./internal/nn/
 	GOARCH=386 $(GO) test -count=1 ./internal/nn/ ./internal/rl/
 	GOARCH=386 $(GO) test -count=1 -run TestNoUncalledFunctions .
 	GOARCH=arm64 $(GO) vet ./internal/nn/
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/nn/
 
 # fuzz-smoke gives every fuzz target a short budget (override with
 # FUZZTIME=...) — enough to catch shallow parser/decoder regressions, and

@@ -41,6 +41,9 @@ type BatchCache struct {
 	// dL/dz of the layer being back-propagated and of the one below it,
 	// each rows x (widest layer), row-major; swapped per layer.
 	dCur, dNxt []float64
+
+	// ones is at least rows 1s, the multiplier gradBias feeds maddRow.
+	ones []float64
 }
 
 func (c *BatchCache) ensure(m *MLP, rows int) {
@@ -158,12 +161,23 @@ func forwardRow(w, bias, in, out []float64) {
 }
 
 // activate applies act to every pre-activation in z, in place; Identity (and
-// any unknown activation) leaves z as it is.
+// any unknown activation) leaves z as it is. Tanh starts tanhPairs at each
+// element inside the kernel's range, 0 < |x| < 0.625; the kernel stops at
+// the first pair it cannot take, and that element, like every one outside
+// the range, goes through math.Tanh. Both paths give math.Tanh's bits, so
+// the range test only spares a run of Exp-branch inputs a kernel call per
+// element.
 func activate(z []float64, act Activation) {
 	switch act {
 	case Tanh:
-		for k, v := range z {
-			z[k] = math.Tanh(v)
+		for k := 0; k < len(z); k++ {
+			if v := z[k]; v != 0 && math.Abs(v) < 0.625 {
+				k += tanhPairs(z[k:])
+				if k == len(z) {
+					break
+				}
+			}
+			z[k] = math.Tanh(z[k])
 		}
 	case ReLU:
 		for k, v := range z {
@@ -203,6 +217,12 @@ func (m *MLP) BackwardBatch(cache *BatchCache, dOut []float64, rows int, g *Grad
 		cache.dCur = make([]float64, rows*maxW)
 		cache.dNxt = make([]float64, rows*maxW)
 	}
+	if len(cache.ones) < rows {
+		cache.ones = make([]float64, rows)
+		for k := range cache.ones {
+			cache.ones[k] = 1
+		}
+	}
 
 	nOut := m.Sizes[layers]
 	delta := cache.dCur[:rows*nOut]
@@ -210,7 +230,7 @@ func (m *MLP) BackwardBatch(cache *BatchCache, dOut []float64, rows int, g *Grad
 	for l := layers - 1; l >= 0; l-- {
 		nIn, nOut := m.Sizes[l], m.Sizes[l+1]
 		in := cache.as[l]
-		gradBias(g.B[l], delta, nOut, rows)
+		gradBias(g.B[l], cache.ones[:rows], delta, nOut)
 		gradWeights(g.W[l], delta, in, nIn, nOut, rows)
 		if l == 0 {
 			break
@@ -240,13 +260,11 @@ func scaleByDeriv(dst, src, y []float64, act Activation) {
 	}
 }
 
-// gradBias adds every row's delta to the bias gradients, rows ascending.
-func gradBias(gb, delta []float64, nOut, rows int) {
-	for r := 0; r < rows; r++ {
-		for o, d := range delta[r*nOut : (r+1)*nOut] {
-			gb[o] += d
-		}
-	}
+// gradBias adds every row's delta to the bias gradients, rows ascending,
+// as maddRow against ones (rows of 1): 1*d is d exactly, so each chain adds
+// what the per-sample code adds, and four chains stay in registers.
+func gradBias(gb, ones, delta []float64, nOut int) {
+	maddRow(gb, ones, 1, delta, nOut)
 }
 
 // gradWeights adds delta[r][o]*in[r][i] to every weight gradient, rows

@@ -15,9 +15,9 @@ import (
 )
 
 // digestLens are the trajectory lengths of the frozen-digest batch: unequal,
-// and summing to 379 = 2*128 + 123 = 94*4 + 3, so an update kernel that works
-// in 128-row chunks and 4-row register blocks runs a short last chunk and a
-// row tail.
+// and summing to 379 = 2*128 + 123, so the update, which works in 128-row
+// chunks and runs row pairs against blocks of eight columns, runs a short
+// last chunk whose 123 rows end in an odd row.
 var digestLens = []int{37, 5, 91, 128, 1, 64, 53}
 
 // digestBatch samples one on-policy batch of len(digestLens) trajectories
